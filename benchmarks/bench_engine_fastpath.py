@@ -6,13 +6,17 @@ it is exactly where a per-copy engine wastes work.  This bench pits three
 arms against each other on the same workload:
 
 * *legacy* — an explicit ``env.send`` loop over all other processes on
-  the object engine (the pre-multicast idiom, still fully supported);
-* *fastpath* — one ``env.broadcast`` per round on the object engine
-  (the PR 4 multicast fast path: one record queued per broadcast, per-copy
-  ``Message`` views materialized at inbox delivery);
-* *columnar* — the same broadcasts on the numpy engine
-  (``SyncNetwork(columnar=True)``): delivery planned as array math over
-  contiguous copy vectors, inboxes handed out as lazy views.
+  the object loop (the pre-multicast idiom, still fully supported);
+* *fastpath* — one ``env.broadcast`` per round on the object loop
+  (one record queued per broadcast, per-copy ``Message`` views
+  materialized at inbox delivery);
+* *columnar* — the same broadcasts on the numpy delivery plan: delivery
+  planned as array math over contiguous copy vectors, inboxes handed out
+  as lazy views.
+
+The engine picks the object loop or the columnar plan per batch on its own
+(``repro.runtime.delivery``); the arms pin every batch to one path through
+the rule's fan-out constant, the same seam ``tests/test_columnar.py`` uses.
 
 All executions must be byte-identical — same decisions, same rounds, same
 value for every :class:`Metrics` counter and per-round series — and each
@@ -42,11 +46,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Any
 
-from repro.runtime import HAVE_NUMPY, Metrics, SyncNetwork, SyncProcess
+from repro.runtime import (
+    HAVE_NUMPY,
+    Metrics,
+    SyncNetwork,
+    SyncProcess,
+    delivery,
+)
 
 
 def certificate_payload(pid: int, round_no: int) -> tuple:
@@ -90,7 +101,7 @@ class MulticastSender(SyncProcess):
         env.decide(0)
 
 
-#: arm name -> (process class, columnar engine flag)
+#: arm name -> (process class, every batch on the columnar plan?)
 ARMS: dict[str, tuple[type[SyncProcess], bool]] = {
     "legacy": (LoopSender, False),
     "fastpath": (MulticastSender, False),
@@ -122,14 +133,15 @@ def run_once(process_cls, n: int, rounds: int, seed: int, columnar: bool):
     process_cls = type(
         process_cls.__name__, (process_cls,), {"rounds": rounds}
     )
-    network = SyncNetwork(
-        [process_cls(pid, n) for pid in range(n)],
-        seed=seed,
-        columnar=columnar,
-    )
-    started = time.perf_counter()
-    result = network.run()
-    return time.perf_counter() - started, result
+    network = SyncNetwork([process_cls(pid, n) for pid in range(n)], seed=seed)
+    shipped = delivery._COLUMNAR_MIN_FANOUT
+    delivery._COLUMNAR_MIN_FANOUT = 0 if columnar else math.inf
+    try:
+        started = time.perf_counter()
+        result = network.run()
+        return time.perf_counter() - started, result
+    finally:
+        delivery._COLUMNAR_MIN_FANOUT = shipped
 
 
 def bench(

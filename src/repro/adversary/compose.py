@@ -27,7 +27,6 @@ from ..runtime import (
     AdversaryAction,
     AdversaryContext,
     NetworkView,
-    setup_adversary,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -61,7 +60,7 @@ class SequentialAdversary(Adversary):
 
     def setup(self, ctx: AdversaryContext) -> None:
         for stage in self.stages:
-            setup_adversary(stage, ctx)
+            stage.setup(ctx)
 
     def _stage_for(self, round_no: int) -> Adversary:
         for stage, boundary in zip(self.stages, self.boundaries):
@@ -89,7 +88,7 @@ class UnionAdversary(Adversary):
 
     def setup(self, ctx: AdversaryContext) -> None:
         for part in self.parts:
-            setup_adversary(part, ctx)
+            part.setup(ctx)
 
     def act(self, view: NetworkView) -> AdversaryAction:
         corrupt: list[int] = []
@@ -133,7 +132,7 @@ class ThrottledAdversary(Adversary):
         self.per_round_cap = per_round_cap
 
     def setup(self, ctx: AdversaryContext) -> None:
-        setup_adversary(self.inner, ctx)
+        self.inner.setup(ctx)
 
     def act(self, view: NetworkView) -> AdversaryAction:
         action = self.inner.act(view)
@@ -156,7 +155,7 @@ class RecordingAdversary(Adversary):
         self.actions: list[tuple[int, AdversaryAction]] = []
 
     def setup(self, ctx: AdversaryContext) -> None:
-        setup_adversary(self.inner, ctx)
+        self.inner.setup(ctx)
 
     def act(self, view: NetworkView) -> AdversaryAction:
         action = self.inner.act(view)

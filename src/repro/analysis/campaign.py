@@ -133,7 +133,7 @@ class CampaignSpec:
     options: dict[str, Any] = field(default_factory=dict)
     capture: Sequence[str] = ()
     #: Execution-model axis: a registered round-model name, or ``None``
-    #: for the environment default.  Part of cell identity when set.
+    #: for the lockstep default.  Part of cell identity when set.
     model: str | None = None
     #: Options forwarded to the round-model constructor (e.g. ``gst``);
     #: part of cell identity, valid only with an explicit ``model``.

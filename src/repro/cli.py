@@ -468,28 +468,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     )
     print(
         f"protocol      : {recipe.protocol} n={recipe.n} t={recipe.t} "
-        f"seed={recipe.seed} multicast={recipe.multicast}"
+        f"seed={recipe.seed}"
     )
     print(
         f"schedule      : {len(recipe.actions)} rounds, "
         f"{recipe.total_corruptions()} corruptions, "
         f"{recipe.total_omissions()} omissions"
     )
-    multicast = (
-        None if args.multicast is None else args.multicast == "on"
-    )
-    columnar = (
-        None if args.columnar is None else args.columnar == "on"
-    )
     strict = False if args.lenient else None
     try:
-        report = replay(
-            recipe,
-            strict=strict,
-            multicast=multicast,
-            columnar=columnar,
-            model=args.model,
-        )
+        report = replay(recipe, strict=strict, model=args.model)
     except ValueError as exc:
         # e.g. the recipe names a protocol this process has not
         # registered (test-only plants live in their test modules).
@@ -558,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--model", default=None, choices=list(_available_models()),
-        help="execution model (default: $REPRO_EXECUTION_MODEL or lockstep)",
+        help="execution model (default: lockstep)",
     )
     run_parser.add_argument(
         "--transport", default=None, choices=list(_available_transports()),
@@ -728,15 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute a recorded ExecutionRecipe and verify the outcome",
     )
     replay_parser.add_argument("recipe", help="path to a recipe JSON")
-    replay_parser.add_argument(
-        "--multicast", choices=("on", "off"), default=None,
-        help="override the recorded engine send path",
-    )
-    replay_parser.add_argument(
-        "--columnar", choices=("on", "off"), default=None,
-        help="override the recorded delivery engine (on = vectorized "
-        "numpy path, off = object path)",
-    )
     replay_parser.add_argument(
         "--model", default=None, choices=list(_available_models()),
         help="override the recipe's recorded execution model",

@@ -10,7 +10,7 @@ into three cooperating pieces:
 * a **work-stealing dispatcher** (:class:`FabricDispatcher` /
   :class:`StealScheduler`): the grid is sharded across worker processes by
   estimated cost, and idle workers steal from stragglers' tails;
-* a **directory transport** (:class:`DirectoryClaims` /
+* **directory claims** (:class:`DirectoryClaims` /
   :func:`await_cells`): hosts sharing a cache root partition a grid among
   themselves through atomic claim files — no server, no configuration.
 
@@ -30,7 +30,7 @@ from .dispatch import (
 )
 from .query import CellStatus, QueryResult, open_cache, query
 from .store import CacheStats, CampaignCache
-from .transport import DirectoryClaims, await_cells
+from .claims import DirectoryClaims, await_cells
 
 __all__ = [
     "CellId",

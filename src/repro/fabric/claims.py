@@ -1,4 +1,4 @@
-"""Directory transport: multi-host sweep coordination through the cache.
+"""Directory claims: multi-host sweep coordination through the cache.
 
 The fabric's cross-host story deliberately has no server.  Hosts share one
 cache root (any shared filesystem — NFS, a synced directory, a bind

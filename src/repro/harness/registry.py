@@ -56,7 +56,7 @@ class ExecutionRequest:
     max_rounds: int | None
     options: Mapping[str, Any] = field(default_factory=dict)
     #: Execution-model axis: a registered model name, a ready-made
-    #: :class:`RoundModel`, or ``None`` for the environment default.
+    #: :class:`RoundModel`, or ``None`` for lockstep.
     model: RoundModel | str | None = None
     model_options: Mapping[str, Any] | None = None
     #: Transport axis: a registered transport name, a ready-made
@@ -136,10 +136,10 @@ def capability_fingerprint() -> str:
     """Stable engine-capability token, part of every cell's cache identity.
 
     Combines the campaign record-content version with the serialization
-    schema version.  Deliberately *excludes* axes certified byte-identical
-    across implementations — the multicast/per-copy send paths and the
-    object/columnar delivery backends (see docs/model.md) — so a host
-    without numpy reuses cells a columnar host computed, and vice versa.
+    schema version.  Deliberately *excludes* the delivery path — the
+    object loop and the columnar plan are certified byte-identical (see
+    docs/model.md) — so a host without numpy reuses cells a numpy host
+    computed, and vice versa.
     What it does capture is "would this engine, handed the same identity,
     write the same record bytes": any change to that answer must bump
     :data:`CELL_RECORD_VERSION`.
@@ -203,8 +203,6 @@ def execute(
     max_rounds: int | None = None,
     observers: Sequence[RoundObserver] = (),
     options: Mapping[str, Any] | None = None,
-    multicast: bool = True,
-    columnar: bool | None = None,
     model: RoundModel | str | None = None,
     model_options: Mapping[str, Any] | None = None,
     transport: Transport | str | None = None,
@@ -220,15 +218,10 @@ def execute(
     are passed to the spec's factory (e.g. ``x=4`` for the tradeoff,
     ``sender=0`` for TRB).  ``observers`` are attached to the underlying
     :class:`SyncNetwork`, so traces and profiles can be captured on any
-    protocol without touching its wrapper.  ``multicast=False`` selects the
-    engine's legacy per-copy send path, ``columnar=False`` the legacy
-    object-per-copy delivery loop (``None`` auto-selects the vectorized
-    path when numpy is available; metrics are identical on every path and
-    replay verification exercises all of them).  ``model`` selects the
-    round model (``"lockstep"`` / ``"partial-synchrony"`` / a
-    :class:`RoundModel` instance; ``None`` honours the
-    ``REPRO_EXECUTION_MODEL`` environment variable before defaulting to
-    lockstep), with ``model_options`` forwarded to the model constructor.
+    protocol without touching its wrapper.  ``model`` selects the round
+    model (``"lockstep"`` — the default — / ``"partial-synchrony"`` / a
+    :class:`RoundModel` instance), with ``model_options`` forwarded to the
+    model constructor.
     ``transport`` selects where the processes physically execute
     (``"inprocess"`` — the default — or ``"tcp"`` for real OS worker
     processes over localhost; see :mod:`repro.transport`), with
@@ -274,8 +267,6 @@ def execute(
             max_rounds if max_rounds is not None else spec.default_max_rounds
         ),
         observers=observers,
-        multicast=multicast,
-        columnar=columnar,
         model=model,
         model_options=model_options,
         transport=transport,

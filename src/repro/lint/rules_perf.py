@@ -1,6 +1,6 @@
 """Performance rules: REP007 (per-copy Message construction in hot loops).
 
-The columnar round engine exists so that an all-to-all round moves O(n)
+The columnar delivery plan exists so that an all-to-all round moves O(n)
 array rows, not O(n^2) ``Message`` objects.  That only holds if engine
 code keeps multicast fan-out symbolic — offset ranges into the flat copy
 order — and materializes concrete :class:`~repro.runtime.messages.Message`
@@ -25,12 +25,10 @@ from .rules import Rule, register_rule
 _EXEMPT_MODULE = "repro/runtime/messages.py"
 
 #: Function-level materialization points elsewhere in the runtime: the
-#: lazy view's cache fill, the object-path delivery loop, and the
-#: program-facing legacy multicast expansion.
+#: lazy view's cache fill and the reference object delivery loop.
 _MATERIALIZATION_POINTS: dict[str, frozenset[str]] = {
     "repro/runtime/columnar.py": frozenset({"_materialize"}),
-    "repro/runtime/network.py": frozenset({"_deliver"}),
-    "repro/runtime/process.py": frozenset({"_queue_multicast"}),
+    "repro/runtime/delivery.py": frozenset({"_deliver_objects"}),
 }
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
@@ -45,9 +43,9 @@ class PerCopyMessageConstruction(Rule):
     comprehension is per-copy work — O(copies) allocations where the
     columnar layout needs O(records) — unless it sits in a designated
     materialization point (``messages.py`` wholesale,
-    ``columnar.py::_materialize``, ``network.py::_deliver``,
-    ``process.py::_queue_multicast``).  Queue a ``Multicast`` record or hand out
-    a :class:`~repro.runtime.columnar.LazyMessageList` instead.
+    ``columnar.py::_materialize``, ``delivery.py::_deliver_objects``).
+    Queue a ``Multicast`` record or hand out a
+    :class:`~repro.runtime.columnar.LazyMessageList` instead.
     """
 
     code = "REP007"

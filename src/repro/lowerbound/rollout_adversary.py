@@ -35,7 +35,6 @@ from ..runtime import (
     NetworkView,
     SyncNetwork,
     SyncProcess,
-    setup_adversary,
 )
 from ..runtime.randomness import stable_seed
 
@@ -70,7 +69,7 @@ class ScriptedAdversary(Adversary):
         )
 
     def setup(self, ctx: AdversaryContext) -> None:
-        setup_adversary(self.fallback, ctx)
+        self.fallback.setup(ctx)
 
     def act(self, view: NetworkView) -> AdversaryAction:
         if view.round < len(self.script):

@@ -38,8 +38,8 @@ class RecordedAction:
     cumulative faulty set is implied by the prefix); ``omit`` holds the
     flat message indices omitted, in the canonical sorted/de-duplicated
     form of :func:`repro.runtime.canonical_omissions` — the same indexing
-    every engine path (multicast × columnar) uses, which is what makes
-    recorded schedules path-independent.
+    both delivery paths use, which is what makes recorded schedules
+    path-independent.
     """
 
     round: int
@@ -70,16 +70,9 @@ class ExecutionRecipe:
     graph_seed: int = 0
     params: ProtocolParams = field(default_factory=ProtocolParams.practical)
     options: Mapping[str, Any] = field(default_factory=dict)
-    multicast: bool = True
-    #: Engine delivery path of the recorded run: True/False pin the
-    #: columnar/object loop on replay; None (the default, and the value
-    #: implied by pre-columnar recipes) lets the engine auto-select.
-    #: Fingerprints are path-independent, so any setting must verify.
-    columnar: bool | None = None
-    #: Round model of the recorded run.  Replay honours this (not the
-    #: ``REPRO_EXECUTION_MODEL`` environment) so a recorded execution
-    #: reproduces under any environment; recipes written before the model
-    #: axis existed imply ``"lockstep"``.
+    #: Round model of the recorded run.  Replay honours this, so a
+    #: recorded execution reproduces wherever it is replayed; recipes
+    #: written before the model axis existed imply ``"lockstep"``.
     execution_model: str = "lockstep"
     model_options: Mapping[str, Any] = field(default_factory=dict)
     #: Transport of the *recorded* run — provenance, not a replay input.
@@ -130,8 +123,6 @@ def recipe_payload(recipe: ExecutionRecipe) -> dict[str, Any]:
         "graph_seed": recipe.graph_seed,
         "params": dataclasses.asdict(recipe.params),
         "options": dict(recipe.options),
-        "multicast": recipe.multicast,
-        "columnar": recipe.columnar,
         "execution_model": recipe.execution_model,
         "model_options": dict(recipe.model_options),
         "transport": recipe.transport,
@@ -161,7 +152,9 @@ def recipe_from_payload(data: Mapping[str, Any]) -> ExecutionRecipe:
     """Rebuild a recipe written by :func:`recipe_payload`.
 
     Rejects unknown schema versions and non-recipe payloads with
-    ``ValueError`` before touching any field.
+    ``ValueError`` before touching any field.  The ``"multicast"`` and
+    ``"columnar"`` keys older writers emitted are accepted and ignored:
+    fingerprints are path-independent, so no recipe pins a delivery path.
     """
     check_schema(dict(data), "recipe")
     kind = data.get("kind")
@@ -179,8 +172,6 @@ def recipe_from_payload(data: Mapping[str, Any]) -> ExecutionRecipe:
         graph_seed=data.get("graph_seed", 0),
         params=ProtocolParams(**data["params"]),
         options=dict(data.get("options") or {}),
-        multicast=data.get("multicast", True),
-        columnar=data.get("columnar"),
         # Pre-model-axis recipes recorded lockstep executions.
         execution_model=data.get("execution_model", "lockstep"),
         model_options=dict(data.get("model_options") or {}),

@@ -11,9 +11,9 @@ fingerprint.
 
 Because executions are deterministic functions of (seed, adversary action
 sequence), a replayed run reproduces every :class:`Metrics` counter and
-every decision exactly — over either engine send path
-(``multicast=True``/``False``), since omission indices address the flat
-per-copy message order both paths share.
+every decision exactly — whichever delivery path the engine picks per
+batch, since omission indices address the flat per-copy message order
+both paths share.
 
 :func:`run_checked` is the fuzzing entry point: record with invariants on;
 on violation, shrink the recipe (``repro.replay.shrink``) and save the
@@ -38,6 +38,7 @@ from ..runtime import (
     LockstepError,
     RoundObserver,
     canonical_omissions,
+    resolve_model,
     result_to_dict,
 )
 from .invariants import InvariantObserver, InvariantViolation
@@ -127,8 +128,6 @@ def record(
     max_rounds: int | None = None,
     observers: Sequence[RoundObserver] = (),
     options: Mapping[str, Any] | None = None,
-    multicast: bool = True,
-    columnar: bool | None = None,
     model: str | None = None,
     model_options: Mapping[str, Any] | None = None,
     transport: str | None = None,
@@ -146,10 +145,9 @@ def record(
     failing schedule can be replayed and shrunk.  A clean run stores the
     full result fingerprint in ``expected``.
 
-    ``model`` names the round model to record under (``None`` honours
-    ``REPRO_EXECUTION_MODEL`` before defaulting to lockstep); the resolved
-    name and its options are stored in the recipe, so replay reproduces
-    the same model regardless of the replaying environment.
+    ``model`` names the round model to record under (``None`` means
+    lockstep); the resolved name and its options are stored in the
+    recipe, so replay reproduces the same model.
 
     ``transport`` names where the recorded run hosts its processes
     (``None`` means in-process; there is deliberately no environment
@@ -158,7 +156,6 @@ def record(
     real TCP worker processes verifies against the same fingerprint in a
     single interpreter — the cross-transport equivalence check.
     """
-    from ..runtime import default_model_name
     from ..transport import default_transport_name
 
     merged: dict[str, Any] = dict(options or {})
@@ -166,7 +163,7 @@ def record(
     resolved_params = (
         params if params is not None else ProtocolParams.practical()
     )
-    resolved_model = model if model is not None else default_model_name()
+    resolved_model = model if model is not None else resolve_model().name
     resolved_model_options = dict(model_options or {})
     resolved_transport = (
         transport if transport is not None else default_transport_name()
@@ -193,8 +190,6 @@ def record(
             max_rounds=max_rounds,
             observers=attached,
             options=merged,
-            multicast=multicast,
-            columnar=columnar,
             model=resolved_model,
             model_options=resolved_model_options,
             transport=resolved_transport,
@@ -212,8 +207,6 @@ def record(
         graph_seed=graph_seed,
         params=resolved_params,
         options=merged,
-        multicast=multicast,
-        columnar=columnar,
         execution_model=resolved_model,
         model_options=resolved_model_options,
         transport=resolved_transport,
@@ -307,8 +300,6 @@ def replay(
     recipe: ExecutionRecipe,
     *,
     strict: bool | None = None,
-    multicast: bool | None = None,
-    columnar: bool | None = None,
     model: str | None = None,
     invariants: bool = True,
     observers: Sequence[RoundObserver] = (),
@@ -318,12 +309,10 @@ def replay(
     ``strict`` controls the :class:`ScriptedAdversary` mode; the default is
     strict for passing recipes (the schedule must be legal verbatim) and
     lenient for failing ones (shrunk schedules may carry omissions whose
-    sender was un-corrupted by the shrinker).  ``multicast`` overrides the
-    recipe's recorded send path and ``columnar`` its recorded delivery
-    path — metrics must match on every combination.  The round model
-    comes from the recipe itself (never the environment); ``model``
-    overrides it explicitly, which cross-model equivalence tests use to
-    replay a lockstep recording under partial synchrony and vice versa.
+    sender was un-corrupted by the shrinker).  The round model comes from
+    the recipe itself; ``model`` overrides it explicitly, which
+    cross-model equivalence tests use to replay a lockstep recording
+    under partial synchrony and vice versa.
 
     Replay always runs in-process, whatever transport the recipe records:
     the recorded schedule (transport crash faults included — the engine
@@ -353,12 +342,6 @@ def replay(
             max_rounds=recipe.max_rounds,
             observers=attached,
             options=dict(recipe.options),
-            multicast=(
-                multicast if multicast is not None else recipe.multicast
-            ),
-            columnar=(
-                columnar if columnar is not None else recipe.columnar
-            ),
             model=model if model is not None else recipe.execution_model,
             model_options=dict(recipe.model_options),
         )

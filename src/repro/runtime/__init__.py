@@ -11,16 +11,18 @@ Public surface:
 * :class:`SyncNetwork`, :class:`Adversary`, :class:`AdversaryAction`,
   :class:`NetworkView`, :class:`ExecutionResult` — the engine facade and the
   adaptive full-information adversary hook;
-* :class:`ExecutionCore`, :class:`DeliveryBackend`, :class:`RoundModel` —
-  the engine's three layers (execution, delivery, scheduling), with
+* :class:`ExecutionCore`, :class:`~repro.runtime.delivery.Delivery`,
+  :class:`RoundModel` — the engine's three layers (execution, delivery,
+  scheduling), with
   :class:`LockstepModel` / :class:`PartialSynchronyModel` as the two
   registered timing disciplines (:func:`create_model`,
-  :func:`available_models`, :func:`default_model_name`);
+  :func:`available_models`, :func:`resolve_model`);
 * :class:`RoundObserver`, :class:`RoundProfiler`, :class:`TraceRecorder` —
   the engine-driven observer bus and its built-in observers;
 * :class:`Metrics` — rounds / communication bits / randomness accounting;
 * :class:`ColumnarBatch`, :class:`LazyMessageList`, :data:`HAVE_NUMPY` —
-  the numpy-vectorized round layout behind ``SyncNetwork(columnar=True)``;
+  the numpy-vectorized round layout the delivery layer uses on wide
+  fan-out batches;
 * :func:`canonical_omissions` — the shared sorted/de-duplicated normal form
   of an omission schedule.
 """
@@ -38,13 +40,6 @@ from .messages import (
     Multicast,
     payload_bits,
 )
-from .delivery import (
-    ColumnarDeliveryBackend,
-    DeliveryBackend,
-    DeliveryReceipt,
-    ObjectDeliveryBackend,
-    make_backend,
-)
 from .engine import ExecutionCore
 from .metrics import Metrics
 from .models import (
@@ -53,7 +48,6 @@ from .models import (
     RoundModel,
     available_models,
     create_model,
-    default_model_name,
     resolve_model,
 )
 from .observers import (
@@ -72,7 +66,6 @@ from .network import (
     NetworkView,
     SyncNetwork,
     canonical_omissions,
-    setup_adversary,
 )
 from .process import (
     ProcessEnv,
@@ -119,23 +112,16 @@ __all__ = [
     "AdversaryAction",
     "AdversaryContext",
     "AdversaryProtocolError",
-    "setup_adversary",
     "ExecutionResult",
     "LockstepError",
     "NetworkView",
     "SyncNetwork",
     "ExecutionCore",
-    "ColumnarDeliveryBackend",
-    "DeliveryBackend",
-    "DeliveryReceipt",
-    "ObjectDeliveryBackend",
-    "make_backend",
     "LockstepModel",
     "PartialSynchronyModel",
     "RoundModel",
     "available_models",
     "create_model",
-    "default_model_name",
     "resolve_model",
     "ProcessEnv",
     "Program",

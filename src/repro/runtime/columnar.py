@@ -1,11 +1,10 @@
 """Columnar (numpy-vectorized) round representation for the engine.
 
-The object engine spends its rounds making Python objects: one
-:class:`Message` per multicast copy at delivery time, one list append per
-inbox entry, one ``set`` probe per omit index.  At n=512 an all-to-all
-round is ~260k copies, so even the PR 4 fast path (which already sizes and
-queues broadcasts per *record*) tops out on per-copy Python work in
-``_deliver``.
+The object delivery loop spends its rounds making Python objects: one
+:class:`Message` per multicast copy, one list append per inbox entry, one
+``set`` probe per omit index.  At n=512 an all-to-all round is ~260k
+copies, so even with broadcasts sized and queued per *record* it tops out
+on per-copy Python work.
 
 This module re-expresses a round's outbound batch as contiguous arrays —
 the *columnar* layout — so the communication phase becomes a handful of
@@ -33,12 +32,12 @@ vectorized index operations:
 
 Everything here is *representation only*: flat copy indices, sender-sorted
 inbox order, and every :class:`Metrics` counter are identical to the
-object engine's, which is what lets record/replay fingerprints certify the
+object loop's, which is what lets record/replay fingerprints certify the
 two paths byte-for-byte against each other (``tests/test_columnar.py``).
 
 numpy is an optional dependency: when it is missing, :data:`HAVE_NUMPY`
-is False and :class:`~repro.runtime.network.SyncNetwork` silently keeps
-the object path.
+is False and :mod:`repro.runtime.delivery` sends every batch through the
+object loop.
 """
 
 from __future__ import annotations
@@ -47,14 +46,14 @@ from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
 from typing import Any, overload
 
-from .messages import Message, MessageBatch, Multicast
+from .messages import Message, Multicast
 
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - numpy is optional
     np = None  # type: ignore[assignment]
 
-#: Whether the columnar engine is available in this environment.
+#: Whether numpy, and with it the columnar plan, is available here.
 HAVE_NUMPY = np is not None
 
 #: Cache of fan-out tuples already converted to arrays, keyed by tuple
@@ -211,10 +210,10 @@ class ColumnarBatch:
 class LazyMessageList(Sequence[Message]):
     """``Sequence[Message]`` over a vector of flat copy indices.
 
-    The columnar engine hands these out as inboxes and as the observer
+    The columnar plan hands these out as inboxes and as the observer
     hook's delivered/lost lists.  ``len``/truthiness are O(1) and touch no
     objects; the first element access materializes the full list once (the
-    same per-copy cost the object engine paid unconditionally) and caches
+    same per-copy cost the object loop pays unconditionally) and caches
     it, so repeated reads stay list-speed.
     """
 
@@ -282,7 +281,7 @@ class DeliveryPlan:
     ``inboxes`` pairs each recipient that received traffic with its (lazy)
     inbox, in ascending recipient order; ``delivered``/``lost`` are the
     observer-facing per-copy sequences in flat index order — exactly the
-    order the object engine appends them in.
+    order the object loop appends them in.
     """
 
     inboxes: list[tuple[int, Sequence[Message]]]
@@ -434,20 +433,12 @@ def first_illegal_omission(
     )
 
 
-def columns_for(
-    batch: MessageBatch, fanout_cache: FanoutCache | None = None
-) -> ColumnarBatch:
-    """Build (or fetch the cached) :class:`ColumnarBatch` for *batch*."""
-    return batch.columns(fanout_cache)
-
-
 __all__ = [
     "HAVE_NUMPY",
     "ColumnarBatch",
     "DeliveryPlan",
     "FanoutCache",
     "LazyMessageList",
-    "columns_for",
     "first_illegal_omission",
     "plan_delivery",
 ]

@@ -1,33 +1,26 @@
-"""Delivery backends: the communication-phase layer of the engine.
+"""Delivery: the communication-phase layer of the engine.
 
 The engine's round structure (who advances when, which inbox a message
 lands in) is the round model's business (:mod:`repro.runtime.models`);
 *how* a validated round of traffic is turned into inbox contents and
-metering totals is this module's.  A :class:`DeliveryBackend` owns exactly
-two operations:
+metering totals is this module's.  A network owns one :class:`Delivery`
+(:meth:`~Delivery.validate_omissions`, :meth:`~Delivery.deliver`) with two
+implementations behind it.  This module is the only place that chooses
+between them — per batch, from what it can observe, never from an option:
 
-* :meth:`~DeliveryBackend.validate_omissions` — reject an omission
-  schedule whose indices are out of range or touch no faulty process
-  (raising :class:`~repro.runtime.network.AdversaryProtocolError`);
-* :meth:`~DeliveryBackend.deliver` — place the surviving copies into
-  per-recipient inboxes and report the delivered/lost totals.
+* the *object loop* — the reference: one Python step per copy.  Works on
+  any batch, including hand-built non-sender-sorted ones, and is the only
+  path on a host without numpy.
+* the *columnar plan* (:func:`repro.runtime.columnar.plan_delivery`) —
+  omissions as keep masks, inbox assembly as a grouped scatter, lazy
+  ``Message`` views.  Pays a per-record vectorization cost that only a
+  wide fan-out amortizes, and assumes ascending-sender flat order.
 
-Two implementations exist, selected by capability at network construction
-(:func:`make_backend`), not by branches inside the engine loop:
-
-* :class:`ObjectDeliveryBackend` — the reference object-per-copy loop.
-  Works on any batch, including hand-built, non-sender-sorted ones.
-* :class:`ColumnarDeliveryBackend` — the numpy-vectorized path
-  (:func:`repro.runtime.columnar.plan_delivery`): omissions as keep
-  masks, inbox assembly as a grouped scatter, lazy ``Message`` views.
-  Requires sender-sorted batches (always true for engine-built rounds);
-  hand-built unsorted batches fall back to the object loop.
-
-Both backends implement the metering identity and precedence pinned in
-:mod:`repro.runtime.metrics` — ``sent = delivered + omitted + lost``
-with *omitted beats lost* — and produce byte-identical inboxes, orders,
-and counters (certified by the multicast × columnar differential grid in
-``tests/test_columnar.py``).
+One path serves a whole batch, so a round's inbox slots are all plain
+lists or all lazy views.  Both paths implement the metering identity and
+precedence pinned in :mod:`repro.runtime.metrics` — ``sent = delivered +
+omitted + lost`` with *omitted beats lost* — and produce byte-identical
+inboxes, orders, and counters (``tests/test_columnar.py``).
 """
 
 from __future__ import annotations
@@ -35,8 +28,22 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence, Set
 from typing import NamedTuple, cast
 
-from .columnar import FanoutCache, first_illegal_omission, plan_delivery
+from .columnar import (
+    HAVE_NUMPY,
+    FanoutCache,
+    first_illegal_omission,
+    plan_delivery,
+)
 from .messages import Message, MessageBatch, MessageRecord, Multicast
+
+# Copies per record from which a batch takes the columnar plan.  Measured
+# per-batch fan-out is bimodal: Algorithm 1's spreading-graph rounds sit at
+# 1.0 and ParamOmissions' idle rounds at 1-3 (always-columnar ran those
+# protocols ~1.3-1.5x slower end to end), while Ben-Or, Dolev-Strong and
+# Algorithm 1's announce/fallback rounds sit at n-1 (always-object ran
+# Ben-Or n=256 ~1.5x slower).  2, 4, 8 and 16 are indistinguishable within
+# noise on all five shapes in docs/model.md, so this is not a tuning knob.
+_COLUMNAR_MIN_FANOUT = 4
 
 
 class DeliveryReceipt(NamedTuple):
@@ -44,7 +51,7 @@ class DeliveryReceipt(NamedTuple):
 
     ``delivered`` reached a live recipient's inbox; ``lost`` survived the
     adversary but its recipient had already terminated.  The bit totals
-    are accumulated while the backend expands the batch so the
+    are accumulated while the batch is expanded so the
     :class:`~repro.runtime.observers.MetricsObserver` does not need a
     second O(copies) pass.
     """
@@ -71,14 +78,26 @@ def _raise_illegal(total: int, index: int, sender: int, recipient: int,
     )
 
 
-class DeliveryBackend:
-    """One communication-phase implementation (see the module docstring).
+def _takes_columnar_plan(batch: MessageBatch) -> bool:
+    """The per-batch rule.  Pure in the batch, so one round's validation
+    and delivery passes agree (and share its cached column vectors)."""
+    return (
+        HAVE_NUMPY
+        and batch.sender_sorted
+        and len(batch) >= _COLUMNAR_MIN_FANOUT * len(batch.records)
+    )
 
-    Backends are stateless between rounds apart from shared caches; a
-    network owns exactly one backend for its lifetime.
-    """
 
-    name = "abstract"
+class Delivery:
+    """One network's communication phase (see the module docstring)."""
+
+    __slots__ = ("_fanout_cache",)
+
+    def __init__(self) -> None:
+        # Fan-out tuples already converted to index arrays, shared across
+        # rounds: ProcessEnv.broadcast caches its fan-out tuple per
+        # process, so the same tuple objects recur every round.
+        self._fanout_cache: FanoutCache = {}
 
     def validate_omissions(
         self, batch: MessageBatch, omit: Sequence[int], faulty: Set[int]
@@ -86,50 +105,20 @@ class DeliveryBackend:
         """Raise :class:`AdversaryProtocolError` on an illegal schedule.
 
         ``omit`` is already canonical (sorted, de-duplicated); canonical
-        order guarantees every backend names the *same* offending index.
+        order guarantees both paths name the *same* offending index.
         """
-        raise NotImplementedError
-
-    def deliver(
-        self,
-        batch: MessageBatch,
-        omitted: Sequence[int],
-        inboxes: list[Sequence[Message]],
-        live: Sequence[bool] | None,
-    ) -> DeliveryReceipt:
-        """Place surviving copies into ``inboxes``, in sender-sorted order.
-
-        ``live[pid]`` is False for terminated recipients; ``None`` means
-        every process is live (the common case, enabling fast paths).
-        """
-        raise NotImplementedError
-
-
-class ObjectDeliveryBackend(DeliveryBackend):
-    """The reference object-per-copy delivery loop.
-
-    Engine-built batches are already in ascending-sender order (the
-    local-computation phase advances processes in pid order), so the
-    legacy per-round sender bucketing reduces to a straight scan; a
-    stable record sort restores the invariant for hand-built outboxes.
-    Multicast records materialize one :class:`Message` view per surviving
-    copy here — the only place the fan-out is expanded on the object
-    path.
-
-    Metering precedence is the engine-wide rule pinned in
-    :mod:`repro.runtime.metrics`: the omission check runs *before* the
-    recipient-liveness check, so a copy that is both adversary-omitted
-    and addressed to a terminated recipient counts as omitted, never as
-    lost — ``sent = delivered + omitted + lost`` holds exactly, every
-    round, on every engine path.
-    """
-
-    name = "object"
-
-    def validate_omissions(
-        self, batch: MessageBatch, omit: Sequence[int], faulty: Set[int]
-    ) -> None:
         total = len(batch)
+        if total and _takes_columnar_plan(batch):
+            offender = first_illegal_omission(
+                batch.columns(self._fanout_cache), omit, frozenset(faulty)
+            )
+            if offender is not None:
+                kind, index, sender, recipient = offender
+                _raise_illegal(
+                    total, index, sender, recipient,
+                    out_of_range=kind == "range",
+                )
+            return
         for index in omit:
             if not 0 <= index < total:
                 _raise_illegal(total, index, -1, -1, out_of_range=True)
@@ -146,137 +135,17 @@ class ObjectDeliveryBackend(DeliveryBackend):
         inboxes: list[Sequence[Message]],
         live: Sequence[bool] | None,
     ) -> DeliveryReceipt:
-        omitted_set = set(omitted)
-        delivered: list[Message] = []
-        lost: list[Message] = []
-        delivered_bits = 0
-        lost_bits = 0
-        # On the object path every inbox slot holds a plain list (reset by
-        # the execution core's advance); the Sequence-typed slot only
-        # widens for the columnar path's lazy views.
-        boxes = cast("list[list[Message]]", inboxes)
-        delivered_append = delivered.append
-        make_message = Message
+        """Place surviving copies into ``inboxes``, in sender-sorted order.
 
-        pairs: Iterable[tuple[MessageRecord, int]]
-        if batch.sender_sorted:
-            pairs = zip(batch.records, batch.offsets)
-        else:
-            pairs = sorted(
-                zip(batch.records, batch.offsets),
-                key=lambda pair: pair[0].sender,
-            )
-        # Fast path: nothing omitted and every recipient still live — the
-        # overwhelmingly common round shape.
-        clean = not omitted_set and live is None
-
-        for record, base in pairs:
-            if type(record) is Multicast:
-                sender = record.sender
-                payload = record.payload
-                bits = record.bits
-                recipients = record.recipients
-                if clean:
-                    copies = [
-                        make_message(sender, recipient, payload, bits)
-                        for recipient in recipients
-                    ]
-                    for message, recipient in zip(copies, recipients):
-                        boxes[recipient].append(message)
-                    delivered.extend(copies)
-                    delivered_bits += bits * len(recipients)
-                    continue
-                for position, recipient in enumerate(recipients):
-                    if base + position in omitted_set:
-                        # Omitted wins over lost: skipped before the
-                        # liveness check (see repro.runtime.metrics).
-                        continue
-                    message = make_message(sender, recipient, payload, bits)
-                    if live is not None and not live[recipient]:
-                        # Recipient already terminated; the message is lost
-                        # and counts in neither delivered counter.
-                        lost.append(message)
-                        lost_bits += bits
-                    else:
-                        boxes[recipient].append(message)
-                        delivered_append(message)
-                        delivered_bits += bits
-            else:
-                message = cast(Message, record)
-                if not clean:
-                    if base in omitted_set:
-                        continue
-                    if live is not None and not live[message.recipient]:
-                        lost.append(message)
-                        lost_bits += message.bits
-                        continue
-                boxes[message.recipient].append(message)
-                delivered_append(message)
-                delivered_bits += message.bits
-
-        return DeliveryReceipt(delivered, lost, delivered_bits, lost_bits)
-
-
-class ColumnarDeliveryBackend(DeliveryBackend):
-    """The numpy-vectorized communication phase.
-
-    One :func:`repro.runtime.columnar.plan_delivery` call replaces the
-    per-copy Python loop: inboxes become lazy
-    :class:`~repro.runtime.columnar.LazyMessageList` views that
-    materialize :class:`Message` objects only when a program or observer
-    actually reads them.  Flat-index order, metering precedence (omitted
-    wins over lost), and every observer-visible sequence are identical to
-    the object path.
-
-    Capability gate: the grouped scatter assumes ascending-sender flat
-    order, so non-sender-sorted (hand-built) batches are handed to the
-    object backend instead.
-    """
-
-    name = "columnar"
-
-    def __init__(self, fanout_cache: FanoutCache | None = None) -> None:
-        # Fan-out tuples already converted to index arrays, shared across
-        # rounds (ProcessEnv.broadcast caches its fan-out tuple per
-        # process, so the same tuple objects recur every round) and with
-        # the validation pass of the same round via the batch's own
-        # column cache.
-        self.fanout_cache: FanoutCache = (
-            fanout_cache if fanout_cache is not None else {}
-        )
-        self._fallback = ObjectDeliveryBackend()
-
-    def validate_omissions(
-        self, batch: MessageBatch, omit: Sequence[int], faulty: Set[int]
-    ) -> None:
-        total = len(batch)
-        if not total:
-            # Nothing to vectorize over; the scalar range check names the
-            # same offending index the vectorized path would.
-            self._fallback.validate_omissions(batch, omit, faulty)
-            return
-        offender = first_illegal_omission(
-            batch.columns(self.fanout_cache),
-            omit,
-            frozenset(faulty),
-        )
-        if offender is not None:
-            kind, index, sender, recipient = offender
-            _raise_illegal(
-                total, index, sender, recipient, out_of_range=kind == "range"
-            )
-
-    def deliver(
-        self,
-        batch: MessageBatch,
-        omitted: Sequence[int],
-        inboxes: list[Sequence[Message]],
-        live: Sequence[bool] | None,
-    ) -> DeliveryReceipt:
-        if not batch.sender_sorted:
-            return self._fallback.deliver(batch, omitted, inboxes, live)
+        ``live[pid]`` is False for terminated recipients; ``None`` means
+        every process is live (the common case, enabling fast paths).
+        Every slot of ``inboxes`` must hold a plain list on entry (the
+        execution core's advance resets them).
+        """
+        if not _takes_columnar_plan(batch):
+            return _deliver_objects(batch, omitted, inboxes, live)
         plan = plan_delivery(
-            batch.columns(self.fanout_cache),
+            batch.columns(self._fanout_cache),
             omitted,
             None if live is None else list(live),
         )
@@ -287,15 +156,92 @@ class ColumnarDeliveryBackend(DeliveryBackend):
         )
 
 
-def make_backend(
-    columnar: bool, fanout_cache: FanoutCache | None = None
-) -> DeliveryBackend:
-    """Backend for a resolved ``columnar`` capability flag.
+def _deliver_objects(
+    batch: MessageBatch,
+    omitted: Sequence[int],
+    inboxes: list[Sequence[Message]],
+    live: Sequence[bool] | None,
+) -> DeliveryReceipt:
+    """The reference object-per-copy delivery loop.
 
-    The flag itself is resolved by :class:`~repro.runtime.network
-    .SyncNetwork` (``None`` → numpy availability), which keeps the
-    historical ``repro.runtime.network.HAVE_NUMPY`` knob authoritative.
+    Engine-built batches are already in ascending-sender order (the
+    local-computation phase advances processes in pid order), so sender
+    bucketing reduces to a straight scan; a stable record sort restores
+    the invariant for hand-built outboxes.  This is the designated
+    per-copy materialization point of the object path (REP007): multicast
+    records become one :class:`Message` view per surviving copy here.
+
+    Metering precedence is the engine-wide rule pinned in
+    :mod:`repro.runtime.metrics`: the omission check runs *before* the
+    recipient-liveness check, so a copy that is both adversary-omitted
+    and addressed to a terminated recipient counts as omitted, never as
+    lost — ``sent = delivered + omitted + lost`` holds exactly, every
+    round, on both paths.
     """
-    if columnar:
-        return ColumnarDeliveryBackend(fanout_cache)
-    return ObjectDeliveryBackend()
+    omitted_set = set(omitted)
+    delivered: list[Message] = []
+    lost: list[Message] = []
+    delivered_bits = 0
+    lost_bits = 0
+    # On this path every inbox slot holds a plain list; the Sequence-typed
+    # slot only widens for the columnar plan's lazy views.
+    boxes = cast("list[list[Message]]", inboxes)
+    delivered_append = delivered.append
+
+    pairs: Iterable[tuple[MessageRecord, int]]
+    if batch.sender_sorted:
+        pairs = zip(batch.records, batch.offsets)
+    else:
+        pairs = sorted(
+            zip(batch.records, batch.offsets),
+            key=lambda pair: pair[0].sender,
+        )
+    # Fast path: nothing omitted and every recipient still live — the
+    # overwhelmingly common round shape.
+    clean = not omitted_set and live is None
+
+    for record, base in pairs:
+        if type(record) is Multicast:
+            sender = record.sender
+            payload = record.payload
+            bits = record.bits
+            recipients = record.recipients
+            if clean:
+                copies = [
+                    Message(sender, recipient, payload, bits)
+                    for recipient in recipients
+                ]
+                for message, recipient in zip(copies, recipients):
+                    boxes[recipient].append(message)
+                delivered.extend(copies)
+                delivered_bits += bits * len(recipients)
+                continue
+            for position, recipient in enumerate(recipients):
+                if base + position in omitted_set:
+                    # Omitted wins over lost: skipped before the
+                    # liveness check (see repro.runtime.metrics).
+                    continue
+                message = Message(sender, recipient, payload, bits)
+                if live is not None and not live[recipient]:
+                    # Recipient already terminated; the message is lost
+                    # and counts in neither delivered counter.
+                    lost.append(message)
+                    lost_bits += bits
+                else:
+                    boxes[recipient].append(message)
+                    delivered_append(message)
+                    delivered_bits += bits
+        else:
+            message = cast(Message, record)
+            if not clean:
+                if base in omitted_set:
+                    continue
+                if live is not None and not live[message.recipient]:
+                    lost.append(message)
+                    lost_bits += message.bits
+                    continue
+            boxes[message.recipient].append(message)
+            delivered_append(message)
+            delivered_bits += message.bits
+
+    return DeliveryReceipt(delivered, lost, delivered_bits, lost_bits)

@@ -6,8 +6,8 @@ advancement (the paper's local-computation phase), inbox bookkeeping,
 decision tracking, termination queries, the per-process counted random
 sources, and the final :class:`ExecutionResult` assembly.  Round models
 (:mod:`repro.runtime.models`) decide *when* to call these operations and
-with which inbox contents; delivery backends
-(:mod:`repro.runtime.delivery`) decide *how* surviving traffic becomes
+with which inbox contents; the delivery layer
+(:mod:`repro.runtime.delivery`) decides *how* surviving traffic becomes
 inbox contents.  :class:`~repro.runtime.network.SyncNetwork` wires the
 three layers together and remains the adversary-arbitration and
 observer-dispatch surface.
@@ -101,7 +101,7 @@ class ExecutionCore:
     One core drives one execution.  It owns the process list, the
     deterministically derived :class:`CountingRandom` sources, the
     per-process :class:`ProcessEnv` objects, the generator programs, and
-    the inbox slots delivery backends write into.  It knows nothing about
+    the inbox slots the delivery layer writes into.  It knows nothing about
     rounds-as-time: the round number is handed in by the model on every
     :meth:`advance`.
     """
@@ -121,7 +121,6 @@ class ExecutionCore:
         self,
         processes: Sequence[SyncProcess],
         seed: int = 0,
-        multicast: bool = True,
         metrics: Metrics | None = None,
     ) -> None:
         if not processes:
@@ -147,9 +146,6 @@ class ExecutionCore:
         self.envs = [
             ProcessEnv(pid, n, self.sources[pid]) for pid in range(n)
         ]
-        if not multicast:
-            for env in self.envs:
-                env.expand_multicast = True
         self.programs: list[Program | None] = [
             process.program(self.envs[process.pid])
             for process in self.processes
@@ -168,7 +164,7 @@ class ExecutionCore:
         )
 
     def live_mask(self) -> list[bool] | None:
-        """Per-pid liveness for delivery backends; ``None`` = all live."""
+        """Per-pid liveness for the delivery layer; ``None`` = all live."""
         if self.live_count == self.n:
             return None
         return [program is not None for program in self.programs]

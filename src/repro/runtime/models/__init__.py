@@ -9,14 +9,14 @@ identically across models.
 
 Models are addressed by registry name — ``"lockstep"`` (the paper's
 synchronous rounds, the default) and ``"partial-synchrony"`` (canonical
-rounds over latency-bearing links with a GST).  The default can be
-overridden per-environment via ``REPRO_EXECUTION_MODEL``, which is how CI
-runs the whole tier-1 suite under partial synchrony.
+rounds over latency-bearing links with a GST).  Like the transport axis,
+the model axis resolves instance > name > built-in default, with no
+environment fallback: what ran is what the caller (or the recipe, or the
+campaign cell) named.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from typing import Any
 
@@ -30,39 +30,23 @@ __all__ = [
     "RoundModel",
     "available_models",
     "create_model",
-    "default_model_name",
     "resolve_model",
 ]
-
-#: Environment variable naming the model used when none is requested.
-MODEL_ENV_VAR = "REPRO_EXECUTION_MODEL"
 
 _MODELS: dict[str, type[RoundModel]] = {
     LockstepModel.name: LockstepModel,
     PartialSynchronyModel.name: PartialSynchronyModel,
 }
 
+# The model used when the caller names none.  Not configurable; the test
+# suite's ``--execution-model`` option patches it to run tier-1 under
+# partial synchrony (tests/conftest.py).
+_DEFAULT_MODEL = LockstepModel.name
+
 
 def available_models() -> tuple[str, ...]:
     """Registered model names, sorted."""
     return tuple(sorted(_MODELS))
-
-
-def default_model_name() -> str:
-    """The model used when neither caller nor recipe names one.
-
-    Reads ``REPRO_EXECUTION_MODEL`` (validated against the registry);
-    falls back to ``"lockstep"``.
-    """
-    name = os.environ.get(MODEL_ENV_VAR, "").strip()
-    if not name:
-        return LockstepModel.name
-    if name not in _MODELS:
-        raise ValueError(
-            f"{MODEL_ENV_VAR}={name!r} names an unknown execution model; "
-            f"choose from: {', '.join(available_models())}"
-        )
-    return name
 
 
 def create_model(
@@ -83,7 +67,7 @@ def resolve_model(
     model: RoundModel | str | None = None,
     options: Mapping[str, Any] | None = None,
 ) -> RoundModel:
-    """Resolve the ``model=`` axis: instance > name > env > lockstep.
+    """Resolve the ``model=`` axis: instance > name > lockstep.
 
     A ready-made :class:`RoundModel` instance is used as-is (``options``
     must then be empty — the instance already carries its configuration).
@@ -95,5 +79,5 @@ def resolve_model(
                 "configure the RoundModel instance directly instead"
             )
         return model
-    name = model if model is not None else default_model_name()
+    name = model if model is not None else _DEFAULT_MODEL
     return create_model(name, options)

@@ -4,7 +4,7 @@ A :class:`RoundModel` owns the *timing* of an execution — when processes
 advance, when the adversary acts, and when surviving traffic reaches
 inboxes — while delegating process advancement to the
 :class:`~repro.runtime.engine.ExecutionCore` and inbox placement to the
-network's :class:`~repro.runtime.delivery.DeliveryBackend`.  Everything
+network's :class:`~repro.runtime.delivery.Delivery`.  Everything
 the adversary API, the observer bus, and the metering contract promise is
 model-independent: a model drives the same fixed hook sequence
 (``on_round_start`` → ``on_messages_sent`` → ``on_adversary_action`` →

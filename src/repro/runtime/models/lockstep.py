@@ -10,7 +10,7 @@ in-flight term.
 
 This model is the byte-identical successor of the historical
 ``SyncNetwork.run`` loop: golden recipes in ``tests/data/`` and the
-multicast × columnar differential grid in ``tests/test_columnar.py``
+object-vs-columnar differential suite in ``tests/test_columnar.py``
 certify that decisions, inbox orders, and every :class:`Metrics` counter
 are unchanged by the scheduler/delivery/execution layering.
 """

@@ -36,7 +36,7 @@ with ``stable_seed(seed, "partial-synchrony-latency")`` — *not* one of the
 per-process sources — so process randomness totals, recorded recipes, and
 replay fingerprints are unaffected by the model's own randomness.
 Draws happen per surviving copy in ascending flat-index order, which makes
-them independent of the multicast/columnar delivery representation.
+them independent of the delivery representation.
 """
 
 from __future__ import annotations
@@ -169,9 +169,9 @@ class PartialSynchronyModel(RoundModel):
         """Latency per surviving flat index, in ascending index order.
 
         Ascending flat order is the canonical draw order: it depends only
-        on the batch's flat layout, never on how the delivery backend
-        later walks it, so multicast/columnar representation changes
-        cannot shift the latency stream.
+        on the batch's flat layout, never on how the delivery layer
+        later walks it, so the per-batch choice of delivery path cannot
+        shift the latency stream.
         """
         rng = self._rng
         assert rng is not None
@@ -217,11 +217,11 @@ class PartialSynchronyModel(RoundModel):
             for index, latency in sorted(latencies.items())
             if send_time + latency > deadline
         ]
-        # On-time copies go through the regular backend; deferred ones are
-        # excluded exactly like omissions (skipped, not counted) and
-        # tracked in the in-flight heap instead.
+        # On-time copies go through the regular delivery layer; deferred
+        # ones are excluded exactly like omissions (skipped, not counted)
+        # and tracked in the in-flight heap instead.
         excluded = sorted(set(omitted).union(deferred))
-        receipt = network._backend.deliver(
+        receipt = network._delivery.deliver(
             batch, excluded, network._inboxes, core_live := network.core.live_mask()
         )
         for index in deferred:
@@ -249,8 +249,8 @@ class PartialSynchronyModel(RoundModel):
                 continue
             box = inboxes[recipient]
             if not isinstance(box, list):
-                # Columnar rounds leave lazy views in the slots; widen to a
-                # plain list before appending late arrivals.
+                # The columnar plan leaves lazy views in the slots; widen
+                # to a plain list before appending late arrivals.
                 box = list(box)
                 inboxes[recipient] = box
             box.append(message)

@@ -17,9 +17,9 @@ records the processes queued — point-to-point :class:`Message` objects and
 :class:`Multicast` records (one shared payload, one precomputed size, many
 recipients).  Omit indices address the batch's flat per-copy positions, so
 adversary semantics, sender-ordered inboxes, and every :class:`Metrics`
-counter are byte-identical to the legacy per-message path
-(``SyncNetwork(multicast=False)``), while the engine sizes, meters, and
-dispatches broadcast traffic per record instead of per copy.
+counter are byte-identical to an execution that queued one
+:class:`Message` per copy, while the engine sizes, meters, and dispatches
+broadcast traffic per record instead of per copy.
 
 The engine never trusts the strategy: illegal actions raise
 :class:`AdversaryProtocolError`.
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
-from .columnar import HAVE_NUMPY, FanoutCache
-from .delivery import make_backend
+from .delivery import Delivery
 from .engine import ExecutionCore, ExecutionResult
 from .messages import Message, MessageBatch
 from .observers import MetricsObserver, RoundObserver
@@ -63,7 +62,6 @@ __all__ = [
     "NetworkView",
     "SyncNetwork",
     "canonical_omissions",
-    "setup_adversary",
 ]
 
 
@@ -227,25 +225,12 @@ class AdversaryContext:
     rng: random.Random
 
 
-def setup_adversary(adversary: Adversary, ctx: AdversaryContext) -> None:
-    """Invoke ``adversary.setup`` with the run's context.
-
-    The single lifecycle choke point: the engine and every combinator go
-    through this function (not ``inner.setup(...)`` directly) so lifecycle
-    changes land in one place.  The historical ``setup(n, t, processes)``
-    signature was removed after its documented deprecation window
-    (docs/api.md); strategies must accept a single
-    :class:`AdversaryContext`.
-    """
-    adversary.setup(ctx)
-
-
 class Adversary:
     """Base adversary: corrupts nobody and omits nothing.
 
     Concrete strategies override :meth:`act`; they may also override
     :meth:`setup` to inspect the system before round 0 (it receives a
-    single :class:`AdversaryContext`, via :func:`setup_adversary`).
+    single :class:`AdversaryContext`).
     """
 
     def setup(self, ctx: AdversaryContext) -> None:
@@ -261,11 +246,10 @@ class SyncNetwork:
 
     A network owns one :class:`~repro.runtime.engine.ExecutionCore` (the
     processes and their metered randomness), one
-    :class:`~repro.runtime.delivery.DeliveryBackend` (selected by the
-    ``columnar`` capability at construction), and one
+    :class:`~repro.runtime.delivery.Delivery` (the communication phase;
+    it picks its own path per batch), and one
     :class:`~repro.runtime.models.RoundModel` (the timing discipline;
-    lockstep rounds by default, overridable per-call or via the
-    ``REPRO_EXECUTION_MODEL`` environment variable).  The network itself
+    lockstep rounds unless ``model`` names another).  The network itself
     remains the adversary-arbitration and observer-dispatch surface: view
     construction, action validation, and the fixed hook sequence all live
     here, identically for every model.
@@ -289,8 +273,6 @@ class SyncNetwork:
         max_rounds: int = 100_000,
         reseed_at: tuple[int, int] | None = None,
         observers: Sequence[RoundObserver] = (),
-        multicast: bool = True,
-        columnar: bool | None = None,
         model: RoundModel | str | None = None,
         model_options: Mapping[str, Any] | None = None,
         transport: Transport | str | None = None,
@@ -302,9 +284,7 @@ class SyncNetwork:
         #: (in this interpreter by default; real OS processes over
         #: localhost TCP with ``transport="tcp"``).
         self.transport = resolve_transport(transport, transport_options)
-        self._core = self.transport.create_core(
-            processes, seed=seed, multicast=multicast
-        )
+        self._core = self.transport.create_core(processes, seed=seed)
         n = self._core.n
         if t < 0 or t >= n:
             raise ValueError(f"fault budget t={t} must satisfy 0 <= t < n={n}")
@@ -334,36 +314,9 @@ class SyncNetwork:
 
         self.sources = self._core.sources
         self.envs = self._core.envs
-        #: Whether send_many/broadcast queue single Multicast records (the
-        #: fast path) or expand eagerly into per-copy Messages (the legacy
-        #: per-message path; byte-identical outcomes, kept for equivalence
-        #: tests and benchmarking).
-        self.multicast = multicast
-        #: Whether the communication phase runs vectorized over the
-        #: columnar (numpy) batch layout — omissions as an index mask,
-        #: terminated-recipient filtering as an index select, inboxes as a
-        #: grouped scatter of lazy :class:`Message` views.  Defaults to
-        #: numpy availability; ``columnar=False`` keeps the legacy
-        #: object-per-copy delivery loop (byte-identical outcomes, kept
-        #: for differential testing, exactly like ``multicast=False``).
-        #: The flag is resolved here (against this module's ``HAVE_NUMPY``
-        #: knob) and embodied as the network's delivery backend.
-        if columnar is None:
-            columnar = HAVE_NUMPY
-        elif columnar and not HAVE_NUMPY:
-            raise ValueError(
-                "SyncNetwork(columnar=True) requires numpy, which is not "
-                "installed; use columnar=False or columnar=None (auto)"
-            )
-        self.columnar = columnar
-        # Fan-out tuples already converted to index arrays, shared across
-        # rounds (ProcessEnv.broadcast caches its fan-out tuple per
-        # process, so the same tuple objects recur every round).
-        self._fanout_cache: FanoutCache = {}
-        self._backend = make_backend(columnar, self._fanout_cache)
-        # Aliases into the core: the core mutates these containers in
-        # place, so the historical attribute names keep working.
-        self._programs = self._core.programs
+        #: The delivery layer (it picks its own path per batch).
+        self._delivery = Delivery()
+        # Alias into the core, which mutates the container in place.
         self._inboxes = self._core.inboxes
 
         from .models import resolve_model
@@ -472,10 +425,9 @@ class SyncNetwork:
             )
         omit = canonical_omissions(raw_omit)
         if omit:
-            # Legality is delegated to the delivery backend (the layer
-            # that understands the batch representation); canonical order
-            # means every backend names the *same* offending index.
-            self._backend.validate_omissions(
+            # Legality is delegated to the delivery layer (the one that
+            # understands the batch representation).
+            self._delivery.validate_omissions(
                 batch, omit, frozenset(self.faulty)
             )
         canonical = AdversaryAction(
@@ -487,15 +439,15 @@ class SyncNetwork:
         return omit
 
     def _deliver(self, batch: MessageBatch, omitted: Sequence[int]) -> None:
-        """One delivery step: backend placement plus observer dispatch.
+        """One delivery step: inbox placement plus observer dispatch.
 
         The batch-to-inbox mechanics live in the network's
-        :class:`~repro.runtime.delivery.DeliveryBackend`; this method adds
+        :class:`~repro.runtime.delivery.Delivery`; this method adds
         the engine-side bookkeeping — the accumulated bit totals the
         :class:`~repro.runtime.observers.MetricsObserver` reads without a
         second O(copies) pass, and the ``on_deliveries`` hook.
         """
-        receipt = self._backend.deliver(
+        receipt = self._delivery.deliver(
             batch, omitted, self._inboxes, self._core.live_mask()
         )
         self._delivered_bits = receipt.delivered_bits
@@ -549,14 +501,13 @@ class SyncNetwork:
         the configured :class:`~repro.runtime.models.RoundModel`.
         """
         observers = self._observers
-        setup_adversary(
-            self.adversary,
+        self.adversary.setup(
             AdversaryContext(
                 n=self.n,
                 t=self.t,
                 processes=tuple(self.processes),
                 rng=random.Random(stable_seed(self.seed, "adversary-setup")),
-            ),
+            )
         )
         for observer in observers:
             observer.on_run_start(self)

@@ -16,9 +16,9 @@ Typical structure::
             # returning ends participation (the process terminates)
 
 The inbox delivered at each ``yield`` is the sequence of :class:`Message`
-objects that survived the adversary, sorted by sender for determinism.  On
-the columnar engine it is a lazy view that materializes per-copy messages
-on first read; treat it as an immutable ``Sequence[Message]``.
+objects that survived the adversary, sorted by sender for determinism.  It
+may be a lazy view that materializes per-copy messages on first read;
+treat it as an immutable ``Sequence[Message]``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class ProcessEnv:
         "has_decided",
         "round",
         "decision_round",
-        "expand_multicast",
         "_fanout_cache",
     )
 
@@ -75,13 +74,6 @@ class ProcessEnv:
         self.round = 0
         #: Round in which :meth:`decide` was first called (None = never).
         self.decision_round: int | None = None
-        #: When True, :meth:`send_many` / :meth:`broadcast` eagerly expand
-        #: into one :class:`Message` per recipient (the legacy per-message
-        #: path, byte-identical to an explicit loop of :meth:`send`) instead
-        #: of queueing a single :class:`Multicast` record.  Set by
-        #: ``SyncNetwork(multicast=False)``; exists for equivalence testing
-        #: and benchmarking, not for production use.
-        self.expand_multicast = False
         # Cached (recipients-except-self, recipients-including-self) tuples
         # so per-round broadcasts don't rebuild the O(n) fan-out list.
         self._fanout_cache: tuple[tuple[int, ...], tuple[int, ...]] | None = (
@@ -130,13 +122,6 @@ class ProcessEnv:
         (already validated) fan-out — so a per-round broadcast costs one
         ``payload_bits`` call and one append, no O(n) re-checking.
         """
-        if self.expand_multicast:
-            # Legacy per-message path: one eagerly-sized Message per copy,
-            # exactly as an explicit loop of :meth:`send` would queue.
-            pid, outbox = self.pid, self.outbox
-            for recipient in recipients:
-                outbox.append(Message(pid, recipient, payload))
-            return
         bits = payload_bits(payload) + MESSAGE_OVERHEAD_BITS
         self.outbox.append(Multicast(self.pid, recipients, payload, bits))
 

@@ -1,13 +1,13 @@
 """Transport registry: the engine's selectable process-hosting layers.
 
 A :class:`Transport` decides *where* an execution's consensus processes
-physically run, while the round models, delivery backends, adversary
+physically run, while the round models, delivery layer, adversary
 API, observer bus, metering, and record/replay behave identically across
 transports (see :mod:`repro.transport.base`).
 
 Transports are addressed by registry name — ``"inprocess"`` (today's
 single-interpreter core, the default) and ``"tcp"`` (real OS worker
-processes over localhost TCP, :mod:`repro.transport.tcp`).  Unlike the
+processes over localhost TCP, :mod:`repro.transport.tcp`).  Like the
 round-model axis there is deliberately no environment-variable default:
 a real-network execution must always be an explicit request.
 """

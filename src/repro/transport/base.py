@@ -70,7 +70,6 @@ class Transport(ABC):
         processes: Sequence[SyncProcess],
         *,
         seed: int,
-        multicast: bool,
     ) -> ExecutionCore:
         """Build the execution core hosting ``processes`` for one run."""
 

@@ -29,6 +29,5 @@ class InProcessTransport(Transport):
         processes: Sequence[SyncProcess],
         *,
         seed: int,
-        multicast: bool,
     ) -> ExecutionCore:
-        return ExecutionCore(processes, seed=seed, multicast=multicast)
+        return ExecutionCore(processes, seed=seed)

@@ -6,7 +6,7 @@ hosting a contiguous pid block, all dialing a loopback listener owned by
 the coordinator.  The coordinator is a
 :class:`~repro.runtime.engine.ExecutionCore` subclass
 (:class:`RemoteExecutionCore`) so the whole engine — round models,
-delivery backends, adversary arbitration, observers, record/replay —
+delivery layer, adversary arbitration, observers, record/replay —
 drives it unchanged:
 
 * :meth:`RemoteExecutionCore.advance` fans one ``step`` frame out to
@@ -24,7 +24,7 @@ drives it unchanged:
 
 Determinism: per-process randomness is seeded from the same
 ``derive_seeds(seed, n)`` table as the in-process core (indexed by pid
-inside each worker), and inbox contents are the delivery backend's exact
+inside each worker), and inbox contents are the delivery layer's exact
 output shipped byte-for-byte — so a fault-free TCP execution is
 fingerprint-identical to the in-process one, and its recorded recipe
 replays in-process deterministically.  Runs where the transport itself
@@ -134,11 +134,8 @@ class AsyncioTcpTransport(Transport):
         processes: Sequence[SyncProcess],
         *,
         seed: int,
-        multicast: bool,
     ) -> ExecutionCore:
-        return RemoteExecutionCore(
-            processes, seed=seed, multicast=multicast, transport=self
-        )
+        return RemoteExecutionCore(processes, seed=seed, transport=self)
 
 
 class _WorkerLink:
@@ -182,7 +179,7 @@ class RemoteExecutionCore(ExecutionCore):
     hold decisions/termination synced from worker replies, ``sources``
     mirror the workers' randomness counters, ``programs`` track liveness
     (the mirror generators are never advanced), and ``inboxes`` are the
-    slots delivery backends write into — their contents ship to the
+    slots the delivery layer writes into — their contents ship to the
     owning worker on the next step.  Everything the network and the
     result assembly read (``live_count``, ``current_decisions``,
     ``build_result``, …) therefore works unchanged from the base class.
@@ -190,7 +187,6 @@ class RemoteExecutionCore(ExecutionCore):
 
     __slots__ = (
         "_transport",
-        "_multicast",
         "_links",
         "_loop",
         "_server",
@@ -206,12 +202,10 @@ class RemoteExecutionCore(ExecutionCore):
         processes: Sequence[SyncProcess],
         *,
         seed: int,
-        multicast: bool,
         transport: AsyncioTcpTransport,
     ) -> None:
-        super().__init__(processes, seed=seed, multicast=multicast)
+        super().__init__(processes, seed=seed)
         self._transport = transport
-        self._multicast = multicast
         self._faults: set[int] = set()
         self._samples: list[LinkSample] = []
         self._pending_reseed: int | None = None
@@ -334,7 +328,6 @@ class RemoteExecutionCore(ExecutionCore):
                     "processes": [self.processes[pid] for pid in link.pids],
                     "n": self.n,
                     "seed": self.seed,
-                    "multicast": self._multicast,
                 },
             )
             writer.write(encode_frame(setup))

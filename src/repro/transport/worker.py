@@ -44,7 +44,6 @@ class ProcessShard:
         processes: Sequence[SyncProcess],
         n: int,
         seed: int,
-        multicast: bool,
     ) -> None:
         # Index the full derivation table by hosted pid: randomness is a
         # function of (seed, pid), never of worker placement.
@@ -58,8 +57,6 @@ class ProcessShard:
             pid = process.pid
             source = CountingRandom(seeds[pid])
             env = ProcessEnv(pid, n, source)
-            if not multicast:
-                env.expand_multicast = True
             self.sources[pid] = source
             self.envs[pid] = env
             self.programs[pid] = process.program(env)
@@ -182,7 +179,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             payload["processes"],
             n=payload["n"],
             seed=payload["seed"],
-            multicast=payload["multicast"],
         )
         while True:
             kind, payload = _expect_frame(sock)

@@ -1,20 +1,25 @@
-"""The columnar (numpy) engine path: layout, laziness, golden equivalence.
+"""The columnar (numpy) delivery plan: layout, laziness, golden equivalence.
 
-The contract mirrors PR 4's multicast one, one axis over: ``SyncNetwork``
-now has a 2x2 engine grid — send path (``multicast=True``/``False``) x
-delivery path (``columnar=True``/``False``) — and every cell must produce
-*byte-identical* executions: same decisions, same rounds, same value for
-every :class:`Metrics` counter, same flat omit indices, same replay
-fingerprints.  These tests pin the columnar layout itself (arrays match a
-naive per-copy enumeration), the lazy ``Message`` views (inboxes
-materialize only when read), the metering-precedence and duplicate-omit
-bugfixes, and the randomized differential property over
-:class:`ChaosAdversary` schedules.
+The delivery layer picks the object loop or the columnar plan per batch
+(``repro.runtime.delivery``), and both must produce *byte-identical*
+executions: same decisions, same rounds, same value for every
+:class:`Metrics` counter, same flat omit indices, same replay
+fingerprints.  The differentials run over a 2x2 grid — how processes spell
+a fan-out (``env.broadcast`` records vs. the explicit ``env.send`` loop) x
+which delivery path serves every batch — pinned through test seams
+(:func:`engine_cell`), not options.  These tests also pin the columnar
+layout itself (arrays match a naive per-copy enumeration), the lazy
+``Message`` views (inboxes materialize only when read), the per-batch rule
+(one run crossing both paths equals both pinned runs), the
+metering-precedence and duplicate-omit bugfixes, and the randomized
+differential property over :class:`ChaosAdversary` schedules.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 
 import pytest
 
@@ -35,22 +40,44 @@ from repro.runtime import (
     SyncNetwork,
     SyncProcess,
     canonical_omissions,
+    delivery,
     result_to_dict,
 )
 from repro.runtime.columnar import HAVE_NUMPY, plan_delivery
 
-from .test_multicast import Broadcaster, ScriptedOmitter
+from .test_multicast import Broadcaster, ScriptedOmitter, use_send_loops
 from .test_replay import GOLDEN
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="columnar engine requires numpy"
 )
 
+#: (broadcast, columnar): fan-outs queued as Multicast records or as
+#: explicit env.send loops x every batch on the columnar plan or on the
+#: object loop.
 ENGINE_GRID = [
-    (multicast, columnar)
-    for multicast in (True, False)
+    (broadcast, columnar)
+    for broadcast in (True, False)
     for columnar in (True, False)
 ]
+
+
+def pin_delivery(patch: pytest.MonkeyPatch, columnar: bool) -> None:
+    """Send every (sender-sorted) batch down one delivery path by pinning
+    the rule's fan-out constant — a test seam, not an option."""
+    patch.setattr(
+        delivery, "_COLUMNAR_MIN_FANOUT", 0 if columnar else math.inf
+    )
+
+
+@contextmanager
+def engine_cell(broadcast: bool, columnar: bool):
+    """Run the enclosed executions in one cell of :data:`ENGINE_GRID`."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not broadcast:
+            use_send_loops(patch)
+        pin_delivery(patch, columnar)
+        yield
 
 
 def canonical(result) -> str:
@@ -191,16 +218,15 @@ class TestPlanDelivery:
 # ---------------------------------------------------------------------------
 # Engine integration: the 2x2 grid is byte-identical end to end.
 class TestEngineGridEquivalence:
-    def ben_or_result(self, multicast, columnar):
-        network = SyncNetwork(
-            [BenOrVotingProcess(pid, 24, pid % 2) for pid in range(24)],
-            adversary=SilenceAdversary(range(4)),
-            t=4,
-            seed=6,
-            multicast=multicast,
-            columnar=columnar,
-        )
-        return network.run()
+    def ben_or_result(self, broadcast, columnar):
+        with engine_cell(broadcast, columnar):
+            network = SyncNetwork(
+                [BenOrVotingProcess(pid, 24, pid % 2) for pid in range(24)],
+                adversary=SilenceAdversary(range(4)),
+                t=4,
+                seed=6,
+            )
+            return network.run()
 
     def test_ben_or_identical_across_grid(self):
         prints = {
@@ -211,17 +237,16 @@ class TestEngineGridEquivalence:
     def test_scripted_omissions_identical_across_grid(self):
         prints = []
         inbox_logs = []
-        for multicast, columnar in ENGINE_GRID:
+        for cell in ENGINE_GRID:
             network = SyncNetwork(
                 [Broadcaster(pid, 4) for pid in range(4)],
                 adversary=ScriptedOmitter(
                     corrupt=[0], omit_by_round={0: [1], 1: [0, 2]}
                 ),
                 t=1,
-                multicast=multicast,
-                columnar=columnar,
             )
-            prints.append(canonical(network.run()))
+            with engine_cell(*cell):
+                prints.append(canonical(network.run()))
             inbox_logs.append(
                 [process.inboxes for process in network.processes]
             )
@@ -241,9 +266,10 @@ class TestEngineGridEquivalence:
                         corrupt=[0], omit_by_round={0: omit}
                     ),
                     t=1,
-                    columnar=columnar,
                 )
-                with pytest.raises(AdversaryProtocolError) as excinfo:
+                with engine_cell(True, columnar), pytest.raises(
+                    AdversaryProtocolError
+                ) as excinfo:
                     network.run()
                 errors.append(str(excinfo.value))
             assert errors[0] == errors[1]
@@ -262,23 +288,39 @@ class TestEngineGridEquivalence:
                     corrupt=[0], omit_by_round={0: [4, 12]}
                 ),
                 t=1,
-                columnar=columnar,
             )
-            with pytest.raises(AdversaryProtocolError) as excinfo:
+            with engine_cell(True, columnar), pytest.raises(
+                AdversaryProtocolError
+            ) as excinfo:
                 network.run()
             errors[columnar] = str(excinfo.value)
         assert errors[True] == errors[False]
         assert "1->2" in errors[True]
 
-    def test_columnar_true_without_numpy_raises(self, monkeypatch):
-        import repro.runtime.network as network_module
+    def test_numpy_masked_takes_object_loop(self, run_without_numpy):
+        """On a host where numpy does not import, every batch — the
+        all-to-all ones included — takes the object loop and the
+        fingerprint is the one this (numpy) host computes."""
+        here = canonical(self.ben_or_result(True, True))
+        assert run_without_numpy(_MASKED_BEN_OR).strip() == here
 
-        monkeypatch.setattr(network_module, "HAVE_NUMPY", False)
-        processes = [Broadcaster(pid, 2) for pid in range(2)]
-        with pytest.raises(ValueError, match="requires numpy"):
-            SyncNetwork(processes, columnar=True)
-        auto = SyncNetwork(processes, columnar=None)
-        assert auto.columnar is False
+
+_MASKED_BEN_OR = """
+import json
+from repro.adversary import SilenceAdversary
+from repro.baselines.ben_or import BenOrVotingProcess
+from repro.runtime import HAVE_NUMPY, SyncNetwork, columnar, result_to_dict
+
+assert not HAVE_NUMPY
+def no_columns(*args, **kwargs):
+    raise AssertionError("columnar layout built without numpy")
+columnar.ColumnarBatch.from_records = no_columns
+network = SyncNetwork(
+    [BenOrVotingProcess(pid, 24, pid % 2) for pid in range(24)],
+    adversary=SilenceAdversary(range(4)), t=4, seed=6,
+)
+print(json.dumps(result_to_dict(network.run()), sort_keys=True))
+"""
 
 
 class SilentSink(SyncProcess):
@@ -309,10 +351,11 @@ class InboxSpy(RoundObserver):
 
 class TestLazyDelivery:
     def test_unread_inboxes_never_materialize(self):
+        # n=8 all-to-all is fan-out 7: the shipped rule itself picks the
+        # columnar plan here, nothing is pinned.
         spy = InboxSpy()
         network = SyncNetwork(
             [SilentSink(pid, 8) for pid in range(8)],
-            columnar=True,
             observers=[spy],
         )
         result = network.run()
@@ -323,10 +366,11 @@ class TestLazyDelivery:
         assert spy.unmaterialized == SilentSink.rounds
         assert result.metrics.messages_delivered == 8 * 7 * SilentSink.rounds
 
-    def test_hand_built_unsorted_batch_falls_back_to_object_path(self):
-        network = SyncNetwork(
-            [Broadcaster(pid, 3) for pid in range(3)], columnar=True
-        )
+    def test_hand_built_unsorted_batch_falls_back_to_object_path(
+        self, monkeypatch
+    ):
+        pin_delivery(monkeypatch, columnar=True)
+        network = SyncNetwork([Broadcaster(pid, 3) for pid in range(3)])
         unsorted = MessageBatch(
             [Message(2, 0, "b"), Multicast(0, (1, 2), "a")]
         )
@@ -342,6 +386,64 @@ class TestLazyDelivery:
         assert [
             (m.sender, m.payload) for m in network._inboxes[0]
         ] == [(2, "b")]
+
+
+# ---------------------------------------------------------------------------
+# The per-batch rule: one run may cross both paths, round by round.
+FINITE_TIMEOUT = {"min_latency": 1, "max_latency": 3, "gst": 10**9,
+                  "timeout": 2}
+
+
+class TestPerBatchRule:
+    @pytest.mark.parametrize(
+        "model,model_options",
+        [("lockstep", None), ("partial-synchrony", FINITE_TIMEOUT)],
+        ids=["lockstep", "partial-synchrony-finite-timeout"],
+    )
+    def test_run_crossing_both_paths_equals_both_pinned_runs(
+        self, monkeypatch, model, model_options
+    ):
+        """Algorithm 1 at n=64 talks per-link over its spreading graph
+        (fan-out 1: object loop) and all-to-all in its announce rounds
+        (fan-out n-1: columnar plan).  The unpinned run must provably use
+        both, and equal the runs pinned to either — also when late
+        arrivals land on top of lazy views and plain lists alike."""
+        served = {"columnar": 0, "object": 0}
+
+        def counting(path, function):
+            def wrapper(*args, **kwargs):
+                served[path] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            delivery, "plan_delivery",
+            counting("columnar", delivery.plan_delivery),
+        )
+        monkeypatch.setattr(
+            delivery, "_deliver_objects",
+            counting("object", delivery._deliver_objects),
+        )
+
+        def run():
+            return canonical(
+                execute(
+                    "algorithm1",
+                    [pid % 2 for pid in range(64)],
+                    seed=3,
+                    model=model,
+                    model_options=model_options,
+                ).result
+            )
+
+        mixed = run()
+        assert served["columnar"] > 0 and served["object"] > 0
+        for columnar, idle in ((True, "object"), (False, "columnar")):
+            before = served[idle]
+            with engine_cell(True, columnar):
+                assert run() == mixed
+            assert served[idle] == before  # the pin really pinned
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +479,7 @@ class TestMeteringPrecedence:
     as omitted (not lost, not dropped from the identity), the un-omitted
     copy 4 as lost."""
 
-    def run_cell(self, multicast, columnar):
+    def run_cell(self, broadcast, columnar):
         processes = [
             Quitter(0, 3),
             Talker(1, 3),
@@ -387,15 +489,14 @@ class TestMeteringPrecedence:
             processes,
             adversary=ScriptedOmitter(corrupt=[1], omit_by_round={0: [2]}),
             t=1,
-            multicast=multicast,
-            columnar=columnar,
             observers=[InvariantObserver()],
         )
-        return network, network.run()
+        with engine_cell(broadcast, columnar):
+            return network, network.run()
 
-    @pytest.mark.parametrize("multicast,columnar", ENGINE_GRID)
-    def test_overlap_copy_is_omitted_not_lost(self, multicast, columnar):
-        network, result = self.run_cell(multicast, columnar)
+    @pytest.mark.parametrize("broadcast,columnar", ENGINE_GRID)
+    def test_overlap_copy_is_omitted_not_lost(self, broadcast, columnar):
+        network, result = self.run_cell(broadcast, columnar)
         metrics = result.metrics
         assert metrics.messages_sent == 6
         assert metrics.messages_omitted == 1
@@ -435,18 +536,17 @@ class TestDuplicateOmissions:
         assert canonical_omissions([3, 1, 3, 3, 2]) == (1, 2, 3)
         assert canonical_omissions(()) == ()
 
-    @pytest.mark.parametrize("multicast,columnar", ENGINE_GRID)
-    def test_duplicates_meter_and_execute_as_one(self, multicast, columnar):
+    @pytest.mark.parametrize("broadcast,columnar", ENGINE_GRID)
+    def test_duplicates_meter_and_execute_as_one(self, broadcast, columnar):
         def run(adversary):
             network = SyncNetwork(
                 [Broadcaster(pid, 4) for pid in range(4)],
                 adversary=adversary,
                 t=1,
-                multicast=multicast,
-                columnar=columnar,
                 observers=[InvariantObserver()],
             )
-            return network.run()
+            with engine_cell(broadcast, columnar):
+                return network.run()
 
         duplicated = run(DuplicateOmitter())
         deduped = run(ScriptedOmitter(corrupt=[0], omit_by_round={0: [1]}))
@@ -464,13 +564,9 @@ class TestDuplicateOmissions:
         assert not recorded.failed
         (action,) = [a for a in recorded.recipe.actions if a.omit]
         assert action.omit == (1,)  # canonical in the recording itself
-        for multicast, columnar in ENGINE_GRID:
-            report = replay(
-                recorded.recipe,
-                strict=True,
-                multicast=multicast,
-                columnar=columnar,
-            )
+        for cell in ENGINE_GRID:
+            with engine_cell(*cell):
+                report = replay(recorded.recipe, strict=True)
             assert report.ok, report.summary()
 
     def test_legacy_recipe_with_duplicates_parses_canonical(self):
@@ -507,48 +603,44 @@ class TestChaosDifferential:
         """Same protocol, same seed, a fresh ChaosAdversary per engine
         config (its RNG is stateful): decisions, rounds, every metrics
         counter, and the full serialized result must agree across the
-        whole multicast x columnar grid."""
+        whole send-spelling x delivery-path grid."""
         inputs = [pid % 2 for pid in range(n)]
         prints = {}
-        for multicast, columnar in ENGINE_GRID:
-            run = execute(
-                protocol,
-                inputs,
-                t=t,
-                adversary=ChaosAdversary(seed=seed),
-                seed=seed,
-                multicast=multicast,
-                columnar=columnar,
-            )
-            prints[(multicast, columnar)] = canonical(run.result)
+        for cell in ENGINE_GRID:
+            with engine_cell(*cell):
+                run = execute(
+                    protocol,
+                    inputs,
+                    t=t,
+                    adversary=ChaosAdversary(seed=seed),
+                    seed=seed,
+                )
+            prints[cell] = canonical(run.result)
         assert len(set(prints.values())) == 1
 
     @pytest.mark.parametrize("protocol,n,t,seed", CHAOS_CELLS[:2] + CHAOS_CELLS[-1:])
     def test_chaos_recording_replays_across_grid(self, protocol, n, t, seed):
         inputs = [pid % 2 for pid in range(n)]
-        recorded = record(
-            protocol,
-            inputs,
-            t=t,
-            adversary=ChaosAdversary(seed=seed),
-            seed=seed,
-            columnar=True,
-        )
-        assert not recorded.failed
-        assert recorded.recipe.columnar is True
-        for multicast, columnar in ENGINE_GRID:
-            report = replay(
-                recorded.recipe, multicast=multicast, columnar=columnar
+        with engine_cell(True, True):
+            recorded = record(
+                protocol,
+                inputs,
+                t=t,
+                adversary=ChaosAdversary(seed=seed),
+                seed=seed,
             )
+        assert not recorded.failed
+        for cell in ENGINE_GRID:
+            with engine_cell(*cell):
+                report = replay(recorded.recipe)
             assert report.ok, report.summary()
 
 
 # ---------------------------------------------------------------------------
-# The golden artifact certifies all four engine paths.
+# The golden artifact certifies all four grid cells.
 class TestGoldenAcrossGrid:
-    @pytest.mark.parametrize("multicast,columnar", ENGINE_GRID)
-    def test_golden_ben_or_replays_byte_identical(self, multicast, columnar):
-        report = replay(
-            load_recipe(GOLDEN), multicast=multicast, columnar=columnar
-        )
+    @pytest.mark.parametrize("broadcast,columnar", ENGINE_GRID)
+    def test_golden_ben_or_replays_byte_identical(self, broadcast, columnar):
+        with engine_cell(broadcast, columnar):
+            report = replay(load_recipe(GOLDEN))
         assert report.ok, report.summary()

@@ -388,22 +388,18 @@ class TestCampaignCache:
         self, tmp_path, monkeypatch
     ):
         """The engine fingerprint spans the certified-identical delivery
-        backends: cells computed on the object engine are served, byte
-        for byte, to a default (columnar-where-available) run."""
-        import repro.analysis.campaign as campaign_module
-        from repro.harness import execute as real_execute
+        paths: cells computed with every batch on the object loop (what a
+        numpy-less host does) are served, byte for byte, to a default
+        (columnar-where-it-pays) run."""
+        import math
 
-        def object_engine_execute(*args, **kwargs):
-            kwargs["columnar"] = False
-            return real_execute(*args, **kwargs)
+        from repro.runtime import delivery
 
         spec = small_spec()
         cache = CampaignCache(tmp_path / "cache")
-        monkeypatch.setattr(
-            campaign_module, "execute", object_engine_execute
-        )
-        cold = run_campaign(spec, cache=cache)
-        monkeypatch.setattr(campaign_module, "execute", real_execute)
+        with monkeypatch.context() as patch:
+            patch.setattr(delivery, "_COLUMNAR_MIN_FANOUT", math.inf)
+            cold = run_campaign(spec, cache=cache)
         warm_computed = []
         warm = run_campaign(
             spec, cache=cache, on_record=warm_computed.append

@@ -300,13 +300,34 @@ class TestRep007:
         )
         for relpath, name in (
             ("src/repro/runtime/columnar.py", "_materialize"),
-            ("src/repro/runtime/network.py", "_deliver"),
-            ("src/repro/runtime/process.py", "_queue_multicast"),
+            ("src/repro/runtime/delivery.py", "_deliver_objects"),
         ):
             src = "class X:\n" + loop.format(name=name)
             assert lint_source(src, relpath) == [], relpath
             renamed = "class X:\n" + loop.format(name="other")
             assert codes(lint_source(renamed, relpath)) == ["REP007"], relpath
+
+    def test_unlisted_loop_in_delivery_module_flagged(self):
+        """The table names the object loop, not the module: a second
+        per-copy loop in ``runtime/delivery.py`` is a finding, as are the
+        two sites the table used to whitelist."""
+        src = (
+            "def deliver(self, batch, omitted, inboxes, live):\n"
+            "    for record in batch.records:\n"
+            "        for recipient in record.recipients:\n"
+            "            inboxes[recipient].append(\n"
+            "                Message(record.sender, recipient, record.payload)\n"
+            "            )\n"
+        )
+        assert codes(
+            lint_source(src, "src/repro/runtime/delivery.py")
+        ) == ["REP007"]
+        for relpath, name in (
+            ("src/repro/runtime/network.py", "_deliver"),
+            ("src/repro/runtime/process.py", "_queue_multicast"),
+        ):
+            stale = src.replace("def deliver", f"def {name}")
+            assert codes(lint_source(stale, relpath)) == ["REP007"], relpath
 
     def test_messages_module_wholly_exempt(self):
         src = (

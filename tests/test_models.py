@@ -2,8 +2,9 @@
 
 Three contracts pin the model axis down:
 
-* **Registry** — models resolve by instance > name > environment >
-  lockstep, and every model round-trips through ``options_payload``.
+* **Registry** — models resolve by instance > name > lockstep (an
+  ambient ``REPRO_EXECUTION_MODEL`` is ignored everywhere), and every
+  model round-trips through ``options_payload``.
 * **Cross-model equivalence** — ``PartialSynchronyModel`` in its
   lockstep-equivalent regime (``timeout=None``; zero-variance latency /
   ``gst=0``) produces byte-identical result fingerprints to
@@ -38,7 +39,6 @@ from repro.runtime import (
     SyncProcess,
     available_models,
     create_model,
-    default_model_name,
     resolve_model,
     result_to_dict,
 )
@@ -80,22 +80,39 @@ class TestModelRegistry:
         assert clone.options_payload() == model.options_payload()
         assert create_model("lockstep").options_payload() == {}
 
-    def test_resolve_default_is_lockstep(self, monkeypatch):
-        monkeypatch.delenv(MODEL_ENV_VAR, raising=False)
-        assert default_model_name() == "lockstep"
-        assert isinstance(resolve_model(None), LockstepModel)
-
-    def test_resolve_honours_environment(self, monkeypatch):
-        monkeypatch.setenv(MODEL_ENV_VAR, "partial-synchrony")
-        assert default_model_name() == "partial-synchrony"
-        assert isinstance(resolve_model(None), PartialSynchronyModel)
-        # An explicit name still beats the environment.
+    def test_resolve_default_is_lockstep(self, session_default_model):
+        # "lockstep" unless this session runs under --execution-model.
+        assert resolve_model(None).name == session_default_model
         assert isinstance(resolve_model("lockstep"), LockstepModel)
 
-    def test_environment_names_unknown_model(self, monkeypatch):
-        monkeypatch.setenv(MODEL_ENV_VAR, "warp-speed")
-        with pytest.raises(ValueError, match="REPRO_EXECUTION_MODEL"):
-            default_model_name()
+    @pytest.mark.parametrize("ambient", ["partial-synchrony", "warp-speed"])
+    def test_ambient_environment_is_ignored(
+        self, monkeypatch, session_default_model, ambient
+    ):
+        """The removed ``REPRO_EXECUTION_MODEL`` fallback stays removed:
+        neither a valid nor an invalid value reaches ``execute``,
+        ``record``, or ``run_campaign`` worker processes — which is what
+        lets a campaign cell with ``model=None`` be digested as "default"
+        whatever environment its worker inherits."""
+        from repro.analysis.campaign import CampaignSpec, run_campaign
+
+        spec = CampaignSpec(
+            name="ambient", protocol="phase-king", ns=[9],
+            adversaries=["none"], seeds=[0, 1],
+        )
+        clean = run_campaign(spec, jobs=2)
+        monkeypatch.setenv(MODEL_ENV_VAR, ambient)
+
+        class ModelSpy(RoundObserver):
+            def on_run_start(self, network):
+                self.model = network.model.name
+
+        spy = ModelSpy()
+        execute("phase-king", mixed(9), t=2, seed=5, observers=[spy])
+        assert spy.model == session_default_model
+        recorded = record("phase-king", mixed(9), t=2, seed=5)
+        assert recorded.recipe.execution_model == session_default_model
+        assert run_campaign(spec, jobs=2) == clean
 
     def test_resolve_instance_passthrough(self):
         model = PartialSynchronyModel(timeout=2)
@@ -243,11 +260,6 @@ class TestPartialSynchronyRecordReplay:
         )
         monkeypatch.setenv(MODEL_ENV_VAR, "lockstep")
         assert replay(recorded.recipe).ok
-
-    def test_record_resolves_environment_default(self, monkeypatch):
-        monkeypatch.setenv(MODEL_ENV_VAR, "partial-synchrony")
-        recorded = record("phase-king", mixed(13), t=3, seed=5)
-        assert recorded.recipe.execution_model == "partial-synchrony"
 
     def test_finite_timeout_replays_to_identical_fingerprint(self):
         options = {"min_latency": 1, "max_latency": 3, "gst": 10**9,

@@ -1,12 +1,14 @@
-"""The multicast fast path: batch semantics and golden equivalence.
+"""Multicast records: batch semantics and golden equivalence.
 
-The engine's contract is that ``SyncNetwork(multicast=True)`` (the default,
-queueing one :class:`Multicast` record per ``broadcast``/``send_many``) and
-``SyncNetwork(multicast=False)`` (the legacy path, expanding the same calls
-into one eagerly-sized :class:`Message` per copy) produce *byte-identical*
-executions: same decisions, same rounds, same value for every
-:class:`Metrics` counter and per-round series, same flat adversary omit
-indices.  These tests pin that contract down.
+The engine's contract is that ``env.broadcast`` / ``env.send_many``
+(queueing one :class:`Multicast` record) and the explicit loop of
+``env.send`` calls they abbreviate (one eagerly-sized :class:`Message` per
+copy) produce *byte-identical* executions: same decisions, same rounds,
+same value for every :class:`Metrics` counter and per-round series, same
+flat adversary omit indices.  These tests pin that contract down; the
+send-loop side is test-local (:class:`LoopBroadcaster`,
+:func:`use_send_loops`) since the engine no longer ships a per-copy send
+path.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.runtime import (
     MessageBatch,
     Multicast,
     NetworkView,
+    ProcessEnv,
     SyncNetwork,
     SyncProcess,
     payload_bits,
@@ -149,6 +152,33 @@ class Broadcaster(SyncProcess):
         env.decide(0)
 
 
+class LoopBroadcaster(Broadcaster):
+    """:class:`Broadcaster` with the fan-out spelled as ``env.send`` calls."""
+
+    def program(self, env):
+        for round_no in range(self.rounds):
+            for recipient in range(self.n):
+                if recipient != self.pid:
+                    env.send(recipient, (round_no, self.pid))
+            inbox = yield
+            self.inboxes.append(
+                [(m.sender, m.payload[0]) for m in inbox]
+            )
+        env.decide(0)
+
+
+def use_send_loops(monkeypatch) -> None:
+    """Make every ``broadcast``/``send_many`` queue the explicit
+    ``env.send`` loop it abbreviates, for protocols whose programs the
+    test cannot rewrite (the reference side of the differentials)."""
+
+    def send_loop(env, recipients, payload):
+        for recipient in recipients:
+            env.send(recipient, payload)
+
+    monkeypatch.setattr(ProcessEnv, "_queue_multicast", send_loop)
+
+
 class TestEnvApi:
     def network(self, n=4, **kwargs):
         return SyncNetwork(
@@ -190,21 +220,20 @@ class TestEnvApi:
         assert first.recipients == (3, 0)
         assert second.recipients == (0, 1, 2, 3)
 
-    def test_expand_multicast_matches_explicit_send_loop(self):
-        fast = self.network(n=3)
-        legacy = self.network(n=3, multicast=False)
-        fast.envs[0].broadcast((1, 2, 3))
-        legacy.envs[0].broadcast((1, 2, 3))
-        (record,) = fast.envs[0].outbox
+    def test_broadcast_matches_explicit_send_loop(self):
+        """One Multicast record is, copy for copy, the env.send loop:
+        same payload and same bits on every copy."""
+        network = self.network(n=3)
+        network.envs[0].broadcast((1, 2, 3))
+        for recipient in (0, 2):
+            network.envs[1].send(recipient, (1, 2, 3))
+        (record,) = network.envs[0].outbox
         assert type(record) is Multicast
-        copies = legacy.envs[0].outbox
+        copies = network.envs[1].outbox
         assert [type(copy) for copy in copies] == [Message, Message]
-        assert [
-            (c.sender, c.recipient, c.payload, c.bits) for c in copies
-        ] == [
-            (record.sender, recipient, record.payload, record.bits)
-            for recipient in record.recipients
-        ]
+        assert [(c.payload, c.bits) for c in copies] == [
+            (record.payload, record.bits)
+        ] * len(record.recipients)
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +305,25 @@ def canonical(result) -> str:
 
 
 class TestGoldenEquivalence:
-    def test_algorithm1_under_omissions(self):
+    def test_algorithm1_under_omissions(self, monkeypatch):
         prints = []
-        for multicast in (True, False):
+        for send_loops in (False, True):
+            if send_loops:
+                use_send_loops(monkeypatch)
             network = SyncNetwork(
                 build_processes([pid % 2 for pid in range(36)], t=1),
                 adversary=SilenceAdversary([0]),
                 t=1,
                 seed=11,
-                multicast=multicast,
             )
             prints.append(canonical(network.run()))
         assert prints[0] == prints[1]
 
-    def test_ben_or_under_omissions(self):
+    def test_ben_or_under_omissions(self, monkeypatch):
         prints = []
-        for multicast in (True, False):
+        for send_loops in (False, True):
+            if send_loops:
+                use_send_loops(monkeypatch)
             network = SyncNetwork(
                 [
                     BenOrVotingProcess(pid, 24, pid % 2)
@@ -300,24 +332,24 @@ class TestGoldenEquivalence:
                 adversary=SilenceAdversary(range(4)),
                 t=4,
                 seed=6,
-                multicast=multicast,
             )
             prints.append(canonical(network.run()))
         assert prints[0] == prints[1]
 
     def test_scripted_flat_indices_agree_across_paths(self):
         """The same explicit omit indices are legal and hit the same
-        copies on both paths — the flat numbering is path-independent."""
+        copies whether a process broadcasts or loops over ``env.send`` —
+        the flat numbering, inbox order, and every Metrics counter are
+        spelling-independent."""
         prints = []
         inbox_logs = []
-        for multicast in (True, False):
+        for process_cls in (Broadcaster, LoopBroadcaster):
             network = SyncNetwork(
-                [Broadcaster(pid, 4) for pid in range(4)],
+                [process_cls(pid, 4) for pid in range(4)],
                 adversary=ScriptedOmitter(
                     corrupt=[0], omit_by_round={0: [1], 1: [0, 2]}
                 ),
                 t=1,
-                multicast=multicast,
             )
             prints.append(canonical(network.run()))
             inbox_logs.append(

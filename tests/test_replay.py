@@ -2,11 +2,12 @@
 
 The core contract: an execution is a deterministic function of (protocol,
 seeds, adversary action sequence), so a recorded recipe replays to a
-byte-identical result fingerprint — over either engine send path — and a
+byte-identical result fingerprint — over either delivery path — and a
 recorded *failure* replays to the same invariant violation.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,15 @@ from repro.replay import (
     run_checked,
     save_recipe,
 )
-from repro.runtime import ProcessEnv, SyncNetwork, SyncProcess, result_to_dict
+from repro.replay.recipe import recipe_from_payload, recipe_payload
+from repro.runtime import (
+    SCHEMA_VERSION,
+    ProcessEnv,
+    SyncNetwork,
+    SyncProcess,
+    delivery,
+    result_to_dict,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden-ben-or.json"
 
@@ -70,31 +79,34 @@ class TestRecordReplayMatrix:
 
     @pytest.mark.parametrize("protocol,n,t,adversary,seed", MATRIX[:3])
     def test_replay_across_engine_send_paths(
-        self, protocol, n, t, adversary, seed
+        self, protocol, n, t, adversary, seed, monkeypatch
     ):
-        """Omit indices address the flat per-copy order both send paths
-        share, so a schedule recorded on the multicast fast path replays
-        identically on the legacy per-message path and vice versa."""
+        """Omit indices address the flat per-copy order both delivery
+        paths share, so a schedule recorded with every batch on the
+        columnar plan replays identically with every batch on the object
+        loop and vice versa."""
         inputs = [pid % 2 for pid in range(n)]
-        recorded = record(
-            protocol,
-            inputs,
-            t=t,
-            adversary=make_adversary(adversary, seed=5),
-            seed=seed,
-            multicast=True,
-        )
-        assert replay(recorded.recipe, multicast=False).ok
-        recorded_legacy = record(
-            protocol,
-            inputs,
-            t=t,
-            adversary=make_adversary(adversary, seed=5),
-            seed=seed,
-            multicast=False,
-        )
-        assert recorded_legacy.recipe.expected == recorded.recipe.expected
-        assert replay(recorded_legacy.recipe, multicast=True).ok
+
+        def pin(threshold):
+            monkeypatch.setattr(delivery, "_COLUMNAR_MIN_FANOUT", threshold)
+
+        def recorded():
+            return record(
+                protocol,
+                inputs,
+                t=t,
+                adversary=make_adversary(adversary, seed=5),
+                seed=seed,
+            )
+
+        pin(0)
+        on_columnar = recorded()
+        pin(math.inf)
+        assert replay(on_columnar.recipe).ok
+        on_objects = recorded()
+        assert on_objects.recipe.expected == on_columnar.recipe.expected
+        pin(0)
+        assert replay(on_objects.recipe).ok
 
     def test_recipe_file_round_trip(self, tmp_path):
         recorded = record(
@@ -111,16 +123,52 @@ class TestRecordReplayMatrix:
 class TestGoldenRecipe:
     """Cross-version determinism: the committed artifact was recorded once
     (CPython 3.11) and must replay byte-identically on every CI
-    interpreter, over both engine send paths — the Mersenne Twister and
-    the engine's seed derivation are stable across 3.11/3.12."""
+    interpreter — the Mersenne Twister and the engine's seed derivation
+    are stable across 3.11/3.12.  "Fast path" is whatever the delivery
+    layer picks per batch; "legacy path" is the reference object loop
+    alone (``tests/test_columnar.py`` covers the remaining grid)."""
 
     def test_golden_replays_on_fast_path(self):
-        report = replay(load_recipe(GOLDEN), multicast=True)
+        report = replay(load_recipe(GOLDEN))
         assert report.ok, report.summary()
 
-    def test_golden_replays_on_legacy_path(self):
-        report = replay(load_recipe(GOLDEN), multicast=False)
+    def test_golden_replays_on_legacy_path(self, monkeypatch):
+        monkeypatch.setattr(delivery, "_COLUMNAR_MIN_FANOUT", math.inf)
+        report = replay(load_recipe(GOLDEN))
         assert report.ok, report.summary()
+
+    def test_legacy_engine_keys_are_accepted_and_ignored(
+        self, run_without_numpy
+    ):
+        """Replay portability: recipes used to pin ``multicast`` /
+        ``columnar``, and ``"columnar": true`` made a numpy-less host
+        refuse to replay.  Old payloads still load (the golden artifact
+        carries ``"multicast": true``), pin nothing, and replay where
+        numpy does not import; new payloads stop writing the keys; schema
+        handling is untouched."""
+        payload = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert payload["multicast"] is True
+        pinned = dict(payload, multicast=False, columnar=True)
+        recipe = recipe_from_payload(pinned)
+        assert recipe == load_recipe(GOLDEN)
+        written = recipe_payload(recipe)
+        assert "multicast" not in written and "columnar" not in written
+        assert written["schema"] == payload["schema"] == SCHEMA_VERSION
+        with pytest.raises(ValueError, match="recipe schema"):
+            recipe_from_payload(dict(pinned, schema=SCHEMA_VERSION + 1))
+        out = run_without_numpy(
+            "import json\n"
+            "from repro.replay import replay\n"
+            "from repro.replay.recipe import recipe_from_payload\n"
+            "from repro.runtime import HAVE_NUMPY\n"
+            "assert not HAVE_NUMPY\n"
+            f"payload = json.load(open({str(GOLDEN)!r}))\n"
+            "payload.update(multicast=False, columnar=True)\n"
+            "report = replay(recipe_from_payload(payload))\n"
+            "assert report.ok, report.summary()\n"
+            "print(report.summary())\n"
+        )
+        assert "matches" in out
 
 
 class SplitDecider(SyncProcess):
