@@ -161,7 +161,7 @@ def run_service(
             report = replay(recorded.recipe)
             assert report.matches, (
                 f"slot {slot}: in-process replay of the "
-                f"{recorded.recipe.transport}-recorded recipe diverged: "
+                f"{recorded.recipe.config.transport}-recorded recipe diverged: "
                 f"{report.summary()}"
             )
             slot_record["replay"] = report.summary()

@@ -20,7 +20,6 @@ from .campaign import (
     append_journal_record,
     load_campaign,
     load_journal,
-    record_cell_key,
     repair_journal,
     run_campaign,
     save_campaign,
@@ -68,7 +67,6 @@ __all__ = [
     "append_journal_record",
     "load_campaign",
     "load_journal",
-    "record_cell_key",
     "repair_journal",
     "run_campaign",
     "save_campaign",

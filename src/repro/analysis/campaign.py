@@ -71,14 +71,14 @@ from ..fabric import (
     open_cache,
 )
 from ..harness import (
+    ExecutionConfig,
     RoundProfiler,
     TraceRecorder,
     available_protocols,
     capability_fingerprint,
-    execute,
     protocol_spec,
+    run_config,
 )
-from ..params import ProtocolParams
 from ._journal import (
     append_journal_record,
     load_journal_records,
@@ -96,22 +96,6 @@ ADVERSARY_FACTORIES = {
 #: Per-cell capture channels: attach an observer, merge its output into the
 #: record under the same key.
 CAPTURES = ("trace", "profile")
-
-
-def record_cell_key(record: Mapping[str, Any]) -> CellId:
-    """The identity under which a finished record can satisfy a grid cell.
-
-    Returns the record's :class:`CellId` — including the options (e.g.
-    the tradeoff ``x``), the execution model, and the engine capability
-    fingerprint: two sweeps that differ in any identity component must
-    never silently reuse each other's records.  Historical journal shapes
-    are honoured (see :meth:`CellId.from_record`).  Raises ``KeyError``
-    when the mapping is not a cell record.
-    """
-    cell = CellId.from_record(record)
-    if cell is None:
-        raise KeyError(f"not a cell record: {sorted(record)}")
-    return cell
 
 
 @dataclass(frozen=True)
@@ -152,28 +136,6 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {sweepable}"
             )
-        if self.model is not None:
-            from ..runtime import available_models
-
-            if self.model not in available_models():
-                raise ValueError(
-                    f"unknown execution model {self.model!r}; choose from "
-                    f"{available_models()}"
-                )
-        elif self.model_options:
-            raise ValueError("model_options requires an explicit model")
-        if self.transport is not None:
-            from ..transport import available_transports
-
-            if self.transport not in available_transports():
-                raise ValueError(
-                    f"unknown transport {self.transport!r}; choose from "
-                    f"{available_transports()}"
-                )
-        elif self.transport_options:
-            raise ValueError(
-                "transport_options requires an explicit transport"
-            )
         unknown = set(self.adversaries) - set(ADVERSARY_FACTORIES)
         if unknown:
             raise ValueError(
@@ -187,6 +149,9 @@ class CampaignSpec:
                 f"unknown capture channels {sorted(unknown_capture)}; "
                 f"choose from {CAPTURES}"
             )
+        # Every cell's config carries the same two axes; building one
+        # validates them here, before a grid reaches any worker.
+        self.config_for(next(iter(self.ns), 1), 0)
 
     def grid(self):
         """Yield every (n, adversary, seed) cell."""
@@ -195,14 +160,12 @@ class CampaignSpec:
                 for seed in self.seeds:
                     yield n, adversary, seed
 
-    def cell_id(self, n: int, adversary: str, seed: int) -> CellId:
-        """Canonical identity of one cell — matches :func:`record_cell_key`."""
-        protocol = protocol_spec(self.protocol)
-        return CellId.make(
-            protocol=self.protocol,
-            n=n,
-            t=protocol.campaign_t(n, ProtocolParams.practical()),
-            adversary=adversary,
+    def config_for(self, n: int, seed: int) -> ExecutionConfig:
+        """The run description of the grid's ``(n, seed)`` cells (``t`` is
+        left to the protocol; see :class:`CellId`)."""
+        return ExecutionConfig(
+            self.protocol,
+            mixed_inputs(n),
             seed=seed,
             options=self.options,
             model=self.model,
@@ -210,6 +173,13 @@ class CampaignSpec:
             transport=self.transport,
             transport_options=self.transport_options,
         )
+
+    def cell_id(self, n: int, adversary: str, seed: int) -> CellId:
+        """Canonical identity of one cell (equals ``CellId.from_record``
+        of the record the cell produces)."""
+        config = self.config_for(n, seed)
+        t = protocol_spec(self.protocol).campaign_t(n, config.params)
+        return CellId.of(config, adversary=adversary, t=t)
 
 
 def _run_cell(
@@ -221,10 +191,9 @@ def _run_cell(
 ) -> tuple[dict[str, Any], dict[str, Any] | None]:
     """Execute one cell; returns ``(record, failure_recipe_payload)``."""
     protocol = protocol_spec(spec.protocol)
-    params = ProtocolParams.practical()
-    t = protocol.campaign_t(n, params)
+    config = spec.config_for(n, seed)
+    t = protocol.campaign_t(n, config.params)
     adversary = ADVERSARY_FACTORIES[adversary_name](n, t, seed)
-    inputs = mixed_inputs(n)
 
     observers = []
     recorder = profiler = None
@@ -235,29 +204,32 @@ def _run_cell(
         profiler = RoundProfiler()
         observers.append(profiler)
 
-    model_options = spec.model_options if spec.model_options else None
-    transport_options = (
-        spec.transport_options if spec.transport_options else None
-    )
-    # t stays None: every spec's build resolves the same default budget the
-    # adversary above was constructed with (the tradeoff intentionally keeps
-    # its own halved internal budget while the record carries campaign_t).
+    record: dict[str, Any] = {
+        "campaign": spec.name,
+        "protocol": config.protocol,
+        "n": n,
+        "t": t,
+        "adversary": adversary_name,
+        "seed": seed,
+        "options": dict(config.options),
+        "engine": capability_fingerprint(),
+    }
+    for axis in ("model", "transport"):
+        # Only axis-pinned sweeps carry the keys, so records written by
+        # unpinned specs keep their exact journal identity.
+        if getattr(config, axis) is not None:
+            record[axis] = getattr(config, axis)
+            if options := getattr(config, f"{axis}_options"):
+                record[f"{axis}_options"] = dict(options)
+
     if record_failures is not None:
-        from ..replay import record as record_run, save_recipe
+        from ..replay import record_config, save_recipe
         from ..replay.recipe import recipe_payload
 
-        recorded = record_run(
-            spec.protocol,
-            inputs,
-            adversary=adversary,
-            params=params,
-            seed=seed,
-            observers=observers,
-            options=spec.options,
-            model=spec.model,
-            model_options=model_options,
-            transport=spec.transport,
-            transport_options=transport_options,
+        recorded = record_config(
+            config,
+            adversary,
+            observers,
             note=(
                 f"campaign {spec.name}: n={n} "
                 f"adversary={adversary_name} seed={seed}"
@@ -268,81 +240,32 @@ def _run_cell(
             path = save_recipe(
                 recorded.recipe, Path(record_failures) / f"{stem}.json"
             )
-            failed_record = {
-                "campaign": spec.name,
-                "protocol": spec.protocol,
-                "n": n,
-                "t": t,
-                "adversary": adversary_name,
-                "seed": seed,
-                "options": dict(spec.options),
-                "engine": capability_fingerprint(),
-                "failed": True,
-                "invariant": recorded.recipe.expected_failure["invariant"],
-                "error": str(recorded.failure),
-                "recipe": str(path),
-            }
-            if spec.model is not None:
-                failed_record["model"] = spec.model
-                if spec.model_options:
-                    failed_record["model_options"] = dict(spec.model_options)
-            if spec.transport is not None:
-                failed_record["transport"] = spec.transport
-                if spec.transport_options:
-                    failed_record["transport_options"] = dict(
-                        spec.transport_options
-                    )
+            record.update(
+                failed=True,
+                invariant=recorded.recipe.expected_failure["invariant"],
+                error=str(recorded.failure),
+                recipe=str(path),
+            )
             # The recipe itself rides along so the failure lands in the
             # cache as a self-contained, replayable artifact.
-            return failed_record, recipe_payload(recorded.recipe)
+            return record, recipe_payload(recorded.recipe)
         run = recorded.run
     else:
-        run = execute(
-            protocol,
-            inputs,
-            adversary=adversary,
-            params=params,
-            seed=seed,
-            observers=observers,
-            options=spec.options,
-            model=spec.model,
-            model_options=model_options,
-            transport=spec.transport,
-            transport_options=transport_options,
-        )
+        run = run_config(config, adversary, observers, spec=protocol)
 
     metrics = run.metrics
-    record: dict[str, Any] = {
-        "campaign": spec.name,
-        "protocol": spec.protocol,
-        "n": n,
-        "t": t,
-        "adversary": adversary_name,
-        "seed": seed,
-        "options": dict(spec.options),
-        "engine": capability_fingerprint(),
-        "decision": run.decision,
-        "rounds": run.result.time_to_agreement(),
-        "messages": metrics.messages_sent,
-        "bits": metrics.bits_sent,
-        "random_bits": metrics.random_bits,
-        "random_calls": metrics.random_calls,
-        "faulty": sorted(run.result.faulty),
-        "fallback": bool(
+    record.update(
+        decision=run.decision,
+        rounds=run.result.time_to_agreement(),
+        messages=metrics.messages_sent,
+        bits=metrics.bits_sent,
+        random_bits=metrics.random_bits,
+        random_calls=metrics.random_calls,
+        faulty=sorted(run.result.faulty),
+        fallback=bool(
             getattr(run, "ran_deterministic_fallback", run.used_fallback)
         ),
-    }
-    if spec.model is not None:
-        # Only model-pinned sweeps carry the keys, so records written by
-        # legacy specs keep their exact journal identity.
-        record["model"] = spec.model
-        if spec.model_options:
-            record["model_options"] = dict(spec.model_options)
-    if spec.transport is not None:
-        # Same conditional-key rule as the model axis.
-        record["transport"] = spec.transport
-        if spec.transport_options:
-            record["transport_options"] = dict(spec.transport_options)
+    )
     if protocol.record_extras is not None:
         record.update(protocol.record_extras(run, run.request))
     if recorder is not None:
@@ -405,32 +328,13 @@ def load_journal(
     return list(merged.values())
 
 
-def _resolve_resume(
-    resume: Sequence[Mapping[str, Any]] | str | Path | None,
-    resume_from: Sequence[Mapping[str, Any]] | None,
-) -> list[dict[str, Any]]:
-    """Normalize the two resume spellings into a record list."""
-    records: list[dict[str, Any]] = list(resume_from or ())
-    if resume is None:
-        return records
-    if isinstance(resume, (str, Path)):
-        try:
-            records.extend(load_journal(resume))
-        except FileNotFoundError:
-            pass
-        return records
-    records.extend(resume)
-    return records
-
-
 def run_campaign(
     spec: CampaignSpec,
-    resume_from: Sequence[Mapping[str, Any]] | None = None,
+    *,
     jobs: int = 1,
     journal: str | Path | None = None,
     on_record: Callable[[dict[str, Any]], None] | None = None,
     record_failures: str | Path | None = None,
-    *,
     cache: CampaignCache | str | Path | None = None,
     resume: Sequence[Mapping[str, Any]] | str | Path | None = None,
     claims: DirectoryClaims | None = None,
@@ -439,11 +343,10 @@ def run_campaign(
 
     A cell is identified by its :class:`CellId` digest over (protocol, n,
     t, adversary, seed, options, model, model_options, engine capability,
-    transport, transport_options) — see :func:`record_cell_key`.  Cells
-    are satisfied, in order, from:
+    transport, transport_options).  Cells are satisfied, in order, from:
 
-    1. ``resume`` — a journal path or a sequence of finished records
-       (``resume_from`` is the legacy spelling; both are honoured);
+    1. ``resume`` — a journal path (a missing file is an empty journal)
+       or a sequence of finished records;
     2. ``cache`` — a content-addressed :class:`repro.fabric.CampaignCache`
        (or a directory path for one) consulted per cell and fed every
        newly computed record, so identical cells are never recomputed
@@ -482,8 +385,13 @@ def run_campaign(
     if claims is not None and cache is None:
         raise ValueError("claims coordination requires a cache")
     store = open_cache(cache) if cache is not None else None
+    if isinstance(resume, (str, Path)):
+        try:
+            resume = load_journal(resume)
+        except FileNotFoundError:
+            resume = ()
     done: dict[CellId, dict[str, Any]] = {}
-    for record in _resolve_resume(resume, resume_from):
+    for record in resume or ():
         if record.get("campaign") != spec.name:
             continue
         cell = CellId.from_record(record)

@@ -16,12 +16,8 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .adversary import (
-    RandomOmissionAdversary,
-    SilenceAdversary,
-    VoteBalancingAdversary,
-)
 from .analysis import render_table, table1
+from .analysis.campaign import ADVERSARY_FACTORIES
 from .core import run_tradeoff_consensus
 from .graphs import spreading_graph, theorem4_report
 from .harness import (
@@ -33,14 +29,6 @@ from .harness import (
 from .analysis.montecarlo import decision_bias, fallback_rate_vs_epochs
 from .lowerbound import sweep_lemma12
 from .params import ProtocolParams
-from .runtime import Adversary
-
-ADVERSARIES = {
-    "none": lambda n, t, seed: None,
-    "silence": lambda n, t, seed: SilenceAdversary(range(t)),
-    "random": lambda n, t, seed: RandomOmissionAdversary(0.6, seed=seed),
-    "balance": lambda n, t, seed: VoteBalancingAdversary(seed=seed),
-}
 
 
 def _available_models() -> tuple[str, ...]:
@@ -55,16 +43,6 @@ def _available_transports() -> tuple[str, ...]:
     return available_transports()
 
 
-def _build_adversary(name: str, n: int, t: int, seed: int) -> Adversary | None:
-    try:
-        factory = ADVERSARIES[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown adversary {name!r}; choose from {sorted(ADVERSARIES)}"
-        ) from None
-    return factory(n, t, seed)
-
-
 def _parse_int_list(text: str) -> list[int]:
     return [int(item) for item in text.split(",") if item]
 
@@ -77,7 +55,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     inputs = [pid % 2 for pid in range(n)] if args.inputs == "mixed" else (
         [int(args.inputs)] * n
     )
-    adversary = _build_adversary(args.adversary, n, t, args.seed)
+    adversary = ADVERSARY_FACTORIES[args.adversary](n, t, args.seed)
     profiler = RoundProfiler() if args.profile else None
     run = execute(
         spec,
@@ -318,7 +296,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     """Journal + cache standing for a spec — reads only, never executes."""
     import json
 
-    from .analysis.campaign import load_journal, record_cell_key
+    from .analysis.campaign import load_journal
+    from .fabric import CellId
 
     spec = _campaign_spec_from_args(args)
     cache = _open_campaign_cache(args)
@@ -326,12 +305,9 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     if args.journal is not None:
         try:
             for record in load_journal(args.journal):
-                if record.get("campaign") != spec.name:
-                    continue
-                try:
-                    journaled[record_cell_key(record)] = record
-                except KeyError:
-                    continue
+                cell = CellId.from_record(record)
+                if cell is not None and record.get("campaign") == spec.name:
+                    journaled[cell] = record
         except FileNotFoundError:
             pass
     states = {"journal": 0, "cache": 0, "missing": 0}
@@ -467,8 +443,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         + (f" — {recipe.note}" if recipe.note else "")
     )
     print(
-        f"protocol      : {recipe.protocol} n={recipe.n} t={recipe.t} "
-        f"seed={recipe.seed}"
+        f"protocol      : {recipe.config.protocol} n={recipe.config.n} "
+        f"t={recipe.config.t} seed={recipe.config.seed}"
     )
     print(
         f"schedule      : {len(recipe.actions)} rounds, "
@@ -533,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inputs", default="mixed", help='"mixed", "0" or "1"'
     )
     run_parser.add_argument(
-        "--adversary", default="none", choices=sorted(ADVERSARIES)
+        "--adversary", default="none", choices=sorted(ADVERSARY_FACTORIES)
     )
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
@@ -646,11 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
             "stragglers",
         )
         parser.add_argument(
-            "--journal", "--resume", dest="journal", default=None,
-            metavar="PATH",
+            "--journal", default=None, metavar="PATH",
             help="append-only JSONL journal: newly computed cells stream "
-            "to it and are reused on restart (--resume is the legacy "
-            "spelling)",
+            "to it and are reused on restart",
         )
         parser.add_argument(
             "--record-failures", default=None, metavar="DIR",

@@ -326,8 +326,8 @@ class ConsensusRun:
 
     result: ExecutionResult
     processes: list[SyncProcess]
-    #: The normalized :class:`repro.harness.ExecutionRequest` this run was
-    #: produced from (None for runs constructed outside the harness).
+    #: The :class:`repro.harness.ExecutionConfig` this run was produced
+    #: from (None for runs constructed outside the harness).
     request: Any = None
 
     @property

@@ -31,10 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 from collections.abc import Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..harness import ExecutionConfig
 
 __all__ = ["CellId", "canonical_json"]
 
@@ -54,23 +57,32 @@ def _current_engine() -> str:
 class CellId:
     """Frozen identity of one sweep cell; hashable, orderable, digestible.
 
-    ``options`` and ``model_options`` are stored in their canonical JSON
-    string form (see :func:`canonical_json`); use :meth:`make` to build an
-    id from mappings.  ``model is None`` means the default execution model
-    — kept distinct from an explicit ``"lockstep"`` so records written by
-    legacy (model-unpinned) specs keep their exact resume identity.
-    ``engine`` is the harness capability fingerprint
-    (:func:`repro.harness.capability_fingerprint`); ``None`` resolves to
-    the running engine's.  ``transport is None`` means the default
-    in-process transport — kept distinct from an explicit
-    ``"inprocess"`` for the same resume-identity reason as ``model``.
+    A cell's identity is the named-axis view of the run's
+    :class:`~repro.harness.ExecutionConfig` — ``protocol, n, seed, options,
+    model, model_options, transport, transport_options`` — plus the three
+    coordinates a config does not carry: the ``adversary`` name, the
+    adversary-construction budget ``t`` (``spec.campaign_t(n, params)``;
+    the run itself gets ``t=None`` so each protocol resolves its own
+    budget — the tradeoff halves it internally) and the ``engine``
+    capability fingerprint (``None`` resolves to the running engine's).
+    See :meth:`of`.
+
+    These eleven fields are the only statement of the components:
+    :meth:`make`, :meth:`from_record`, :meth:`payload`,
+    :meth:`from_payload` and lint rule REP009 all read
+    ``dataclasses.fields(CellId)``.  The three ``*options`` components
+    are stored as canonical JSON strings (:func:`canonical_json`), which
+    keeps the id hashable; :meth:`make` accepts mappings.  ``model is
+    None`` / ``transport is None`` mean the built-in default — kept
+    distinct from an explicit ``"lockstep"`` / ``"inprocess"`` so records
+    written by unpinned specs keep their exact resume identity.
     """
 
     protocol: str
     n: int
-    t: int | None
     adversary: str
     seed: int
+    t: int | None = None
     options: str = "{}"
     model: str | None = None
     model_options: str = "{}"
@@ -86,61 +98,50 @@ class CellId:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def make(
-        cls,
-        protocol: str,
-        n: int,
-        t: int | None,
-        adversary: str,
-        seed: int,
-        options: Mapping[str, Any] | None = None,
-        model: str | None = None,
-        model_options: Mapping[str, Any] | None = None,
-        engine: str | None = None,
-        transport: str | None = None,
-        transport_options: Mapping[str, Any] | None = None,
-    ) -> CellId:
-        """Build an id, canonicalizing the option mappings."""
+    def make(cls, **components: Any) -> CellId:
+        """Build an id from plain values, canonicalizing option mappings."""
         return cls(
-            protocol=protocol,
-            n=n,
-            t=t,
-            adversary=adversary,
-            seed=seed,
-            options=canonical_json(options),
-            model=model,
-            model_options=canonical_json(model_options),
-            engine=engine,
-            transport=transport,
-            transport_options=canonical_json(transport_options),
+            **{
+                name: canonical_json(value)
+                if name.endswith("options")
+                else value
+                for name, value in components.items()
+            }
         )
+
+    @classmethod
+    def of(
+        cls, config: ExecutionConfig, *, adversary: str, t: int | None
+    ) -> CellId:
+        """Identity of the cell that runs *config* against *adversary*.
+
+        Only named axes have an identity: a live model or transport
+        instance on the config fails to digest (``TypeError``).
+        """
+        view = {
+            spec.name: getattr(config, spec.name)
+            for spec in fields(cls)
+            if spec.name not in ("adversary", "t", "engine")
+        }
+        return cls.make(adversary=adversary, t=t, **view)
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> CellId | None:
         """The identity under which a finished record satisfies a cell.
 
-        Tolerant of historical journal shapes: records written before
-        options were stored count as empty options; records written before
-        the model axis count as the default model; records written before
-        the engine fingerprint count as the *current* engine (they were
-        readable only by engines that would have produced them); records
-        written before the transport axis count as the default
-        (in-process) transport.  Returns ``None`` when the mapping is not
-        a cell record at all.
+        Tolerant of historical journal shapes: a component the record
+        does not carry takes its field default — empty options, the
+        default model and transport, the *current* engine (such records
+        were readable only by engines that would have produced them).
+        Returns ``None`` when the mapping is not a cell record at all.
         """
         try:
             return cls.make(
-                protocol=record["protocol"],
-                n=record["n"],
-                t=record.get("t"),
-                adversary=record["adversary"],
-                seed=record["seed"],
-                options=record.get("options") or {},
-                model=record.get("model"),
-                model_options=record.get("model_options") or {},
-                engine=record.get("engine"),
-                transport=record.get("transport"),
-                transport_options=record.get("transport_options") or {},
+                **{
+                    spec.name: record[spec.name]
+                    for spec in fields(cls)
+                    if spec.default is MISSING or spec.name in record
+                }
             )
         except (KeyError, TypeError):
             return None
@@ -156,19 +157,7 @@ class CellId:
     # ------------------------------------------------------------------
     def payload(self) -> dict[str, Any]:
         """JSON-safe mapping of every identity component."""
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "t": self.t,
-            "adversary": self.adversary,
-            "seed": self.seed,
-            "options": self.options,
-            "model": self.model,
-            "model_options": self.model_options,
-            "engine": self.engine,
-            "transport": self.transport,
-            "transport_options": self.transport_options,
-        }
+        return asdict(self)
 
     @cached_property
     def digest(self) -> str:

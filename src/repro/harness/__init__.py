@@ -12,18 +12,19 @@ touching protocol code.
 from ..runtime import RoundObserver, RoundProfiler, TraceRecorder
 from .registry import (
     CELL_RECORD_VERSION,
-    ExecutionRequest,
+    ExecutionConfig,
     ProtocolSpec,
     available_protocols,
     capability_fingerprint,
     execute,
     protocol_spec,
     register_protocol,
+    run_config,
 )
 
 __all__ = [
     "CELL_RECORD_VERSION",
-    "ExecutionRequest",
+    "ExecutionConfig",
     "ProtocolSpec",
     "RoundObserver",
     "RoundProfiler",
@@ -33,4 +34,5 @@ __all__ = [
     "execute",
     "protocol_spec",
     "register_protocol",
+    "run_config",
 ]

@@ -21,7 +21,7 @@ from ..core.early_stopping import EarlyStoppingConsensus
 from ..core.multivalued import MultiValuedConsensus
 from ..core.tradeoff import ParamOmissions
 from ..params import ProtocolParams
-from .registry import ExecutionRequest, ProtocolSpec, register_protocol
+from .registry import ExecutionConfig, ProtocolSpec, register_protocol
 
 
 def _baseline_budget(n: int, params: ProtocolParams) -> int:
@@ -36,7 +36,7 @@ def _phase_king_budget(n: int, params: ProtocolParams) -> int:
 
 # ---------------------------------------------------------------------------
 # The paper's algorithms.
-def _build_algorithm1(request: ExecutionRequest):
+def _build_algorithm1(request: ExecutionConfig):
     params = request.params
     t = request.t if request.t is not None else params.max_faults(request.n)
     processes = build_processes(
@@ -59,11 +59,11 @@ register_protocol(
 )
 
 
-def _tradeoff_x(request: ExecutionRequest) -> int:
+def _tradeoff_x(request: ExecutionConfig) -> int:
     return int(request.option("x", max(2, request.n // 16)))
 
 
-def _build_tradeoff(request: ExecutionRequest):
+def _build_tradeoff(request: ExecutionConfig):
     processes = [
         ParamOmissions(
             pid,
@@ -80,7 +80,7 @@ def _build_tradeoff(request: ExecutionRequest):
     return processes, processes[0].t
 
 
-def _tradeoff_extras(run: Any, request: ExecutionRequest) -> dict[str, Any]:
+def _tradeoff_extras(run: Any, request: ExecutionConfig) -> dict[str, Any]:
     return {"x": _tradeoff_x(request)}
 
 
@@ -95,7 +95,7 @@ register_protocol(
 )
 
 
-def _build_early_stopping(request: ExecutionRequest):
+def _build_early_stopping(request: ExecutionConfig):
     params = request.params
     t = request.t if request.t is not None else params.max_faults(request.n)
     processes = [
@@ -114,7 +114,7 @@ def _build_early_stopping(request: ExecutionRequest):
 
 
 def _early_stopping_extras(
-    run: Any, request: ExecutionRequest
+    run: Any, request: ExecutionConfig
 ) -> dict[str, Any]:
     return {
         "exit_epochs": sorted(
@@ -134,7 +134,7 @@ register_protocol(
 )
 
 
-def _build_multivalued(request: ExecutionRequest):
+def _build_multivalued(request: ExecutionConfig):
     params = request.params
     t = request.t if request.t is not None else params.max_faults(request.n)
     value_bits = int(request.option("value_bits", 1))
@@ -153,7 +153,7 @@ def _build_multivalued(request: ExecutionRequest):
     return processes, t
 
 
-def _multivalued_extras(run: Any, request: ExecutionRequest) -> dict[str, Any]:
+def _multivalued_extras(run: Any, request: ExecutionConfig) -> dict[str, Any]:
     return {"value_bits": int(request.option("value_bits", 1))}
 
 
@@ -170,7 +170,7 @@ register_protocol(
 
 # ---------------------------------------------------------------------------
 # Baselines.
-def _build_ben_or(request: ExecutionRequest):
+def _build_ben_or(request: ExecutionConfig):
     # run_ben_or's own default is t=0 (passed explicitly by the wrapper);
     # a None budget means "campaign default", matching default_t below.
     t = (
@@ -203,7 +203,7 @@ register_protocol(
 )
 
 
-def _build_phase_king(request: ExecutionRequest):
+def _build_phase_king(request: ExecutionConfig):
     t = (
         request.t
         if request.t is not None
@@ -226,7 +226,7 @@ register_protocol(
 )
 
 
-def _build_dolev_strong(request: ExecutionRequest):
+def _build_dolev_strong(request: ExecutionConfig):
     t = (
         request.t
         if request.t is not None
@@ -249,7 +249,7 @@ register_protocol(
 )
 
 
-def _build_trb(request: ExecutionRequest):
+def _build_trb(request: ExecutionConfig):
     t = (
         request.t
         if request.t is not None
@@ -270,7 +270,7 @@ def _build_trb(request: ExecutionRequest):
     return processes, t
 
 
-def _trb_extras(run: Any, request: ExecutionRequest) -> dict[str, Any]:
+def _trb_extras(run: Any, request: ExecutionConfig) -> dict[str, Any]:
     return {
         "sender": int(request.option("sender", 0)),
         "delivery_rounds": sorted(
@@ -295,7 +295,7 @@ register_protocol(
 )
 
 
-def _build_collectors(request: ExecutionRequest):
+def _build_collectors(request: ExecutionConfig):
     t = request.t if request.t is not None else 0
     quorum = int(
         request.option("quorum", max(1, (request.n - 1) // 2))

@@ -8,17 +8,17 @@ campaign runner, the CLI, and the analysis drivers dispatch through the
 registry — so registering a protocol makes it sweepable everywhere at
 once.
 
-A spec's ``build`` receives an :class:`ExecutionRequest` (the normalized
-inputs) and returns ``(processes, t)`` — the process list and the network
-fault budget, which lets protocols like Algorithm 4 derive their own
-budget.  ``execute`` then drives one :class:`SyncNetwork` with the
-request's adversary and observers and wraps the outcome in a
+A spec's ``build`` receives an :class:`ExecutionConfig` (the normalized
+run description) and returns ``(processes, t)`` — the process list and
+the network fault budget, which lets protocols like Algorithm 4 derive
+their own budget.  :func:`run_config` then drives one :class:`SyncNetwork`
+with the caller's adversary and observers and wraps the outcome in a
 :class:`repro.core.consensus.ConsensusRun`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, asdict, dataclass, fields
 from types import MappingProxyType
 from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
@@ -30,46 +30,118 @@ from ..runtime import (
     RoundObserver,
     SyncNetwork,
     SyncProcess,
+    resolve_model,
 )
+from ..transport import Transport, resolve_transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..core.consensus import ConsensusRun
-    from ..transport import Transport
+
+
+#: Payload keys that differ from the field they carry: recipes have
+#: always written the round model as ``execution_model``.
+_PAYLOAD_KEYS = {"model": "execution_model"}
 
 
 @dataclass(frozen=True)
-class ExecutionRequest:
-    """Normalized inputs of one :func:`execute` call, handed to the spec.
+class ExecutionConfig:
+    """The description of one run: what ``execute`` was asked to do.
 
-    ``options`` carries protocol-specific extras (``x``, ``num_epochs``,
-    ``value_bits``, ``sender``, ``quorum``, ...); specs read what they
-    understand and ignore the rest.
+    Written once and embedded everywhere a run is described — handed to
+    the spec's ``build``, kept on the :class:`ConsensusRun`, stored in an
+    :class:`~repro.replay.ExecutionRecipe`, derived per cell by a
+    :class:`~repro.analysis.campaign.CampaignSpec` and digested (its
+    named-axis view) by :class:`repro.fabric.CellId`.
+
+    Construction normalizes (``n`` from ``inputs``, default ``params``,
+    read-only copies of the option mappings) and validates both axes.  An
+    axis is a ``(name, options)`` pair: ``model`` / ``transport`` is a
+    registered name, ``None`` for the built-in default, or — as a test
+    seam — a live instance; options need a name.  Only named axes have a
+    :meth:`payload`.  ``options`` carries protocol-specific extras (``x``,
+    ``num_epochs``, ``sender``, ...); specs read what they understand.
     """
 
-    n: int
-    inputs: Sequence[int] | None
-    t: int | None
-    params: ProtocolParams
-    seed: int
-    graph_seed: int
-    adversary: Adversary | None
-    max_rounds: int | None
-    options: Mapping[str, Any] = field(default_factory=dict)
-    #: Execution-model axis: a registered model name, a ready-made
-    #: :class:`RoundModel`, or ``None`` for lockstep.
+    protocol: str
+    inputs: Sequence[int] | None = None
+    _: KW_ONLY
+    n: int | None = None
+    t: int | None = None
+    params: ProtocolParams | None = None
+    seed: int = 0
+    graph_seed: int = 0
+    max_rounds: int | None = None
+    options: Mapping[str, Any] | None = None
     model: RoundModel | str | None = None
     model_options: Mapping[str, Any] | None = None
-    #: Transport axis: a registered transport name, a ready-made
-    #: :class:`~repro.transport.Transport`, or ``None`` for in-process.
     transport: Transport | str | None = None
     transport_options: Mapping[str, Any] | None = None
+
+    def __post_init__(self) -> None:
+        put = object.__setattr__
+        if self.inputs is not None:
+            put(self, "inputs", tuple(self.inputs))
+        if self.n is None:
+            if self.inputs is None:
+                raise ValueError(
+                    f"protocol {self.protocol!r} needs `inputs` or an "
+                    "explicit `n`"
+                )
+            put(self, "n", len(self.inputs))
+        if self.params is None:
+            put(self, "params", ProtocolParams.practical())
+        for name in ("options", "model_options", "transport_options"):
+            put(self, name, MappingProxyType(dict(getattr(self, name) or {})))
+        # The registries own the axis rules (unknown name, options without
+        # a name, option the constructor rejects); building is pure.
+        resolve_model(self.model, self.model_options)
+        resolve_transport(self.transport, self.transport_options)
 
     def option(self, key: str, default: Any = None) -> Any:
         return self.options.get(key, default)
 
+    def payload(self) -> dict[str, Any]:
+        """The flat JSON form of this run description (recipe keys)."""
+        out: dict[str, Any] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name in ("model", "transport") and not isinstance(
+                value, (str, type(None))
+            ):
+                raise TypeError(
+                    f"{spec.name}={value!r} is a live instance; only a "
+                    "named axis can be serialized"
+                )
+            if isinstance(value, ProtocolParams):
+                value = asdict(value)
+            elif isinstance(value, Mapping):
+                value = dict(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[_PAYLOAD_KEYS.get(spec.name, spec.name)] = value
+        return out
+
+    @classmethod
+    def from_payload(cls, data: Mapping[str, Any]) -> ExecutionConfig:
+        """Rebuild a config from :meth:`payload`; other keys are ignored.
+
+        A payload written before an axis existed has no key for it and
+        described a lockstep, in-process run.
+        """
+        values = {
+            spec.name: data[key]
+            for spec in fields(cls)
+            if (key := _PAYLOAD_KEYS.get(spec.name, spec.name)) in data
+        }
+        values.setdefault("model", "lockstep")
+        values.setdefault("transport", "inprocess")
+        if values.get("params") is not None:
+            values["params"] = ProtocolParams(**values["params"])
+        return cls(**values)
+
 
 #: A process factory: request -> (processes, network fault budget).
-Builder = Callable[[ExecutionRequest], tuple[list[SyncProcess], int]]
+Builder = Callable[[ExecutionConfig], tuple[list[SyncProcess], int]]
 
 
 @dataclass(frozen=True)
@@ -83,7 +155,7 @@ class ProtocolSpec:
     summary:
         One-line description for ``--help`` output and docs.
     build:
-        Factory turning an :class:`ExecutionRequest` into
+        Factory turning an :class:`ExecutionConfig` into
         ``(processes, t)``.
     default_max_rounds:
         Engine round cap when the caller does not override it.
@@ -109,7 +181,7 @@ class ProtocolSpec:
     build: Builder
     default_max_rounds: int = 100_000
     default_t: Callable[[int, ProtocolParams], int] | None = None
-    record_extras: Callable[[Any, ExecutionRequest], dict[str, Any]] | None = (
+    record_extras: Callable[[Any, ExecutionConfig], dict[str, Any]] | None = (
         None
     )
     sweepable: bool = True
@@ -229,50 +301,63 @@ def execute(
 
     Returns a :class:`repro.core.consensus.ConsensusRun`.
     """
-    from ..core.consensus import ConsensusRun
-
     spec = protocol if isinstance(protocol, ProtocolSpec) else (
         protocol_spec(protocol)
     )
-    if inputs is None and n is None:
-        raise ValueError(
-            f"protocol {spec.name!r} needs `inputs` or an explicit `n`"
-        )
-    if spec.uses_inputs and inputs is None:
-        raise ValueError(f"protocol {spec.name!r} needs an input vector")
-    merged_options: dict[str, Any] = dict(options or {})
-    merged_options.update(extra_options)
-    request = ExecutionRequest(
-        n=n if n is not None else len(inputs),
-        inputs=inputs,
+    config = ExecutionConfig(
+        spec.name,
+        inputs,
+        n=n,
         t=t,
-        params=params if params is not None else ProtocolParams.practical(),
+        params=params,
         seed=seed,
         graph_seed=graph_seed,
-        adversary=adversary,
         max_rounds=max_rounds,
-        options=MappingProxyType(merged_options),
+        options={**(options or {}), **extra_options},
         model=model,
         model_options=model_options,
         transport=transport,
         transport_options=transport_options,
     )
-    processes, budget = spec.build(request)
+    return run_config(config, adversary, observers, spec=spec)
+
+
+def run_config(
+    config: ExecutionConfig,
+    adversary: Adversary | None = None,
+    observers: Sequence[RoundObserver] = (),
+    *,
+    spec: ProtocolSpec | None = None,
+) -> ConsensusRun:
+    """Build and drive the one :class:`SyncNetwork` a config describes.
+
+    The single path below :func:`execute`, ``repro.replay`` and campaign
+    cells.  ``spec`` defaults to the registry entry for
+    ``config.protocol``; ``execute`` passes the spec it was handed.
+    """
+    from ..core.consensus import ConsensusRun
+
+    if spec is None:
+        spec = protocol_spec(config.protocol)
+    if spec.uses_inputs and config.inputs is None:
+        raise ValueError(f"protocol {spec.name!r} needs an input vector")
+    processes, budget = spec.build(config)
     network = SyncNetwork(
         processes,
         adversary=adversary,
         t=budget,
-        seed=seed,
+        seed=config.seed,
         max_rounds=(
-            max_rounds if max_rounds is not None else spec.default_max_rounds
+            config.max_rounds
+            if config.max_rounds is not None
+            else spec.default_max_rounds
         ),
         observers=observers,
-        model=model,
-        model_options=model_options,
-        transport=transport,
-        transport_options=transport_options,
+        model=config.model,
+        model_options=config.model_options,
+        transport=config.transport,
+        transport_options=config.transport_options,
     )
-    result = network.run()
     return ConsensusRun(
-        result=result, processes=list(processes), request=request
+        result=network.run(), processes=list(processes), request=config
     )

@@ -1,9 +1,10 @@
 """repro.lint — determinism & API-conformance static analysis.
 
 A small AST-based linter encoding the repo's reproducibility contract as
-checkable rules (``REP001``–``REP006``): metered randomness, no ambient
-entropy, order-stable iteration, no deprecated APIs, adversary purity,
-and protocol-registration completeness.  See ``docs/lint.md`` for the
+checkable rules (``REP001``–``REP009``; ``REP004`` is retired): metered
+randomness, no ambient entropy, order-stable iteration, adversary purity,
+protocol-registration completeness, and one engine front door, delivery
+loop and cell-identity recipe.  See ``docs/lint.md`` for the
 rule catalog and suppression policy.
 
 Run it as ``python -m repro.lint [paths]``; use programmatically via

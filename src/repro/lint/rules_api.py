@@ -1,20 +1,4 @@
-"""API-surface rules: REP004 (removed legacy API) and REP008 (direct
-engine construction).
-
-The deprecation timeline in docs/api.md ran its course: the three legacy
-surfaces below were deleted from the codebase, so code written against
-them now fails at runtime.  REP004 catches such code statically (and
-earlier than a crash would):
-
-* ``SyncNetwork(on_round=...)`` — superseded by the observer bus;
-* ``ConsensusRun`` tuple protocol (``run[0]``, ``result, procs = run_x(...)``)
-  — superseded by the named ``.result`` / ``.processes`` attributes;
-* three-argument ``Adversary.setup(n, t, processes)`` — superseded by
-  ``setup(ctx: AdversaryContext)``;
-* loose grid keywords to ``run_campaign(ns=..., adversaries=...)`` —
-  superseded by a single :class:`~repro.analysis.campaign.CampaignSpec`
-  positional argument;
-* ``CampaignSpec.cell_key(...)`` — superseded by ``cell_id(...)``.
+"""API-surface rule: REP008 (direct engine construction).
 
 REP008 keeps the harness the single front door to the engine: library
 and example code that constructs ``SyncNetwork(...)`` directly bypasses
@@ -33,208 +17,6 @@ from collections.abc import Iterator
 from .context import ModuleContext, Project
 from .findings import Finding
 from .rules import Rule, dotted_chain, register_rule
-
-#: Registry run helpers returning ``ConsensusRun`` objects.
-_RUN_HELPERS = frozenset(
-    {
-        "run_consensus",
-        "run_tradeoff_consensus",
-        "run_early_stopping_consensus",
-        "run_multivalued_consensus",
-        "run_ben_or",
-        "run_phase_king",
-        "run_dolev_strong",
-        "run_trb",
-        "run_collectors",
-    }
-)
-
-
-#: ``CampaignSpec`` fields once accepted by ``run_campaign`` as loose
-#: keywords; the adapter is gone, so any of these on a ``run_campaign``
-#: call marks code written against the removed spelling.
-_CAMPAIGN_GRID_KWARGS = frozenset(
-    {
-        "name",
-        "protocol",
-        "ns",
-        "adversaries",
-        "seeds",
-        "options",
-        "capture",
-        "model",
-        "model_options",
-        "transport",
-        "transport_options",
-    }
-)
-
-
-def _is_run_helper_call(node: ast.expr) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    chain = dotted_chain(node.func)
-    return chain is not None and chain[-1] in _RUN_HELPERS
-
-
-@register_rule
-class DeprecatedApi(Rule):
-    """REP004: code written against a removed legacy surface."""
-
-    code = "REP004"
-    name = "removed-api"
-    summary = (
-        "removed surface: on_round=, ConsensusRun tuple protocol, legacy "
-        "Adversary.setup(n, t, processes), loose run_campaign grid "
-        "keywords, or CampaignSpec.cell_key"
-    )
-
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
-        assert module.tree is not None
-        yield from self._check_scope(module, module.tree.body, run_names=set())
-
-    def _check_scope(
-        self,
-        module: ModuleContext,
-        body: list[ast.stmt],
-        run_names: set[str],
-    ) -> Iterator[Finding]:
-        for stmt in body:
-            yield from self._check_stmt(module, stmt, run_names)
-
-    def _check_stmt(
-        self, module: ModuleContext, stmt: ast.stmt, run_names: set[str]
-    ) -> Iterator[Finding]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from self._check_scope(module, stmt.body, run_names=set())
-            return
-        if isinstance(stmt, ast.ClassDef):
-            yield from self._check_class(module, stmt)
-            yield from self._check_scope(module, stmt.body, run_names=set())
-            return
-        yield from self._check_exprs(module, stmt, run_names)
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                if _is_run_helper_call(stmt.value):
-                    run_names.add(target.id)
-                else:
-                    run_names.discard(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)) and _is_run_helper_call(
-                stmt.value
-            ):
-                yield self.finding(
-                    module,
-                    stmt,
-                    "tuple-unpacking a ConsensusRun no longer works; use "
-                    "`run = run_*(...)` and the named .result/.processes "
-                    "attributes",
-                )
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                yield from self._check_stmt(module, child, run_names)
-            elif isinstance(child, ast.excepthandler):
-                for inner in child.body:
-                    yield from self._check_stmt(module, inner, run_names)
-
-    def _check_exprs(
-        self, module: ModuleContext, stmt: ast.stmt, run_names: set[str]
-    ) -> Iterator[Finding]:
-        stack = [c for c in ast.iter_child_nodes(stmt) if not isinstance(c, ast.stmt)]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.Call):
-                yield from self._check_call(module, node)
-            elif isinstance(node, ast.Subscript):
-                yield from self._check_subscript(module, node, run_names)
-            elif isinstance(node, ast.Attribute) and node.attr == "cell_key":
-                yield self.finding(
-                    module,
-                    node,
-                    "CampaignSpec.cell_key was removed; call cell_id(...) "
-                    "(same signature, same CellId result)",
-                )
-            stack.extend(
-                c for c in ast.iter_child_nodes(node) if not isinstance(c, ast.stmt)
-            )
-
-    def _check_call(self, module: ModuleContext, node: ast.Call) -> Iterator[Finding]:
-        chain = dotted_chain(node.func)
-        callee = chain[-1] if chain else ""
-        if callee.endswith("Network"):
-            for keyword in node.keywords:
-                if keyword.arg == "on_round":
-                    yield self.finding(
-                        module,
-                        keyword.value,
-                        "SyncNetwork(on_round=...) was removed; register "
-                        "a RoundObserver via observers=[...] or "
-                        "add_observer()",
-                    )
-        if callee == "run_campaign":
-            loose = sorted(
-                keyword.arg
-                for keyword in node.keywords
-                if keyword.arg in _CAMPAIGN_GRID_KWARGS
-            )
-            if loose:
-                yield self.finding(
-                    module,
-                    node,
-                    f"loose grid keywords ({', '.join(loose)}) to "
-                    "run_campaign were removed; construct a CampaignSpec "
-                    "and pass it as the single positional argument",
-                )
-
-    def _check_subscript(
-        self, module: ModuleContext, node: ast.Subscript, run_names: set[str]
-    ) -> Iterator[Finding]:
-        if not (
-            isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, int)
-        ):
-            return
-        indexed_call = _is_run_helper_call(node.value)
-        indexed_name = (
-            isinstance(node.value, ast.Name) and node.value.id in run_names
-        )
-        if indexed_call or indexed_name:
-            yield self.finding(
-                module,
-                node,
-                "indexing a ConsensusRun like a tuple no longer works; use "
-                "the named .result/.processes attributes",
-            )
-
-    def _check_class(
-        self, module: ModuleContext, node: ast.ClassDef
-    ) -> Iterator[Finding]:
-        if not _subclasses_adversary(node):
-            return
-        for stmt in node.body:
-            if not isinstance(stmt, ast.FunctionDef) or stmt.name != "setup":
-                continue
-            positional = [
-                arg.arg
-                for arg in stmt.args.posonlyargs + stmt.args.args
-                if arg.arg not in {"self", "cls"}
-            ]
-            if len(positional) >= 3:
-                yield self.finding(
-                    module,
-                    stmt,
-                    "legacy Adversary.setup(n, t, processes) signature was "
-                    "removed; accept a single AdversaryContext",
-                )
-
-
-def _subclasses_adversary(node: ast.ClassDef) -> bool:
-    for base in node.bases:
-        chain = dotted_chain(base)
-        if chain and chain[-1].endswith("Adversary"):
-            return True
-    return False
-
 
 #: Designated fixtures: trees whose direct engine construction is the
 #: point — the harness front door, the engine's own package, and the

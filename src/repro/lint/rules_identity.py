@@ -9,40 +9,28 @@ added, reordered, or re-canonicalized, silently splitting the cache.
 
 REP009 keeps ``CellId`` the single recipe: inside the fabric and the
 campaign/CLI layers that feed it, cell identity must be built via
-``CellId.make`` / ``CellId.from_record`` and compared via ``.digest`` or
-the ``CellId`` value itself.  ``repro/fabric/digest.py`` is the
-designated implementation and is exempt.
+``CellId.of`` / ``CellId.make`` / ``CellId.from_record`` and compared via
+``.digest`` or the ``CellId`` value itself.  ``repro/fabric/digest.py``
+is the designated implementation and is exempt.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from dataclasses import fields
 
+from ..fabric.digest import CellId
 from .context import ModuleContext, Project
 from .findings import Finding
 from .rules import Rule, dotted_chain, register_rule
 
-#: The cell-identity components (the fields of ``CellId.payload()``).
-_IDENTITY_FIELDS = frozenset(
-    {
-        "protocol",
-        "n",
-        "t",
-        "adversary",
-        "seed",
-        "options",
-        "model",
-        "model_options",
-        "engine",
-        "transport",
-        "transport_options",
-    }
-)
+#: The cell-identity components, read off the one place that states them.
+_CELL_FIELDS = frozenset(spec.name for spec in fields(CellId))
 
 #: Option mappings whose stringification must go through canonical_json.
 _OPTION_NAMES = frozenset(
-    {"options", "model_options", "transport_options"}
+    name for name in _CELL_FIELDS if name.endswith("options")
 )
 
 #: Where cell identity is produced or consumed.
@@ -61,10 +49,10 @@ def _identity_field_of(node: ast.expr) -> str | None:
     """
     if isinstance(node, ast.Subscript):
         if isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str):
-            if node.slice.value in _IDENTITY_FIELDS:
+            if node.slice.value in _CELL_FIELDS:
                 return node.slice.value
         return None
-    if isinstance(node, ast.Attribute) and node.attr in _IDENTITY_FIELDS:
+    if isinstance(node, ast.Attribute) and node.attr in _CELL_FIELDS:
         return node.attr
     return None
 

@@ -39,6 +39,7 @@ from .runner import (
     ReplayReport,
     counterexample_dir,
     record,
+    record_config,
     replay,
     run_checked,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "counterexample_dir",
     "load_recipe",
     "record",
+    "record_config",
     "recipe_from_payload",
     "recipe_payload",
     "replay",

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from ..params import ProtocolParams
+from ..harness import ExecutionConfig
 from ..runtime.network import canonical_omissions
 from ..runtime.serialization import SCHEMA_VERSION, check_schema
 
@@ -55,6 +55,15 @@ class RecordedAction:
 class ExecutionRecipe:
     """Everything needed to re-run one harness execution exactly.
 
+    ``config`` is the recorded run's :class:`~repro.harness.ExecutionConfig`
+    with both axes pinned by name.  Replay honours the recorded round
+    model, so an execution reproduces wherever it is replayed.  The
+    transport is provenance, not a replay input: replay always runs
+    in-process — a TCP-recorded schedule (including transport crash
+    faults, which the recorder sees as ordinary corruptions + omissions)
+    deterministically reproduces in a single interpreter, which is the
+    cross-transport equivalence guarantee.
+
     ``expected`` is the recorded run's full result fingerprint
     (:func:`repro.runtime.result_to_dict`) when the run completed;
     ``expected_failure`` describes the invariant violation when it did
@@ -62,27 +71,7 @@ class ExecutionRecipe:
     for a hand-written recipe.
     """
 
-    protocol: str
-    n: int
-    seed: int
-    inputs: tuple[int, ...] | None = None
-    t: int | None = None
-    graph_seed: int = 0
-    params: ProtocolParams = field(default_factory=ProtocolParams.practical)
-    options: Mapping[str, Any] = field(default_factory=dict)
-    #: Round model of the recorded run.  Replay honours this, so a
-    #: recorded execution reproduces wherever it is replayed; recipes
-    #: written before the model axis existed imply ``"lockstep"``.
-    execution_model: str = "lockstep"
-    model_options: Mapping[str, Any] = field(default_factory=dict)
-    #: Transport of the *recorded* run — provenance, not a replay input.
-    #: Replay always runs in-process: a TCP-recorded schedule (including
-    #: transport crash faults, which the recorder sees as ordinary
-    #: corruptions + omissions) deterministically reproduces in a single
-    #: interpreter, which is the cross-transport equivalence guarantee.
-    transport: str = "inprocess"
-    transport_options: Mapping[str, Any] = field(default_factory=dict)
-    max_rounds: int | None = None
+    config: ExecutionConfig
     actions: tuple[RecordedAction, ...] = ()
     expected: Mapping[str, Any] | None = None
     expected_failure: Mapping[str, Any] | None = None
@@ -111,23 +100,15 @@ class ExecutionRecipe:
 # JSON payloads
 # ----------------------------------------------------------------------
 def recipe_payload(recipe: ExecutionRecipe) -> dict[str, Any]:
-    """Serialize a recipe to JSON-safe primitives (schema-tagged)."""
+    """Serialize a recipe to JSON-safe primitives (schema-tagged).
+
+    The config's keys sit flat beside the recipe's own, as they always
+    have (``execution_model`` is the config's ``model``).
+    """
     return {
         "schema": SCHEMA_VERSION,
         "kind": "execution-recipe",
-        "protocol": recipe.protocol,
-        "n": recipe.n,
-        "inputs": list(recipe.inputs) if recipe.inputs is not None else None,
-        "t": recipe.t,
-        "seed": recipe.seed,
-        "graph_seed": recipe.graph_seed,
-        "params": dataclasses.asdict(recipe.params),
-        "options": dict(recipe.options),
-        "execution_model": recipe.execution_model,
-        "model_options": dict(recipe.model_options),
-        "transport": recipe.transport,
-        "transport_options": dict(recipe.transport_options),
-        "max_rounds": recipe.max_rounds,
+        **recipe.config.payload(),
         "actions": [
             {
                 "round": action.round,
@@ -162,23 +143,8 @@ def recipe_from_payload(data: Mapping[str, Any]) -> ExecutionRecipe:
         raise ValueError(
             f"not an execution recipe: payload kind is {kind!r}"
         )
-    inputs = data.get("inputs")
     return ExecutionRecipe(
-        protocol=data["protocol"],
-        n=data["n"],
-        inputs=tuple(inputs) if inputs is not None else None,
-        t=data.get("t"),
-        seed=data["seed"],
-        graph_seed=data.get("graph_seed", 0),
-        params=ProtocolParams(**data["params"]),
-        options=dict(data.get("options") or {}),
-        # Pre-model-axis recipes recorded lockstep executions.
-        execution_model=data.get("execution_model", "lockstep"),
-        model_options=dict(data.get("model_options") or {}),
-        # Pre-transport-axis recipes recorded in-process executions.
-        transport=data.get("transport", "inprocess"),
-        transport_options=dict(data.get("transport_options") or {}),
-        max_rounds=data.get("max_rounds"),
+        config=ExecutionConfig.from_payload(data),
         actions=tuple(
             RecordedAction(
                 round=entry["round"],

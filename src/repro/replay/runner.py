@@ -22,6 +22,7 @@ minimized counterexample next to the failure before re-raising.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from ..adversary.scripted import ScriptedAdversary
-from ..harness import execute
+from ..harness import ExecutionConfig, run_config
 from ..params import ProtocolParams
 from ..runtime import (
     Adversary,
@@ -41,6 +42,7 @@ from ..runtime import (
     resolve_model,
     result_to_dict,
 )
+from ..transport import resolve_transport
 from .invariants import InvariantObserver, InvariantViolation
 from .recipe import ExecutionRecipe, RecordedAction, save_recipe
 
@@ -138,80 +140,74 @@ def record(
 ) -> RecordedRun:
     """Run a protocol while capturing its :class:`ExecutionRecipe`.
 
-    Accepts :func:`repro.harness.execute`'s keyword surface.  With
-    ``invariants=True`` (the default) an :class:`InvariantObserver` rides
-    along; a violation (or any :data:`RECORDABLE_FAILURES` error) does not
-    propagate — it is folded into the recipe's ``expected_failure`` so the
-    failing schedule can be replayed and shrunk.  A clean run stores the
-    full result fingerprint in ``expected``.
-
-    ``model`` names the round model to record under (``None`` means
-    lockstep); the resolved name and its options are stored in the
-    recipe, so replay reproduces the same model.
-
-    ``transport`` names where the recorded run hosts its processes
-    (``None`` means in-process; there is deliberately no environment
-    default).  The resolved name and options are stored as *provenance*:
-    :func:`replay` always re-executes in-process, so a run recorded over
-    real TCP worker processes verifies against the same fingerprint in a
-    single interpreter — the cross-transport equivalence check.
+    Accepts :func:`repro.harness.execute`'s keyword surface and builds
+    the same :class:`~repro.harness.ExecutionConfig` from it; see
+    :func:`record_config` for what is captured.
     """
-    from ..transport import default_transport_name
+    config = ExecutionConfig(
+        protocol,
+        inputs,
+        n=n,
+        t=t,
+        params=params,
+        seed=seed,
+        graph_seed=graph_seed,
+        max_rounds=max_rounds,
+        options={**(options or {}), **extra_options},
+        model=model,
+        model_options=model_options,
+        transport=transport,
+        transport_options=transport_options,
+    )
+    return record_config(
+        config, adversary, observers, invariants=invariants, note=note
+    )
 
-    merged: dict[str, Any] = dict(options or {})
-    merged.update(extra_options)
-    resolved_params = (
-        params if params is not None else ProtocolParams.practical()
+
+def record_config(
+    config: ExecutionConfig,
+    adversary: Adversary | None = None,
+    observers: Sequence[RoundObserver] = (),
+    *,
+    invariants: bool = True,
+    note: str = "",
+) -> RecordedRun:
+    """Run *config* while capturing its :class:`ExecutionRecipe`.
+
+    With ``invariants=True`` (the default) an :class:`InvariantObserver`
+    rides along; a violation (or any :data:`RECORDABLE_FAILURES` error)
+    does not propagate — it is folded into the recipe's
+    ``expected_failure`` so the failing schedule can be replayed and
+    shrunk.  A clean run stores the full result fingerprint in
+    ``expected``.
+
+    An axis the config leaves at ``None`` is pinned to the default's
+    name, so the recipe says what ran: replay reproduces the same round
+    model, and the transport is stored as *provenance* — :func:`replay`
+    always re-executes in-process, so a run recorded over real TCP worker
+    processes verifies against the same fingerprint in a single
+    interpreter (the cross-transport equivalence check).
+    """
+    config = dataclasses.replace(
+        config,
+        model=config.model or resolve_model().name,
+        transport=config.transport or resolve_transport().name,
     )
-    resolved_model = model if model is not None else resolve_model().name
-    resolved_model_options = dict(model_options or {})
-    resolved_transport = (
-        transport if transport is not None else default_transport_name()
-    )
-    resolved_transport_options = dict(transport_options or {})
     recorder = RecipeRecorder()
     attached: list[RoundObserver] = [recorder]
     if invariants:
-        attached.append(InvariantObserver(inputs=inputs))
+        attached.append(InvariantObserver(inputs=config.inputs))
     attached.extend(observers)
 
     run: ConsensusRun | None = None
     failure: BaseException | None = None
     try:
-        run = execute(
-            protocol,
-            inputs,
-            n=n,
-            t=t,
-            adversary=adversary,
-            params=resolved_params,
-            seed=seed,
-            graph_seed=graph_seed,
-            max_rounds=max_rounds,
-            observers=attached,
-            options=merged,
-            model=resolved_model,
-            model_options=resolved_model_options,
-            transport=resolved_transport,
-            transport_options=resolved_transport_options,
-        )
+        run = run_config(config, adversary, attached)
     except RECORDABLE_FAILURES as exc:
         failure = exc
 
     recipe = ExecutionRecipe(
-        protocol=protocol,
-        n=n if n is not None else len(() if inputs is None else inputs),
-        inputs=tuple(inputs) if inputs is not None else None,
-        t=t,
-        seed=seed,
-        graph_seed=graph_seed,
-        params=resolved_params,
-        options=merged,
-        execution_model=resolved_model,
-        model_options=resolved_model_options,
-        transport=resolved_transport,
-        transport_options=resolved_transport_options,
-        max_rounds=max_rounds,
+        config=config,
         actions=tuple(recorder.actions),
         expected=(
             _canonical(result_to_dict(run.result)) if run is not None else None
@@ -323,28 +319,21 @@ def replay(
     if strict is None:
         strict = not recipe.failing
     scripted = ScriptedAdversary(recipe.actions, strict=strict)
+    # An axis is a (name, options) pair: overriding the name replaces the
+    # pair, and the recorded transport is never a replay input.
+    config = dataclasses.replace(
+        recipe.config, transport=None, transport_options=None
+    )
+    if model is not None:
+        config = dataclasses.replace(config, model=model, model_options=None)
     attached: list[RoundObserver] = []
     if invariants:
-        attached.append(InvariantObserver(inputs=recipe.inputs))
+        attached.append(InvariantObserver(inputs=config.inputs))
     attached.extend(observers)
 
     report = ReplayReport(recipe=recipe)
     try:
-        report.run = execute(
-            recipe.protocol,
-            list(recipe.inputs) if recipe.inputs is not None else None,
-            n=recipe.n,
-            t=recipe.t,
-            adversary=scripted,
-            params=recipe.params,
-            seed=recipe.seed,
-            graph_seed=recipe.graph_seed,
-            max_rounds=recipe.max_rounds,
-            observers=attached,
-            options=dict(recipe.options),
-            model=model if model is not None else recipe.execution_model,
-            model_options=dict(recipe.model_options),
-        )
+        report.run = run_config(config, scripted, attached)
     except RECORDABLE_FAILURES as exc:
         report.failure = exc
         return report
@@ -394,10 +383,10 @@ def run_checked(
             # Not deterministically reproducible (or no schedule to
             # shrink) — save the unshrunk recipe as-is.
             pass
-    stem = label or recipe.protocol
+    stem = label or recipe.config.protocol
     failure_info = recipe.expected_failure
     assert failure_info is not None  # record() always sets it on failure
-    name = f"{stem}-seed{recipe.seed}-{failure_info['invariant']}"
+    name = f"{stem}-seed{recipe.config.seed}-{failure_info['invariant']}"
     path = save_recipe(
         recipe,
         Path(save_dir if save_dir is not None else counterexample_dir())

@@ -17,8 +17,9 @@ campaign cell) named.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Mapping
-from typing import Any
+from typing import Any, TypeVar
 
 from .base import RoundModel
 from .lockstep import LockstepModel
@@ -30,8 +31,11 @@ __all__ = [
     "RoundModel",
     "available_models",
     "create_model",
+    "create_named",
     "resolve_model",
 ]
+
+_T = TypeVar("_T")
 
 _MODELS: dict[str, type[RoundModel]] = {
     LockstepModel.name: LockstepModel,
@@ -49,18 +53,44 @@ def available_models() -> tuple[str, ...]:
     return tuple(sorted(_MODELS))
 
 
+def create_named(
+    axis: str,
+    registry: Mapping[str, type[_T]],
+    name: str,
+    options: Mapping[str, Any] | None,
+) -> _T:
+    """Instantiate ``registry[name](**options)`` for one axis.
+
+    Shared by the model and transport registries so both reject an
+    unknown name or an option the constructor does not take with a
+    ``ValueError`` naming the axis and the key, wherever the pair came
+    from (a call, a recipe, a campaign spec).
+    """
+    try:
+        cls = registry[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown {axis} {name!r}; choose from: "
+            f"{', '.join(sorted(registry))}"
+        ) from None
+    try:
+        return cls(**dict(options or {}))
+    except TypeError:
+        accepted = inspect.signature(cls).parameters
+        unknown = sorted(set(options or {}) - set(accepted))
+        if not unknown:
+            raise
+        raise ValueError(
+            f"{axis} {name!r} takes no option {unknown[0]!r}; choose from: "
+            f"{', '.join(accepted) or '(none)'}"
+        ) from None
+
+
 def create_model(
     name: str, options: Mapping[str, Any] | None = None
 ) -> RoundModel:
     """Instantiate a registered model by name with constructor options."""
-    try:
-        model_cls = _MODELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution model {name!r}; choose from: "
-            f"{', '.join(available_models())}"
-        ) from None
-    return model_cls(**dict(options or {}))
+    return create_named("execution model", _MODELS, name, options)
 
 
 def resolve_model(
@@ -69,15 +99,15 @@ def resolve_model(
 ) -> RoundModel:
     """Resolve the ``model=`` axis: instance > name > lockstep.
 
-    A ready-made :class:`RoundModel` instance is used as-is (``options``
-    must then be empty — the instance already carries its configuration).
+    ``options`` configure a model given by name; with ``None`` or a
+    ready-made :class:`RoundModel` instance (used as-is) they must be
+    empty.
     """
-    if isinstance(model, RoundModel):
-        if options:
-            raise ValueError(
-                "model_options only apply when the model is given by name; "
-                "configure the RoundModel instance directly instead"
-            )
-        return model
-    name = model if model is not None else _DEFAULT_MODEL
-    return create_model(name, options)
+    if isinstance(model, str):
+        return create_model(model, options)
+    if options:
+        raise ValueError(
+            "model_options requires an explicit model name, got "
+            f"model={model!r}"
+        )
+    return model if model is not None else create_model(_DEFAULT_MODEL)

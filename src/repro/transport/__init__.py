@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
+from ..runtime.models import create_named
 from ..runtime.observers import LinkSample
 from .base import Transport, TransportError
 from .inprocess import InProcessTransport
@@ -33,7 +34,6 @@ __all__ = [
     "TransportError",
     "available_transports",
     "create_transport",
-    "default_transport_name",
     "resolve_transport",
 ]
 
@@ -43,28 +43,20 @@ _TRANSPORTS: dict[str, type[Transport]] = {
 }
 
 
+# The transport used when the caller names none.  Not configurable.
+_DEFAULT_TRANSPORT = InProcessTransport.name
+
+
 def available_transports() -> tuple[str, ...]:
     """Registered transport names, sorted."""
     return tuple(sorted(_TRANSPORTS))
-
-
-def default_transport_name() -> str:
-    """The transport used when the caller names none."""
-    return InProcessTransport.name
 
 
 def create_transport(
     name: str, options: Mapping[str, Any] | None = None
 ) -> Transport:
     """Instantiate a registered transport by name with options."""
-    try:
-        transport_cls = _TRANSPORTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown transport {name!r}; choose from: "
-            f"{', '.join(available_transports())}"
-        ) from None
-    return transport_cls(**dict(options or {}))
+    return create_named("transport", _TRANSPORTS, name, options)
 
 
 def resolve_transport(
@@ -73,16 +65,17 @@ def resolve_transport(
 ) -> Transport:
     """Resolve the ``transport=`` axis: instance > name > in-process.
 
-    A ready-made :class:`Transport` instance is used as-is
-    (``options`` must then be empty — the instance already carries its
-    configuration).
+    ``options`` configure a transport given by name; with ``None`` or a
+    ready-made :class:`Transport` instance (used as-is) they must be
+    empty.
     """
-    if isinstance(transport, Transport):
-        if options:
-            raise ValueError(
-                "transport_options only apply when the transport is given "
-                "by name; configure the Transport instance directly instead"
-            )
+    if isinstance(transport, str):
+        return create_transport(transport, options)
+    if options:
+        raise ValueError(
+            "transport_options requires an explicit transport name, got "
+            f"transport={transport!r}"
+        )
+    if transport is not None:
         return transport
-    name = transport if transport is not None else default_transport_name()
-    return create_transport(name, options)
+    return create_transport(_DEFAULT_TRANSPORT)

@@ -10,12 +10,12 @@ from repro.analysis.campaign import (
     append_journal_record,
     load_campaign,
     load_journal,
-    record_cell_key,
     repair_journal,
     run_campaign,
     save_campaign,
     summarize_campaign,
 )
+from repro.fabric import CellId
 
 
 def small_spec(**overrides):
@@ -73,7 +73,7 @@ class TestRun:
         first = run_campaign(spec)
         marker = dict(first[0])
         marker["rounds"] = -1  # sentinel proving reuse
-        resumed = run_campaign(spec, resume_from=[marker, first[1]])
+        resumed = run_campaign(spec, resume=[marker, first[1]])
         assert resumed[0]["rounds"] == -1
         assert resumed[1] == first[1]
 
@@ -82,7 +82,7 @@ class TestRun:
         foreign = dict(run_campaign(spec)[0])
         foreign["campaign"] = "someone-else"
         foreign["rounds"] = -1
-        records = run_campaign(spec, resume_from=[foreign])
+        records = run_campaign(spec, resume=[foreign])
         assert records[0]["rounds"] > 0
 
     def test_resume_respects_options(self):
@@ -97,9 +97,9 @@ class TestRun:
         )
         stale = dict(run_campaign(spec_x2)[0])
         stale["rounds"] = -1  # sentinel proving reuse
-        same_options = run_campaign(spec_x2, resume_from=[stale])
+        same_options = run_campaign(spec_x2, resume=[stale])
         assert same_options[0]["rounds"] == -1
-        other_options = run_campaign(spec_x3, resume_from=[stale])
+        other_options = run_campaign(spec_x3, resume=[stale])
         assert other_options[0]["rounds"] > 0
         assert other_options[0]["x"] == 3
 
@@ -108,17 +108,17 @@ class TestRun:
         legacy = dict(run_campaign(spec)[0])
         del legacy["options"]
         legacy["rounds"] = -1
-        records = run_campaign(spec, resume_from=[legacy])
+        records = run_campaign(spec, resume=[legacy])
         assert records[0]["rounds"] == -1
 
-    def test_record_cell_key_round_trips_through_json(self):
+    def test_record_identity_round_trips_through_json(self):
         spec = small_spec(
             protocol="tradeoff", adversaries=["none"], seeds=[0],
             options={"x": 2},
         )
         record = run_campaign(spec)[0]
         rehydrated = json.loads(json.dumps(record))
-        assert record_cell_key(rehydrated) == spec.cell_id(33, "none", 0)
+        assert CellId.from_record(rehydrated) == spec.cell_id(33, "none", 0)
 
 
 class TestParallel:
@@ -136,14 +136,14 @@ class TestParallel:
         records = run_campaign(spec, jobs=2, journal=path)
         on_disk = load_journal(path)
         assert len(on_disk) == 2
-        assert sorted(map(record_cell_key, on_disk)) == sorted(
-            map(record_cell_key, records)
+        assert sorted(map(CellId.from_record, on_disk)) == sorted(
+            map(CellId.from_record, records)
         )
         # A re-run resumes entirely from the journal: nothing recomputed,
         # nothing re-appended.
         recomputed = []
         resumed = run_campaign(
-            spec, resume_from=on_disk, jobs=2, journal=path,
+            spec, resume=on_disk, jobs=2, journal=path,
             on_record=recomputed.append,
         )
         assert recomputed == []
@@ -170,13 +170,13 @@ class TestJournal:
 
         finished = []
         resumed = run_campaign(
-            spec, resume_from=on_disk, journal=path,
+            spec, resume=on_disk, journal=path,
             on_record=finished.append,
         )
         assert len(finished) == 2  # only the missing cells ran
         assert len(resumed) == 4
         assert len(load_journal(path)) == 4
-        done = {record_cell_key(rec) for rec in resumed}
+        done = {CellId.from_record(rec) for rec in resumed}
         assert done == {spec.cell_id(*cell) for cell in spec.grid()}
 
     def test_load_journal_tolerates_truncated_tail(self, tmp_path):
@@ -304,7 +304,7 @@ class TestJournal:
         assert len(on_disk) == 3
         finished = []
         resumed = run_campaign(
-            spec, resume_from=on_disk, journal=path,
+            spec, resume=on_disk, journal=path,
             on_record=finished.append,
         )
         assert len(finished) == 1
@@ -317,7 +317,7 @@ class TestRemovedGridKwargs:
 
     def test_loose_keywords_rejected(self):
         with pytest.raises(TypeError):
-            run_campaign(  # repro-lint: disable=REP004
+            run_campaign(
                 name="test-campaign", protocol="algorithm1", ns=[33],
                 adversaries=["none"], seeds=[0],
             )

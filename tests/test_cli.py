@@ -106,7 +106,7 @@ def test_campaign_jobs_and_jsonl_resume(tmp_path, capsys):
         "--adversaries", "none",
         "--seeds", "0,1",
         "--jobs", "2",
-        "--resume", str(journal),
+        "--journal", str(journal),
         "--output", str(output),
     ]
     code = main(argv)

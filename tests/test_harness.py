@@ -18,7 +18,7 @@ from repro.baselines import (
 )
 from repro.core import ConsensusRun, run_consensus
 from repro.harness import (
-    ExecutionRequest,
+    ExecutionConfig,
     ProtocolSpec,
     RoundProfiler,
     TraceRecorder,
@@ -122,11 +122,101 @@ def test_execute_options_mapping_and_kwargs_merge():
 def test_execution_request_is_read_only_mapping():
     run = execute("ben-or", mixed(8), seed=0, max_phases=4)
     request = run.request
-    assert isinstance(request, ExecutionRequest)
+    assert isinstance(request, ExecutionConfig)
     assert request.option("max_phases") == 4
     assert request.option("missing", "default") == "default"
     with pytest.raises(TypeError):
         request.options["max_phases"] = 9
+
+
+# ---------------------------------------------------------------------------
+# ExecutionConfig: one normalization, one axis validation, one JSON form.
+def test_config_normalizes_once():
+    config = ExecutionConfig("ben-or", [0, 1, 1], options=None)
+    assert (config.n, config.inputs) == (3, (0, 1, 1))
+    assert config.params == ProtocolParams.practical()
+    assert config.options == config.model_options == {}
+    assert execute("ben-or", [0, 1, 1]).request == config
+    with pytest.raises(ValueError, match="needs `inputs` or an explicit `n`"):
+        ExecutionConfig("trb")
+
+
+def test_config_payload_round_trips_named_axes_only():
+    from repro.runtime import PartialSynchronyModel
+
+    config = ExecutionConfig(
+        "tradeoff", mixed(16), seed=3, options={"x": 4},
+        model="partial-synchrony", model_options={"gst": 2},
+        transport="tcp", transport_options={"processes_per_worker": 4},
+    )
+    payload = json.loads(json.dumps(config.payload()))
+    assert payload["execution_model"] == "partial-synchrony"
+    assert ExecutionConfig.from_payload(payload) == config
+    live = ExecutionConfig("ben-or", mixed(5), model=PartialSynchronyModel())
+    with pytest.raises(TypeError, match="named axis"):
+        live.payload()
+
+
+def _campaign_spec(protocol, inputs, **axes):
+    return CampaignSpec("axes", protocol, ns=(len(inputs),), **axes)
+
+
+def _record(*args, **kwargs):
+    from repro.replay import record
+
+    return record(*args, **kwargs)
+
+
+@pytest.fixture
+def never_built():
+    """A registered protocol whose ``build`` must not be reached."""
+    from repro.harness.registry import _REGISTRY
+
+    def build(config):
+        raise AssertionError("processes were built before validation")
+
+    spec = ProtocolSpec(name="never-built", summary="test", build=build)
+    register_protocol(spec)
+    yield spec.name
+    _REGISTRY.pop(spec.name, None)
+
+
+@pytest.mark.parametrize("entry", [execute, _record, _campaign_spec])
+@pytest.mark.parametrize(
+    "axes,message",
+    [
+        ({"model": "warp-speed"}, "unknown execution model 'warp-speed'"),
+        ({"transport": "pigeon"}, "unknown transport 'pigeon'"),
+        ({"model_options": {"gst": 3}}, "model_options requires an explicit"),
+        (
+            {"transport_options": {"processes_per_worker": 2}},
+            "transport_options requires an explicit",
+        ),
+        (
+            {"model": "partial-synchrony", "model_options": {"bogus": 1}},
+            "execution model 'partial-synchrony' takes no option 'bogus'",
+        ),
+        (
+            {"model": "lockstep", "model_options": {"gst": 3}},
+            "execution model 'lockstep' takes no option 'gst'",
+        ),
+        (
+            {"transport": "tcp", "transport_options": {"workers": 2}},
+            "transport 'tcp' takes no option 'workers'",
+        ),
+        (
+            {"transport": "tcp", "transport_options": {"processes_per_worker": 0}},
+            "processes_per_worker=0",
+        ),
+    ],
+)
+def test_axis_options_are_validated_at_entry(
+    entry, axes, message, never_built
+):
+    """Same ValueError from execute, record and CampaignSpec, raised
+    before any process (or campaign worker) is built."""
+    with pytest.raises(ValueError, match=message):
+        entry(never_built, mixed(9), **axes)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +338,7 @@ def test_capture_is_not_part_of_cell_identity():
         name="harness-resume", protocol="ben-or", ns=[16],
         adversaries=["none"], seeds=[0], capture=["profile"],
     )
-    resumed = run_campaign(with_capture, resume_from=records)
+    resumed = run_campaign(with_capture, resume=records)
     # The plain record satisfied the cell, so nothing was re-run.
     assert resumed == records
 

@@ -140,42 +140,6 @@ class TestRep003:
 
 
 # ---------------------------------------------------------------------------
-# REP004 — deprecated APIs
-class TestRep004:
-    def test_on_round_keyword_flagged(self):
-        src = "net = SyncNetwork(procs, on_round=cb)\n"
-        assert codes(lint_source(src, "tests/x.py")) == ["REP004"]
-
-    def test_tuple_unpack_of_run_helper_flagged(self):
-        src = "res, procs = run_ben_or([0, 1])\n"
-        assert codes(lint_source(src, "tests/x.py")) == ["REP004"]
-
-    def test_indexing_run_variable_flagged(self):
-        src = "r = run_consensus(bits)\nval = r[0]\n"
-        assert codes(lint_source(src, "tests/x.py")) == ["REP004"]
-
-    def test_named_attributes_clean(self):
-        src = "r = run_consensus(bits)\nval = r.result\nprocs = r.processes\n"
-        assert lint_source(src, "tests/x.py") == []
-
-    def test_legacy_setup_signature_flagged(self):
-        src = (
-            "class Bad(Adversary):\n"
-            "    def setup(self, n, t, processes):\n"
-            "        pass\n"
-        )
-        assert codes(lint_source(src, "src/x.py")) == ["REP004"]
-
-    def test_context_setup_clean(self):
-        src = (
-            "class Good(Adversary):\n"
-            "    def setup(self, ctx):\n"
-            "        self.n = ctx.n\n"
-        )
-        assert lint_source(src, "src/x.py") == []
-
-
-# ---------------------------------------------------------------------------
 # REP005 — adversary purity
 class TestRep005:
     def test_mutating_view_container_flagged(self):
@@ -443,6 +407,15 @@ class TestRep009:
         src = "payload = (self.protocol, self.n, self.adversary, self.seed)\n"
         assert lint_source(src, "src/repro/fabric/digest.py") == []
 
+    def test_field_set_is_read_off_cellid(self):
+        from dataclasses import fields
+
+        from repro.fabric import CellId
+        from repro.lint.rules_identity import _CELL_FIELDS
+
+        assert _CELL_FIELDS == {f.name for f in fields(CellId)}
+        assert len(_CELL_FIELDS) == 11
+
 
 # ---------------------------------------------------------------------------
 # Pragmas
@@ -611,10 +584,11 @@ class TestCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in (
-            "REP001", "REP002", "REP003", "REP004",
-            "REP005", "REP006", "REP007", "REP008",
+            "REP001", "REP002", "REP003", "REP005",
+            "REP006", "REP007", "REP008", "REP009",
         ):
             assert code in out
+        assert "REP004" not in out  # retired, never reused
 
 
 # ---------------------------------------------------------------------------

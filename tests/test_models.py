@@ -111,7 +111,7 @@ class TestModelRegistry:
         execute("phase-king", mixed(9), t=2, seed=5, observers=[spy])
         assert spy.model == session_default_model
         recorded = record("phase-king", mixed(9), t=2, seed=5)
-        assert recorded.recipe.execution_model == session_default_model
+        assert recorded.recipe.config.model == session_default_model
         assert run_campaign(spec, jobs=2) == clean
 
     def test_resolve_instance_passthrough(self):
@@ -216,6 +216,23 @@ class TestCrossModelEquivalence:
         ]
         assert fingerprint(runs[0]) == fingerprint(runs[1])
 
+    def test_replay_model_override_replaces_the_options_too(self):
+        """An axis is a (name, options) pair: replaying a PS recording
+        under lockstep must not hand lockstep the PS constructor options
+        (it used to die with a raw ``TypeError``)."""
+        recorded = record(
+            "ben-or", mixed(9), t=1, seed=3,
+            adversary=RandomOmissionAdversary(0.3, seed=2),
+            model="partial-synchrony", model_options={"max_latency": 3},
+        )
+        report = replay(recorded.recipe, model="lockstep")
+        assert report.ok, report.summary()
+        assert report.run.request.model == "lockstep"
+        assert report.run.request.model_options == {}
+        assert replay(recorded.recipe).run.request.model_options == {
+            "max_latency": 3
+        }
+
     def test_model_instance_axis(self):
         baseline = fingerprint(run_case("phase-king", model="lockstep"))
         run = run_case(
@@ -226,7 +243,7 @@ class TestCrossModelEquivalence:
 
 class TestGoldenAcrossModels:
     def test_golden_recipe_implies_lockstep(self):
-        assert load_recipe(GOLDEN).execution_model == "lockstep"
+        assert load_recipe(GOLDEN).config.model == "lockstep"
 
     def test_golden_replays_under_lockstep(self):
         report = replay(load_recipe(GOLDEN), model="lockstep")
@@ -250,7 +267,7 @@ class TestPartialSynchronyRecordReplay:
             model="partial-synchrony",
         )
         assert not recorded.failed
-        assert recorded.recipe.execution_model == "partial-synchrony"
+        assert recorded.recipe.config.model == "partial-synchrony"
         report = replay(recorded.recipe)
         assert report.ok, report.summary()
 
@@ -275,7 +292,7 @@ class TestPartialSynchronyRecordReplay:
             invariants=True,
         )
         assert not recorded.failed
-        assert recorded.recipe.model_options == options
+        assert recorded.recipe.config.model_options == options
         report = replay(recorded.recipe)
         assert report.ok, report.summary()
         assert json.dumps(
@@ -297,8 +314,8 @@ class TestPartialSynchronyRecordReplay:
         del payload["execution_model"]
         del payload["model_options"]
         recipe = recipe_from_payload(payload)
-        assert recipe.execution_model == "lockstep"
-        assert recipe.model_options == {}
+        assert recipe.config.model == "lockstep"
+        assert recipe.config.model_options == {}
         assert replay(recipe).ok
 
 
@@ -445,11 +462,8 @@ class TestFiniteTimeoutDeferral:
 # Campaign and CLI surfaces of the model axis.
 class TestModelAxisSurfaces:
     def test_campaign_model_is_part_of_cell_identity(self, tmp_path):
-        from repro.analysis.campaign import (
-            CampaignSpec,
-            record_cell_key,
-            run_campaign,
-        )
+        from repro.analysis.campaign import CampaignSpec, run_campaign
+        from repro.fabric import CellId
 
         spec = CampaignSpec(
             name="model-axis",
@@ -461,7 +475,7 @@ class TestModelAxisSurfaces:
         )
         records = run_campaign(spec, journal=tmp_path / "journal.jsonl")
         assert records[0]["model"] == "partial-synchrony"
-        assert record_cell_key(records[0]) == spec.cell_id(9, "none", 0)
+        assert CellId.from_record(records[0]) == spec.cell_id(9, "none", 0)
         lockstep = CampaignSpec(
             name="model-axis",
             protocol="phase-king",
@@ -471,7 +485,7 @@ class TestModelAxisSurfaces:
         )
         # A model-pinned record can never satisfy a legacy (model-free)
         # spec's cell, and vice versa.
-        assert record_cell_key(records[0]) != lockstep.cell_id(9, "none", 0)
+        assert CellId.from_record(records[0]) != lockstep.cell_id(9, "none", 0)
 
     def test_campaign_rejects_unknown_model(self):
         from repro.analysis.campaign import CampaignSpec

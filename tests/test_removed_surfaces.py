@@ -1,0 +1,78 @@
+"""Removed surfaces fail loudly at call time.
+
+Lint rule REP004 used to flag these statically; it is retired because
+nothing is left for it to catch that the first call does not.  The loose
+``run_campaign(ns=...)`` keywords and ``CampaignSpec.cell_key`` are pinned
+the same way by ``test_campaign.TestRemovedGridKwargs``.
+"""
+
+import importlib
+
+import pytest
+
+from repro.analysis.campaign import CampaignSpec, run_campaign
+from repro.baselines import run_ben_or
+from repro.harness import execute
+from repro.runtime import Adversary, SyncNetwork
+
+INPUTS = [0, 1, 1, 0, 1]
+SPEC = CampaignSpec("removed", "ben-or", ns=(5,))
+
+
+class ThreeArgumentSetup(Adversary):
+    def setup(self, n, t, processes):  # the pre-AdversaryContext signature
+        pass
+
+
+def unpack(run):
+    result, processes = run
+    return result, processes
+
+
+REMOVED_CALLS = {
+    "SyncNetwork(on_round=)": (
+        TypeError, lambda: SyncNetwork([], on_round=lambda *args: None)
+    ),
+    "run[0]": (TypeError, lambda: run_ben_or(INPUTS)[0]),
+    "result, processes = run": (TypeError, lambda: unpack(run_ben_or(INPUTS))),
+    "Adversary.setup(n, t, processes)": (
+        TypeError,
+        lambda: execute("ben-or", INPUTS, adversary=ThreeArgumentSetup()),
+    ),
+    "run_campaign(spec, resume_from=)": (
+        TypeError, lambda: run_campaign(SPEC, resume_from=[])
+    ),
+    "run_campaign(spec, records)": (
+        TypeError, lambda: run_campaign(SPEC, [])
+    ),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(REMOVED_CALLS))
+def test_removed_call_shape_raises(surface):
+    error, call = REMOVED_CALLS[surface]
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        ("repro.harness", "ExecutionRequest"),
+        ("repro.analysis", "record_cell_key"),
+        ("repro.analysis.campaign", "record_cell_key"),
+        ("repro.transport", "default_transport_name"),
+        ("repro.cli", "ADVERSARIES"),
+    ],
+)
+def test_removed_name_is_not_importable(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_cli_resume_alias_is_gone(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "run", "--resume", "journal.jsonl"])
+    assert exit_info.value.code == 2
+    assert "--resume" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.adversary import RandomOmissionAdversary, VoteBalancingAdversary
+from repro.harness import ExecutionConfig
 from repro.replay import (
     ExecutionRecipe,
     InvariantObserver,
@@ -304,9 +305,7 @@ class TestRecordedFailures:
 class TestRecipeDataclass:
     def test_totals_and_with_actions(self):
         recipe = ExecutionRecipe(
-            protocol="ben-or",
-            n=5,
-            seed=1,
+            config=ExecutionConfig("ben-or", n=5, seed=1),
             actions=(
                 RecordedAction(round=0, corrupt=(1, 2), omit=(0, 1, 2)),
                 RecordedAction(round=2, omit=(4,)),
@@ -317,7 +316,7 @@ class TestRecipeDataclass:
         assert not recipe.failing
         trimmed = recipe.with_actions(recipe.actions[:1])
         assert trimmed.total_omissions() == 3
-        assert trimmed.protocol == recipe.protocol
+        assert trimmed.config == recipe.config
 
 
 class TestReplayCLI:
@@ -334,6 +333,22 @@ class TestReplayCLI:
         assert main(["replay", str(path)]) == 0
         out = capsys.readouterr().out
         assert "replay matches recorded fingerprint" in out
+
+    def test_cli_replay_model_override_of_configured_model(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        recorded = record(
+            "ben-or",
+            [0, 1, 1, 0, 1, 0, 1],
+            seed=4,
+            model="partial-synchrony",
+            model_options={"max_latency": 3},
+        )
+        path = save_recipe(recorded.recipe, tmp_path / "r.json")
+        assert main(["replay", str(path), "--model", "lockstep"]) == 0
+        assert "replay matches" in capsys.readouterr().out
 
     def test_cli_replay_detects_tampering(self, tmp_path, capsys):
         from repro.cli import main

@@ -93,15 +93,14 @@ class TestResultRoundTrip:
 
 class TestRecipeSerialization:
     def test_round_trip_through_runtime_wrappers(self):
+        from repro.harness import ExecutionConfig
         from repro.replay import ExecutionRecipe, RecordedAction
         from repro.runtime import recipe_from_dict, recipe_to_dict
 
         recipe = ExecutionRecipe(
-            protocol="ben-or",
-            n=7,
-            seed=3,
-            inputs=(0, 1, 1, 0, 1, 0, 1),
-            t=1,
+            config=ExecutionConfig(
+                "ben-or", (0, 1, 1, 0, 1, 0, 1), t=1, seed=3
+            ),
             actions=(RecordedAction(round=0, corrupt=(2,), omit=(0, 5)),),
             note="unit",
         )

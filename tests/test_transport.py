@@ -31,7 +31,6 @@ from repro.transport import (
     TransportError,
     available_transports,
     create_transport,
-    default_transport_name,
     resolve_transport,
 )
 from repro.transport.framing import (
@@ -116,7 +115,7 @@ class TestTransportRegistry:
         assert available_transports() == ("inprocess", "tcp")
 
     def test_default_is_inprocess(self):
-        assert default_transport_name() == "inprocess"
+        assert resolve_transport().name == "inprocess"
         assert isinstance(resolve_transport(), InProcessTransport)
         assert isinstance(resolve_transport(None), InProcessTransport)
 
@@ -209,7 +208,7 @@ class TestCrossTransportEquivalence:
         )
         assert not recorded.failed
         assert fingerprint(recorded.run) == baseline
-        assert recorded.recipe.transport == "tcp"
+        assert recorded.recipe.config.transport == "tcp"
         # The recipe replays *in-process* to the recorded fingerprint:
         # transport is provenance, not a replay input.
         report = replay(recorded.recipe)
@@ -306,8 +305,8 @@ class TestTransportFaults:
 class TestRecipeProvenance:
     def test_recorded_transport_defaults_to_inprocess(self):
         recorded = record("ben-or", mixed(9), t=1, seed=7)
-        assert recorded.recipe.transport == "inprocess"
-        assert recorded.recipe.transport_options == {}
+        assert recorded.recipe.config.transport == "inprocess"
+        assert recorded.recipe.config.transport_options == {}
 
     def test_payload_round_trips_transport_fields(self):
         recorded = record(
@@ -322,8 +321,8 @@ class TestRecipeProvenance:
         assert payload["transport"] == "tcp"
         assert payload["transport_options"] == {"processes_per_worker": 3}
         rebuilt = recipe_from_payload(payload)
-        assert rebuilt.transport == "tcp"
-        assert rebuilt.transport_options == {"processes_per_worker": 3}
+        assert rebuilt.config.transport == "tcp"
+        assert rebuilt.config.transport_options == {"processes_per_worker": 3}
 
     def test_pre_transport_payload_reads_as_inprocess(self):
         recorded = record("ben-or", mixed(9), t=1, seed=7)
@@ -331,8 +330,8 @@ class TestRecipeProvenance:
         del payload["transport"]
         del payload["transport_options"]
         legacy = recipe_from_payload(payload)
-        assert legacy.transport == "inprocess"
-        assert legacy.transport_options == {}
+        assert legacy.config.transport == "inprocess"
+        assert legacy.config.transport_options == {}
 
 
 # ---------------------------------------------------------------------------
