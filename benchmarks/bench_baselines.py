@@ -10,30 +10,39 @@ crossover falls.
 
 from conftest import print_series
 
-from repro.analysis import (
-    loglog_slope,
-    measure_ben_or,
-    measure_consensus_scaling,
-    measure_dolev_strong,
-    measure_phase_king,
-)
+from repro.analysis import loglog_slope, measure
 
 NS = [36, 64, 100, 144]
 
 
+def algorithm1(ns, seed):
+    """Algorithm 1 on its whp fast path (fallback runs retried)."""
+    return measure(
+        "algorithm1", ns, seed=lambda n: seed + n, whp_retries=3
+    )
+
+
+def baseline(protocol, ns, seed, **kwargs):
+    """A baseline under full-budget silence (registry budget: t = n/8)."""
+    return measure(
+        protocol, ns, adversary="silence", seed=lambda n: seed + n, **kwargs
+    )
+
+
 def test_rounds_comparison(benchmark):
     def workload():
-        algorithm1 = measure_consensus_scaling(NS, seed=31)
-        dolev_strong = measure_dolev_strong(NS, fault_fraction=8, seed=31)
-        phase_king = measure_phase_king(NS, fault_fraction=8, seed=31)
-        ben_or = measure_ben_or(NS, fault_fraction=8, seed=31)
-        return algorithm1, dolev_strong, phase_king, ben_or
+        return (
+            algorithm1(NS, 31),
+            baseline("dolev-strong", NS, 31),
+            baseline("phase-king", NS, 31),
+            baseline("ben-or", NS, 31),
+        )
 
-    algorithm1, dolev_strong, phase_king, ben_or = benchmark.pedantic(
+    alg1, dolev_strong, phase_king, ben_or = benchmark.pedantic(
         workload, rounds=1, iterations=1
     )
     rows = []
-    for a, d, p, b in zip(algorithm1, dolev_strong, phase_king, ben_or):
+    for a, d, p, b in zip(alg1, dolev_strong, phase_king, ben_or):
         rows.append([a.n, a.rounds, d.rounds, p.rounds, b.rounds])
     print_series(
         "rounds: Algorithm 1 vs deterministic baselines vs voting (crash)",
@@ -43,7 +52,7 @@ def test_rounds_comparison(benchmark):
 
     # Shape: baselines grow linearly in t (n/8 here); Algorithm 1 polylog-
     # sublinearly.  Compare growth factors across the sweep.
-    a_growth = algorithm1[-1].rounds / algorithm1[0].rounds
+    a_growth = alg1[-1].rounds / alg1[0].rounds
     d_growth = dolev_strong[-1].rounds / dolev_strong[0].rounds
     p_growth = phase_king[-1].rounds / phase_king[0].rounds
     print(
@@ -56,16 +65,12 @@ def test_rounds_comparison(benchmark):
 
 def test_bits_comparison(benchmark):
     def workload():
-        algorithm1 = measure_consensus_scaling(NS, seed=32)
-        dolev_strong = measure_dolev_strong(NS, fault_fraction=8, seed=32)
-        return algorithm1, dolev_strong
+        return algorithm1(NS, 32), baseline("dolev-strong", NS, 32)
 
-    algorithm1, dolev_strong = benchmark.pedantic(
-        workload, rounds=1, iterations=1
-    )
+    alg1, dolev_strong = benchmark.pedantic(workload, rounds=1, iterations=1)
     rows = [
         [a.n, a.bits_sent, d.bits_sent, f"{d.bits_sent / a.bits_sent:.2f}"]
-        for a, d in zip(algorithm1, dolev_strong)
+        for a, d in zip(alg1, dolev_strong)
     ]
     print_series(
         "communication bits: Algorithm 1 vs Dolev-Strong",
@@ -74,10 +79,10 @@ def test_bits_comparison(benchmark):
     )
     # Dolev-Strong bits grow ~n^2 t (cubic in n at fixed fault density);
     # Algorithm 1 stays ~n^2 polylog: the ratio must widen with n.
-    ratios = [d.bits_sent / a.bits_sent for a, d in zip(algorithm1, dolev_strong)]
+    ratios = [d.bits_sent / a.bits_sent for a, d in zip(alg1, dolev_strong)]
     assert ratios[-1] > ratios[0]
     ds_slope = loglog_slope(NS, [d.bits_sent for d in dolev_strong])
-    a1_slope = loglog_slope(NS, [a.bits_sent for a in algorithm1])
+    a1_slope = loglog_slope(NS, [a.bits_sent for a in alg1])
     print(f"\nbits slopes: DS ~ n^{ds_slope:.2f}, Alg1 ~ n^{a1_slope:.2f}")
     assert ds_slope > a1_slope
 
@@ -89,23 +94,24 @@ def test_rounds_crossover(benchmark):
 
     def workload():
         ns = [36, 144, 256]
-        algorithm1 = measure_consensus_scaling(ns, seed=33)
-        dolev_strong = measure_dolev_strong(ns, fault_fraction=4, seed=33)
-        return ns, algorithm1, dolev_strong
+        dolev_strong = baseline(
+            "dolev-strong", ns, 33, t=lambda n: max(1, n // 4)
+        )
+        return ns, algorithm1(ns, 33), dolev_strong
 
-    ns, algorithm1, dolev_strong = benchmark.pedantic(
+    ns, alg1, dolev_strong = benchmark.pedantic(
         workload, rounds=1, iterations=1
     )
     rows = [
         [n, a.rounds, d.rounds, f"{a.rounds / d.rounds:.2f}"]
-        for n, a, d in zip(ns, algorithm1, dolev_strong)
+        for n, a, d in zip(ns, alg1, dolev_strong)
     ]
     print_series(
         "crossover tracker (t = n/4 for the baseline)",
         ["n", "Alg 1", "Dolev-Strong", "Alg1/DS"],
         rows,
     )
-    relative = [a.rounds / d.rounds for a, d in zip(algorithm1, dolev_strong)]
+    relative = [a.rounds / d.rounds for a, d in zip(alg1, dolev_strong)]
     assert relative[-1] < relative[0], (
         "Algorithm 1 must gain on the t-linear baseline as n grows"
     )

@@ -9,20 +9,24 @@ regime the paper displaces) and near the predicted powers.
 
 from conftest import print_series
 
-from repro.analysis import (
-    loglog_slope,
-    measure_consensus_scaling,
-    balancing_adversary,
-)
+from repro.adversary import VoteBalancingAdversary
+from repro.analysis import loglog_slope, measure
 from repro.analysis.theory import theorem1_rounds
 
 NS = [64, 100, 144, 196, 256, 400]
 
 
+def scaling(seed, **kwargs):
+    """Algorithm 1 over NS on its whp fast path (fallback runs retried)."""
+    return measure(
+        "algorithm1", NS, seed=lambda n: seed + n, whp_retries=3, **kwargs
+    )
+
+
 def test_theorem1_scaling_shapes(benchmark):
     points = benchmark.pedantic(
-        lambda: measure_consensus_scaling(
-            NS, adversary_factory=balancing_adversary, seed=1
+        lambda: scaling(
+            1, adversary=lambda n, t, seed: VoteBalancingAdversary(seed=n)
         ),
         rounds=1,
         iterations=1,
@@ -69,7 +73,7 @@ def test_theorem1_rounds_beat_linear_baseline(benchmark):
     """Who wins: Algorithm 1's measured rounds grow far slower than the
     t-linear deterministic baseline at the same fault density."""
     points = benchmark.pedantic(
-        lambda: measure_consensus_scaling(NS, seed=2), rounds=1, iterations=1
+        lambda: scaling(2), rounds=1, iterations=1
     )
     small, large = points[0], points[-1]
     growth = large.rounds / small.rounds

@@ -8,24 +8,26 @@ Theorem-8 invariant ROUNDS x RANDOMNESS stays within polylog of flat.
 
 from conftest import print_series
 
-from repro.analysis import loglog_slope
-from repro.core import sweep_tradeoff
+from repro.analysis import loglog_slope, measure
 
 N = 64
 XS = [1, 2, 4, 8, 16, 32, 64]
 
 
+def sweep(xs, seed):
+    """One Algorithm-4 point per super-process count x at n = N."""
+    return [
+        measure("tradeoff", [N], seed=seed, options={"x": x})[0] for x in xs
+    ]
+
+
 def test_tradeoff_curve(benchmark):
     points = benchmark.pedantic(
-        lambda: sweep_tradeoff(
-            [pid % 2 for pid in range(N)], XS, seed=21
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: sweep(XS, 21), rounds=1, iterations=1
     )
     rows = [
-        [p.x, p.rounds, p.random_bits, p.random_calls, p.bits_sent, p.decision]
-        for p in points
+        [x, p.rounds, p.random_bits, p.random_calls, p.bits_sent, p.decision]
+        for x, p in zip(XS, points)
     ]
     print_series(
         f"Theorem 3 trade-off at n={N}",
@@ -61,19 +63,16 @@ def test_tradeoff_curve(benchmark):
 def test_invariant_T_times_R(benchmark):
     """Theorem 8: ROUNDS x RANDOMNESS ~ n^2 polylog, flat across x (for the
     randomized regime; the deterministic endpoint leaves the curve)."""
+    xs = [1, 2, 4, 8, 16]
     points = benchmark.pedantic(
-        lambda: sweep_tradeoff(
-            [pid % 2 for pid in range(N)], [1, 2, 4, 8, 16], seed=22
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: sweep(xs, 22), rounds=1, iterations=1
     )
     rows = []
     products = []
-    for p in points:
+    for x, p in zip(xs, points):
         product = p.rounds * max(1, p.random_bits)
         products.append(product)
-        rows.append([p.x, p.rounds, p.random_bits, product])
+        rows.append([x, p.rounds, p.random_bits, product])
     print_series(
         "Theorem 8 invariant T x R",
         ["x", "T", "R", "T*R"],
@@ -88,9 +87,7 @@ def test_endpoints_match_regimes(benchmark):
     """x=1 reproduces Algorithm 1's randomized regime; x=n is deterministic
     round-robin — the two extremes of the paper's interpolation."""
     points = benchmark.pedantic(
-        lambda: sweep_tradeoff([pid % 2 for pid in range(N)], [1, N], seed=23),
-        rounds=1,
-        iterations=1,
+        lambda: sweep([1, N], 23), rounds=1, iterations=1
     )
     randomized, deterministic = points
     print(

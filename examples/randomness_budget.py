@@ -13,36 +13,38 @@ Run:  python examples/randomness_budget.py
 
 from __future__ import annotations
 
-from repro.core import sweep_tradeoff
+from repro.analysis import measure
 from repro.analysis.theory import theorem3_invariant
 
 N = 64
 
 
 def main() -> None:
-    inputs = [pid % 2 for pid in range(N)]
     xs = [1, 2, 4, 8, 16, 32, 64]
-    points = sweep_tradeoff(inputs, xs, seed=11)
+    points = [
+        (x, measure("tradeoff", [N], seed=11, options={"x": x})[0])
+        for x in xs
+    ]
 
     print(f"Algorithm 4 on n = {N} processes: the time<->randomness dial\n")
     print(f"{'x':>4} {'rounds T':>9} {'rand bits R':>12} {'comm bits':>12} "
           f"{'T*max(R,1)':>12} {'decision':>9}")
-    for point in points:
+    for x, point in points:
         invariant = theorem3_invariant(point.rounds, max(point.random_bits, 1))
         print(
-            f"{point.x:>4} {point.rounds:>9} {point.random_bits:>12} "
+            f"{x:>4} {point.rounds:>9} {point.random_bits:>12} "
             f"{point.bits_sent:>12} {invariant:>12.0f} {point.decision:>9}"
         )
 
-    least_random = min(points, key=lambda p: p.random_bits)
-    fastest = min(points, key=lambda p: p.rounds)
+    frugal_x, frugal = min(points, key=lambda xp: xp[1].random_bits)
+    fastest_x, fastest = min(points, key=lambda xp: xp[1].rounds)
     print(
-        f"\nfastest: x={fastest.x} ({fastest.rounds} rounds, "
+        f"\nfastest: x={fastest_x} ({fastest.rounds} rounds, "
         f"{fastest.random_bits} random bits)"
     )
     print(
-        f"most randomness-frugal: x={least_random.x} "
-        f"({least_random.rounds} rounds, {least_random.random_bits} random bits)"
+        f"most randomness-frugal: x={frugal_x} "
+        f"({frugal.rounds} rounds, {frugal.random_bits} random bits)"
     )
     print("\nShape check (Theorem 3): random bits fall monotonically in x "
           "while rounds rise — you pay for determinism with time, never "

@@ -23,7 +23,6 @@ SET / INC / DEL / NOP over four keys.
 Run:  python examples/state_machine_replication.py
       python examples/state_machine_replication.py \
           --transport tcp --processes-per-worker 4 --verify-replay
-      python -m repro.cli serve --transport tcp   # same loop via the CLI
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from .compose import (
 )
 from .scripted import ScriptedAdversary
 from .strategies import (
+    GALLERY,
     EclipseAdversary,
     GroupKnockoutAdversary,
     RandomOmissionAdversary,
@@ -24,6 +25,7 @@ from .strategies import (
 )
 
 __all__ = [
+    "GALLERY",
     "Adversary",
     "AdversaryAction",
     "AdversaryContext",

@@ -18,10 +18,6 @@ Two modes:
   dropped.  The shrinker uses this mode: deleting a corruption from a
   candidate recipe must not turn its remaining omissions into engine
   errors, it must just weaken the schedule.
-
-(The similarly named class in ``repro.lowerbound.rollout_adversary`` is a
-search-internal prefix-replayer with a live fallback policy; this one is
-the serialization-facing replay adversary.)
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ encode *intent*:
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from ..runtime.randomness import stable_seed
 
@@ -273,3 +273,17 @@ class VoteBalancingAdversary(Adversary):
             corrupt=corrupt,
             omit=view.message_indices_touching(silenced_now),
         )
+
+
+#: The named adversaries: ``name -> factory(n, t, seed)``.  The one place a
+#: name means a strategy — campaign cells, ``measure``, the conformance
+#: battery and the CLI ``--adversary`` choices all read it.
+GALLERY: dict[str, Callable[[int, int, int], Adversary | None]] = {
+    "none": lambda n, t, seed: None,
+    "silence": lambda n, t, seed: SilenceAdversary(range(t)),
+    "random": lambda n, t, seed: RandomOmissionAdversary(0.6, seed=seed),
+    "balance": lambda n, t, seed: VoteBalancingAdversary(seed=seed),
+    "staggered-crash": lambda n, t, seed: StaticCrashAdversary(
+        {3 * k: [k] for k in range(t)}
+    ),
+}

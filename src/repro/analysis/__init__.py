@@ -2,18 +2,7 @@
 and the Table-1 renderer."""
 
 from . import theory
-from .experiments import (
-    ScalingPoint,
-    balancing_adversary,
-    measure_ben_or,
-    measure_consensus_scaling,
-    measure_dolev_strong,
-    measure_phase_king,
-    measure_tradeoff_scaling,
-    mixed_inputs,
-    no_adversary,
-    silence_adversary,
-)
+from .experiments import ScalingPoint, measure, mixed_inputs
 from ..fabric import CampaignCache, CellId
 from .campaign import (
     CampaignSpec,
@@ -45,15 +34,8 @@ from .tables import Table1Row, render_table, table1
 __all__ = [
     "theory",
     "ScalingPoint",
-    "balancing_adversary",
-    "measure_ben_or",
-    "measure_consensus_scaling",
-    "measure_dolev_strong",
-    "measure_phase_king",
-    "measure_tradeoff_scaling",
+    "measure",
     "mixed_inputs",
-    "no_adversary",
-    "silence_adversary",
     "RatioSummary",
     "least_squares_slope",
     "loglog_slope",

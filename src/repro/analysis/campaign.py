@@ -55,11 +55,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..adversary import (
-    RandomOmissionAdversary,
-    SilenceAdversary,
-    VoteBalancingAdversary,
-)
+from ..adversary import GALLERY
 from ..fabric import (
     CampaignCache,
     CellId,
@@ -85,13 +81,6 @@ from ._journal import (
     repair_journal,
 )
 from .experiments import mixed_inputs
-
-ADVERSARY_FACTORIES = {
-    "none": lambda n, t, seed: None,
-    "silence": lambda n, t, seed: SilenceAdversary(range(t)),
-    "random": lambda n, t, seed: RandomOmissionAdversary(0.6, seed=seed),
-    "balance": lambda n, t, seed: VoteBalancingAdversary(seed=seed),
-}
 
 #: Per-cell capture channels: attach an observer, merge its output into the
 #: record under the same key.
@@ -136,11 +125,11 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {sweepable}"
             )
-        unknown = set(self.adversaries) - set(ADVERSARY_FACTORIES)
+        unknown = set(self.adversaries) - set(GALLERY)
         if unknown:
             raise ValueError(
                 f"unknown adversaries {sorted(unknown)}; choose from "
-                f"{sorted(ADVERSARY_FACTORIES)}"
+                f"{sorted(GALLERY)}"
             )
         object.__setattr__(self, "capture", tuple(self.capture))
         unknown_capture = set(self.capture) - set(CAPTURES)
@@ -193,7 +182,7 @@ def _run_cell(
     protocol = protocol_spec(spec.protocol)
     config = spec.config_for(n, seed)
     t = protocol.campaign_t(n, config.params)
-    adversary = ADVERSARY_FACTORIES[adversary_name](n, t, seed)
+    adversary = GALLERY[adversary_name](n, t, seed)
 
     observers = []
     recorder = profiler = None

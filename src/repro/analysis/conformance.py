@@ -20,28 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
-from ..adversary import (
-    RandomOmissionAdversary,
-    SilenceAdversary,
-    StaticCrashAdversary,
-    VoteBalancingAdversary,
-)
-from ..runtime import Adversary, SyncNetwork, SyncProcess
+from ..adversary import GALLERY
+from ..runtime import SyncNetwork, SyncProcess
 
 ProtocolFactory = Callable[[Sequence[int], int], list[SyncProcess]]
-
-#: The default adversary gallery: name -> builder(n, t, seed).
-DEFAULT_GALLERY: dict[str, Callable[[int, int, int], Adversary | None]] = {
-    "none": lambda n, t, seed: None,
-    "silence": lambda n, t, seed: SilenceAdversary(range(t)),
-    "staggered-crash": lambda n, t, seed: StaticCrashAdversary(
-        {3 * k: [k] for k in range(t)}
-    ),
-    "random-omission": lambda n, t, seed: RandomOmissionAdversary(
-        0.6, seed=seed
-    ),
-    "balance": lambda n, t, seed: VoteBalancingAdversary(seed=seed),
-}
 
 
 @dataclass(frozen=True)
@@ -109,7 +91,7 @@ def check_consensus_protocol(
     * **metric sanity** — the per-round series sum to the totals, and the
       time metric never exceeds the executed rounds + 1.
     """
-    gallery = gallery if gallery is not None else DEFAULT_GALLERY
+    gallery = gallery if gallery is not None else GALLERY
     report = ConformanceReport()
     for scenario_name, inputs in _input_scenarios(n).items():
         unanimous = len(set(inputs)) == 1

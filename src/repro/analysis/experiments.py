@@ -1,22 +1,20 @@
-"""Experiment drivers shared by benchmarks, examples and the CLI.
+"""The sweep driver shared by the report, benchmarks and examples.
 
-Each driver runs a protocol sweep on the synchronous substrate and returns
-plain dataclasses with the paper's three complexity measures, so the
-benchmark modules stay thin.
+:func:`measure` runs one registered protocol across system sizes on the
+synchronous substrate and returns plain dataclasses with the paper's three
+complexity measures, so every sweep is a call, not a new driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
-from ..adversary import SilenceAdversary, VoteBalancingAdversary
-from ..baselines import run_ben_or, run_dolev_strong, run_phase_king
-from ..core import run_consensus, run_tradeoff_consensus
+from ..adversary import GALLERY
+from ..harness import ExecutionConfig, protocol_spec, run_config
 from ..params import ProtocolParams
 from ..runtime import Adversary
-
-AdversaryFactory = Callable[[int, int], Adversary | None]
 
 
 @dataclass(frozen=True)
@@ -34,54 +32,62 @@ class ScalingPoint:
     used_fallback: bool
 
 
-def no_adversary(n: int, t: int) -> Adversary | None:
-    return None
-
-
-def silence_adversary(n: int, t: int) -> Adversary:
-    """Silence the full fault budget from round 0 (crash-like worst case)."""
-    return SilenceAdversary(range(t))
-
-
-def balancing_adversary(n: int, t: int) -> Adversary:
-    """The adaptive vote-balancing strategy (strongest implemented)."""
-    return VoteBalancingAdversary(seed=n)
-
-
 def mixed_inputs(n: int) -> list[int]:
     """The hardest input assignment: a perfectly balanced split."""
     return [pid % 2 for pid in range(n)]
 
 
-def measure_consensus_scaling(
+def measure(
+    protocol: str,
     ns: Sequence[int],
-    adversary_factory: AdversaryFactory = no_adversary,
+    *,
+    adversary: str | Callable[[int, int, int], Adversary | None] = "none",
+    t: Callable[[int], int] | None = None,
     params: ProtocolParams | None = None,
-    seed: int = 0,
-    whp_retries: int = 3,
+    seed: int | Callable[[int], int] = 0,
+    options: Mapping[str, Any] | None = None,
+    whp_retries: int = 1,
 ) -> list[ScalingPoint]:
-    """Run Algorithm 1 across system sizes; collect Table-1 measurables.
+    """Run a registered protocol on balanced inputs at each n in ``ns``.
 
-    ``whp_retries``: the paper's complexity bounds describe the
-    whp fast path; at simulable n the truncated epoch budget drops to the
+    ``adversary`` is a :data:`repro.adversary.GALLERY` name or an
+    ``(n, t, seed)`` factory.  The budget is the registry's default for the
+    protocol unless ``t`` (a map n -> t) overrides it; ``seed`` is one
+    integer or a map n -> seed.  ``options`` are the protocol's extras
+    (an x-sweep of Algorithm 4 is one call per ``{"x": x}``).
+
+    ``whp_retries``: the paper's complexity bounds describe the whp fast
+    path; at simulable n Algorithm 1's truncated epoch budget drops to the
     Dolev-Strong fallback with a few percent probability, whose O(n^2 t)
-    bits would dominate a scaling plot.  To measure the whp path, a run
-    that hit the deterministic fallback is retried (fresh seed) up to
-    ``whp_retries`` times; the last attempt is reported either way, and
-    ``used_fallback`` records what happened.
+    bits would dominate a scaling plot.  A run that hit the deterministic
+    fallback is retried (seed + 7919 per attempt) up to ``whp_retries``
+    times; the last attempt is reported either way, and ``used_fallback``
+    records what happened.
     """
+    spec = protocol_spec(protocol)
     params = params if params is not None else ProtocolParams.practical()
+    build_adversary = (
+        GALLERY[adversary] if isinstance(adversary, str) else adversary
+    )
     points = []
     for n in ns:
-        t = params.max_faults(n)
-        run = None
+        # As in a campaign cell: an unset budget is left to the protocol,
+        # and the adversary is built against the registry's default.
+        asked = t(n) if t is not None else None
+        budget = asked if asked is not None else spec.campaign_t(n, params)
+        base_seed = seed(n) if callable(seed) else seed
         for attempt in range(max(1, whp_retries)):
-            run = run_consensus(
+            run_seed = base_seed + 7919 * attempt
+            config = ExecutionConfig(
+                spec.name,
                 mixed_inputs(n),
-                t=t,
-                adversary=adversary_factory(n, t),
+                t=asked,
                 params=params,
-                seed=seed + n + 7919 * attempt,
+                seed=run_seed,
+                options=options,
+            )
+            run = run_config(
+                config, build_adversary(n, budget, run_seed), spec=spec
             )
             if not run.ran_deterministic_fallback:
                 break
@@ -89,7 +95,7 @@ def measure_consensus_scaling(
         points.append(
             ScalingPoint(
                 n=n,
-                t=t,
+                t=budget,
                 rounds=run.result.time_to_agreement(),
                 bits_sent=metrics.bits_sent,
                 messages_sent=metrics.messages_sent,
@@ -97,146 +103,6 @@ def measure_consensus_scaling(
                 random_calls=metrics.random_calls,
                 decision=run.decision,
                 used_fallback=run.ran_deterministic_fallback,
-            )
-        )
-    return points
-
-
-def measure_tradeoff_scaling(
-    n: int,
-    xs: Sequence[int],
-    adversary_factory: AdversaryFactory = no_adversary,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-) -> list[ScalingPoint]:
-    """Run Algorithm 4 across super-process counts at fixed n."""
-    params = params if params is not None else ProtocolParams.practical()
-    points = []
-    for x in xs:
-        run = run_tradeoff_consensus(
-            mixed_inputs(n),
-            x,
-            adversary=adversary_factory(n, 0),
-            params=params,
-            seed=seed + x,
-        )
-        metrics = run.metrics
-        points.append(
-            ScalingPoint(
-                n=n,
-                t=run.processes[0].t,
-                rounds=run.result.time_to_agreement(),
-                bits_sent=metrics.bits_sent,
-                messages_sent=metrics.messages_sent,
-                random_bits=metrics.random_bits,
-                random_calls=metrics.random_calls,
-                decision=run.decision,
-                used_fallback=run.used_fallback,
-            )
-        )
-    return points
-
-
-def measure_dolev_strong(
-    ns: Sequence[int],
-    fault_fraction: int = 8,
-    adversary_factory: AdversaryFactory = silence_adversary,
-    seed: int = 0,
-) -> list[ScalingPoint]:
-    """Run the deterministic baseline across system sizes.
-
-    ``fault_fraction`` keeps t = n / fault_fraction small enough that the
-    chain protocol stays tractable (its bits grow like n^2 t).
-    """
-    points = []
-    for n in ns:
-        t = max(1, n // fault_fraction)
-        result = run_dolev_strong(
-            mixed_inputs(n),
-            t,
-            adversary=adversary_factory(n, t),
-            seed=seed + n,
-        ).result
-        decision = result.agreement_value()
-        metrics = result.metrics
-        points.append(
-            ScalingPoint(
-                n=n,
-                t=t,
-                rounds=result.time_to_agreement(),
-                bits_sent=metrics.bits_sent,
-                messages_sent=metrics.messages_sent,
-                random_bits=metrics.random_bits,
-                random_calls=metrics.random_calls,
-                decision=decision,
-                used_fallback=False,
-            )
-        )
-    return points
-
-
-def measure_phase_king(
-    ns: Sequence[int],
-    fault_fraction: int = 8,
-    adversary_factory: AdversaryFactory = silence_adversary,
-    seed: int = 0,
-) -> list[ScalingPoint]:
-    """Run the phase-king baseline across system sizes."""
-    points = []
-    for n in ns:
-        t = max(1, min(n // fault_fraction, (n - 1) // 4))
-        result = run_phase_king(
-            mixed_inputs(n),
-            t,
-            adversary=adversary_factory(n, t),
-            seed=seed + n,
-        ).result
-        decision = result.agreement_value()
-        metrics = result.metrics
-        points.append(
-            ScalingPoint(
-                n=n,
-                t=t,
-                rounds=result.time_to_agreement(),
-                bits_sent=metrics.bits_sent,
-                messages_sent=metrics.messages_sent,
-                random_bits=metrics.random_bits,
-                random_calls=metrics.random_calls,
-                decision=decision,
-                used_fallback=False,
-            )
-        )
-    return points
-
-
-def measure_ben_or(
-    ns: Sequence[int],
-    fault_fraction: int = 8,
-    seed: int = 0,
-) -> list[ScalingPoint]:
-    """Run the broadcast-voting baseline (crash model) across sizes."""
-    points = []
-    for n in ns:
-        t = max(1, n // fault_fraction)
-        result = run_ben_or(
-            mixed_inputs(n),
-            t=t,
-            adversary=SilenceAdversary(range(t)),
-            seed=seed + n,
-        ).result
-        decision = result.agreement_value()
-        metrics = result.metrics
-        points.append(
-            ScalingPoint(
-                n=n,
-                t=t,
-                rounds=result.time_to_agreement(),
-                bits_sent=metrics.bits_sent,
-                messages_sent=metrics.messages_sent,
-                random_bits=metrics.random_bits,
-                random_calls=metrics.random_calls,
-                decision=decision,
-                used_fallback=False,
             )
         )
     return points

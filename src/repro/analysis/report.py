@@ -19,12 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ..core import (
-    run_consensus,
-    run_early_stopping_consensus,
-    sweep_tradeoff,
-)
-from ..adversary import SilenceAdversary
+from ..core import run_consensus, run_early_stopping_consensus
+from ..adversary import SilenceAdversary, VoteBalancingAdversary
 from ..baselines import measure_amortization, run_trb
 from ..graphs import robust_core, spreading_graph, subgraph_diameter
 from ..lowerbound import (
@@ -36,12 +32,7 @@ from ..lowerbound import (
     verify_threshold_inequality,
 )
 from ..params import ProtocolParams
-from .experiments import (
-    balancing_adversary,
-    measure_consensus_scaling,
-    measure_dolev_strong,
-    mixed_inputs,
-)
+from .experiments import measure, mixed_inputs
 from .fits import loglog_slope
 from .tables import render_table, table1
 
@@ -191,11 +182,13 @@ def experiment_figure3(params: ProtocolParams) -> ExperimentRecord:
 
 
 def experiment_theorem1(params: ProtocolParams) -> ExperimentRecord:
-    points = measure_consensus_scaling(
+    points = measure(
+        "algorithm1",
         [64, 100, 144, 196, 256],
-        adversary_factory=balancing_adversary,
+        adversary=lambda n, t, seed: VoteBalancingAdversary(seed=n),
         params=params,
-        seed=1,
+        seed=lambda n: 1 + n,
+        whp_retries=3,
     )
     ns = [p.n for p in points]
     round_slope = loglog_slope(ns, [p.rounds for p in points])
@@ -253,8 +246,10 @@ def experiment_theorem2(params: ProtocolParams) -> ExperimentRecord:
 
 
 def experiment_theorem3(params: ProtocolParams) -> ExperimentRecord:
-    points = sweep_tradeoff(mixed_inputs(64), [1, 4, 16, 64], params=params,
-                            seed=21)
+    points = [
+        measure("tradeoff", [64], params=params, seed=21, options={"x": x})[0]
+        for x in (1, 4, 16, 64)
+    ]
     rounds = [p.rounds for p in points]
     randomness = [p.random_bits for p in points]
     ok = (
@@ -281,8 +276,12 @@ def experiment_theorem3(params: ProtocolParams) -> ExperimentRecord:
 
 def experiment_baselines(params: ProtocolParams) -> ExperimentRecord:
     ns = [36, 64, 100, 144]
-    algorithm1 = measure_consensus_scaling(ns, params=params, seed=31)
-    dolev_strong = measure_dolev_strong(ns, fault_fraction=8, seed=31)
+    algorithm1 = measure(
+        "algorithm1", ns, params=params, seed=lambda n: 31 + n, whp_retries=3
+    )
+    dolev_strong = measure(
+        "dolev-strong", ns, adversary="silence", seed=lambda n: 31 + n
+    )
     a_growth = algorithm1[-1].rounds / algorithm1[0].rounds
     d_growth = dolev_strong[-1].rounds / dolev_strong[0].rounds
     ratio_first = dolev_strong[0].bits_sent / algorithm1[0].bits_sent
@@ -457,10 +456,15 @@ def render_markdown(records: list[ExperimentRecord]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Write the report to ``argv[0]`` (default EXPERIMENTS.md; ``-`` is
+    stdout).  ``repro.cli report --output`` lands here too."""
     argv = argv if argv is not None else sys.argv[1:]
     output = argv[0] if argv else "EXPERIMENTS.md"
     records = run_full_report()
     text = render_markdown(records)
+    if output == "-":
+        print(text)
+        return 0
     with open(output, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     print(f"wrote {output} ({len(records)} experiments)")

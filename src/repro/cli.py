@@ -7,7 +7,6 @@ Subcommands mirror the experiment index in DESIGN.md::
     repro-consensus table1 --n 128
     repro-consensus coin-game --ks 64,256 --alpha 0.25
     repro-consensus graph-check --n 512
-    repro-consensus serve --transport tcp --processes-per-worker 4
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from .adversary import GALLERY
 from .analysis import render_table, table1
-from .analysis.campaign import ADVERSARY_FACTORIES
 from .core import run_tradeoff_consensus
 from .graphs import spreading_graph, theorem4_report
 from .harness import (
@@ -29,18 +28,8 @@ from .harness import (
 from .analysis.montecarlo import decision_bias, fallback_rate_vs_epochs
 from .lowerbound import sweep_lemma12
 from .params import ProtocolParams
-
-
-def _available_models() -> tuple[str, ...]:
-    from .runtime import available_models
-
-    return available_models()
-
-
-def _available_transports() -> tuple[str, ...]:
-    from .transport import available_transports
-
-    return available_transports()
+from .runtime import available_models
+from .transport import available_transports
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -55,7 +44,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     inputs = [pid % 2 for pid in range(n)] if args.inputs == "mixed" else (
         [int(args.inputs)] * n
     )
-    adversary = ADVERSARY_FACTORIES[args.adversary](n, t, args.seed)
+    adversary = GALLERY[args.adversary](n, t, args.seed)
     profiler = RoundProfiler() if args.profile else None
     run = execute(
         spec,
@@ -186,13 +175,23 @@ def _campaign_spec_from_args(args: argparse.Namespace):
 def _open_campaign_cache(args: argparse.Namespace):
     from .fabric import open_cache
 
-    if getattr(args, "cache", None) is None:
-        return None
-    return open_cache(args.cache)
+    return open_cache(args.cache) if args.cache is not None else None
+
+
+def _print_campaign_summary(records) -> None:
+    from .analysis.campaign import summarize_campaign
+
+    for row in summarize_campaign(records):
+        print(
+            f"  {row['protocol']} n={row['n']:>4} {row['adversary']:>8}: "
+            f"rounds={row['mean_rounds']:.1f} bits={row['mean_bits']:.0f} "
+            f"rbits={row['mean_random_bits']:.1f} "
+            f"fallback={row['fallback_rate']:.2f}"
+        )
 
 
 def _print_campaign_records(records, output) -> None:
-    from .analysis.campaign import save_campaign, summarize_campaign
+    from .analysis.campaign import save_campaign
 
     for rec in records:
         if rec.get("failed"):
@@ -203,29 +202,28 @@ def _print_campaign_records(records, output) -> None:
     if output is not None:
         save_campaign(records, output)
         print(f"wrote {output} ({len(records)} records)")
-    for row in summarize_campaign(records):
-        print(
-            f"  {row['protocol']} n={row['n']:>4} {row['adversary']:>8}: "
-            f"rounds={row['mean_rounds']:.1f} bits={row['mean_bits']:.0f} "
-            f"rbits={row['mean_random_bits']:.1f} "
-            f"fallback={row['fallback_rate']:.2f}"
-        )
+    _print_campaign_summary(records)
 
 
-def _run_campaign_command(
-    args: argparse.Namespace,
-    resume_records,
-    journal,
-) -> int:
-    """Shared engine behind ``campaign run|resume`` and the legacy form."""
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis.campaign import run_campaign
+    from .analysis.campaign import load_journal, run_campaign
 
     spec = _campaign_spec_from_args(args)
     cache = _open_campaign_cache(args)
+    resume_records: list = []
+    if args.journal is not None:
+        try:
+            resume_records = load_journal(args.journal)
+        except FileNotFoundError:
+            pass
+        else:
+            print(
+                f"resuming from {args.journal} ({len(resume_records)} records)"
+            )
     claims = None
-    if getattr(args, "coordinate", False):
+    if args.coordinate:
         from .fabric import DirectoryClaims
 
         if cache is None:
@@ -238,7 +236,7 @@ def _run_campaign_command(
         spec,
         resume=resume_records,
         jobs=args.jobs,
-        journal=journal,
+        journal=args.journal,
         record_failures=args.record_failures,
         cache=cache,
         claims=claims,
@@ -251,7 +249,7 @@ def _run_campaign_command(
             f"cache: {stats['hits']} hits, {len(computed)} computed, "
             f"hit rate {stats['hit_rate']:.2f}"
         )
-        if getattr(args, "cache_stats", None) is not None:
+        if args.cache_stats is not None:
             payload = {
                 "spec": spec.name,
                 "cells": len(records),
@@ -264,32 +262,6 @@ def _run_campaign_command(
                 handle.write("\n")
             print(f"wrote {args.cache_stats}")
     return 0
-
-
-def _load_resume_journal(journal) -> list:
-    from .analysis.campaign import load_journal
-
-    if journal is None:
-        return []
-    try:
-        records = load_journal(journal)
-    except FileNotFoundError:
-        return []
-    print(f"resuming from {journal} ({len(records)} records)")
-    return records
-
-
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    journal = args.journal
-    return _run_campaign_command(
-        args, _load_resume_journal(journal), journal
-    )
-
-
-def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    if args.journal is None:
-        raise SystemExit("campaign resume requires --journal PATH")
-    return _cmd_campaign_run(args)
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
@@ -349,7 +321,6 @@ def _cmd_campaign_query(args: argparse.Namespace) -> int:
     """Resolve a spec against the cache; print hits, never execute."""
     import json
 
-    from .analysis.campaign import summarize_campaign
     from .fabric import query
 
     spec = _campaign_spec_from_args(args)
@@ -368,63 +339,8 @@ def _cmd_campaign_query(args: argparse.Namespace) -> int:
         f"cache: {len(result.hits)}/{len(result.cells)} cells "
         f"(hit rate {result.hit_rate:.2f})"
     )
-    for row in summarize_campaign(result.records()):
-        print(
-            f"  {row['protocol']} n={row['n']:>4} {row['adversary']:>8}: "
-            f"rounds={row['mean_rounds']:.1f} bits={row['mean_bits']:.0f} "
-            f"rbits={row['mean_random_bits']:.1f} "
-            f"fallback={row['fallback_rate']:.2f}"
-        )
+    _print_campaign_summary(result.records())
     return 0 if not result.misses else 1
-
-
-def _load_smr_example():
-    """Load ``examples/state_machine_replication.py`` as a module.
-
-    The examples directory is not a package; the service loop lives there
-    so the example stays a runnable, self-contained artifact, and the CLI
-    imports it by path.
-    """
-    import importlib.util
-    from pathlib import Path
-
-    path = (
-        Path(__file__).resolve().parents[2]
-        / "examples"
-        / "state_machine_replication.py"
-    )
-    if not path.exists():
-        raise SystemExit(f"example not found: {path}")
-    spec = importlib.util.spec_from_file_location(
-        "repro_example_smr", path
-    )
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the SMR example as a (multi-process) consensus service."""
-    module = _load_smr_example()
-    transport_options = {}
-    if args.processes_per_worker is not None:
-        if args.transport != "tcp":
-            raise SystemExit(
-                "--processes-per-worker requires --transport tcp"
-            )
-        transport_options["processes_per_worker"] = args.processes_per_worker
-    module.run_service(
-        args.replicas,
-        args.slots,
-        transport=args.transport,
-        transport_options=transport_options or None,
-        seed=args.seed,
-        adversary=args.adversary,
-        verify_replay=args.verify_replay,
-        metrics_out=args.metrics_out,
-    )
-    return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -473,17 +389,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report import render_markdown, run_full_report
+    from .analysis.report import main as write_report
 
-    records = run_full_report()
-    text = render_markdown(records)
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output} ({len(records)} experiments)")
-    return 0
+    return write_report([args.output])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inputs", default="mixed", help='"mixed", "0" or "1"'
     )
     run_parser.add_argument(
-        "--adversary", default="none", choices=sorted(ADVERSARY_FACTORIES)
+        "--adversary", default="none", choices=sorted(GALLERY)
     )
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
@@ -521,11 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach a RoundProfiler and print per-phase wall time",
     )
     run_parser.add_argument(
-        "--model", default=None, choices=list(_available_models()),
+        "--model", default=None, choices=list(available_models()),
         help="execution model (default: lockstep)",
     )
     run_parser.add_argument(
-        "--transport", default=None, choices=list(_available_transports()),
+        "--transport", default=None, choices=list(available_transports()),
         help="where processes execute: in-process (default) or real OS "
         "worker processes over localhost TCP",
     )
@@ -570,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_parser = sub.add_parser(
         "campaign",
-        help="cached grid sweeps: run | resume | status | query",
+        help="cached grid sweeps: run | status | query",
         description=(
             "Sweep a (protocol, n, adversary, seed) grid through the "
             "campaign fabric.  Cells are identified by content digest "
@@ -597,12 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
             help='comma list of per-cell observers: "trace", "profile"',
         )
         parser.add_argument(
-            "--model", default=None, choices=list(_available_models()),
+            "--model", default=None, choices=list(available_models()),
             help="execution model axis; part of cell identity when given",
         )
         parser.add_argument(
             "--transport", default=None,
-            choices=list(_available_transports()),
+            choices=list(available_transports()),
             help="transport axis (where processes execute); part of cell "
             "identity when given",
         )
@@ -647,22 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     campaign_sub = campaign_parser.add_subparsers(
-        dest="campaign_command", metavar="{run,resume,status,query}",
+        dest="campaign_command", metavar="{run,status,query}",
         required=True,
     )
     campaign_run = campaign_sub.add_parser(
-        "run", help="execute the grid (cache and journal hits are reused)"
+        "run", help="execute the grid (cache and journal hits are reused; "
+        "an interrupted sweep continues from its --journal)"
     )
     _add_grid_flags(campaign_run)
     _add_run_flags(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign_run)
-
-    campaign_resume = campaign_sub.add_parser(
-        "resume", help="continue an interrupted sweep from its journal"
-    )
-    _add_grid_flags(campaign_resume)
-    _add_run_flags(campaign_resume)
-    campaign_resume.set_defaults(func=_cmd_campaign_resume)
 
     campaign_status = campaign_sub.add_parser(
         "status",
@@ -691,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_parser.add_argument("recipe", help="path to a recipe JSON")
     replay_parser.add_argument(
-        "--model", default=None, choices=list(_available_models()),
+        "--model", default=None, choices=list(available_models()),
         help="override the recipe's recorded execution model",
     )
     replay_parser.add_argument(
@@ -711,39 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument("--output", default="EXPERIMENTS.md")
     report_parser.set_defaults(func=_cmd_report)
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the state-machine-replication service "
-        "(examples/state_machine_replication.py), optionally as real OS "
-        "processes over localhost TCP",
-    )
-    serve_parser.add_argument("--replicas", type=int, default=36)
-    serve_parser.add_argument("--slots", type=int, default=4)
-    serve_parser.add_argument(
-        "--transport", default=None, choices=list(_available_transports()),
-        help="where the replicas execute (default: in-process)",
-    )
-    serve_parser.add_argument(
-        "--processes-per-worker", type=int, default=None, metavar="K",
-        help="TCP transport: replicas hosted per OS worker process",
-    )
-    serve_parser.add_argument("--seed", type=int, default=77)
-    serve_parser.add_argument(
-        "--adversary", default="alternate",
-        choices=("alternate", "silence", "random", "none"),
-    )
-    serve_parser.add_argument(
-        "--verify-replay", action="store_true",
-        help="record every slot and assert it replays in-process to the "
-        "identical fingerprint",
-    )
-    serve_parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the run summary (incl. per-link transport metrics) "
-        "as JSON",
-    )
-    serve_parser.set_defaults(func=_cmd_serve)
 
     return parser
 

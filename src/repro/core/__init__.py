@@ -37,10 +37,8 @@ from .multivalued import (
 from .spreading import SpreadingResult, SpreadingState, group_bits_spreading
 from .tradeoff import (
     ParamOmissions,
-    TradeoffPoint,
     run_tradeoff_consensus,
     super_partition,
-    sweep_tradeoff,
 )
 from .voting import VoteOutcome, apply_vote_rule
 
@@ -58,10 +56,8 @@ __all__ = [
     "epoch_rounds",
     "optimal_epochs_and_dissemination",
     "ParamOmissions",
-    "TradeoffPoint",
     "run_tradeoff_consensus",
     "super_partition",
-    "sweep_tradeoff",
     "group_bits_aggregation",
     "ConsensusRun",
     "OptimalOmissionsConsensus",

@@ -221,9 +221,9 @@ def run_multivalued_consensus(
 ):
     """Run multi-valued consensus end to end.
 
-    Thin wrapper over :func:`repro.harness.execute`; the returned
-    :class:`repro.core.consensus.ConsensusRun` still unpacks as the
-    historical ``(result, processes)`` tuple.
+    Thin wrapper over :func:`repro.harness.execute`; returns a
+    :class:`repro.core.consensus.ConsensusRun` (named ``result`` /
+    ``processes`` fields — it does not unpack as a tuple).
     """
     from ..harness import execute
 

@@ -25,7 +25,6 @@ one value in the system after the first reliable super-process's phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Any
 
@@ -313,43 +312,3 @@ def run_tradeoff_consensus(
         observers=observers,
         x=x,
     )
-
-
-@dataclass
-class TradeoffPoint:
-    """One sweep point of the Theorem-3 trade-off curve."""
-
-    x: int
-    rounds: int
-    random_bits: int
-    random_calls: int
-    bits_sent: int
-    decision: Any
-
-
-def sweep_tradeoff(
-    inputs: Sequence[int],
-    xs: Sequence[int],
-    adversary_factory=None,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-) -> list[TradeoffPoint]:
-    """Run Algorithm 4 for each x and collect the (T, R) trade-off points."""
-    points = []
-    for x in xs:
-        adversary = adversary_factory() if adversary_factory is not None else None
-        run = run_tradeoff_consensus(
-            inputs, x, adversary=adversary, params=params, seed=seed
-        )
-        metrics = run.metrics
-        points.append(
-            TradeoffPoint(
-                x=x,
-                rounds=metrics.rounds,
-                random_bits=metrics.random_bits,
-                random_calls=metrics.random_calls,
-                bits_sent=metrics.bits_sent,
-                decision=run.decision,
-            )
-        )
-    return points

@@ -37,16 +37,14 @@ def _phase_king_budget(n: int, params: ProtocolParams) -> int:
 # ---------------------------------------------------------------------------
 # The paper's algorithms.
 def _build_algorithm1(request: ExecutionConfig):
-    params = request.params
-    t = request.t if request.t is not None else params.max_faults(request.n)
     processes = build_processes(
         request.inputs,
-        t=t,
-        params=params,
+        t=request.t,
+        params=request.params,
         graph_seed=request.graph_seed,
         num_epochs=request.option("num_epochs"),
     )
-    return processes, t
+    return processes, request.t
 
 
 register_protocol(
@@ -76,7 +74,6 @@ def _build_tradeoff(request: ExecutionConfig):
         )
         for pid in range(request.n)
     ]
-    # Theorem 8 halves the fault tolerance; the processes know their budget.
     return processes, processes[0].t
 
 
@@ -90,27 +87,29 @@ register_protocol(
         summary="Algorithm 4: time vs randomness trade-off (x super-processes)",
         build=_build_tradeoff,
         default_max_rounds=500_000,
+        # Theorem 8 halves the fault tolerance: ParamOmissions must see an
+        # unset budget to derive t < n/60 itself, while campaign cells keep
+        # building adversaries against Algorithm 1's default.
+        derives_own_t=True,
         record_extras=_tradeoff_extras,
     )
 )
 
 
 def _build_early_stopping(request: ExecutionConfig):
-    params = request.params
-    t = request.t if request.t is not None else params.max_faults(request.n)
     processes = [
         EarlyStoppingConsensus(
             pid,
             request.n,
             request.inputs[pid],
-            t=t,
-            params=params,
+            t=request.t,
+            params=request.params,
             graph_seed=request.graph_seed,
             num_epochs=request.option("num_epochs"),
         )
         for pid in range(request.n)
     ]
-    return processes, t
+    return processes, request.t
 
 
 def _early_stopping_extras(
@@ -135,8 +134,6 @@ register_protocol(
 
 
 def _build_multivalued(request: ExecutionConfig):
-    params = request.params
-    t = request.t if request.t is not None else params.max_faults(request.n)
     value_bits = int(request.option("value_bits", 1))
     processes = [
         MultiValuedConsensus(
@@ -144,13 +141,13 @@ def _build_multivalued(request: ExecutionConfig):
             request.n,
             request.inputs[pid],
             value_bits,
-            t=t,
-            params=params,
+            t=request.t,
+            params=request.params,
             graph_seed=request.graph_seed,
         )
         for pid in range(request.n)
     ]
-    return processes, t
+    return processes, request.t
 
 
 def _multivalued_extras(run: Any, request: ExecutionConfig) -> dict[str, Any]:
@@ -171,13 +168,6 @@ register_protocol(
 # ---------------------------------------------------------------------------
 # Baselines.
 def _build_ben_or(request: ExecutionConfig):
-    # run_ben_or's own default is t=0 (passed explicitly by the wrapper);
-    # a None budget means "campaign default", matching default_t below.
-    t = (
-        request.t
-        if request.t is not None
-        else _baseline_budget(request.n, request.params)
-    )
     coin_pids = request.option("coin_pids")
     processes = [
         BenOrVotingProcess(
@@ -190,7 +180,7 @@ def _build_ben_or(request: ExecutionConfig):
         )
         for pid in range(request.n)
     ]
-    return processes, t
+    return processes, request.t
 
 
 register_protocol(
@@ -204,16 +194,11 @@ register_protocol(
 
 
 def _build_phase_king(request: ExecutionConfig):
-    t = (
-        request.t
-        if request.t is not None
-        else _phase_king_budget(request.n, request.params)
-    )
     processes = [
-        PhaseKingProcess(pid, request.n, request.inputs[pid], t)
+        PhaseKingProcess(pid, request.n, request.inputs[pid], request.t)
         for pid in range(request.n)
     ]
-    return processes, t
+    return processes, request.t
 
 
 register_protocol(
@@ -227,16 +212,11 @@ register_protocol(
 
 
 def _build_dolev_strong(request: ExecutionConfig):
-    t = (
-        request.t
-        if request.t is not None
-        else _baseline_budget(request.n, request.params)
-    )
     processes = [
-        DolevStrongProcess(pid, request.n, request.inputs[pid], t)
+        DolevStrongProcess(pid, request.n, request.inputs[pid], request.t)
         for pid in range(request.n)
     ]
-    return processes, t
+    return processes, request.t
 
 
 register_protocol(
@@ -250,11 +230,6 @@ register_protocol(
 
 
 def _build_trb(request: ExecutionConfig):
-    t = (
-        request.t
-        if request.t is not None
-        else _baseline_budget(request.n, request.params)
-    )
     sender = int(request.option("sender", 0))
     value = request.option("value", 1)
     processes = [
@@ -262,12 +237,12 @@ def _build_trb(request: ExecutionConfig):
             pid,
             request.n,
             sender,
-            t,
+            request.t,
             value=value if pid == sender else None,
         )
         for pid in range(request.n)
     ]
-    return processes, t
+    return processes, request.t
 
 
 def _trb_extras(run: Any, request: ExecutionConfig) -> dict[str, Any]:
@@ -296,14 +271,13 @@ register_protocol(
 
 
 def _build_collectors(request: ExecutionConfig):
-    t = request.t if request.t is not None else 0
     quorum = int(
         request.option("quorum", max(1, (request.n - 1) // 2))
     )
     processes = [
         DoublingCollector(pid, request.n, quorum) for pid in range(request.n)
     ]
-    return processes, t
+    return processes, request.t
 
 
 register_protocol(
@@ -311,6 +285,9 @@ register_protocol(
         name="collectors",
         summary="Section-B.3 doubling collectors (amortization experiment)",
         build=_build_collectors,
+        # The amortization experiment chooses its faults per run; nothing
+        # is tolerated unless the caller asks.
+        default_t=lambda n, params: 0,
         # Per-process decisions differ by design, so the campaign's
         # agreement check would reject it; run it through execute() instead.
         sweepable=False,

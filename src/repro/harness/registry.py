@@ -9,16 +9,16 @@ registry — so registering a protocol makes it sweepable everywhere at
 once.
 
 A spec's ``build`` receives an :class:`ExecutionConfig` (the normalized
-run description) and returns ``(processes, t)`` — the process list and
-the network fault budget, which lets protocols like Algorithm 4 derive
-their own budget.  :func:`run_config` then drives one :class:`SyncNetwork`
+run description, its ``t`` already resolved by :meth:`ProtocolSpec.resolve_t`)
+and returns ``(processes, t)`` — the process list and the network fault
+budget.  :func:`run_config` then drives one :class:`SyncNetwork`
 with the caller's adversary and observers and wraps the outcome in a
 :class:`repro.core.consensus.ConsensusRun`.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, asdict, dataclass, fields
+from dataclasses import KW_ONLY, asdict, dataclass, fields, replace
 from types import MappingProxyType
 from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
@@ -156,14 +156,15 @@ class ProtocolSpec:
         One-line description for ``--help`` output and docs.
     build:
         Factory turning an :class:`ExecutionConfig` into
-        ``(processes, t)``.
+        ``(processes, t)``.  The config's ``t`` is never ``None`` unless
+        the spec sets ``derives_own_t``.
     default_max_rounds:
         Engine round cap when the caller does not override it.
     default_t:
-        Default fault budget for (n, params) — used by sweep drivers to
-        construct adversaries before the processes exist, and recorded in
-        campaign cells.  It may differ from the budget ``build`` returns
-        (Algorithm 4 halves its tolerance internally).
+        Default fault budget for (n, params); ``None`` means
+        ``params.max_faults(n)``.  The one budget rule: a run whose ``t``
+        is unset gets it, sweep drivers construct adversaries with it
+        before the processes exist, and campaign cells record it.
     record_extras:
         Optional ``(run, request) -> dict`` merged into campaign records
         (e.g. early stopping's ``exit_epochs``).
@@ -174,6 +175,10 @@ class ProtocolSpec:
     uses_inputs:
         Whether ``build`` consumes a per-process input vector; protocols
         like TRB derive everything from ``n`` and options.
+    derives_own_t:
+        ``build`` is handed an unset ``t`` as ``None`` and returns the
+        budget the processes derived themselves, which may then differ
+        from ``default_t`` (Algorithm 4 halves its tolerance, Theorem 8).
     """
 
     name: str
@@ -186,12 +191,20 @@ class ProtocolSpec:
     )
     sweepable: bool = True
     uses_inputs: bool = True
+    derives_own_t: bool = False
 
     def campaign_t(self, n: int, params: ProtocolParams) -> int:
         """The fault budget a campaign cell uses for adversary construction."""
         if self.default_t is not None:
             return self.default_t(n, params)
         return params.max_faults(n)
+
+    def resolve_t(self, config: ExecutionConfig) -> ExecutionConfig:
+        """*config* as ``build`` sees it: an unset ``t`` becomes the default
+        budget, unless the protocol derives its own."""
+        if config.t is not None or self.derives_own_t:
+            return config
+        return replace(config, t=self.campaign_t(config.n, config.params))
 
 
 #: Version of the campaign cell record *content*: what ``_run_cell``
@@ -341,7 +354,9 @@ def run_config(
         spec = protocol_spec(config.protocol)
     if spec.uses_inputs and config.inputs is None:
         raise ValueError(f"protocol {spec.name!r} needs an input vector")
-    processes, budget = spec.build(config)
+    # ``build`` gets the resolved budget; the run keeps the config as the
+    # caller wrote it, so recipes and cell identities do not move.
+    processes, budget = spec.build(spec.resolve_t(config))
     network = SyncNetwork(
         processes,
         adversary=adversary,

@@ -11,7 +11,6 @@ Run it as ``python -m repro.lint [paths]``; use programmatically via
 :func:`lint_paths` / :func:`lint_source`.
 """
 
-from .baseline import Baseline, write_baseline
 from .context import ModuleContext, Project
 from .engine import (
     PARSE_ERROR_CODE,
@@ -27,7 +26,6 @@ from .rules import Rule, all_rules, register_rule, rule_for
 
 __all__ = [
     "PARSE_ERROR_CODE",
-    "Baseline",
     "Finding",
     "LintReport",
     "ModuleContext",
@@ -41,5 +39,4 @@ __all__ = [
     "lint_source",
     "register_rule",
     "rule_for",
-    "write_baseline",
 ]

@@ -1,7 +1,8 @@
 """Command line for the repro linter: ``python -m repro.lint [paths]``.
 
-Exit codes: 0 — no new findings; 1 — new findings (or a file failed to
-parse); 2 — usage error.  ``--format github`` emits workflow annotation
+Exit codes: 0 — no findings; 1 — findings (or a file failed to parse);
+2 — usage error.  Every finding fails the run; the only waiver is a line
+pragma with its reason (docs/lint.md).  ``--format github`` emits workflow annotation
 commands so CI failures land on the offending lines in the diff view.
 """
 
@@ -12,13 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .baseline import Baseline, write_baseline
 from .engine import LintReport, lint_paths
 from .findings import Finding
 from .rules import all_rules
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,29 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE}; missing file = empty baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file; report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather all current findings",
-    )
-    parser.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="include baselined findings in text output",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list rule codes and exit",
@@ -78,37 +54,26 @@ def _default_paths() -> list[str]:
     return present or ["."]
 
 
-def _format_text(report: LintReport, show_baselined: bool) -> str:
-    lines = []
-    for finding in report.findings:
-        if finding.baselined and not show_baselined:
-            continue
-        tag = " (baselined)" if finding.baselined else ""
-        lines.append(
-            f"{finding.path}:{finding.line}:{finding.col + 1}: "
-            f"{finding.code} {finding.message}{tag}"
-        )
-    new, old = len(report.new), len(report.baselined)
+def _format_text(report: LintReport) -> str:
+    lines = [
+        f"{finding.path}:{finding.line}:{finding.col + 1}: "
+        f"{finding.code} {finding.message}"
+        for finding in report.findings
+    ]
     lines.append(
-        f"{report.files_checked} files checked: {new} new finding(s), "
-        f"{old} baselined"
+        f"{report.files_checked} files checked: "
+        f"{len(report.findings)} finding(s)"
     )
     return "\n".join(lines)
 
 
 def _format_github(report: LintReport) -> str:
     lines = []
-    for finding in report.new:
+    for finding in report.findings:
         message = finding.message.replace("\n", " ")
         lines.append(
             f"::error file={finding.path},line={finding.line},"
             f"col={finding.col + 1},title={finding.code}::{message}"
-        )
-    for finding in report.baselined:
-        message = finding.message.replace("\n", " ")
-        lines.append(
-            f"::warning file={finding.path},line={finding.line},"
-            f"col={finding.col + 1},title={finding.code} (baselined)::{message}"
         )
     return "\n".join(lines)
 
@@ -121,16 +86,13 @@ def _finding_payload(finding: Finding) -> dict[str, object]:
         "code": finding.code,
         "message": finding.message,
         "fingerprint": finding.fingerprint,
-        "baselined": finding.baselined,
     }
 
 
 def _format_json(report: LintReport) -> str:
     payload = {
-        "version": 1,
+        "version": 2,
         "files_checked": report.files_checked,
-        "new": len(report.new),
-        "baselined": len(report.baselined),
         "findings": [_finding_payload(f) for f in report.findings],
     }
     return json.dumps(payload, indent=2)
@@ -150,25 +112,10 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         parser.error(f"no such path: {', '.join(missing)}")
 
-    baseline: Baseline | None = None
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except (ValueError, json.JSONDecodeError) as exc:
-            parser.error(str(exc))
-
-    report = lint_paths(paths, baseline=baseline)
-
-    if args.update_baseline:
-        target = Path(args.baseline)
-        write_baseline(target, report.findings)
-        print(
-            f"wrote {len(report.findings)} finding(s) to baseline {target}"
-        )
-        return 0
+    report = lint_paths(paths)
 
     if args.format == "text":
-        print(_format_text(report, show_baselined=args.show_baselined))
+        print(_format_text(report))
     elif args.format == "github":
         output = _format_github(report)
         if output:

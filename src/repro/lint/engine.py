@@ -1,5 +1,4 @@
-"""Lint engine: file collection, rule dispatch, pragma and baseline
-filtering.
+"""Lint engine: file collection, rule dispatch and pragma filtering.
 
 The engine is deterministic by construction — files are walked in sorted
 order and findings are sorted by position — so two runs over the same
@@ -13,7 +12,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import Baseline
 from .context import ModuleContext, Project
 from .findings import Finding
 from .rules import Rule, all_rules
@@ -33,16 +31,8 @@ class LintReport:
     files_checked: int = 0
 
     @property
-    def new(self) -> list[Finding]:
-        return [f for f in self.findings if not f.baselined]
-
-    @property
-    def baselined(self) -> list[Finding]:
-        return [f for f in self.findings if f.baselined]
-
-    @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.findings
 
 
 def collect_files(paths: Sequence[Path | str]) -> list[Path]:
@@ -62,7 +52,6 @@ def collect_files(paths: Sequence[Path | str]) -> list[Path]:
 def lint_modules(
     modules: Iterable[ModuleContext],
     rules: Sequence[Rule] | None = None,
-    baseline: Baseline | None = None,
 ) -> LintReport:
     """Run *rules* over prepared modules; the core of every entry point."""
     active = list(rules) if rules is not None else all_rules()
@@ -92,9 +81,6 @@ def lint_modules(
             if not module.pragmas.suppresses(finding.code, finding.line)
         )
     findings.sort(key=Finding.sort_key)
-    if baseline is not None:
-        new, baselined = baseline.partition(findings)
-        findings = sorted(new + baselined, key=Finding.sort_key)
     return LintReport(findings=findings, files_checked=len(project.modules))
 
 
@@ -102,12 +88,11 @@ def lint_paths(
     paths: Sequence[Path | str],
     root: Path | None = None,
     rules: Sequence[Rule] | None = None,
-    baseline: Baseline | None = None,
 ) -> LintReport:
     """Lint every ``.py`` file reachable from *paths*."""
     files = collect_files(paths)
     modules = [ModuleContext.from_path(file, root=root) for file in files]
-    return lint_modules(modules, rules=rules, baseline=baseline)
+    return lint_modules(modules, rules=rules)
 
 
 def lint_source(

@@ -1,16 +1,15 @@
 """Finding records produced by lint rules.
 
 A :class:`Finding` pins a rule violation to a file position and carries a
-*fingerprint* — a stable hash of ``(path, code, normalized source line)``.
-Baselines key on fingerprints rather than line numbers so that unrelated
-edits above a grandfathered finding do not invalidate the baseline entry,
-while any edit to the offending line itself surfaces the finding again.
+*fingerprint* — a stable hash of ``(path, code, normalized source line)``,
+so a consumer of the JSON report can follow one finding across unrelated
+edits above it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,15 +34,12 @@ class Finding:
     source_line: str = ""
     """Verbatim text of the offending line (used for fingerprinting)."""
 
-    baselined: bool = False
-    """True when a committed baseline entry grandfathers this finding."""
-
     @property
     def fingerprint(self) -> str:
         """Stable identity of the finding, independent of line numbers.
 
         Whitespace inside the source line is collapsed so reindentation
-        alone does not churn the baseline.
+        alone does not change it.
         """
         normalized = " ".join(self.source_line.split())
         digest = hashlib.blake2b(
@@ -51,9 +47,6 @@ class Finding:
             digest_size=8,
         )
         return digest.hexdigest()
-
-    def as_baselined(self) -> Finding:
-        return replace(self, baselined=True)
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)

@@ -2,7 +2,7 @@
 
 Rules are singletons keyed by code (``REPxxx``).  Each rule declares which
 modules it applies to and yields :class:`~.findings.Finding` records; the
-engine handles pragma suppression and baselines, so rules stay pure.
+engine handles pragma suppression, so rules stay pure.
 """
 
 from __future__ import annotations

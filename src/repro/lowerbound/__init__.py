@@ -38,7 +38,7 @@ from .rollout_adversary import (
     KeepSilencingFaulty,
     RolloutConfig,
     RolloutValencyAdversary,
-    ScriptedAdversary,
+    replay_prefix,
 )
 from .tradeoff_attack import (
     AttackPoint,
@@ -89,7 +89,7 @@ __all__ = [
     "KeepSilencingFaulty",
     "RolloutConfig",
     "RolloutValencyAdversary",
-    "ScriptedAdversary",
+    "replay_prefix",
     "AttackPoint",
     "BalancingCrashAdversary",
     "measure_tradeoff_product",

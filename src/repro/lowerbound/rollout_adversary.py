@@ -28,10 +28,10 @@ import random
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
+from ..adversary import ScriptedAdversary, SequentialAdversary
 from ..runtime import (
     Adversary,
     AdversaryAction,
-    AdversaryContext,
     NetworkView,
     SyncNetwork,
     SyncProcess,
@@ -55,33 +55,28 @@ class KeepSilencingFaulty(Adversary):
         )
 
 
-class ScriptedAdversary(Adversary):
-    """Replay a recorded action prefix, then follow a fallback policy."""
+def replay_prefix(
+    prefix: Sequence[AdversaryAction], fallback: Adversary | None = None
+) -> Adversary:
+    """Replay a recorded action prefix, then follow a fallback policy
+    (default: :class:`KeepSilencingFaulty`).
 
-    def __init__(
-        self,
-        script: Sequence[AdversaryAction],
-        fallback: Adversary | None = None,
-    ) -> None:
-        self.script = list(script)
-        self.fallback = (
-            fallback if fallback is not None else KeepSilencingFaulty()
-        )
-
-    def setup(self, ctx: AdversaryContext) -> None:
-        self.fallback.setup(ctx)
-
-    def act(self, view: NetworkView) -> AdversaryAction:
-        if view.round < len(self.script):
-            action = self.script[view.round]
-            # Re-validate omissions against THIS run's message list: the
-            # prefix is replayed on identical executions, but clamping
-            # keeps a stale script from crashing a divergent rollout.
-            omit = frozenset(
-                index for index in action.omit if index < len(view.messages)
-            )
-            return AdversaryAction(corrupt=action.corrupt, omit=omit)
-        return self.fallback.act(view)
+    The prefix replays leniently: it is re-run on identical executions,
+    but a stale script must weaken, not crash, a divergent rollout.
+    """
+    return SequentialAdversary(
+        [
+            ScriptedAdversary(
+                [
+                    (round_no, action.corrupt, action.omit)
+                    for round_no, action in enumerate(prefix)
+                ],
+                strict=False,
+            ),
+            fallback if fallback is not None else KeepSilencingFaulty(),
+        ],
+        boundaries=[len(prefix)],
+    )
 
 
 def _silence_action(
@@ -157,7 +152,7 @@ class RolloutValencyAdversary(Adversary):
         for _rollout_index in range(self.config.rollouts):
             self.evaluations += 1
             processes = self.process_factory()
-            scripted = ScriptedAdversary(prefix)
+            scripted = replay_prefix(prefix)
             fork_seed = self._rng.getrandbits(48)
             # Rollout forks replay a recorded prefix with reseed_at,
             # below the harness surface: a designated engine fixture.

@@ -8,12 +8,11 @@ re-run it, but the recipe also carries an expected fingerprint (the full
 :func:`repro.runtime.result_to_dict` payload of the recorded run, or the
 invariant violation the run tripped) so a replay can verify itself.
 
-Recipes are plain JSON artifacts, schema-tagged like every payload written
-by :mod:`repro.runtime.serialization` (which re-exports
-:func:`recipe_payload` / :func:`recipe_from_payload` as
-``recipe_to_dict`` / ``recipe_from_dict``).  They are what the chaos-fuzz
-suite saves when a run violates an invariant, what the shrinker minimizes,
-and what ``python -m repro.cli replay`` consumes.
+Recipes are plain JSON artifacts (:func:`recipe_payload` /
+:func:`recipe_from_payload`), schema-tagged like every payload written by
+:mod:`repro.runtime.serialization`.  They are what the chaos-fuzz suite
+saves when a run violates an invariant, what the shrinker minimizes, and
+what ``python -m repro.cli replay`` consumes.
 """
 
 from __future__ import annotations

@@ -80,8 +80,6 @@ from .serialization import (
     load_result,
     metrics_from_dict,
     metrics_to_dict,
-    recipe_from_dict,
-    recipe_to_dict,
     result_from_dict,
     result_to_dict,
     save_result,
@@ -140,8 +138,6 @@ __all__ = [
     "load_result",
     "metrics_from_dict",
     "metrics_to_dict",
-    "recipe_from_dict",
-    "recipe_to_dict",
     "result_from_dict",
     "result_to_dict",
     "save_result",

@@ -1,4 +1,4 @@
-"""JSON serialization of execution results, traces, and recipes.
+"""JSON serialization of execution results and traces.
 
 Long experiment campaigns want to run once and analyze offline;
 this module round-trips the substrate's result objects through plain JSON:
@@ -8,8 +8,6 @@ this module round-trips the substrate's result objects through plain JSON:
   per-process randomness, decision rounds);
 * :func:`trace_to_dict` — a :class:`TraceRecorder`'s round records
   (one-way: traces are diagnostic output, not protocol state);
-* :func:`recipe_to_dict` / :func:`recipe_from_dict` — the
-  ``repro.replay`` :class:`~repro.replay.ExecutionRecipe` artifact;
 * :func:`save_result` / :func:`load_result` — file helpers.
 
 Every payload carries a ``"schema"`` field (:data:`SCHEMA_VERSION`).  The
@@ -160,28 +158,6 @@ def trace_to_dict(recorder: TraceRecorder) -> dict[str, Any]:
             for trace in recorder.rounds
         ],
     }
-
-
-def recipe_to_dict(recipe: Any) -> dict[str, Any]:
-    """Serialize a ``repro.replay`` :class:`ExecutionRecipe` (schema-tagged).
-
-    Thin indirection so every versioned artifact is writable from one
-    module; the field layout lives with the recipe dataclass itself in
-    :mod:`repro.replay.recipe`.
-    """
-    from ..replay.recipe import recipe_payload
-
-    return recipe_payload(recipe)
-
-
-def recipe_from_dict(data: dict[str, Any]) -> Any:
-    """Rebuild an :class:`ExecutionRecipe` written by :func:`recipe_to_dict`.
-
-    Rejects unknown schema versions with a clear ``ValueError``.
-    """
-    from ..replay.recipe import recipe_from_payload
-
-    return recipe_from_payload(data)
 
 
 def save_result(result: ExecutionResult, path: str | Path) -> None:

@@ -250,18 +250,12 @@ def test_campaign_query_subcommand(tmp_path, capsys):
     assert "hit rate 1.00" in captured
 
 
-def test_campaign_resume_requires_journal(tmp_path):
-    import pytest
-
-    with pytest.raises(SystemExit, match="requires --journal"):
-        main(["campaign", "resume", "--ns", "33", "--seeds", "0",
-              "--output", str(tmp_path / "out.json")])
-
-
 def test_campaign_resume_subcommand(tmp_path, capsys):
+    """Resuming is ``campaign run --journal``; the separate ``resume``
+    subcommand is gone (``test_removed_surfaces``)."""
     journal = tmp_path / "sweep.jsonl"
     argv = [
-        "campaign", "resume",
+        "campaign", "run",
         "--name", "cli-resume",
         "--ns", "33",
         "--adversaries", "none",

@@ -1,9 +1,7 @@
 """Tests for (and via) the consensus-conformance harness."""
 
-from repro.analysis.conformance import (
-    DEFAULT_GALLERY,
-    check_consensus_protocol,
-)
+from repro.adversary import GALLERY
+from repro.analysis.conformance import check_consensus_protocol
 from repro.baselines import DolevStrongProcess, PhaseKingProcess
 from repro.core import EarlyStoppingConsensus, OptimalOmissionsConsensus
 from repro.params import ProtocolParams
@@ -89,7 +87,7 @@ class TestHarnessDetectsBrokenProtocols:
             n=12,
             t=0,
             seeds=(0,),
-            gallery={"none": DEFAULT_GALLERY["none"]},
+            gallery={"none": GALLERY["none"]},
         )
         assert not report.passed
         failures = report.failures()
@@ -118,7 +116,7 @@ class TestHarnessDetectsBrokenProtocols:
             n=12,
             t=0,
             seeds=(0,),
-            gallery={"none": DEFAULT_GALLERY["none"]},
+            gallery={"none": GALLERY["none"]},
         )
         failures = report.failures()
         assert any("validity" in f.failure for f in failures)
@@ -142,7 +140,7 @@ class TestHarnessDetectsBrokenProtocols:
             n=6,
             t=0,
             seeds=(0,),
-            gallery={"none": DEFAULT_GALLERY["none"]},
+            gallery={"none": GALLERY["none"]},
         )
         assert not report.passed
         assert all("correctness" in f.failure for f in report.failures())
@@ -166,6 +164,6 @@ class TestHarnessDetectsBrokenProtocols:
             n=6,
             t=0,
             seeds=(0,),
-            gallery={"none": DEFAULT_GALLERY["none"]},
+            gallery={"none": GALLERY["none"]},
         )
         assert "FAIL" in report.summary()

@@ -354,17 +354,19 @@ def test_custom_protocol_roundtrip():
     from repro.baselines.phase_king import PhaseKingProcess
 
     def build(request):
-        t = request.t if request.t is not None else 1
         return (
             [
-                PhaseKingProcess(pid, request.n, request.inputs[pid], t)
+                PhaseKingProcess(pid, request.n, request.inputs[pid], request.t)
                 for pid in range(request.n)
             ],
-            t,
+            request.t,
         )
 
     name = "test-custom-phase-king"
-    spec = ProtocolSpec(name=name, summary="test", build=build)
+    spec = ProtocolSpec(
+        name=name, summary="test", build=build,
+        default_t=lambda n, params: 1,
+    )
     register_protocol(spec)
     try:
         assert name in available_protocols(sweepable=True)

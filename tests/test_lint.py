@@ -1,8 +1,8 @@
-"""Tests for repro.lint: rules, pragmas, baselines, and the CLI.
+"""Tests for repro.lint: rules, pragmas, and the CLI.
 
 Each rule is demonstrated on a planted violation (findings produced /
-nonzero CLI exit) and on clean code (no findings / zero exit); pragma and
-baseline semantics get their own sections.  Fixture sources are linted
+nonzero CLI exit) and on clean code (no findings / zero exit); pragma
+semantics get their own section.  Fixture sources are linted
 in-memory via :func:`repro.lint.lint_source` with a *relpath* chosen to
 land inside (or outside) each rule's scope.
 """
@@ -14,13 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    Finding,
-    lint_paths,
-    lint_source,
-    write_baseline,
-)
+from repro.lint import Finding, lint_paths, lint_source
 from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -453,8 +447,8 @@ class TestPragmas:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints & baselines
-class TestBaseline:
+# Fingerprints
+class TestFingerprint:
     def make_finding(self, line: int, text: str = "for x in s:") -> Finding:
         return Finding(
             path="src/repro/core/x.py",
@@ -476,36 +470,6 @@ class TestBaseline:
             != self.make_finding(2, "for y in s:").fingerprint
         )
 
-    def test_baselined_finding_not_new(self, tmp_path):
-        finding = self.make_finding(2)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [finding])
-        baseline = Baseline.load(path)
-        new, baselined = baseline.partition([finding])
-        assert new == [] and [f.baselined for f in baselined] == [True]
-
-    def test_duplicate_finding_needs_two_entries(self, tmp_path):
-        # The baseline is a multiset: one entry absolves one occurrence.
-        finding = self.make_finding(2)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [finding])
-        baseline = Baseline.load(path)
-        new, baselined = baseline.partition(
-            [self.make_finding(2), self.make_finding(7)]
-        )
-        assert len(baselined) == 1 and len(new) == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        new, baselined = baseline.partition([self.make_finding(2)])
-        assert len(new) == 1 and baselined == []
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"schema": 99, "findings": []}')
-        with pytest.raises(ValueError, match="schema"):
-            Baseline.load(path)
-
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -523,20 +487,20 @@ DIRTY = "s = {1, 2}\nfor x in s:\n    print(x)\n"
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         plant_tree(tmp_path, CLEAN)
-        exit_code = lint_main([str(tmp_path), "--no-baseline"])
+        exit_code = lint_main([str(tmp_path)])
         assert exit_code == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_planted_violation_exits_nonzero(self, tmp_path, capsys):
         plant_tree(tmp_path, DIRTY)
-        exit_code = lint_main([str(tmp_path), "--no-baseline"])
+        exit_code = lint_main([str(tmp_path)])
         assert exit_code == 1
         assert "REP003" in capsys.readouterr().out
 
     def test_github_format_emits_error_annotations(self, tmp_path, capsys):
         plant_tree(tmp_path, DIRTY)
         exit_code = lint_main(
-            [str(tmp_path), "--no-baseline", "--format", "github"]
+            [str(tmp_path), "--format", "github"]
         )
         out = capsys.readouterr().out
         assert exit_code == 1
@@ -545,39 +509,45 @@ class TestCli:
     def test_json_format_shape(self, tmp_path, capsys):
         plant_tree(tmp_path, DIRTY)
         exit_code = lint_main(
-            [str(tmp_path), "--no-baseline", "--format", "json"]
+            [str(tmp_path), "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 1
-        assert payload["version"] == 1
-        assert payload["new"] == 1 and payload["baselined"] == 0
+        assert payload["version"] == 2
         (finding,) = payload["findings"]
         assert finding["code"] == "REP003"
-        assert finding["line"] == 2 and not finding["baselined"]
+        assert finding["line"] == 2
         assert isinstance(finding["fingerprint"], str)
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys, monkeypatch):
-        plant_tree(tmp_path, DIRTY)
-        monkeypatch.chdir(tmp_path)
-        assert lint_main(["src", "--update-baseline"]) == 0
+    def test_only_a_pragma_waives_a_finding(self, tmp_path, capsys):
+        """No baseline, no flag: a finding fails the run until the line
+        itself carries a pragma."""
+        module = plant_tree(tmp_path, DIRTY)
+        for flag in ("--baseline", "--no-baseline", "--update-baseline",
+                     "--show-baselined"):
+            with pytest.raises(SystemExit) as excinfo:
+                lint_main([str(tmp_path), flag])
+            assert excinfo.value.code == 2
+        assert lint_main([str(tmp_path)]) == 1
+        module.write_text(
+            DIRTY.replace(
+                "for x in s:",
+                "for x in s:  # repro-lint: disable=REP003 (order unused)",
+            )
+        )
         capsys.readouterr()
-        # Grandfathered finding no longer fails the run...
-        assert lint_main(["src"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # ...but a new violation alongside it still does.
-        extra = tmp_path / "src" / "repro" / "core" / "fresh.py"
-        extra.write_text(DIRTY)
-        assert lint_main(["src"]) == 1
+        assert lint_main([str(tmp_path)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_syntax_error_reported_and_fails(self, tmp_path, capsys):
         plant_tree(tmp_path, "def broken(:\n")
-        exit_code = lint_main([str(tmp_path), "--no-baseline"])
+        exit_code = lint_main([str(tmp_path)])
         assert exit_code == 1
         assert "REP000" in capsys.readouterr().out
 
     def test_missing_path_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            lint_main([str(tmp_path / "nope"), "--no-baseline"])
+            lint_main([str(tmp_path / "nope")])
         assert excinfo.value.code == 2
 
     def test_list_rules(self, capsys):
@@ -594,10 +564,7 @@ class TestCli:
 # ---------------------------------------------------------------------------
 # The repo itself stays clean (the same gate CI enforces).
 def test_repo_sources_have_no_new_findings():
-    baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-    report = lint_paths(
-        [REPO_ROOT / "src" / "repro"], root=REPO_ROOT, baseline=baseline
-    )
-    assert report.new == [], [
-        f"{f.path}:{f.line} {f.code} {f.message}" for f in report.new
+    report = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    assert report.findings == [], [
+        f"{f.path}:{f.line} {f.code} {f.message}" for f in report.findings
     ]

@@ -63,10 +63,37 @@ def test_removed_call_shape_raises(surface):
         ("repro.analysis.campaign", "record_cell_key"),
         ("repro.transport", "default_transport_name"),
         ("repro.cli", "ADVERSARIES"),
+        # One sweep driver, one gallery: `measure` + `repro.adversary.GALLERY`.
+        ("repro.analysis", "measure_consensus_scaling"),
+        ("repro.analysis", "measure_tradeoff_scaling"),
+        ("repro.analysis", "measure_dolev_strong"),
+        ("repro.analysis", "measure_phase_king"),
+        ("repro.analysis", "measure_ben_or"),
+        ("repro.analysis.experiments", "balancing_adversary"),
+        ("repro.core", "sweep_tradeoff"),
+        ("repro.core", "TradeoffPoint"),
+        ("repro.analysis.campaign", "ADVERSARY_FACTORIES"),
+        ("repro.analysis.conformance", "DEFAULT_GALLERY"),
+        ("repro.runtime", "recipe_to_dict"),
+        ("repro.runtime", "recipe_from_dict"),
+        ("repro.lowerbound", "ScriptedAdversary"),
+        ("repro.lint", "Baseline"),
     ],
 )
 def test_removed_name_is_not_importable(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize(
+    "argv", [["serve", "--replicas", "12"], ["campaign", "resume"]], ids=" ".join
+)
+def test_cli_subcommand_is_gone(argv, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_resume_alias_is_gone(capsys):

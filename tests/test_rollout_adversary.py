@@ -6,7 +6,7 @@ from repro.lowerbound import (
     KeepSilencingFaulty,
     RolloutConfig,
     RolloutValencyAdversary,
-    ScriptedAdversary,
+    replay_prefix,
 )
 from repro.runtime import SyncNetwork
 
@@ -62,7 +62,7 @@ class TestScriptedAdversary:
         script = [action for _, action in recording.actions]
         replay_network = SyncNetwork(
             make_processes(),
-            adversary=ScriptedAdversary(script),
+            adversary=replay_prefix(script),
             t=T,
             seed=4,
         )
@@ -84,7 +84,7 @@ class TestScriptedAdversary:
         script = [action for _, action in recording.actions][:2]
         replay_network = SyncNetwork(
             make_processes(),
-            adversary=ScriptedAdversary(script, KeepSilencingFaulty()),
+            adversary=replay_prefix(script, KeepSilencingFaulty()),
             t=1,
             seed=5,
         )

@@ -93,9 +93,15 @@ class TestResultRoundTrip:
 
 class TestRecipeSerialization:
     def test_round_trip_through_runtime_wrappers(self):
+        """The recipe payload is ``repro.replay``'s; ``repro.runtime`` no
+        longer wraps it (``test_removed_surfaces``)."""
         from repro.harness import ExecutionConfig
-        from repro.replay import ExecutionRecipe, RecordedAction
-        from repro.runtime import recipe_from_dict, recipe_to_dict
+        from repro.replay import (
+            ExecutionRecipe,
+            RecordedAction,
+            recipe_from_payload,
+            recipe_payload,
+        )
 
         recipe = ExecutionRecipe(
             config=ExecutionConfig(
@@ -104,23 +110,23 @@ class TestRecipeSerialization:
             actions=(RecordedAction(round=0, corrupt=(2,), omit=(0, 5)),),
             note="unit",
         )
-        payload = json.loads(json.dumps(recipe_to_dict(recipe)))
+        payload = json.loads(json.dumps(recipe_payload(recipe)))
         assert payload["schema"] == 2
         assert payload["kind"] == "execution-recipe"
-        rebuilt = recipe_from_dict(payload)
+        rebuilt = recipe_from_payload(payload)
         assert rebuilt == recipe
 
     def test_unknown_schema_rejected(self):
-        from repro.runtime import recipe_from_dict
+        from repro.replay import recipe_from_payload
 
         with pytest.raises(ValueError, match="recipe schema"):
-            recipe_from_dict({"schema": 999, "kind": "execution-recipe"})
+            recipe_from_payload({"schema": 999, "kind": "execution-recipe"})
 
     def test_non_recipe_payload_rejected(self):
-        from repro.runtime import recipe_from_dict
+        from repro.replay import recipe_from_payload
 
         with pytest.raises(ValueError, match="not an execution recipe"):
-            recipe_from_dict(result_to_dict(sample_result()))
+            recipe_from_payload(result_to_dict(sample_result()))
 
 
 class TestTraceSerialization:

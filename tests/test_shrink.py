@@ -47,7 +47,7 @@ def _build(request):
         BuggyMajority(pid, request.n, bit)
         for pid, bit in enumerate(request.inputs)
     ]
-    return processes, request.t if request.t is not None else 4
+    return processes, request.t
 
 
 register_protocol(
@@ -56,6 +56,7 @@ register_protocol(
         summary="test-only planted agreement bug (broadcast majority)",
         build=_build,
         default_max_rounds=10,
+        default_t=lambda n, params: 4,
         sweepable=False,
     ),
     replace=True,

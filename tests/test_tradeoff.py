@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary import SilenceAdversary, VoteBalancingAdversary
-from repro.core import run_tradeoff_consensus, super_partition, sweep_tradeoff
+from repro.analysis import measure
+from repro.core import run_tradeoff_consensus, super_partition
 from repro.params import ProtocolParams
 
 PARAMS = ProtocolParams.practical()
@@ -89,25 +90,32 @@ class TestCorrectness:
             assert run.decision in (0, 1)
 
 
+def sweep(n, xs, seed):
+    """One ``measure`` point per super-process count."""
+    return [
+        measure("tradeoff", [n], seed=seed, options={"x": x})[0] for x in xs
+    ]
+
+
 class TestTradeoffShape:
     def test_randomness_decreases_with_x(self):
         """Theorem 3's dial: more super-processes => fewer random bits
         (peak at x=1, exactly zero at x=n; the tail may wiggle by a few
         per-epoch coins in tiny groups)."""
-        points = sweep_tradeoff(mixed(64), [1, 4, 16, 64], seed=8)
+        points = sweep(64, [1, 4, 16, 64], seed=8)
         randomness = [point.random_bits for point in points]
         assert randomness[0] == max(randomness)
         assert randomness[-1] == 0  # singleton phases are deterministic
         assert all(r < randomness[0] for r in randomness[1:])
 
     def test_rounds_increase_with_x(self):
-        points = sweep_tradeoff(mixed(64), [1, 4, 16, 64], seed=8)
+        points = sweep(64, [1, 4, 16, 64], seed=8)
         rounds = [point.rounds for point in points]
         assert rounds[0] == min(rounds)
         assert rounds[-1] > 4 * rounds[0]
 
     def test_decisions_consistent_fields(self):
-        points = sweep_tradeoff(mixed(32), [2, 8], seed=9)
+        points = sweep(32, [2, 8], seed=9)
         for point in points:
             assert point.decision in (0, 1)
             assert point.bits_sent > 0
