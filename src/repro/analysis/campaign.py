@@ -1,10 +1,10 @@
-"""Batch experiment campaigns: cached, sharded grid sweeps with resume.
+"""Batch experiment campaigns: cached grid sweeps with resume.
 
-For parameter studies at any scale: declare a grid over (protocol, n,
-adversary, seeds) as a :class:`CampaignSpec`, run it across a
-work-stealing worker fabric, and serve every previously computed cell
-from a content-addressed cache, so re-runs — across campaigns, CLI
-invocations, or hosts — recompute only misses.
+For parameter studies on one host: declare a grid over (protocol, n,
+adversary, seeds) as a :class:`CampaignSpec`, run the missing cells over a
+process pool, and serve every previously computed cell from a
+content-addressed cache, so re-runs — across campaigns and CLI
+invocations — recompute only misses.
 
 A campaign *spec* is data, not code, and it is the single public entry
 point::
@@ -41,31 +41,25 @@ Three persistence layers:
   whole grid is done.
 
 Grid cells are pure functions of the spec and their (n, adversary, seed)
-coordinates — each worker reruns the cell from its seeds — so a parallel,
-stolen, or cached run produces records identical to a serial one, merely
+coordinates — each worker reruns the cell from its seeds — so a parallel
+or cached run produces records identical to a serial one, merely
 finishing sooner.  ``run_campaign`` always returns records in grid order
-regardless of completion order.
+regardless of completion order.  :func:`resolve` is the read-only half:
+which cells the journal and the cache already answer, and which are left.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..adversary import GALLERY
-from ..fabric import (
-    CampaignCache,
-    CellId,
-    CellTask,
-    DirectoryClaims,
-    FabricDispatcher,
-    await_cells,
-    estimated_cost,
-    open_cache,
-)
+from ..fabric import CampaignCache, CellId, open_cache
 from ..harness import (
     ExecutionConfig,
     RoundProfiler,
@@ -276,17 +270,6 @@ def _run_cell(
     return record, None
 
 
-def _run_cell_task(
-    task: tuple[CampaignSpec, int, str, int, str | None]
-) -> tuple[
-    tuple[int, str, int], dict[str, Any], dict[str, Any] | None
-]:
-    """Worker entry point: run one cell, echo its grid coordinates back."""
-    spec, n, adversary, seed, record_failures = task
-    record, recipe = _run_cell(spec, n, adversary, seed, record_failures)
-    return (n, adversary, seed), record, recipe
-
-
 def load_journal(
     path: str | Path, dedupe: bool = True
 ) -> list[dict[str, Any]]:
@@ -317,6 +300,59 @@ def load_journal(
     return list(merged.values())
 
 
+#: Grid coordinates of one cell: ``(n, adversary, seed)``.
+Coords = tuple[int, str, int]
+
+
+def resolve(
+    spec: CampaignSpec,
+    *,
+    cache: CampaignCache | str | Path | None = None,
+    resume: Sequence[Mapping[str, Any]] | str | Path | None = None,
+) -> tuple[
+    dict[Coords, tuple[str, dict[str, Any]]], list[tuple[Coords, CellId]]
+]:
+    """Answer every grid cell that needs no execution; read-only.
+
+    The one place the resume → cache → execute order is applied.  Returns
+    ``(results, pending)``: ``results`` maps a cell's coordinates to
+    ``(source, record)`` with ``source`` ``"journal"`` (found in ``resume``
+    — a journal path, a missing file being an empty journal, or a sequence
+    of finished records) or ``"cache"`` (served by the
+    :class:`repro.fabric.CampaignCache`, given as an instance or a
+    directory path); ``pending`` lists, in grid order, the
+    ``(coordinates, CellId)`` of the cells neither could answer.
+    """
+    store = open_cache(cache)
+    if isinstance(resume, (str, Path)):
+        try:
+            resume = load_journal(resume)
+        except FileNotFoundError:
+            resume = ()
+    done: dict[CellId, dict[str, Any]] = {}
+    for record in resume or ():
+        if record.get("campaign") != spec.name:
+            continue
+        cell = CellId.from_record(record)
+        if cell is not None:
+            done[cell] = dict(record)
+
+    results: dict[Coords, tuple[str, dict[str, Any]]] = {}
+    pending: list[tuple[Coords, CellId]] = []
+    for coords in spec.grid():
+        cell = spec.cell_id(*coords)
+        if cell in done:
+            results[coords] = ("journal", done[cell])
+            continue
+        if store is not None:
+            cached = store.get(cell)
+            if cached is not None:
+                results[coords] = ("cache", cached)
+                continue
+        pending.append((coords, cell))
+    return results, pending
+
+
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -326,32 +362,29 @@ def run_campaign(
     record_failures: str | Path | None = None,
     cache: CampaignCache | str | Path | None = None,
     resume: Sequence[Mapping[str, Any]] | str | Path | None = None,
-    claims: DirectoryClaims | None = None,
 ) -> list[dict[str, Any]]:
     """Run every grid cell, serving already-known cells without executing.
 
     A cell is identified by its :class:`CellId` digest over (protocol, n,
     t, adversary, seed, options, model, model_options, engine capability,
-    transport, transport_options).  Cells are satisfied, in order, from:
+    transport, transport_options).  Cells are satisfied, in order, from
+    (:func:`resolve` applies the first two):
 
     1. ``resume`` — a journal path (a missing file is an empty journal)
        or a sequence of finished records;
     2. ``cache`` — a content-addressed :class:`repro.fabric.CampaignCache`
        (or a directory path for one) consulted per cell and fed every
        newly computed record, so identical cells are never recomputed
-       across campaigns, CLI invocations, or hosts;
-    3. execution.  With ``jobs > 1`` the missing cells fan out across a
-       work-stealing worker fabric (:class:`repro.fabric.FabricDispatcher`):
-       the grid is sharded by estimated cost and idle workers steal from
-       stragglers, so one large-``n`` cell cannot idle the pool.  Every
-       cell is a pure function of the spec and its seeds, so the records
-       are identical to a serial run (the returned list is always in grid
-       order).
-
-    ``claims`` (requires ``cache``) enables the multi-host directory
-    transport: this process claims the cells it computes via atomic lease
-    files, computes only those, and waits for — or, on lease expiry,
-    takes over — cells claimed by other hosts sharing the cache.
+       across campaigns or CLI invocations;
+    3. execution.  With ``jobs > 1`` the missing cells go to one process
+       pool, largest ``n`` first: each idle worker takes the heaviest
+       remaining cell, so one large-``n`` cell cannot idle the pool.
+       Every cell is a pure function of the spec and its seeds, so the
+       records are identical to a serial run (the returned list is always
+       in grid order).  A cell that raises re-raises here with the
+       worker's traceback attached and the cells still queued are
+       cancelled; a worker that dies raises ``BrokenProcessPool``.  Either
+       way the cells already finished are in the journal and the cache.
 
     ``journal`` names an append-only JSONL file that receives each newly
     computed record the moment it finishes (resumed and cache-served
@@ -371,40 +404,13 @@ def run_campaign(
             f"argument, got {type(spec).__name__!r}; the loose grid-keyword "
             "spelling was removed (see docs/api.md)"
         )
-    if claims is not None and cache is None:
-        raise ValueError("claims coordination requires a cache")
-    store = open_cache(cache) if cache is not None else None
-    if isinstance(resume, (str, Path)):
-        try:
-            resume = load_journal(resume)
-        except FileNotFoundError:
-            resume = ()
-    done: dict[CellId, dict[str, Any]] = {}
-    for record in resume or ():
-        if record.get("campaign") != spec.name:
-            continue
-        cell = CellId.from_record(record)
-        if cell is not None:
-            done[cell] = dict(record)
-
+    store = open_cache(cache)
+    served, pending = resolve(spec, cache=store, resume=resume)
+    results = {coords: record for coords, (_, record) in served.items()}
     journal_path = Path(journal) if journal is not None else None
-    coords_type = tuple[int, str, int]
-    results: dict[coords_type, dict[str, Any]] = {}
-    pending: list[tuple[coords_type, CellId]] = []
-    for coords in spec.grid():
-        cell = spec.cell_id(*coords)
-        if cell in done:
-            results[coords] = done[cell]
-            continue
-        if store is not None:
-            cached = store.get(cell)
-            if cached is not None:
-                results[coords] = cached
-                continue
-        pending.append((coords, cell))
 
     def finish(
-        coords: coords_type,
+        coords: Coords,
         cell: CellId,
         record: dict[str, Any],
         recipe: dict[str, Any] | None,
@@ -414,60 +420,36 @@ def run_campaign(
             append_journal_record(journal_path, record)
         if store is not None:
             store.put(cell, record, recipe=recipe)
-        if claims is not None:
-            claims.release(cell)
         if on_record is not None:
             on_record(record)
-
-    if claims is not None:
-        mine = [item for item in pending if claims.claim(item[1])]
-        theirs = [item for item in pending if item[1].digest not in
-                  claims.claimed]
-    else:
-        mine, theirs = pending, []
 
     failures_dir = (
         str(record_failures) if record_failures is not None else None
     )
-    if jobs <= 1 or len(mine) <= 1:
-        for coords, cell in mine:
-            record, recipe = _run_cell(spec, *coords, failures_dir)
-            finish(coords, cell, record, recipe)
-    elif mine:
-        dispatcher = FabricDispatcher(jobs)
-        cells = {coords: cell for coords, cell in mine}
-        tasks = [
-            CellTask(
-                index=index,
-                payload=(spec, n, adversary, seed, failures_dir),
-                cost=estimated_cost(n),
-            )
-            for index, ((n, adversary, seed), _) in enumerate(mine)
-        ]
-
-        def on_result(
-            task: CellTask,
-            outcome: tuple[
-                coords_type, dict[str, Any], dict[str, Any] | None
-            ],
-        ) -> None:
-            coords, record, recipe = outcome
-            finish(coords, cells[coords], record, recipe)
-
-        dispatcher.run(tasks, _run_cell_task, on_result)
-
-    if theirs:
-        assert store is not None and claims is not None
-        found, abandoned = await_cells(store, theirs, claims)
-        for coords, record in found.items():
-            results[coords] = record
-        for coords, cell in abandoned:
-            # The owning host died (or never published): take the lease
-            # over and compute locally — idempotent results make a race
-            # with a slow-but-alive owner harmless.
-            claims.reclaim(cell)
-            record, recipe = _run_cell(spec, *coords, failures_dir)
-            finish(coords, cell, record, recipe)
+    if jobs <= 1 or len(pending) <= 1:
+        for coords, cell in pending:
+            finish(coords, cell, *_run_cell(spec, *coords, failures_dir))
+    else:
+        # One shared queue handed out heaviest-first is greedy LPT: message
+        # volume (~n²) dominates a cell's cost, and whichever worker goes
+        # idle takes the largest cell left.  ``fork`` is cheap and inherits
+        # sys.path; the workers exist before the pool starts its thread.
+        methods = multiprocessing.get_all_start_methods()
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending)),
+            mp_context=multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            ),
+        )
+        try:
+            futures = {}
+            for coords, cell in sorted(pending, key=lambda item: -item[0][0]):
+                future = pool.submit(_run_cell, spec, *coords, failures_dir)
+                futures[future] = (coords, cell)
+            for future in as_completed(futures):
+                finish(*futures[future], *future.result())
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     return [results[coords] for coords in spec.grid()]
 

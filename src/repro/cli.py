@@ -172,12 +172,6 @@ def _campaign_spec_from_args(args: argparse.Namespace):
     )
 
 
-def _open_campaign_cache(args: argparse.Namespace):
-    from .fabric import open_cache
-
-    return open_cache(args.cache) if args.cache is not None else None
-
-
 def _print_campaign_summary(records) -> None:
     from .analysis.campaign import summarize_campaign
 
@@ -209,9 +203,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import json
 
     from .analysis.campaign import load_journal, run_campaign
+    from .fabric import open_cache
 
     spec = _campaign_spec_from_args(args)
-    cache = _open_campaign_cache(args)
+    cache = open_cache(args.cache)
     resume_records: list = []
     if args.journal is not None:
         try:
@@ -222,15 +217,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             print(
                 f"resuming from {args.journal} ({len(resume_records)} records)"
             )
-    claims = None
-    if args.coordinate:
-        from .fabric import DirectoryClaims
-
-        if cache is None:
-            raise SystemExit("--coordinate requires --cache")
-        claims = DirectoryClaims(
-            cache.root / "claims", lease_seconds=args.lease_seconds
-        )
     computed: list[dict] = []
     records = run_campaign(
         spec,
@@ -239,7 +225,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         journal=args.journal,
         record_failures=args.record_failures,
         cache=cache,
-        claims=claims,
         on_record=computed.append,
     )
     _print_campaign_records(records, args.output)
@@ -268,79 +253,37 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     """Journal + cache standing for a spec — reads only, never executes."""
     import json
 
-    from .analysis.campaign import load_journal
+    from .analysis.campaign import resolve
     from .fabric import CellId
 
     spec = _campaign_spec_from_args(args)
-    cache = _open_campaign_cache(args)
-    journaled = {}
-    if args.journal is not None:
-        try:
-            for record in load_journal(args.journal):
-                cell = CellId.from_record(record)
-                if cell is not None and record.get("campaign") == spec.name:
-                    journaled[cell] = record
-        except FileNotFoundError:
-            pass
-    states = {"journal": 0, "cache": 0, "missing": 0}
-    missing = []
-    for coords in spec.grid():
-        cell = spec.cell_id(*coords)
-        if cell in journaled:
-            states["journal"] += 1
-        elif cache is not None and cache.contains(cell):
-            states["cache"] += 1
-        else:
-            states["missing"] += 1
-            missing.append(cell)
-    total = sum(states.values())
+    results, pending = resolve(spec, cache=args.cache, resume=args.journal)
+    records = [record for _, record in results.values()]
+    missing = [str(cell) for _, cell in pending]
+    states = {"journal": 0, "cache": 0, "missing": len(missing)}
+    for source, _ in results.values():
+        states[source] += 1
+    total = len(results) + len(missing)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "spec": spec.name,
-                    "cells": total,
-                    **states,
-                    "missing_cells": [str(cell) for cell in missing],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 0
-    print(f"campaign      : {spec.name} ({total} cells)")
-    print(f"in journal    : {states['journal']}")
-    print(f"in cache      : {states['cache']}")
-    print(f"missing       : {states['missing']}")
-    for cell in missing:
-        print(f"  MISSING {cell}")
-    return 0
-
-
-def _cmd_campaign_query(args: argparse.Namespace) -> int:
-    """Resolve a spec against the cache; print hits, never execute."""
-    import json
-
-    from .fabric import query
-
-    spec = _campaign_spec_from_args(args)
-    if args.cache is None:
-        raise SystemExit("campaign query requires --cache DIR")
-    result = query(spec, args.cache)
-    if args.json:
-        payload = result.as_dict()
-        payload["records"] = result.records()
+        payload = {
+            "spec": spec.name,
+            "cells": total,
+            **states,
+            "missing_cells": missing,
+            "records": records,
+        }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if not result.misses else 1
-    for status in result.cells:
-        mark = "HIT " if status.hit else "MISS"
-        print(f"  {mark} {status.cell}")
-    print(
-        f"cache: {len(result.hits)}/{len(result.cells)} cells "
-        f"(hit rate {result.hit_rate:.2f})"
-    )
-    _print_campaign_summary(result.records())
-    return 0 if not result.misses else 1
+    else:
+        print(f"campaign      : {spec.name} ({total} cells)")
+        print(f"in journal    : {states['journal']}")
+        print(f"in cache      : {states['cache']}")
+        print(f"missing       : {states['missing']}")
+        for source, record in results.values():
+            print(f"  {source:<7} {CellId.from_record(record)}")
+        for cell in missing:
+            print(f"  MISSING {cell}")
+        _print_campaign_summary(records)
+    return 1 if missing else 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -478,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_parser = sub.add_parser(
         "campaign",
-        help="cached grid sweeps: run | status | query",
+        help="cached grid sweeps: run | status",
         description=(
-            "Sweep a (protocol, n, adversary, seed) grid through the "
-            "campaign fabric.  Cells are identified by content digest "
+            "Sweep a (protocol, n, adversary, seed) grid.  Cells are "
+            "identified by content digest "
             "(CellId) and served from the --cache store when already "
             "computed."
         ),
@@ -518,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache", default=None, metavar="DIR",
             help="content-addressed cell cache: hits are served without "
             "executing, newly computed cells are stored for every later "
-            "campaign, invocation, or host",
+            "campaign or invocation",
         )
 
     def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -526,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--jobs", type=int, default=1,
             help="worker processes for the grid (1 = in-process serial); "
-            "cells shard by estimated cost and idle workers steal from "
-            "stragglers",
+            "each idle worker takes the largest-n cell left",
         )
         parser.add_argument(
             "--journal", default=None, metavar="PATH",
@@ -544,18 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-stats", default=None, metavar="PATH",
             help="write hit/miss/computed accounting JSON after the run",
         )
-        parser.add_argument(
-            "--coordinate", action="store_true",
-            help="multi-host mode: claim cells via atomic lease files "
-            "under the cache so hosts sharing it partition the grid",
-        )
-        parser.add_argument(
-            "--lease-seconds", type=float, default=3600.0,
-            help="claim lease before another host may take a cell over",
-        )
 
     campaign_sub = campaign_parser.add_subparsers(
-        dest="campaign_command", metavar="{run,status,query}",
+        dest="campaign_command", metavar="{run,status}",
         required=True,
     )
     campaign_run = campaign_sub.add_parser(
@@ -568,24 +501,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_status = campaign_sub.add_parser(
         "status",
-        help="journal + cache standing for a spec (reads only, no runs)",
+        help="journal + cache standing for a spec (reads only, no runs; "
+        "exit 1 when any cell is missing)",
     )
     _add_grid_flags(campaign_status)
     campaign_status.add_argument(
         "--journal", default=None, metavar="PATH",
         help="JSONL journal to count completed cells from",
     )
-    campaign_status.add_argument("--json", action="store_true")
-    campaign_status.set_defaults(func=_cmd_campaign_status)
-
-    campaign_query = campaign_sub.add_parser(
-        "query",
-        help="resolve a spec against the cache and print the hits "
-        "(exit 1 when any cell is missing)",
+    campaign_status.add_argument(
+        "--json", action="store_true",
+        help="print the counts, the missing cells and the hit records",
     )
-    _add_grid_flags(campaign_query)
-    campaign_query.add_argument("--json", action="store_true")
-    campaign_query.set_defaults(func=_cmd_campaign_query)
+    campaign_status.set_defaults(func=_cmd_campaign_status)
 
     replay_parser = sub.add_parser(
         "replay",

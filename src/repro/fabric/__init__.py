@@ -1,50 +1,25 @@
-"""repro.fabric — the sharded, cached sweep fabric.
+"""repro.fabric — cell identity and the content-addressed cell store.
 
-The campaign runner's execution substrate, grown from a single-box pool
-into three cooperating pieces:
+The two things every sweep uses:
 
-* a **content-addressed store** (:class:`CampaignCache`): every finished
-  cell lives under the SHA-256 digest of its full identity
-  (:class:`CellId`), so identical cells are never recomputed across
-  campaigns, CLI invocations, or hosts;
-* a **work-stealing dispatcher** (:class:`FabricDispatcher` /
-  :class:`StealScheduler`): the grid is sharded across worker processes by
-  estimated cost, and idle workers steal from stragglers' tails;
-* **directory claims** (:class:`DirectoryClaims` /
-  :func:`await_cells`): hosts sharing a cache root partition a grid among
-  themselves through atomic claim files — no server, no configuration.
+* :class:`CellId` (``digest.py``): the canonical SHA-256 identity of one
+  grid cell — journal resume key, cache key and report grouping handle;
+* :class:`CampaignCache` (``store.py``): every finished cell lives under
+  its digest, published atomically and verified on read, so identical
+  cells are never recomputed across campaigns or CLI invocations.
 
-``query`` is the read-only front: resolve a spec against a cache and serve
-hits instantly, reporting misses without executing anything.
-
-See docs/fabric.md for the CAS layout, the digest recipe, the stealing
-model, and the multi-host setup.
+Executing the cells a cache cannot serve is ``run_campaign``'s job
+(``repro.analysis.campaign``).  See docs/fabric.md for the CAS layout and
+the digest recipe.
 """
 
 from .digest import CellId, canonical_json
-from .dispatch import (
-    CellTask,
-    FabricDispatcher,
-    StealScheduler,
-    estimated_cost,
-)
-from .query import CellStatus, QueryResult, open_cache, query
-from .store import CacheStats, CampaignCache
-from .claims import DirectoryClaims, await_cells
+from .store import CacheStats, CampaignCache, open_cache
 
 __all__ = [
     "CellId",
-    "CellStatus",
-    "CellTask",
     "CacheStats",
     "CampaignCache",
-    "DirectoryClaims",
-    "FabricDispatcher",
-    "QueryResult",
-    "StealScheduler",
-    "await_cells",
     "canonical_json",
-    "estimated_cost",
     "open_cache",
-    "query",
 ]

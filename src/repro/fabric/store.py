@@ -5,7 +5,6 @@ Layout (everything under one root directory, safe to share over NFS)::
     <root>/
       objects/<digest[:2]>/<digest>.json    one entry per cell identity
       objects/<digest[:2]>/<digest>.json.quarantine   corrupt entries, kept
-      claims/                               multi-host leases (transport.py)
 
 An entry is a schema-tagged JSON object carrying the full cell identity
 (:meth:`CellId.payload`), the finished campaign record, and — for
@@ -37,7 +36,7 @@ from typing import Any
 from ..runtime.serialization import SCHEMA_VERSION
 from .digest import CellId
 
-__all__ = ["CacheStats", "CampaignCache", "ENTRY_KIND"]
+__all__ = ["CacheStats", "CampaignCache", "ENTRY_KIND", "open_cache"]
 
 ENTRY_KIND = "campaign-cell"
 
@@ -205,3 +204,13 @@ class CampaignCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.scan())
+
+
+def open_cache(
+    cache: CampaignCache | str | Path | None,
+) -> CampaignCache | None:
+    """Coerce a ``cache=`` argument — an instance, a directory path, or
+    ``None`` for no cache — into a :class:`CampaignCache` (or ``None``)."""
+    if cache is None or isinstance(cache, CampaignCache):
+        return cache
+    return CampaignCache(Path(cache))

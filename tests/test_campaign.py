@@ -1,10 +1,15 @@
 """Tests for the batch-campaign runner."""
 
 import json
+import multiprocessing
+import subprocess
+import sys
 import warnings
+from concurrent.futures import Future
 
 import pytest
 
+from repro.analysis import campaign
 from repro.analysis.campaign import (
     CampaignSpec,
     append_journal_record,
@@ -15,7 +20,8 @@ from repro.analysis.campaign import (
     save_campaign,
     summarize_campaign,
 )
-from repro.fabric import CellId
+from repro.fabric import CampaignCache, CellId
+from repro.transport.tcp import _worker_environment
 
 
 def small_spec(**overrides):
@@ -149,6 +155,128 @@ class TestParallel:
         assert recomputed == []
         assert len(load_journal(path)) == 2
         assert resumed == records
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_mixed_n_grid_matches_serial_each_cell_reported_once(self, jobs):
+        spec = small_spec(ns=[33, 48, 40], seeds=[0])  # 6 cells
+        serial = run_campaign(spec)
+        computed = []
+        fanned = run_campaign(spec, jobs=jobs, on_record=computed.append)
+        assert fanned == serial
+        assert sorted(map(CellId.from_record, computed)) == sorted(
+            spec.cell_id(*coords) for coords in spec.grid()
+        )
+
+    def test_cells_are_submitted_largest_n_first(self, monkeypatch):
+        """Heaviest-first into one shared queue is the whole schedule."""
+        calls = []
+
+        class InThreadPool:
+            def __init__(self, max_workers, mp_context):
+                calls.append(("workers", max_workers))
+
+            def submit(self, fn, *args):
+                calls.append(("submit", *args[1:4]))
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, **kwargs):
+                calls.append(("shutdown", kwargs))
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", InThreadPool)
+        monkeypatch.setattr(campaign, "_run_cell", _stub_cell)
+        spec = small_spec(ns=[33, 48, 40], seeds=[0])
+        records = run_campaign(spec, jobs=8)
+        assert calls == [
+            ("workers", 6),  # min(jobs, cells to run)
+            ("submit", 48, "none", 0),
+            ("submit", 48, "silence", 0),
+            ("submit", 40, "none", 0),
+            ("submit", 40, "silence", 0),
+            ("submit", 33, "none", 0),
+            ("submit", 33, "silence", 0),
+            ("shutdown", {"cancel_futures": True}),
+        ]
+        assert [(r["n"], r["adversary"]) for r in records] == [
+            (n, adversary) for n, adversary, _ in spec.grid()
+        ]
+
+    def test_raising_cell_surfaces_its_own_exception(self, monkeypatch):
+        monkeypatch.setattr(campaign, "_run_cell", _explode_on_silence)
+        with pytest.raises(LookupError, match="boom on silence") as caught:
+            run_campaign(small_spec(seeds=[0, 1, 2]), jobs=2)
+        # The worker's traceback rides along as the cause.
+        assert "_explode_on_silence" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_fails_the_run_and_keeps_finished_cells(
+        self, tmp_path
+    ):
+        """A worker that dies without reporting (SIGKILL, OOM killer) must
+        end the run with an error, not block it forever; what finished
+        before the death is in the cache, so a re-run computes the rest."""
+        cache = tmp_path / "cache"
+        done = subprocess.run(
+            [sys.executable, "-c", KILLED_WORKER_SCRIPT, str(cache)],
+            capture_output=True, text=True, timeout=30,
+            env=_worker_environment(),
+        )
+        assert done.stdout.split() == ["BrokenProcessPool"], done.stderr
+        survivors = len(CampaignCache(cache))
+        assert 1 <= survivors <= 3
+        computed = []
+        records = run_campaign(
+            CampaignSpec(**KILLED_WORKER_SPEC), cache=cache,
+            on_record=computed.append,
+        )
+        assert len(records) == 4
+        assert len(computed) == 4 - survivors
+
+
+def _stub_cell(spec, n, adversary, seed, record_failures=None):
+    return {"n": n, "adversary": adversary, "seed": seed}, None
+
+
+def _explode_on_silence(spec, n, adversary, seed, record_failures=None):
+    if adversary == "silence":
+        raise LookupError(f"boom on {adversary} seed {seed}")
+    return _stub_cell(spec, n, adversary, seed)
+
+
+KILLED_WORKER_SPEC = dict(
+    name="killed-worker", protocol="ben-or", ns=[5],
+    adversaries=["none", "silence"], seeds=[0, 1],
+)
+
+#: Runs the grid above with ``jobs=2``; the worker that draws the
+#: (silence, 0) cell waits until some other cell is published, then
+#: SIGKILLs itself.  Prints the exception type ``run_campaign`` raised.
+KILLED_WORKER_SCRIPT = f"""
+import os, signal, sys, time
+from pathlib import Path
+from repro.analysis import campaign
+
+cache = Path(sys.argv[1])
+run_cell = campaign._run_cell
+
+def dying_cell(spec, n, adversary, seed, record_failures=None):
+    if (adversary, seed) == ("silence", 0):
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline and not list(
+            cache.glob("objects/*/*.json")
+        ):
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_cell(spec, n, adversary, seed, record_failures)
+
+campaign._run_cell = dying_cell
+spec = campaign.CampaignSpec(**{KILLED_WORKER_SPEC!r})
+try:
+    campaign.run_campaign(spec, jobs=2, cache=cache)
+except Exception as exc:
+    print(type(exc).__name__)
+"""
 
 
 class TestJournal:

@@ -211,7 +211,7 @@ def test_campaign_status_subcommand(tmp_path, capsys):
     ]
     code = main(["campaign", "status", *argv_tail])
     captured = capsys.readouterr().out
-    assert code == 0
+    assert code == 1  # cells are missing
     assert "missing       : 2" in captured
 
     main(["campaign", "run", "--output", str(tmp_path / "out.json"),
@@ -223,31 +223,34 @@ def test_campaign_status_subcommand(tmp_path, capsys):
     assert payload["cache"] == 2
     assert payload["missing"] == 0
     assert payload["missing_cells"] == []
+    assert [record["seed"] for record in payload["records"]] == [0, 1]
 
 
-def test_campaign_query_subcommand(tmp_path, capsys):
-    cache = tmp_path / "cache"
+def test_campaign_status_lists_each_cell_and_never_executes(tmp_path, capsys):
+    journal = tmp_path / "journal.jsonl"
     argv_tail = [
-        "--name", "cli-query",
+        "--name", "cli-status-cells",
         "--ns", "33",
         "--adversaries", "none",
         "--seeds", "0",
-        "--cache", str(cache),
+        "--cache", str(tmp_path / "cache"),
     ]
-    # An empty cache is all misses: nonzero exit, nothing executed.
-    code = main(["campaign", "query", *argv_tail])
+    # Nothing computed yet: nonzero exit, nothing executed or created.
+    code = main(["campaign", "status", "--journal", str(journal), *argv_tail])
     captured = capsys.readouterr().out
     assert code == 1
-    assert "MISS" in captured
+    assert "MISSING algorithm1:n33:none:s0" in captured
+    assert list(tmp_path.iterdir()) == []
 
     main(["campaign", "run", "--output", str(tmp_path / "out.json"),
           *argv_tail])
     capsys.readouterr()
-    code = main(["campaign", "query", *argv_tail])
+    code = main(["campaign", "status", *argv_tail])
     captured = capsys.readouterr().out
     assert code == 0
-    assert "HIT " in captured
-    assert "hit rate 1.00" in captured
+    assert "cache   algorithm1:n33:none:s0" in captured
+    assert "in cache      : 1" in captured
+    assert "rounds=" in captured  # the hit records are summarized
 
 
 def test_campaign_resume_subcommand(tmp_path, capsys):

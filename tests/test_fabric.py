@@ -1,30 +1,19 @@
-"""Tests for repro.fabric: cell identity, the content-addressed cache,
-work-stealing dispatch, the directory transport, and the query layer."""
+"""Tests for repro.fabric (cell identity, the content-addressed cache) and
+for how ``run_campaign`` / ``resolve`` use the cache."""
 
 import json
 import multiprocessing
-import os
 
 import pytest
 
 from repro.analysis.campaign import (
     CampaignSpec,
+    load_journal,
+    resolve,
     run_campaign,
     summarize_campaign,
 )
-from repro.fabric import (
-    CampaignCache,
-    CellId,
-    CellTask,
-    DirectoryClaims,
-    FabricDispatcher,
-    StealScheduler,
-    await_cells,
-    canonical_json,
-    estimated_cost,
-    open_cache,
-    query,
-)
+from repro.fabric import CampaignCache, CellId, canonical_json, open_cache
 from repro.harness import capability_fingerprint
 
 
@@ -216,6 +205,14 @@ class TestCache:
         assert record == {"rounds": 7, "decision": 1}
         assert list((root / "objects").rglob(".tmp-*")) == []
 
+    def test_open_cache_accepts_paths_and_instances(self, tmp_path):
+        cache = CampaignCache(tmp_path / "cache")
+        assert open_cache(cache) is cache
+        opened = open_cache(tmp_path / "cache")
+        assert isinstance(opened, CampaignCache)
+        assert opened.root == cache.root
+        assert open_cache(None) is None  # "no cache" passes through
+
 
 def _racing_put(root, seed):
     cache = CampaignCache(root)
@@ -224,108 +221,6 @@ def _racing_put(root, seed):
     )
     for _ in range(20):
         cache.put(cell, {"rounds": 7, "decision": 1})
-
-
-# ---------------------------------------------------------------------------
-# StealScheduler
-class TestStealScheduler:
-    def tasks(self, costs):
-        return [
-            CellTask(index=i, payload=f"task-{i}", cost=cost)
-            for i, cost in enumerate(costs)
-        ]
-
-    def drain(self, scheduler, worker):
-        out = []
-        while (task := scheduler.next_for(worker)) is not None:
-            out.append(task)
-        return out
-
-    def test_single_worker_drains_everything_once(self):
-        tasks = self.tasks([1, 2, 3, 4])
-        scheduler = StealScheduler(tasks, workers=1)
-        drained = self.drain(scheduler, 0)
-        assert sorted(t.index for t in drained) == [0, 1, 2, 3]
-        assert scheduler.steals == 0
-        assert scheduler.remaining() == 0
-
-    def test_lpt_balances_load(self):
-        scheduler = StealScheduler(self.tasks([8, 1, 1, 1, 1, 4]), workers=2)
-        assert sorted(scheduler.loads) == [8.0, 8.0]
-
-    def test_idle_worker_steals_cheapest_from_most_loaded(self):
-        # Worker 0 gets the heavy task, worker 1 the three light ones.
-        scheduler = StealScheduler(self.tasks([10, 2, 2, 2]), workers=2)
-        own = scheduler.next_for(0)
-        assert own.cost == 10
-        # Worker 0 is now empty; its next call steals from worker 1's
-        # tail — the cheapest end of the victim's shard.
-        stolen = scheduler.next_for(0)
-        assert stolen is not None and stolen.cost == 2
-        assert scheduler.steals == 1
-
-    def test_every_task_scheduled_exactly_once_with_stealing(self):
-        tasks = self.tasks([5, 4, 3, 2, 1, 1, 1])
-        scheduler = StealScheduler(tasks, workers=3)
-        seen = []
-        # Round-robin the workers so all of them go idle and steal.
-        worker = 0
-        while scheduler.remaining():
-            task = scheduler.next_for(worker % 3)
-            if task is not None:
-                seen.append(task.index)
-            worker += 1
-        assert sorted(seen) == list(range(7))
-
-    def test_schedule_is_deterministic(self):
-        costs = [3, 1, 4, 1, 5, 9, 2, 6]
-        a = StealScheduler(self.tasks(costs), workers=3)
-        b = StealScheduler(self.tasks(costs), workers=3)
-        assert [list(s) for s in a.shards] == [list(s) for s in b.shards]
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            StealScheduler([], workers=0)
-
-    def test_estimated_cost_grows_quadratically(self):
-        assert estimated_cost(10) == 100.0
-        assert estimated_cost(20) == 4 * estimated_cost(10)
-
-
-# ---------------------------------------------------------------------------
-# FabricDispatcher
-def _square(payload):
-    return payload * payload
-
-
-def _explode(payload):
-    raise ValueError(f"boom on {payload}")
-
-
-class TestDispatcher:
-    def test_runs_every_task_once(self):
-        tasks = [
-            CellTask(index=i, payload=i, cost=float(i + 1)) for i in range(7)
-        ]
-        results = {}
-        FabricDispatcher(jobs=3).run(
-            tasks, _square, lambda task, result: results.update(
-                {task.index: result}
-            )
-        )
-        assert results == {i: i * i for i in range(7)}
-
-    def test_worker_failure_surfaces_as_runtime_error(self):
-        tasks = [CellTask(index=0, payload="x")]
-        with pytest.raises(RuntimeError, match="boom on x"):
-            FabricDispatcher(jobs=1).run(tasks, _explode, lambda t, r: None)
-
-    def test_empty_task_list_is_a_no_op(self):
-        FabricDispatcher(jobs=2).run([], _square, lambda t, r: None)
-
-    def test_rejects_zero_jobs(self):
-        with pytest.raises(ValueError):
-            FabricDispatcher(jobs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,212 +351,47 @@ class TestCampaignCache:
 
 
 # ---------------------------------------------------------------------------
-# DirectoryClaims + await_cells
-class TestClaims:
-    def test_exactly_one_claimant_wins(self, tmp_path):
-        cell = make_cell()
-        a = DirectoryClaims(tmp_path / "claims", owner="host-a")
-        b = DirectoryClaims(tmp_path / "claims", owner="host-b")
-        assert a.claim(cell)
-        assert not b.claim(cell)
-        assert a.owner_of(cell) == "host-a"
-        assert b.is_claimed(cell)
-
-    def test_release_frees_the_cell(self, tmp_path):
-        cell = make_cell()
-        a = DirectoryClaims(tmp_path / "claims", owner="host-a")
-        a.claim(cell)
-        a.release(cell)
-        assert not a.is_claimed(cell)
-        b = DirectoryClaims(tmp_path / "claims", owner="host-b")
-        assert b.claim(cell)
-
-    def backdate(self, claims, cell, seconds=120):
-        path = claims._path(cell)
-        stat = path.stat()
-        os.utime(path, (stat.st_atime - seconds, stat.st_mtime - seconds))
-
-    def test_stale_lease_is_reclaimable(self, tmp_path):
-        cell = make_cell()
-        dead = DirectoryClaims(
-            tmp_path / "claims", owner="dead-host", lease_seconds=60
-        )
-        dead.claim(cell)
-        live = DirectoryClaims(
-            tmp_path / "claims", owner="live-host", lease_seconds=60
-        )
-        assert not live.is_stale(cell)
-        self.backdate(dead, cell)
-        assert live.is_stale(cell)
-        assert live.reclaim(cell)
-        assert live.owner_of(cell) == "live-host"
-
-    def test_reclaim_refuses_a_fresh_lease(self, tmp_path):
-        cell = make_cell()
-        a = DirectoryClaims(tmp_path / "claims", owner="host-a")
-        a.claim(cell)
-        b = DirectoryClaims(tmp_path / "claims", owner="host-b")
-        assert not b.reclaim(cell)
-        assert a.owner_of(cell) == "host-a"
-
-    def test_release_all(self, tmp_path):
-        claims = DirectoryClaims(tmp_path / "claims", owner="host-a")
-        cells = [make_cell(seed=s) for s in range(3)]
-        for cell in cells:
-            claims.claim(cell)
-        claims.release_all()
-        assert all(not claims.is_claimed(c) for c in cells)
-        assert claims.claimed == set()
-
-    def test_await_finds_published_results(self, tmp_path):
-        cache = CampaignCache(tmp_path / "cache")
-        cell = make_cell()
-        other = DirectoryClaims(tmp_path / "cache" / "claims", owner="b")
-        other.claim(cell)
-        cache.put(cell, {"rounds": 3})
-        found, abandoned = await_cells(
-            cache, [(("coords",), cell)], other, poll_seconds=0.01
-        )
-        assert found == {("coords",): {"rounds": 3}}
-        assert abandoned == []
-
-    def test_await_hands_back_stale_claims(self, tmp_path):
-        cache = CampaignCache(tmp_path / "cache")
-        cell = make_cell()
-        dead = DirectoryClaims(
-            tmp_path / "cache" / "claims", owner="dead", lease_seconds=60
-        )
-        dead.claim(cell)
-        self.backdate(dead, cell)
-        found, abandoned = await_cells(
-            cache, [(("coords",), cell)], dead, poll_seconds=0.01
-        )
-        assert found == {}
-        assert abandoned == [(("coords",), cell)]
-
-    def test_await_treats_unclaimed_missing_cells_as_abandoned(
-        self, tmp_path
-    ):
-        cache = CampaignCache(tmp_path / "cache")
-        claims = DirectoryClaims(tmp_path / "cache" / "claims", owner="a")
-        cell = make_cell()
-        found, abandoned = await_cells(
-            cache, [(("coords",), cell)], claims, poll_seconds=0.01
-        )
-        assert found == {}
-        assert abandoned == [(("coords",), cell)]
-
-    def test_await_timeout_abandons_the_rest(self, tmp_path):
-        cache = CampaignCache(tmp_path / "cache")
-        claims = DirectoryClaims(
-            tmp_path / "cache" / "claims", owner="slow", lease_seconds=3600
-        )
-        cell = make_cell()
-        claims.claim(cell)  # never publishes
-        found, abandoned = await_cells(
-            cache,
-            [(("coords",), cell)],
-            claims,
-            poll_seconds=0.01,
-            timeout_seconds=0.05,
-        )
-        assert found == {}
-        assert abandoned == [(("coords",), cell)]
-
-
-class TestMultiHostCampaign:
-    def test_two_hosts_partition_and_share_results(self, tmp_path):
-        """Host B claims and computes one cell; host A's run computes the
-        rest, picks B's result out of the store, and the merged sweep is
-        identical to a single-host run."""
-        spec = small_spec(seeds=[0, 1])  # 4 cells
-        single = run_campaign(spec)
-
-        cache = CampaignCache(tmp_path / "cache")
-        coords_b = next(iter(spec.grid()))
-        cell_b = spec.cell_id(*coords_b)
-        host_b = DirectoryClaims(tmp_path / "cache" / "claims", owner="b")
-        assert host_b.claim(cell_b)
-        record_b = next(
-            r for r in single
-            if (r["n"], r["adversary"], r["seed"]) == coords_b
-        )
-        cache.put(cell_b, record_b)
-
-        host_a = DirectoryClaims(tmp_path / "cache" / "claims", owner="a")
-        computed = []
-        merged = run_campaign(
-            spec, cache=cache, claims=host_a, on_record=computed.append
-        )
-        assert len(computed) == 3  # B's cell was not recomputed
-        assert json.dumps(merged, sort_keys=True) == json.dumps(
-            single, sort_keys=True
-        )
-
-    def test_dead_hosts_cells_are_reclaimed_locally(self, tmp_path):
-        spec = small_spec()  # 2 cells
-        cache = CampaignCache(tmp_path / "cache")
-        cell = spec.cell_id(*next(iter(spec.grid())))
-        dead = DirectoryClaims(
-            tmp_path / "cache" / "claims", owner="dead", lease_seconds=60
-        )
-        dead.claim(cell)
-        path = dead._path(cell)
-        stat = path.stat()
-        os.utime(path, (stat.st_atime - 120, stat.st_mtime - 120))
-
-        host_a = DirectoryClaims(
-            tmp_path / "cache" / "claims", owner="a", lease_seconds=60
-        )
-        computed = []
-        records = run_campaign(
-            spec, cache=cache, claims=host_a, on_record=computed.append
-        )
-        assert len(records) == 2
-        assert len(computed) == 2  # the abandoned cell ran locally
-        assert host_a.owner_of(cell) is None  # released after recompute
-
-    def test_claims_require_a_cache(self):
-        claims = DirectoryClaims("/tmp/unused", owner="a")
-        with pytest.raises(ValueError, match="requires a cache"):
-            run_campaign(small_spec(), claims=claims)
-
-
-# ---------------------------------------------------------------------------
-# Query layer
-class TestQuery:
-    def test_query_reports_hits_and_misses(self, tmp_path):
+# resolve: the read-only grid walk
+class TestResolve:
+    def test_reports_cache_hits_and_pending_cells(self, tmp_path):
         spec = small_spec(seeds=[0, 1])  # 4 cells
         cache = CampaignCache(tmp_path / "cache")
         run_campaign(small_spec(seeds=[0]), cache=cache)  # fill half
-        result = query(spec, cache)
-        assert result.spec_name == "fabric-test"
-        assert len(result.hits) == 2
-        assert len(result.misses) == 2
-        assert result.hit_rate == 0.5
-        assert len(result.records()) == 2
+        results, pending = resolve(spec, cache=tmp_path / "cache")
+        assert sorted(results) == [(33, "none", 0), (33, "silence", 0)]
+        assert {source for source, _ in results.values()} == {"cache"}
+        assert pending == [
+            (coords, spec.cell_id(*coords))
+            for coords in [(33, "none", 1), (33, "silence", 1)]
+        ]
 
-    def test_query_full_cache_serves_grid_order(self, tmp_path):
+    def test_full_cache_serves_grid_order(self, tmp_path):
         spec = small_spec(seeds=[0, 1])
-        cache = CampaignCache(tmp_path / "cache")
-        expected = run_campaign(spec, cache=cache)
-        result = query(spec, CampaignCache(tmp_path / "cache"))
-        assert result.hit_rate == 1.0
-        assert json.dumps(result.records(), sort_keys=True) == json.dumps(
-            expected, sort_keys=True
-        )
+        expected = run_campaign(spec, cache=tmp_path / "cache")
+        results, pending = resolve(spec, cache=tmp_path / "cache")
+        assert pending == []
+        assert list(results) == list(spec.grid())
+        assert json.dumps(
+            [record for _, record in results.values()], sort_keys=True
+        ) == json.dumps(expected, sort_keys=True)
 
-    def test_query_as_dict_names_missing_cells(self, tmp_path):
+    def test_journal_answers_before_cache(self, tmp_path):
         spec = small_spec()
+        journal = tmp_path / "journal.jsonl"
+        run_campaign(
+            small_spec(adversaries=["none"]),
+            cache=tmp_path / "cache", journal=journal,
+        )
         cache = CampaignCache(tmp_path / "cache")
-        payload = query(spec, cache).as_dict()
-        assert payload["hits"] == 0
-        assert payload["misses"] == 2
-        assert len(payload["missing"]) == 2
+        results, pending = resolve(spec, cache=cache, resume=journal)
+        journaled = load_journal(journal)[0]
+        assert results[(33, "none", 0)] == ("journal", journaled)
+        assert [coords for coords, _ in pending] == [(33, "silence", 0)]
+        assert cache.stats.hits == 0  # the journaled cell was never probed
 
-    def test_open_cache_accepts_paths_and_instances(self, tmp_path):
-        cache = CampaignCache(tmp_path / "cache")
-        assert open_cache(cache) is cache
-        opened = open_cache(tmp_path / "cache")
-        assert isinstance(opened, CampaignCache)
-        assert opened.root == cache.root
+    def test_without_cache_or_journal_everything_is_pending(self, tmp_path):
+        spec = small_spec()
+        results, pending = resolve(spec, resume=tmp_path / "absent.jsonl")
+        assert results == {}
+        assert [coords for coords, _ in pending] == list(spec.grid())
+        assert list(tmp_path.iterdir()) == []  # read-only: nothing created

@@ -45,6 +45,9 @@ REMOVED_CALLS = {
     "run_campaign(spec, records)": (
         TypeError, lambda: run_campaign(SPEC, [])
     ),
+    "run_campaign(spec, claims=)": (
+        TypeError, lambda: run_campaign(SPEC, claims=None)
+    ),
 }
 
 
@@ -78,14 +81,38 @@ def test_removed_call_shape_raises(surface):
         ("repro.runtime", "recipe_from_dict"),
         ("repro.lowerbound", "ScriptedAdversary"),
         ("repro.lint", "Baseline"),
+        # repro.fabric is CellId + the store; the pool is the stdlib's.
+        ("repro.fabric", "DirectoryClaims"),
+        ("repro.fabric", "await_cells"),
+        ("repro.fabric", "FabricDispatcher"),
+        ("repro.fabric", "StealScheduler"),
+        ("repro.fabric", "CellTask"),
+        ("repro.fabric", "estimated_cost"),
+        ("repro.fabric", "query"),
+        ("repro.fabric", "QueryResult"),
+        ("repro.fabric", "CellStatus"),
     ],
 )
 def test_removed_name_is_not_importable(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+def test_fabric_exports_identity_and_store_only():
+    import repro.fabric
+
+    assert sorted(repro.fabric.__all__) == [
+        "CacheStats", "CampaignCache", "CellId", "canonical_json", "open_cache"
+    ]
+
+
 @pytest.mark.parametrize(
-    "argv", [["serve", "--replicas", "12"], ["campaign", "resume"]], ids=" ".join
+    "argv",
+    [
+        ["serve", "--replicas", "12"],
+        ["campaign", "resume"],
+        ["campaign", "query"],
+    ],
+    ids=" ".join,
 )
 def test_cli_subcommand_is_gone(argv, capsys):
     from repro.cli import main
@@ -103,3 +130,15 @@ def test_cli_resume_alias_is_gone(capsys):
         main(["campaign", "run", "--resume", "journal.jsonl"])
     assert exit_info.value.code == 2
     assert "--resume" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--coordinate"], ["--lease-seconds", "60"]], ids=" ".join
+)
+def test_cli_multi_host_flag_is_gone(flag, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "run", *flag])
+    assert exit_info.value.code == 2
+    assert flag[0] in capsys.readouterr().err
