@@ -12,9 +12,9 @@ round):
 * every participant is the source of one broadcast; round 1 it sends
   ``(source=self, value, chain=(self,))``;
 * a record arriving at the end of round r is *accepted* iff its chain has
-  exactly r distinct ids, starts at its source, ends at the message's actual
-  sender, and does not contain the receiver; first accepted value per source
-  wins (sources cannot equivocate in this fault model);
+  exactly r distinct pids (ints in ``range(n)``), starts at its source, ends
+  at the message's actual sender, and does not contain the receiver; first
+  accepted value per source wins (sources cannot equivocate in this model);
 * records accepted before round t+1 are relayed next round with the
   receiver's id appended;
 * after round t+1, the decision is the majority over accepted source values
@@ -39,23 +39,24 @@ Record = tuple[int, int, tuple[int, ...]]
 
 
 def _valid_record(
-    record: Any, round_index: int, sender: int, receiver: int
+    record: Any, round_index: int, sender: int, receiver: int, n: int
 ) -> bool:
-    """Check the chain discipline for a record received in ``round_index``."""
+    """Check the chain discipline for a record received in ``round_index``:
+    the source and every relayer must be a pid (an ``int`` in ``range(n)``)."""
     if not (isinstance(record, tuple) and len(record) == 3):
         return False
     source, value, chain = record
-    if value not in (0, 1):
+    if type(source) is not int or value not in (0, 1):
         return False
     if not isinstance(chain, tuple) or len(chain) != round_index:
+        return False
+    if not all(type(pid) is int and 0 <= pid < n for pid in chain):
         return False
     if len(set(chain)) != len(chain):
         return False
     if chain[0] != source or chain[-1] != sender:
         return False
-    if receiver in chain:
-        return False
-    return True
+    return receiver not in chain
 
 
 def dolev_strong_consensus(
@@ -69,7 +70,7 @@ def dolev_strong_consensus(
     Non-participating callers (``participating=False``) stay silent but keep
     lockstep, consuming the same ``t + 1`` rounds and returning ``None``.
     """
-    pid = env.pid
+    pid, n = env.pid, env.n
     rounds = t + 1
     accepted: dict[int, int] = {}
     pending: list[Record] = []
@@ -85,6 +86,8 @@ def dolev_strong_consensus(
         if not participating:
             continue
         for message in inbox:
+            if len(accepted) == n:
+                break  # sources are pids, so every one is held already
             payload = message.payload
             if not (
                 isinstance(payload, tuple)
@@ -93,11 +96,14 @@ def dolev_strong_consensus(
             ):
                 continue
             for record in payload[1]:
-                if not _valid_record(record, round_index, message.sender, pid):
+                # A held source is dropped whatever its chain says: look it
+                # up first, walk the chain only for sources not yet held.
+                shaped = isinstance(record, tuple) and len(record) == 3
+                if shaped and type(record[0]) is int and record[0] in accepted:
+                    continue
+                if not _valid_record(record, round_index, message.sender, pid, n):
                     continue
                 source, value, chain = record
-                if source in accepted:
-                    continue
                 accepted[source] = value
                 if round_index < rounds:
                     pending.append((source, value, chain + (pid,)))

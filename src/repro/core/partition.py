@@ -29,10 +29,6 @@ class GroupPartition:
     def group_count(self) -> int:
         return len(self.groups)
 
-    @property
-    def max_group_size(self) -> int:
-        return max((len(group) for group in self.groups), default=0)
-
     def group_members(self, index: int) -> tuple[int, ...]:
         return self.groups[index]
 

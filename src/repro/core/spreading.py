@@ -16,6 +16,7 @@ neighbour liveness is judged by "did it deliver a message this round".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from ..runtime import ProcessEnv, Program
 
@@ -24,12 +25,8 @@ TAG_PACK = 4
 
 @dataclass
 class SpreadingState:
-    """Per-process state persisting across epochs.
-
-    ``disregarded`` implements the "never use this link again" rule;
-    ``sent`` tracks, per neighbour, which group slots were already pushed on
-    that link (each slot crosses each link at most once per epoch run).
-    """
+    """Per-process state persisting across epochs: ``disregarded``
+    implements the "never use this link again" rule."""
 
     neighbors: tuple[int, ...]
     disregarded: set[int] = field(default_factory=set)
@@ -65,53 +62,57 @@ def group_bits_spreading(
     """
     packs: list[tuple[int, int] | None] = [None] * group_count
     packs[my_group] = my_counts
-    # Per-link queues of slots not yet exchanged on that link (tracking the
-    # queue beats rescanning all sqrt(n) slots per link per round).
-    pending: dict[int, set[int]] = {v: {my_group} for v in state.neighbors}
+    # Per-link queues of slots not yet exchanged on that link, one bitmask
+    # over the group slots each (each slot crosses each link at most once).
+    pending = dict.fromkeys(state.neighbors, 1 << my_group)
     operative = True
-    empty_pack = (TAG_PACK, ())
 
     for _round_index in range(rounds):
-        if operative:
-            for neighbor in state.live_neighbors():
-                queue = pending[neighbor]
-                if queue:
-                    fresh = tuple(
-                        (slot, packs[slot][0], packs[slot][1])
-                        for slot in sorted(queue)
-                    )
-                    queue.clear()
-                    env.send(neighbor, (TAG_PACK, fresh))
-                else:
-                    # Heartbeat: liveness is judged per round.
-                    env.send(neighbor, empty_pack)
-            inbox = yield
-            heard: set[int] = set()
-            for message in inbox:
-                sender = message.sender
-                if sender in state.disregarded or sender not in pending:
-                    continue
-                payload = message.payload
-                if not (
-                    isinstance(payload, tuple)
-                    and payload
-                    and payload[0] == TAG_PACK
-                ):
-                    continue
-                heard.add(sender)
-                for slot, ones, zeros in payload[1]:
-                    if packs[slot] is None:
-                        packs[slot] = (ones, zeros)
-                        for queue in pending.values():
-                            queue.add(slot)
-                    # Known on this link already: no need to echo it back.
-                    pending[sender].discard(slot)
-            silent = set(state.live_neighbors()) - heard
-            state.disregarded |= silent
-            if len(heard) < degree_threshold:
-                operative = False
-        else:
+        if not operative:
             yield
+            continue
+        live = state.live_neighbors()
+        # One payload per distinct queue; mask 0 is the heartbeat (liveness
+        # is judged per round).  Consecutive neighbours with equal queues
+        # share one multicast -- runs only: merging non-adjacent links would
+        # permute the flat copy order that omission schedules index.
+        payloads: dict[int, tuple] = {0: (TAG_PACK, ())}
+        for mask, run in groupby(live, key=pending.__getitem__):
+            payload = payloads.get(mask)
+            if payload is None:
+                fresh = tuple(
+                    (slot, packs[slot][0], packs[slot][1])
+                    for slot in range(group_count)
+                    if mask >> slot & 1
+                )
+                payload = payloads[mask] = (TAG_PACK, fresh)
+            env.send_many(run, payload)
+        inbox = yield
+        new_mask = 0
+        seen_from: dict[int, int] = {}  # heard sender -> slots it sent
+        for message in inbox:
+            sender = message.sender
+            if sender in state.disregarded or sender not in pending:
+                continue
+            payload = message.payload
+            if not (
+                isinstance(payload, tuple) and payload and payload[0] == TAG_PACK
+            ):
+                continue
+            seen = seen_from.get(sender, 0)
+            for slot, ones, zeros in payload[1]:
+                if packs[slot] is None:
+                    packs[slot] = (ones, zeros)
+                    new_mask |= 1 << slot
+                seen |= 1 << slot
+            seen_from[sender] = seen
+        # Everything sent is off its queue; a new slot joins every queue but
+        # that of a link it was just seen on (no need to echo it back).
+        for neighbor in live:
+            pending[neighbor] = new_mask & ~seen_from.get(neighbor, 0)
+        state.disregarded.update(v for v in live if v not in seen_from)
+        if len(seen_from) < degree_threshold:
+            operative = False
 
     ones = sum(entry[0] for entry in packs if entry is not None)
     zeros = sum(entry[1] for entry in packs if entry is not None)

@@ -287,10 +287,6 @@ _REP003_SCOPE = (
     "repro/adversary",
 )
 
-#: Builtins whose consumption of a set is order-insensitive.
-_ORDER_SAFE_CONSUMERS = frozenset(
-    {"sorted", "min", "max", "sum", "len", "any", "all", "set", "frozenset", "bool"}
-)
 #: Builtins that materialize their argument in iteration order.
 _ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
 

@@ -36,12 +36,12 @@ from .columnar import (
 )
 from .messages import Message, MessageBatch, MessageRecord, Multicast
 
-# Copies per record from which a batch takes the columnar plan.  Measured
-# per-batch fan-out is bimodal: Algorithm 1's spreading-graph rounds sit at
-# 1.0 and ParamOmissions' idle rounds at 1-3 (always-columnar ran those
-# protocols ~1.3-1.5x slower end to end), while Ben-Or, Dolev-Strong and
-# Algorithm 1's announce/fallback rounds sit at n-1 (always-object ran
-# Ben-Or n=256 ~1.5x slower).  2, 4, 8 and 16 are indistinguishable within
+# Copies per record from which a batch takes the columnar plan.  Per-link
+# rounds (mid-gossip spreading, narrow merged-count relays, ParamOmissions'
+# small sub-committees) sit at 1-3; spreading's run multicasts sit near 32
+# at n=256 and the two paths are within ~10% there; Ben-Or, Dolev-Strong
+# and Algorithm 1's announce/fallback rounds sit at n-1 (always-object ran
+# Ben-Or n=256 ~1.5x slower).  2, 4, 8 and 16 were indistinguishable within
 # noise on all five shapes in docs/model.md, so this is not a tuning knob.
 _COLUMNAR_MIN_FANOUT = 4
 

@@ -7,12 +7,20 @@ from repro.adversary import (
     SilenceAdversary,
     StaticCrashAdversary,
 )
+from repro.baselines import dolev_strong
 from repro.baselines.dolev_strong import (
+    TAG_DS,
     DolevStrongProcess,
     _valid_record,
     dolev_strong_consensus,
 )
-from repro.runtime import ProcessEnv, SyncNetwork, SyncProcess
+from repro.runtime import (
+    CountingRandom,
+    Message,
+    ProcessEnv,
+    SyncNetwork,
+    SyncProcess,
+)
 
 
 def run_ds(inputs, t, adversary=None, seed=0):
@@ -26,29 +34,91 @@ def run_ds(inputs, t, adversary=None, seed=0):
 
 class TestChainValidation:
     def test_valid_first_round_record(self):
-        assert _valid_record((3, 1, (3,)), 1, sender=3, receiver=0)
+        assert _valid_record((3, 1, (3,)), 1, sender=3, receiver=0, n=8)
 
     def test_wrong_length_rejected(self):
-        assert not _valid_record((3, 1, (3,)), 2, sender=3, receiver=0)
+        assert not _valid_record((3, 1, (3,)), 2, sender=3, receiver=0, n=8)
 
     def test_wrong_source_rejected(self):
-        assert not _valid_record((3, 1, (4,)), 1, sender=4, receiver=0)
+        assert not _valid_record((3, 1, (4,)), 1, sender=4, receiver=0, n=8)
 
     def test_wrong_sender_rejected(self):
-        assert not _valid_record((3, 1, (3, 5)), 2, sender=6, receiver=0)
+        assert not _valid_record((3, 1, (3, 5)), 2, sender=6, receiver=0, n=8)
 
     def test_duplicate_relayers_rejected(self):
-        assert not _valid_record((3, 1, (3, 3)), 2, sender=3, receiver=0)
+        assert not _valid_record((3, 1, (3, 3)), 2, sender=3, receiver=0, n=8)
 
     def test_receiver_in_chain_rejected(self):
-        assert not _valid_record((3, 1, (3, 0)), 2, sender=0, receiver=0)
+        assert not _valid_record((3, 1, (3, 0)), 2, sender=0, receiver=0, n=8)
 
     def test_non_binary_value_rejected(self):
-        assert not _valid_record((3, 7, (3,)), 1, sender=3, receiver=0)
+        assert not _valid_record((3, 7, (3,)), 1, sender=3, receiver=0, n=8)
 
     def test_malformed_rejected(self):
-        assert not _valid_record("junk", 1, sender=0, receiver=1)
-        assert not _valid_record((1, 2), 1, sender=0, receiver=1)
+        assert not _valid_record("junk", 1, sender=0, receiver=1, n=8)
+        assert not _valid_record((1, 2), 1, sender=0, receiver=1, n=8)
+
+    @pytest.mark.parametrize("source", [8, -1, 999, True, 3.0, "3", None, [3]])
+    def test_source_that_is_not_a_pid_rejected(self, source):
+        record = (source, 1, (source,))
+        assert not _valid_record(record, 1, sender=source, receiver=0, n=8)
+
+    @pytest.mark.parametrize("relayer", [8, -1, True, 2.0, "2", None, [2]])
+    def test_relayer_that_is_not_a_pid_rejected(self, relayer):
+        record = (3, 1, (3, relayer, 5))
+        assert not _valid_record(record, 3, sender=5, receiver=0, n=8)
+        assert _valid_record((3, 1, (3, 2, 5)), 3, sender=5, receiver=0, n=8)
+
+
+def drive(pid, n, t, input_bit, inboxes):
+    """Hand-feed one participant ``t + 1`` inboxes; returns its decision."""
+    env = ProcessEnv(pid, n, CountingRandom(0))
+    program = dolev_strong_consensus(env, t, input_bit)
+    next(program)
+    for inbox in inboxes[:-1]:
+        program.send(inbox)
+    with pytest.raises(StopIteration) as done:
+        program.send(inboxes[-1])
+    return done.value.value
+
+
+class TestReceiveLoop:
+    def test_forged_source_heading_a_consistent_chain_is_not_a_vote(self):
+        """``(999, 1, (999, sender))`` from a real ``sender`` used to become
+        a 17th source in the majority; two of them outvoted the receiver."""
+        forged = tuple((fake, 1, (fake, 5)) for fake in (999, 998))
+        inboxes = [[], [Message(5, 0, (TAG_DS, forged))], [], []]
+        assert drive(0, 16, 3, 0, inboxes) == 0
+
+    def test_malformed_record_with_an_accepted_source_is_skipped(self):
+        junk = ((0, 1), (0, 7, "x"), (0,), 0, "junk", None, ([0], 1, ([0],)))
+        good = (3, 1, (3,))
+        inboxes = [[Message(3, 0, (TAG_DS, junk + (good,)))], []]
+        assert drive(0, 4, 1, 1, inboxes) == 1
+
+    def test_full_house_stops_reading_without_leaving_lockstep(self):
+        """With every source held the rest of the inbox is not even looked
+        at (a payload that would raise is passed over), and the generator
+        still consumes all ``t + 1`` rounds."""
+        first = [Message(q, 0, (TAG_DS, ((q, 1, (q,)),))) for q in (1, 2)]
+        unreadable = [Message(1, 0, (TAG_DS, None))]
+        assert drive(0, 3, 2, 0, [first, unreadable, unreadable]) == 1
+
+    def test_fault_free_run_validates_each_record_once(self, monkeypatch):
+        """Count guard: n·(n−1) chain walks per run, not n²·(n−1) — a source
+        is looked up before its chain is walked, and a full house stops the
+        read."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _valid_record(*args)
+
+        monkeypatch.setattr(dolev_strong, "_valid_record", counting)
+        n = 32
+        result, _ = run_ds([pid % 2 for pid in range(n)], t=4)
+        assert result.agreement_value() == 1
+        assert 0 < len(calls) <= n * (n - 1)
 
 
 class TestCorrectness:
