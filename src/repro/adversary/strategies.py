@@ -163,11 +163,7 @@ class EclipseAdversary(Adversary):
                 (pid for pid in self.neighbors if pid != self.victim), view
             )
         silenced = set(self.neighbors) & (view.faulty | corrupt)
-        omit = frozenset(
-            index
-            for index, message in enumerate(view.messages)
-            if message.recipient == self.victim and message.sender in silenced
-        )
+        omit = view.message_indices_from(silenced) & view.message_indices_to({self.victim})
         return AdversaryAction(corrupt=corrupt, omit=omit)
 
 

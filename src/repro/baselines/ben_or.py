@@ -21,6 +21,7 @@ Two roles in this repository:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 
 from ..runtime import (
@@ -28,6 +29,7 @@ from ..runtime import (
     ProcessEnv,
     Program,
     SyncProcess,
+    inbox_payloads,
 )
 
 TAG_VOTE = 7
@@ -85,19 +87,30 @@ class BenOrVotingProcess(SyncProcess):
             env.broadcast((TAG_VOTE, self.b))
             inbox = yield
 
+            # Tally by value: n - 1 copies hold 2-4 distinct payloads.
+            payloads = inbox_payloads(inbox)
+            try:
+                tally = Counter(payloads).items()
+            except TypeError:  # an unhashable (malformed) payload: copy by copy
+                tally = [(payload, 1) for payload in payloads]
             adopted: int | None = None
+            decides = []
             ones = self.b
             total = 1
-            for message in inbox:
-                payload = message.payload
+            for payload, copies in tally:
                 if not isinstance(payload, tuple) or len(payload) != 2:
                     continue
                 tag, value = payload
                 if tag == TAG_DECIDE:
-                    adopted = value
+                    decides.append(payload)
                 elif tag == TAG_VOTE:
-                    total += 1
-                    ones += value
+                    total += copies
+                    ones += value * copies
+            if decides:
+                # The last DECIDE copy in sender order wins: two values can
+                # coexist after the phase-budget cut-off, and the tally is
+                # first-seen-ordered where the inbox is not.
+                adopted = next(p for p in reversed(payloads) if p in decides)[1]
             if adopted is not None:
                 decided_value = adopted
                 break

@@ -29,6 +29,8 @@ from ..runtime import (
     ProcessEnv,
     Program,
     SyncProcess,
+    inbox_payloads,
+    inbox_senders,
 )
 
 TAG_PK_VOTE = 9
@@ -60,8 +62,7 @@ class PhaseKingProcess(SyncProcess):
             inbox = yield
             ones = self.b
             total = 1
-            for message in inbox:
-                payload = message.payload
+            for payload in inbox_payloads(inbox):
                 if (
                     isinstance(payload, tuple)
                     and len(payload) == 2
@@ -78,10 +79,9 @@ class PhaseKingProcess(SyncProcess):
                 env.broadcast((TAG_PK_KING, majority))
             inbox = yield
             king_value = 0
-            for message in inbox:
-                payload = message.payload
+            for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
                 if (
-                    message.sender == king
+                    sender == king
                     and isinstance(payload, tuple)
                     and len(payload) == 2
                     and payload[0] == TAG_PK_KING

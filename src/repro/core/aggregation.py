@@ -21,10 +21,11 @@ stays in lockstep.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..params import ProtocolParams
-from ..runtime import Message, ProcessEnv, Program
+from ..runtime import Message, ProcessEnv, Program, inbox_payloads, inbox_senders
 from .partition import BagTree
 
 #: Payload tags (small ints keep the metered bit sizes honest).
@@ -47,16 +48,15 @@ class AggregationResult:
 
 
 def _first_counts(
-    inbox: list[Message],
+    inbox: Sequence[Message],
 ) -> tuple[dict[int, tuple[int, int]], set[int]]:
     """Collect first-received (ones, zeros) per child bag, and the senders."""
     counts: dict[int, tuple[int, int]] = {}
     senders: set[int] = set()
-    for message in inbox:
-        payload = message.payload
+    for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
         if not (isinstance(payload, tuple) and payload and payload[0] == TAG_COUNTS):
             continue
-        senders.add(message.sender)
+        senders.add(sender)
         _, child_index, ones, zeros = payload
         if child_index not in counts:
             counts[child_index] = (ones, zeros)
@@ -120,10 +120,10 @@ def group_bits_aggregation(
             # +1: a source always (implicitly) confirms itself.
             acks = 1 + sum(
                 1
-                for message in inbox
-                if isinstance(message.payload, tuple)
-                and message.payload
-                and message.payload[0] == TAG_ACK
+                for payload in inbox_payloads(inbox)
+                if isinstance(payload, tuple)
+                and payload
+                and payload[0] == TAG_ACK
             )
             if 2 * acks <= group_size:
                 operative = False
@@ -153,15 +153,15 @@ def group_bits_aggregation(
             env.send_many(run_members, run_payload)
         inbox = yield
         if operative:
-            merged_messages = [
-                message
-                for message in inbox
-                if isinstance(message.payload, tuple)
-                and message.payload
-                and message.payload[0] == TAG_MERGED
+            merged = [
+                payload
+                for payload in inbox_payloads(inbox)
+                if isinstance(payload, tuple)
+                and payload
+                and payload[0] == TAG_MERGED
             ]
             # +1: the process transmits to itself implicitly.
-            heard = 1 + len(merged_messages)
+            heard = 1 + len(merged)
             if heard < group_size // GROUP_RELAY_R3_DIVISOR + 1:
                 operative = False
             else:
@@ -171,8 +171,7 @@ def group_bits_aggregation(
                     if right_index is not None
                     else None
                 )
-                for message in merged_messages:
-                    _, left_entry, right_entry = message.payload
+                for _, left_entry, right_entry in merged:
                     if left_counts is None and left_entry is not None:
                         left_counts = tuple(left_entry)
                     if right_counts is None and right_entry is not None:

@@ -48,6 +48,7 @@ from ..runtime import (
     Program,
     SyncProcess,
     idle_rounds,
+    inbox_payloads,
 )
 from .aggregation import group_bits_aggregation
 from .partition import (
@@ -112,8 +113,7 @@ class CoreState:
 
 def _decision_from(inbox: list[Message]) -> int | None:
     """Extract the first decision bit from line-14-style broadcasts."""
-    for message in inbox:
-        payload = message.payload
+    for payload in inbox_payloads(inbox):
         if (
             isinstance(payload, tuple)
             and len(payload) == 2

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from ..runtime import ProcessEnv, Program
+from ..runtime import ProcessEnv, Program, inbox_payloads, inbox_senders
 
 TAG_PACK = 4
 
@@ -90,11 +90,9 @@ def group_bits_spreading(
         inbox = yield
         new_mask = 0
         seen_from: dict[int, int] = {}  # heard sender -> slots it sent
-        for message in inbox:
-            sender = message.sender
+        for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
             if sender in state.disregarded or sender not in pending:
                 continue
-            payload = message.payload
             if not (
                 isinstance(payload, tuple) and payload and payload[0] == TAG_PACK
             ):

@@ -23,6 +23,8 @@ Public surface:
 * :class:`ColumnarBatch`, :class:`LazyMessageList`, :data:`HAVE_NUMPY` —
   the numpy-vectorized round layout the delivery layer uses on wide
   fan-out batches;
+* :func:`inbox_payloads`, :func:`inbox_senders` — an inbox read by column
+  (no :class:`Message` built), for receive loops that only count;
 * :func:`canonical_omissions` — the shared sorted/de-duplicated normal form
   of an omission schedule.
 """
@@ -31,6 +33,8 @@ from .columnar import (
     HAVE_NUMPY,
     ColumnarBatch,
     LazyMessageList,
+    inbox_payloads,
+    inbox_senders,
 )
 from .messages import (
     MESSAGE_OVERHEAD_BITS,
@@ -98,6 +102,8 @@ __all__ = [
     "HAVE_NUMPY",
     "ColumnarBatch",
     "LazyMessageList",
+    "inbox_payloads",
+    "inbox_senders",
     "MESSAGE_OVERHEAD_BITS",
     "Message",
     "MessageBatch",

@@ -24,8 +24,12 @@ vectorized index operations:
 * :class:`LazyMessageList` — a ``Sequence[Message]`` view over a set of
   flat copy indices.  Inboxes and the observer-facing delivered/lost
   lists are these views: per-copy :class:`Message` objects materialize
-  only when a program or observer actually reads them, and a process that
+  only when a program or observer iterates them, and a process that
   ignores its inbox never pays for it.
+* :func:`inbox_payloads` / :func:`inbox_senders` — the column read for
+  receive loops that only count: an inbox's payloads and senders as plain
+  lists in inbox order, without building a :class:`Message` on a lazy
+  view and from the ``Message`` attributes on a plain-list inbox.
 * :func:`first_illegal_omission` — the engine's omission legality check
   (range + faulty-incidence) as two vectorized membership tests, matching
   the scalar validator index-for-index.
@@ -43,7 +47,8 @@ object loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property
 from typing import Any, overload
 
 from .messages import Message, Multicast
@@ -69,22 +74,9 @@ class ColumnarBatch:
 
     Built from a :class:`MessageBatch`'s records; the batch caches the
     result, so the arrays are constructed at most once per round however
-    many consumers (validation, delivery, materialization) touch them.
+    many consumers (the adversary's view, validation, delivery, inbox
+    reads) touch them.
     """
-
-    __slots__ = (
-        "records",
-        "rec_sender",
-        "rec_count",
-        "rec_bits",
-        "copy_recipient",
-        "total_copies",
-        "_rec_offset",
-        "_copy_sender",
-        "_copy_bits",
-        "_copy_record",
-        "_all_copies",
-    )
 
     def __init__(
         self,
@@ -100,11 +92,6 @@ class ColumnarBatch:
         self.rec_bits = rec_bits
         self.copy_recipient = copy_recipient
         self.total_copies = int(copy_recipient.shape[0])
-        self._rec_offset: Any = None
-        self._copy_sender: Any = None
-        self._copy_bits: Any = None
-        self._copy_record: Any = None
-        self._all_copies: Any = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -162,49 +149,45 @@ class ColumnarBatch:
         return cls(records, rec_sender, rec_count, rec_bits, copy_recipient)
 
     # ------------------------------------------------------------------
-    # Lazily derived per-copy columns.
-    @property
-    def rec_offset(self) -> Any:
-        """Flat index of each record's first copy (exclusive cumsum)."""
-        if self._rec_offset is None:
-            offsets = np.empty(len(self.records), dtype=np.int64)
-            if offsets.shape[0]:
-                offsets[0] = 0
-                np.cumsum(self.rec_count[:-1], out=offsets[1:])
-            self._rec_offset = offsets
-        return self._rec_offset
-
-    @property
+    # Lazily derived columns, each built on first use.
+    @cached_property
     def copy_sender(self) -> Any:
-        if self._copy_sender is None:
-            self._copy_sender = np.repeat(self.rec_sender, self.rec_count)
-        return self._copy_sender
+        return np.repeat(self.rec_sender, self.rec_count)
 
-    @property
+    @cached_property
     def copy_bits(self) -> Any:
-        if self._copy_bits is None:
-            self._copy_bits = np.repeat(self.rec_bits, self.rec_count)
-        return self._copy_bits
+        return np.repeat(self.rec_bits, self.rec_count)
 
-    @property
+    @cached_property
     def copy_record(self) -> Any:
         """Record position owning each flat copy (the payload-table key)."""
-        if self._copy_record is None:
-            self._copy_record = np.repeat(
-                np.arange(len(self.records), dtype=np.int64), self.rec_count
-            )
-        return self._copy_record
+        return np.repeat(
+            np.arange(len(self.records), dtype=np.int64), self.rec_count
+        )
 
-    @property
-    def all_copies(self) -> Any:
-        """``arange(total_copies)`` — the identity index vector."""
-        if self._all_copies is None:
-            self._all_copies = np.arange(self.total_copies, dtype=np.int64)
-        return self._all_copies
+    @cached_property
+    def rec_payload(self) -> Any:
+        """The payload table: each record's payload, as an object vector
+        that ``copy_record`` positions gather from."""
+        table = np.empty(len(self.records), dtype=object)
+        for position, record in enumerate(self.records):
+            table[position] = record.payload
+        return table
 
     def total_bits(self) -> int:
         """Sum of per-copy bits over the batch, from the record vectors."""
         return int(self.rec_bits @ self.rec_count)
+
+    def copy_indices(
+        self, senders: Iterable[int], recipients: Iterable[int]
+    ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """:meth:`MessageBatch.copy_indices`, as one vectorized select per
+        asked pid and side."""
+        sent, to = self.copy_sender, self.copy_recipient
+        return (
+            {pid: np.flatnonzero(sent == pid).tolist() for pid in senders},
+            {pid: np.flatnonzero(to == pid).tolist() for pid in recipients},
+        )
 
 
 class LazyMessageList(Sequence[Message]):
@@ -214,7 +197,8 @@ class LazyMessageList(Sequence[Message]):
     hook's delivered/lost lists.  ``len``/truthiness are O(1) and touch no
     objects; the first element access materializes the full list once (the
     same per-copy cost the object loop pays unconditionally) and caches
-    it, so repeated reads stay list-speed.
+    it, so repeated reads stay list-speed.  :func:`inbox_payloads` and
+    :func:`inbox_senders` read one column each without materializing.
     """
 
     __slots__ = ("_cols", "_indices", "_items")
@@ -226,34 +210,28 @@ class LazyMessageList(Sequence[Message]):
         self._indices = indices
         self._items: list[Message] | None = None
 
+    def _gather(self, column: Any) -> Any:
+        """``column`` restricted to this view's copies, in view order."""
+        return column if self._indices is None else column[self._indices]
+
     def _materialize(self) -> list[Message]:
         # The designated per-copy materialization point of the columnar
         # engine (REP007): the only place flat indices become Message
         # objects, entered only when a consumer actually reads.
         items = self._items
         if items is None:
-            cols = self._cols
-            records = cols.records
-            indices = self._indices
-            if indices is None:
-                record_positions = cols.copy_record.tolist()
-                recipients = cols.copy_recipient.tolist()
-            else:
-                record_positions = cols.copy_record[indices].tolist()
-                recipients = cols.copy_recipient[indices].tolist()
+            cols, gather = self._cols, self._gather
+            records = map(cols.records.__getitem__, gather(cols.copy_record).tolist())
             items = [
                 Message(record.sender, recipient, record.payload, record.bits)
-                for record, recipient in zip(
-                    map(records.__getitem__, record_positions), recipients
-                )
+                for record, recipient in zip(records, gather(cols.copy_recipient).tolist())
             ]
             self._items = items
         return items
 
     def __len__(self) -> int:
-        if self._indices is None:
-            return self._cols.total_copies
-        return int(self._indices.shape[0])
+        indices = self._indices
+        return self._cols.total_copies if indices is None else len(indices)
 
     @overload
     def __getitem__(self, index: int) -> Message: ...
@@ -269,6 +247,30 @@ class LazyMessageList(Sequence[Message]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LazyMessageList({len(self)} copies)"
+
+
+def inbox_payloads(inbox: Sequence[Message]) -> list[Any]:
+    """``[message.payload for message in inbox]`` without the messages.
+
+    The read for receive loops that only count, one spelling for both
+    inbox kinds: a gather from the round's payload table on a lazy view
+    (no :class:`Message` built, nothing cached on the view), the attribute
+    on a plain list (object loop, partial-synchrony merges, TCP workers).
+    """
+    if type(inbox) is LazyMessageList:
+        cols = inbox._cols
+        payloads: list[Any] = cols.rec_payload[inbox._gather(cols.copy_record)].tolist()
+        return payloads
+    return [message.payload for message in inbox]
+
+
+def inbox_senders(inbox: Sequence[Message]) -> list[int]:
+    """``[message.sender for message in inbox]``, parallel to
+    :func:`inbox_payloads` (``zip`` the two for ``(sender, payload)``)."""
+    if type(inbox) is LazyMessageList:
+        senders: list[int] = inbox._gather(inbox._cols.copy_sender).tolist()
+        return senders
+    return [message.sender for message in inbox]
 
 
 _EMPTY: tuple[Message, ...] = ()
@@ -440,5 +442,7 @@ __all__ = [
     "FanoutCache",
     "LazyMessageList",
     "first_illegal_omission",
+    "inbox_payloads",
+    "inbox_senders",
     "plan_delivery",
 ]

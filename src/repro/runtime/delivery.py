@@ -30,6 +30,7 @@ from typing import NamedTuple, cast
 
 from .columnar import (
     HAVE_NUMPY,
+    ColumnarBatch,
     FanoutCache,
     first_illegal_omission,
     plan_delivery,
@@ -79,8 +80,9 @@ def _raise_illegal(total: int, index: int, sender: int, recipient: int,
 
 
 def _takes_columnar_plan(batch: MessageBatch) -> bool:
-    """The per-batch rule.  Pure in the batch, so one round's validation
-    and delivery passes agree (and share its cached column vectors)."""
+    """The per-batch rule.  Pure in the batch, so one round's readers —
+    the adversary's view, validation, delivery — agree (and share its
+    cached column vectors)."""
     return (
         HAVE_NUMPY
         and batch.sender_sorted
@@ -99,6 +101,13 @@ class Delivery:
         # process, so the same tuple objects recur every round.
         self._fanout_cache: FanoutCache = {}
 
+    def columns(self, batch: MessageBatch) -> ColumnarBatch | None:
+        """``batch`` as column vectors (built once, with this network's
+        fan-out cache) if it takes the columnar plan, else ``None``."""
+        if _takes_columnar_plan(batch):
+            return batch.columns(self._fanout_cache)
+        return None
+
     def validate_omissions(
         self, batch: MessageBatch, omit: Sequence[int], faulty: Set[int]
     ) -> None:
@@ -108,10 +117,9 @@ class Delivery:
         order guarantees both paths name the *same* offending index.
         """
         total = len(batch)
-        if total and _takes_columnar_plan(batch):
-            offender = first_illegal_omission(
-                batch.columns(self._fanout_cache), omit, frozenset(faulty)
-            )
+        cols = self.columns(batch) if total else None
+        if cols is not None:
+            offender = first_illegal_omission(cols, omit, frozenset(faulty))
             if offender is not None:
                 kind, index, sender, recipient = offender
                 _raise_illegal(
@@ -142,12 +150,11 @@ class Delivery:
         Every slot of ``inboxes`` must hold a plain list on entry (the
         execution core's advance resets them).
         """
-        if not _takes_columnar_plan(batch):
+        cols = self.columns(batch)
+        if cols is None:
             return _deliver_objects(batch, omitted, inboxes, live)
         plan = plan_delivery(
-            batch.columns(self._fanout_cache),
-            omitted,
-            None if live is None else list(live),
+            cols, omitted, None if live is None else list(live)
         )
         for recipient, view in plan.inboxes:
             inboxes[recipient] = view

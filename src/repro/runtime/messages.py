@@ -188,11 +188,11 @@ class MessageBatch(Sequence[Message]):
 
     Per-copy :class:`Message` views are materialized on demand
     (``__getitem__`` / iteration); the aggregate queries (:meth:`total_bits`,
-    ``len``, :meth:`endpoints_at`, the per-sender/per-recipient index
-    builders) answer from the records without materializing anything.
+    ``len``, :meth:`endpoints_at`, :meth:`copy_indices`) answer from the
+    records without materializing anything.
     """
 
-    __slots__ = ("records", "offsets", "_total", "_sender_sorted", "_columns")
+    __slots__ = ("records", "offsets", "_total", "sender_sorted", "_columns")
 
     def __init__(self, records: Iterable[MessageRecord] = ()) -> None:
         records = records if type(records) is list else list(records)
@@ -213,16 +213,11 @@ class MessageBatch(Sequence[Message]):
         #: Flat index of each record's first copy (parallel to ``records``).
         self.offsets = offsets
         self._total = total
-        self._sender_sorted = sender_sorted
+        #: True when records appear in non-decreasing sender order (always
+        #: the case for engine-built batches, where processes advance in pid
+        #: order) — lets delivery skip the per-round sender bucketing.
+        self.sender_sorted = sender_sorted
         self._columns: ColumnarBatch | None = None
-
-    # ------------------------------------------------------------------
-    @property
-    def sender_sorted(self) -> bool:
-        """True when records appear in non-decreasing sender order (always
-        the case for engine-built batches, where processes advance in pid
-        order) — lets delivery skip the per-round sender bucketing."""
-        return self._sender_sorted
 
     def __len__(self) -> int:
         return self._total
@@ -272,9 +267,8 @@ class MessageBatch(Sequence[Message]):
         """The batch as a :class:`~repro.runtime.columnar.ColumnarBatch`.
 
         Built on first call and cached for the batch's lifetime (a batch is
-        immutable once constructed), so the adversary-validation and
-        delivery passes of one round share a single vectorization.
-        Requires numpy (:data:`repro.runtime.columnar.HAVE_NUMPY`).
+        immutable once constructed), so every reader of one round shares a
+        single vectorization.  Requires numpy (:data:`columnar.HAVE_NUMPY`).
         """
         cols = self._columns
         if cols is None:
@@ -306,32 +300,34 @@ class MessageBatch(Sequence[Message]):
                 total += record.bits
         return total
 
-    def indices_by_sender(self) -> dict[int, list[int]]:
-        """Flat copy indices grouped by sender, in index order."""
-        by_sender: dict[int, list[int]] = {}
-        for record, base in zip(self.records, self.offsets):
-            if type(record) is Multicast:
-                indices = range(base, base + len(record.recipients))
-            else:
-                indices = (base,)
-            existing = by_sender.get(record.sender)
-            if existing is None:
-                by_sender[record.sender] = list(indices)
-            else:
-                existing.extend(indices)
-        return by_sender
+    def copy_indices(
+        self, senders: Iterable[int], recipients: Iterable[int]
+    ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """Flat copy indices sent by each of ``senders`` / addressed to each
+        of ``recipients``, ascending per pid, for the asked pids only.
 
-    def indices_by_recipient(self) -> dict[int, list[int]]:
-        """Flat copy indices grouped by recipient, in index order."""
-        by_recipient: dict[int, list[int]] = {}
-        setdefault = by_recipient.setdefault
+        One walk over the *records*, never a Python step per copy: a
+        multicast is intersected with the asked recipients, then scanned
+        once per hit (a pid may recur inside one fan-out).
+        """
+        sent: dict[int, list[int]] = {pid: [] for pid in senders}
+        received: dict[int, list[int]] = {pid: [] for pid in recipients}
         for record, base in zip(self.records, self.offsets):
-            if type(record) is Multicast:
-                for position, recipient in enumerate(record.recipients):
-                    setdefault(recipient, []).append(base + position)
+            if isinstance(record, Multicast):
+                fanout = record.recipients
+                if record.sender in sent:
+                    sent[record.sender].extend(range(base, base + len(fanout)))
+                for pid in received.keys() & fanout if received else ():
+                    position = -1
+                    for _ in range(fanout.count(pid)):
+                        position = fanout.index(pid, position + 1)
+                        received[pid].append(base + position)
             else:
-                setdefault(record.recipient, []).append(base)
-        return by_recipient
+                if record.sender in sent:
+                    sent[record.sender].append(base)
+                if record.recipient in received:
+                    received[record.recipient].append(base)
+        return sent, received
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

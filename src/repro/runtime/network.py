@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
-from .delivery import Delivery
+from .delivery import Delivery, _takes_columnar_plan
 from .engine import ExecutionCore, ExecutionResult
 from .messages import Message, MessageBatch
 from .observers import MetricsObserver, RoundObserver
@@ -112,6 +112,7 @@ class AdversaryAction:
         return AdversaryAction()
 
 
+@dataclass(slots=True, eq=False)
 class NetworkView:
     """Read-only full-information snapshot handed to the adversary.
 
@@ -121,91 +122,63 @@ class NetworkView:
     not been drawn yet.
     """
 
-    __slots__ = (
-        "round",
-        "processes",
-        "messages",
-        "faulty",
-        "budget_left",
-        "decisions",
-        "terminated",
-        "_by_sender",
-        "_by_recipient",
-    )
-
-    def __init__(
-        self,
-        round_no: int,
-        processes: Sequence[SyncProcess],
-        messages: Sequence[Message],
-        faulty: frozenset[int],
-        budget_left: int,
-        decisions: Mapping[int, Any],
-        terminated: frozenset[int],
-    ) -> None:
-        self.round = round_no
-        self.processes = processes
-        #: The round's outbound traffic as a flat ``Sequence[Message]`` —
-        #: a :class:`MessageBatch` for engine-built views, where multicast
-        #: copies occupy consecutive indices and materialize lazily on
-        #: ``view.messages[i]`` / iteration.  Omit indices address these
-        #: flat positions.
-        self.messages = messages
-        self.faulty = faulty
-        self.budget_left = budget_left
-        self.decisions = decisions
-        self.terminated = terminated
-        # Lazy per-sender/per-recipient indexes.  A view's message list is
-        # immutable for its lifetime (the engine builds a fresh view every
-        # round), so the indexes are built at most once per round instead of
-        # rescanning all m messages on every helper call.
-        self._by_sender: dict[int, list[int]] | None = None
-        self._by_recipient: dict[int, list[int]] | None = None
-
-    def _indexes(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        if self._by_sender is None:
-            messages = self.messages
-            if isinstance(messages, MessageBatch):
-                # Answer from the records — no per-copy materialization.
-                self._by_sender = messages.indices_by_sender()
-                self._by_recipient = messages.indices_by_recipient()
-            else:
-                by_sender: dict[int, list[int]] = {}
-                by_recipient: dict[int, list[int]] = {}
-                for index, message in enumerate(messages):
-                    by_sender.setdefault(message.sender, []).append(index)
-                    by_recipient.setdefault(
-                        message.recipient, []
-                    ).append(index)
-                self._by_sender = by_sender
-                self._by_recipient = by_recipient
-        return self._by_sender, self._by_recipient
+    round: int
+    processes: Sequence[SyncProcess]
+    #: The round's outbound traffic as a flat ``Sequence[Message]`` — a
+    #: :class:`MessageBatch` for engine-built views, where multicast copies
+    #: occupy consecutive indices and materialize lazily on
+    #: ``view.messages[i]`` / iteration.  Omit indices address these flat
+    #: positions.
+    messages: Sequence[Message]
+    faulty: frozenset[int]
+    budget_left: int
+    decisions: Mapping[int, Any]
+    terminated: frozenset[int]
 
     # Convenience helpers used by concrete strategies -------------------
+    def _copy_indices(self, pids: Iterable[int], sent: bool, received: bool) -> frozenset[int]:
+        """The one index query behind the three public helpers.
+
+        Answers for the asked pids only: vectorized selects on the round's
+        column vectors when the batch takes the columnar plan, else one
+        walk over the records (``copy_indices`` of either representation).
+
+        **Insertion-order contract.**  The ``frozenset`` is built from one
+        fixed list — per pid ascending: its sent copies ascending, then its
+        received copies ascending, duplicates included.  Iteration order of
+        a set of ints depends on the insertion sequence once indices
+        collide modulo the table size, and ``RandomOmissionAdversary``
+        assigns its draws in that order: the same elements inserted
+        otherwise (one sorted ``np.isin`` select, say) silently move every
+        random-omission schedule and golden fingerprint.
+        """
+        asked = sorted(set(pids))
+        if not asked:
+            return frozenset()
+        batch = self.messages
+        if not isinstance(batch, MessageBatch):
+            batch = MessageBatch(batch)  # a hand-built plain-list view
+        source = batch.columns() if _takes_columnar_plan(batch) else batch
+        by_sender, by_recipient = source.copy_indices(
+            asked if sent else (), asked if received else ()
+        )
+        indices: list[int] = []
+        for pid in asked:
+            indices += by_sender.get(pid, ())
+            indices += by_recipient.get(pid, ())
+        return frozenset(indices)
+
     def message_indices_touching(self, pids: Iterable[int]) -> frozenset[int]:
         """Indices of messages sent by or to any of ``pids``."""
-        by_sender, by_recipient = self._indexes()
-        indices: list[int] = []
-        for pid in sorted(set(pids)):
-            indices.extend(by_sender.get(pid, ()))
-            indices.extend(by_recipient.get(pid, ()))
-        return frozenset(indices)
+        return self._copy_indices(pids, sent=True, received=True)
 
     def message_indices_from(self, pids: Iterable[int]) -> frozenset[int]:
         """Indices of messages sent by any of ``pids``."""
-        by_sender, _ = self._indexes()
-        indices: list[int] = []
-        for pid in sorted(set(pids)):
-            indices.extend(by_sender.get(pid, ()))
-        return frozenset(indices)
+        return self._copy_indices(pids, sent=True, received=False)
 
     def message_indices_to(self, pids: Iterable[int]) -> frozenset[int]:
         """Indices of messages addressed to any of ``pids``."""
-        _, by_recipient = self._indexes()
-        indices: list[int] = []
-        for pid in sorted(set(pids)):
-            indices.extend(by_recipient.get(pid, ()))
-        return frozenset(indices)
+        return self._copy_indices(pids, sent=False, received=True)
 
 
 @dataclass(frozen=True)
@@ -381,8 +354,11 @@ class SyncNetwork:
         strategy's raw action are coalesced before anything downstream
         counts or serializes them (see :func:`canonical_omissions`).
         """
+        # Vectorize a columnar-plan batch once, with the fan-out cache, for
+        # the view's index helpers, validation and delivery alike.
+        self._delivery.columns(batch)
         view = NetworkView(
-            round_no=self.round,
+            round=self.round,
             processes=self.processes,
             messages=batch,
             faulty=frozenset(self.faulty),

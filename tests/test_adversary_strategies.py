@@ -144,7 +144,7 @@ class TestViewHelpers:
     def test_message_index_helpers(self):
         messages = [Message(0, 1, "a"), Message(1, 2, "b"), Message(2, 0, "c")]
         view = NetworkView(
-            round_no=0,
+            round=0,
             processes=[],
             messages=messages,
             faulty=frozenset(),

@@ -4,6 +4,8 @@ import pytest
 
 from repro.adversary import SilenceAdversary, StaticCrashAdversary
 from repro.baselines import BenOrVotingProcess, run_ben_or
+from repro.baselines.ben_or import TAG_DECIDE, TAG_VOTE
+from repro.runtime import CountingRandom, Message, ProcessEnv
 
 
 class TestConstruction:
@@ -91,3 +93,46 @@ class TestCoinThrottling:
         ).result
         assert result.all_terminated
         assert result.metrics.rounds <= 5 + 3
+
+
+class TestReceiveTally:
+    """The receive step tallies payloads by value; these pin the two places
+    where a tally could differ from reading the copies one by one."""
+
+    @staticmethod
+    def first_phase(input_bit, payloads, threshold=0.4):
+        """Run one process's first phase on an inbox of ``payloads`` (one
+        per sender 1, 2, ...); returns (process, records queued after)."""
+        n = len(payloads) + 1
+        process = BenOrVotingProcess(0, n, input_bit, threshold=threshold)
+        env = ProcessEnv(0, n, CountingRandom(0))
+        program = process.program(env)
+        next(program)
+        env.outbox = []
+        program.send(
+            [
+                Message(sender, 0, payload)
+                for sender, payload in enumerate(payloads, start=1)
+            ]
+        )
+        return process, env.outbox
+
+    def test_last_decide_copy_in_sender_order_wins(self):
+        """Two DECIDE values can coexist after the phase-budget cut-off;
+        the adopted one is the last copy's, not the last *distinct* one's
+        (a first-seen-ordered tally alone would say 1 here)."""
+        process, outbox = self.first_phase(
+            1, [(TAG_DECIDE, 0), (TAG_DECIDE, 1), (TAG_VOTE, 1), (TAG_DECIDE, 0)]
+        )
+        assert process.decided and process.b == 0
+        assert [record.payload for record in outbox] == [(TAG_DECIDE, 0)]
+
+    def test_malformed_payloads_are_skipped_not_raised(self):
+        """An unhashable list and a 3-tuple are not votes: counted as two
+        votes for 1 the margin would be 0 (a coin flip), skipped it is -1
+        and the process decides 0 on the spot."""
+        process, outbox = self.first_phase(
+            0, [[TAG_VOTE, 1], (TAG_VOTE, 1, 1), (TAG_VOTE, 0)]
+        )
+        assert process.decided and process.b == 0
+        assert [record.payload for record in outbox] == [(TAG_DECIDE, 0)]

@@ -23,7 +23,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.adversary import ChaosAdversary, SilenceAdversary
+from repro.adversary import (
+    ChaosAdversary,
+    RandomOmissionAdversary,
+    SilenceAdversary,
+)
 from repro.baselines.ben_or import BenOrVotingProcess
 from repro.harness import execute
 from repro.replay import InvariantObserver, load_recipe, record, replay
@@ -41,6 +45,8 @@ from repro.runtime import (
     SyncProcess,
     canonical_omissions,
     delivery,
+    inbox_payloads,
+    inbox_senders,
     result_to_dict,
 )
 from repro.runtime.columnar import HAVE_NUMPY, plan_delivery
@@ -106,7 +112,7 @@ class TestColumnarBatch:
         assert cols.copy_sender.tolist() == [m.sender for m in flat]
         assert cols.copy_recipient.tolist() == [m.recipient for m in flat]
         assert cols.copy_bits.tolist() == [m.bits for m in flat]
-        assert cols.rec_offset.tolist() == batch.offsets
+        assert cols.rec_payload.tolist() == [r.payload for r in batch.records]
         assert cols.total_bits() == batch.total_bits()
 
     def test_copy_record_indexes_the_payload_table(self):
@@ -146,15 +152,17 @@ class TestLazyMessageList:
     def test_len_and_bool_do_not_materialize(self):
         batch = mixed_batch()
         cols = batch.columns()
-        view = LazyMessageList(cols, cols.all_copies)
+        view = LazyMessageList(cols)
         assert len(view) == len(batch)
         assert bool(view)
         assert view._items is None
 
     def test_materialized_views_match_object_path(self):
+        import numpy as np
+
         batch = mixed_batch()
         cols = batch.columns()
-        view = LazyMessageList(cols, cols.all_copies)
+        view = LazyMessageList(cols, np.arange(len(batch)))
         for lazy, eager in zip(view, batch):
             assert (lazy.sender, lazy.recipient, lazy.bits) == (
                 eager.sender,
@@ -213,6 +221,92 @@ class TestPlanDelivery:
         ]
         assert plan.lost_bits == sum(m.bits for m in plan.lost)
         assert plan.delivered_bits == sum(m.bits for m in plan.delivered)
+
+
+# ---------------------------------------------------------------------------
+# The column read: payloads / senders of an inbox without its Messages.
+def all_to_all(n: int) -> MessageBatch:
+    return MessageBatch(
+        [
+            Multicast(
+                pid,
+                tuple(other for other in range(n) if other != pid),
+                (7, pid),
+            )
+            for pid in range(n)
+        ]
+    )
+
+
+#: (batch, omitted, live) — the rounds the plan tests above deliver.
+INBOX_ROUNDS = {
+    "clean-all-to-all": (all_to_all(6), (), None),
+    "omission+terminated": (mixed_batch(), (1,), [False, True, True, True]),
+    "lost-copies": (
+        MessageBatch([Multicast(1, (0, 2, 0), (7,)), Message(2, 0, 5)]),
+        (),
+        [False, True, True],
+    ),
+    "hand-built-unsorted": (
+        MessageBatch([Message(2, 0, "b"), Multicast(0, (1, 2, 1), "a")]),
+        (),
+        None,
+    ),
+}
+
+
+class TestInboxColumns:
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("name", INBOX_ROUNDS)
+    def test_columns_equal_message_attributes(
+        self, monkeypatch, name, columnar
+    ):
+        """One spelling, both inbox kinds: lazy views off the columnar
+        plan, plain lists off the object loop (and off the unsorted batch,
+        which takes the object loop wherever it is pinned)."""
+        pin_delivery(monkeypatch, columnar)
+        batch, omitted, live = INBOX_ROUNDS[name]
+        inboxes: list = [[] for _ in range(6)]
+        receipt = delivery.Delivery().deliver(batch, omitted, inboxes, live)
+        lazy = columnar and batch.sender_sorted
+        read = 0
+        for view in (*inboxes, receipt.delivered, receipt.lost):
+            assert isinstance(view, LazyMessageList) == (lazy and bool(view))
+            payloads, senders = inbox_payloads(view), inbox_senders(view)
+            if isinstance(view, LazyMessageList):
+                assert view._items is None  # nothing built, nothing cached
+            assert senders == [message.sender for message in view]
+            assert len(payloads) == len(view)
+            for payload, message in zip(payloads, view):
+                assert payload is message.payload
+            read += len(view)
+        # Every surviving copy was read: in an inbox and as delivered, or
+        # as lost.
+        assert read == 2 * len(receipt.delivered) + len(receipt.lost)
+        assert len(receipt.delivered) + len(receipt.lost) == (
+            len(batch) - len(omitted)
+        )
+
+    def test_counting_protocol_never_materializes(self, monkeypatch):
+        """Ben-Or reads its inboxes by column: a dense run under random
+        omission constructs no per-copy Message (the parent materialized
+        every inbox once)."""
+        entered = []
+        materialize = LazyMessageList._materialize
+        monkeypatch.setattr(
+            LazyMessageList,
+            "_materialize",
+            lambda self: entered.append(len(self)) or materialize(self),
+        )
+        run = execute(
+            "ben-or",
+            [pid % 2 for pid in range(64)],
+            t=8,
+            adversary=RandomOmissionAdversary(0.6, seed=2),
+            seed=2,
+        )
+        assert run.result.metrics.messages_omitted > 0
+        assert entered == []
 
 
 # ---------------------------------------------------------------------------

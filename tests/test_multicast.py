@@ -100,8 +100,10 @@ class TestMessageBatch:
         for index, message in enumerate(batch):
             by_sender.setdefault(message.sender, []).append(index)
             by_recipient.setdefault(message.recipient, []).append(index)
-        assert batch.indices_by_sender() == by_sender
-        assert batch.indices_by_recipient() == by_recipient
+        assert batch.copy_indices(by_sender, by_recipient) == (
+            by_sender,
+            by_recipient,
+        )
 
     def test_sender_sorted_flag(self):
         assert mixed_batch().sender_sorted
@@ -114,7 +116,7 @@ class TestMessageBatch:
 class TestNetworkViewHelpers:
     def view(self, batch):
         return NetworkView(
-            round_no=0,
+            round=0,
             processes=(),
             messages=batch,
             faulty=frozenset(),

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.baselines import run_ben_or
 from repro.harness import execute
-from repro.runtime import Adversary, SyncNetwork
+from repro.runtime import Adversary, MessageBatch, NetworkView, SyncNetwork
 
 INPUTS = [0, 1, 1, 0, 1]
 SPEC = CampaignSpec("removed", "ben-or", ns=(5,))
@@ -47,6 +47,16 @@ REMOVED_CALLS = {
     ),
     "run_campaign(spec, claims=)": (
         TypeError, lambda: run_campaign(SPEC, claims=None)
+    ),
+    "MessageBatch.indices_by_sender()": (
+        AttributeError, lambda: MessageBatch([]).indices_by_sender()
+    ),
+    "NetworkView(round_no=)": (
+        TypeError,
+        lambda: NetworkView(
+            round_no=0, processes=(), messages=(), faulty=frozenset(),
+            budget_left=0, decisions={}, terminated=frozenset(),
+        ),
     ),
 }
 
