@@ -37,11 +37,14 @@ from ..runtime import (
     Program,
     SyncProcess,
     idle_rounds,
+    inbox_payloads,
+    inbox_senders,
 )
 from .consensus import (
     ConsensusRun,
     CoreState,
     TAG_DECISION,
+    _decision_from,
     core_total_rounds,
     optimal_epochs_and_dissemination,
     shared_spreading_graph,
@@ -88,14 +91,13 @@ def _flood_decision(
     operative = True
     for _ in range(rounds):
         if operative:
-            env.send_many(state.live_neighbors(), (TAG_FLOOD, value))
+            live = state.live_neighbors()
+            env.send_many(live, (TAG_FLOOD, value))
             inbox = yield
             heard: set[int] = set()
-            for message in inbox:
-                sender = message.sender
+            for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
                 if sender in state.disregarded:
                     continue
-                payload = message.payload
                 if not (
                     isinstance(payload, tuple)
                     and len(payload) == 2
@@ -105,8 +107,7 @@ def _flood_decision(
                 heard.add(sender)
                 if value is None and payload[1] is not None:
                     value = payload[1]
-            silent = set(state.live_neighbors()) - heard
-            state.disregarded |= silent
+            state.disregarded |= set(live) - heard
             if len(heard) < degree_threshold:
                 operative = False
         else:
@@ -117,8 +118,7 @@ def _flood_decision(
 def _safety_counts(inbox: list[Message]) -> tuple[int, int]:
     """Count (ones, zeros) among received line-17 safety broadcasts."""
     ones = zeros = 0
-    for message in inbox:
-        payload = message.payload
+    for payload in inbox_payloads(inbox):
         if (
             isinstance(payload, tuple)
             and len(payload) == 2
@@ -233,16 +233,7 @@ class ParamOmissions(SyncProcess):
         if self.operative and self.decided:
             env.broadcast((TAG_DECISION, self.b))
         inbox = yield
-        received = None
-        for message in inbox:
-            payload = message.payload
-            if (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] == TAG_DECISION
-            ):
-                received = payload[1]
-                break
+        received = _decision_from(inbox)
         if received is not None and not (self.operative and self.decided):
             self.b = received
         if self.decided or (not self.operative and received is not None):
@@ -261,8 +252,7 @@ class ParamOmissions(SyncProcess):
             return None
         for _ in range(self.t + 3):
             inbox = yield
-            for message in inbox:
-                payload = message.payload
+            for payload in inbox_payloads(inbox):
                 if (
                     isinstance(payload, tuple)
                     and len(payload) == 2

@@ -99,12 +99,6 @@ class Project:
     modules: list[ModuleContext] = field(default_factory=list)
     _registration_cache: dict[Path, str | None] = field(default_factory=dict)
 
-    def find(self, suffix: str) -> ModuleContext | None:
-        for module in self.modules:
-            if module.endswith(suffix):
-                return module
-        return None
-
     def registration_source(self, module: ModuleContext) -> str | None:
         """Source of ``repro/harness/protocols.py`` for *module*'s package.
 

@@ -30,6 +30,10 @@ vectorized index operations:
   receive loops that only count: an inbox's payloads and senders as plain
   lists in inbox order, without building a :class:`Message` on a lazy
   view and from the ``Message`` attributes on a plain-list inbox.
+* :func:`inbox_columns` / :class:`ColumnInbox` — the same read as the TCP
+  transport's wire shape: the coordinator ships ``(senders, payloads,
+  bits)`` per hosted inbox, the worker wraps them back into a lazy
+  ``Sequence[Message]`` (plain lists only: no numpy on that side).
 * :func:`first_illegal_omission` — the engine's omission legality check
   (range + faulty-incidence) as two vectorized membership tests, matching
   the scalar validator index-for-index.
@@ -49,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
+from itertools import repeat
 from typing import Any, overload
 
 from .messages import Message, Multicast
@@ -190,34 +195,65 @@ class ColumnarBatch:
         )
 
 
-class LazyMessageList(Sequence[Message]):
+#: One inbox by column — ``(senders, payloads, bits)``, plain lists in
+#: inbox order: what :func:`inbox_columns` reads and the TCP wire carries.
+InboxColumns = tuple[list[int], list[Any], list[int]]
+
+
+class _LazyMessages(Sequence[Message]):
+    """What the two lazy ``Sequence[Message]`` views share: the first
+    element access fills ``_items`` once (``_materialize``, REP007's
+    designated per-copy materialization point — the cost the object loop
+    pays unconditionally); a reader that never looks pays nothing."""
+
+    __slots__ = ("_items",)
+
+    _items: list[Message] | None
+
+    def _materialize(self) -> list[Message]:
+        raise NotImplementedError
+
+    @overload
+    def __getitem__(self, index: int) -> Message: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Message]: ...
+
+    def __getitem__(self, index: int | slice) -> Message | list[Message]:
+        return self._materialize()[index]
+
+    def __iter__(self) -> Iterator[Message]:
+        return iter(self._materialize())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({len(self)} copies)"
+
+
+class LazyMessageList(_LazyMessages):
     """``Sequence[Message]`` over a vector of flat copy indices.
 
     The columnar plan hands these out as inboxes and as the observer
     hook's delivered/lost lists.  ``len``/truthiness are O(1) and touch no
-    objects; the first element access materializes the full list once (the
-    same per-copy cost the object loop pays unconditionally) and caches
-    it, so repeated reads stay list-speed.  :func:`inbox_payloads` and
-    :func:`inbox_senders` read one column each without materializing.
+    objects; :func:`inbox_payloads`, :func:`inbox_senders` and
+    :func:`inbox_columns` read one column each without materializing.
     """
 
-    __slots__ = ("_cols", "_indices", "_items")
+    __slots__ = ("_cols", "_indices")
 
     def __init__(self, cols: ColumnarBatch, indices: Any = None) -> None:
         # ``indices=None`` means *every* copy in the batch — the clean
         # all-to-all round — without materializing an identity arange.
         self._cols = cols
         self._indices = indices
-        self._items: list[Message] | None = None
+        self._items = None
 
     def _gather(self, column: Any) -> Any:
         """``column`` restricted to this view's copies, in view order."""
         return column if self._indices is None else column[self._indices]
 
     def _materialize(self) -> list[Message]:
-        # The designated per-copy materialization point of the columnar
-        # engine (REP007): the only place flat indices become Message
-        # objects, entered only when a consumer actually reads.
+        # The only place flat indices become Message objects, entered
+        # only when a consumer actually reads.
         items = self._items
         if items is None:
             cols, gather = self._cols, self._gather
@@ -233,34 +269,47 @@ class LazyMessageList(Sequence[Message]):
         indices = self._indices
         return self._cols.total_copies if indices is None else len(indices)
 
-    @overload
-    def __getitem__(self, index: int) -> Message: ...
 
-    @overload
-    def __getitem__(self, index: slice) -> list[Message]: ...
+class ColumnInbox(_LazyMessages):
+    """``recipient``'s inbox over the columns a TCP step frame shipped:
+    what a worker hands a hosted program.  Iterating builds
+    ``Message(sender, recipient, payload, bits)``, field for field what
+    the coordinator's inbox held; the column reads return its lists."""
 
-    def __getitem__(self, index: int | slice) -> Message | list[Message]:
-        return self._materialize()[index]
+    __slots__ = ("recipient", "senders", "payloads", "bits")
 
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._materialize())
+    def __init__(self, recipient: int, columns: InboxColumns) -> None:
+        self.recipient = recipient
+        self.senders, self.payloads, self.bits = columns
+        self._items = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LazyMessageList({len(self)} copies)"
+    def _materialize(self) -> list[Message]:
+        items = self._items
+        if items is None:
+            items = self._items = list(
+                map(Message, self.senders, repeat(self.recipient), self.payloads, self.bits)
+            )
+        return items
+
+    def __len__(self) -> int:
+        return len(self.senders)
 
 
 def inbox_payloads(inbox: Sequence[Message]) -> list[Any]:
     """``[message.payload for message in inbox]`` without the messages.
 
-    The read for receive loops that only count, one spelling for both
-    inbox kinds: a gather from the round's payload table on a lazy view
-    (no :class:`Message` built, nothing cached on the view), the attribute
-    on a plain list (object loop, partial-synchrony merges, TCP workers).
+    The read for receive loops that only count, one spelling for every
+    inbox kind: a gather from the round's payload table on a lazy view
+    (no :class:`Message` built, nothing cached on the view), the shipped
+    column itself inside a TCP worker, the attribute on a plain list
+    (object loop, partial-synchrony merges).
     """
     if type(inbox) is LazyMessageList:
         cols = inbox._cols
         payloads: list[Any] = cols.rec_payload[inbox._gather(cols.copy_record)].tolist()
         return payloads
+    if type(inbox) is ColumnInbox:
+        return inbox.payloads
     return [message.payload for message in inbox]
 
 
@@ -270,7 +319,21 @@ def inbox_senders(inbox: Sequence[Message]) -> list[int]:
     if type(inbox) is LazyMessageList:
         senders: list[int] = inbox._gather(inbox._cols.copy_sender).tolist()
         return senders
+    if type(inbox) is ColumnInbox:
+        return inbox.senders
     return [message.sender for message in inbox]
+
+
+def inbox_columns(inbox: Sequence[Message]) -> InboxColumns:
+    """All three columns of ``inbox``: what crosses the TCP wire per hosted
+    pid, for :class:`ColumnInbox` to wrap.  A lazy view builds no
+    :class:`Message`, and a payload shared by k copies is one object k
+    times, so pickle writes it once per frame."""
+    if type(inbox) is LazyMessageList:
+        bits: list[int] = inbox._gather(inbox._cols.copy_bits).tolist()
+    else:
+        bits = [message.bits for message in inbox]
+    return inbox_senders(inbox), inbox_payloads(inbox), bits
 
 
 _EMPTY: tuple[Message, ...] = ()
@@ -437,11 +500,14 @@ def first_illegal_omission(
 
 __all__ = [
     "HAVE_NUMPY",
+    "ColumnInbox",
+    "InboxColumns",
     "ColumnarBatch",
     "DeliveryPlan",
     "FanoutCache",
     "LazyMessageList",
     "first_illegal_omission",
+    "inbox_columns",
     "inbox_payloads",
     "inbox_senders",
     "plan_delivery",

@@ -16,8 +16,9 @@ execute.  It is a factory for the run's
 
 Every transport-backed core honours the same contract as the in-process
 core: per-process randomness is derived from ``(seed, pid)`` regardless
-of hosting location, inboxes/outboxes cross the boundary byte-for-byte,
-and transport failures surface through
+of hosting location, a hosted program reads the same ``Message`` fields
+in the same order as in-process (inboxes cross as columns, outboxes as
+records), and transport failures surface through
 :meth:`~repro.runtime.engine.ExecutionCore.drain_faults` as crash faults
 the network arbitrates inside the paper's omission model — never as
 hangs, and never outside the ``sent == delivered + omitted + lost +

@@ -3,7 +3,10 @@
 One frame is a 4-byte big-endian unsigned length followed by a pickled
 payload.  The same encoding is used in both directions and both flavours
 (synchronous sockets in the worker, asyncio streams in the coordinator),
-so the wire format lives in exactly one module.
+so the wire format lives in exactly one module.  The payloads are the
+endpoints' business: step frames carry each hosted inbox as ``(senders,
+payloads, bits)`` lists, where pickle's memo writes a payload object once
+per frame however many copies share it; replies carry outbox records.
 
 Pickle is acceptable here because frames never leave the machine: the
 coordinator listens on loopback only, and every connection must present
@@ -77,6 +80,16 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return bytes(chunks)
 
 
+def _body_length(header: bytes) -> int:
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise FramingError(
+            f"frame length prefix {length} exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    return int(length)
+
+
 def recv_frame(sock: socket.socket) -> tuple[Any, int]:
     """Read one frame from a blocking socket.
 
@@ -84,13 +97,7 @@ def recv_frame(sock: socket.socket) -> tuple[Any, int]:
     on a peer that closed mid-frame and :class:`FramingError` on a
     malformed frame.
     """
-    header = _recv_exact(sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"frame length prefix {length} exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
+    length = _body_length(_recv_exact(sock, _HEADER.size))
     body = _recv_exact(sock, length)
     return decode_body(body), _HEADER.size + length
 
@@ -102,12 +109,6 @@ async def read_frame(reader: StreamReader) -> tuple[Any, int]:
     ``asyncio.IncompleteReadError`` on a peer that closed mid-frame and
     :class:`FramingError` on a malformed frame.
     """
-    header = await reader.readexactly(_HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"frame length prefix {length} exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
+    length = _body_length(await reader.readexactly(_HEADER.size))
     body = await reader.readexactly(length)
     return decode_body(body), _HEADER.size + length

@@ -1,7 +1,8 @@
 """The asyncio-TCP transport: real OS processes over localhost frames.
 
 ``AsyncioTcpTransport`` places an execution's consensus processes in
-real worker OS processes (``python -m repro.transport.worker``), each
+real worker OS processes (``repro.transport.worker.main``, spawned by
+``_WORKER_BOOT`` below — the one spawn line), each
 hosting a contiguous pid block, all dialing a loopback listener owned by
 the coordinator.  The coordinator is a
 :class:`~repro.runtime.engine.ExecutionCore` subclass
@@ -11,7 +12,9 @@ drives it unchanged:
 
 * :meth:`RemoteExecutionCore.advance` fans one ``step`` frame out to
   every live worker concurrently (asyncio), each carrying the hosted
-  pids' inboxes and collecting their outbound records; blocks are
+  pids' inboxes *by column* — senders, payloads and bits as three plain
+  lists (:func:`~repro.runtime.columnar.inbox_columns`), never
+  ``Message`` objects — and collecting their outbound records; blocks are
   contiguous and workers advance pids in ascending order, so the
   concatenated batch keeps the engine's sender-sorted invariant.
 * Per-link send timeouts and dead connections surface as *crash faults*
@@ -24,8 +27,10 @@ drives it unchanged:
 
 Determinism: per-process randomness is seeded from the same
 ``derive_seeds(seed, n)`` table as the in-process core (indexed by pid
-inside each worker), and inbox contents are the delivery layer's exact
-output shipped byte-for-byte — so a fault-free TCP execution is
+inside each worker), and the worker's
+:class:`~repro.runtime.columnar.ColumnInbox` over the shipped columns
+reads — by column or as ``Message`` objects — field for field what the
+delivery layer put in the coordinator's slot — so a fault-free TCP execution is
 fingerprint-identical to the in-process one, and its recorded recipe
 replays in-process deterministically.  Runs where the transport itself
 faulted replay the *recorded schedule* (the faults became recorded
@@ -45,11 +50,13 @@ import subprocess
 import sys
 import time
 from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from ..runtime.columnar import InboxColumns, inbox_columns
 from ..runtime.engine import ExecutionCore
-from ..runtime.messages import Message, MessageBatch, MessageRecord
+from ..runtime.messages import MessageBatch, MessageRecord
 from ..runtime.observers import LinkSample
 from ..runtime.process import SyncProcess
 from .base import Transport, TransportError
@@ -59,13 +66,18 @@ __all__ = ["AsyncioTcpTransport", "RemoteExecutionCore"]
 
 #: Exceptions that mean "this link is gone" rather than "this run is
 #: broken": the step that hit one crash-faults the link's processes.
-_LINK_FAILURES = (
-    TimeoutError,
-    asyncio.IncompleteReadError,
-    ConnectionError,
-    BrokenPipeError,
-    FramingError,
-    OSError,
+#: (``OSError`` covers ``ConnectionError`` and ``BrokenPipeError``.)
+_LINK_FAILURES = (TimeoutError, asyncio.IncompleteReadError, FramingError, OSError)
+
+#: What a worker interpreter runs.  A worker receives plain lists and
+#: never builds a ``ColumnarBatch``, so the engine is imported on its
+#: numpy-less path (``HAVE_NUMPY`` false: half the import time of a
+#: worker); the mask is lifted before ``main`` so a hosted process class
+#: whose own module imports numpy still unpickles.
+_WORKER_BOOT = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from repro.transport.worker import main; "
+    "del sys.modules['numpy']; sys.exit(main(*sys.argv[1:]))"
 )
 
 
@@ -76,9 +88,10 @@ class AsyncioTcpTransport(Transport):
     ----------
     processes_per_worker:
         How many consensus processes each worker OS process hosts
-        (contiguous pid blocks).  ``1`` — the default — is one OS process
-        per consensus process; larger values bound the spawn cost for
-        big ``n``.
+        (contiguous pid blocks).  ``None`` — the default — is one worker
+        per core this process may run on, ``ceil(n / cores)`` resolved
+        when :meth:`create_core` builds the run's core.  ``1`` is one OS
+        process per consensus process (n interpreters to spawn).
     host:
         Loopback interface to listen on.  Non-loopback hosts are
         rejected: frames are pickled and must never leave the machine.
@@ -96,12 +109,12 @@ class AsyncioTcpTransport(Transport):
     def __init__(
         self,
         *,
-        processes_per_worker: int = 1,
+        processes_per_worker: int | None = None,
         host: str = "127.0.0.1",
         connect_timeout_s: float = 20.0,
         link_timeout_s: float = 30.0,
     ) -> None:
-        if processes_per_worker < 1:
+        if processes_per_worker is not None and processes_per_worker < 1:
             raise ValueError(
                 f"processes_per_worker={processes_per_worker} must be >= 1"
             )
@@ -138,27 +151,17 @@ class AsyncioTcpTransport(Transport):
         return RemoteExecutionCore(processes, seed=seed, transport=self)
 
 
+@dataclass(slots=True)
 class _WorkerLink:
     """Coordinator-side state of one worker connection."""
 
-    __slots__ = (
-        "index",
-        "pids",
-        "process",
-        "reader",
-        "writer",
-        "alive",
-        "connect_retries",
-    )
-
-    def __init__(self, index: int, pids: tuple[int, ...]) -> None:
-        self.index = index
-        self.pids = pids
-        self.process: subprocess.Popen[bytes] | None = None
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
-        self.alive = True
-        self.connect_retries = 0
+    index: int
+    pids: tuple[int, ...]
+    process: subprocess.Popen[bytes] | None = None
+    reader: asyncio.StreamReader | None = None
+    writer: asyncio.StreamWriter | None = None
+    alive: bool = True
+    connect_retries: int = 0
 
 
 def _worker_environment() -> dict[str, str]:
@@ -212,7 +215,10 @@ class RemoteExecutionCore(ExecutionCore):
         self._closed = False
         self._server: asyncio.AbstractServer | None = None
         self._token = os.urandom(16).hex()
-        per_worker = transport.processes_per_worker
+        # The computed default: one worker per core this process may use.
+        per_worker = transport.processes_per_worker or -(
+            -self.n // len(os.sched_getaffinity(0))
+        )
         self._links = [
             _WorkerLink(index, tuple(range(start, min(start + per_worker, self.n))))
             for index, start in enumerate(range(0, self.n, per_worker))
@@ -248,21 +254,8 @@ class RemoteExecutionCore(ExecutionCore):
         environment = _worker_environment()
         for link in self._links:
             link.process = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.transport.worker",
-                    "--host",
-                    transport.host,
-                    "--port",
-                    str(port),
-                    "--token",
-                    self._token,
-                    "--worker",
-                    str(link.index),
-                    "--connect-timeout",
-                    str(transport.connect_timeout_s),
-                ],
+                [sys.executable, "-c", _WORKER_BOOT, transport.host, str(port),
+                 self._token, str(link.index), str(transport.connect_timeout_s)],
                 stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL,
                 env=environment,
@@ -284,9 +277,7 @@ class RemoteExecutionCore(ExecutionCore):
                 hello, received = await asyncio.wait_for(
                     read_frame(reader), timeout=remaining
                 )
-            except TimeoutError:
-                continue
-            except _LINK_FAILURES:
+            except _LINK_FAILURES:  # a timeout included
                 continue
             if not (
                 isinstance(hello, tuple)
@@ -321,16 +312,9 @@ class RemoteExecutionCore(ExecutionCore):
         for link in self._links:
             writer = link.writer
             assert writer is not None
-            setup = (
-                "setup",
-                {
-                    "pids": link.pids,
-                    "processes": [self.processes[pid] for pid in link.pids],
-                    "n": self.n,
-                    "seed": self.seed,
-                },
-            )
-            writer.write(encode_frame(setup))
+            hosted = [self.processes[pid] for pid in link.pids]
+            setup = {"processes": hosted, "n": self.n, "seed": self.seed}
+            writer.write(encode_frame(("setup", setup)))
             await asyncio.wait_for(
                 writer.drain(), timeout=transport.link_timeout_s
             )
@@ -383,21 +367,19 @@ class RemoteExecutionCore(ExecutionCore):
     # ------------------------------------------------------------------
     # Per-round execution
     def advance(self, round_no: int) -> MessageBatch:
-        steps: list[tuple[_WorkerLink, dict[int, list[Message]]]] = []
+        steps: list[tuple[_WorkerLink, dict[int, InboxColumns]]] = []
         for link in self._links:
             if not link.alive:
                 continue
-            live = [pid for pid in link.pids if self.programs[pid] is not None]
-            if not live:
-                continue
-            inbox_map: dict[int, list[Message]] = {}
-            for pid in live:
-                box = self.inboxes[pid]
-                # Columnar rounds leave lazy views in the slots;
-                # materialize to plain (picklable) Message lists.
-                inbox_map[pid] = box if isinstance(box, list) else list(box)
-                self.inboxes[pid] = []
-            steps.append((link, inbox_map))
+            inbox_map: dict[int, InboxColumns] = {}
+            for pid in link.pids:
+                if self.programs[pid] is not None:
+                    # Columns, not Message objects, cross the wire: a lazy
+                    # view of a columnar round is gathered, never built.
+                    inbox_map[pid] = inbox_columns(self.inboxes[pid])
+                    self.inboxes[pid] = []
+            if inbox_map:
+                steps.append((link, inbox_map))
         reseed = self._pending_reseed
         self._pending_reseed = None
         if not steps:
@@ -429,7 +411,7 @@ class RemoteExecutionCore(ExecutionCore):
 
     async def _step_all(
         self,
-        steps: Sequence[tuple[_WorkerLink, dict[int, list[Message]]]],
+        steps: Sequence[tuple[_WorkerLink, dict[int, InboxColumns]]],
         round_no: int,
         reseed: int | None,
     ) -> list[dict[str, Any] | None]:
@@ -443,7 +425,7 @@ class RemoteExecutionCore(ExecutionCore):
     async def _step_link(
         self,
         link: _WorkerLink,
-        inbox_map: dict[int, list[Message]],
+        inbox_map: dict[int, InboxColumns],
         round_no: int,
         reseed: int | None,
     ) -> dict[str, Any] | None:
@@ -454,6 +436,8 @@ class RemoteExecutionCore(ExecutionCore):
         )
         started = time.monotonic()
         timeout = self._transport.link_timeout_s
+        reply: Any = None
+        received = 0
         try:
             writer.write(data)
             await asyncio.wait_for(writer.drain(), timeout=timeout)
@@ -461,33 +445,10 @@ class RemoteExecutionCore(ExecutionCore):
                 read_frame(reader), timeout=timeout
             )
         except _LINK_FAILURES:
-            self._samples.append(
-                LinkSample(
-                    worker=link.index,
-                    pids=link.pids,
-                    round=round_no,
-                    latency_s=time.monotonic() - started,
-                    bytes_sent=len(data),
-                    bytes_received=0,
-                    ok=False,
-                )
-            )
-            return None
-        if not (
-            isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "out"
-        ):
-            self._samples.append(
-                LinkSample(
-                    worker=link.index,
-                    pids=link.pids,
-                    round=round_no,
-                    latency_s=time.monotonic() - started,
-                    bytes_sent=len(data),
-                    bytes_received=received,
-                    ok=False,
-                )
-            )
-            return None
+            pass
+        # A timeout, a dead connection and a malformed reply are one
+        # outcome: no "out" frame, so the link failed this round.
+        ok = isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "out"
         self._samples.append(
             LinkSample(
                 worker=link.index,
@@ -496,9 +457,10 @@ class RemoteExecutionCore(ExecutionCore):
                 latency_s=time.monotonic() - started,
                 bytes_sent=len(data),
                 bytes_received=received,
+                ok=ok,
             )
         )
-        out: dict[str, Any] = reply[1]
+        out: dict[str, Any] | None = reply[1] if ok else None
         return out
 
     def _fail_link(self, link: _WorkerLink) -> None:

@@ -1,12 +1,16 @@
-"""The TCP transport's worker process: ``python -m repro.transport.worker``.
+"""The TCP transport's worker process (spawned by ``repro.transport.tcp``).
 
 One worker hosts a contiguous block of consensus processes.  It dials
 the coordinator's loopback listener (with retry/backoff — the listener
 and the worker race at startup), authenticates with the per-run token,
 receives its process block, and then serves one ``step`` frame per
 round: resume every hosted live program with the inbox the coordinator
-shipped, reply with the queued outbound records, newly terminated pids,
-current decisions, and randomness counters.
+shipped — three columns, wrapped in a
+:class:`~repro.runtime.columnar.ColumnInbox` — and reply with the queued
+outbound records, newly terminated pids, current decisions, and
+randomness counters.  A worker only ever receives plain lists, so
+``tcp._WORKER_BOOT`` imports the engine with numpy masked:
+``HAVE_NUMPY`` is false in here.
 
 The shard mirrors :meth:`repro.runtime.engine.ExecutionCore.advance`
 exactly — same pid order, same round-0 ``next`` vs ``send`` resumption,
@@ -20,14 +24,13 @@ in-process from their recorded recipes.
 
 from __future__ import annotations
 
-import argparse
 import socket
-import sys
 import time
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from ..runtime.messages import Message, MessageRecord
+from ..runtime.columnar import ColumnInbox, InboxColumns
+from ..runtime.messages import MessageRecord
 from ..runtime.process import ProcessEnv, Program, SyncProcess
 from ..runtime.randomness import CountingRandom, derive_seeds
 from .base import TransportError
@@ -64,10 +67,11 @@ class ProcessShard:
     def step(
         self,
         round_no: int,
-        inboxes: Mapping[int, Sequence[Message]],
+        inboxes: Mapping[int, InboxColumns],
         reseed: int | None,
     ) -> dict[str, Any]:
-        """One local-computation phase over the hosted live processes."""
+        """One local-computation phase over the hosted live processes;
+        ``inboxes`` holds every hosted live pid's inbox, by column."""
         if reseed is not None:
             fork_seeds = derive_seeds(reseed, self.n, salt="fork")
             for pid, source in self.sources.items():
@@ -81,12 +85,11 @@ class ProcessShard:
             env = self.envs[pid]
             env.round = round_no
             env.outbox = []
-            inbox = inboxes.get(pid, [])
             try:
                 if round_no == 0:
                     next(program)
                 else:
-                    program.send(inbox)
+                    program.send(ColumnInbox(pid, inboxes[pid]))
             except StopIteration:
                 self.programs[pid] = None
                 terminated.append(pid)
@@ -151,35 +154,21 @@ def _expect_frame(sock: socket.socket) -> tuple[str, Any]:
     return str(kind), payload
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.transport.worker",
-        description="TCP-transport worker (spawned by AsyncioTcpTransport)",
-    )
-    parser.add_argument("--host", required=True)
-    parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--token", required=True)
-    parser.add_argument("--worker", type=int, required=True)
-    parser.add_argument("--connect-timeout", type=float, default=20.0)
-    args = parser.parse_args(argv)
-
+def main(host: str, port: str, token: str, worker: str, connect_timeout: str) -> int:
+    """Serve one run; the arguments are ``tcp._WORKER_BOOT``'s ``argv``."""
     sock, retries = connect_with_backoff(
-        args.host, args.port, timeout_s=args.connect_timeout
+        host, int(port), timeout_s=float(connect_timeout)
     )
     try:
         send_frame(
             sock,
-            ("hello", {"worker": args.worker, "token": args.token,
+            ("hello", {"worker": int(worker), "token": token,
                        "retries": retries}),
         )
         kind, payload = _expect_frame(sock)
         if kind != "setup":
             raise TransportError(f"expected setup frame, got {kind!r}")
-        shard = ProcessShard(
-            payload["processes"],
-            n=payload["n"],
-            seed=payload["seed"],
-        )
+        shard = ProcessShard(payload["processes"], payload["n"], payload["seed"])
         while True:
             kind, payload = _expect_frame(sock)
             if kind == "fini":
@@ -196,7 +185,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     finally:
         sock.close()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised as a subprocess
-    sys.exit(main())

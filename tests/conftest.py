@@ -43,6 +43,23 @@ def session_default_model(request) -> str:
 
 
 @pytest.fixture
+def materialized(monkeypatch) -> list[int]:
+    """The sizes of the lazy inbox views this interpreter filled with
+    ``Message`` objects while the fixture was active (``[]``: every read
+    was a column read)."""
+    from repro.runtime import LazyMessageList
+
+    entered: list[int] = []
+    materialize = LazyMessageList._materialize
+    monkeypatch.setattr(
+        LazyMessageList,
+        "_materialize",
+        lambda self: entered.append(len(self)) or materialize(self),
+    )
+    return entered
+
+
+@pytest.fixture
 def run_without_numpy():
     """``run(script) -> stdout``: execute *script* in a fresh interpreter
     where ``import numpy`` raises ImportError from the first import on —

@@ -49,7 +49,13 @@ from repro.runtime import (
     inbox_senders,
     result_to_dict,
 )
-from repro.runtime.columnar import HAVE_NUMPY, plan_delivery
+from repro.runtime.columnar import (
+    HAVE_NUMPY,
+    ColumnInbox,
+    inbox_columns,
+    plan_delivery,
+)
+from repro.transport.framing import decode_body, encode_frame
 
 from .test_multicast import Broadcaster, ScriptedOmitter, use_send_loops
 from .test_replay import GOLDEN
@@ -287,17 +293,43 @@ class TestInboxColumns:
             len(batch) - len(omitted)
         )
 
-    def test_counting_protocol_never_materializes(self, monkeypatch):
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("name", INBOX_ROUNDS)
+    def test_wire_columns_rebuild_the_inbox(self, monkeypatch, name, columnar):
+        """The wire oracle: what a TCP step frame ships per hosted inbox
+        (``inbox_columns``), through the frame codec and into the view a
+        worker hands its program, is the coordinator's inbox — all four
+        ``Message`` fields, in order — for lazy views, plain lists and
+        the empty inbox alike."""
+        pin_delivery(monkeypatch, columnar)
+        batch, omitted, live = INBOX_ROUNDS[name]
+        inboxes: list = [[] for _ in range(8)]
+        delivery.Delivery().deliver(batch, omitted, inboxes, live)
+        # No round above addresses pids 6 and 7: a hand-built plain list
+        # (a partial-synchrony merge looks like this) and the empty inbox.
+        inboxes[6] = [Message(3, 6, ("late", 1), 9), Message(0, 6, None)]
+        assert inboxes[7] == []
+        for pid, inbox in enumerate(inboxes):
+            columns = inbox_columns(inbox)
+            if isinstance(inbox, LazyMessageList):
+                assert inbox._items is None  # gathered, never built
+            senders, payloads, bits = decode_body(encode_frame(columns)[4:])
+            assert (senders, payloads, bits) == columns
+            view = ColumnInbox(pid, (senders, payloads, bits))
+            assert len(view) == len(inbox) and bool(view) == bool(inbox)
+            assert inbox_senders(view) is senders
+            assert inbox_payloads(view) is payloads
+            assert view._items is None  # column reads build no Message
+            fields = [(m.sender, m.recipient, m.payload, m.bits) for m in view]
+            assert fields == [
+                (m.sender, m.recipient, m.payload, m.bits) for m in inbox
+            ]
+            assert [view[i] for i in range(len(view))] == list(view)
+
+    def test_counting_protocol_never_materializes(self, materialized):
         """Ben-Or reads its inboxes by column: a dense run under random
         omission constructs no per-copy Message (the parent materialized
         every inbox once)."""
-        entered = []
-        materialize = LazyMessageList._materialize
-        monkeypatch.setattr(
-            LazyMessageList,
-            "_materialize",
-            lambda self: entered.append(len(self)) or materialize(self),
-        )
         run = execute(
             "ben-or",
             [pid % 2 for pid in range(64)],
@@ -306,7 +338,16 @@ class TestInboxColumns:
             seed=2,
         )
         assert run.result.metrics.messages_omitted > 0
-        assert entered == []
+        assert materialized == []
+
+    def test_tradeoff_flood_never_materializes(self, materialized):
+        """Algorithm 4's flood, safety count and decision scans read by
+        column (the parent materialized every inbox of every flood round);
+        unanimous inputs, so no Dolev-Strong fallback runs."""
+        run = execute("tradeoff", [1] * 64, x=4, seed=2, model="lockstep")
+        assert not run.ran_deterministic_fallback
+        assert run.result.metrics.messages_sent > 0
+        assert materialized == []
 
 
 # ---------------------------------------------------------------------------

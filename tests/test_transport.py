@@ -11,8 +11,10 @@ inside the omission model (crash fault + omitted copies, conservation
 intact), never as a hang.
 """
 
+import os
 import socket
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.analysis.campaign import CampaignSpec
 from repro.fabric import CellId
 from repro.harness import execute
 from repro.replay import record, recipe_from_payload, recipe_payload, replay
-from repro.runtime import RoundObserver
+from repro.runtime import RoundObserver, SyncNetwork
 from repro.transport import (
     AsyncioTcpTransport,
     InProcessTransport,
@@ -44,6 +46,7 @@ from repro.transport.framing import (
 from repro.transport.worker import connect_with_backoff
 
 from .test_models import EQUIVALENCE_CASES, fingerprint, mixed
+from .transport_probes import NumpyProbe, NumpyUser
 
 
 def tcp_options(n, workers=4):
@@ -138,11 +141,33 @@ class TestTransportRegistry:
             resolve_transport(InProcessTransport(), {"anything": 1})
 
     def test_options_payload_round_trips(self):
-        original = AsyncioTcpTransport(
-            processes_per_worker=4, link_timeout_s=5.0
+        for per_worker in (4, None):  # None: the computed default
+            original = AsyncioTcpTransport(
+                processes_per_worker=per_worker, link_timeout_s=5.0
+            )
+            payload = original.options_payload()
+            assert payload["processes_per_worker"] == per_worker
+            rebuilt = create_transport("tcp", payload)
+            assert rebuilt.options_payload() == payload
+
+    def test_default_places_one_worker_per_core(
+        self, monkeypatch, workers_import_tests
+    ):
+        """``processes_per_worker=None`` (the default) is resolved per run
+        from what the process can observe: ceil(n / cores) per worker, in
+        contiguous pid blocks; the options, hence every identity, keep the
+        ``None`` the caller gave."""
+        assert AsyncioTcpTransport().processes_per_worker is None
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        network = SyncNetwork(
+            [NumpyProbe(pid, 7) for pid in range(7)], transport="tcp"
         )
-        rebuilt = create_transport("tcp", original.options_payload())
-        assert rebuilt.options_payload() == original.options_payload()
+        try:
+            blocks = [link.pids for link in network._core._links]
+        finally:
+            network._core.close()
+        assert blocks == [(0, 1, 2), (3, 4, 5), (6,)]
+        assert network.transport.options_payload()["processes_per_worker"] is None
 
     def test_transports_subclass_transport(self):
         assert issubclass(InProcessTransport, Transport)
@@ -239,6 +264,70 @@ class TestCrossTransportEquivalence:
             "ben-or", mixed(9), t=1, seed=7, transport=InProcessTransport()
         )
         assert fingerprint(run) == baseline
+
+
+# ---------------------------------------------------------------------------
+# What crosses the coordinator -> worker link, and what a worker loads.
+@pytest.fixture
+def workers_import_tests(monkeypatch):
+    """Workers unpickle hosted classes by module path: put the repository
+    root (the parent of the ``tests`` package) on their ``PYTHONPATH``."""
+    root = str(Path(__file__).resolve().parents[1])
+    existing = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv(
+        "PYTHONPATH", root + os.pathsep + existing if existing else root
+    )
+
+
+class TestWire:
+    def test_coordinator_ships_columns_not_messages(self, materialized):
+        """A fault-free Algorithm 1 run over TCP builds no ``Message`` on
+        the coordinator (the parent materialized every hosted inbox of
+        every columnar round to pickle it) and sends <= 12 bytes per
+        simulated copy (parent 31.1; a count, it repeats exactly).  The
+        one observer attached reads link samples only."""
+        links = LinkMetricsObserver()
+        run = execute(
+            "algorithm1",
+            mixed(64),
+            seed=7,
+            model="lockstep",
+            observers=(links,),
+            transport="tcp",
+            transport_options=tcp_options(64, workers=2),
+        )
+        assert materialized == []
+        summary = links.summary()
+        assert summary["failures"] == 0
+        copies = run.result.metrics.messages_sent
+        assert 0 < summary["bytes_sent"] <= 12 * copies
+
+    def test_workers_run_numpy_less(self, workers_import_tests):
+        """The spawn line imports the engine with numpy masked: a hosted
+        process sees no numpy, ``HAVE_NUMPY`` false, and its inbox as the
+        column view — here, where the coordinator has all three."""
+        network = SyncNetwork(
+            [NumpyProbe(pid, 4) for pid in range(4)],
+            transport="tcp",
+            transport_options={"processes_per_worker": 2},
+        )
+        result = network.run()
+        assert result.decisions == {
+            pid: (False, False, "ColumnInbox") for pid in range(4)
+        }
+
+    def test_hosted_process_may_import_numpy_itself(self, workers_import_tests):
+        """The mask is lifted once the engine is imported: a process class
+        that needs numpy gets the real one inside the worker."""
+        pytest.importorskip("numpy")
+        network = SyncNetwork(
+            [NumpyUser(pid, 4) for pid in range(4)],
+            transport="tcp",
+            transport_options={"processes_per_worker": 2},
+        )
+        result = network.run()
+        assert result.decisions == dict.fromkeys(range(4), 6)  # 0+1+2+3
+        assert not result.faulty
 
 
 # ---------------------------------------------------------------------------
