@@ -129,26 +129,26 @@ def group_bits_aggregation(
                 operative = False
 
         # ---- Round 3: transmitters push merged counts back to everyone. --
-        # Members of the same parent bag are contiguous in pid order and
-        # receive identical merged payloads, so each run becomes one
-        # multicast; the flat recipient order is the per-member loop's.
+        # The members of one parent bag receive one merged payload, and the
+        # stage's bags list the group in member order, so the walk is per
+        # bag; consecutive bags with equal payloads share one multicast, so
+        # records and flat recipient order are the per-member loop's.
         run_payload: tuple | None = None
         run_members: list[int] = []
-        for member in others:
-            member_parent = tree.bag_index(stage, member)
-            m_left, m_right = tree.child_indices(stage, member_parent)
-            left_entry = stage_counts.get(m_left)
-            right_entry = (
-                stage_counts.get(m_right) if m_right is not None else None
-            )
-            payload = (TAG_MERGED, left_entry, right_entry)
-            if payload == run_payload:
-                run_members.append(member)
-                continue
-            if run_members:
-                env.send_many(run_members, run_payload)
-            run_payload = payload
-            run_members = [member]
+        for index, bag in enumerate(tree.layers[stage]):
+            if index == parent_index:
+                bag = tuple(member for member in bag if member != pid)
+                if not bag:
+                    continue  # sends nothing, so it must not end a run
+            m_left, m_right = tree.child_indices(stage, index)
+            right_entry = stage_counts.get(m_right) if m_right is not None else None
+            payload = (TAG_MERGED, stage_counts.get(m_left), right_entry)
+            if payload != run_payload:
+                if run_members:
+                    env.send_many(run_members, run_payload)
+                run_payload = payload
+                run_members = []
+            run_members += bag
         if run_members:
             env.send_many(run_members, run_payload)
         inbox = yield

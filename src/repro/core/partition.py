@@ -106,9 +106,6 @@ class BagTree:
         """Index of the bag containing ``pid`` at the given layer."""
         return self._member_positions[pid] >> layer
 
-    def bag(self, layer: int, index: int) -> tuple[int, ...]:
-        return self.layers[layer][index]
-
     def child_indices(self, layer: int, index: int) -> tuple[int, int | None]:
         """Indices of the left and (possibly absent) right child bags."""
         if layer <= 0:

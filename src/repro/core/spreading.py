@@ -11,6 +11,12 @@ monotonicity).
 
 Heartbeats: a round with nothing new still sends an empty pack, because
 neighbour liveness is judged by "did it deliver a message this round".
+Most rounds are such rounds (the graph's diameter is 2-3, the phase runs
+``Theta(log n)`` rounds), so a round's cost follows its news: with no queue
+to serve and an all-heartbeat inbox it is one multicast, one ``list.count``
+and one set intersection -- no per-link step.  A learned slot is kept as the
+wire triple it arrived in, forwarded by reference and sized once, when
+learned (``payload_bits`` is additive: a pack's size is a sum of slot costs).
 """
 
 from __future__ import annotations
@@ -18,21 +24,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from ..runtime import ProcessEnv, Program, inbox_payloads, inbox_senders
+from ..runtime import ProcessEnv, Program, inbox_payloads, inbox_senders, payload_bits
 
 TAG_PACK = 4
+
+#: The empty pack, and its size: the fixed part of every pack's size.
+_HEARTBEAT: tuple[int, tuple[()]] = (TAG_PACK, ())
+_HEARTBEAT_BITS = payload_bits(_HEARTBEAT)
 
 
 @dataclass
 class SpreadingState:
     """Per-process state persisting across epochs: ``disregarded``
-    implements the "never use this link again" rule."""
+    implements the "never use this link again" rule, so it only grows."""
 
     neighbors: tuple[int, ...]
     disregarded: set[int] = field(default_factory=set)
+    #: ``(len(disregarded) when built, the live neighbours)``.
+    _live: tuple[int, tuple[int, ...]] = field(
+        default=(-1, ()), init=False, repr=False, compare=False
+    )
 
-    def live_neighbors(self) -> list[int]:
-        return [v for v in self.neighbors if v not in self.disregarded]
+    def live_neighbors(self) -> tuple[int, ...]:
+        """The neighbours not disregarded, in order; one tuple, rebuilt
+        only once ``disregarded`` has grown."""
+        if self._live[0] != len(self.disregarded):
+            live = tuple([v for v in self.neighbors if v not in self.disregarded])
+            self._live = (len(self.disregarded), live)
+        return self._live[1]
 
 
 @dataclass
@@ -60,58 +79,78 @@ def group_bits_spreading(
     Consumes exactly ``rounds`` rounds.  ``my_counts`` is this process's
     group-aggregation output ``(ones, zeros)``.
     """
-    packs: list[tuple[int, int] | None] = [None] * group_count
-    packs[my_group] = my_counts
+    # Per slot: the wire triple as learned, and what it adds to a pack's size.
+    triples: list[tuple[int, int, int] | None] = [None] * group_count
+    cost = [0] * group_count
+    triples[my_group] = mine = (my_group, *my_counts)
+    cost[my_group] = payload_bits(mine) + 1
+    live = state.live_neighbors()
+    live_set = frozenset(live)
     # Per-link queues of slots not yet exchanged on that link, one bitmask
-    # over the group slots each (each slot crosses each link at most once).
-    pending = dict.fromkeys(state.neighbors, 1 << my_group)
+    # over the group slots each (each slot crosses each link at most once),
+    # kept only for live links that are owed something.
+    pending = dict.fromkeys(live, 1 << my_group)
     operative = True
 
     for _round_index in range(rounds):
         if not operative:
             yield
             continue
-        live = state.live_neighbors()
-        # One payload per distinct queue; mask 0 is the heartbeat (liveness
-        # is judged per round).  Consecutive neighbours with equal queues
-        # share one multicast -- runs only: merging non-adjacent links would
-        # permute the flat copy order that omission schedules index.
-        payloads: dict[int, tuple] = {0: (TAG_PACK, ())}
-        for mask, run in groupby(live, key=pending.__getitem__):
-            payload = payloads.get(mask)
-            if payload is None:
-                fresh = tuple(
-                    (slot, packs[slot][0], packs[slot][1])
-                    for slot in range(group_count)
-                    if mask >> slot & 1
-                )
-                payload = payloads[mask] = (TAG_PACK, fresh)
-            env.send_many(run, payload)
+        if not pending:
+            # Liveness is judged per round: one heartbeat to every live link.
+            env.send_many(live, _HEARTBEAT, _HEARTBEAT_BITS)
+        else:
+            # One sized payload per distinct queue (``None``: owed nothing).
+            # Consecutive neighbours with equal queues share one multicast
+            # -- runs only: merging non-adjacent links would permute the
+            # flat copy order that omission schedules index.
+            sized = {None: (_HEARTBEAT, _HEARTBEAT_BITS)}
+            for mask, run in groupby(live, key=pending.get):
+                entry = sized.get(mask)
+                if entry is None:
+                    slots = [slot for slot in range(group_count) if mask >> slot & 1]
+                    entry = sized[mask] = (
+                        (TAG_PACK, tuple(triples[slot] for slot in slots)),
+                        _HEARTBEAT_BITS + sum(cost[slot] for slot in slots),
+                    )
+                env.send_many(run, *entry)
+            pending = {}  # everything sent is off its queue
         inbox = yield
-        new_mask = 0
-        seen_from: dict[int, int] = {}  # heard sender -> slots it sent
-        for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
-            if sender in state.disregarded or sender not in pending:
-                continue
-            if not (
-                isinstance(payload, tuple) and payload and payload[0] == TAG_PACK
-            ):
-                continue
-            seen = seen_from.get(sender, 0)
-            for slot, ones, zeros in payload[1]:
-                if packs[slot] is None:
-                    packs[slot] = (ones, zeros)
-                    new_mask |= 1 << slot
-                seen |= 1 << slot
-            seen_from[sender] = seen
-        # Everything sent is off its queue; a new slot joins every queue but
-        # that of a link it was just seen on (no need to echo it back).
-        for neighbor in live:
-            pending[neighbor] = new_mask & ~seen_from.get(neighbor, 0)
-        state.disregarded.update(v for v in live if v not in seen_from)
-        if len(seen_from) < degree_threshold:
+        senders, payloads = inbox_senders(inbox), inbox_payloads(inbox)
+        if payloads.count(_HEARTBEAT) == len(payloads):
+            # A quiescent round: nothing to learn, nothing owed.
+            heard = live_set.intersection(senders)
+        else:
+            new_mask = 0
+            heard = seen_from = {}  # heard sender -> slots it sent
+            for sender, payload in zip(senders, payloads):
+                if sender not in live_set:
+                    continue
+                if not (isinstance(payload, tuple) and payload and payload[0] == TAG_PACK):
+                    continue
+                seen = seen_from.get(sender, 0)
+                for triple in payload[1]:
+                    slot, _ones, _zeros = triple
+                    if triples[slot] is None:
+                        triples[slot] = triple
+                        cost[slot] = payload_bits(triple) + 1
+                        new_mask |= 1 << slot
+                    seen |= 1 << slot
+                seen_from[sender] = seen
+            # A new slot joins the queue of every link heard from but one it
+            # was just seen on (no need to echo it back).
+            pending = {
+                v: owed for v in live if v in seen_from and (owed := new_mask & ~seen_from[v])
+            }
+        if len(heard) != len(live):
+            # A link went silent: never use it again.
+            state.disregarded.update(v for v in live if v not in heard)
+            live = state.live_neighbors()
+            live_set = frozenset(live)
+        if len(heard) < degree_threshold:
             operative = False
 
+    packs = [None if triple is None else triple[1:] for triple in triples]
     ones = sum(entry[0] for entry in packs if entry is not None)
     zeros = sum(entry[1] for entry in packs if entry is not None)
     return SpreadingResult(ones=ones, zeros=zeros, operative=operative, packs=packs)

@@ -17,6 +17,9 @@ round and a human-readable detail — the moment a check fails:
   round boundaries), and cumulative delivered/lost bits never exceed
   sent bits (omitted *bits* are not metered separately, so bits get an
   inequality where messages get an identity);
+* **sizing** — every queued record carries exactly ``payload_bits`` of its
+  payload plus the per-message overhead, so a send that states its own
+  size (``ProcessEnv.send_many(..., size=)``) cannot drift from the rule;
 * **agreement** — non-faulty decided processes never hold two different
   decision values, checked as decisions appear, not just at the end;
 * **validity** — when the input vector is known, every non-faulty
@@ -33,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
-from ..runtime import RoundObserver
+from ..runtime import MESSAGE_OVERHEAD_BITS, RoundObserver, payload_bits
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..runtime import (
@@ -142,6 +145,14 @@ class InvariantObserver(RoundObserver):
                 f"{len(network.faulty)} corrupted processes exceed t="
                 f"{network.t}",
             )
+        for record in getattr(view.messages, "records", view.messages):
+            bits = payload_bits(record.payload) + MESSAGE_OVERHEAD_BITS
+            if record.bits != bits:
+                raise InvariantViolation(
+                    "sizing", round_no,
+                    f"process {record.sender} queued {record.payload!r} as "
+                    f"{record.bits} bits, payload_bits + overhead is {bits}",
+                )
 
     def on_run_start(self, network: SyncNetwork) -> None:
         metrics = network.metrics

@@ -62,9 +62,7 @@ def payload_bits(payload: Any) -> int:
         return 1
     if kind is float:
         return 64
-    if kind is str:
-        return 8 * len(payload) + 8
-    if kind is bytes or kind is bytearray:
+    if kind is str or kind is bytes or kind is bytearray:
         return 8 * len(payload) + 8
     if kind is set or kind is frozenset:
         return 2 + sum(payload_bits(item) + 1 for item in payload)

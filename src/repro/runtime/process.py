@@ -88,7 +88,9 @@ class ProcessEnv:
             )
         self.outbox.append(Message(self.pid, recipient, payload))
 
-    def send_many(self, recipients: Iterable[int], payload: Any) -> None:
+    def send_many(
+        self, recipients: Iterable[int], payload: Any, size: int | None = None
+    ) -> None:
         """Queue the same payload to several recipients as one multicast.
 
         The payload is sized once, not once per recipient — identical bits
@@ -98,6 +100,12 @@ class ProcessEnv:
         concrete copy is needed.  Recipient order is preserved: the copies
         occupy consecutive flat indices of the round's
         :class:`MessageBatch` in exactly this order.
+
+        ``size``, when the caller already knows it, must be exactly
+        ``payload_bits(payload)`` — the payload alone, *without*
+        :data:`MESSAGE_OVERHEAD_BITS` (unlike ``Message(bits=)``); any
+        other value is a metering bug, caught in-run by
+        ``InvariantObserver``'s *sizing* check.
         """
         recipients = (
             recipients if type(recipients) is tuple else tuple(recipients)
@@ -110,10 +118,10 @@ class ProcessEnv:
                 )
         if not recipients:
             return
-        self._queue_multicast(recipients, payload)
+        self._queue_multicast(recipients, payload, size)
 
     def _queue_multicast(
-        self, recipients: tuple[int, ...], payload: Any
+        self, recipients: tuple[int, ...], payload: Any, size: int | None = None
     ) -> None:
         """Queue a validated, non-empty fan-out tuple.
 
@@ -122,8 +130,11 @@ class ProcessEnv:
         (already validated) fan-out — so a per-round broadcast costs one
         ``payload_bits`` call and one append, no O(n) re-checking.
         """
-        bits = payload_bits(payload) + MESSAGE_OVERHEAD_BITS
-        self.outbox.append(Multicast(self.pid, recipients, payload, bits))
+        if size is None:
+            size = payload_bits(payload)
+        self.outbox.append(
+            Multicast(self.pid, recipients, payload, size + MESSAGE_OVERHEAD_BITS)
+        )
 
     def broadcast(
         self,

@@ -172,9 +172,12 @@ class LoopBroadcaster(Broadcaster):
 def use_send_loops(monkeypatch) -> None:
     """Make every ``broadcast``/``send_many`` queue the explicit
     ``env.send`` loop it abbreviates, for protocols whose programs the
-    test cannot rewrite (the reference side of the differentials)."""
+    test cannot rewrite (the reference side of the differentials).  A
+    caller's ``size`` is taken and ignored: ``env.send`` sizes every copy
+    with ``payload_bits``, so the differentials also certify presized
+    sends."""
 
-    def send_loop(env, recipients, payload):
+    def send_loop(env, recipients, payload, size=None):
         for recipient in recipients:
             env.send(recipient, payload)
 
@@ -212,6 +215,21 @@ class TestEnvApi:
         env = network.envs[0]
         env.send_many([], "x")
         assert env.outbox == []
+
+    def test_presized_send_many_queues_the_same_record(self):
+        """``size`` is the payload's ``payload_bits``, overhead excluded:
+        passing it changes no field of the queued record."""
+        network = self.network(n=4)
+        env = network.envs[0]
+        payload = (4, ((1, 7, 8), (2, 0, 3)))
+        env.send_many((3, 1), payload)
+        env.send_many((3, 1), payload, size=payload_bits(payload))
+        env.send_many([], payload, size=payload_bits(payload))  # still a no-op
+        plain, presized = env.outbox
+        assert type(presized) is Multicast
+        for name in Multicast.__slots__:
+            assert getattr(presized, name) == getattr(plain, name), name
+        assert presized.bits == payload_bits(payload) + MESSAGE_OVERHEAD_BITS
 
     def test_broadcast_recipient_kwarg_and_include_self(self):
         network = self.network(n=4)

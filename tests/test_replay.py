@@ -32,6 +32,7 @@ from repro.runtime import (
     SyncNetwork,
     SyncProcess,
     delivery,
+    payload_bits,
     result_to_dict,
 )
 
@@ -196,7 +197,57 @@ class AlienDecider(SyncProcess):
         return None
 
 
+class Undersizer(SyncProcess):
+    """Planted metering bug: pid 2 understates a presized send in round 1."""
+
+    payload = (4, ((1, 7, 8),))
+
+    def program(self, env: ProcessEnv):
+        size = payload_bits(self.payload)
+        env.send_many((0, 1), self.payload, size=size)
+        yield
+        env.send_many((0, 1), self.payload, size=size - (self.pid == 2))
+        yield
+        env.decide(0)
+        return None
+
+
 class TestInvariantObserver:
+    def test_wrong_presized_send_trips_sizing_at_its_round(self):
+        network = SyncNetwork(
+            [Undersizer(pid, 4) for pid in range(4)],
+            observers=[InvariantObserver()],
+        )
+        with pytest.raises(InvariantViolation) as excinfo:
+            network.run()
+        assert excinfo.value.invariant == "sizing"
+        assert excinfo.value.round == 1
+        assert "process 2" in excinfo.value.detail
+        assert repr(Undersizer.payload) in excinfo.value.detail
+
+    def test_drifting_pack_size_trips_in_the_first_spreading_round(
+        self, monkeypatch
+    ):
+        """Algorithm 3 states its packs' sizes; one bit of drift in what it
+        adds up fails the run where the first pack is queued, while the
+        untouched run passes every round's check."""
+        from repro.core import spreading
+        from repro.harness import execute
+
+        inputs = [pid % 2 for pid in range(36)]
+        execute("algorithm1", inputs, seed=5, observers=[InvariantObserver(inputs)])
+        monkeypatch.setattr(
+            spreading, "_HEARTBEAT_BITS", spreading._HEARTBEAT_BITS + 1
+        )
+        with pytest.raises(InvariantViolation) as excinfo:
+            execute(
+                "algorithm1", inputs, seed=5, model="lockstep",
+                observers=[InvariantObserver(inputs)],
+            )
+        assert excinfo.value.invariant == "sizing"
+        # n=36: six groups of six, a three-stage bag tree, three rounds each.
+        assert excinfo.value.round == 9
+
     def test_agreement_trips_with_round_number(self):
         processes = [SplitDecider(pid, 4) for pid in range(4)]
         network = SyncNetwork(processes, observers=[InvariantObserver()])

@@ -1,9 +1,26 @@
 """Unit tests for GroupBitsSpreading (Algorithm 3) via a harness network."""
 
+import random
+
+import repro.core.spreading
+import repro.runtime.messages
+import repro.runtime.process
 from repro.adversary import EclipseAdversary, SilenceAdversary
-from repro.core.spreading import SpreadingState, group_bits_spreading
+from repro.core.spreading import (
+    _HEARTBEAT,
+    TAG_PACK,
+    SpreadingState,
+    group_bits_spreading,
+)
 from repro.graphs import spreading_graph
-from repro.runtime import ProcessEnv, SyncNetwork, SyncProcess
+from repro.harness import execute
+from repro.runtime import (
+    CountingRandom,
+    Message,
+    ProcessEnv,
+    SyncNetwork,
+    SyncProcess,
+)
 
 
 class SpreadingHarness(SyncProcess):
@@ -134,3 +151,95 @@ class TestSpreadingUnderFaults:
         for process in processes:
             if 5 in process.state.neighbors and process.pid != 5:
                 assert 5 in process.state.disregarded
+
+
+# ---------------------------------------------------------------------------
+# Count guards (counts repeat exactly; timings are the benchmark's job).
+class ProbeHeartbeat(tuple):
+    """An empty pack equal to, but never identical with, the module's own
+    (what a TCP worker unpickles) that counts how often it is indexed --
+    which only the general receive loop does."""
+
+    indexed = 0
+
+    def __getitem__(self, index):
+        type(self).indexed += 1
+        return tuple.__getitem__(self, index)
+
+
+def probe(sender):
+    # A tuple subclass is not sizeable; an inbox copy's bits are not read.
+    return Message(sender, 0, ProbeHeartbeat(_HEARTBEAT), bits=1)
+
+
+class TestQuiescentRounds:
+    def drive(self, monkeypatch, second_inbox):
+        """Neighbours 1..3, two rounds by hand; returns the round-2 and
+        round-3 outboxes (queued when an inbox is sent in)."""
+        monkeypatch.setattr(ProbeHeartbeat, "indexed", 0)
+        env = ProcessEnv(0, 4, CountingRandom(0))
+        state = SpreadingState(neighbors=(1, 2, 3))
+        program = group_bits_spreading(env, state, 2, 0, (5, 6), 3, 0)
+        next(program)  # round 1: its own pack to every link
+        outboxes = []
+        for inbox in ([probe(1), probe(2), probe(3)], second_inbox):
+            env.outbox.clear()
+            program.send(inbox)
+            outboxes.append(list(env.outbox))
+        return state, outboxes
+
+    def test_all_heartbeat_inbox_never_enters_the_general_loop(
+        self, monkeypatch
+    ):
+        state, outboxes = self.drive(monkeypatch, [probe(1), probe(3)])
+        assert ProbeHeartbeat.indexed == 0
+        for outbox, live in zip(outboxes, [(1, 2, 3), (1, 3)]):
+            (record,) = outbox  # one heartbeat multicast to the live links
+            assert record.recipients == live
+            assert record.payload is _HEARTBEAT
+        assert state.disregarded == {2}
+
+    def test_one_pack_in_the_inbox_takes_the_general_loop(self, monkeypatch):
+        pack = (TAG_PACK, ((1, 7, 8),))
+        state, outboxes = self.drive(
+            monkeypatch, [probe(1), Message(2, 0, pack), probe(3)]
+        )
+        # Both probes of the mixed inbox went through the loop's predicate
+        # (tag, then body); an equal-not-identical heartbeat is still heard.
+        assert ProbeHeartbeat.indexed == 2 * 2
+        assert state.disregarded == set()
+        flat = [
+            (recipient, record.payload)
+            for record in outboxes[1]
+            for recipient in record.recipients
+        ]
+        assert flat == [(1, pack), (2, _HEARTBEAT), (3, pack)]
+        # Forwarded by reference: the very triple that arrived.
+        assert outboxes[1][0].payload[1][0] is pack[1][0]
+
+
+def test_algorithm1_sizes_a_pack_when_it_is_learned(monkeypatch):
+    """Count guard: a fault-free balanced ``algorithm1`` n=64 run (seed
+    16000) made 9 895 top-level ``payload_bits`` calls while every spreading
+    record was sized when sent; sizing a slot once, when it is learned,
+    leaves under two thirds of that -- for exactly the same bits."""
+    original = repro.runtime.messages.payload_bits
+    calls = {"top": 0, "depth": 0}
+
+    def counted(payload):
+        calls["top"] += not calls["depth"]
+        calls["depth"] += 1
+        try:
+            return original(payload)
+        finally:
+            calls["depth"] -= 1
+
+    for module in (
+        repro.runtime.messages, repro.runtime.process, repro.core.spreading
+    ):
+        monkeypatch.setattr(module, "payload_bits", counted)
+    inputs = [pid % 2 for pid in range(64)]
+    random.Random(16000).shuffle(inputs)
+    result = execute("algorithm1", inputs, seed=16000, model="lockstep")
+    assert result.metrics.bits_sent == 3_014_701
+    assert 0 < calls["top"] <= 6_360

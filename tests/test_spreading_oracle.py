@@ -1,12 +1,15 @@
 """Differential test: ``group_bits_spreading`` vs its per-link original.
 
-``GroupBitsSpreading`` keeps its per-link queues as bitmasks and emits one
-multicast per run of consecutive neighbours that get the same pack.  This
+``GroupBitsSpreading`` keeps a bitmask queue only for links that are owed
+something, emits one multicast per run of consecutive neighbours that get
+the same pack, forwards learned triples by reference, states each pack's
+size from per-slot costs and spends O(1) on a round with no news.  This
 module keeps the original — a Python set per link, one ``env.send`` per
-link — verbatim as the executable specification, and checks that the two
-queue identical flat copies (same order, payloads and bit sizes), return
-identical results and leave identical state on generated graphs, seeds and
-adversaries.
+link, every copy sized by ``payload_bits`` — verbatim as the executable
+specification, and checks that the two queue identical flat copies (same
+order, payloads and bit sizes), return identical results and leave
+identical state on generated graphs, seeds and adversaries, including links
+silenced mid-epoch and a process with no neighbours at all.
 """
 
 import math
@@ -24,6 +27,8 @@ from repro.core.spreading import (
 from repro.graphs import spreading_graph
 from repro.harness import execute
 from repro.runtime import (
+    Adversary,
+    AdversaryAction,
     CountingRandom,
     Message,
     ProcessEnv,
@@ -108,6 +113,7 @@ class EpochsHarness(SyncProcess):
         self.threshold = threshold
         self.state = SpreadingState(neighbors=tuple(sorted(graph.neighbors(pid))))
         self.results = []
+        self.disregarded_after = []  # a copy per finished run
 
     def program(self, env):
         for epoch in range(2):
@@ -121,20 +127,69 @@ class EpochsHarness(SyncProcess):
                 self.threshold,
             )
             self.results.append(result)
+            self.disregarded_after.append(set(self.state.disregarded))
         env.decide(self.results[-1].ones)
         return None
 
 
-def adversary(name, n, t, seed, graph):
+class EclipseSchedule(Adversary):
+    """Starts one :class:`EclipseAdversary` per scheduled round, so a link
+    of the victim falls silent mid-epoch and another in a later epoch."""
+
+    def __init__(self, victim, starts):
+        self.starts = {
+            round_no: EclipseAdversary(victim, neighbors)
+            for round_no, neighbors in starts.items()
+        }
+        self.running = []
+
+    def act(self, view):
+        if view.round in self.starts:
+            self.running.append(self.starts[view.round])
+        actions = [eclipse.act(view) for eclipse in self.running]
+        return AdversaryAction(
+            corrupt=frozenset().union(*(a.corrupt for a in actions)),
+            omit=frozenset().union(*(a.omit for a in actions)),
+        )
+
+
+class WithoutVertex:
+    """``graph`` with every link of one vertex cut: a zero-neighbour
+    process next to neighbours that never list it."""
+
+    def __init__(self, graph, isolated):
+        self.graph = graph
+        self.isolated = isolated
+
+    def neighbors(self, pid):
+        if pid == self.isolated:
+            return []
+        return [v for v in self.graph.neighbors(pid) if v != self.isolated]
+
+
+def adversary(name, n, t, seed, graph, rounds):
     if name == "eclipse":
         return EclipseAdversary(0, sorted(graph.neighbors(0)))
+    if name == "eclipse-schedule":
+        # One link of pid 0 dies inside the first run (never in its first
+        # round when there is a later one), a second inside the second run.
+        first, *rest = sorted(graph.neighbors(0)) or [1]
+        return EclipseSchedule(0, {
+            min(1 + seed % 3, rounds - 1): [first],
+            rounds + seed % rounds: rest[:1],
+        })
     if name == "random-0.3":
         return RandomOmissionAdversary(0.3, seed=seed)
     return GALLERY[name](n, t, seed)
 
 
-def run(spreading, n, delta, group_count, rounds, threshold, name, seed):
+def run(
+    spreading, n, delta, group_count, rounds, threshold, name, seed,
+    isolated=None,
+):
     graph = spreading_graph(n, delta, seed=seed)
+    if isolated is not None:
+        graph = WithoutVertex(graph, isolated)
     t = max(1, n // 4)
     processes = [
         EpochsHarness(pid, n, spreading, graph, group_count, rounds, threshold)
@@ -143,7 +198,7 @@ def run(spreading, n, delta, group_count, rounds, threshold, name, seed):
     copies = FlatCopyRecorder()
     network = SyncNetwork(
         processes,
-        adversary=adversary(name, n, t, seed, graph),
+        adversary=adversary(name, n, t, seed, graph, rounds),
         t=t,
         seed=seed,
         observers=[copies],
@@ -159,16 +214,18 @@ def run(spreading, n, delta, group_count, rounds, threshold, name, seed):
     slots=st.integers(min_value=1, max_value=12),
     rounds=st.integers(min_value=1, max_value=7),
     threshold=st.integers(min_value=0, max_value=3),
-    name=st.sampled_from(
-        ["none", "silence", "random", "random-0.3", "staggered-crash", "eclipse"]
-    ),
+    name=st.sampled_from([
+        "none", "silence", "random", "random-0.3", "staggered-crash", "eclipse",
+        "eclipse-schedule",
+    ]),
     seed=st.integers(min_value=0, max_value=10_000),
+    isolated=st.sampled_from([None, None, 1]),
 )
 def test_bitmask_runs_match_the_per_link_original(
-    n, delta, slots, rounds, threshold, name, seed
+    n, delta, slots, rounds, threshold, name, seed, isolated
 ):
     group_count = min(slots, n)
-    args = (n, delta, group_count, rounds, threshold, name, seed)
+    args = (n, delta, group_count, rounds, threshold, name, seed, isolated)
     old_processes, old_copies, old_result = run(
         reference_group_bits_spreading, *args
     )
@@ -194,6 +251,30 @@ def test_sqrt_n_slots_on_the_paper_graph_match_at_n_64():
     _, new_copies, new_result = run(group_bits_spreading, *args)
     assert new_copies.sent == old_copies.sent
     assert new_result.metrics.summary() == old_result.metrics.summary()
+
+
+def test_links_silenced_mid_epoch_and_in_a_later_epoch():
+    """The live tuple is rebuilt in the round a link dies — in the middle
+    of the first run, then again in the second, on the carried-over state —
+    and nothing is ever queued for a dead link again."""
+    args = (24, 6, 5, 5, 1, "eclipse-schedule", 4)
+    old_processes, old_copies, _ = run(reference_group_bits_spreading, *args)
+    new_processes, new_copies, _ = run(group_bits_spreading, *args)
+    assert new_copies.sent == old_copies.sent
+    assert new_copies.delivered == old_copies.delivered
+    victim = new_processes[0]
+    first, second = victim.disregarded_after
+    assert len(first) == 1 and len(second) == 2 and first < second
+    assert [p.disregarded_after for p in new_processes] == [
+        p.disregarded_after for p in old_processes
+    ]
+    assert [p.results for p in new_processes] == [p.results for p in old_processes]
+    # Seed 4 starts the first eclipse in round 1 + 4 % 3 = 2 (0-based): the
+    # victim still sends on the link that round, and never after.
+    (dead,) = first
+    assert any((0, dead) == (s, r) for s, r, _, _ in new_copies.sent[2])
+    for round_copies in new_copies.sent[3:]:
+        assert (0, dead) not in {(s, r) for s, r, _, _ in round_copies}
 
 
 def test_equal_payloads_on_non_adjacent_links_are_not_merged():

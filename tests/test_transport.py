@@ -221,6 +221,12 @@ class TestConnectBackoff:
 class TestCrossTransportEquivalence:
     @pytest.mark.parametrize("protocol", sorted(EQUIVALENCE_CASES))
     def test_tcp_matches_inprocess_and_replays(self, protocol):
+        """Also the certificate for Algorithm 3's quiescent-round test by
+        *value*: inside a worker every inbox payload is an unpickled copy,
+        so a heartbeat is equal to ``spreading._HEARTBEAT`` but never
+        identical with it (``algorithm1``, ``tradeoff``, ``early-stopping``
+        gossip there), and ``record``'s ``InvariantObserver`` re-sizes
+        every presized pack the workers queued."""
         inputs, case = case_kwargs(protocol)
         baseline = fingerprint(execute(protocol, inputs, seed=7, **case))
         recorded = record(
