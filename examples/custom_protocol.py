@@ -102,7 +102,7 @@ def main() -> None:
     # This example deliberately drives the raw engine; registered
     # protocols should go through repro.harness.execute() instead.
     inputs = [pid % 2 for pid in range(n)]
-    network = SyncNetwork(factory(inputs, t), t=t, seed=3)  # repro-lint: disable=REP008
+    network = SyncNetwork(factory(inputs, t), t=t, seed=3)
     custom = network.run()
     custom.agreement_value()
     paper = run_consensus(inputs, t=t, params=ProtocolParams.practical(),

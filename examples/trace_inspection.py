@@ -39,7 +39,7 @@ def main() -> None:
     # TraceRecorder.attach(); protocols registered with the harness
     # should pass observers to repro.harness.execute() instead.
     network = recorder.attach(
-        SyncNetwork(processes, adversary=adversary, t=t, seed=5)  # repro-lint: disable=REP008
+        SyncNetwork(processes, adversary=adversary, t=t, seed=5)
     )
     result = network.run()
     decision = result.agreement_value()

@@ -103,7 +103,7 @@ def check_consensus_protocol(
                 try:
                     # Conformance drives arbitrary factories with a
                     # pinned gallery: a designated engine fixture.
-                    network = SyncNetwork(  # repro-lint: disable=REP008
+                    network = SyncNetwork(
                         factory(inputs, t),
                         adversary=build(n, t, seed),
                         t=t,

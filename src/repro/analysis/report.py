@@ -127,7 +127,7 @@ def experiment_figure2(params: ProtocolParams) -> ExperimentRecord:
     for m in (16, 64):
         # Report harness processes are ad hoc, not registered specs:
         # a designated engine fixture.
-        network = SyncNetwork(  # repro-lint: disable=REP008
+        network = SyncNetwork(
             [Harness(pid, m, pid % 2) for pid in range(m)], seed=m
         )
         result = network.run()

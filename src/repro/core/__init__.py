@@ -14,6 +14,9 @@ from .consensus import (
     OptimalOmissionsConsensus,
     build_processes,
     core_total_rounds,
+    deterministic_fallback,
+    disseminate,
+    epoch_program,
     epoch_rounds,
     optimal_epochs_and_dissemination,
     run_consensus,
@@ -53,6 +56,9 @@ __all__ = [
     "run_multivalued_consensus",
     "CoreState",
     "core_total_rounds",
+    "deterministic_fallback",
+    "disseminate",
+    "epoch_program",
     "epoch_rounds",
     "optimal_epochs_and_dissemination",
     "ParamOmissions",

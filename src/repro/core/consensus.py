@@ -13,15 +13,18 @@ Epoch structure (main loop, lines 5-13):
    spreading graph (Algorithm 3);
 3. the biased-majority vote rule with safety thresholds (lines 9-12).
 
-Afterwards (lines 14-16) decided operative processes broadcast their bit and
-inoperative processes adopt any received bit; undecided operative processes
-fall back (lines 17-20) to the deterministic Dolev-Strong-style protocol and
-broadcast its outcome.
+Afterwards (lines 14-16, :func:`disseminate`) decided operative processes
+broadcast their bit and inoperative processes adopt any received bit;
+undecided operative processes fall back (lines 17-20,
+:func:`deterministic_fallback`) to the deterministic Dolev-Strong-style
+protocol and broadcast its outcome.
 
-The epochs-plus-dissemination part (lines 5-16) is exposed as the standalone
-sub-protocol :func:`optimal_epochs_and_dissemination` operating on an
-arbitrary member subset — Algorithm 4 (``ParamOmissions``) runs exactly this
-*truncated* form inside each super-process.
+Each part is stated once, over an arbitrary member subset: one epoch is
+:func:`epoch_program`, and lines 5-16 are the standalone sub-protocol
+:func:`optimal_epochs_and_dissemination` — Algorithm 4 (``ParamOmissions``)
+runs exactly this *truncated* form inside each super-process and ends in the
+same two tail functions; the early-stopping variant is the same epoch plus a
+poll round.
 
 Every process runs this class; the operative/inoperative partition is local,
 dynamic, and downward monotone.  Inoperative processes still *relay* inside
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from ..baselines.dolev_strong import dolev_strong_consensus
@@ -123,34 +126,22 @@ def _decision_from(inbox: list[Message]) -> int | None:
     return None
 
 
-def optimal_epochs_and_dissemination(
+def epoch_program(
     env: ProcessEnv,
     members: tuple[int, ...],
     params: ProtocolParams,
     state: CoreState,
     graph_seed: int = 0,
-    num_epochs: int | None = None,
-) -> Program:
-    """Lines 5-16 of Algorithm 1 among ``members`` (sorted global pids).
+) -> Callable[[], Program]:
+    """One epoch of Algorithm 1 (lines 6-12) among ``members``, as a program
+    to run once per epoch: aggregation, then idling or spreading, then the
+    vote rule, on ``state``.
 
-    Returns the decision value, or ``None`` when this process neither set
-    ``decided`` nor (being inoperative) received a decision broadcast — the
-    "⊥" outcome Algorithm 4 expects from a truncated run.  Always consumes
-    exactly ``core_total_rounds(len(members), params, num_epochs)`` rounds.
+    The group, bag tree and spreading-graph links are derived here, once;
+    the returned program keeps the links' disregarded set across epochs.
     """
     m = len(members)
-    if m == 1:
-        # A singleton run decides its own bit; one round for symmetry with
-        # the dissemination round of larger runs.
-        state.decided = True
-        yield
-        return state.b
-
-    if num_epochs is None:
-        num_epochs = params.num_epochs(m, params.max_faults(m))
-
-    local_of = {pid: index for index, pid in enumerate(members)}
-    my_local = local_of[env.pid]
+    my_local = members.index(env.pid)
     partition: GroupPartition = cached_sqrt_partition(m)
     my_group = partition.group_index_of(my_local)
     group = tuple(members[i] for i in partition.group_members(my_group))
@@ -164,9 +155,7 @@ def optimal_epochs_and_dissemination(
         neighbors=tuple(sorted(members[v] for v in graph.neighbors(my_local)))
     )
 
-    # ---- Main loop (lines 5-13): the biased-majority epochs. -------------
-    for epoch in range(num_epochs):
-        state.epoch = epoch
+    def epoch() -> Program:
         aggregation = yield from group_bits_aggregation(
             env, group, tree, state.operative, state.b, params, stage_budget
         )
@@ -176,7 +165,7 @@ def optimal_epochs_and_dissemination(
             # Line 7: idle until the end of the epoch (the aggregation
             # above was pure relay duty).
             yield from idle_rounds(env, spread_rounds)
-            continue
+            return
 
         spread = yield from group_bits_spreading(
             env,
@@ -189,15 +178,24 @@ def optimal_epochs_and_dissemination(
         )
         if not spread.operative:
             state.operative = False
-            continue
+            return
 
         outcome = apply_vote_rule(spread.ones, spread.zeros, params, env.random)
         state.b = outcome.bit
         if outcome.decided:
             state.decided = True
 
-    # ---- Lines 14-16: one dissemination round. ---------------------------
-    state.epoch = num_epochs
+    return epoch
+
+
+def disseminate(env: ProcessEnv, members: tuple[int, ...], state: Any) -> Program:
+    """Lines 14-16 among ``members``: one round in which decided operative
+    processes send their bit and everyone else adopts a received one.
+
+    ``state`` is any holder of ``b`` / ``operative`` / ``decided``.  Returns
+    the decision value, or ``None`` when this process neither set ``decided``
+    nor (being inoperative) received a decision broadcast.
+    """
     if state.operative and state.decided:
         env.send_many(
             (pid for pid in members if pid != env.pid),
@@ -210,6 +208,67 @@ def optimal_epochs_and_dissemination(
     if state.decided or (not state.operative and received is not None):
         return state.b  # line 16
     return None
+
+
+def deterministic_fallback(
+    env: ProcessEnv, t: int, state: Any, wait_rounds: int
+) -> Program:
+    """Lines 17-20, system-wide: undecided operative processes run
+    Dolev-Strong on their bits and broadcast its outcome; an inoperative,
+    undecided process waits for a decision (line 19).
+
+    Non-faulty processes are guaranteed one (Lemma 11); a fully eclipsed
+    *faulty* process may starve, so the wait is bounded by ``wait_rounds`` —
+    at least the fallback's length plus the final broadcast.
+    """
+    if state.operative:
+        decision = yield from dolev_strong_consensus(
+            env, t, state.b, participating=True
+        )
+        state.b = decision
+        env.broadcast((TAG_DECISION, decision))
+        env.decide(decision)
+        return
+    for _ in range(wait_rounds):
+        inbox = yield
+        received = _decision_from(inbox)
+        if received is not None:
+            state.b = received
+            env.decide(received)
+            return
+
+
+def optimal_epochs_and_dissemination(
+    env: ProcessEnv,
+    members: tuple[int, ...],
+    params: ProtocolParams,
+    state: CoreState,
+    graph_seed: int = 0,
+    num_epochs: int | None = None,
+) -> Program:
+    """Lines 5-16 of Algorithm 1 among ``members`` (sorted global pids).
+
+    Returns the decision value, or ``None`` — the "⊥" outcome Algorithm 4
+    expects from a truncated run.  Always consumes exactly
+    ``core_total_rounds(len(members), params, num_epochs)`` rounds.
+    """
+    m = len(members)
+    if m == 1:
+        # A singleton run decides its own bit; one round for symmetry with
+        # the dissemination round of larger runs.
+        state.decided = True
+        yield
+        return state.b
+
+    if num_epochs is None:
+        num_epochs = params.num_epochs(m, params.max_faults(m))
+
+    epoch = epoch_program(env, members, params, state, graph_seed)
+    for index in range(num_epochs):
+        state.epoch = index
+        yield from epoch()
+    state.epoch = num_epochs
+    return (yield from disseminate(env, members, state))
 
 
 class OptimalOmissionsConsensus(SyncProcess):
@@ -283,29 +342,8 @@ class OptimalOmissionsConsensus(SyncProcess):
         if value is not None:
             env.decide(value)
             return None
-
-        # ---- Lines 17-20: deterministic fallback. ------------------------
         self.used_fallback = True
-        if self.state.operative:
-            decision = yield from dolev_strong_consensus(
-                env, self.t, self.state.b, participating=True
-            )
-            self.state.b = decision
-            env.broadcast((TAG_DECISION, decision))
-            env.decide(decision)
-            return None
-        # Line 19: an inoperative, undecided process waits for a decision.
-        # Non-faulty processes are guaranteed one (Lemma 11); a fully
-        # eclipsed *faulty* process may starve, so the wait is bounded by
-        # the fallback's length plus the final broadcast.
-        for _ in range(self.t + 3):
-            inbox = yield
-            received = _decision_from(inbox)
-            if received is not None:
-                self.state.b = received
-                env.decide(received)
-                return None
-        return None
+        yield from deterministic_fallback(env, self.t, self.state, self.t + 3)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..baselines.dolev_strong import dolev_strong_consensus
 from ..params import ProtocolParams
 from ..runtime import (
     Adversary,
@@ -45,32 +44,32 @@ from ..runtime import (
     ProcessEnv,
     Program,
     idle_rounds,
+    inbox_payloads,
+    inbox_senders,
 )
-from .aggregation import group_bits_aggregation
 from .consensus import (
     ConsensusRun,
-    CoreState,
     OptimalOmissionsConsensus,
     TAG_DECISION,
-    _decision_from,
-    shared_spreading_graph,
+    deterministic_fallback,
+    disseminate,
+    epoch_program,
 )
-from .partition import cached_bag_tree, cached_sqrt_partition, global_stage_count
-from .spreading import SpreadingState, group_bits_spreading
-from .voting import apply_vote_rule
 
 TAG_READY = 13
 
 
 def _ready_count(inbox: list[Message]) -> int:
-    senders = {
-        message.sender
-        for message in inbox
-        if isinstance(message.payload, tuple)
-        and len(message.payload) == 1
-        and message.payload[0] == TAG_READY
-    }
-    return len(senders)
+    """Distinct senders of a READY in the poll round's inbox."""
+    return len(
+        {
+            sender
+            for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox))
+            if isinstance(payload, tuple)
+            and len(payload) == 1
+            and payload[0] == TAG_READY
+        }
+    )
 
 
 class EarlyStoppingConsensus(OptimalOmissionsConsensus):
@@ -89,49 +88,13 @@ class EarlyStoppingConsensus(OptimalOmissionsConsensus):
         return super().epoch_rounds() + 1
 
     def program(self, env: ProcessEnv) -> Program:
-        n, params = self.n, self.params
-        state: CoreState = self.state
-        partition = cached_sqrt_partition(n)
-        my_group = partition.group_index_of(self.pid)
-        group = partition.group_members(my_group)
-        tree = cached_bag_tree(group)
-        stage_budget = global_stage_count(partition)
-        spread_rounds = params.spread_rounds(n)
-        degree_threshold = params.operative_degree_threshold(n)
-        graph = shared_spreading_graph(n, params.delta(n), self.graph_seed)
-        spreading_state = SpreadingState(
-            neighbors=tuple(sorted(graph.neighbors(self.pid)))
-        )
-
-        for epoch in range(self.num_epochs):
-            state.epoch = epoch
-            aggregation = yield from group_bits_aggregation(
-                env, group, tree, state.operative, state.b, params,
-                stage_budget,
-            )
-            if state.operative and not aggregation.operative:
-                state.operative = False
-            if state.operative:
-                spread = yield from group_bits_spreading(
-                    env,
-                    spreading_state,
-                    partition.group_count,
-                    my_group,
-                    (aggregation.ones, aggregation.zeros),
-                    spread_rounds,
-                    degree_threshold,
-                )
-                if not spread.operative:
-                    state.operative = False
-                else:
-                    outcome = apply_vote_rule(
-                        spread.ones, spread.zeros, params, env.random
-                    )
-                    state.b = outcome.bit
-                    if outcome.decided:
-                        state.decided = True
-            else:
-                yield from idle_rounds(env, spread_rounds)
+        n, state = self.n, self.state
+        members = tuple(range(n))
+        epoch = epoch_program(env, members, self.params, state, self.graph_seed)
+        ready = 0
+        for index in range(self.num_epochs):
+            state.epoch = index
+            yield from epoch()
 
             # ---- The poll round: READY broadcast + majority exit. --------
             if state.decided:
@@ -140,24 +103,17 @@ class EarlyStoppingConsensus(OptimalOmissionsConsensus):
             # Count distinct READY senders; the sender itself counts too.
             ready = _ready_count(inbox) + (1 if state.decided else 0)
             if 2 * ready > n:
-                self.exited_epoch = epoch
-                self._ready_seen = ready
+                self.exited_epoch = index
                 break
 
         early_exit = self.exited_epoch is not None
-        if self.exited_epoch is None:
+        if not early_exit:
             self.exited_epoch = self.num_epochs
         state.epoch = self.num_epochs
 
-        # ---- Dissemination round (lines 14-16). ---------------------------
-        if state.operative and state.decided:
-            env.broadcast((TAG_DECISION, state.b))
-        inbox = yield
-        received = _decision_from(inbox)
-        if received is not None and not (state.operative and state.decided):
-            state.b = received
-        if state.decided or (not state.operative and received is not None):
-            env.decide(state.b)
+        value = yield from disseminate(env, members, state)
+        if value is not None:
+            env.decide(value)
             # Straggler safety net: selective READY delivery at faulty
             # senders can leave a non-faulty process behind in the epoch
             # loop.  Unless the poll proved n - t processes ready (then
@@ -165,35 +121,24 @@ class EarlyStoppingConsensus(OptimalOmissionsConsensus):
             # silently and re-broadcast the decision exactly when the
             # full-budget schedule reaches its own dissemination round, so
             # any straggler's line-15 / wait-loop inbox catches it.
-            ready_seen = getattr(self, "_ready_seen", 0)
-            if early_exit and ready_seen < n - self.t:
+            if early_exit and ready < n - self.t:
                 per_epoch = self.epoch_rounds()
                 consumed = (self.exited_epoch + 1) * per_epoch + 1
-                full_dissemination = self.num_epochs * per_epoch
-                lag = full_dissemination - consumed
+                lag = self.num_epochs * per_epoch - consumed
                 if lag >= 0:
                     yield from idle_rounds(env, lag)
-                    env.broadcast((TAG_DECISION, state.b))
+                    env.broadcast((TAG_DECISION, value))
             return None
 
-        # ---- Fallback (lines 17-20), as in the base protocol. -------------
+        # An early exiter can get here a whole epoch budget before the
+        # stragglers disseminate or fall back, so line 19's wait covers it.
         self.used_fallback = True
-        if state.operative:
-            decision = yield from dolev_strong_consensus(
-                env, self.t, state.b, participating=True
-            )
-            state.b = decision
-            env.broadcast((TAG_DECISION, decision))
-            env.decide(decision)
-            return None
-        for _ in range(self.t + 3 + self.num_epochs * self.epoch_rounds()):
-            inbox = yield
-            received = _decision_from(inbox)
-            if received is not None:
-                state.b = received
-                env.decide(received)
-                return None
-        return None
+        yield from deterministic_fallback(
+            env,
+            self.t,
+            state,
+            self.t + 3 + self.num_epochs * self.epoch_rounds(),
+        )
 
 
 def run_early_stopping_consensus(

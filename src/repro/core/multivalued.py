@@ -33,6 +33,7 @@ from ..runtime import (
     ProcessEnv,
     Program,
     SyncProcess,
+    inbox_payloads,
 )
 from .consensus import CoreState, optimal_epochs_and_dissemination
 
@@ -93,8 +94,7 @@ def fixed_length_binary_consensus(
         )
     inbox = yield
     if final is None:
-        for message in inbox:
-            payload = message.payload
+        for payload in inbox_payloads(inbox):
             if (
                 isinstance(payload, tuple)
                 and len(payload) == 2

@@ -28,7 +28,6 @@ import math
 from collections.abc import Sequence
 from typing import Any
 
-from ..baselines.dolev_strong import dolev_strong_consensus
 from ..params import ProtocolParams, log2ceil
 from ..runtime import (
     Adversary,
@@ -43,9 +42,9 @@ from ..runtime import (
 from .consensus import (
     ConsensusRun,
     CoreState,
-    TAG_DECISION,
-    _decision_from,
     core_total_rounds,
+    deterministic_fallback,
+    disseminate,
     optimal_epochs_and_dissemination,
     shared_spreading_graph,
 )
@@ -229,39 +228,14 @@ class ParamOmissions(SyncProcess):
             if params.ready_to_decide(ones, total):
                 self.decided = True
 
-        # ---- Lines 24-26: decision broadcast, mirror of Algorithm 1. -----
-        if self.operative and self.decided:
-            env.broadcast((TAG_DECISION, self.b))
-        inbox = yield
-        received = _decision_from(inbox)
-        if received is not None and not (self.operative and self.decided):
-            self.b = received
-        if self.decided or (not self.operative and received is not None):
-            env.decide(self.b)
+        # ---- Lines 24-30: Algorithm 1's lines 14-20 among everyone, on
+        # this process's own b / operative / decided. ------------------------
+        value = yield from disseminate(env, tuple(range(n)), self)
+        if value is not None:
+            env.decide(value)
             return None
-
-        # ---- Lines 27-30: deterministic fallback. -------------------------
         self.used_fallback = True
-        if self.operative:
-            decision = yield from dolev_strong_consensus(
-                env, self.t, self.b, participating=True
-            )
-            self.b = decision
-            env.broadcast((TAG_DECISION, decision))
-            env.decide(decision)
-            return None
-        for _ in range(self.t + 3):
-            inbox = yield
-            for payload in inbox_payloads(inbox):
-                if (
-                    isinstance(payload, tuple)
-                    and len(payload) == 2
-                    and payload[0] == TAG_DECISION
-                ):
-                    self.b = payload[1]
-                    env.decide(self.b)
-                    return None
-        return None
+        yield from deterministic_fallback(env, self.t, self, self.t + 3)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,8 +23,8 @@ the digest, which is what makes cache entries portable across campaigns,
 CLI invocations, and machines.
 
 This module is the *only* place cell identity is derived; campaign and
-fabric code everywhere else must go through :class:`CellId` (enforced by
-lint rule REP009).
+fabric code everywhere else must go through :class:`CellId`
+(``tests/data/golden-identities.json`` pins every digest).
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ class CellId:
     See :meth:`of`.
 
     These eleven fields are the only statement of the components:
-    :meth:`make`, :meth:`from_record`, :meth:`payload`,
-    :meth:`from_payload` and lint rule REP009 all read
-    ``dataclasses.fields(CellId)``.  The three ``*options`` components
+    :meth:`make`, :meth:`from_record`, :meth:`payload` and
+    :meth:`from_payload` all read ``dataclasses.fields(CellId)``.  The three ``*options`` components
     are stored as canonical JSON strings (:func:`canonical_json`), which
     keeps the id hashable; :meth:`make` accepts mappings.  ``model is
     None`` / ``transport is None`` mean the built-in default — kept

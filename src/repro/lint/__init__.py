@@ -1,11 +1,11 @@
-"""repro.lint — determinism & API-conformance static analysis.
+"""repro.lint — determinism static analysis.
 
 A small AST-based linter encoding the repo's reproducibility contract as
-checkable rules (``REP001``–``REP009``; ``REP004`` is retired): metered
-randomness, no ambient entropy, order-stable iteration, adversary purity,
-protocol-registration completeness, and one engine front door, delivery
-loop and cell-identity recipe.  See ``docs/lint.md`` for the
-rule catalog and suppression policy.
+checkable rules (``REP001``–``REP003``, ``REP005``, ``REP007``; the retired
+codes and the tests that replaced them are listed in ``docs/lint.md``):
+metered randomness, no ambient entropy, order-stable iteration, adversary
+purity, and no per-copy ``Message`` construction in engine loops.  See
+``docs/lint.md`` for the rule catalog and suppression policy.
 
 Run it as ``python -m repro.lint [paths]``; use programmatically via
 :func:`lint_paths` / :func:`lint_source`.

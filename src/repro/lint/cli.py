@@ -9,12 +9,10 @@ commands so CI failures land on the offending lines in the diff view.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .engine import LintReport, lint_paths
-from .findings import Finding
 from .rules import all_rules
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
@@ -24,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "Determinism and API-conformance checks for the repro codebase."
+            "Determinism and model-conformance checks for the repro codebase."
         ),
     )
     parser.add_argument(
@@ -37,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "github", "json"),
+        choices=("text", "github"),
         default="text",
         help="output format (default: text)",
     )
@@ -78,26 +76,6 @@ def _format_github(report: LintReport) -> str:
     return "\n".join(lines)
 
 
-def _finding_payload(finding: Finding) -> dict[str, object]:
-    return {
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "code": finding.code,
-        "message": finding.message,
-        "fingerprint": finding.fingerprint,
-    }
-
-
-def _format_json(report: LintReport) -> str:
-    payload = {
-        "version": 2,
-        "files_checked": report.files_checked,
-        "findings": [_finding_payload(f) for f in report.findings],
-    }
-    return json.dumps(payload, indent=2)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -116,12 +94,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.format == "text":
         print(_format_text(report))
-    elif args.format == "github":
+    else:
         output = _format_github(report)
         if output:
             print(output)
-    else:
-        print(_format_json(report))
     return 0 if report.ok else 1
 
 

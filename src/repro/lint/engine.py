@@ -68,7 +68,6 @@ def lint_modules(
                     col=(error.offset or 1) - 1,
                     code=PARSE_ERROR_CODE,
                     message=f"file does not parse: {error.msg}",
-                    source_line=module.source_line(error.lineno or 1),
                 )
             )
         else:

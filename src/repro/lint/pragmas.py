@@ -9,7 +9,7 @@ Two forms are recognised:
 * ``disable-file`` anywhere in the file — suppresses the named rules for
   the whole module::
 
-      # repro-lint: disable-file=REP008
+      # repro-lint: disable-file=REP003
 
 ``disable=all`` suppresses every rule.  Unknown codes are tolerated (a
 pragma for a rule that later lands should not be a syntax error), but the

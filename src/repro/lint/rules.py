@@ -44,7 +44,6 @@ class Rule(ABC):
             col=col,
             code=self.code,
             message=message,
-            source_line=module.source_line(line),
         )
 
 
@@ -66,13 +65,7 @@ def _ensure_builtin_rules() -> None:
     if _BUILTINS_LOADED:
         return
     _BUILTINS_LOADED = True
-    from . import (  # noqa: F401
-        rules_api,
-        rules_determinism,
-        rules_identity,
-        rules_model,
-        rules_perf,
-    )
+    from . import rules_determinism, rules_model, rules_perf  # noqa: F401
 
 
 def all_rules() -> list[Rule]:

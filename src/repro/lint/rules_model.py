@@ -1,23 +1,15 @@
-"""Model-conformance rules: REP005 (adversary purity) and REP006
-(protocol-registration completeness).
+"""Model-conformance rule: REP005 (adversary purity).
 
 REP005 guards the omission model itself: the paper's adversary *observes*
 the full-information view and *returns* an action; the engine is the only
 component that mutates network state.  An adversary that writes through
 its ``view``/``ctx`` argument silently bypasses budget validation and the
 record/replay action log.
-
-REP006 keeps the protocol registry complete: a protocol module under
-``repro/core`` or ``repro/baselines`` that exposes a ``run_*`` entry point
-must be wired into ``repro.harness.registry`` — either by calling
-``register_protocol`` itself or by being imported from the central
-registration module ``repro/harness/protocols.py``.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterator
 
 from .context import ModuleContext, Project
@@ -152,74 +144,3 @@ def _subclasses_adversary(node: ast.ClassDef) -> bool:
         if chain and chain[-1].endswith("Adversary"):
             return True
     return False
-
-
-_REP006_SCOPE = ("repro/core", "repro/baselines")
-
-
-@register_rule
-class ProtocolRegistration(Rule):
-    """REP006: every run_* protocol module is wired into the registry."""
-
-    code = "REP006"
-    name = "protocol-registration"
-    summary = (
-        "protocol module defines run_* but is not registered with "
-        "repro.harness.registry"
-    )
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        if module.tree is None:
-            return False
-        if module.endswith("__init__.py"):
-            return False
-        return module.in_dirs(*_REP006_SCOPE)
-
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
-        assert module.tree is not None
-        entry = next(
-            (
-                stmt
-                for stmt in module.tree.body
-                if isinstance(stmt, ast.FunctionDef)
-                and stmt.name.startswith("run_")
-            ),
-            None,
-        )
-        if entry is None:
-            return
-        if self._registers_itself(module.tree):
-            return
-        registration = project.registration_source(module)
-        if registration is not None and self._imported_by(module, registration):
-            return
-        where = (
-            "repro/harness/protocols.py"
-            if registration is not None
-            else "a registration module"
-        )
-        yield self.finding(
-            module,
-            entry,
-            f"module defines `{entry.name}` but registers no ProtocolSpec: "
-            "call repro.harness.registry.register_protocol, or import the "
-            f"module from {where}",
-        )
-
-    @staticmethod
-    def _registers_itself(tree: ast.Module) -> bool:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                chain = dotted_chain(node.func)
-                if chain and chain[-1] == "register_protocol":
-                    return True
-        return False
-
-    @staticmethod
-    def _imported_by(module: ModuleContext, registration_source: str) -> bool:
-        stem = module.path.stem
-        package = module.path.parent.name
-        pattern = re.compile(
-            rf"\b{re.escape(package)}\s*\.\s*{re.escape(stem)}\b"
-        )
-        return pattern.search(registration_source) is not None

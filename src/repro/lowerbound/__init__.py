@@ -5,7 +5,9 @@
 * :mod:`~repro.lowerbound.talagrand` — exact numeric verification of
   Talagrand's inequality (Theorem 6) on threshold sets;
 * :mod:`~repro.lowerbound.valency` — exhaustive valency classification of
-  toy protocols under adaptive crash schedules (Lemma 13);
+  toy protocols under adaptive crash schedules (Lemma 13): one fold over
+  the crash game, whose expectimax classifier is
+  :mod:`~repro.lowerbound.prob_valency`;
 * :mod:`~repro.lowerbound.tradeoff_attack` — the constructive
   ``T x (R + T)`` experiment against randomness-throttled voting
   (Theorem 2's empirical shape).
@@ -65,6 +67,7 @@ from .valency import (
     ToyProtocol,
     ValencyReport,
     classify_all_inputs,
+    fold_crash_game,
     reachable_outcomes,
 )
 
@@ -100,6 +103,7 @@ __all__ = [
     "ToyProtocol",
     "ValencyReport",
     "classify_all_inputs",
+    "fold_crash_game",
     "reachable_outcomes",
     "BIVALENT",
     "NULL_VALENT",

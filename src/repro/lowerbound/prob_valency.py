@@ -8,8 +8,12 @@ is exactly computable: a minimax/expectimax recursion where
 * *chance nodes* are the local-computation coins (the adversary cannot see
   a coin before it is flipped, but acts after — Section 2's ordering);
 * *adversary nodes* pick the crash action (with crash-round delivery
-  subsets, as in :mod:`repro.lowerbound.valency`) after observing the
-  round's coins — the full-information adaptivity the paper grants.
+  subsets) after observing the round's coins — the full-information
+  adaptivity the paper grants.
+
+The tree walk is :func:`repro.lowerbound.valency.fold_crash_game`, the one
+the deterministic classifier uses; this module supplies the expectimax
+algebra.
 
 :func:`probability_band` returns ``(inf_A Pr, sup_A Pr)``; states are then
 classified into the paper's four types relative to a slack ``epsilon``:
@@ -23,55 +27,19 @@ classified into the paper's four types relative to a slack ``epsilon``:
 from __future__ import annotations
 
 import itertools
-from abc import ABC, abstractmethod
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from collections.abc import Hashable
+
+from .valency import ToyProtocol, fold_crash_game
 
 NULL_VALENT = "null-valent"
 ONE_VALENT = "1-valent"
 ZERO_VALENT = "0-valent"
 BIVALENT = "bivalent"
 
-
-class RandomizedToyProtocol(ABC):
-    """A synchronous broadcast protocol whose processes may flip coins.
-
-    Per round, in the paper's phase order: each alive process first applies
-    its (optional) coin to its state, then broadcasts, then transitions on
-    the received values.
-    """
-
-    def __init__(self, n: int, max_rounds: int) -> None:
-        if n < 1 or max_rounds < 1:
-            raise ValueError("need n >= 1 and max_rounds >= 1")
-        self.n = n
-        self.max_rounds = max_rounds
-
-    @abstractmethod
-    def initial_state(self, pid: int, input_bit: int) -> Hashable: ...
-
-    @abstractmethod
-    def wants_coin(self, state: Hashable, round_no: int) -> bool:
-        """Whether this process calls its random source this round."""
-
-    @abstractmethod
-    def apply_coin(
-        self, state: Hashable, round_no: int, bit: int
-    ) -> Hashable: ...
-
-    @abstractmethod
-    def outgoing(self, state: Hashable, round_no: int) -> Hashable: ...
-
-    @abstractmethod
-    def transition(
-        self,
-        state: Hashable,
-        round_no: int,
-        inbox: tuple[tuple[int, Hashable], ...],
-    ) -> Hashable: ...
-
-    @abstractmethod
-    def decision(self, state: Hashable) -> int: ...
+#: A :class:`~repro.lowerbound.valency.ToyProtocol` that overrides the coin
+#: hooks ``wants_coin`` / ``apply_coin`` (the base class never flips).
+RandomizedToyProtocol = ToyProtocol
 
 
 class CoinVotingProtocol(RandomizedToyProtocol):
@@ -124,104 +92,32 @@ def probability_band(
     horizon; disagreement and consensus-on-0 both count as 0 toward the
     probability, matching the paper's ``Pr(H, A)``.
     """
-    n = protocol.n
-    if len(inputs) != n:
-        raise ValueError(f"need {n} inputs, got {len(inputs)}")
-    initial = tuple(
-        protocol.initial_state(pid, inputs[pid]) for pid in range(n)
-    )
-    cache: dict[tuple, float] = {}
 
-    def adversary_choices(alive: frozenset[int], budget: int):
-        """All (crashed, delivery) actions available this round."""
-        alive_sorted = sorted(alive)
-        for crash_count in range(0, budget + 1):
-            for crashed in itertools.combinations(alive_sorted, crash_count):
-                receiver_options = []
-                for pid in crashed:
-                    receivers = [q for q in alive_sorted if q != pid]
-                    receiver_options.append(
-                        [
-                            frozenset(subset)
-                            for size in range(len(receivers) + 1)
-                            for subset in itertools.combinations(
-                                receivers, size
-                            )
-                        ]
-                    )
-                for delivery in itertools.product(*receiver_options):
-                    yield crashed, delivery
+    def leaf(decisions: set) -> float:
+        return 1.0 if decisions == {1} else 0.0
 
-    def evaluate(
-        round_no: int,
-        alive: frozenset[int],
-        states: tuple,
-        maximize: bool,
-    ) -> float:
-        if round_no == protocol.max_rounds:
-            decisions = {protocol.decision(states[pid]) for pid in alive}
-            return 1.0 if decisions == {1} else 0.0
-        key = (round_no, alive, states, maximize)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-
-        flippers = [
-            pid
-            for pid in sorted(alive)
-            if protocol.wants_coin(states[pid], round_no)
-        ]
+    def expectation(values: Iterable[float]) -> float:
+        values = list(values)
+        weight = 1.0 / len(values)
         total = 0.0
-        weight = 0.5 ** len(flippers)
-        for coins in itertools.product((0, 1), repeat=len(flippers)):
-            coined = list(states)
-            for pid, bit in zip(flippers, coins):
-                coined[pid] = protocol.apply_coin(coined[pid], round_no, bit)
-            broadcast = {
-                pid: protocol.outgoing(coined[pid], round_no)
-                for pid in sorted(alive)
-            }
-            best: float | None = None
-            budget = t - (n - len(alive))
-            for crashed, delivery in adversary_choices(alive, budget):
-                crashed_set = frozenset(crashed)
-                survivors = alive - crashed_set
-                new_states = list(coined)
-                for pid in sorted(survivors):
-                    inbox = []
-                    for sender in sorted(alive):
-                        if sender == pid:
-                            continue
-                        if sender in crashed_set:
-                            index = crashed.index(sender)
-                            if pid not in delivery[index]:
-                                continue
-                        inbox.append((sender, broadcast[sender]))
-                    new_states[pid] = protocol.transition(
-                        coined[pid], round_no, tuple(inbox)
-                    )
-                value = evaluate(
-                    round_no + 1, survivors, tuple(new_states), maximize
-                )
-                if best is None:
-                    best = value
-                elif maximize:
-                    best = max(best, value)
-                else:
-                    best = min(best, value)
-                # Bound short-circuiting.
-                if maximize and best == 1.0:
-                    break
-                if not maximize and best == 0.0:
-                    break
-            total += weight * (best if best is not None else 0.0)
-        cache[key] = total
+        for value in values:
+            total += weight * value
         return total
 
-    alive = frozenset(range(n))
+    def adversary(pick: Callable, bound: float) -> Callable:
+        def best_of(values: Iterable[float]) -> float:
+            best = None
+            for value in values:
+                best = value if best is None else pick(best, value)
+                if best == bound:  # cannot be improved on: stop searching
+                    break
+            return best
+
+        return best_of
+
     return (
-        evaluate(0, alive, initial, maximize=False),
-        evaluate(0, alive, initial, maximize=True),
+        fold_crash_game(protocol, inputs, t, leaf, expectation, adversary(min, 0.0)),
+        fold_crash_game(protocol, inputs, t, leaf, expectation, adversary(max, 1.0)),
     )
 
 

@@ -156,7 +156,7 @@ class RolloutValencyAdversary(Adversary):
             fork_seed = self._rng.getrandbits(48)
             # Rollout forks replay a recorded prefix with reseed_at,
             # below the harness surface: a designated engine fixture.
-            network = SyncNetwork(  # repro-lint: disable=REP008
+            network = SyncNetwork(
                 processes,
                 adversary=scripted,
                 t=t,

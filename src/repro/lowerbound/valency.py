@@ -5,20 +5,27 @@ which outcomes an adversary can still steer the execution toward.  Its
 Lemma 13 shows every consensus algorithm has an initial state that is not
 uni-valent when the adversary controls one process.
 
-This module makes that machinery executable for small deterministic
-round-based protocols: an exhaustive game-tree search over all adaptive
-clean-crash schedules (crash = silent from that round on, the paper's remark
-that crashes are omissions' special case) computes the exact set of
-*reachable outcomes* from every initial input assignment:
+This module makes that machinery executable for small round-based
+protocols.  :func:`fold_crash_game` is the one walk over the game tree of all
+adaptive clean-crash schedules (crash = silent from that round on, the
+paper's remark that crashes are omissions' special case); a classifier
+supplies what a leaf, a coin flip and an adversary choice are worth.  The
+set-union classifier here computes the set of *reachable outcomes* from every
+initial input assignment:
 
 * ``{0}`` / ``{1}``  — uni-valent in the paper's sense;
 * ``{0, 1, ...}``    — bivalent (Lemma-13 witness);
 * containing :data:`DISAGREEMENT` or :data:`STUCK` — the protocol is simply
   not a (terminating) consensus algorithm at this fault budget.
 
-Randomized protocols are out of scope here (their valency is defined through
-probabilities); the constructive randomized attack lives in
-:mod:`repro.lowerbound.tradeoff_attack`.
+The set is exact except that the search stops widening a node once 0, 1 and
+:data:`DISAGREEMENT` are all reachable from it, so :data:`STUCK` may be
+missing from a set that holds all three.
+
+A randomized protocol's valency is defined through probabilities: the
+min/max-expectimax classifier over the same fold is
+:mod:`repro.lowerbound.prob_valency`, and the constructive randomized attack
+lives in :mod:`repro.lowerbound.tradeoff_attack`.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from collections.abc import Hashable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Any
 
 #: Outcome marker: some adversary schedule makes surviving processes decide
 #: different values (agreement violation).
@@ -37,11 +45,14 @@ STUCK = "STUCK"
 
 
 class ToyProtocol(ABC):
-    """A deterministic synchronous broadcast protocol on n processes.
+    """A synchronous broadcast protocol on n processes.
 
-    Each round every alive process broadcasts one value (a function of its
-    state) and then transitions on the multiset of received values.  After
-    ``max_rounds`` rounds every process must expose a decision.
+    Per round, in the paper's phase order: each alive process that
+    :meth:`wants_coin` first applies a fair coin to its state, then every
+    alive process broadcasts one value (a function of its state) and
+    transitions on the received values.  After ``max_rounds`` rounds every
+    process must expose a decision.  A protocol that does not override
+    :meth:`wants_coin` is deterministic.
     """
 
     def __init__(self, n: int, max_rounds: int) -> None:
@@ -55,6 +66,15 @@ class ToyProtocol(ABC):
     @abstractmethod
     def initial_state(self, pid: int, input_bit: int) -> Hashable:
         """The pre-round-0 state of process ``pid``."""
+
+    def wants_coin(self, state: Hashable, round_no: int) -> bool:
+        """Whether this process calls its random source this round."""
+        return False
+
+    def apply_coin(self, state: Hashable, round_no: int, bit: int) -> Hashable:
+        """The state after the coin lands on ``bit`` (asked only of a
+        process that :meth:`wants_coin`)."""
+        raise NotImplementedError
 
     @abstractmethod
     def outgoing(self, state: Hashable, round_no: int) -> Hashable:
@@ -163,101 +183,133 @@ class ValencyReport:
         return None
 
 
-def reachable_outcomes(
-    protocol: ToyProtocol, inputs: tuple[int, ...], t: int
-) -> frozenset:
-    """Exact set of outcomes reachable under adaptive clean-crash schedules.
-
-    DFS with memoization over (round, alive-set, state-vector); the adversary
-    may crash any subset of alive processes at each round within its
-    remaining budget.  Crashed processes deliver nothing from their crash
-    round on.
-    """
-    n = protocol.n
-    if len(inputs) != n:
-        raise ValueError(f"need {n} inputs, got {len(inputs)}")
-
-    initial_states = tuple(
-        protocol.initial_state(pid, inputs[pid]) for pid in range(n)
-    )
-    cache: dict[tuple, frozenset] = {}
-
-    def explore(
-        round_no: int, alive: frozenset[int], states: tuple
-    ) -> frozenset:
-        key = (round_no, alive, states)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-
-        if round_no == protocol.max_rounds:
-            decisions = {
-                protocol.decision(states[pid]) for pid in alive
-            }
-            if None in decisions:
-                result = frozenset({STUCK})
-            elif len(decisions) > 1:
-                result = frozenset({DISAGREEMENT})
-            else:
-                result = frozenset(decisions)
-            cache[key] = result
-            return result
-
-        budget = t - (n - len(alive))
-        outcomes: set = set()
-        alive_sorted = sorted(alive)
-        broadcast = {
-            pid: protocol.outgoing(states[pid], round_no)
-            for pid in alive_sorted
-        }
-
-        def deliveries_for(crashed: tuple[int, ...]):
-            """All ways the adversary can split each crashing process's
-            final-round broadcast (it may reach any recipient subset —
-            the crash-round flexibility the model grants)."""
-            option_sets = []
+def _crash_actions(
+    alive_sorted: list[int], budget: int
+) -> Iterator[dict[int, frozenset[int]]]:
+    """Every action open to the adversary this round, as ``{crashing pid:
+    the recipients its last broadcast still reaches}`` — any subset of the
+    alive processes within the budget, each splitting its final round any
+    way (the crash-round flexibility the model grants)."""
+    for crash_count in range(budget + 1):
+        for crashed in itertools.combinations(alive_sorted, crash_count):
+            reach_options = []
             for pid in crashed:
                 receivers = [q for q in alive_sorted if q != pid]
-                option_sets.append(
+                reach_options.append(
                     [
                         frozenset(subset)
                         for size in range(len(receivers) + 1)
                         for subset in itertools.combinations(receivers, size)
                     ]
                 )
-            return itertools.product(*option_sets)
+            for reaches in itertools.product(*reach_options):
+                yield dict(zip(crashed, reaches))
 
-        for crash_count in range(0, budget + 1):
-            for crashed in itertools.combinations(alive_sorted, crash_count):
-                crashed_set = frozenset(crashed)
-                survivors = alive - crashed_set
-                for delivery in deliveries_for(crashed):
-                    new_states = list(states)
-                    for pid in sorted(survivors):
-                        inbox = []
-                        for sender in alive_sorted:
-                            if sender == pid:
-                                continue
-                            if sender in crashed_set:
-                                index = crashed.index(sender)
-                                if pid not in delivery[index]:
-                                    continue
-                            inbox.append((sender, broadcast[sender]))
-                        new_states[pid] = protocol.transition(
-                            states[pid], round_no, tuple(inbox)
-                        )
-                    outcomes |= explore(
-                        round_no + 1, survivors, tuple(new_states)
+
+def fold_crash_game(
+    protocol: ToyProtocol,
+    inputs: tuple[int, ...],
+    t: int,
+    leaf: Callable[[set], Any],
+    chance: Callable[[Iterable], Any],
+    choice: Callable[[Iterable], Any],
+) -> Any:
+    """Fold the adaptive clean-crash game tree from ``inputs``, memoized
+    over (round, alive-set, state-vector).
+
+    Each round, in the paper's order: the processes that want one flip their
+    coins; every alive process broadcasts; the adversary, having seen the
+    coins, crashes any subset of alive processes within its remaining budget
+    (crashed processes deliver nothing from their crash round on); the
+    survivors transition.  The classifier says what things are worth:
+    ``leaf(decisions)`` values the survivors' decision set at the horizon,
+    ``choice(values)`` folds the values of the adversary's actions and
+    ``chance(values)`` those of the equally likely coin outcomes (a single
+    one when nobody flips).  Both receive lazy iterables in enumeration
+    order, so a fold that stops reading prunes the search.
+    """
+    n = protocol.n
+    if len(inputs) != n:
+        raise ValueError(f"need {n} inputs, got {len(inputs)}")
+    cache: dict[tuple, Any] = {}
+
+    def evaluate(round_no: int, alive: frozenset[int], states: tuple) -> Any:
+        if round_no == protocol.max_rounds:
+            return leaf({protocol.decision(states[pid]) for pid in alive})
+        key = (round_no, alive, states)
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
+
+        alive_sorted = sorted(alive)
+        budget = t - (n - len(alive))
+        flippers = [
+            pid
+            for pid in alive_sorted
+            if protocol.wants_coin(states[pid], round_no)
+        ]
+
+        def after(coins: tuple[int, ...]) -> Iterator:
+            """The value of each adversary action once ``coins`` landed."""
+            coined = list(states)
+            for pid, bit in zip(flippers, coins):
+                coined[pid] = protocol.apply_coin(coined[pid], round_no, bit)
+            broadcast = {
+                pid: protocol.outgoing(coined[pid], round_no)
+                for pid in alive_sorted
+            }
+            for reach in _crash_actions(alive_sorted, budget):
+                survivors = alive.difference(reach)
+                new_states = list(coined)
+                for pid in sorted(survivors):
+                    inbox = tuple(
+                        (sender, broadcast[sender])
+                        for sender in alive_sorted
+                        if sender != pid
+                        and (sender not in reach or pid in reach[sender])
                     )
-                    if {0, 1, DISAGREEMENT} <= outcomes:
-                        break
-                if {0, 1, DISAGREEMENT} <= outcomes:
-                    break
-        result = frozenset(outcomes)
+                    new_states[pid] = protocol.transition(
+                        coined[pid], round_no, inbox
+                    )
+                yield evaluate(round_no + 1, survivors, tuple(new_states))
+
+        result = chance(
+            choice(after(coins))
+            for coins in itertools.product((0, 1), repeat=len(flippers))
+        )
         cache[key] = result
         return result
 
-    return explore(0, frozenset(range(n)), initial_states)
+    initial_states = tuple(
+        protocol.initial_state(pid, inputs[pid]) for pid in range(n)
+    )
+    return evaluate(0, frozenset(range(n)), initial_states)
+
+
+def reachable_outcomes(
+    protocol: ToyProtocol, inputs: tuple[int, ...], t: int
+) -> frozenset:
+    """Outcomes reachable under adaptive clean-crash schedules (and, for a
+    protocol that flips coins, with positive probability): the set-union
+    fold of :func:`fold_crash_game`, exact up to the module docstring's
+    :data:`STUCK` caveat."""
+
+    def leaf(decisions: set) -> frozenset:
+        if None in decisions:
+            return frozenset({STUCK})
+        if len(decisions) > 1:
+            return frozenset({DISAGREEMENT})
+        return frozenset(decisions)
+
+    def union(values: Iterable[frozenset]) -> frozenset:
+        outcomes: set = set()
+        for value in values:
+            outcomes |= value
+            if {0, 1, DISAGREEMENT} <= outcomes:
+                break
+        return frozenset(outcomes)
+
+    return fold_crash_game(protocol, inputs, t, leaf, union, union)
 
 
 def classify_all_inputs(protocol: ToyProtocol, t: int) -> ValencyReport:

@@ -7,7 +7,11 @@ from repro.adversary import (
     StaticCrashAdversary,
     VoteBalancingAdversary,
 )
-from repro.core import run_consensus, run_early_stopping_consensus
+from repro.core import (
+    EarlyStoppingConsensus,
+    run_consensus,
+    run_early_stopping_consensus,
+)
 from repro.params import ProtocolParams
 
 PARAMS = ProtocolParams.practical()
@@ -112,3 +116,26 @@ class TestEarlyExit:
         epoch_len = run.processes[0].epoch_rounds()
         # One epoch + dissemination + decide resume, nothing more.
         assert run.result.time_to_agreement() <= epoch_len + 3
+
+
+class TestPublicState:
+    def test_a_run_declares_no_new_attribute(self):
+        """The full-information adversary reads protocol state off public
+        attributes declared in ``__init__``; the poll count is a local of
+        ``program`` (the parent grew a hidden ``_ready_seen`` on early
+        exit)."""
+        run = run_early_stopping_consensus([1] * 36, t=1, seed=6)
+        declared = set(vars(EarlyStoppingConsensus(0, 36, 1, t=1)))
+        for process in run.processes:
+            assert process.exited_epoch == 0
+            assert set(vars(process)) == declared
+
+    def test_poll_and_shared_tail_read_by_column(self, materialized):
+        """READY counts, the dissemination round and the inoperative wait
+        build no ``Message`` from an inbox (no Dolev-Strong ran; its
+        early-exit scan still iterates messages)."""
+        run = run_early_stopping_consensus(
+            mixed(36), t=1, adversary=SilenceAdversary(range(1)), seed=3
+        )
+        assert run.used_fallback and not run.ran_deterministic_fallback
+        assert materialized == []

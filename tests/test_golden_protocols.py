@@ -8,6 +8,7 @@ simulates and no search output may move by one bit across that change.
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -125,8 +126,7 @@ def search_entry(toy: str, n: int, rounds: int, t: int) -> dict:
     protocol = TOYS[toy](n, rounds)
     search = probability_band if toy == "coin-voting" else reachable_outcomes
     entry = {}
-    for code in range(2**n):
-        inputs = tuple((code >> pid) & 1 for pid in range(n))
+    for inputs in itertools.product((0, 1), repeat=n):
         found = search(protocol, inputs, t)
         entry["".join(map(str, inputs))] = (
             list(found) if toy == "coin-voting" else sorted(found, key=str)

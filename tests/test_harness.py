@@ -16,7 +16,13 @@ from repro.baselines import (
     run_phase_king,
     run_trb,
 )
-from repro.core import ConsensusRun, run_consensus
+from repro.core import (
+    ConsensusRun,
+    run_consensus,
+    run_early_stopping_consensus,
+    run_multivalued_consensus,
+    run_tradeoff_consensus,
+)
 from repro.harness import (
     ExecutionConfig,
     ProtocolSpec,
@@ -221,9 +227,15 @@ def test_axis_options_are_validated_at_entry(
 
 # ---------------------------------------------------------------------------
 # Baseline runners return ConsensusRun objects with named fields only —
-# the tuple protocol was removed after its deprecation window.
+# the tuple protocol was removed after its deprecation window.  Every
+# ``run_*`` wrapper is called here or in the legacy-wrapper test above: one
+# whose protocol is not registered fails on this first call (what lint rule
+# REP006 used to check statically).
 def test_baseline_runners_return_consensus_runs():
     runs = {
+        "tradeoff": run_tradeoff_consensus(mixed(16), 2, seed=3),
+        "early-stopping": run_early_stopping_consensus(mixed(16), seed=3),
+        "multivalued": run_multivalued_consensus(mixed(16), 1, seed=3),
         "ben-or": run_ben_or(mixed(8), seed=3),
         "phase-king": run_phase_king(mixed(16), 2, seed=3),
         "dolev-strong": run_dolev_strong(mixed(8), 1, seed=3),

@@ -10,9 +10,12 @@ from repro.lowerbound import (
     ONE_VALENT,
     ZERO_VALENT,
     CoinVotingProtocol,
+    FloodMinProtocol,
+    classify_all_inputs,
     classify_state,
     lemma13_probabilistic_witness,
     probability_band,
+    reachable_outcomes,
 )
 
 
@@ -98,3 +101,21 @@ class TestClassification:
         witness = lemma13_probabilistic_witness(protocol, t=0, epsilon=0.05)
         if witness is not None:
             assert witness.classification == NULL_VALENT
+
+
+class TestOneSearchTwoClassifiers:
+    """Both classifiers fold the same crash game, so each takes the other's
+    protocols: deterministic valency is the coin-free case of ``Pr(H, A)``."""
+
+    def test_band_of_a_deterministic_protocol_is_its_valency(self):
+        protocol = FloodMinProtocol(n=3, max_rounds=2)
+        for inputs, outcomes in classify_all_inputs(protocol, t=1).outcomes.items():
+            band = probability_band(protocol, inputs, t=1)
+            assert band == (float(outcomes == {1}), float(1 in outcomes))
+
+    def test_reachable_outcomes_of_a_coin_protocol(self):
+        protocol = CoinVotingProtocol(n=3, max_rounds=3)
+        assert reachable_outcomes(protocol, (1, 1, 1), t=1) == {1}
+        inf, sup = probability_band(protocol, (0, 1, 1), t=0)
+        assert 0.0 < inf == sup < 1.0
+        assert {0, 1} <= reachable_outcomes(protocol, (0, 1, 1), t=0)

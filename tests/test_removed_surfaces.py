@@ -3,10 +3,13 @@
 Lint rule REP004 used to flag these statically; it is retired because
 nothing is left for it to catch that the first call does not.  The loose
 ``run_campaign(ns=...)`` keywords and ``CampaignSpec.cell_key`` are pinned
-the same way by ``test_campaign.TestRemovedGridKwargs``.
+the same way by ``test_campaign.TestRemovedGridKwargs``.  REP008 (one engine
+front door) is retired into the call-site census at the end of this file.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +155,28 @@ def test_cli_multi_host_flag_is_gone(flag, capsys):
         main(["campaign", "run", *flag])
     assert exit_info.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+def test_engine_is_constructed_at_the_front_door_and_three_fixtures():
+    """``SyncNetwork(...)`` call sites under ``src/repro`` outside the
+    engine's own package: ``run_config`` and the three designated fixtures
+    (each says why at its call).  A new site bypasses the registry's model
+    axis, option normalization and record/replay — route it through
+    ``repro.harness.execute`` or add it here on purpose."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    sites = set()
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package).parts[0] == "runtime":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                called = node.func
+                name = getattr(called, "attr", getattr(called, "id", None))
+                if name == "SyncNetwork":
+                    sites.add(path.relative_to(package).as_posix())
+    assert sites == {
+        "harness/registry.py",
+        "analysis/conformance.py",
+        "analysis/report.py",
+        "lowerbound/rollout_adversary.py",
+    }
