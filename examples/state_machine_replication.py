@@ -14,8 +14,6 @@ OS worker processes speaking length-prefixed frames over localhost TCP
 (``repro.transport``).  ``--verify-replay`` additionally records each
 slot's execution and replays it *in-process*, asserting the recorded
 fingerprint reproduces — the cross-transport determinism check, live.
-``--metrics-out`` writes the per-link transport metrics the observer bus
-collected (frames, bytes, latency, retries) as JSON.
 
 Command encoding (6 bits): ``op(2) | key(2) | value(2)`` with ops
 SET / INC / DEL / NOP over four keys.
@@ -28,7 +26,6 @@ Run:  python examples/state_machine_replication.py
 from __future__ import annotations
 
 import argparse
-import json
 import random
 from collections.abc import Mapping, Sequence
 from typing import Any
@@ -36,7 +33,7 @@ from typing import Any
 from repro.adversary import RandomOmissionAdversary, SilenceAdversary
 from repro.harness import execute
 from repro.params import ProtocolParams
-from repro.transport import LinkMetricsObserver, available_transports
+from repro.transport import available_transports
 
 N_REPLICAS = 36
 N_SLOTS = 4
@@ -83,14 +80,12 @@ def run_service(
     seed: int = 77,
     adversary: str = "alternate",
     verify_replay: bool = False,
-    metrics_out: str | None = None,
     quiet: bool = False,
 ) -> dict[str, Any]:
     """Drive the replicated KV store for ``n_slots`` consensus instances.
 
     Returns a JSON-safe summary: per-slot decisions and rounds, the final
-    store, replay verdicts (when ``verify_replay``), and the aggregated
-    per-link transport metrics (when a real transport ran).
+    store, and replay verdicts (when ``verify_replay``).
     """
     if adversary not in ADVERSARIES:
         raise ValueError(
@@ -103,7 +98,6 @@ def run_service(
         pid: {} for pid in range(n_replicas)
     }
     ever_faulty: set[int] = set()
-    link_metrics = LinkMetricsObserver()
     slots: list[dict[str, Any]] = []
 
     def say(text: str) -> None:
@@ -146,7 +140,6 @@ def run_service(
                 adversary=slot_adversary,
                 params=params,
                 seed=500 + slot,
-                observers=(link_metrics,),
                 transport=transport,
                 transport_options=transport_options,
                 note=f"SMR service slot {slot}",
@@ -173,7 +166,6 @@ def run_service(
                 adversary=slot_adversary,
                 params=params,
                 seed=500 + slot,
-                observers=(link_metrics,),
                 transport=transport,
                 transport_options=transport_options,
             ).result
@@ -207,21 +199,14 @@ def run_service(
         assert store == reference, f"store divergence at replica {pid}"
     say(f"\nall always-correct replicas hold the same store: {reference}")
 
-    summary: dict[str, Any] = {
+    return {
         "replicas": n_replicas,
         "t": t,
         "transport": transport or "inprocess",
         "adversary": adversary,
         "slots": slots,
         "store": {str(k): v for k, v in (reference or {}).items()},
-        "links": link_metrics.summary(),
     }
-    if metrics_out is not None:
-        with open(metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        say(f"wrote {metrics_out}")
-    return summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record every slot and assert it replays in-process to the "
         "identical fingerprint",
     )
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the run summary (incl. per-link transport metrics) "
-        "as JSON",
-    )
     return parser
 
 
@@ -270,7 +250,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed=args.seed,
         adversary=args.adversary,
         verify_replay=args.verify_replay,
-        metrics_out=args.metrics_out,
     )
     return 0
 

@@ -19,8 +19,8 @@ from .conformance import (
     ScenarioResult,
     check_consensus_protocol,
 )
-from .fits import RatioSummary, least_squares_slope, loglog_slope, ratio_summary
-from .sparkline import hbar, render_series, sparkline
+from .fits import least_squares_slope, loglog_slope
+from .sparkline import render_series, sparkline
 from .montecarlo import (
     RateEstimate,
     agreement_failure_rate,
@@ -36,10 +36,8 @@ __all__ = [
     "ScalingPoint",
     "measure",
     "mixed_inputs",
-    "RatioSummary",
     "least_squares_slope",
     "loglog_slope",
-    "ratio_summary",
     "Table1Row",
     "render_table",
     "table1",
@@ -56,7 +54,6 @@ __all__ = [
     "ConformanceReport",
     "ScenarioResult",
     "check_consensus_protocol",
-    "hbar",
     "render_series",
     "sparkline",
     "RateEstimate",

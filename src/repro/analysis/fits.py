@@ -1,4 +1,4 @@
-"""Scaling fits: log-log slopes and measured/theory ratio summaries.
+"""Scaling fits: least-squares and log-log slopes.
 
 Pure-Python least squares — the quantities involved are tiny (a handful of
 sweep points), so no numerical library is needed.
@@ -7,7 +7,6 @@ sweep points), so no numerical library is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 
@@ -36,41 +35,4 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("log-log fit requires positive data")
     return least_squares_slope(
         [math.log(x) for x in xs], [math.log(y) for y in ys]
-    )
-
-
-@dataclass(frozen=True)
-class RatioSummary:
-    """How a measured series compares to a theory curve."""
-
-    minimum: float
-    maximum: float
-    mean: float
-
-    @property
-    def spread(self) -> float:
-        """max/min of the ratio — a flat ratio (small spread) means the
-        measured series follows the theory shape."""
-        if self.minimum == 0:
-            return math.inf
-        return self.maximum / self.minimum
-
-
-def ratio_summary(
-    measured: Sequence[float], predicted: Sequence[float]
-) -> RatioSummary:
-    """Summarize measured/predicted across a sweep."""
-    if len(measured) != len(predicted):
-        raise ValueError("series must have equal length")
-    if not measured:
-        raise ValueError("empty series")
-    ratios = []
-    for value, reference in zip(measured, predicted):
-        if reference <= 0:
-            raise ValueError(f"non-positive prediction {reference}")
-        ratios.append(value / reference)
-    return RatioSummary(
-        minimum=min(ratios),
-        maximum=max(ratios),
-        mean=sum(ratios) / len(ratios),
     )

@@ -1,4 +1,4 @@
-"""Tiny terminal visualizations: sparklines and horizontal bars.
+"""Tiny terminal visualizations: sparklines.
 
 Benchmarks and the CLI render per-round traffic profiles and sweep curves
 inline, without any plotting dependency.
@@ -41,16 +41,6 @@ def sparkline(values: Sequence[float], width: int | None = None) -> str:
     return "".join(
         BARS[round((v - low) / span * (len(BARS) - 1))] for v in series
     )
-
-
-def hbar(
-    value: float, maximum: float, width: int = 30, fill: str = "#"
-) -> str:
-    """A proportional horizontal bar (used in example/CLI tables)."""
-    if maximum <= 0:
-        return ""
-    length = round(width * max(0.0, min(1.0, value / maximum)))
-    return fill * length
 
 
 def render_series(

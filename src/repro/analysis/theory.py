@@ -71,27 +71,3 @@ def theorem3_random_bits(n: int, x: int) -> float:
 def theorem3_invariant(rounds: float, random_bits: float) -> float:
     """Theorem 8's invariant: ``ROUNDS x RANDOMNESS ~ n^2`` (polylog-free)."""
     return rounds * random_bits
-
-
-# ---------------------------------------------------------------------------
-# Baselines.
-# ---------------------------------------------------------------------------
-
-def dolev_strong_rounds(t: int) -> float:
-    """t + 1 rounds, the deterministic optimum [15, 17]."""
-    return t + 1
-
-
-def dolev_strong_bits(n: int, t: int) -> float:
-    """``O(n^2 t log n)``-scale bits for the chain-relay implementation."""
-    return n * n * (t + 1) * log2n(n)
-
-
-def phase_king_rounds(t: int) -> float:
-    """3 (t + 1) rounds."""
-    return 3 * (t + 1)
-
-
-def phase_king_bits(n: int, t: int) -> float:
-    """``O(n^2 t)`` bits."""
-    return n * n * (t + 1)

@@ -10,7 +10,6 @@
 """
 
 from .cores import (
-    connected_components,
     dense_neighborhood_layers,
     robust_core,
     subgraph_diameter,
@@ -37,7 +36,6 @@ __all__ = [
     "is_edge_sparse",
     "theorem4_report",
     "robust_core",
-    "connected_components",
     "subgraph_diameter",
     "dense_neighborhood_layers",
 ]

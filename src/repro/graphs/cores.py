@@ -57,28 +57,6 @@ def robust_core(
     return frozenset(v for v in range(graph.n) if alive[v])
 
 
-def connected_components(
-    graph: SpreadingGraph, members: frozenset[int]
-) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by ``members``."""
-    unvisited = set(members)
-    components: list[frozenset[int]] = []
-    while unvisited:
-        root = next(iter(unvisited))
-        component = {root}
-        unvisited.discard(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in graph.neighbors(v):
-                if u in unvisited:
-                    unvisited.discard(u)
-                    component.add(u)
-                    queue.append(u)
-        components.append(frozenset(component))
-    return components
-
-
 def subgraph_diameter(graph: SpreadingGraph, members: frozenset[int]) -> int:
     """Exact diameter of the induced subgraph (∞ → ``-1`` if disconnected).
 

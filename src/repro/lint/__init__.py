@@ -1,17 +1,16 @@
 """repro.lint — determinism static analysis.
 
 A small AST-based linter encoding the repo's reproducibility contract as
-checkable rules (``REP001``–``REP003``, ``REP005``, ``REP007``; the retired
-codes and the tests that replaced them are listed in ``docs/lint.md``):
-metered randomness, no ambient entropy, order-stable iteration, adversary
-purity, and no per-copy ``Message`` construction in engine loops.  See
-``docs/lint.md`` for the rule catalog and suppression policy.
+checkable rules (``REP001``–``REP003``; the retired codes and the tests
+that replaced them are listed in ``docs/lint.md``): metered randomness,
+no ambient entropy, order-stable iteration.  See ``docs/lint.md`` for
+the rule catalog and suppression policy.
 
 Run it as ``python -m repro.lint [paths]``; use programmatically via
 :func:`lint_paths` / :func:`lint_source`.
 """
 
-from .context import ModuleContext, Project
+from .context import ModuleContext
 from .engine import (
     PARSE_ERROR_CODE,
     LintReport,
@@ -22,7 +21,8 @@ from .engine import (
 )
 from .findings import Finding
 from .pragmas import PragmaIndex
-from .rules import Rule, all_rules, register_rule, rule_for
+from .rules import Rule
+from .rules_determinism import all_rules
 
 __all__ = [
     "PARSE_ERROR_CODE",
@@ -30,13 +30,10 @@ __all__ = [
     "LintReport",
     "ModuleContext",
     "PragmaIndex",
-    "Project",
     "Rule",
     "all_rules",
     "collect_files",
     "lint_modules",
     "lint_paths",
     "lint_source",
-    "register_rule",
-    "rule_for",
 ]

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .engine import LintReport, lint_paths
-from .rules import all_rules
+from .rules_determinism import all_rules
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
@@ -22,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "Determinism and model-conformance checks for the repro codebase."
+            "Determinism checks for the repro codebase."
         ),
     )
     parser.add_argument(

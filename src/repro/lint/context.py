@@ -1,14 +1,12 @@
-"""Parsed-module and project context handed to lint rules.
-
-A :class:`ModuleContext` bundles one source file with its AST and
-suppression pragmas.  A :class:`Project` is the set of modules under
-analysis.
+"""The parsed-module context handed to lint rules: a
+:class:`ModuleContext` bundles one source file with its AST and
+suppression pragmas.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .pragmas import PragmaIndex
@@ -71,9 +69,3 @@ def _relativize(path: Path, root: Path | None) -> str:
     except ValueError:
         return path.as_posix()
 
-
-@dataclass(slots=True)
-class Project:
-    """All modules under analysis."""
-
-    modules: list[ModuleContext] = field(default_factory=list)

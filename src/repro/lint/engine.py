@@ -12,9 +12,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .context import ModuleContext, Project
+from .context import ModuleContext
 from .findings import Finding
-from .rules import Rule, all_rules
+from .rules import Rule
+from .rules_determinism import all_rules
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
@@ -55,9 +56,9 @@ def lint_modules(
 ) -> LintReport:
     """Run *rules* over prepared modules; the core of every entry point."""
     active = list(rules) if rules is not None else all_rules()
-    project = Project(modules=list(modules))
+    modules = list(modules)
     findings: list[Finding] = []
-    for module in project.modules:
+    for module in modules:
         raw: list[Finding] = []
         if module.syntax_error is not None:
             error = module.syntax_error
@@ -73,14 +74,14 @@ def lint_modules(
         else:
             for rule in active:
                 if rule.applies_to(module):
-                    raw.extend(rule.check(module, project))
+                    raw.extend(rule.check(module))
         findings.extend(
             finding
             for finding in raw
             if not module.pragmas.suppresses(finding.code, finding.line)
         )
     findings.sort(key=Finding.sort_key)
-    return LintReport(findings=findings, files_checked=len(project.modules))
+    return LintReport(findings=findings, files_checked=len(modules))
 
 
 def lint_paths(

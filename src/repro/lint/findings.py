@@ -11,7 +11,7 @@ class Finding:
     """One rule violation at a specific source location."""
 
     path: str
-    """Project-relative POSIX path of the offending file."""
+    """POSIX path of the offending file, relative to the lint root."""
 
     line: int
     """1-based line number."""

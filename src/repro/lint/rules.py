@@ -1,8 +1,9 @@
-"""Rule base class and registry.
+"""Rule base class and the AST helpers rules share.
 
-Rules are singletons keyed by code (``REPxxx``).  Each rule declares which
-modules it applies to and yields :class:`~.findings.Finding` records; the
-engine handles pragma suppression, so rules stay pure.
+Each rule has a stable code (``REPxxx``), declares which modules it
+applies to and yields :class:`~.findings.Finding` records; the engine
+handles pragma suppression, so rules stay pure.  The rules themselves
+live in :mod:`.rules_determinism`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from typing import ClassVar
 
-from .context import ModuleContext, Project
+from .context import ModuleContext
 from .findings import Finding
 
 
@@ -27,8 +28,8 @@ class Rule(ABC):
         return module.tree is not None
 
     @abstractmethod
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
-        """Yield findings for *module*; must not mutate either argument."""
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
+        """Yield findings for *module*; must not mutate it."""
 
     def finding(
         self,
@@ -45,37 +46,6 @@ class Rule(ABC):
             code=self.code,
             message=message,
         )
-
-
-_REGISTRY: dict[str, Rule] = {}
-_BUILTINS_LOADED = False
-
-
-def register_rule(cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding a rule singleton to the registry."""
-    code = cls.code
-    if code in _REGISTRY and type(_REGISTRY[code]) is not cls:
-        raise ValueError(f"duplicate lint rule code {code!r}")
-    _REGISTRY[code] = cls()
-    return cls
-
-
-def _ensure_builtin_rules() -> None:
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    from . import rules_determinism, rules_model, rules_perf  # noqa: F401
-
-
-def all_rules() -> list[Rule]:
-    _ensure_builtin_rules()
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def rule_for(code: str) -> Rule:
-    _ensure_builtin_rules()
-    return _REGISTRY[code]
 
 
 def dotted_chain(node: ast.expr) -> list[str] | None:

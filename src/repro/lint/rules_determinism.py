@@ -12,15 +12,9 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from .context import ModuleContext, Project
+from .context import ModuleContext
 from .findings import Finding
-from .rules import (
-    Rule,
-    dotted_chain,
-    from_imports,
-    module_aliases,
-    register_rule,
-)
+from .rules import Rule, dotted_chain, from_imports, module_aliases
 
 #: ``random`` module functions bound to the hidden process-global instance.
 _GLOBAL_RANDOM_FUNCS = frozenset(
@@ -53,7 +47,6 @@ _GLOBAL_RANDOM_FUNCS = frozenset(
 )
 
 
-@register_rule
 class UnseededRandomness(Rule):
     """REP001: randomness must flow through a seeded, metered source.
 
@@ -74,7 +67,7 @@ class UnseededRandomness(Rule):
             return False
         return not module.endswith("repro/runtime/randomness.py")
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
         assert module.tree is not None
         aliases = module_aliases(module.tree, "random")
         for name, node in from_imports(module.tree, "random").items():
@@ -161,7 +154,6 @@ _REP002_SCOPE = (
 )
 
 
-@register_rule
 class WallClockEntropy(Rule):
     """REP002: no ambient time or entropy in replayed code.
 
@@ -190,7 +182,7 @@ class WallClockEntropy(Rule):
             return False
         return module.in_dirs(*_REP002_SCOPE)
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
         assert module.tree is not None
         tree = module.tree
         for banned in ("uuid", "secrets"):
@@ -293,7 +285,6 @@ _ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
 _SET_PRESERVING_BINOPS = (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
 
 
-@register_rule
 class UnstableIteration(Rule):
     """REP003: no order-unstable iteration on replayed paths.
 
@@ -321,7 +312,7 @@ class UnstableIteration(Rule):
             return False
         return module.in_dirs(*_REP003_SCOPE)
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
         assert module.tree is not None
         yield from self._check_scope(module, module.tree.body)
 
@@ -475,3 +466,8 @@ def _is_id_key(value: ast.expr) -> bool:
             and body.func.id == "id"
         )
     return False
+
+
+def all_rules() -> list[Rule]:
+    """Every rule, in code order."""
+    return [UnseededRandomness(), WallClockEntropy(), UnstableIteration()]

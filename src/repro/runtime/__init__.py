@@ -93,9 +93,6 @@ from .trace import RoundTrace, TraceRecorder, default_state_probe
 from .randomness import (
     CountingRandom,
     derive_seeds,
-    spawn_sources,
-    total_random_bits,
-    total_random_calls,
 )
 
 __all__ = [
@@ -150,7 +147,4 @@ __all__ = [
     "trace_to_dict",
     "CountingRandom",
     "derive_seeds",
-    "spawn_sources",
-    "total_random_bits",
-    "total_random_calls",
 ]

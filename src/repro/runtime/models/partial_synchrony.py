@@ -128,11 +128,7 @@ class PartialSynchronyModel(RoundModel):
         }
 
     # ------------------------------------------------------------------
-    def run_rounds(self, network: SyncNetwork) -> None:
-        from ..network import LockstepError
-
-        observers = network.observers
-        core = network.core
+    def begin(self, network: SyncNetwork) -> None:
         self.time = 0
         self.round_durations = []
         self._pending = []
@@ -140,27 +136,6 @@ class PartialSynchronyModel(RoundModel):
         self._rng = CountingRandom(
             stable_seed(network.seed, "partial-synchrony-latency")
         )
-        while core.live_count > 0 or self._pending:
-            network.maybe_reseed()
-            if network.round >= network.max_rounds:
-                raise LockstepError(
-                    f"protocol did not terminate within {network.max_rounds} "
-                    f"rounds; {core.live_count} processes still live"
-                )
-            for observer in observers:
-                observer.on_round_start(network.round, network)
-            outbound = core.advance(network.round)
-            if core.live_count == 0 and not outbound and not self._pending:
-                # A terminal local-computation phase with no traffic (and
-                # nothing in flight) is not a round: observers see the
-                # unmatched on_round_start.
-                break
-            for observer in observers:
-                observer.on_messages_sent(network.round, outbound, network)
-            omitted = network._apply_adversary(outbound)
-            self._deliver_round(network, outbound, omitted)
-            network._dispatch_round_end()
-            network.round += 1
 
     # ------------------------------------------------------------------
     def _draw_latencies(
@@ -190,7 +165,7 @@ class PartialSynchronyModel(RoundModel):
             )
         return latencies
 
-    def _deliver_round(
+    def deliver(
         self,
         network: SyncNetwork,
         batch: MessageBatch,

@@ -182,36 +182,28 @@ class RoundProfiler(RoundObserver):
     Accumulates ``perf_counter`` seconds per *compute* (local-computation),
     *adversary* (view construction + strategy + validation) and *delivery*
     (inbox placement) phase, plus the observer/bookkeeping remainder of
-    each round.  With ``per_round=True`` it also keeps one
-    ``(compute, adversary, delivery)`` triple per round for hot-round
-    hunting.
+    each round.
 
     Purely passive: attaching it never perturbs metrics, decisions, or
     randomness.
     """
 
-    def __init__(self, per_round: bool = False) -> None:
+    def __init__(self) -> None:
         self.compute = 0.0
         self.adversary = 0.0
         self.delivery = 0.0
         self.overhead = 0.0
         self.rounds = 0
         self.wall_time = 0.0
-        self.per_round = per_round
-        self.round_times: list[tuple[float, float, float]] = []
         self._run_started = 0.0
-        self._round_started = 0.0
         self._last_mark = 0.0
-        self._compute_elapsed = 0.0
-        self._adversary_elapsed = 0.0
-        self._delivery_elapsed = 0.0
 
     # ------------------------------------------------------------------
     def on_run_start(self, network: SyncNetwork) -> None:
         self._run_started = time.perf_counter()
 
     def on_round_start(self, round_no: int, network: SyncNetwork) -> None:
-        self._round_started = self._last_mark = time.perf_counter()
+        self._last_mark = time.perf_counter()
 
     def _phase(self) -> float:
         now = time.perf_counter()
@@ -222,8 +214,7 @@ class RoundProfiler(RoundObserver):
     def on_messages_sent(
         self, round_no: int, outbound: Sequence[Message], network: SyncNetwork
     ) -> None:
-        self._compute_elapsed = self._phase()
-        self.compute += self._compute_elapsed
+        self.compute += self._phase()
 
     def on_adversary_action(
         self,
@@ -232,8 +223,7 @@ class RoundProfiler(RoundObserver):
         action: AdversaryAction,
         network: SyncNetwork,
     ) -> None:
-        self._adversary_elapsed = self._phase()
-        self.adversary += self._adversary_elapsed
+        self.adversary += self._phase()
 
     def on_deliveries(
         self,
@@ -242,20 +232,11 @@ class RoundProfiler(RoundObserver):
         lost: Sequence[Message],
         network: SyncNetwork,
     ) -> None:
-        self._delivery_elapsed = self._phase()
-        self.delivery += self._delivery_elapsed
+        self.delivery += self._phase()
 
     def on_round_end(self, round_no: int, network: SyncNetwork) -> None:
         self.rounds += 1
         self.overhead += time.perf_counter() - self._last_mark
-        if self.per_round:
-            self.round_times.append(
-                (
-                    self._compute_elapsed,
-                    self._adversary_elapsed,
-                    self._delivery_elapsed,
-                )
-            )
 
     def on_run_end(
         self, result: ExecutionResult, network: SyncNetwork
@@ -273,13 +254,3 @@ class RoundProfiler(RoundObserver):
             "delivery": self.delivery,
             "overhead": self.overhead,
         }
-
-    def hottest_rounds(self, count: int = 5) -> list[tuple[int, float]]:
-        """The ``count`` slowest rounds as (round, seconds) pairs
-        (requires ``per_round=True``)."""
-        totals = [
-            (index, sum(triple))
-            for index, triple in enumerate(self.round_times)
-        ]
-        totals.sort(key=lambda pair: pair[1], reverse=True)
-        return totals[:count]

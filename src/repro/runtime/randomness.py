@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -132,20 +132,3 @@ def derive_seeds(master_seed: int, count: int, salt: str = "") -> list[int]:
     """
     stream = random.Random(stable_seed(master_seed, salt))
     return [stream.getrandbits(63) for _ in range(count)]
-
-
-def spawn_sources(
-    master_seed: int, count: int, salt: str = ""
-) -> list[CountingRandom]:
-    """Create ``count`` independent :class:`CountingRandom` sources."""
-    return [CountingRandom(seed) for seed in derive_seeds(master_seed, count, salt)]
-
-
-def total_random_bits(sources: Iterable[CountingRandom]) -> int:
-    """Sum of bits drawn across the given sources."""
-    return sum(source.bits_drawn for source in sources)
-
-
-def total_random_calls(sources: Iterable[CountingRandom]) -> int:
-    """Sum of random-source calls across the given sources."""
-    return sum(source.calls for source in sources)

@@ -21,15 +21,13 @@ from ..runtime.models import create_named
 from ..runtime.observers import LinkSample
 from .base import Transport, TransportError
 from .inprocess import InProcessTransport
-from .metrics import LinkMetricsObserver
-from .tcp import AsyncioTcpTransport, RemoteExecutionCore
+from .tcp import RemoteExecutionCore, TcpTransport
 
 __all__ = [
-    "AsyncioTcpTransport",
     "InProcessTransport",
-    "LinkMetricsObserver",
     "LinkSample",
     "RemoteExecutionCore",
+    "TcpTransport",
     "Transport",
     "TransportError",
     "available_transports",
@@ -39,7 +37,7 @@ __all__ = [
 
 _TRANSPORTS: dict[str, type[Transport]] = {
     InProcessTransport.name: InProcessTransport,
-    AsyncioTcpTransport.name: AsyncioTcpTransport,
+    TcpTransport.name: TcpTransport,
 }
 
 

@@ -10,7 +10,7 @@ execute.  It is a factory for the run's
   returns the plain in-interpreter core — zero overhead, today's
   behavior, byte-identical to every execution before the transport axis
   existed;
-* :class:`~repro.transport.tcp.AsyncioTcpTransport` returns a
+* :class:`~repro.transport.tcp.TcpTransport` returns a
   coordinator core that places the processes in real OS worker processes
   speaking length-prefixed frames over localhost TCP.
 

@@ -1,12 +1,13 @@
 """Length-prefixed pickle frames for the localhost TCP transport.
 
 One frame is a 4-byte big-endian unsigned length followed by a pickled
-payload.  The same encoding is used in both directions and both flavours
-(synchronous sockets in the worker, asyncio streams in the coordinator),
-so the wire format lives in exactly one module.  The payloads are the
-endpoints' business: step frames carry each hosted inbox as ``(senders,
-payloads, bits)`` lists, where pickle's memo writes a payload object once
-per frame however many copies share it; replies carry outbox records.
+payload.  The same encoding is used in both directions, on blocking
+sockets at both ends (the coordinator bounds each call with a socket
+timeout), so the wire format lives in exactly one module.  The payloads
+are the endpoints' business: step frames carry each hosted inbox as
+``(senders, payloads, bits)`` lists, where pickle's memo writes a payload
+object once per frame however many copies share it; replies carry outbox
+records.
 
 Pickle is acceptable here because frames never leave the machine: the
 coordinator listens on loopback only, and every connection must present
@@ -20,7 +21,6 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from asyncio import StreamReader
 from typing import Any
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "FramingError",
     "decode_body",
     "encode_frame",
-    "read_frame",
     "recv_frame",
     "send_frame",
 ]
@@ -80,16 +79,6 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return bytes(chunks)
 
 
-def _body_length(header: bytes) -> int:
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"frame length prefix {length} exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    return int(length)
-
-
 def recv_frame(sock: socket.socket) -> tuple[Any, int]:
     """Read one frame from a blocking socket.
 
@@ -97,18 +86,11 @@ def recv_frame(sock: socket.socket) -> tuple[Any, int]:
     on a peer that closed mid-frame and :class:`FramingError` on a
     malformed frame.
     """
-    length = _body_length(_recv_exact(sock, _HEADER.size))
+    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    if length > MAX_FRAME_BYTES:
+        raise FramingError(
+            f"frame length prefix {length} exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
     body = _recv_exact(sock, length)
-    return decode_body(body), _HEADER.size + length
-
-
-async def read_frame(reader: StreamReader) -> tuple[Any, int]:
-    """Read one frame from an asyncio stream.
-
-    Returns ``(payload, total_bytes_read)``; raises
-    ``asyncio.IncompleteReadError`` on a peer that closed mid-frame and
-    :class:`FramingError` on a malformed frame.
-    """
-    length = _body_length(await reader.readexactly(_HEADER.size))
-    body = await reader.readexactly(length)
     return decode_body(body), _HEADER.size + length

@@ -1,6 +1,6 @@
-"""The asyncio-TCP transport: real OS processes over localhost frames.
+"""The TCP transport: real OS processes over localhost frames.
 
-``AsyncioTcpTransport`` places an execution's consensus processes in
+``TcpTransport`` places an execution's consensus processes in
 real worker OS processes (``repro.transport.worker.main``, spawned by
 ``_WORKER_BOOT`` below — the one spawn line), each
 hosting a contiguous pid block, all dialing a loopback listener owned by
@@ -10,14 +10,16 @@ the coordinator.  The coordinator is a
 delivery layer, adversary arbitration, observers, record/replay —
 drives it unchanged:
 
-* :meth:`RemoteExecutionCore.advance` fans one ``step`` frame out to
-  every live worker concurrently (asyncio), each carrying the hosted
-  pids' inboxes *by column* — senders, payloads and bits as three plain
-  lists (:func:`~repro.runtime.columnar.inbox_columns`), never
-  ``Message`` objects — and collecting their outbound records; blocks are
-  contiguous and workers advance pids in ascending order, so the
-  concatenated batch keeps the engine's sender-sorted invariant.
-* Per-link send timeouts and dead connections surface as *crash faults*
+* :meth:`RemoteExecutionCore.advance` is a blocking fan-out: it sends
+  one ``step`` frame to every live worker (a worker computes while the
+  later frames are still being pickled), each carrying the hosted pids'
+  inboxes *by column* — senders, payloads and bits as three plain lists
+  (:func:`~repro.runtime.columnar.inbox_columns`), never ``Message``
+  objects — then reads the replies as ``select`` reports them, each
+  against its own link deadline; blocks are contiguous and workers
+  advance pids in ascending order, so the batch concatenated in link
+  order keeps the engine's sender-sorted invariant.
+* Per-link timeouts and dead connections surface as *crash faults*
   via :meth:`drain_faults` — the network folds them into the round's
   corruptions and omits their in-flight copies, preserving
   ``sent == delivered + omitted + lost + Δin-flight`` instead of hanging.
@@ -44,8 +46,9 @@ timeouts and latency measurement, never for protocol decisions.
 
 from __future__ import annotations
 
-import asyncio
 import os
+import select
+import socket
 import subprocess
 import sys
 import time
@@ -60,14 +63,15 @@ from ..runtime.messages import MessageBatch, MessageRecord
 from ..runtime.observers import LinkSample
 from ..runtime.process import SyncProcess
 from .base import Transport, TransportError
-from .framing import FramingError, encode_frame, read_frame
+from .framing import FramingError, encode_frame, recv_frame
 
-__all__ = ["AsyncioTcpTransport", "RemoteExecutionCore"]
+__all__ = ["RemoteExecutionCore", "TcpTransport"]
 
 #: Exceptions that mean "this link is gone" rather than "this run is
 #: broken": the step that hit one crash-faults the link's processes.
-#: (``OSError`` covers ``ConnectionError`` and ``BrokenPipeError``.)
-_LINK_FAILURES = (TimeoutError, asyncio.IncompleteReadError, FramingError, OSError)
+#: (``OSError`` covers ``TimeoutError``, ``ConnectionError`` and
+#: ``BrokenPipeError``.)
+_LINK_FAILURES = (FramingError, OSError)
 
 #: What a worker interpreter runs.  A worker receives plain lists and
 #: never builds a ``ColumnarBatch``, so the engine is imported on its
@@ -81,7 +85,7 @@ _WORKER_BOOT = (
 )
 
 
-class AsyncioTcpTransport(Transport):
+class TcpTransport(Transport):
     """Consensus processes as real OS processes over localhost TCP.
 
     Parameters
@@ -158,10 +162,8 @@ class _WorkerLink:
     index: int
     pids: tuple[int, ...]
     process: subprocess.Popen[bytes] | None = None
-    reader: asyncio.StreamReader | None = None
-    writer: asyncio.StreamWriter | None = None
+    sock: socket.socket | None = None
     alive: bool = True
-    connect_retries: int = 0
 
 
 def _worker_environment() -> dict[str, str]:
@@ -173,6 +175,12 @@ def _worker_environment() -> dict[str, str]:
         package_root + os.pathsep + existing if existing else package_root
     )
     return env
+
+
+def _until(deadline: float) -> float:
+    """Seconds left to ``deadline`` as a socket timeout (never 0, which
+    would mean non-blocking)."""
+    return max(deadline - time.monotonic(), 1e-3)
 
 
 class RemoteExecutionCore(ExecutionCore):
@@ -191,7 +199,6 @@ class RemoteExecutionCore(ExecutionCore):
     __slots__ = (
         "_transport",
         "_links",
-        "_loop",
         "_server",
         "_token",
         "_faults",
@@ -205,7 +212,7 @@ class RemoteExecutionCore(ExecutionCore):
         processes: Sequence[SyncProcess],
         *,
         seed: int,
-        transport: AsyncioTcpTransport,
+        transport: TcpTransport,
     ) -> None:
         super().__init__(processes, seed=seed)
         self._transport = transport
@@ -213,7 +220,7 @@ class RemoteExecutionCore(ExecutionCore):
         self._samples: list[LinkSample] = []
         self._pending_reseed: int | None = None
         self._closed = False
-        self._server: asyncio.AbstractServer | None = None
+        self._server: socket.socket | None = None
         self._token = os.urandom(16).hex()
         # The computed default: one worker per core this process may use.
         per_worker = transport.processes_per_worker or -(
@@ -223,32 +230,18 @@ class RemoteExecutionCore(ExecutionCore):
             _WorkerLink(index, tuple(range(start, min(start + per_worker, self.n))))
             for index, start in enumerate(range(0, self.n, per_worker))
         ]
-        self._loop = asyncio.new_event_loop()
         try:
-            self._loop.run_until_complete(self._start())
+            self._start()
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------------
     # Setup / teardown
-    async def _start(self) -> None:
-        connections: asyncio.Queue[
-            tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = asyncio.Queue()
-
-        async def on_connect(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            await connections.put((reader, writer))
-
+    def _start(self) -> None:
         transport = self._transport
-        self._server = await asyncio.start_server(
-            on_connect, host=transport.host, port=0
-        )
-        sockets = self._server.sockets
-        assert sockets, "asyncio.start_server returned no sockets"
-        port = int(sockets[0].getsockname()[1])
+        self._server = server = socket.create_server((transport.host, 0))
+        port = int(server.getsockname()[1])
 
         started = time.monotonic()
         environment = _worker_environment()
@@ -264,21 +257,33 @@ class RemoteExecutionCore(ExecutionCore):
         deadline = started + transport.connect_timeout_s
         waiting = {link.index for link in self._links}
         while waiting:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if time.monotonic() >= deadline:
                 raise TransportError(
                     f"workers {sorted(waiting)} did not connect within "
                     f"{transport.connect_timeout_s:.1f}s"
                 )
+            for index in sorted(waiting):
+                process = self._links[index].process
+                assert process is not None
+                if process.poll() is not None:
+                    # Dead on arrival (import error, bad interpreter): it
+                    # will never dial in, so do not wait out the deadline.
+                    raise TransportError(
+                        f"worker {index} exited with code "
+                        f"{process.returncode} before connecting"
+                    )
+            # Wake at least every 0.25 s to poll the workers above.
+            server.settimeout(min(_until(deadline), 0.25))
             try:
-                reader, writer = await asyncio.wait_for(
-                    connections.get(), timeout=remaining
-                )
-                hello, received = await asyncio.wait_for(
-                    read_frame(reader), timeout=remaining
-                )
-            except _LINK_FAILURES:  # a timeout included
+                sock, _ = server.accept()
+            except OSError:  # a timeout included
                 continue
+            hello, received = None, 0
+            try:
+                sock.settimeout(_until(deadline))
+                hello, received = recv_frame(sock)
+            except _LINK_FAILURES:
+                pass
             if not (
                 isinstance(hello, tuple)
                 and len(hello) == 2
@@ -289,14 +294,13 @@ class RemoteExecutionCore(ExecutionCore):
             ):
                 # Wrong token or malformed hello: drop the connection and
                 # keep waiting for the real workers within the deadline.
-                writer.close()
+                sock.close()
                 continue
             index = int(hello[1]["worker"])
             waiting.discard(index)
             link = self._links[index]
-            link.reader = reader
-            link.writer = writer
-            link.connect_retries = int(hello[1].get("retries", 0))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            link.sock = sock
             self._samples.append(
                 LinkSample(
                     worker=index,
@@ -305,37 +309,47 @@ class RemoteExecutionCore(ExecutionCore):
                     latency_s=time.monotonic() - started,
                     bytes_sent=0,
                     bytes_received=received,
-                    retries=link.connect_retries,
+                    retries=int(hello[1].get("retries", 0)),
                 )
             )
 
         for link in self._links:
-            writer = link.writer
-            assert writer is not None
+            assert link.sock is not None
             hosted = [self.processes[pid] for pid in link.pids]
             setup = {"processes": hosted, "n": self.n, "seed": self.seed}
-            writer.write(encode_frame(("setup", setup)))
-            await asyncio.wait_for(
-                writer.drain(), timeout=transport.link_timeout_s
-            )
+            link.sock.settimeout(transport.link_timeout_s)
+            link.sock.sendall(encode_frame(("setup", setup)))
 
     def close(self) -> None:
-        """Graceful shutdown: fini frames, closed streams, reaped workers.
+        """Graceful shutdown: fini frames, closed sockets, reaped workers.
 
         Idempotent; called by ``SyncNetwork.run`` in a ``finally`` block
-        so worker processes never outlive their run, even on errors.
+        so worker processes never outlive their run, even on errors.  A
+        worker that cannot be told to finish — its link failed, or it
+        never dialed in — is killed, not waited for.
         """
         if self._closed:
             return
         self._closed = True
-        if not self._loop.is_closed():
-            try:
-                self._loop.run_until_complete(self._shutdown_streams())
-            finally:
-                self._loop.close()
+        fini = encode_frame(("fini", {}))
+        for link in self._links:
+            told = False
+            if link.sock is not None:
+                if link.alive:
+                    try:
+                        link.sock.settimeout(1.0)
+                        link.sock.sendall(fini)
+                        told = True
+                    except OSError:
+                        pass
+                link.sock.close()
+            if link.process is not None and not told:
+                link.process.kill()
+        if self._server is not None:
+            self._server.close()
         for link in self._links:
             process = link.process
-            if process is None or process.poll() is not None:
+            if process is None:
                 continue
             try:
                 process.wait(timeout=2.0)
@@ -343,31 +357,18 @@ class RemoteExecutionCore(ExecutionCore):
                 process.kill()
                 process.wait(timeout=5.0)
 
-    async def _shutdown_streams(self) -> None:
-        fini = encode_frame(("fini", {}))
-        for link in self._links:
-            writer = link.writer
-            if writer is None:
-                continue
-            if link.alive:
-                try:
-                    writer.write(fini)
-                    await asyncio.wait_for(writer.drain(), timeout=1.0)
-                except _LINK_FAILURES:
-                    pass
-            try:
-                writer.close()
-                await asyncio.wait_for(writer.wait_closed(), timeout=1.0)
-            except _LINK_FAILURES:
-                pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
     # ------------------------------------------------------------------
     # Per-round execution
     def advance(self, round_no: int) -> MessageBatch:
-        steps: list[tuple[_WorkerLink, dict[int, InboxColumns]]] = []
+        reseed = self._pending_reseed
+        self._pending_reseed = None
+        timeout = self._transport.link_timeout_s
+        # socket -> (link index, send time, frame bytes) of the replies
+        # awaited; insertion is in link order, so the first entry holds
+        # the earliest deadline.
+        waiting: dict[socket.socket, tuple[int, float, int]] = {}
+        # link index -> (latency, bytes sent, reply or None, bytes received)
+        done: dict[int, tuple[float, int, Any, int]] = {}
         for link in self._links:
             if not link.alive:
                 continue
@@ -378,20 +379,69 @@ class RemoteExecutionCore(ExecutionCore):
                     # view of a columnar round is gathered, never built.
                     inbox_map[pid] = inbox_columns(self.inboxes[pid])
                     self.inboxes[pid] = []
-            if inbox_map:
-                steps.append((link, inbox_map))
-        reseed = self._pending_reseed
-        self._pending_reseed = None
-        if not steps:
-            return MessageBatch([])
-        outs = self._loop.run_until_complete(
-            self._step_all(steps, round_no, reseed)
-        )
+            if not inbox_map:
+                continue
+            sock = link.sock
+            assert sock is not None
+            data = encode_frame(
+                ("step", {"round": round_no, "reseed": reseed, "inboxes": inbox_map})
+            )
+            started = time.monotonic()
+            try:
+                sock.settimeout(timeout)
+                sock.sendall(data)
+            except OSError:
+                done[link.index] = (time.monotonic() - started, len(data), None, 0)
+            else:
+                waiting[sock] = (link.index, started, len(data))
+
+        while waiting:
+            earliest = next(iter(waiting.values()))[1] + timeout
+            ready = select.select(
+                list(waiting), [], [], max(earliest - time.monotonic(), 0.0)
+            )[0]
+            if not ready:
+                now = time.monotonic()
+                ready = [
+                    sock
+                    for sock, (_, started, _) in waiting.items()
+                    if started + timeout <= now
+                ]
+            for sock in ready:
+                index, started, sent = waiting.pop(sock)
+                reply, received = None, 0
+                try:
+                    # A link already past its deadline gets a last 1 ms.
+                    sock.settimeout(_until(started + timeout))
+                    reply, received = recv_frame(sock)
+                except _LINK_FAILURES:
+                    pass
+                done[index] = (time.monotonic() - started, sent, reply, received)
+
         records: list[MessageRecord] = []
-        for (link, _), out in zip(steps, outs):
-            if out is None:
+        # Contiguous ascending pid blocks advanced in ascending pid order
+        # inside each worker: concatenation in link order keeps the
+        # batch's sender-sorted invariant.
+        for index, (latency, sent, reply, received) in sorted(done.items()):
+            link = self._links[index]
+            # A timeout, a dead connection and a malformed reply are one
+            # outcome: no "out" frame, so the link failed this round.
+            ok = isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "out"
+            self._samples.append(
+                LinkSample(
+                    worker=index,
+                    pids=link.pids,
+                    round=round_no,
+                    latency_s=latency,
+                    bytes_sent=sent,
+                    bytes_received=received,
+                    ok=ok,
+                )
+            )
+            if not ok:
                 self._fail_link(link)
                 continue
+            out = reply[1]
             for pid in out["terminated"]:
                 self.programs[pid] = None
             for pid, (value, decided_round) in out["decisions"].items():
@@ -404,64 +454,7 @@ class RemoteExecutionCore(ExecutionCore):
                 source.calls = calls
                 source.bits_drawn = bits_drawn
             records.extend(out["records"])
-        # Contiguous ascending pid blocks advanced in ascending pid order
-        # inside each worker: concatenation in link order keeps the
-        # batch's sender-sorted invariant.
         return MessageBatch(records)
-
-    async def _step_all(
-        self,
-        steps: Sequence[tuple[_WorkerLink, dict[int, InboxColumns]]],
-        round_no: int,
-        reseed: int | None,
-    ) -> list[dict[str, Any] | None]:
-        return await asyncio.gather(
-            *(
-                self._step_link(link, inbox_map, round_no, reseed)
-                for link, inbox_map in steps
-            )
-        )
-
-    async def _step_link(
-        self,
-        link: _WorkerLink,
-        inbox_map: dict[int, InboxColumns],
-        round_no: int,
-        reseed: int | None,
-    ) -> dict[str, Any] | None:
-        reader, writer = link.reader, link.writer
-        assert reader is not None and writer is not None
-        data = encode_frame(
-            ("step", {"round": round_no, "reseed": reseed, "inboxes": inbox_map})
-        )
-        started = time.monotonic()
-        timeout = self._transport.link_timeout_s
-        reply: Any = None
-        received = 0
-        try:
-            writer.write(data)
-            await asyncio.wait_for(writer.drain(), timeout=timeout)
-            reply, received = await asyncio.wait_for(
-                read_frame(reader), timeout=timeout
-            )
-        except _LINK_FAILURES:
-            pass
-        # A timeout, a dead connection and a malformed reply are one
-        # outcome: no "out" frame, so the link failed this round.
-        ok = isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "out"
-        self._samples.append(
-            LinkSample(
-                worker=link.index,
-                pids=link.pids,
-                round=round_no,
-                latency_s=time.monotonic() - started,
-                bytes_sent=len(data),
-                bytes_received=received,
-                ok=ok,
-            )
-        )
-        out: dict[str, Any] | None = reply[1] if ok else None
-        return out
 
     def _fail_link(self, link: _WorkerLink) -> None:
         """Crash-fault a link: its live pids become transport faults."""
@@ -470,12 +463,11 @@ class RemoteExecutionCore(ExecutionCore):
             if self.programs[pid] is not None:
                 self.programs[pid] = None
                 self._faults.add(pid)
-        writer = link.writer
-        if writer is not None:
-            writer.close()
+        if link.sock is not None:
+            link.sock.close()
         process = link.process
         if process is not None and process.poll() is None:
-            process.terminate()
+            process.kill()
 
     # ------------------------------------------------------------------
     # Transport surface consumed by SyncNetwork

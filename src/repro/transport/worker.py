@@ -142,6 +142,9 @@ def connect_with_backoff(
             retries += 1
             backoff = min(backoff * 2.0, max_backoff_s)
             continue
+        # The connect budget ends here: between frames a worker waits as
+        # long as the coordinator takes (it owns the link deadlines).
+        sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock, retries
 

@@ -3,12 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.analysis import (
     least_squares_slope,
     loglog_slope,
-    ratio_summary,
     render_table,
     table1,
     theory,
@@ -39,28 +37,6 @@ class TestFits:
             least_squares_slope([1.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             loglog_slope([1.0, -2.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            ratio_summary([1.0], [])
-        with pytest.raises(ValueError):
-            ratio_summary([], [])
-
-    def test_ratio_summary(self):
-        summary = ratio_summary([2.0, 4.0, 8.0], [1.0, 2.0, 2.0])
-        assert summary.minimum == 2.0
-        assert summary.maximum == 4.0
-        assert math.isclose(summary.spread, 2.0)
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.1, max_value=1e6),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    def test_ratio_of_series_with_itself_is_one(self, values):
-        summary = ratio_summary(values, values)
-        assert math.isclose(summary.mean, 1.0)
-        assert math.isclose(summary.spread, 1.0)
 
 
 class TestTheoryCurves:
@@ -82,11 +58,6 @@ class TestTheoryCurves:
         assert theory.theorem2_product(1024, 33) > 0
         assert theory.bar_joseph_ben_or_rounds(1024, 33) > 0
         assert theory.abraham_messages(33) > 0
-
-    def test_baseline_curves(self):
-        assert theory.dolev_strong_rounds(7) == 8
-        assert theory.phase_king_rounds(7) == 24
-        assert theory.dolev_strong_bits(64, 4) > theory.phase_king_bits(64, 4)
 
 
 class TestTable1:

@@ -4,7 +4,6 @@ import math
 
 from repro.graphs import (
     SpreadingGraph,
-    connected_components,
     degree_report,
     dense_neighborhood_layers,
     is_edge_sparse,
@@ -143,12 +142,6 @@ class TestRobustCore:
 
 
 class TestComponentsAndDiameter:
-    def test_components(self):
-        graph = SpreadingGraph(5, [(0, 1), (2, 3)])
-        components = connected_components(graph, frozenset(range(5)))
-        sizes = sorted(len(component) for component in components)
-        assert sizes == [1, 2, 2]
-
     def test_diameter_cycle(self):
         assert subgraph_diameter(cycle_graph(8), frozenset(range(8))) == 4
 

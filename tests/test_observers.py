@@ -168,7 +168,7 @@ def _ben_or_run(observers=()):
 def test_observers_are_neutral(runner):
     baseline = runner()
     recorder = TraceRecorder()
-    profiler = RoundProfiler(per_round=True)
+    profiler = RoundProfiler()
     observed = runner(observers=(recorder, profiler, HookLog()))
 
     assert _run_fingerprint(observed) == _run_fingerprint(baseline)
@@ -194,14 +194,13 @@ def test_observers_are_neutral(runner):
 # ---------------------------------------------------------------------------
 # RoundProfiler internals.
 def test_profiler_accumulates_phases():
-    profiler = RoundProfiler(per_round=True)
+    profiler = RoundProfiler()
     network = SyncNetwork(
         [PingPong(pid, 4) for pid in range(4)], observers=[profiler]
     )
     result = network.run()
 
     assert profiler.rounds == result.metrics.rounds
-    assert len(profiler.round_times) == profiler.rounds
     for value in (profiler.compute, profiler.adversary, profiler.delivery,
                   profiler.overhead):
         assert value >= 0.0
@@ -213,19 +212,6 @@ def test_profiler_accumulates_phases():
     assert set(summary) == {
         "rounds", "wall_time", "compute", "adversary", "delivery", "overhead"
     }
-    hottest = profiler.hottest_rounds(2)
-    assert len(hottest) == min(2, profiler.rounds)
-    assert all(seconds >= 0.0 for _, seconds in hottest)
-
-
-def test_profiler_without_per_round_keeps_no_series():
-    profiler = RoundProfiler()
-    network = SyncNetwork(
-        [PingPong(pid, 2) for pid in range(2)], observers=[profiler]
-    )
-    network.run()
-    assert profiler.round_times == []
-    assert profiler.hottest_rounds() == []
 
 
 def test_metrics_series_visible_from_round_end():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.runtime import CountingRandom, derive_seeds, spawn_sources
+from repro.runtime import CountingRandom, derive_seeds
 from repro.runtime.randomness import stable_seed
 
 
@@ -136,9 +136,3 @@ class TestSeedDerivation:
     def test_derive_seeds_distinct_per_process(self):
         seeds = derive_seeds(0, 64)
         assert len(set(seeds)) == 64
-
-    def test_spawn_sources_independent_streams(self):
-        sources = spawn_sources(0, 2)
-        a = [sources[0].bit() for _ in range(64)]
-        b = [sources[1].bit() for _ in range(64)]
-        assert a != b

@@ -4,7 +4,8 @@ Lint rule REP004 used to flag these statically; it is retired because
 nothing is left for it to catch that the first call does not.  The loose
 ``run_campaign(ns=...)`` keywords and ``CampaignSpec.cell_key`` are pinned
 the same way by ``test_campaign.TestRemovedGridKwargs``.  REP008 (one engine
-front door) is retired into the call-site census at the end of this file.
+front door) and REP007 (no per-copy ``Message`` loop in the engine) are
+retired into the two call-site censuses at the end of this file.
 """
 
 import ast
@@ -16,7 +17,13 @@ import pytest
 from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.baselines import run_ben_or
 from repro.harness import execute
-from repro.runtime import Adversary, MessageBatch, NetworkView, SyncNetwork
+from repro.runtime import (
+    Adversary,
+    MessageBatch,
+    NetworkView,
+    RoundProfiler,
+    SyncNetwork,
+)
 
 INPUTS = [0, 1, 1, 0, 1]
 SPEC = CampaignSpec("removed", "ben-or", ns=(5,))
@@ -53,6 +60,9 @@ REMOVED_CALLS = {
     ),
     "MessageBatch.indices_by_sender()": (
         AttributeError, lambda: MessageBatch([]).indices_by_sender()
+    ),
+    "RoundProfiler(per_round=)": (
+        TypeError, lambda: RoundProfiler(per_round=True)
     ),
     "NetworkView(round_no=)": (
         TypeError,
@@ -94,6 +104,23 @@ def test_removed_call_shape_raises(surface):
         ("repro.runtime", "recipe_from_dict"),
         ("repro.lowerbound", "ScriptedAdversary"),
         ("repro.lint", "Baseline"),
+        ("repro.lint", "Project"),
+        ("repro.lint", "register_rule"),
+        ("repro.lint", "rule_for"),
+        # One socket discipline: blocking sockets at both ends of a link.
+        ("repro.transport", "AsyncioTcpTransport"),
+        ("repro.transport", "LinkMetricsObserver"),
+        ("repro.transport.framing", "read_frame"),
+        # Names only their own tests called.
+        ("repro.runtime", "spawn_sources"),
+        ("repro.runtime", "total_random_bits"),
+        ("repro.runtime", "total_random_calls"),
+        ("repro.analysis.theory", "dolev_strong_rounds"),
+        ("repro.analysis.theory", "phase_king_bits"),
+        ("repro.graphs", "connected_components"),
+        ("repro.analysis", "ratio_summary"),
+        ("repro.analysis", "RatioSummary"),
+        ("repro.analysis", "hbar"),
         # repro.fabric is CellId + the store; the pool is the stdlib's.
         ("repro.fabric", "DirectoryClaims"),
         ("repro.fabric", "await_cells"),
@@ -180,3 +207,63 @@ def test_engine_is_constructed_at_the_front_door_and_three_fixtures():
         "analysis/report.py",
         "lowerbound/rollout_adversary.py",
     }
+
+
+_LOOPS = (
+    ast.For, ast.AsyncFor, ast.While,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def per_copy_message_sites(tree):
+    """Names of the functions that call ``Message(...)`` under a loop or
+    comprehension of their own."""
+    sites = set()
+
+    def visit(node, function, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function, in_loop = node.name, False
+        elif isinstance(node, _LOOPS):
+            in_loop = True
+        elif (
+            in_loop
+            and isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Message"
+        ):
+            sites.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, in_loop)
+
+    visit(tree, "<module>", False)
+    return sites
+
+
+def test_engine_builds_messages_per_copy_only_where_one_is_read():
+    """A ``Message(...)`` per copy is O(copies) allocations where the
+    columnar plan needs O(records); under ``src/repro/runtime`` it happens
+    only in the batch's flat expansion, the lazy views' cache fill and the
+    reference object loop.  (The
+    dynamic half is the ``materialized`` fixture's zero-fill tests.)  A
+    new site queues a ``Multicast`` or hands out a lazy view instead — or
+    is added here on purpose."""
+    runtime = Path(__file__).resolve().parent.parent / "src" / "repro" / "runtime"
+    sites = {
+        (path.relative_to(runtime).as_posix(), function)
+        for path in sorted(runtime.rglob("*.py"))
+        for function in per_copy_message_sites(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+    }
+    assert sites == {
+        ("messages.py", "__iter__"),
+        ("columnar.py", "_materialize"),
+        ("delivery.py", "_deliver_objects"),
+    }
+    planted = ast.parse(
+        "def fan_out(record):\n"
+        "    one = Message(0, 1, 'p', 8)\n"
+        "    return [Message(0, r, 'p', 8) for r in record.recipients]\n"
+        "def single(record):\n"
+        "    return Message(0, 1, 'p', 8)\n"
+    )
+    assert per_copy_message_sites(planted) == {"fan_out"}

@@ -28,6 +28,8 @@ from repro.replay import (
 from repro.replay.recipe import recipe_from_payload, recipe_payload
 from repro.runtime import (
     SCHEMA_VERSION,
+    Adversary,
+    AdversaryAction,
     ProcessEnv,
     SyncNetwork,
     SyncProcess,
@@ -109,6 +111,29 @@ class TestRecordReplayMatrix:
         assert on_objects.recipe.expected == on_columnar.recipe.expected
         pin(0)
         assert replay(on_objects.recipe).ok
+
+    def test_adversary_that_writes_through_its_view_does_not_replay(self):
+        """Replay is the purity test: a recipe holds what the adversary
+        *returned*, so state it changed behind the engine's back is not in
+        it, and the replay disagrees with the recording."""
+
+        class WritesThroughItsView(Adversary):
+            def act(self, view):
+                for process in view.processes:
+                    process.b = 1
+                return AdversaryAction()
+
+        recorded = record(
+            "ben-or",
+            [pid % 2 for pid in range(16)],
+            t=2,
+            adversary=WritesThroughItsView(),
+            seed=0,
+        )
+        assert not recorded.failed
+        report = replay(recorded.recipe)
+        assert report.ok is False
+        assert report.mismatches
 
     def test_recipe_file_round_trip(self, tmp_path):
         recorded = record(

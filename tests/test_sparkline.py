@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.analysis.sparkline import BARS, hbar, render_series, sparkline
+from repro.analysis.sparkline import BARS, render_series, sparkline
 
 
 class TestSparkline:
@@ -44,19 +44,6 @@ class TestSparkline:
     )
     def test_width_respected(self, values, width):
         assert len(sparkline(values, width)) <= max(width, len(values))
-
-
-class TestHbar:
-    def test_full_and_empty(self):
-        assert hbar(10, 10, width=5) == "#####"
-        assert hbar(0, 10, width=5) == ""
-
-    def test_clamped(self):
-        assert hbar(20, 10, width=4) == "####"
-        assert hbar(-3, 10, width=4) == ""
-
-    def test_zero_maximum(self):
-        assert hbar(1, 0) == ""
 
 
 class TestRenderSeries:

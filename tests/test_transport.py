@@ -1,19 +1,24 @@
-"""Tests for repro.transport: framing, the registry, the asyncio-TCP
-backend, and cross-transport equivalence against the in-process core.
+"""Tests for repro.transport: framing, the registry, the TCP backend, and
+cross-transport equivalence against the in-process core.
 
 The equivalence suite is the transport axis's core guarantee: every
 registered protocol produces a byte-identical fingerprint (decisions
 *and* metering) whether its processes run in the interpreter or as real
 OS worker processes over localhost TCP, and a TCP-recorded recipe
-replays in-process to the same fingerprint.  The fault-injection test
-pins the other half of the contract: a killed worker process lands
-inside the omission model (crash fault + omitted copies, conservation
-intact), never as a hang.
+replays in-process to the same fingerprint.  The fault-injection tests
+pin the other half of the contract: a killed or stalled worker process
+lands inside the omission model (crash fault + omitted copies,
+conservation intact), never as a hang, and a worker that cannot start
+fails setup with a ``TransportError``.
 """
 
 import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,16 +30,15 @@ from repro.harness import execute
 from repro.replay import record, recipe_from_payload, recipe_payload, replay
 from repro.runtime import RoundObserver, SyncNetwork
 from repro.transport import (
-    AsyncioTcpTransport,
     InProcessTransport,
-    LinkMetricsObserver,
-    LinkSample,
+    TcpTransport,
     Transport,
     TransportError,
     available_transports,
     create_transport,
     resolve_transport,
 )
+from repro.transport import tcp
 from repro.transport.framing import (
     MAX_FRAME_BYTES,
     FramingError,
@@ -125,7 +129,7 @@ class TestTransportRegistry:
     def test_create_transport_by_name(self):
         assert isinstance(create_transport("inprocess"), InProcessTransport)
         transport = create_transport("tcp", {"processes_per_worker": 3})
-        assert isinstance(transport, AsyncioTcpTransport)
+        assert isinstance(transport, TcpTransport)
         assert transport.processes_per_worker == 3
 
     def test_create_transport_unknown_name(self):
@@ -142,7 +146,7 @@ class TestTransportRegistry:
 
     def test_options_payload_round_trips(self):
         for per_worker in (4, None):  # None: the computed default
-            original = AsyncioTcpTransport(
+            original = TcpTransport(
                 processes_per_worker=per_worker, link_timeout_s=5.0
             )
             payload = original.options_payload()
@@ -157,7 +161,7 @@ class TestTransportRegistry:
         from what the process can observe: ceil(n / cores) per worker, in
         contiguous pid blocks; the options, hence every identity, keep the
         ``None`` the caller gave."""
-        assert AsyncioTcpTransport().processes_per_worker is None
+        assert TcpTransport().processes_per_worker is None
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         network = SyncNetwork(
             [NumpyProbe(pid, 7) for pid in range(7)], transport="tcp"
@@ -171,13 +175,13 @@ class TestTransportRegistry:
 
     def test_transports_subclass_transport(self):
         assert issubclass(InProcessTransport, Transport)
-        assert issubclass(AsyncioTcpTransport, Transport)
+        assert issubclass(TcpTransport, Transport)
 
 
 class TestTcpValidation:
     def test_rejects_non_loopback_host(self):
         with pytest.raises(ValueError, match="loopback"):
-            AsyncioTcpTransport(host="0.0.0.0")
+            TcpTransport(host="0.0.0.0")
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -189,7 +193,7 @@ class TestTcpValidation:
     )
     def test_rejects_bad_parameters(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            AsyncioTcpTransport(**kwargs)
+            TcpTransport(**kwargs)
 
 
 class TestConnectBackoff:
@@ -285,6 +289,24 @@ def workers_import_tests(monkeypatch):
     )
 
 
+class _LinkTap(RoundObserver):
+    """Collects the run's ``LinkSample`` stream off ``on_transport``."""
+
+    def __init__(self):
+        self.samples = []
+
+    def on_transport(self, round_no, samples, network):
+        self.samples.extend(samples)
+
+    def steps(self, round_no=None):
+        """Step samples (no handshakes), of one round if given."""
+        return [
+            sample
+            for sample in self.samples
+            if sample.round >= 0 and round_no in (None, sample.round)
+        ]
+
+
 class TestWire:
     def test_coordinator_ships_columns_not_messages(self, materialized):
         """A fault-free Algorithm 1 run over TCP builds no ``Message`` on
@@ -292,7 +314,7 @@ class TestWire:
         every columnar round to pickle it) and sends <= 12 bytes per
         simulated copy (parent 31.1; a count, it repeats exactly).  The
         one observer attached reads link samples only."""
-        links = LinkMetricsObserver()
+        links = _LinkTap()
         run = execute(
             "algorithm1",
             mixed(64),
@@ -303,15 +325,16 @@ class TestWire:
             transport_options=tcp_options(64, workers=2),
         )
         assert materialized == []
-        summary = links.summary()
-        assert summary["failures"] == 0
+        assert all(sample.ok for sample in links.samples)
         copies = run.result.metrics.messages_sent
-        assert 0 < summary["bytes_sent"] <= 12 * copies
+        bytes_sent = sum(sample.bytes_sent for sample in links.steps())
+        assert 0 < bytes_sent <= 12 * copies
 
     def test_workers_run_numpy_less(self, workers_import_tests):
         """The spawn line imports the engine with numpy masked: a hosted
-        process sees no numpy, ``HAVE_NUMPY`` false, and its inbox as the
-        column view — here, where the coordinator has all three."""
+        process sees no numpy, ``HAVE_NUMPY`` false, its inbox as the
+        column view and no asyncio — here, where the coordinator has the
+        first three."""
         network = SyncNetwork(
             [NumpyProbe(pid, 4) for pid in range(4)],
             transport="tcp",
@@ -319,8 +342,21 @@ class TestWire:
         )
         result = network.run()
         assert result.decisions == {
-            pid: (False, False, "ColumnInbox") for pid in range(4)
+            pid: (False, False, "ColumnInbox", False) for pid in range(4)
         }
+
+    def test_importing_the_package_does_not_import_asyncio(self):
+        """The transport speaks blocking sockets at both ends, so no run —
+        in-process ones included — pays for an event loop."""
+        src = str(Path(tcp.__file__).resolve().parents[2])
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.transport, repro.harness, repro.cli; "
+             "assert 'asyncio' not in sys.modules"],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+            timeout=60,
+        )
 
     def test_hosted_process_may_import_numpy_itself(self, workers_import_tests):
         """The mask is lifted once the engine is imported: a process class
@@ -340,7 +376,8 @@ class TestWire:
 # Transport faults: a killed worker process lands inside the omission
 # model — crash fault plus omitted copies — never as a hang.
 class _KillWorkerLink(RoundObserver):
-    """Kill one worker link's OS process at the end of a given round.
+    """Signal (default: kill) one worker link's OS process at the end of
+    a given round.
 
     Phase-king's traffic cycles heavy/light/silent across each 3-round
     phase; killing at the *end* of round 2 makes the crash surface during
@@ -348,18 +385,41 @@ class _KillWorkerLink(RoundObserver):
     the adversary arbitration to omit.
     """
 
-    def __init__(self, link_index, at_round):
+    def __init__(self, link_index, at_round, signum=signal.SIGKILL):
         self.link_index = link_index
         self.at_round = at_round
+        self.signum = signum
         self.killed = False
+        self.links = None
 
     def on_round_end(self, round_no, network):
         if round_no != self.at_round or self.killed:
             return
-        link = network._core._links[self.link_index]
+        self.links = network._core._links
+        link = self.links[self.link_index]
         assert link.process is not None
-        link.process.kill()
+        link.process.send_signal(self.signum)
         self.killed = True
+
+
+class _Sleep(RoundObserver):
+    """A coordinator busy for ``seconds`` between two step frames."""
+
+    def __init__(self, at_round, seconds):
+        self.at_round = at_round
+        self.seconds = seconds
+
+    def on_round_end(self, round_no, network):
+        if round_no == self.at_round:
+            time.sleep(self.seconds)
+
+
+def conserved(metrics):
+    return metrics.messages_sent == (
+        metrics.messages_delivered
+        + metrics.messages_omitted
+        + metrics.messages_lost
+    )
 
 
 class TestTransportFaults:
@@ -367,7 +427,7 @@ class TestTransportFaults:
         # ppw=4 over n=13 gives links (0-3)(4-7)(8-11)(12): link 3
         # hosts exactly pid 12, so the blast radius is one process.
         killer = _KillWorkerLink(link_index=3, at_round=2)
-        metrics_tap = LinkMetricsObserver()
+        metrics_tap = _LinkTap()
         run = execute(
             "phase-king",
             mixed(13),
@@ -385,13 +445,149 @@ class TestTransportFaults:
         # The metering identity survives the transport fault: the dead
         # worker's in-flight copies became omissions, its undeliverable
         # later traffic became losses.
-        assert metrics.messages_sent == (
-            metrics.messages_delivered
-            + metrics.messages_omitted
-            + metrics.messages_lost
+        assert conserved(metrics)
+        assert any(not sample.ok for sample in metrics_tap.steps())
+
+    def test_stalled_worker_becomes_omissions_at_its_own_deadline(self):
+        """A live-but-silent link (SIGSTOP) is crash-faulted after
+        ``link_timeout_s``; the links that did reply that round were
+        measured to *their* reply, not to the stalled one's deadline."""
+        stopper = _KillWorkerLink(link_index=3, at_round=2, signum=signal.SIGSTOP)
+        tap = _LinkTap()
+        began = time.monotonic()
+        run = execute(
+            "phase-king",
+            mixed(13),
+            t=3,
+            seed=7,
+            observers=(stopper, tap),
+            transport="tcp",
+            transport_options={"processes_per_worker": 4, "link_timeout_s": 1.0},
         )
-        summary = metrics_tap.summary()
-        assert summary["failures"] >= 1
+        assert time.monotonic() - began < 15.0
+        assert stopper.killed
+        assert 12 in run.result.faulty
+        assert run.result.metrics.messages_omitted > 0
+        assert conserved(run.result.metrics)
+        by_worker = {sample.worker: sample for sample in tap.steps(round_no=3)}
+        assert sorted(by_worker) == [0, 1, 2, 3]
+        assert not by_worker[3].ok and by_worker[3].latency_s >= 1.0
+        for worker in (0, 1, 2):
+            assert by_worker[worker].ok and by_worker[worker].latency_s < 1.0
+        # close() reaped every worker, the stopped one included.
+        assert all(link.process.returncode is not None for link in stopper.links)
+
+    def test_busy_coordinator_does_not_time_its_workers_out(self):
+        """``connect_timeout_s`` budgets the connection, not the run: a
+        coordinator that takes longer than that between two step frames
+        (slow adversary, debugger, loaded box) finds its workers waiting."""
+        kwargs = dict(t=3, seed=7, model="lockstep")
+        baseline = fingerprint(execute("phase-king", mixed(13), **kwargs))
+        run = execute(
+            "phase-king",
+            mixed(13),
+            observers=(_Sleep(at_round=1, seconds=3.0),),
+            transport="tcp",
+            transport_options={"processes_per_worker": 4, "connect_timeout_s": 2.0},
+            **kwargs,
+        )
+        assert run.result.faulty == frozenset()
+        assert fingerprint(run) == baseline
+
+
+# ---------------------------------------------------------------------------
+# Setup: who gets a worker slot, and how long a missing worker is waited for.
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every worker ``Popen`` the coordinator makes, as it makes them."""
+    real, made = subprocess.Popen, []
+
+    def popen(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tcp.subprocess, "Popen", popen)
+    return made
+
+
+class TestSetup:
+    def test_stray_connections_take_no_worker_slot(self, monkeypatch):
+        """Connections that dial the listener before any worker — a wrong
+        token claiming slot 0, a hello of the wrong shape, bytes that are
+        no frame — are dropped, and the run starts with every worker."""
+        real, strays = socket.create_server, []
+
+        def listener_with_strays(address, **kwargs):
+            server = real(address, **kwargs)
+            for frame in (
+                encode_frame(
+                    ("hello", {"worker": 0, "token": "0" * 32, "retries": 0})
+                ),
+                encode_frame(("hello", "not-a-mapping")),
+                struct.pack(">I", 3) + b"abc",
+            ):
+                stray = socket.create_connection(server.getsockname(), timeout=5.0)
+                stray.sendall(frame)
+                strays.append(stray)
+            return server
+
+        monkeypatch.setattr(tcp.socket, "create_server", listener_with_strays)
+        kwargs = dict(t=3, seed=7, model="lockstep")
+        baseline = fingerprint(execute("phase-king", mixed(13), **kwargs))
+        run = execute(
+            "phase-king",
+            mixed(13),
+            transport="tcp",
+            transport_options={"processes_per_worker": 7},
+            **kwargs,
+        )
+        assert len(strays) == 3
+        assert run.result.faulty == frozenset()
+        assert fingerprint(run) == baseline
+        for stray in strays:
+            assert stray.recv(1) == b""  # dropped by the coordinator
+            stray.close()
+
+    def test_workers_that_never_connect_fail_at_the_deadline(
+        self, monkeypatch, spawned
+    ):
+        monkeypatch.setattr(tcp, "_WORKER_BOOT", "import time; time.sleep(60)")
+        began = time.monotonic()
+        with pytest.raises(TransportError, match=r"workers \[0, 1\] did not connect"):
+            execute(
+                "phase-king",
+                mixed(13),
+                t=3,
+                transport="tcp",
+                transport_options={
+                    "processes_per_worker": 7,
+                    "connect_timeout_s": 1.0,
+                },
+            )
+        assert 1.0 <= time.monotonic() - began < 10.0
+        assert len(spawned) == 2
+        assert all(process.returncode is not None for process in spawned)
+
+    def test_worker_dead_on_arrival_fails_setup_at_once(
+        self, monkeypatch, spawned
+    ):
+        """A worker that exits before its hello (import error, bad
+        interpreter) is noticed by its exit, not by the connect deadline."""
+        monkeypatch.setattr(tcp, "_WORKER_BOOT", "import sys; sys.exit(3)")
+        began = time.monotonic()
+        with pytest.raises(TransportError, match=r"worker \d exited with code 3"):
+            execute(
+                "phase-king",
+                mixed(13),
+                t=3,
+                transport="tcp",
+                transport_options={
+                    "processes_per_worker": 7,
+                    "connect_timeout_s": 10.0,
+                },
+            )
+        assert time.monotonic() - began < 2.0
+        assert all(process.returncode is not None for process in spawned)
 
 
 # ---------------------------------------------------------------------------
@@ -427,64 +623,6 @@ class TestRecipeProvenance:
         legacy = recipe_from_payload(payload)
         assert legacy.config.transport == "inprocess"
         assert legacy.config.transport_options == {}
-
-
-# ---------------------------------------------------------------------------
-# Per-link metrics aggregation.
-class TestLinkMetricsObserver:
-    def _sample(self, **overrides):
-        base = dict(
-            worker=0,
-            pids=(0, 1),
-            round=1,
-            latency_s=0.010,
-            bytes_sent=100,
-            bytes_received=200,
-        )
-        base.update(overrides)
-        return LinkSample(**base)
-
-    def test_summary_aggregates_per_link(self):
-        observer = LinkMetricsObserver()
-        observer.on_transport(
-            -1,
-            [self._sample(round=-1, latency_s=0.5, retries=2, bytes_sent=0)],
-            network=None,
-        )
-        observer.on_transport(
-            1,
-            [
-                self._sample(latency_s=0.010),
-                self._sample(worker=1, pids=(2, 3), latency_s=0.030),
-            ],
-            network=None,
-        )
-        observer.on_transport(
-            2,
-            [self._sample(round=2, latency_s=0.020, ok=False, bytes_received=0)],
-            network=None,
-        )
-        summary = observer.summary()
-        assert summary["frames"] == 3
-        assert summary["failures"] == 1
-        assert summary["bytes_sent"] == 300
-        assert [entry["worker"] for entry in summary["links"]] == [0, 1]
-        link0 = summary["links"][0]
-        assert link0["connect_retries"] == 2
-        assert link0["connect_latency_s"] == 0.5
-        assert link0["frames"] == 2
-        assert link0["latency_s_mean"] == pytest.approx(0.015)
-        assert link0["latency_s_max"] == pytest.approx(0.020)
-
-    def test_empty_summary_is_json_safe_zeroes(self):
-        summary = LinkMetricsObserver().summary()
-        assert summary == {
-            "links": [],
-            "frames": 0,
-            "failures": 0,
-            "bytes_sent": 0,
-            "bytes_received": 0,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,16 @@ from repro.runtime.columnar import HAVE_NUMPY
 
 
 class NumpyProbe(SyncProcess):
-    """Decides ``(numpy imported here?, HAVE_NUMPY, inbox type name)``."""
+    """Decides ``(numpy imported here?, HAVE_NUMPY, inbox type name,
+    asyncio imported here?)``."""
 
     def program(self, env):
         env.broadcast(("probe", self.pid))
         inbox = yield
-        env.decide(("numpy" in sys.modules, HAVE_NUMPY, type(inbox).__name__))
+        env.decide(
+            ("numpy" in sys.modules, HAVE_NUMPY, type(inbox).__name__,
+             "asyncio" in sys.modules)
+        )
 
 
 class NumpyUser(SyncProcess):
