@@ -1,10 +1,12 @@
 """The TCP transport: real OS processes over localhost frames.
 
 ``TcpTransport`` places an execution's consensus processes in
-real worker OS processes (``repro.transport.worker.main``, spawned by
-``_WORKER_BOOT`` below — the one spawn line), each
-hosting a contiguous pid block, all dialing a loopback listener owned by
-the coordinator.  The coordinator is a
+real worker OS processes, each hosting a contiguous pid block, all
+dialing a loopback listener owned by the coordinator.  A worker is a
+``fork`` of the coordinator (its direct child, reaped by :meth:`close`)
+running :func:`repro.transport.worker.main`: it already holds the
+engine and its block's process objects, so nothing is imported or
+shipped before its hello.  The coordinator is a
 :class:`~repro.runtime.engine.ExecutionCore` subclass
 (:class:`RemoteExecutionCore`) so the whole engine — round models,
 delivery layer, adversary arbitration, observers, record/replay —
@@ -46,15 +48,13 @@ timeouts and latency measurement, never for protocol decisions.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import select
 import socket
-import subprocess
-import sys
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from ..runtime.columnar import InboxColumns, inbox_columns
@@ -62,6 +62,7 @@ from ..runtime.engine import ExecutionCore
 from ..runtime.messages import MessageBatch, MessageRecord
 from ..runtime.observers import LinkSample
 from ..runtime.process import SyncProcess
+from . import worker
 from .base import Transport, TransportError
 from .framing import FramingError, encode_frame, recv_frame
 
@@ -72,17 +73,6 @@ __all__ = ["RemoteExecutionCore", "TcpTransport"]
 #: (``OSError`` covers ``TimeoutError``, ``ConnectionError`` and
 #: ``BrokenPipeError``.)
 _LINK_FAILURES = (FramingError, OSError)
-
-#: What a worker interpreter runs.  A worker receives plain lists and
-#: never builds a ``ColumnarBatch``, so the engine is imported on its
-#: numpy-less path (``HAVE_NUMPY`` false: half the import time of a
-#: worker); the mask is lifted before ``main`` so a hosted process class
-#: whose own module imports numpy still unpickles.
-_WORKER_BOOT = (
-    "import sys; sys.modules['numpy'] = None; "
-    "from repro.transport.worker import main; "
-    "del sys.modules['numpy']; sys.exit(main(*sys.argv[1:]))"
-)
 
 
 class TcpTransport(Transport):
@@ -95,7 +85,7 @@ class TcpTransport(Transport):
         (contiguous pid blocks).  ``None`` — the default — is one worker
         per core this process may run on, ``ceil(n / cores)`` resolved
         when :meth:`create_core` builds the run's core.  ``1`` is one OS
-        process per consensus process (n interpreters to spawn).
+        process per consensus process (n workers to fork).
     host:
         Loopback interface to listen on.  Non-loopback hosts are
         rejected: frames are pickled and must never leave the machine.
@@ -161,20 +151,9 @@ class _WorkerLink:
 
     index: int
     pids: tuple[int, ...]
-    process: subprocess.Popen[bytes] | None = None
+    process: multiprocessing.process.BaseProcess | None = None
     sock: socket.socket | None = None
     alive: bool = True
-
-
-def _worker_environment() -> dict[str, str]:
-    """Child env with this repro package importable, whatever spawned us."""
-    env = dict(os.environ)
-    package_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = (
-        package_root + os.pathsep + existing if existing else package_root
-    )
-    return env
 
 
 def _until(deadline: float) -> float:
@@ -244,15 +223,15 @@ class RemoteExecutionCore(ExecutionCore):
         port = int(server.getsockname()[1])
 
         started = time.monotonic()
-        environment = _worker_environment()
+        # Every worker is forked before the first accept, so a child holds
+        # no other link's socket; each drops the listener it inherits.
+        fork = multiprocessing.get_context("fork")
         for link in self._links:
-            link.process = subprocess.Popen(
-                [sys.executable, "-c", _WORKER_BOOT, transport.host, str(port),
-                 self._token, str(link.index), str(transport.connect_timeout_s)],
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.DEVNULL,
-                env=environment,
+            process = fork.Process(
+                target=self._serve, args=(link.index, port), daemon=True
             )
+            process.start()
+            link.process = process
 
         deadline = started + transport.connect_timeout_s
         waiting = {link.index for link in self._links}
@@ -265,12 +244,12 @@ class RemoteExecutionCore(ExecutionCore):
             for index in sorted(waiting):
                 process = self._links[index].process
                 assert process is not None
-                if process.poll() is not None:
-                    # Dead on arrival (import error, bad interpreter): it
-                    # will never dial in, so do not wait out the deadline.
+                if process.exitcode is not None:
+                    # Dead on arrival (its block failed to start): it will
+                    # never dial in, so do not wait out the deadline.
                     raise TransportError(
                         f"worker {index} exited with code "
-                        f"{process.returncode} before connecting"
+                        f"{process.exitcode} before connecting"
                     )
             # Wake at least every 0.25 s to poll the workers above.
             server.settimeout(min(_until(deadline), 0.25))
@@ -313,12 +292,22 @@ class RemoteExecutionCore(ExecutionCore):
                 )
             )
 
-        for link in self._links:
-            assert link.sock is not None
-            hosted = [self.processes[pid] for pid in link.pids]
-            setup = {"processes": hosted, "n": self.n, "seed": self.seed}
-            link.sock.settimeout(transport.link_timeout_s)
-            link.sock.sendall(encode_frame(("setup", setup)))
+    def _serve(self, index: int, port: int) -> None:
+        """A forked worker's whole life: its block's processes are already
+        in memory, so it drops the coordinator's listener and serves them."""
+        assert self._server is not None
+        self._server.close()
+        transport = self._transport
+        worker.main(
+            [self.processes[pid] for pid in self._links[index].pids],
+            self.n,
+            self.seed,
+            host=transport.host,
+            port=port,
+            token=self._token,
+            worker=index,
+            connect_timeout_s=transport.connect_timeout_s,
+        )
 
     def close(self) -> None:
         """Graceful shutdown: fini frames, closed sockets, reaped workers.
@@ -351,11 +340,10 @@ class RemoteExecutionCore(ExecutionCore):
             process = link.process
             if process is None:
                 continue
-            try:
-                process.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
+            process.join(timeout=2.0)
+            if process.exitcode is None:
                 process.kill()
-                process.wait(timeout=5.0)
+                process.join(timeout=5.0)
 
     # ------------------------------------------------------------------
     # Per-round execution
@@ -466,7 +454,7 @@ class RemoteExecutionCore(ExecutionCore):
         if link.sock is not None:
             link.sock.close()
         process = link.process
-        if process is not None and process.poll() is None:
+        if process is not None and process.exitcode is None:
             process.kill()
 
     # ------------------------------------------------------------------

@@ -1,16 +1,14 @@
-"""The TCP transport's worker process (spawned by ``repro.transport.tcp``).
+"""The TCP transport's worker process (forked by ``repro.transport.tcp``).
 
-One worker hosts a contiguous block of consensus processes.  It dials
-the coordinator's loopback listener (with retry/backoff — the listener
-and the worker race at startup), authenticates with the per-run token,
-receives its process block, and then serves one ``step`` frame per
-round: resume every hosted live program with the inbox the coordinator
-shipped — three columns, wrapped in a
+One worker hosts a contiguous block of consensus processes, handed to
+:func:`main` as the objects the fork inherited.  It dials the
+coordinator's loopback listener (with retry/backoff inside the connect
+budget), authenticates with the per-run token, and then serves one
+``step`` frame per round: resume every hosted live program with the
+inbox the coordinator shipped — three plain lists, wrapped in a
 :class:`~repro.runtime.columnar.ColumnInbox` — and reply with the queued
 outbound records, newly terminated pids, current decisions, and
-randomness counters.  A worker only ever receives plain lists, so
-``tcp._WORKER_BOOT`` imports the engine with numpy masked:
-``HAVE_NUMPY`` is false in here.
+randomness counters.
 
 The shard mirrors :meth:`repro.runtime.engine.ExecutionCore.advance`
 exactly — same pid order, same round-0 ``next`` vs ``send`` resumption,
@@ -149,34 +147,34 @@ def connect_with_backoff(
         return sock, retries
 
 
-def _expect_frame(sock: socket.socket) -> tuple[str, Any]:
-    frame, _ = recv_frame(sock)
-    if not (isinstance(frame, tuple) and len(frame) == 2):
-        raise TransportError(f"malformed frame: {frame!r}")
-    kind, payload = frame
-    return str(kind), payload
-
-
-def main(host: str, port: str, token: str, worker: str, connect_timeout: str) -> int:
-    """Serve one run; the arguments are ``tcp._WORKER_BOOT``'s ``argv``."""
-    sock, retries = connect_with_backoff(
-        host, int(port), timeout_s=float(connect_timeout)
-    )
+def main(
+    processes: Sequence[SyncProcess],
+    n: int,
+    seed: int,
+    *,
+    host: str,
+    port: int,
+    token: str,
+    worker: int,
+    connect_timeout_s: float,
+) -> None:
+    """Serve one run: host ``processes`` (worker ``worker``'s block of an
+    ``n``-process run seeded ``seed``) for the coordinator at
+    ``host:port`` until it says ``fini`` or goes away."""
+    shard = ProcessShard(processes, n, seed)
+    sock, retries = connect_with_backoff(host, port, timeout_s=connect_timeout_s)
     try:
         send_frame(
-            sock,
-            ("hello", {"worker": int(worker), "token": token,
-                       "retries": retries}),
+            sock, ("hello", {"worker": worker, "token": token, "retries": retries})
         )
-        kind, payload = _expect_frame(sock)
-        if kind != "setup":
-            raise TransportError(f"expected setup frame, got {kind!r}")
-        shard = ProcessShard(payload["processes"], payload["n"], payload["seed"])
         while True:
-            kind, payload = _expect_frame(sock)
+            frame, _ = recv_frame(sock)
+            if not (isinstance(frame, tuple) and len(frame) == 2):
+                raise TransportError(f"malformed frame: {frame!r}")
+            kind, payload = frame
             if kind == "fini":
                 send_frame(sock, ("bye", {}))
-                return 0
+                return
             if kind != "step":
                 raise TransportError(f"expected step frame, got {kind!r}")
             out = shard.step(
@@ -184,7 +182,6 @@ def main(host: str, port: str, token: str, worker: str, connect_timeout: str) ->
             )
             send_frame(sock, ("out", out))
     except (ConnectionError, BrokenPipeError):
-        # Coordinator went away; nothing useful to report.
-        return 1
+        return  # the coordinator went away; nothing useful to report
     finally:
         sock.close()

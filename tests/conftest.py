@@ -9,13 +9,15 @@ default name for the session instead.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runtime import available_models, models
-from repro.transport.tcp import _worker_environment
 
 
 def pytest_addoption(parser):
@@ -60,7 +62,19 @@ def materialized(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
-def run_without_numpy():
+def repro_env() -> dict[str, str]:
+    """This environment with the ``repro`` package under test first on
+    ``PYTHONPATH``, for a fresh interpreter however pytest was started."""
+    root = str(Path(repro.__file__).resolve().parents[1])
+    existing = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        "PYTHONPATH": root + os.pathsep + existing if existing else root,
+    }
+
+
+@pytest.fixture
+def run_without_numpy(repro_env):
     """``run(script) -> stdout``: execute *script* in a fresh interpreter
     where ``import numpy`` raises ImportError from the first import on —
     what a numpy-less host sees.  A non-zero exit fails the test."""
@@ -69,8 +83,7 @@ def run_without_numpy():
         done = subprocess.run(
             [sys.executable, "-c",
              'import sys; sys.modules["numpy"] = None\n' + script],
-            capture_output=True, text=True, timeout=120,
-            env=_worker_environment(),  # this checkout's src on the path
+            capture_output=True, text=True, timeout=120, env=repro_env,
         )
         assert done.returncode == 0, done.stderr
         return done.stdout

@@ -21,7 +21,6 @@ from repro.analysis.campaign import (
     summarize_campaign,
 )
 from repro.fabric import CampaignCache, CellId
-from repro.transport.tcp import _worker_environment
 
 
 def small_spec(**overrides):
@@ -211,7 +210,7 @@ class TestParallel:
         assert multiprocessing.active_children() == []
 
     def test_killed_worker_fails_the_run_and_keeps_finished_cells(
-        self, tmp_path
+        self, tmp_path, repro_env
     ):
         """A worker that dies without reporting (SIGKILL, OOM killer) must
         end the run with an error, not block it forever; what finished
@@ -219,8 +218,7 @@ class TestParallel:
         cache = tmp_path / "cache"
         done = subprocess.run(
             [sys.executable, "-c", KILLED_WORKER_SCRIPT, str(cache)],
-            capture_output=True, text=True, timeout=30,
-            env=_worker_environment(),
+            capture_output=True, text=True, timeout=30, env=repro_env,
         )
         assert done.stdout.split() == ["BrokenProcessPool"], done.stderr
         survivors = len(CampaignCache(cache))

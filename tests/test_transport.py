@@ -18,17 +18,18 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.adversary import RandomOmissionAdversary
-from repro.analysis.campaign import CampaignSpec
+from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.fabric import CellId
 from repro.harness import execute
 from repro.replay import record, recipe_from_payload, recipe_payload, replay
-from repro.runtime import RoundObserver, SyncNetwork
+from repro.runtime import RoundObserver, SyncNetwork, SyncProcess
 from repro.transport import (
     InProcessTransport,
     TcpTransport,
@@ -50,7 +51,26 @@ from repro.transport.framing import (
 from repro.transport.worker import connect_with_backoff
 
 from .test_models import EQUIVALENCE_CASES, fingerprint, mixed
-from .transport_probes import NumpyProbe, NumpyUser
+
+
+class InboxProbe(SyncProcess):
+    """Decides the type name of the inbox its program is handed."""
+
+    def program(self, env):
+        env.broadcast(("probe", self.pid))
+        inbox = yield
+        env.decide(type(inbox).__name__)
+
+
+class NumpyUser(SyncProcess):
+    """A hosted process that imports numpy itself, where it runs."""
+
+    def program(self, env):
+        import numpy
+
+        env.broadcast(("probe", self.pid))
+        inbox = yield
+        env.decide(int(numpy.sum(numpy.arange(len(inbox) + 1))))
 
 
 def tcp_options(n, workers=4):
@@ -154,9 +174,7 @@ class TestTransportRegistry:
             rebuilt = create_transport("tcp", payload)
             assert rebuilt.options_payload() == payload
 
-    def test_default_places_one_worker_per_core(
-        self, monkeypatch, workers_import_tests
-    ):
+    def test_default_places_one_worker_per_core(self, monkeypatch):
         """``processes_per_worker=None`` (the default) is resolved per run
         from what the process can observe: ceil(n / cores) per worker, in
         contiguous pid blocks; the options, hence every identity, keep the
@@ -164,7 +182,7 @@ class TestTransportRegistry:
         assert TcpTransport().processes_per_worker is None
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         network = SyncNetwork(
-            [NumpyProbe(pid, 7) for pid in range(7)], transport="tcp"
+            [InboxProbe(pid, 7) for pid in range(7)], transport="tcp"
         )
         try:
             blocks = [link.pids for link in network._core._links]
@@ -277,18 +295,7 @@ class TestCrossTransportEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# What crosses the coordinator -> worker link, and what a worker loads.
-@pytest.fixture
-def workers_import_tests(monkeypatch):
-    """Workers unpickle hosted classes by module path: put the repository
-    root (the parent of the ``tests`` package) on their ``PYTHONPATH``."""
-    root = str(Path(__file__).resolve().parents[1])
-    existing = os.environ.get("PYTHONPATH")
-    monkeypatch.setenv(
-        "PYTHONPATH", root + os.pathsep + existing if existing else root
-    )
-
-
+# What crosses the coordinator -> worker link.
 class _LinkTap(RoundObserver):
     """Collects the run's ``LinkSample`` stream off ``on_transport``."""
 
@@ -330,20 +337,33 @@ class TestWire:
         bytes_sent = sum(sample.bytes_sent for sample in links.steps())
         assert 0 < bytes_sent <= 12 * copies
 
-    def test_workers_run_numpy_less(self, workers_import_tests):
-        """The spawn line imports the engine with numpy masked: a hosted
-        process sees no numpy, ``HAVE_NUMPY`` false, its inbox as the
-        column view and no asyncio — here, where the coordinator has the
-        first three."""
+    def test_inboxes_cross_as_plain_columns(self, monkeypatch):
+        """A hosted program is handed a ``ColumnInbox``, and no step frame
+        pickles a numpy object — its bytes name no ``numpy`` global — even
+        on an Algorithm 1 run whose coordinator delivers by column."""
+        steps = []
+
+        def encode(payload):
+            data = encode_frame(payload)
+            if payload[0] == "step":
+                steps.append(data)
+            return data
+
+        monkeypatch.setattr(tcp, "encode_frame", encode)
         network = SyncNetwork(
-            [NumpyProbe(pid, 4) for pid in range(4)],
+            [InboxProbe(pid, 4) for pid in range(4)],
             transport="tcp",
             transport_options={"processes_per_worker": 2},
         )
-        result = network.run()
-        assert result.decisions == {
-            pid: (False, False, "ColumnInbox", False) for pid in range(4)
-        }
+        assert network.run().decisions == dict.fromkeys(range(4), "ColumnInbox")
+        execute(
+            "algorithm1",
+            mixed(64),
+            seed=7,
+            transport="tcp",
+            transport_options=tcp_options(64, workers=2),
+        )
+        assert steps and not any(b"numpy" in data for data in steps)
 
     def test_importing_the_package_does_not_import_asyncio(self):
         """The transport speaks blocking sockets at both ends, so no run —
@@ -358,9 +378,9 @@ class TestWire:
             timeout=60,
         )
 
-    def test_hosted_process_may_import_numpy_itself(self, workers_import_tests):
-        """The mask is lifted once the engine is imported: a process class
-        that needs numpy gets the real one inside the worker."""
+    def test_hosted_process_may_import_numpy_itself(self):
+        """A process class that needs numpy gets the real one inside the
+        worker."""
         pytest.importorskip("numpy")
         network = SyncNetwork(
             [NumpyUser(pid, 4) for pid in range(4)],
@@ -398,7 +418,7 @@ class _KillWorkerLink(RoundObserver):
         self.links = network._core._links
         link = self.links[self.link_index]
         assert link.process is not None
-        link.process.send_signal(self.signum)
+        os.kill(link.process.pid, self.signum)
         self.killed = True
 
 
@@ -475,7 +495,7 @@ class TestTransportFaults:
         for worker in (0, 1, 2):
             assert by_worker[worker].ok and by_worker[worker].latency_s < 1.0
         # close() reaped every worker, the stopped one included.
-        assert all(link.process.returncode is not None for link in stopper.links)
+        assert all(link.process.exitcode is not None for link in stopper.links)
 
     def test_busy_coordinator_does_not_time_its_workers_out(self):
         """``connect_timeout_s`` budgets the connection, not the run: a
@@ -499,14 +519,16 @@ class TestTransportFaults:
 # Setup: who gets a worker slot, and how long a missing worker is waited for.
 @pytest.fixture
 def spawned(monkeypatch):
-    """Every worker ``Popen`` the coordinator makes, as it makes them."""
-    real, made = subprocess.Popen, []
+    """Every worker process the coordinator started, recorded as its core
+    closes (setup failures included: ``__init__`` closes before raising)."""
+    made, close = [], tcp.RemoteExecutionCore.close
 
-    def popen(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
+    def recording_close(core):
+        if not core._closed:
+            made.extend(link.process for link in core._links if link.process)
+        close(core)
 
-    monkeypatch.setattr(tcp.subprocess, "Popen", popen)
+    monkeypatch.setattr(tcp.RemoteExecutionCore, "close", recording_close)
     return made
 
 
@@ -551,7 +573,9 @@ class TestSetup:
     def test_workers_that_never_connect_fail_at_the_deadline(
         self, monkeypatch, spawned
     ):
-        monkeypatch.setattr(tcp, "_WORKER_BOOT", "import time; time.sleep(60)")
+        monkeypatch.setattr(
+            "repro.transport.worker.main", lambda *args, **kwargs: time.sleep(60)
+        )
         began = time.monotonic()
         with pytest.raises(TransportError, match=r"workers \[0, 1\] did not connect"):
             execute(
@@ -566,14 +590,16 @@ class TestSetup:
             )
         assert 1.0 <= time.monotonic() - began < 10.0
         assert len(spawned) == 2
-        assert all(process.returncode is not None for process in spawned)
+        assert all(process.exitcode is not None for process in spawned)
 
     def test_worker_dead_on_arrival_fails_setup_at_once(
         self, monkeypatch, spawned
     ):
-        """A worker that exits before its hello (import error, bad
-        interpreter) is noticed by its exit, not by the connect deadline."""
-        monkeypatch.setattr(tcp, "_WORKER_BOOT", "import sys; sys.exit(3)")
+        """A worker that exits before its hello (its block failed to
+        start) is noticed by its exit, not by the connect deadline."""
+        monkeypatch.setattr(
+            "repro.transport.worker.main", lambda *args, **kwargs: sys.exit(3)
+        )
         began = time.monotonic()
         with pytest.raises(TransportError, match=r"worker \d exited with code 3"):
             execute(
@@ -587,7 +613,76 @@ class TestSetup:
                 },
             )
         assert time.monotonic() - began < 2.0
-        assert all(process.returncode is not None for process in spawned)
+        assert len(spawned) == 2
+        assert all(process.exitcode is not None for process in spawned)
+
+
+# ---------------------------------------------------------------------------
+# Forked workers: whose children they are, and where a fork may happen.
+class _ChildPoll(RoundObserver):
+    """``os.waitpid(pid, WNOHANG)`` of every link's worker at round 1."""
+
+    def __init__(self):
+        self.polled = {}
+
+    def on_round_end(self, round_no, network):
+        if round_no == 1:
+            for link in network._core._links:
+                pid = link.process.pid
+                self.polled[pid] = os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    def test_workers_are_the_coordinators_children_for_one_run(self):
+        """A live direct child polls ``(0, 0)`` (a non-child raises), and
+        after the run every worker is reaped: its CPU and RSS are in this
+        process's ``RUSAGE_CHILDREN`` and no zombie is left."""
+        poll = _ChildPoll()
+        execute(
+            "phase-king",
+            mixed(13),
+            t=3,
+            seed=7,
+            observers=(poll,),
+            transport="tcp",
+            transport_options=tcp_options(13),
+        )
+        assert len(poll.polled) == 4
+        assert set(poll.polled.values()) == {(0, 0)}
+        for pid in poll.polled:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_tcp_cells_in_the_fork_pool_match_a_serial_run(self):
+        """A campaign worker (itself a fork) forks its own TCP workers."""
+        spec = CampaignSpec(
+            name="tcp-pool", protocol="algorithm1", ns=[16, 25],
+            adversaries=["none"], seeds=[0, 1], transport="tcp",
+        )
+        assert run_campaign(spec, jobs=2) == run_campaign(spec, jobs=1)
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork + thread
+    def test_a_live_thread_does_not_change_the_run(self):
+        """The fork copies only the calling thread; one parked in
+        ``Event.wait`` holds nothing a worker needs."""
+        kwargs = dict(t=3, seed=7)
+        baseline = fingerprint(execute("phase-king", mixed(13), **kwargs))
+        release = threading.Event()
+        parked = threading.Thread(target=release.wait)
+        parked.start()
+        try:
+            run = execute(
+                "phase-king",
+                mixed(13),
+                transport="tcp",
+                transport_options=tcp_options(13),
+                **kwargs,
+            )
+        finally:
+            release.set()
+            parked.join(timeout=5.0)
+        assert not parked.is_alive()
+        assert fingerprint(run) == baseline
 
 
 # ---------------------------------------------------------------------------
