@@ -1,5 +1,6 @@
-"""Analysis helpers: theory curves, scaling fits, experiment drivers,
-and the Table-1 renderer."""
+"""Analysis helpers: theory curves, scaling fits, the sweep driver,
+campaigns and Monte-Carlo rates.  The experiment reader
+(:mod:`repro.analysis.report`) is imported on demand only."""
 
 from . import theory
 from .experiments import ScalingPoint, measure, mixed_inputs
@@ -23,13 +24,10 @@ from .fits import least_squares_slope, loglog_slope
 from .sparkline import render_series, sparkline
 from .montecarlo import (
     RateEstimate,
-    agreement_failure_rate,
-    decision_bias,
     estimate_rate,
     fallback_rate_vs_epochs,
     wilson_interval,
 )
-from .tables import Table1Row, render_table, table1
 
 __all__ = [
     "theory",
@@ -38,9 +36,6 @@ __all__ = [
     "mixed_inputs",
     "least_squares_slope",
     "loglog_slope",
-    "Table1Row",
-    "render_table",
-    "table1",
     "CampaignCache",
     "CampaignSpec",
     "CellId",
@@ -57,8 +52,6 @@ __all__ = [
     "render_series",
     "sparkline",
     "RateEstimate",
-    "agreement_failure_rate",
-    "decision_bias",
     "estimate_rate",
     "fallback_rate_vs_epochs",
     "wilson_interval",

@@ -7,12 +7,7 @@ per epoch"); this module measures those probabilities over repeated runs:
 * :func:`fallback_rate_vs_epochs` — the epoch-budget ablation: how the
   probability of dropping to the deterministic fallback decays with the
   number of epochs (Lemma 10 predicts a geometric decay: each good epoch
-  triple unifies with constant probability);
-* :func:`decision_bias` — the decision distribution on balanced inputs
-  (the protocol may be biased, but must be *consistent*);
-* :func:`agreement_failure_rate` — counts outright agreement/termination
-  violations (used by the threshold ablation to show the paper's 18/30 vs
-  15/30 gap is load-bearing).
+  triple unifies with constant probability; ``experiments/E-ABL1.json``).
 """
 
 from __future__ import annotations
@@ -125,47 +120,3 @@ def fallback_rate_vs_epochs(
             (epochs, estimate_rate(fell_back, trials, seed=seed * 1000 + 17))
         )
     return results
-
-
-def decision_bias(
-    n: int,
-    trials: int = 20,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-) -> RateEstimate:
-    """Fraction of balanced-input runs deciding 1.
-
-    The biased-majority rule leans toward 0 (the adopt-0 band is wider), so
-    the rate is expected well below 1/2 — consistency, not fairness, is the
-    protocol's contract."""
-    params = params if params is not None else ProtocolParams.practical()
-    inputs = mixed_inputs(n)
-
-    def decided_one(run_seed: int) -> bool:
-        return run_consensus(inputs, params=params, seed=run_seed).decision == 1
-
-    return estimate_rate(decided_one, trials, seed=seed * 1000 + 29)
-
-
-def agreement_failure_rate(
-    run_factory: Callable[[int], object],
-    trials: int = 20,
-    seed: int = 0,
-) -> RateEstimate:
-    """Fraction of runs violating agreement/termination.
-
-    ``run_factory(seed)`` must return an object whose ``decision`` property
-    raises ``AssertionError`` on violation (``ConsensusRun`` does).  Used by
-    the ablation benches to demonstrate which design choices are
-    load-bearing for correctness.
-    """
-
-    def violated(run_seed: int) -> bool:
-        run = run_factory(run_seed)
-        try:
-            run.decision
-        except AssertionError:
-            return True
-        return False
-
-    return estimate_rate(violated, trials, seed=seed * 1000 + 31)

@@ -21,7 +21,7 @@ to pay for the answers) while every response back to it is omitted, so it
 escalates all the way to contacting everyone — ``Theta(n)`` requests *and*
 ``Theta(n)`` responses per faulty process.
 
-The measured comparison lives in ``benchmarks/bench_b3_amortization.py``.
+The measured comparison is ``experiments/E-B3.json``.
 """
 
 from __future__ import annotations

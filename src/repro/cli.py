@@ -1,12 +1,9 @@
-"""Command-line interface: ``repro-consensus``.
-
-Subcommands mirror the experiment index in DESIGN.md::
+"""Command-line interface: ``repro-consensus``::
 
     repro-consensus run --n 128 --adversary balance
-    repro-consensus tradeoff --n 64 --xs 1,2,4,8
-    repro-consensus table1 --n 128
-    repro-consensus coin-game --ks 64,256 --alpha 0.25
-    repro-consensus graph-check --n 512
+    repro-consensus campaign run --ns 64,100 --adversaries none,silence
+    repro-consensus replay counterexamples/<recipe>.json
+    repro-consensus report --only E-TH3      # experiments/E-TH3.json
 """
 
 from __future__ import annotations
@@ -16,17 +13,12 @@ import sys
 from collections.abc import Sequence
 
 from .adversary import GALLERY
-from .analysis import render_table, table1
-from .core import run_tradeoff_consensus
-from .graphs import spreading_graph, theorem4_report
 from .harness import (
     RoundProfiler,
     available_protocols,
     execute,
     protocol_spec,
 )
-from .analysis.montecarlo import decision_bias, fallback_rate_vs_epochs
-from .lowerbound import sweep_lemma12
 from .params import ProtocolParams
 from .runtime import available_models
 from .transport import available_transports
@@ -92,66 +84,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"delivery={summary['delivery']:.4f} "
             f"overhead={summary['overhead']:.4f}"
         )
-    return 0
-
-
-def _cmd_tradeoff(args: argparse.Namespace) -> int:
-    n = args.n
-    inputs = [pid % 2 for pid in range(n)]
-    print(f"{'x':>5} {'rounds':>8} {'random bits':>12} {'comm bits':>12}")
-    for x in _parse_int_list(args.xs):
-        run = run_tradeoff_consensus(inputs, x, seed=args.seed)
-        metrics = run.metrics
-        print(
-            f"{x:>5} {run.result.time_to_agreement():>8} "
-            f"{metrics.random_bits:>12} {metrics.bits_sent:>12}"
-        )
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    print(render_table(table1(n=args.n, seed=args.seed)))
-    return 0
-
-
-def _cmd_coin_game(args: argparse.Namespace) -> int:
-    points = sweep_lemma12(
-        _parse_int_list(args.ks), [args.alpha], trials=args.trials
-    )
-    print(f"{'k':>7} {'alpha':>7} {'measured':>9} {'Lemma 12':>9} {'ratio':>6}")
-    for point in points:
-        print(
-            f"{point.k:>7} {point.alpha:>7} {point.measured_budget:>9} "
-            f"{point.lemma12_bound:>9.1f} {point.ratio:>6.3f}"
-        )
-    return 0
-
-
-def _cmd_graph_check(args: argparse.Namespace) -> int:
-    params = ProtocolParams.practical()
-    delta = params.delta(args.n)
-    graph = spreading_graph(args.n, delta, args.seed)
-    report = theorem4_report(graph, delta)
-    print(f"n={args.n} delta={delta} edges={graph.edge_count}")
-    print(
-        f"degrees in [{report.degrees.minimum}, {report.degrees.maximum}] "
-        f"(target {report.degrees.expected}); "
-        f"within bounds: {report.degrees.within_bounds}"
-    )
-    print(f"(n/10)-expanding     : {report.expanding}")
-    print(f"(n/10, d/15)-sparse  : {report.edge_sparse}")
-    return 0
-
-
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    print(f"fallback rate vs epoch budget (n={args.n}, {args.trials} trials):")
-    for epochs, estimate in fallback_rate_vs_epochs(
-        args.n, _parse_int_list(args.epochs), trials=args.trials,
-        seed=args.seed,
-    ):
-        print(f"  epochs={epochs:>3}: {estimate}")
-    bias = decision_bias(args.n, trials=args.trials, seed=args.seed)
-    print(f"decision bias toward 1 on balanced inputs: {bias}")
     return 0
 
 
@@ -332,9 +264,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report import main as write_report
+    from .analysis.report import write_report
 
-    return write_report([args.output])
+    return write_report(args.only.split(",") if args.only else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(available_protocols(sweepable=True)),
     )
     run_parser.add_argument(
-        "--inputs", default="mixed", help='"mixed", "0" or "1"'
+        "--inputs", default="mixed", choices=("mixed", "0", "1"),
+        help="balanced bits (mixed) or unanimous 0 / 1",
     )
     run_parser.add_argument(
         "--adversary", default="none", choices=sorted(GALLERY)
@@ -381,43 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker processes over localhost TCP",
     )
     run_parser.set_defaults(func=_cmd_run)
-
-    tradeoff_parser = sub.add_parser(
-        "tradeoff", help="sweep Algorithm 4 over super-process counts"
-    )
-    tradeoff_parser.add_argument("--n", type=int, default=64)
-    tradeoff_parser.add_argument("--xs", default="1,2,4,8,16")
-    tradeoff_parser.add_argument("--seed", type=int, default=0)
-    tradeoff_parser.set_defaults(func=_cmd_tradeoff)
-
-    table_parser = sub.add_parser("table1", help="reproduce Table 1")
-    table_parser.add_argument("--n", type=int, default=128)
-    table_parser.add_argument("--seed", type=int, default=0)
-    table_parser.set_defaults(func=_cmd_table1)
-
-    coin_parser = sub.add_parser(
-        "coin-game", help="Lemma-12 coin-flipping-game measurements"
-    )
-    coin_parser.add_argument("--ks", default="16,64,256")
-    coin_parser.add_argument("--alpha", type=float, default=0.25)
-    coin_parser.add_argument("--trials", type=int, default=1000)
-    coin_parser.set_defaults(func=_cmd_coin_game)
-
-    graph_parser = sub.add_parser(
-        "graph-check", help="Theorem-4 spreading-graph property checks"
-    )
-    graph_parser.add_argument("--n", type=int, default=512)
-    graph_parser.add_argument("--seed", type=int, default=0)
-    graph_parser.set_defaults(func=_cmd_graph_check)
-
-    ablation_parser = sub.add_parser(
-        "ablation", help="epoch-budget ablation + decision-bias Monte Carlo"
-    )
-    ablation_parser.add_argument("--n", type=int, default=48)
-    ablation_parser.add_argument("--epochs", default="1,2,4,8")
-    ablation_parser.add_argument("--trials", type=int, default=10)
-    ablation_parser.add_argument("--seed", type=int, default=0)
-    ablation_parser.set_defaults(func=_cmd_ablation)
 
     campaign_parser = sub.add_parser(
         "campaign",
@@ -537,9 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.set_defaults(func=_cmd_replay)
 
     report_parser = sub.add_parser(
-        "report", help="run the full battery and write EXPERIMENTS.md"
+        "report",
+        help="run the experiments/<id>.json specs, update their result "
+        "files and re-render EXPERIMENTS.md (in the working directory)",
     )
-    report_parser.add_argument("--output", default="EXPERIMENTS.md")
+    report_parser.add_argument(
+        "--only", default=None, metavar="ID[,ID...]",
+        help="run only these specs; EXPERIMENTS.md is still rendered from "
+        "every committed result",
+    )
     report_parser.set_defaults(func=_cmd_report)
 
     return parser

@@ -27,7 +27,7 @@ Why the majority rule keeps the protocol safe:
   tolerated because every sub-protocol dispatches on message tags and
   ignores foreign traffic.
 
-The variant's win is measured in `benchmarks/bench_early_stopping.py`:
+The variant's win is measured by `experiments/E-ES.json`:
 unanimous or skewed inputs finish after one epoch instead of the full
 budget, and the saving shrinks as the adversary forces more epochs — the
 "adapt to actual faults" behaviour early-stopping is about.

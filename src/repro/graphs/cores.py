@@ -60,7 +60,7 @@ def robust_core(
 def subgraph_diameter(graph: SpreadingGraph, members: frozenset[int]) -> int:
     """Exact diameter of the induced subgraph (∞ → ``-1`` if disconnected).
 
-    BFS from every member — fine for the sizes used in tests and benches.
+    BFS from every member — fine for the sizes used in tests and experiments.
     """
     member_set = set(members)
     if not member_set:

@@ -1,16 +1,12 @@
-"""Tests for the analysis helpers: fits, theory curves, Table 1."""
+"""Tests for the analysis helpers: fits, theory curves, Table 1 (E-T1's
+measure)."""
 
 import math
 
 import pytest
 
-from repro.analysis import (
-    least_squares_slope,
-    loglog_slope,
-    render_table,
-    table1,
-    theory,
-)
+from repro.analysis import least_squares_slope, loglog_slope, theory
+from repro.analysis.report import _ascii_table, table1
 
 
 class TestFits:
@@ -62,8 +58,9 @@ class TestTheoryCurves:
 
 class TestTable1:
     def test_rows_cover_all_results(self):
-        rows = table1(n=36, seed=0, x=2)
-        results = [row.result for row in rows]
+        rows = table1(n=36, seed=0)["table"]
+        assert rows[3][4].startswith("x=2 ")
+        results = [row[0] for row in rows[1:]]
         assert any("Thm 1" in result for result in results)
         assert any("Thm 3" in result for result in results)
         assert any("[10]" in result for result in results)
@@ -71,8 +68,8 @@ class TestTable1:
         assert any("Thm 2" in result for result in results)
 
     def test_render_is_aligned_ascii(self):
-        rows = table1(n=36, seed=1, x=2)
-        text = render_table(rows)
+        rows = table1(n=36, seed=1)["table"]
+        text = _ascii_table(rows)
         lines = text.splitlines()
         assert lines[0].startswith("+")
         widths = {len(line) for line in lines}

@@ -20,34 +20,14 @@ def test_run_unanimous_inputs(capsys):
     assert "decision      : 1" in captured
 
 
-def test_tradeoff_subcommand(capsys):
-    code = main(["tradeoff", "--n", "32", "--xs", "1,4", "--seed", "3"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "random bits" in captured
-    lines = [line for line in captured.splitlines() if line.strip()]
-    assert len(lines) == 3  # header + two sweep rows
-
-
-def test_table1_subcommand(capsys):
-    code = main(["table1", "--n", "36", "--seed", "4"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "Thm 1 (measured)" in captured
-
-
-def test_coin_game_subcommand(capsys):
-    code = main(["coin-game", "--ks", "16", "--trials", "100"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "Lemma 12" in captured
-
-
-def test_graph_check_subcommand(capsys):
-    code = main(["graph-check", "--n", "128", "--seed", "5"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "expanding" in captured
+@pytest.mark.parametrize("inputs", ["5", "abc", "01"])
+def test_run_rejects_inputs_outside_mixed_0_1(inputs, capsys):
+    """A bad ``--inputs`` is a usage error, not a traceback from the
+    engine's input-bit check."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--n", "16", "--inputs", inputs])
+    assert exit_info.value.code == 2
+    assert "--inputs" in capsys.readouterr().err
 
 
 def test_unknown_adversary_rejected():
@@ -278,13 +258,3 @@ def test_campaign_resume_subcommand(tmp_path, capsys):
     assert code == 0
     assert f"resuming from {journal}" in captured
     assert len(load_journal(journal)) == 2
-
-
-def test_ablation_subcommand(capsys):
-    code = main(
-        ["ablation", "--n", "33", "--epochs", "1,6", "--trials", "2"]
-    )
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "fallback rate" in captured
-    assert "decision bias" in captured

@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import (
-    agreement_failure_rate,
-    decision_bias,
     estimate_rate,
     fallback_rate_vs_epochs,
     wilson_interval,
 )
-from repro.core import run_consensus
 
 
 class TestWilson:
@@ -74,26 +71,3 @@ class TestPaperExperiments:
         )
         assert rates[0][0] == 1 and rates[1][0] == 8
         assert rates[1][1].rate <= rates[0][1].rate
-
-    def test_decision_bias_is_a_rate(self):
-        estimate = decision_bias(36, trials=6, seed=2)
-        assert 0.0 <= estimate.rate <= 1.0
-
-    def test_agreement_failure_rate_zero_for_real_protocol(self):
-        estimate = agreement_failure_rate(
-            lambda seed: run_consensus(
-                [pid % 2 for pid in range(36)], t=1, seed=seed
-            ),
-            trials=4,
-            seed=3,
-        )
-        assert estimate.successes == 0
-
-    def test_agreement_failure_rate_detects_violations(self):
-        class Broken:
-            @property
-            def decision(self):
-                raise AssertionError("agreement violated")
-
-        estimate = agreement_failure_rate(lambda seed: Broken(), trials=3)
-        assert estimate.rate == 1.0

@@ -131,6 +131,19 @@ def test_removed_call_shape_raises(surface):
         ("repro.fabric", "query"),
         ("repro.fabric", "QueryResult"),
         ("repro.fabric", "CellStatus"),
+        # Experiments are experiments/<id>.json specs read by one reader.
+        ("repro.analysis", "table1"),
+        ("repro.analysis", "render_table"),
+        ("repro.analysis", "Table1Row"),
+        ("repro.analysis", "decision_bias"),
+        ("repro.analysis", "agreement_failure_rate"),
+        ("repro.analysis.montecarlo", "decision_bias"),
+        ("repro.analysis.montecarlo", "agreement_failure_rate"),
+        ("repro.analysis.report", "ExperimentRecord"),
+        ("repro.analysis.report", "ALL_EXPERIMENTS"),
+        ("repro.analysis.report", "run_full_report"),
+        ("repro.analysis.report", "render_markdown"),
+        ("repro.analysis.report", "main"),
     ],
 )
 def test_removed_name_is_not_importable(module, name):
@@ -151,6 +164,12 @@ def test_fabric_exports_identity_and_store_only():
         ["serve", "--replicas", "12"],
         ["campaign", "resume"],
         ["campaign", "query"],
+        # Each is a `report --only <id>` selector now.
+        ["tradeoff"],
+        ["table1"],
+        ["coin-game"],
+        ["graph-check"],
+        ["ablation"],
     ],
     ids=" ".join,
 )
@@ -161,6 +180,16 @@ def test_cli_subcommand_is_gone(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_cli_report_output_flag_is_gone(capsys):
+    """``report`` writes EXPERIMENTS.md in place; ``--only`` selects."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--output", "-"])
+    assert exit_info.value.code == 2
+    assert "--output" in capsys.readouterr().err
 
 
 def test_cli_resume_alias_is_gone(capsys):
