@@ -119,6 +119,9 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {sweepable}"
             )
+        for axis in ("ns", "adversaries", "seeds"):
+            if not getattr(self, axis):
+                raise ValueError(f"campaign axis {axis!r} is empty")
         unknown = set(self.adversaries) - set(GALLERY)
         if unknown:
             raise ValueError(
@@ -134,7 +137,7 @@ class CampaignSpec:
             )
         # Every cell's config carries the same two axes; building one
         # validates them here, before a grid reaches any worker.
-        self.config_for(next(iter(self.ns), 1), 0)
+        self.config_for(next(iter(self.ns)), 0)
 
     def grid(self):
         """Yield every (n, adversary, seed) cell."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .adversary import GALLERY
 from .harness import (
@@ -24,8 +24,26 @@ from .runtime import available_models
 from .transport import available_transports
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(item) for item in text.split(",") if item]
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an integer n ≥ 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return int(text)
+
+
+def _int_list(item: Callable[[str], int]) -> Callable[[str], list[int]]:
+    """argparse ``type=``: a non-empty comma list, each part read by *item*."""
+
+    def parse(text: str) -> list[int]:
+        try:
+            values = [item(part) for part in text.split(",") if part]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected integers: {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one value: {text!r}")
+        return values
+
+    return parse
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -91,17 +109,20 @@ def _campaign_spec_from_args(args: argparse.Namespace):
     from .analysis.campaign import CampaignSpec
 
     options = {"x": args.x} if args.x is not None else {}
-    return CampaignSpec(
-        name=args.name,
-        protocol=args.protocol,
-        ns=_parse_int_list(args.ns),
-        adversaries=args.adversaries.split(","),
-        seeds=_parse_int_list(args.seeds),
-        options=options,
-        capture=tuple(item for item in args.capture.split(",") if item),
-        model=args.model,
-        transport=args.transport,
-    )
+    try:
+        return CampaignSpec(
+            name=args.name,
+            protocol=args.protocol,
+            ns=args.ns,
+            adversaries=args.adversaries.split(","),
+            seeds=args.seeds,
+            options=options,
+            capture=tuple(item for item in args.capture.split(",") if item),
+            model=args.model,
+            transport=args.transport,
+        )
+    except ValueError as exc:  # e.g. an unknown adversary or capture channel
+        args.grid_parser.error(str(exc))
 
 
 def _print_campaign_summary(records) -> None:
@@ -282,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser(
         "run", help="run one registered protocol once (default: Algorithm 1)"
     )
-    run_parser.add_argument("--n", type=int, default=128)
+    run_parser.add_argument("--n", type=_positive_int, default=128)
     run_parser.add_argument("--t", type=int, default=None)
     run_parser.add_argument(
         "--protocol", default="algorithm1",
@@ -332,9 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--protocol", default="algorithm1",
             choices=list(available_protocols(sweepable=True)),
         )
-        parser.add_argument("--ns", default="64,100")
+        parser.set_defaults(grid_parser=parser)
+        parser.add_argument("--ns", default="64,100", type=_int_list(_positive_int))
         parser.add_argument("--adversaries", default="none,silence")
-        parser.add_argument("--seeds", default="0,1")
+        parser.add_argument("--seeds", default="0,1", type=_int_list(int))
         parser.add_argument(
             "--x", type=int, default=None,
             help="tradeoff super-process count (stored in the spec options)",

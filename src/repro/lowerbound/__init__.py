@@ -22,7 +22,6 @@ from .anticoncentration import (
 )
 from .coin_game import (
     CoinGamePoint,
-    corollary1_budget,
     ThresholdCoinGame,
     bias_success_probability,
     lemma12_budget,
@@ -78,7 +77,6 @@ __all__ = [
     "lemma9_lower_bound",
     "verify_lemma9",
     "CoinGamePoint",
-    "corollary1_budget",
     "ThresholdCoinGame",
     "bias_success_probability",
     "lemma12_budget",

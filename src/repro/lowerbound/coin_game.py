@@ -123,16 +123,6 @@ def minimal_budget_for_success(
     return low
 
 
-def corollary1_budget(k: int, n: int) -> float:
-    """Corollary 1's instantiation: ``8 sqrt(k log^3 n)`` hides bias the
-    game with probability ``1 - 1/n^3`` (alpha = n^-3 in Lemma 12)."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    return 8.0 * math.sqrt(k * 3.0 * math.log2(n))
-
-
 def lemma12_budget(k: int, alpha: float) -> float:
     """The Lemma-12 bound: ``8 sqrt(k log2(1/alpha))`` hides suffice."""
     if not 0.0 < alpha <= 0.5:

@@ -91,14 +91,6 @@ class ShrinkResult:
     original: ExecutionRecipe
     replays: int
 
-    @property
-    def omission_ratio(self) -> float:
-        """Shrunk omission entries as a fraction of the original's."""
-        before = self.original.total_omissions()
-        if before == 0:
-            return 0.0
-        return self.recipe.total_omissions() / before
-
 
 def shrink_recipe(
     recipe: ExecutionRecipe,

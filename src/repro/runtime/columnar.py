@@ -202,8 +202,8 @@ InboxColumns = tuple[list[int], list[Any], list[int]]
 
 class _LazyMessages(Sequence[Message]):
     """What the two lazy ``Sequence[Message]`` views share: the first
-    element access fills ``_items`` once (``_materialize``, REP007's
-    designated per-copy materialization point — the cost the object loop
+    element access fills ``_items`` once (``_materialize``, a per-copy site
+    ``tests/test_removed_surfaces.py`` lists — the cost the object loop
     pays unconditionally); a reader that never looks pays nothing."""
 
     __slots__ = ("_items",)

@@ -175,8 +175,8 @@ def _deliver_objects(
     local-computation phase advances processes in pid order), so sender
     bucketing reduces to a straight scan; a stable record sort restores
     the invariant for hand-built outboxes.  This is the designated
-    per-copy materialization point of the object path (REP007): multicast
-    records become one :class:`Message` view per surviving copy here.
+    per-copy materialization point of the object path (listed in
+    ``tests/test_removed_surfaces.py``): one ``Message`` per surviving copy.
 
     Metering precedence is the engine-wide rule pinned in
     :mod:`repro.runtime.metrics`: the omission check runs *before* the

@@ -24,9 +24,9 @@ the network arbitrates inside the paper's omission model — never as
 hangs, and never outside the ``sent == delivered + omitted + lost +
 in-flight`` metering identity.
 
-Wall-clock note (lint rule REP002): ``time.monotonic`` and friends are
-permitted *only* under ``src/repro/transport/`` — real links need real
-timeouts — and must never influence protocol semantics, only fault
+Wall-clock note: ``time.monotonic`` is permitted *only* here, outside
+``CLOCK_SCOPE`` of ``tests/test_determinism_census.py`` — real links need
+real timeouts — and never influences protocol semantics, only fault
 detection and :class:`~repro.runtime.observers.LinkSample` measurements.
 """
 

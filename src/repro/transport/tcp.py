@@ -41,9 +41,9 @@ faulted replay the *recorded schedule* (the faults became recorded
 corruptions/omissions) but are not promised fingerprint-identical: the
 dead processes' unsent traffic never entered the record.
 
-This module is inside the REP002 wall-clock carve-out
-(``src/repro/transport/`` only): ``time.monotonic`` is used for
-timeouts and latency measurement, never for protocol decisions.
+``transport/`` is outside ``CLOCK_SCOPE`` (tests/test_determinism_census.py):
+``time.monotonic`` is used for timeouts and latency measurement, never
+for protocol decisions.
 """
 
 from __future__ import annotations

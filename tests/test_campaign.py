@@ -48,6 +48,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             small_spec(adversaries=["byzantine"])
 
+    @pytest.mark.parametrize("axis", ["ns", "adversaries", "seeds"])
+    def test_rejects_an_empty_axis(self, axis):
+        with pytest.raises(ValueError, match=f"axis '{axis}' is empty"):
+            small_spec(**{axis: ()})
+
 
 class TestRun:
     def test_records_have_expected_fields(self):

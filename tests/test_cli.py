@@ -30,6 +30,28 @@ def test_run_rejects_inputs_outside_mixed_0_1(inputs, capsys):
     assert "--inputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["campaign", "status", "--ns", "64,abc"],
+        ["campaign", "status", "--ns", "0"],
+        ["campaign", "status", "--seeds", ","],
+        ["campaign", "status", "--adversaries", "bogus"],
+        ["campaign", "status", "--capture", "bogus"],
+        ["campaign", "run", "--adversaries", "none,"],
+        ["run", "--n", "0"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_grid_flag_is_a_usage_error(argv, capsys):
+    """Exit 2 with a usage line, never a traceback: ``campaign status``
+    keeps exit 1 to mean "cells missing"."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
+
+
 def test_unknown_adversary_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--n", "32", "--adversary", "nonsense"])

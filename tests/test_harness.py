@@ -229,8 +229,7 @@ def test_axis_options_are_validated_at_entry(
 # Baseline runners return ConsensusRun objects with named fields only —
 # the tuple protocol was removed after its deprecation window.  Every
 # ``run_*`` wrapper is called here or in the legacy-wrapper test above: one
-# whose protocol is not registered fails on this first call (what lint rule
-# REP006 used to check statically).
+# whose protocol is not registered fails on this first call.
 def test_baseline_runners_return_consensus_runs():
     runs = {
         "tradeoff": run_tradeoff_consensus(mixed(16), 2, seed=3),

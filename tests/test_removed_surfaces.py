@@ -1,15 +1,17 @@
 """Removed surfaces fail loudly at call time.
 
-Lint rule REP004 used to flag these statically; it is retired because
-nothing is left for it to catch that the first call does not.  The loose
-``run_campaign(ns=...)`` keywords and ``CampaignSpec.cell_key`` are pinned
-the same way by ``test_campaign.TestRemovedGridKwargs``.  REP008 (one engine
-front door) and REP007 (no per-copy ``Message`` loop in the engine) are
-retired into the two call-site censuses at the end of this file.
+Nothing lists these statically: the first call fails, and this file pins
+that.  The loose ``run_campaign(ns=...)`` keywords and
+``CampaignSpec.cell_key`` are pinned the same way by
+``test_campaign.TestRemovedGridKwargs``.  The two call-site censuses at the
+end of this file keep one engine front door and no per-copy ``Message``
+loop in the engine (docs/lint.md, *Retired rules*).
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ import pytest
 from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.baselines import run_ben_or
 from repro.harness import execute
+from repro.replay import ShrinkResult
 from repro.runtime import (
     Adversary,
     MessageBatch,
@@ -71,6 +74,9 @@ REMOVED_CALLS = {
             budget_left=0, decisions={}, terminated=frozenset(),
         ),
     ),
+    "ShrinkResult.omission_ratio": (
+        AttributeError, lambda: ShrinkResult.omission_ratio
+    ),
 }
 
 
@@ -79,6 +85,10 @@ def test_removed_call_shape_raises(surface):
     error, call = REMOVED_CALLS[surface]
     with pytest.raises(error):
         call()
+
+
+# Whole packages that are gone: none of their names can be imported.
+REMOVED_PACKAGES = frozenset({"repro.lint"})
 
 
 @pytest.mark.parametrize(
@@ -103,6 +113,7 @@ def test_removed_call_shape_raises(surface):
         ("repro.runtime", "recipe_to_dict"),
         ("repro.runtime", "recipe_from_dict"),
         ("repro.lowerbound", "ScriptedAdversary"),
+        # The linter package is gone with everything it exported.
         ("repro.lint", "Baseline"),
         ("repro.lint", "Project"),
         ("repro.lint", "register_rule"),
@@ -121,6 +132,8 @@ def test_removed_call_shape_raises(surface):
         ("repro.analysis", "ratio_summary"),
         ("repro.analysis", "RatioSummary"),
         ("repro.analysis", "hbar"),
+        ("repro.lowerbound", "corollary1_budget"),
+        ("repro.lowerbound.coin_game", "corollary1_budget"),
         # repro.fabric is CellId + the store; the pool is the stdlib's.
         ("repro.fabric", "DirectoryClaims"),
         ("repro.fabric", "await_cells"),
@@ -147,7 +160,23 @@ def test_removed_call_shape_raises(surface):
     ],
 )
 def test_removed_name_is_not_importable(module, name):
+    if module in REMOVED_PACKAGES:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+        return
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_linter_package_is_gone(repro_env):
+    """The determinism properties are ``tests/test_determinism_census.py``."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.lint")
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.lint"],
+        capture_output=True, text=True, timeout=60, env=repro_env,
+    )
+    assert run.returncode != 0
+    assert "No module named repro.lint" in run.stderr
 
 
 def test_fabric_exports_identity_and_store_only():
