@@ -1,10 +1,11 @@
-"""Execution forensics: tracing one consensus run round by round.
+"""Execution forensics: reading one consensus run round by round.
 
-Attaches a :class:`TraceRecorder` to a consensus execution under a staged
-adversary (silence early, adaptive vote-balancing late) and reconstructs the
-story of the run: when the adversary struck, how traffic pulsed through the
-epoch phases, how the operative population shrank, and when each process
-decided.
+Runs Algorithm 1 under a staged adversary (silence early, adaptive
+vote-balancing late) and reconstructs the story of the run from its
+:class:`~repro.runtime.RunReport` (``run.result.report``): when the
+adversary struck, how traffic pulsed through the epoch phases, and where
+the time went.  The operative population is protocol state, not part of
+the engine's report, so a ten-line observer samples it.
 
 Run:  python examples/trace_inspection.py
 """
@@ -16,11 +17,23 @@ from repro.adversary import (
     SilenceAdversary,
     VoteBalancingAdversary,
 )
-from repro.core import build_processes, epoch_rounds
+from repro.core import epoch_rounds
+from repro.harness import execute
 from repro.params import ProtocolParams
-from repro.runtime import SyncNetwork, TraceRecorder
+from repro.runtime import RoundObserver
 
 N = 96
+
+
+class OperativeCount(RoundObserver):
+    """(round, number of operative processes) at the end of each round."""
+
+    def __init__(self) -> None:
+        self.series: list[tuple[int, int]] = []
+
+    def on_round_end(self, round_no, network) -> None:
+        operative = sum(p.state.operative for p in network.processes)
+        self.series.append((round_no, operative))
 
 
 def main() -> None:
@@ -30,34 +43,35 @@ def main() -> None:
         [SilenceAdversary([0]), VoteBalancingAdversary(seed=1)],
         boundaries=[20],
     )
-
-    processes = build_processes(
-        [pid % 2 for pid in range(N)], t=t, params=params
+    operative = OperativeCount()
+    run = execute(
+        "algorithm1",
+        [pid % 2 for pid in range(N)],
+        t=t,
+        adversary=adversary,
+        params=params,
+        seed=5,
+        observers=[operative],
     )
-    recorder = TraceRecorder(sample_every=1)
-    # This example deliberately drives the raw engine to show
-    # TraceRecorder.attach(); protocols registered with the harness
-    # should pass observers to repro.harness.execute() instead.
-    network = recorder.attach(
-        SyncNetwork(processes, adversary=adversary, t=t, seed=5)
-    )
-    result = network.run()
+    result, report = run.result, run.result.report
     decision = result.agreement_value()
 
     print(f"n={N}, t={t}: decided {decision} after "
           f"{result.time_to_agreement()} rounds\n")
 
     print("adversary timeline:")
-    for pid, round_no in sorted(recorder.corruption_rounds().items()):
+    for pid, round_no in sorted(
+        report.corruption_rounds.items(), key=lambda item: (item[1], item[0])
+    ):
         print(f"  round {round_no:>3}: corrupted process {pid}")
-    print(f"  total omissions: {recorder.total_omissions()}\n")
+    print(f"  total omissions: {sum(report.omitted_per_round)}\n")
 
     per_epoch = epoch_rounds(N, params)
     print(f"traffic pulse (epoch = {per_epoch} rounds: group-relay phase, "
           "then the denser spreading gossip):")
-    profile = recorder.traffic_profile()
-    for start in range(0, min(len(profile), 3 * per_epoch), per_epoch):
-        window = [messages for _, messages in profile[start:start + per_epoch]]
+    traffic = report.metrics.messages_per_round
+    for start in range(0, min(len(traffic), 2 * per_epoch), per_epoch):
+        window = traffic[start:start + per_epoch]
         bar_scale = max(window) or 1
         print(f"  epoch starting round {start}:")
         for offset, messages in enumerate(window):
@@ -66,15 +80,16 @@ def main() -> None:
         print()
 
     print("operative population over time:")
-    series = recorder.operative_series()
+    series = operative.series
     for round_no, count in series[:: max(1, len(series) // 10)]:
         print(f"  round {round_no:>3}: {count} operative")
 
-    decided = recorder.decision_rounds()
-    if decided:
-        first = min(decided.values())
-        print(f"\nfirst decisions observed in round {first}; "
-              f"{len(result.decision_rounds)} processes decided in total")
+    first = min(report.decision_rounds.values())
+    print(f"\nfirst decisions in round {first}; "
+          f"{len(report.decision_rounds)} processes decided in total")
+    print("phases (s): " + " ".join(
+        f"{phase}={seconds:.3f}" for phase, seconds in report.seconds.items()
+    ))
 
 
 if __name__ == "__main__":

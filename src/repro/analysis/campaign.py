@@ -62,8 +62,6 @@ from ..adversary import GALLERY
 from ..fabric import CampaignCache, CellId, open_cache
 from ..harness import (
     ExecutionConfig,
-    RoundProfiler,
-    TraceRecorder,
     available_protocols,
     capability_fingerprint,
     protocol_spec,
@@ -76,21 +74,10 @@ from ._journal import (
 )
 from .experiments import mixed_inputs
 
-#: Per-cell capture channels: attach an observer, merge its output into the
-#: record under the same key.
-CAPTURES = ("trace", "profile")
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Declarative description of a run grid.
-
-    ``capture`` lists per-cell observer channels (``"trace"`` and/or
-    ``"profile"``): each attaches the matching observer to every run and
-    merges its output into the record under the same key.  Capture channels
-    are diagnostics, not inputs — they are *not* part of a cell's identity,
-    so resuming a sweep with different capture settings reuses its records.
-    """
+    """Declarative description of a run grid."""
 
     name: str
     protocol: str = "algorithm1"
@@ -98,7 +85,6 @@ class CampaignSpec:
     adversaries: Sequence[str] = ("none",)
     seeds: Sequence[int] = (0,)
     options: dict[str, Any] = field(default_factory=dict)
-    capture: Sequence[str] = ()
     #: Execution-model axis: a registered round-model name, or ``None``
     #: for the lockstep default.  Part of cell identity when set.
     model: str | None = None
@@ -127,13 +113,6 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown adversaries {sorted(unknown)}; choose from "
                 f"{sorted(GALLERY)}"
-            )
-        object.__setattr__(self, "capture", tuple(self.capture))
-        unknown_capture = set(self.capture) - set(CAPTURES)
-        if unknown_capture:
-            raise ValueError(
-                f"unknown capture channels {sorted(unknown_capture)}; "
-                f"choose from {CAPTURES}"
             )
         # Every cell's config carries the same two axes; building one
         # validates them here, before a grid reaches any worker.
@@ -181,15 +160,6 @@ def _run_cell(
     t = protocol.campaign_t(n, config.params)
     adversary = GALLERY[adversary_name](n, t, seed)
 
-    observers = []
-    recorder = profiler = None
-    if "trace" in spec.capture:
-        recorder = TraceRecorder(probe=None)
-        observers.append(recorder)
-    if "profile" in spec.capture:
-        profiler = RoundProfiler()
-        observers.append(profiler)
-
     record: dict[str, Any] = {
         "campaign": spec.name,
         "protocol": config.protocol,
@@ -215,7 +185,6 @@ def _run_cell(
         recorded = record_config(
             config,
             adversary,
-            observers,
             note=(
                 f"campaign {spec.name}: n={n} "
                 f"adversary={adversary_name} seed={seed}"
@@ -237,7 +206,7 @@ def _run_cell(
             return record, recipe_payload(recorded.recipe)
         run = recorded.run
     else:
-        run = run_config(config, adversary, observers, spec=protocol)
+        run = run_config(config, adversary, spec=protocol)
 
     metrics = run.metrics
     record.update(
@@ -254,22 +223,6 @@ def _run_cell(
     )
     if protocol.record_extras is not None:
         record.update(protocol.record_extras(run, run.request))
-    if recorder is not None:
-        record["trace"] = {
-            "corruption_rounds": {
-                str(pid): round_no
-                for pid, round_no in sorted(
-                    recorder.corruption_rounds().items()
-                )
-            },
-            "decision_rounds": {
-                str(pid): round_no
-                for pid, round_no in sorted(recorder.decision_rounds().items())
-            },
-            "total_omissions": recorder.total_omissions(),
-        }
-    if profiler is not None:
-        record["profile"] = profiler.summary()
     return record, None
 
 

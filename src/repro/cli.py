@@ -13,12 +13,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 from .adversary import GALLERY
-from .harness import (
-    RoundProfiler,
-    available_protocols,
-    execute,
-    protocol_spec,
-)
+from .harness import available_protocols, execute, protocol_spec
 from .params import ProtocolParams
 from .runtime import available_models
 from .transport import available_transports
@@ -55,18 +50,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         [int(args.inputs)] * n
     )
     adversary = GALLERY[args.adversary](n, t, args.seed)
-    profiler = RoundProfiler() if args.profile else None
-    run = execute(
-        spec,
-        inputs,
-        t=t,
-        adversary=adversary,
-        seed=args.seed,
-        observers=(profiler,) if profiler is not None else (),
-        model=args.model,
-        transport=args.transport,
-    )
+    try:
+        run = execute(
+            spec,
+            inputs,
+            t=t,
+            adversary=adversary,
+            seed=args.seed,
+            model=args.model,
+            transport=args.transport,
+        )
+    except ValueError as exc:
+        # Raised by the checks before round 0: the engine's 0 <= t < n and
+        # each builder's own fault budget (Algorithm 1's t < n/30, say).
+        args.run_parser.error(str(exc))
     metrics = run.metrics
+    report = run.result.report
     if args.json:
         import json
 
@@ -77,8 +76,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         payload["decision"] = run.decision
         payload["time_to_agreement"] = run.result.time_to_agreement()
         payload["used_fallback"] = run.used_fallback
-        if profiler is not None:
-            payload["profile"] = profiler.summary()
+        payload["report"] = report.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"protocol      : {spec.name}")
@@ -92,16 +90,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .analysis.sparkline import render_series
 
     print(render_series("traffic/round", metrics.messages_per_round, width=64))
-    if profiler is not None:
-        summary = profiler.summary()
-        print(
-            "profile (s)   : "
-            f"wall={summary['wall_time']:.4f} "
-            f"compute={summary['compute']:.4f} "
-            f"adversary={summary['adversary']:.4f} "
-            f"delivery={summary['delivery']:.4f} "
-            f"overhead={summary['overhead']:.4f}"
-        )
+    print("phases (s)    : " + " ".join(
+        f"{phase}={seconds:.4f}" for phase, seconds in report.seconds.items()
+    ))
     return 0
 
 
@@ -117,11 +108,10 @@ def _campaign_spec_from_args(args: argparse.Namespace):
             adversaries=args.adversaries.split(","),
             seeds=args.seeds,
             options=options,
-            capture=tuple(item for item in args.capture.split(",") if item),
             model=args.model,
             transport=args.transport,
         )
-    except ValueError as exc:  # e.g. an unknown adversary or capture channel
+    except ValueError as exc:  # e.g. an unknown adversary
         args.grid_parser.error(str(exc))
 
 
@@ -322,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full execution result as JSON",
     )
     run_parser.add_argument(
-        "--profile", action="store_true",
-        help="attach a RoundProfiler and print per-phase wall time",
-    )
-    run_parser.add_argument(
         "--model", default=None, choices=list(available_models()),
         help="execution model (default: lockstep)",
     )
@@ -334,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="where processes execute: in-process (default) or real OS "
         "worker processes over localhost TCP",
     )
-    run_parser.set_defaults(func=_cmd_run)
+    run_parser.set_defaults(func=_cmd_run, run_parser=run_parser)
 
     campaign_parser = sub.add_parser(
         "campaign",
@@ -362,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="tradeoff super-process count (stored in the spec options)",
         )
         parser.add_argument(
-            "--capture", default="",
-            help='comma list of per-cell observers: "trace", "profile"',
-        )
-        parser.add_argument(
             "--model", default=None, choices=list(available_models()),
             help="execution model axis; part of cell identity when given",
         )
@@ -385,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--output", default="campaign.json")
         parser.add_argument(
-            "--jobs", type=int, default=1,
+            "--jobs", type=_positive_int, default=1,
             help="worker processes for the grid (1 = in-process serial); "
             "each idle worker takes the largest-n cell left",
         )

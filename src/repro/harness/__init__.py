@@ -5,11 +5,12 @@ returns a :class:`repro.core.consensus.ConsensusRun`; the ``run_*`` helpers
 throughout ``repro.core`` and ``repro.baselines`` are thin wrappers over
 it.  The registry makes every protocol sweepable by the campaign runner and
 the CLI, and ``observers=...`` attaches :class:`RoundObserver` instances
-(e.g. :class:`TraceRecorder`, :class:`RoundProfiler`) to any run without
-touching protocol code.
+to any run without touching protocol code.  Every run already carries the
+engine's own account of itself as ``run.result.report``
+(:class:`repro.runtime.RunReport`).
 """
 
-from ..runtime import RoundObserver, RoundProfiler, TraceRecorder
+from ..runtime import RoundObserver
 from .registry import (
     CELL_RECORD_VERSION,
     ExecutionConfig,
@@ -27,8 +28,6 @@ __all__ = [
     "ExecutionConfig",
     "ProtocolSpec",
     "RoundObserver",
-    "RoundProfiler",
-    "TraceRecorder",
     "available_protocols",
     "capability_fingerprint",
     "execute",

@@ -17,8 +17,9 @@ Public surface:
   :class:`LockstepModel` / :class:`PartialSynchronyModel` as the two
   registered timing disciplines (:func:`create_model`,
   :func:`available_models`, :func:`resolve_model`);
-* :class:`RoundObserver`, :class:`RoundProfiler`, :class:`TraceRecorder` —
-  the engine-driven observer bus and its built-in observers;
+* :class:`RoundObserver`, :class:`RunReport` — the engine-driven observer
+  bus and the one account of a run the engine keeps on it
+  (``ExecutionResult.report``);
 * :class:`Metrics` — rounds / communication bits / randomness accounting;
 * :class:`ColumnarBatch`, :class:`LazyMessageList`, :data:`HAVE_NUMPY` —
   the numpy-vectorized round layout the delivery layer uses on wide
@@ -54,12 +55,7 @@ from .models import (
     create_model,
     resolve_model,
 )
-from .observers import (
-    LinkSample,
-    MetricsObserver,
-    RoundObserver,
-    RoundProfiler,
-)
+from .observers import LinkSample, RoundObserver
 from .network import (
     Adversary,
     AdversaryAction,
@@ -87,9 +83,8 @@ from .serialization import (
     result_from_dict,
     result_to_dict,
     save_result,
-    trace_to_dict,
 )
-from .trace import RoundTrace, TraceRecorder, default_state_probe
+from .report import RunReport
 from .randomness import (
     CountingRandom,
     derive_seeds,
@@ -130,12 +125,8 @@ __all__ = [
     "idle_rounds",
     "receive_round",
     "LinkSample",
-    "MetricsObserver",
     "RoundObserver",
-    "RoundProfiler",
-    "RoundTrace",
-    "TraceRecorder",
-    "default_state_probe",
+    "RunReport",
     "SCHEMA_VERSION",
     "check_schema",
     "load_result",
@@ -144,7 +135,6 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
     "save_result",
-    "trace_to_dict",
     "CountingRandom",
     "derive_seeds",
 ]

@@ -53,8 +53,8 @@ class DeliveryReceipt(NamedTuple):
     ``delivered`` reached a live recipient's inbox; ``lost`` survived the
     adversary but its recipient had already terminated.  The bit totals
     are accumulated while the batch is expanded so the
-    :class:`~repro.runtime.observers.MetricsObserver` does not need a
-    second O(copies) pass.
+    :class:`~repro.runtime.report.RunReport` does not need a second
+    O(copies) pass.
     """
 
     delivered: Sequence[Message]

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .messages import Message, MessageBatch, MessageRecord
 from .metrics import Metrics
 from .observers import LinkSample
 from .process import ProcessEnv, Program, SyncProcess
 from .randomness import CountingRandom, derive_seeds
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
+    from .report import RunReport
 
 
 @dataclass
@@ -40,6 +43,9 @@ class ExecutionResult:
     randomness_per_process: list[tuple[int, int]] = field(default_factory=list)
     #: Round in which each process first decided (absent = never decided).
     decision_rounds: dict[int, int] = field(default_factory=dict)
+    #: The engine's account of the run (``None`` for a result read back
+    #: from JSON); never part of equality or of :func:`result_to_dict`.
+    report: RunReport | None = field(default=None, compare=False, repr=False)
 
     def time_to_agreement(self) -> int:
         """The paper's *time* metric: rounds until the last **non-faulty**

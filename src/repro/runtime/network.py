@@ -29,9 +29,11 @@ Instrumentation rides a first-class observer bus
 dispatches ``on_run_start`` / ``on_round_start`` / ``on_messages_sent`` /
 ``on_adversary_action`` / ``on_deliveries`` / ``on_transport`` (rounds
 with real-link measurements only) / ``on_round_end`` / ``on_run_end``.
-The :class:`Metrics` accounting itself is the first
-observer on every network, so tracers and profilers see consistent series
-without wrapping the adversary or monkeypatching hooks.
+The engine's own account of the run — :class:`Metrics`, the omission and
+corruption schedule, the phase timings — is the first observer on every
+network (:class:`~repro.runtime.report.RunReport`, ``network.report``), so
+user observers see consistent series without wrapping the adversary or
+monkeypatching hooks.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from typing import TYPE_CHECKING, Any
 from .delivery import Delivery, _takes_columnar_plan
 from .engine import ExecutionCore, ExecutionResult
 from .messages import Message, MessageBatch
-from .observers import MetricsObserver, RoundObserver
+from .observers import RoundObserver
 from .process import SyncProcess
 from .randomness import stable_seed
+from .report import RunReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..transport import Transport
@@ -272,13 +275,13 @@ class SyncNetwork:
         self.faulty: set[int] = set()
         self.round = 0
         # Per-round delivery totals accumulated by _deliver so the
-        # MetricsObserver does not need a second O(copies) pass.
+        # report does not need a second O(copies) pass.
         self._delivered_bits = 0
         self._lost_bits = 0
-        #: The observer bus.  The engine's own accounting comes first so
+        #: The engine's account of the run, first on the observer bus so
         #: user observers read up-to-date Metrics series.
-        self._observers: list[RoundObserver] = [MetricsObserver(self.metrics)]
-        self._observers.extend(observers)
+        self.report = RunReport(self.metrics)
+        self._observers: list[RoundObserver] = [self.report, *observers]
         #: Optional (round, seed): at the start of that round every
         #: process's random source is re-seeded from ``seed`` — the fork
         #: point used by rollout-based adversaries (future coins must be
@@ -310,7 +313,7 @@ class SyncNetwork:
     @property
     def observers(self) -> tuple[RoundObserver, ...]:
         """The attached observers (first entry is the engine's own
-        :class:`MetricsObserver`)."""
+        :attr:`report`)."""
         return tuple(self._observers)
 
     # ------------------------------------------------------------------
@@ -420,8 +423,8 @@ class SyncNetwork:
         The batch-to-inbox mechanics live in the network's
         :class:`~repro.runtime.delivery.Delivery`; this method adds
         the engine-side bookkeeping — the accumulated bit totals the
-        :class:`~repro.runtime.observers.MetricsObserver` reads without a
-        second O(copies) pass, and the ``on_deliveries`` hook.
+        :attr:`report` reads without a second O(copies) pass, and the
+        ``on_deliveries`` hook.
         """
         receipt = self._delivery.deliver(
             batch, omitted, self._inboxes, self._core.live_mask()
@@ -499,6 +502,7 @@ class SyncNetwork:
 
         self._core.record_randomness()
         result = self._core.build_result(frozenset(self.faulty))
+        result.report = self.report
         for observer in observers:
             observer.on_run_end(result, self)
         return result

@@ -18,22 +18,21 @@ must not mutate them.  Attaching an observer never changes an execution —
 decisions, rounds, and every :class:`Metrics` counter stay byte-identical
 to an unobserved run (asserted by ``tests/test_observers.py``).
 
-The engine's own accounting rides the same bus: a :class:`MetricsObserver`
-is installed first on every network, so the per-round :class:`Metrics`
-series is just another observer's output.  :class:`TraceRecorder`
-(``repro.runtime.trace``) and :class:`RoundProfiler` are the other two
-built-in observers.
+The engine's own account of a run rides the same bus: one
+:class:`~repro.runtime.report.RunReport` is installed first on every
+network (``network.report``), so the :class:`Metrics` series, the
+omission and corruption schedule and the phase timings are just the
+first observer's output.  It is the only observer the engine installs;
+everything else on the bus is the caller's.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from .messages import Message, MessageBatch
-from .metrics import Metrics
+from .messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from .network import AdversaryAction, ExecutionResult, NetworkView, SyncNetwork
@@ -123,134 +122,3 @@ class RoundObserver:
         self, result: ExecutionResult, network: SyncNetwork
     ) -> None:
         """Called once with the finished :class:`ExecutionResult`."""
-
-
-class MetricsObserver(RoundObserver):
-    """The engine's own accounting, expressed as an observer.
-
-    Installed first on every :class:`SyncNetwork`, so user observers may
-    read up-to-date per-round series (e.g. ``metrics.messages_per_round``)
-    from their ``on_round_end`` hooks.
-    """
-
-    def __init__(self, metrics: Metrics) -> None:
-        self.metrics = metrics
-
-    def on_messages_sent(
-        self, round_no: int, outbound: Sequence[Message], network: SyncNetwork
-    ) -> None:
-        # A MessageBatch answers the bit total from its records (one term
-        # per multicast) instead of materializing every per-copy view.
-        if isinstance(outbound, MessageBatch):
-            bits = outbound.total_bits()
-        else:
-            bits = sum(message.bits for message in outbound)
-        self.metrics.record_round(len(outbound), bits)
-
-    def on_adversary_action(
-        self,
-        round_no: int,
-        view: NetworkView,
-        action: AdversaryAction,
-        network: SyncNetwork,
-    ) -> None:
-        self.metrics.record_omissions(len(action.omit))
-
-    def on_deliveries(
-        self,
-        round_no: int,
-        delivered: Sequence[Message],
-        lost: Sequence[Message],
-        network: SyncNetwork,
-    ) -> None:
-        # The engine accumulates delivery bit totals while it expands the
-        # batch; fall back to summing for hand-driven dispatch.
-        delivered_bits = getattr(network, "_delivered_bits", None)
-        if delivered_bits is None:
-            delivered_bits = sum(message.bits for message in delivered)
-        self.metrics.record_delivery(len(delivered), delivered_bits)
-        if lost:
-            lost_bits = getattr(network, "_lost_bits", None)
-            if lost_bits is None:
-                lost_bits = sum(message.bits for message in lost)
-            self.metrics.record_lost(len(lost), lost_bits)
-
-
-class RoundProfiler(RoundObserver):
-    """Wall-time profile of the engine's three per-round phases.
-
-    Accumulates ``perf_counter`` seconds per *compute* (local-computation),
-    *adversary* (view construction + strategy + validation) and *delivery*
-    (inbox placement) phase, plus the observer/bookkeeping remainder of
-    each round.
-
-    Purely passive: attaching it never perturbs metrics, decisions, or
-    randomness.
-    """
-
-    def __init__(self) -> None:
-        self.compute = 0.0
-        self.adversary = 0.0
-        self.delivery = 0.0
-        self.overhead = 0.0
-        self.rounds = 0
-        self.wall_time = 0.0
-        self._run_started = 0.0
-        self._last_mark = 0.0
-
-    # ------------------------------------------------------------------
-    def on_run_start(self, network: SyncNetwork) -> None:
-        self._run_started = time.perf_counter()
-
-    def on_round_start(self, round_no: int, network: SyncNetwork) -> None:
-        self._last_mark = time.perf_counter()
-
-    def _phase(self) -> float:
-        now = time.perf_counter()
-        elapsed = now - self._last_mark
-        self._last_mark = now
-        return elapsed
-
-    def on_messages_sent(
-        self, round_no: int, outbound: Sequence[Message], network: SyncNetwork
-    ) -> None:
-        self.compute += self._phase()
-
-    def on_adversary_action(
-        self,
-        round_no: int,
-        view: NetworkView,
-        action: AdversaryAction,
-        network: SyncNetwork,
-    ) -> None:
-        self.adversary += self._phase()
-
-    def on_deliveries(
-        self,
-        round_no: int,
-        delivered: Sequence[Message],
-        lost: Sequence[Message],
-        network: SyncNetwork,
-    ) -> None:
-        self.delivery += self._phase()
-
-    def on_round_end(self, round_no: int, network: SyncNetwork) -> None:
-        self.rounds += 1
-        self.overhead += time.perf_counter() - self._last_mark
-
-    def on_run_end(
-        self, result: ExecutionResult, network: SyncNetwork
-    ) -> None:
-        self.wall_time = time.perf_counter() - self._run_started
-
-    # ------------------------------------------------------------------
-    def summary(self) -> dict[str, Any]:
-        """JSON-friendly totals (seconds), e.g. for campaign records."""
-        return {
-            "rounds": self.rounds,
-            "wall_time": self.wall_time,
-            "compute": self.compute,
-            "adversary": self.adversary,
-            "delivery": self.delivery,
-            "overhead": self.overhead,
-        }

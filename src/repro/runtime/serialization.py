@@ -1,13 +1,12 @@
-"""JSON serialization of execution results and traces.
+"""JSON serialization of execution results.
 
 Long experiment campaigns want to run once and analyze offline;
 this module round-trips the substrate's result objects through plain JSON:
 
 * :func:`result_to_dict` / :func:`result_from_dict` — full
   :class:`ExecutionResult` fidelity (metrics, decisions, faulty set,
-  per-process randomness, decision rounds);
-* :func:`trace_to_dict` — a :class:`TraceRecorder`'s round records
-  (one-way: traces are diagnostic output, not protocol state);
+  per-process randomness, decision rounds; the run's
+  :class:`~repro.runtime.report.RunReport` has its own ``to_dict``);
 * :func:`save_result` / :func:`load_result` — file helpers.
 
 Every payload carries a ``"schema"`` field (:data:`SCHEMA_VERSION`).  The
@@ -27,9 +26,8 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .engine import ExecutionResult
 from .metrics import Metrics
-from .network import ExecutionResult
-from .trace import TraceRecorder
 
 #: Current schema version of every payload this module writes.
 SCHEMA_VERSION = 2
@@ -135,29 +133,6 @@ def result_from_dict(data: dict[str, Any]) -> ExecutionResult:
             for pid, round_no in data["decision_rounds"].items()
         },
     )
-
-
-def trace_to_dict(recorder: TraceRecorder) -> dict[str, Any]:
-    """Serialize a trace recorder's rounds (state samples must be
-    JSON-safe, which the default probe's snapshots are)."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "rounds": [
-            {
-                "round": trace.round,
-                "messages_sent": trace.messages_sent,
-                "bits_sent": trace.bits_sent,
-                "messages_omitted": trace.messages_omitted,
-                "newly_corrupted": list(trace.newly_corrupted),
-                "newly_decided": list(trace.newly_decided),
-                "state_sample": {
-                    str(pid): snapshot
-                    for pid, snapshot in trace.state_sample.items()
-                },
-            }
-            for trace in recorder.rounds
-        ],
-    }
 
 
 def save_result(result: ExecutionResult, path: str | Path) -> None:

@@ -39,7 +39,12 @@ def test_run_rejects_inputs_outside_mixed_0_1(inputs, capsys):
         ["campaign", "status", "--adversaries", "bogus"],
         ["campaign", "status", "--capture", "bogus"],
         ["campaign", "run", "--adversaries", "none,"],
+        ["campaign", "run", "--jobs", "0"],
         ["run", "--n", "0"],
+        # The engine's 0 <= t < n and Algorithm 1's t < n/30, before round 0.
+        ["run", "--n", "16", "--t", "-1"],
+        ["run", "--n", "16", "--t", "5"],
+        ["run", "--n", "16", "--protocol", "dolev-strong", "--t", "16"],
     ],
     ids=" ".join,
 )
@@ -72,6 +77,19 @@ def test_run_json_output(capsys):
     assert payload["decision"] in (0, 1)
     assert payload["time_to_agreement"] > 0
     assert payload["n"] == 33
+    report = payload["report"]
+    assert report["metrics"] == payload["metrics"]
+    assert set(report["seconds"]) == {
+        "compute", "adversary", "delivery", "overhead", "wall"
+    }
+
+
+def test_run_prints_one_phases_line(capsys):
+    assert main(["run", "--n", "16", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    phases = [line for line in lines if line.startswith("phases (s)")]
+    assert len(phases) == 1
+    assert "compute=" in phases[0] and "wall=" in phases[0]
 
 
 def test_campaign_run_subcommand(tmp_path, capsys):

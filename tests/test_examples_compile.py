@@ -2,8 +2,9 @@
 
 Full example runs take minutes (they execute many consensus instances), so
 CI-speed coverage is: byte-compile each script and verify every module it
-imports from ``repro`` resolves.  The quickstart is the exception — it is
-the first thing a reader runs, so it executes end-to-end here.
+imports from ``repro`` resolves.  The quickstart (the first thing a reader
+runs) and the trace-inspection forensics (under a second) are the
+exceptions: both execute end-to-end here.
 """
 
 import ast
@@ -63,6 +64,25 @@ def test_quickstart_executes(capsys):
     out = capsys.readouterr().out
     assert "decision             : 0" in out
     assert "decision=1, random bits=0" in out
+
+
+def test_trace_inspection_executes(capsys):
+    """The forensics example reads one run's report: the adversary struck,
+    the operative population only shrank, and the run decided."""
+    runpy.run_path(
+        str(EXAMPLES_DIR / "trace_inspection.py"), run_name="__main__"
+    )
+    out = capsys.readouterr().out
+    timeline = out.split("adversary timeline:\n")[1].split("total omissions")[0]
+    assert "corrupted process" in timeline
+    counts = [
+        int(line.split(":")[1].split()[0])
+        for line in out.splitlines()
+        if line.endswith(" operative")
+    ]
+    assert counts and counts == sorted(counts, reverse=True)
+    assert "n=96, t=3: decided " in out
+    assert "processes decided in total" in out
 
 
 def test_every_example_has_a_main():

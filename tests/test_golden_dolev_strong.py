@@ -25,7 +25,7 @@ from repro.adversary import (
     StaticCrashAdversary,
 )
 from repro.harness import execute
-from repro.runtime import RoundObserver, TraceRecorder
+from repro.runtime import RoundObserver
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden-dolev-strong.json"
 
@@ -50,6 +50,43 @@ class FlatCopyRecorder(RoundObserver):
 
     def on_deliveries(self, round_no, delivered, lost, network):
         self.delivered.append([(m.sender, m.recipient) for m in delivered])
+
+
+class RoundRecorder(RoundObserver):
+    """Per round: traffic and omissions (from the run report), the newly
+    corrupted and newly decided pids, and each process's public
+    ``b`` / ``operative`` / ``decided`` / ``epoch`` / ``phase`` state."""
+
+    KEYS = ("b", "operative", "decided", "epoch", "phase")
+
+    def __init__(self):
+        self.rounds = []
+        self.decided = set()
+
+    def on_round_end(self, round_no, network):
+        report, metrics = network.report, network.metrics
+        newly_decided = tuple(
+            env.pid for env in network.envs
+            if env.has_decided and env.pid not in self.decided
+        )
+        self.decided.update(newly_decided)
+        sample = {}
+        for process in network.processes:
+            state = {k: getattr(process, k) for k in self.KEYS if hasattr(process, k)}
+            if state:
+                sample[process.pid] = state
+        self.rounds.append((
+            round_no,
+            metrics.messages_per_round[round_no],
+            metrics.bits_per_round[round_no],
+            report.omitted_per_round[round_no],
+            tuple(sorted(
+                pid for pid, first in report.corruption_rounds.items()
+                if first == round_no
+            )),
+            newly_decided,
+            sorted(sample.items()),
+        ))
 
 
 ADVERSARIES = {
@@ -84,7 +121,7 @@ for _n, _t, _adversary in (
 
 def fingerprint(name):
     protocol, n, t, adversary, model, options = CASES[name]
-    copies, trace = FlatCopyRecorder(), TraceRecorder()
+    copies, trace = FlatCopyRecorder(), RoundRecorder()
     run = execute(
         protocol,
         [pid % 2 for pid in range(n)],
@@ -101,13 +138,7 @@ def fingerprint(name):
         "decision_rounds": _digest(sorted(result.decision_rounds.items())),
         "faulty": sorted(result.faulty),
         "metrics": result.metrics.summary(),
-        "trace": _digest(
-            [
-                (r.round, r.messages_sent, r.bits_sent, r.messages_omitted,
-                 r.newly_corrupted, r.newly_decided, sorted(r.state_sample.items()))
-                for r in trace.rounds
-            ]
-        ),
+        "trace": _digest(trace.rounds),
         "sent_per_round": [_digest(flat) for flat in copies.sent],
         "delivered_per_round": [_digest(flat) for flat in copies.delivered],
     }

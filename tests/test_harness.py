@@ -26,8 +26,7 @@ from repro.core import (
 from repro.harness import (
     ExecutionConfig,
     ProtocolSpec,
-    RoundProfiler,
-    TraceRecorder,
+    RoundObserver,
     available_protocols,
     execute,
     protocol_spec,
@@ -105,14 +104,18 @@ def test_execute_matches_legacy_wrapper_exactly():
 
 
 def test_execute_threads_observers():
-    recorder = TraceRecorder(probe=None)
-    profiler = RoundProfiler()
+    class RoundCount(RoundObserver):
+        rounds = 0
+
+        def on_round_end(self, round_no, network):
+            self.rounds += 1
+
+    first, second = RoundCount(), RoundCount()
     run = execute(
-        "phase-king", mixed(16), t=2, seed=1,
-        observers=(recorder, profiler),
+        "phase-king", mixed(16), t=2, seed=1, observers=(first, second),
     )
-    assert len(recorder.rounds) == run.metrics.rounds
-    assert profiler.rounds == run.metrics.rounds
+    assert first.rounds == second.rounds == run.metrics.rounds
+    assert len(run.result.report.omitted_per_round) == run.metrics.rounds
 
 
 def test_execute_options_mapping_and_kwargs_merge():
@@ -316,47 +319,6 @@ def test_campaign_runs_trb_cells():
 def test_campaign_rejects_non_sweepable_protocol():
     with pytest.raises(ValueError, match="unknown protocol"):
         CampaignSpec(name="x", protocol="collectors")
-
-
-def test_campaign_capture_channels():
-    spec = CampaignSpec(
-        name="harness-capture",
-        protocol="ben-or",
-        ns=[16],
-        adversaries=["silence"],
-        seeds=[0],
-        capture=["trace", "profile"],
-    )
-    record = run_campaign(spec)[0]
-    trace = record["trace"]
-    assert trace["corruption_rounds"] == {"0": 0, "1": 0}
-    assert trace["total_omissions"] > 0
-    assert set(trace["decision_rounds"]) == {str(pid) for pid in range(16)}
-    assert set(record["profile"]) == {
-        "rounds", "wall_time", "compute", "adversary", "delivery", "overhead"
-    }
-    assert record["profile"]["rounds"] >= record["rounds"]
-    json.dumps(record)  # capture payloads stay JSON-safe
-
-
-def test_capture_is_not_part_of_cell_identity():
-    base = CampaignSpec(
-        name="harness-resume", protocol="ben-or", ns=[16],
-        adversaries=["none"], seeds=[0],
-    )
-    records = run_campaign(base)
-    with_capture = CampaignSpec(
-        name="harness-resume", protocol="ben-or", ns=[16],
-        adversaries=["none"], seeds=[0], capture=["profile"],
-    )
-    resumed = run_campaign(with_capture, resume=records)
-    # The plain record satisfied the cell, so nothing was re-run.
-    assert resumed == records
-
-
-def test_campaign_rejects_unknown_capture():
-    with pytest.raises(ValueError, match="unknown capture"):
-        CampaignSpec(name="x", capture=["flamegraph"])
 
 
 # ---------------------------------------------------------------------------

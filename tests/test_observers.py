@@ -1,10 +1,12 @@
-"""The observer bus: hook order, neutrality, and the built-in observers.
+"""The observer bus: hook order, neutrality, and the engine's run report.
 
 The load-bearing property is *neutrality*: attaching any observer must not
 change the execution.  Decisions, rounds, the faulty set, per-process
 randomness, and every Metrics counter (including the per-round series)
 must be identical to an unobserved run — checked here for Algorithm 1 and
-for the Ben-Or baseline, both under an omitting adversary.
+for the Ben-Or baseline, both under an omitting adversary.  The engine's
+own :class:`RunReport` is deterministic too: apart from ``seconds`` it is
+the same across transports, round models and attached observers.
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ import json
 
 import pytest
 
-from repro.adversary import SilenceAdversary
+from repro.adversary import SilenceAdversary, VoteBalancingAdversary
 from repro.baselines import run_ben_or
 from repro.core import run_consensus
+from repro.harness import execute
+from repro.replay import record
 from repro.runtime import (
     RoundObserver,
-    RoundProfiler,
+    RunReport,
     SyncNetwork,
-    TraceRecorder,
     result_to_dict,
 )
 from repro.runtime.process import SyncProcess, receive_round
@@ -167,9 +170,8 @@ def _ben_or_run(observers=()):
                          ids=["algorithm1", "ben-or"])
 def test_observers_are_neutral(runner):
     baseline = runner()
-    recorder = TraceRecorder()
-    profiler = RoundProfiler()
-    observed = runner(observers=(recorder, profiler, HookLog()))
+    log = HookLog()
+    observed = runner(observers=(log,))
 
     assert _run_fingerprint(observed) == _run_fingerprint(baseline)
     assert observed.result.decisions == baseline.result.decisions
@@ -185,37 +187,88 @@ def test_observers_are_neutral(runner):
     )
     assert observed.result.faulty == baseline.result.faulty
 
-    # The observers actually observed something.
-    assert len(recorder.rounds) == baseline.metrics.rounds
-    assert recorder.total_omissions() == baseline.metrics.messages_omitted
-    assert profiler.rounds == baseline.metrics.rounds
+    # The observer actually observed something.
+    ends = [call for call in log.calls if call[0] == "round_end"]
+    assert len(ends) == baseline.metrics.rounds
 
 
 # ---------------------------------------------------------------------------
-# RoundProfiler internals.
+# The run report.
 def test_profiler_accumulates_phases():
-    profiler = RoundProfiler()
-    network = SyncNetwork(
-        [PingPong(pid, 4) for pid in range(4)], observers=[profiler]
-    )
+    """The report's ``seconds`` is the engine's phase profile."""
+    network = SyncNetwork([PingPong(pid, 4) for pid in range(4)])
     result = network.run()
 
-    assert profiler.rounds == result.metrics.rounds
-    for value in (profiler.compute, profiler.adversary, profiler.delivery,
-                  profiler.overhead):
-        assert value >= 0.0
-    assert profiler.wall_time >= (
-        profiler.compute + profiler.adversary + profiler.delivery
+    report = result.report
+    assert isinstance(report, RunReport)
+    assert report is network.report is network.observers[0]
+    assert list(report.seconds) == [
+        "compute", "adversary", "delivery", "overhead", "wall"
+    ]
+    assert all(value >= 0.0 for value in report.seconds.values())
+    seconds = report.seconds
+    assert seconds["compute"] + seconds["adversary"] + seconds["delivery"] <= (
+        seconds["wall"]
     )
-    summary = profiler.summary()
-    assert summary["rounds"] == profiler.rounds
-    assert set(summary) == {
-        "rounds", "wall_time", "compute", "adversary", "delivery", "overhead"
-    }
+
+
+def _deterministic(report):
+    payload = report.to_dict()
+    del payload["seconds"]
+    return payload
+
+
+def test_report_is_deterministic_and_passive():
+    def algorithm1(**kwargs):
+        return execute(
+            "algorithm1", [pid % 2 for pid in range(16)], seed=3,
+            model="lockstep", **kwargs
+        ).result
+
+    reference = algorithm1()
+    payload = _deterministic(reference.report)
+    # The same account over real worker processes, under the other round
+    # model, and with a user observer on the bus.
+    assert _deterministic(algorithm1(transport="tcp").report) == payload
+    partial = execute(
+        "algorithm1", [pid % 2 for pid in range(16)], seed=3,
+        model="partial-synchrony",
+    ).result
+    assert _deterministic(partial.report) == payload
+    assert _deterministic(algorithm1(observers=[HookLog()]).report) == payload
+    # It is not part of the result's identity or its JSON.
+    assert "report" not in result_to_dict(reference)
+    json.dumps(reference.report.to_dict())
+
+    # Against the run's other accounts, on a run the adversary works on.
+    n, t = 64, 2
+    recorded = record(
+        "algorithm1", [pid % 2 for pid in range(n)], t=t,
+        adversary=VoteBalancingAdversary(seed=1), seed=4, model="lockstep",
+    )
+    report = recorded.run.result.report
+    metrics = recorded.run.metrics
+    assert sum(report.omitted_per_round) == metrics.messages_omitted > 0
+    assert len(report.omitted_per_round) == metrics.rounds
+    first_corrupted = {}
+    for action in recorded.recipe.actions:
+        for pid in action.corrupt:
+            first_corrupted.setdefault(pid, action.round)
+    assert report.corruption_rounds == first_corrupted
+    assert first_corrupted
+    assert report.decision_rounds == recorded.run.result.decision_rounds
+    seconds = report.seconds
+    assert seconds["compute"] + seconds["adversary"] + seconds["delivery"] <= (
+        seconds["wall"]
+    )
+    assert seconds["overhead"] == pytest.approx(
+        seconds["wall"]
+        - seconds["compute"] - seconds["adversary"] - seconds["delivery"]
+    )
 
 
 def test_metrics_series_visible_from_round_end():
-    """MetricsObserver runs first, so user hooks read current series."""
+    """The report runs first, so user hooks read current series."""
 
     class SeriesCheck(RoundObserver):
         def __init__(self) -> None:

@@ -24,7 +24,6 @@ from repro.runtime import (
     Adversary,
     MessageBatch,
     NetworkView,
-    RoundProfiler,
     SyncNetwork,
 )
 
@@ -64,8 +63,9 @@ REMOVED_CALLS = {
     "MessageBatch.indices_by_sender()": (
         AttributeError, lambda: MessageBatch([]).indices_by_sender()
     ),
-    "RoundProfiler(per_round=)": (
-        TypeError, lambda: RoundProfiler(per_round=True)
+    # The run report is always on; a campaign has no observer channels.
+    "CampaignSpec(capture=)": (
+        TypeError, lambda: CampaignSpec("removed", capture=["trace"])
     ),
     "NetworkView(round_no=)": (
         TypeError,
@@ -88,7 +88,7 @@ def test_removed_call_shape_raises(surface):
 
 
 # Whole packages that are gone: none of their names can be imported.
-REMOVED_PACKAGES = frozenset({"repro.lint"})
+REMOVED_PACKAGES = frozenset({"repro.lint", "repro.runtime.trace"})
 
 
 @pytest.mark.parametrize(
@@ -118,6 +118,7 @@ REMOVED_PACKAGES = frozenset({"repro.lint"})
         ("repro.lint", "Project"),
         ("repro.lint", "register_rule"),
         ("repro.lint", "rule_for"),
+        ("repro.runtime.trace", "TraceRecorder"),
         # One socket discipline: blocking sockets at both ends of a link.
         ("repro.transport", "AsyncioTcpTransport"),
         ("repro.transport", "LinkMetricsObserver"),
@@ -157,6 +158,16 @@ REMOVED_PACKAGES = frozenset({"repro.lint"})
         ("repro.analysis.report", "run_full_report"),
         ("repro.analysis.report", "render_markdown"),
         ("repro.analysis.report", "main"),
+        # One account of a run: the engine's RunReport.
+        *(
+            (module, name)
+            for module in ("repro.runtime", "repro.harness")
+            for name in (
+                "MetricsObserver", "RoundProfiler", "TraceRecorder",
+                "RoundTrace", "trace_to_dict", "default_state_probe",
+            )
+        ),
+        ("repro.analysis.campaign", "CAPTURES"),
     ],
 )
 def test_removed_name_is_not_importable(module, name):
@@ -240,6 +251,22 @@ def test_cli_multi_host_flag_is_gone(flag, capsys):
         main(["campaign", "run", *flag])
     assert exit_info.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["campaign", "run", "--capture", "trace"], ["run", "--profile"]],
+    ids=" ".join,
+)
+def test_cli_observer_flag_is_gone(argv, capsys):
+    """``run`` always prints the report's phases; cells keep no capture."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    flag = next(arg for arg in argv if arg.startswith("--"))
+    assert flag in capsys.readouterr().err
 
 
 def test_engine_is_constructed_at_the_front_door_and_three_fixtures():

@@ -1,4 +1,4 @@
-"""Tests for JSON serialization of results and traces."""
+"""Tests for JSON serialization of results and run reports."""
 
 import json
 
@@ -7,15 +7,14 @@ import pytest
 from repro.adversary import SilenceAdversary
 from repro.core import build_processes, run_consensus
 from repro.runtime import (
+    SCHEMA_VERSION,
     SyncNetwork,
-    TraceRecorder,
     load_result,
     metrics_from_dict,
     metrics_to_dict,
     result_from_dict,
     result_to_dict,
     save_result,
-    trace_to_dict,
 )
 
 
@@ -129,17 +128,21 @@ class TestRecipeSerialization:
             recipe_from_payload(result_to_dict(sample_result()))
 
 
-class TestTraceSerialization:
-    def test_trace_to_dict_json_safe(self):
+class TestReportSerialization:
+    def test_report_to_dict_json_safe(self):
         processes = build_processes([1] * 33, t=1)
-        recorder = TraceRecorder(sample_every=4)
-        network = recorder.attach(
-            SyncNetwork(processes, adversary=SilenceAdversary([0]), t=1, seed=2)
+        network = SyncNetwork(
+            processes, adversary=SilenceAdversary([0]), t=1, seed=2
         )
-        network.run()
-        data = trace_to_dict(recorder)
-        payload = json.dumps(data)
-        assert "newly_corrupted" in payload
-        assert len(data["rounds"]) == len(recorder.rounds)
-        first = data["rounds"][0]
-        assert first["newly_corrupted"] == [0]
+        result = network.run()
+        data = json.loads(json.dumps(result.report.to_dict()))
+        assert data["schema"] == SCHEMA_VERSION
+        assert data["metrics"] == metrics_to_dict(result.metrics)
+        assert data["corruption_rounds"] == {"0": 0}
+        assert len(data["omitted_per_round"]) == result.rounds
+        assert set(data["seconds"]) == {
+            "compute", "adversary", "delivery", "overhead", "wall"
+        }
+        # The result's own JSON does not carry the report.
+        assert "report" not in result_to_dict(result)
+        assert result_from_dict(result_to_dict(result)).report is None

@@ -1,94 +1,73 @@
-"""Tests for the structured execution tracer."""
-
-import pytest
+"""The run report's round-by-round record: traffic, omissions, corruptions,
+decisions."""
 
 from repro.adversary import SilenceAdversary, StaticCrashAdversary
 from repro.core import build_processes
-from repro.runtime import SyncNetwork, TraceRecorder
+from repro.runtime import RoundObserver, SyncNetwork
 
 
-def traced_run(n=64, adversary=None, t=0, seed=1, sample_every=1):
+class OperativeCount(RoundObserver):
+    """(round, #operative processes) at the end of every round."""
+
+    def __init__(self):
+        self.series = []
+
+    def on_round_end(self, round_no, network):
+        operative = sum(p.state.operative for p in network.processes)
+        self.series.append((round_no, operative))
+
+
+def traced_run(n=64, adversary=None, t=0, seed=1, observers=()):
     processes = build_processes([pid % 2 for pid in range(n)], t=t)
-    recorder = TraceRecorder(sample_every=sample_every)
-    network = recorder.attach(
-        SyncNetwork(processes, adversary=adversary, t=t, seed=seed)
+    network = SyncNetwork(
+        processes, adversary=adversary, t=t, seed=seed, observers=observers
     )
     result = network.run()
-    return recorder, result
+    return result.report, result
 
 
 class TestRoundTraces:
     def test_one_trace_per_round(self):
-        recorder, result = traced_run()
-        assert len(recorder.rounds) == result.metrics.rounds
-        assert [trace.round for trace in recorder.rounds] == list(
-            range(result.metrics.rounds)
-        )
+        report, result = traced_run()
+        assert len(report.omitted_per_round) == result.metrics.rounds
 
     def test_traffic_matches_metrics(self):
-        recorder, result = traced_run()
-        assert [t.messages_sent for t in recorder.rounds] == (
+        report, result = traced_run()
+        assert report.metrics is result.metrics
+        assert sum(result.metrics.bits_per_round) == result.metrics.bits_sent
+        assert report.to_dict()["metrics"]["messages_per_round"] == (
             result.metrics.messages_per_round
-        )
-        assert sum(t.bits_sent for t in recorder.rounds) == (
-            result.metrics.bits_sent
         )
 
     def test_corruption_rounds_recorded(self):
-        recorder, result = traced_run(
+        report, result = traced_run(
             adversary=StaticCrashAdversary({4: [0], 9: [1]}), t=2
         )
-        schedule = recorder.corruption_rounds()
-        assert schedule == {0: 4, 1: 9}
+        assert report.corruption_rounds == {0: 4, 1: 9}
+        assert report.to_dict()["corruption_rounds"] == {"0": 4, "1": 9}
 
     def test_omissions_counted(self):
-        recorder, result = traced_run(adversary=SilenceAdversary([0]), t=1)
-        assert recorder.total_omissions() == result.metrics.messages_omitted
-        assert recorder.total_omissions() > 0
+        report, result = traced_run(adversary=SilenceAdversary([0]), t=1)
+        assert sum(report.omitted_per_round) == result.metrics.messages_omitted
+        assert sum(report.omitted_per_round) > 0
 
     def test_decision_rounds_subset_of_result(self):
-        """The trace sees every decision made before the terminal
-        local-computation phase; the engine's map is the superset."""
-        recorder, result = traced_run()
-        observed = recorder.decision_rounds()
-        for pid, round_no in observed.items():
-            assert result.decision_rounds[pid] == round_no
+        """The report keeps the engine's complete map, terminal
+        local-computation phase included."""
+        report, result = traced_run()
+        assert report.decision_rounds == result.decision_rounds
+        assert len(report.decision_rounds) == result.n
 
     def test_decision_rounds_observed_for_staggered_deciders(self):
-        """With silenced processes the inoperative waiters decide in a
-        later communication round, which the trace does capture."""
-        recorder, result = traced_run(adversary=SilenceAdversary([0]), t=1)
-        observed = recorder.decision_rounds()
-        assert observed  # at least the early deciders are visible
-        for pid, round_no in observed.items():
-            assert result.decision_rounds[pid] == round_no
-
-    def test_sampling_interval(self):
-        recorder, _ = traced_run(sample_every=10)
-        sampled = [t.round for t in recorder.rounds if t.state_sample]
-        assert sampled
-        assert all(round_no % 10 == 0 for round_no in sampled)
+        """Under silence the report holds every correct decider and
+        nothing for a faulty process the result does not list."""
+        report, result = traced_run(adversary=SilenceAdversary([0]), t=1)
+        assert report.decision_rounds == result.decision_rounds
+        assert set(range(1, result.n)) <= set(report.decision_rounds)
 
     def test_operative_series_monotone_down(self):
-        recorder, _ = traced_run(adversary=SilenceAdversary([0, 1]), t=2)
-        series = [count for _, count in recorder.operative_series()]
+        counter = OperativeCount()
+        traced_run(adversary=SilenceAdversary([0, 1]), t=2, observers=[counter])
+        series = [count for _, count in counter.series]
         assert series
         assert all(a >= b for a, b in zip(series, series[1:]))
-
-    def test_state_sample_contains_protocol_fields(self):
-        recorder, _ = traced_run()
-        sample = recorder.rounds[0].state_sample
-        assert sample
-        snapshot = sample[0]
-        assert {"b", "operative", "decided", "epoch"} <= set(snapshot)
-
-    def test_invalid_sampling_rejected(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(sample_every=0)
-
-    def test_probe_none_skips_sampling(self):
-        processes = build_processes([1] * 16, t=0)
-        recorder = TraceRecorder(probe=None)
-        network = recorder.attach(SyncNetwork(processes, seed=2))
-        network.run()
-        assert all(not trace.state_sample for trace in recorder.rounds)
