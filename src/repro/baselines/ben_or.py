@@ -21,7 +21,6 @@ Two roles in this repository:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 
 from ..runtime import (
@@ -34,6 +33,9 @@ from ..runtime import (
 
 TAG_VOTE = 7
 TAG_DECIDE = 8
+
+#: The two votes, one shared payload object each.
+_VOTES = ((TAG_VOTE, 0), (TAG_VOTE, 1))
 
 
 class BenOrVotingProcess(SyncProcess):
@@ -84,33 +86,31 @@ class BenOrVotingProcess(SyncProcess):
         decided_value: int | None = None
         for phase in range(self.max_phases):
             self.phase = phase
-            env.broadcast((TAG_VOTE, self.b))
+            # A ``bool`` bit keeps its own tuple: it sizes a bit under 1.
+            env.broadcast(
+                _VOTES[self.b] if type(self.b) is int else (TAG_VOTE, self.b)
+            )
             inbox = yield
 
-            # Tally by value: n - 1 copies hold 2-4 distinct payloads.
+            # Tally by value: the n - 1 copies are the two module votes
+            # (or values equal to them), so two C-level counts; only an
+            # inbox they do not cover is scanned, for its last DECIDE copy
+            # in sender order (two values can coexist after the cut-off).
             payloads = inbox_payloads(inbox)
-            try:
-                tally = Counter(payloads).items()
-            except TypeError:  # an unhashable (malformed) payload: copy by copy
-                tally = [(payload, 1) for payload in payloads]
+            votes_one = payloads.count(_VOTES[1])
+            votes = votes_one + payloads.count(_VOTES[0])
+            ones = self.b + votes_one
+            total = 1 + votes
             adopted: int | None = None
-            decides = []
-            ones = self.b
-            total = 1
-            for payload, copies in tally:
-                if not isinstance(payload, tuple) or len(payload) != 2:
-                    continue
-                tag, value = payload
-                if tag == TAG_DECIDE:
-                    decides.append(payload)
-                elif tag == TAG_VOTE:
-                    total += copies
-                    ones += value * copies
-            if decides:
-                # The last DECIDE copy in sender order wins: two values can
-                # coexist after the phase-budget cut-off, and the tally is
-                # first-seen-ordered where the inbox is not.
-                adopted = next(p for p in reversed(payloads) if p in decides)[1]
+            if votes != len(payloads):
+                for payload in reversed(payloads):
+                    if (
+                        isinstance(payload, tuple)
+                        and len(payload) == 2
+                        and payload[0] == TAG_DECIDE
+                    ):
+                        adopted = payload[1]
+                        break
             if adopted is not None:
                 decided_value = adopted
                 break

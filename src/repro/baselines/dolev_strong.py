@@ -28,9 +28,10 @@ low-probability fallback branch of Algorithms 1 and 4.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
-from ..runtime import Message, ProcessEnv, Program, SyncProcess
+from ..runtime import ProcessEnv, Program, SyncProcess, inbox_payloads, inbox_senders
 
 TAG_DS = 5
 
@@ -42,7 +43,9 @@ def _valid_record(
     record: Any, round_index: int, sender: int, receiver: int, n: int
 ) -> bool:
     """Check the chain discipline for a record received in ``round_index``:
-    the source and every relayer must be a pid (an ``int`` in ``range(n)``)."""
+    the source and every relayer must be a pid (an ``int`` in ``range(n)``).
+    Cheapest test first; the duplicate test last, once every relayer is a
+    hashable int, and only for chains that can hold a duplicate."""
     if not (isinstance(record, tuple) and len(record) == 3):
         return False
     source, value, chain = record
@@ -50,13 +53,12 @@ def _valid_record(
         return False
     if not isinstance(chain, tuple) or len(chain) != round_index:
         return False
-    if not all(type(pid) is int and 0 <= pid < n for pid in chain):
+    if chain[0] != source or chain[-1] != sender or receiver in chain:
         return False
-    if len(set(chain)) != len(chain):
-        return False
-    if chain[0] != source or chain[-1] != sender:
-        return False
-    return receiver not in chain
+    for pid in chain:
+        if type(pid) is not int or not 0 <= pid < n:
+            return False
+    return round_index == 1 or len(set(chain)) == round_index
 
 
 def dolev_strong_consensus(
@@ -82,26 +84,34 @@ def dolev_strong_consensus(
         if participating and pending:
             env.broadcast((TAG_DS, tuple(pending)))
         pending = []
-        inbox: list[Message] = yield
+        inbox = yield
         if not participating:
             continue
-        for message in inbox:
+        for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
             if len(accepted) == n:
                 break  # sources are pids, so every one is held already
-            payload = message.payload
             if not (
                 isinstance(payload, tuple)
                 and len(payload) == 2
                 and payload[0] == TAG_DS
             ):
                 continue
-            for record in payload[1]:
+            records = payload[1]
+            if round_index > 1:
+                # A relay pack of held sources changes nothing below (a
+                # source is only ever accepted as an int): skip it in C.
+                try:
+                    if all(map(accepted.__contains__, map(itemgetter(0), records))):
+                        continue
+                except (TypeError, IndexError, KeyError):
+                    pass  # a malformed record: the walk below skips it
+            for record in records:
                 # A held source is dropped whatever its chain says: look it
                 # up first, walk the chain only for sources not yet held.
                 shaped = isinstance(record, tuple) and len(record) == 3
                 if shaped and type(record[0]) is int and record[0] in accepted:
                     continue
-                if not _valid_record(record, round_index, message.sender, pid, n):
+                if not _valid_record(record, round_index, sender, pid, n):
                     continue
                 source, value, chain = record
                 accepted[source] = value

@@ -38,6 +38,8 @@ from ..runtime import (
     ProcessEnv,
     Program,
     SyncProcess,
+    inbox_payloads,
+    inbox_senders,
 )
 
 TAG_REQUEST = 14
@@ -71,26 +73,18 @@ class DoublingCollector(SyncProcess):
         self.satisfied = False
 
     def _answer_requests(self, env: ProcessEnv, inbox: list[Message]) -> None:
-        for message in inbox:
-            if (
-                isinstance(message.payload, tuple)
-                and message.payload
-                and message.payload[0] == TAG_REQUEST
-            ):
+        for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
+            if isinstance(payload, tuple) and payload and payload[0] == TAG_REQUEST:
                 self.responses_sent += 1
-                self.responses_by_requester[message.sender] = (
-                    self.responses_by_requester.get(message.sender, 0) + 1
+                self.responses_by_requester[sender] = (
+                    self.responses_by_requester.get(sender, 0) + 1
                 )
-                env.send(message.sender, (TAG_RESPONSE, self.pid))
+                env.send(sender, (TAG_RESPONSE, self.pid))
 
     def _collect_responses(self, inbox: list[Message]) -> None:
-        for message in inbox:
-            if (
-                isinstance(message.payload, tuple)
-                and message.payload
-                and message.payload[0] == TAG_RESPONSE
-            ):
-                self.responses.add(message.sender)
+        for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
+            if isinstance(payload, tuple) and payload and payload[0] == TAG_RESPONSE:
+                self.responses.add(sender)
 
     def program(self, env: ProcessEnv) -> Program:
         targets = [pid for pid in range(self.n) if pid != self.pid]

@@ -37,6 +37,8 @@ from ..runtime import (
     ProcessEnv,
     Program,
     SyncProcess,
+    inbox_payloads,
+    inbox_senders,
 )
 
 TAG_TRB = 19
@@ -99,8 +101,7 @@ class TRBProcess(SyncProcess):
 
             # ---- Accept via valid chains (Dolev-Strong discipline). -------
             quiet_votes = 1 if quiet_next else 0
-            for message in inbox:
-                payload = message.payload
+            for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
                 if not isinstance(payload, tuple) or not payload:
                     continue
                 if payload[0] == TAG_QUIET:
@@ -116,7 +117,7 @@ class TRBProcess(SyncProcess):
                     and len(chain) == round_index
                     and len(set(chain)) == len(chain)
                     and chain[0] == self.sender
-                    and chain[-1] == message.sender
+                    and chain[-1] == sender
                     and self.pid not in chain
                 ):
                     self.accepted = value

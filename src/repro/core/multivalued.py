@@ -146,8 +146,7 @@ class MultiValuedConsensus(SyncProcess):
         # ---- Value exchange. ---------------------------------------------
         env.broadcast((TAG_VALUE, self.input_value))
         inbox = yield
-        for message in inbox:
-            payload = message.payload
+        for payload in inbox_payloads(inbox):
             if (
                 isinstance(payload, tuple)
                 and len(payload) == 2
@@ -182,8 +181,7 @@ class MultiValuedConsensus(SyncProcess):
             if matching:
                 env.broadcast((TAG_WITNESS, matching[0]))
             inbox = yield
-            for message in inbox:
-                payload = message.payload
+            for payload in inbox_payloads(inbox):
                 if (
                     isinstance(payload, tuple)
                     and len(payload) == 2

@@ -40,9 +40,9 @@ class SpreadingState:
 
     neighbors: tuple[int, ...]
     disregarded: set[int] = field(default_factory=set)
-    #: ``(len(disregarded) when built, the live neighbours)``.
-    _live: tuple[int, tuple[int, ...]] = field(
-        default=(-1, ()), init=False, repr=False, compare=False
+    #: ``(len(disregarded) when built, the live neighbours, as a set)``.
+    _live: tuple[int, tuple[int, ...], frozenset[int]] = field(
+        default=(-1, (), frozenset()), init=False, repr=False, compare=False
     )
 
     def live_neighbors(self) -> tuple[int, ...]:
@@ -50,8 +50,13 @@ class SpreadingState:
         only once ``disregarded`` has grown."""
         if self._live[0] != len(self.disregarded):
             live = tuple([v for v in self.neighbors if v not in self.disregarded])
-            self._live = (len(self.disregarded), live)
+            self._live = (len(self.disregarded), live, frozenset(live))
         return self._live[1]
+
+    def live_set(self) -> frozenset[int]:
+        """:meth:`live_neighbors` as a set, cached with it."""
+        self.live_neighbors()
+        return self._live[2]
 
 
 @dataclass
@@ -85,7 +90,7 @@ def group_bits_spreading(
     triples[my_group] = mine = (my_group, *my_counts)
     cost[my_group] = payload_bits(mine) + 1
     live = state.live_neighbors()
-    live_set = frozenset(live)
+    live_set = state.live_set()
     # Per-link queues of slots not yet exchanged on that link, one bitmask
     # over the group slots each (each slot crosses each link at most once),
     # kept only for live links that are owed something.
@@ -146,7 +151,7 @@ def group_bits_spreading(
             # A link went silent: never use it again.
             state.disregarded.update(v for v in live if v not in heard)
             live = state.live_neighbors()
-            live_set = frozenset(live)
+            live_set = state.live_set()
         if len(heard) < degree_threshold:
             operative = False
 

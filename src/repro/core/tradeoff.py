@@ -38,6 +38,7 @@ from ..runtime import (
     idle_rounds,
     inbox_payloads,
     inbox_senders,
+    payload_bits,
 )
 from .consensus import (
     ConsensusRun,
@@ -52,6 +53,12 @@ from .spreading import SpreadingState
 
 TAG_FLOOD = 11
 TAG_SAFETY = 12
+
+#: One shared, presized flood payload per in-model value.
+_FLOODS = {
+    value: ((TAG_FLOOD, value), payload_bits((TAG_FLOOD, value)))
+    for value in (None, 0, 1)
+}
 
 
 def super_partition(n: int, x: int) -> tuple[tuple[int, ...], ...]:
@@ -90,23 +97,34 @@ def _flood_decision(
     operative = True
     for _ in range(rounds):
         if operative:
-            live = state.live_neighbors()
-            env.send_many(live, (TAG_FLOOD, value))
+            live, live_set = state.live_neighbors(), state.live_set()
+            flood = _FLOODS.get(value) if value is None or type(value) is int else None
+            if flood is None:  # its own tuple: a ``bool`` sizes a bit under 1
+                flood = ((TAG_FLOOD, value), None)
+            env.send_many(live, *flood)
             inbox = yield
-            heard: set[int] = set()
-            for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
-                if sender in state.disregarded:
-                    continue
-                if not (
-                    isinstance(payload, tuple)
-                    and len(payload) == 2
-                    and payload[0] == TAG_FLOOD
-                ):
-                    continue
-                heard.add(sender)
-                if value is None and payload[1] is not None:
-                    value = payload[1]
-            state.disregarded |= set(live) - heard
+            senders, payloads = inbox_senders(inbox), inbox_payloads(inbox)
+            if payloads.count(flood[0]) == len(payloads):
+                # Every copy repeats this process's value: nothing to adopt.
+                heard = live_set.intersection(senders)
+            else:
+                heard = set()
+                for sender, payload in zip(senders, payloads):
+                    # Undirected graph: a live sender is a neighbour whose
+                    # link was not disregarded.
+                    if sender not in live_set:
+                        continue
+                    if not (
+                        isinstance(payload, tuple)
+                        and len(payload) == 2
+                        and payload[0] == TAG_FLOOD
+                    ):
+                        continue
+                    heard.add(sender)
+                    if value is None and payload[1] is not None:
+                        value = payload[1]
+            if len(heard) != len(live):
+                state.disregarded.update(v for v in live if v not in heard)
             if len(heard) < degree_threshold:
                 operative = False
         else:

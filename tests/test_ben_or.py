@@ -128,11 +128,13 @@ class TestReceiveTally:
         assert [record.payload for record in outbox] == [(TAG_DECIDE, 0)]
 
     def test_malformed_payloads_are_skipped_not_raised(self):
-        """An unhashable list and a 3-tuple are not votes: counted as two
-        votes for 1 the margin would be 0 (a coin flip), skipped it is -1
-        and the process decides 0 on the spot."""
+        """An unhashable list, a 3-tuple and an out-of-model value are not
+        votes.  Counted as votes for 1 the first two would make the margin
+        0 (a coin flip); counted as a vote for 2 the last alone would make
+        it +0.5.  Skipped it is -1 and the process decides 0 on the
+        spot."""
         process, outbox = self.first_phase(
-            0, [[TAG_VOTE, 1], (TAG_VOTE, 1, 1), (TAG_VOTE, 0)]
+            0, [[TAG_VOTE, 1], (TAG_VOTE, 1, 1), (TAG_VOTE, 0), (TAG_VOTE, 2)]
         )
         assert process.decided and process.b == 0
         assert [record.payload for record in outbox] == [(TAG_DECIDE, 0)]

@@ -70,6 +70,10 @@ class TestChainValidation:
         assert _valid_record((3, 1, (3, 2, 5)), 3, sender=5, receiver=0, n=8)
 
 
+#: Records no chain check accepts, each with source 0 where it has one.
+JUNK = ((0, 1), (0, 7, "x"), (0,), 0, "junk", None, ([0], 1, ([0],)))
+
+
 def drive(pid, n, t, input_bit, inboxes):
     """Hand-feed one participant ``t + 1`` inboxes; returns its decision."""
     env = ProcessEnv(pid, n, CountingRandom(0))
@@ -91,10 +95,21 @@ class TestReceiveLoop:
         assert drive(0, 16, 3, 0, inboxes) == 0
 
     def test_malformed_record_with_an_accepted_source_is_skipped(self):
-        junk = ((0, 1), (0, 7, "x"), (0,), 0, "junk", None, ([0], 1, ([0],)))
         good = (3, 1, (3,))
-        inboxes = [[Message(3, 0, (TAG_DS, junk + (good,)))], []]
+        inboxes = [[Message(3, 0, (TAG_DS, JUNK + (good,)))], []]
         assert drive(0, 4, 1, 1, inboxes) == 1
+
+    @pytest.mark.parametrize("junk", [(0, 1, (0, 1)), *JUNK], ids=repr)
+    def test_round_two_junk_crosses_the_held_pack_skip(self, junk):
+        """From round 2 a pack is first checked for all-held sources.
+        Junk there either raises, and the pack is walked, or reads as held
+        or not held; the good relay beside it is accepted all the same (0
+        against 1 is a tie, and ties go to 1).  A pack of held-source junk
+        alone is skipped."""
+        good = (2, 1, (2, 3))
+        held = (TAG_DS, ((0, 1), (0, 7, "x"), (0,), (0, 1, (0, 1))))
+        round_two = [Message(1, 0, held), Message(3, 0, (TAG_DS, (junk, good)))]
+        assert drive(0, 4, 2, 0, [[], round_two, []]) == 1
 
     def test_full_house_stops_reading_without_leaving_lockstep(self):
         """With every source held the rest of the inbox is not even looked
@@ -119,6 +134,14 @@ class TestReceiveLoop:
         result, _ = run_ds([pid % 2 for pid in range(n)], t=4)
         assert result.agreement_value() == 1
         assert 0 < len(calls) <= n * (n - 1)
+
+    def test_fault_free_run_reads_by_column(self, materialized):
+        """Both traffic rounds are read as columns: no ``Message`` is built
+        for any of the n·(n−1) copies of either (a loop over the inbox
+        builds every one)."""
+        result, _ = run_ds([pid % 2 for pid in range(32)], t=4)
+        assert result.agreement_value() == 1
+        assert materialized == []
 
 
 class TestCorrectness:

@@ -3,9 +3,10 @@
 Nothing lists these statically: the first call fails, and this file pins
 that.  The loose ``run_campaign(ns=...)`` keywords and
 ``CampaignSpec.cell_key`` are pinned the same way by
-``test_campaign.TestRemovedGridKwargs``.  The two call-site censuses at the
-end of this file keep one engine front door and no per-copy ``Message``
-loop in the engine (docs/lint.md, *Retired rules*).
+``test_campaign.TestRemovedGridKwargs``.  The call-site censuses at the end
+of this file keep one engine front door, no per-copy ``Message`` loop in
+the engine (docs/lint.md, *Retired rules*) and no protocol receive loop
+over a bare inbox.
 """
 
 import ast
@@ -352,3 +353,39 @@ def test_engine_builds_messages_per_copy_only_where_one_is_read():
         "    return Message(0, 1, 'p', 8)\n"
     )
     assert per_copy_message_sites(planted) == {"fan_out"}
+
+
+def bare_inbox_loops(tree):
+    """Lines of the ``for`` statements and comprehensions that iterate a
+    bare ``inbox`` name."""
+    return sorted(
+        node.iter.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+        and isinstance(node.iter, ast.Name)
+        and node.iter.id == "inbox"
+    )
+
+
+def test_protocols_read_inboxes_by_column():
+    """Iterating an inbox builds one ``Message`` per copy on a lazy view;
+    a receive step under ``src/repro/core`` or ``src/repro/baselines``
+    reads ``inbox_senders`` / ``inbox_payloads`` instead, whatever it
+    does with them."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    sites = [
+        f"{path.relative_to(package).as_posix()}:{line}"
+        for layer in ("core", "baselines")
+        for path in sorted((package / layer).rglob("*.py"))
+        for line in bare_inbox_loops(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == []
+    planted = ast.parse(
+        "def receive(inbox):\n"
+        "    for m in inbox:\n"
+        "        pass\n"
+        "    for p in inbox_payloads(inbox):\n"
+        "        pass\n"
+        "    return [m.sender for m in inbox], [q for q in inboxes]\n"
+    )
+    assert bare_inbox_loops(planted) == [2, 6]
