@@ -153,8 +153,8 @@ def _run_cell(
     adversary_name: str,
     seed: int,
     record_failures: str | None = None,
-) -> tuple[dict[str, Any], dict[str, Any] | None]:
-    """Execute one cell; returns ``(record, failure_recipe_payload)``."""
+) -> dict[str, Any]:
+    """Execute one cell; returns its record."""
     protocol = protocol_spec(spec.protocol)
     config = spec.config_for(n, seed)
     t = protocol.campaign_t(n, config.params)
@@ -180,7 +180,6 @@ def _run_cell(
 
     if record_failures is not None:
         from ..replay import record_config, save_recipe
-        from ..replay.recipe import recipe_payload
 
         recorded = record_config(
             config,
@@ -201,9 +200,7 @@ def _run_cell(
                 error=str(recorded.failure),
                 recipe=str(path),
             )
-            # The recipe itself rides along so the failure lands in the
-            # cache as a self-contained, replayable artifact.
-            return record, recipe_payload(recorded.recipe)
+            return record
         run = recorded.run
     else:
         run = run_config(config, adversary, spec=protocol)
@@ -223,7 +220,7 @@ def _run_cell(
     )
     if protocol.record_extras is not None:
         record.update(protocol.record_extras(run, run.request))
-    return record, None
+    return record
 
 
 def load_journal(
@@ -350,8 +347,8 @@ def run_campaign(
     ``record_failures`` names a directory: each cell then runs through the
     ``repro.replay`` recorder with invariants on, and a violating cell does
     not abort the sweep — its :class:`~repro.replay.ExecutionRecipe` is
-    saved under the directory (and embedded in the cache entry), and the
-    cell's journal record carries ``failed: true`` plus the recipe path
+    saved under the directory, and the cell's record carries
+    ``failed: true`` plus the recipe path
     (``summarize_campaign`` skips such records).
     """
     if not isinstance(spec, CampaignSpec):
@@ -365,17 +362,12 @@ def run_campaign(
     results = {coords: record for coords, (_, record) in served.items()}
     journal_path = Path(journal) if journal is not None else None
 
-    def finish(
-        coords: Coords,
-        cell: CellId,
-        record: dict[str, Any],
-        recipe: dict[str, Any] | None,
-    ) -> None:
+    def finish(coords: Coords, cell: CellId, record: dict[str, Any]) -> None:
         results[coords] = record
         if journal_path is not None:
             append_journal_record(journal_path, record)
         if store is not None:
-            store.put(cell, record, recipe=recipe)
+            store.put(cell, record)
         if on_record is not None:
             on_record(record)
 
@@ -384,7 +376,7 @@ def run_campaign(
     )
     if jobs <= 1 or len(pending) <= 1:
         for coords, cell in pending:
-            finish(coords, cell, *_run_cell(spec, *coords, failures_dir))
+            finish(coords, cell, _run_cell(spec, *coords, failures_dir))
     else:
         # One shared queue handed out heaviest-first is greedy LPT: message
         # volume (~n²) dominates a cell's cost, and whichever worker goes
@@ -403,7 +395,7 @@ def run_campaign(
                 future = pool.submit(_run_cell, spec, *coords, failures_dir)
                 futures[future] = (coords, cell)
             for future in as_completed(futures):
-                finish(*futures[future], *future.result())
+                finish(*futures[future], future.result())
         finally:
             pool.shutdown(cancel_futures=True)
 

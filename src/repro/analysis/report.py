@@ -447,25 +447,28 @@ def amortization(single, grid, escalation):
     """Appendix B.3's doubling collectors; each argument is ``[n, t, seed]``
     (``grid`` a list of them)."""
     n, t, seed = single
-    points = measure_amortization(n, t, seed=seed)
+    crash, omission = (
+        measure_amortization(n, t, seed=seed)[label]
+        for label in ("crash", "omission")
+    )
     values = {
-        "single_crash_responses": points["crash"].responses_to_victims,
-        "single_omission_responses": points["omission"].responses_to_victims,
-        "single_victim_requests": points["omission"].victim_requests,
+        "single_crash_responses": crash["responses_to_victims"],
+        "single_omission_responses": omission["responses_to_victims"],
+        "single_victim_requests": omission["victim_requests"],
     }
     for n, t, seed in grid:
         points = measure_amortization(n, t, seed=seed)
         _append(
-            values, crash_responses=points["crash"].responses_to_victims,
-            omission_responses=points["omission"].responses_to_victims,
+            values, crash_responses=points["crash"]["responses_to_victims"],
+            omission_responses=points["omission"]["responses_to_victims"],
             forced_bound=t * (n - t),
-            victim_requests=points["omission"].victim_requests,
+            victim_requests=points["omission"]["victim_requests"],
             full_sweep=n - 1,
         )
     n, t, seed = escalation
     points = measure_amortization(n, t, seed=seed)
-    values["quorum_requests"] = points["none"].victim_requests
-    values["starved_requests"] = points["omission"].victim_requests
+    values["quorum_requests"] = points["none"]["victim_requests"]
+    values["starved_requests"] = points["omission"]["victim_requests"]
     return values
 
 

@@ -11,12 +11,10 @@
 
 from .ben_or import BenOrVotingProcess, run_ben_or
 from .doubling_gossip import (
-    AmortizationPoint,
     CrashCollectors,
     DoublingCollector,
     ResponseStarver,
     measure_amortization,
-    run_collectors,
 )
 from .dolev_strong import (
     DolevStrongProcess,
@@ -34,12 +32,10 @@ __all__ = [
     "run_phase_king",
     "BenOrVotingProcess",
     "run_ben_or",
-    "AmortizationPoint",
     "CrashCollectors",
     "DoublingCollector",
     "ResponseStarver",
     "measure_amortization",
-    "run_collectors",
     "BOTTOM",
     "TRBProcess",
     "run_trb",

@@ -27,7 +27,6 @@ The measured comparison is ``experiments/E-B3.json``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 from ..runtime import (
@@ -55,7 +54,8 @@ class DoublingCollector(SyncProcess):
     responders, or when nobody is left to contact.
 
     Public state: ``contacted`` (how many requests it sent), ``responses``
-    (distinct responders heard), ``satisfied``.
+    (distinct responders heard), ``responses_by_requester`` (answers it
+    sent), ``satisfied``.
     """
 
     def __init__(self, pid: int, n: int, quorum: int) -> None:
@@ -67,7 +67,6 @@ class DoublingCollector(SyncProcess):
         self.quorum = quorum
         self.contacted = 0
         self.responses: set[int] = set()
-        self.responses_sent = 0
         #: Responses sent, keyed by requester pid.
         self.responses_by_requester: dict[int, int] = {}
         self.satisfied = False
@@ -75,7 +74,6 @@ class DoublingCollector(SyncProcess):
     def _answer_requests(self, env: ProcessEnv, inbox: list[Message]) -> None:
         for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
             if isinstance(payload, tuple) and payload and payload[0] == TAG_REQUEST:
-                self.responses_sent += 1
                 self.responses_by_requester[sender] = (
                     self.responses_by_requester.get(sender, 0) + 1
                 )
@@ -168,106 +166,39 @@ class ResponseStarver(Adversary):
         return AdversaryAction(corrupt=corrupt, omit=omit)
 
 
-@dataclass(frozen=True)
-class AmortizationPoint:
-    """One measurement of the doubling-collector workload.
-
-    The B.3 comparison is about what the *healthy* processes pay for the
-    faulty collectors: ``healthy_responses`` counts answers sent by
-    non-victims (a crashed collector's requests never arrive, an
-    omission-starved collector's requests all do), and
-    ``victim_requests`` shows the forced Theta(n) escalation.
-    """
-
-    n: int
-    faulty: int
-    messages: int
-    bits: int
-    victim_requests: int
-    healthy_requests_max: int
-    healthy_responses: int
-    #: Responses healthy processes sent *to the victims* — the direct cost
-    #: the victims impose (crash: ~0; omission: ~t * n).
-    responses_to_victims: int
-
-
-def run_collectors(
-    n: int,
-    t: int,
-    adversary: Adversary | None,
-    quorum: int | None = None,
-    seed: int = 0,
-    observers: Sequence = (),
-):
-    """All n processes collect concurrently under the given adversary.
-
-    Thin wrapper over :func:`repro.harness.execute`; returns a
-    :class:`repro.core.consensus.ConsensusRun` (named ``result`` /
-    ``processes`` fields — it does not unpack as a tuple).
-    """
-    from ..harness import execute
-
-    options = {} if quorum is None else {"quorum": quorum}
-    return execute(
-        "collectors",
-        n=n,
-        t=t,
-        adversary=adversary,
-        seed=seed,
-        observers=observers,
-        options=options,
-    )
-
-
 def measure_amortization(
     n: int,
     t: int,
     seed: int = 0,
-) -> dict[str, AmortizationPoint]:
-    """Measure the workload under no faults / crashes / response-starving.
+) -> dict[str, dict[str, int]]:
+    """The workload under no faults / crashes / response-starving.
 
-    Returns the three labelled points whose comparison is the B.3 claim:
-    ``omission.victim_requests ~ n`` while ``crash.victim_requests`` stays
-    at the pre-crash waves, and total omission traffic exceeds the crash
-    traffic by ~t*n messages.
+    Per label, the two numbers whose comparison is the B.3 claim:
+    ``victim_requests``, the most requests a victim collector sent (the
+    forced Theta(n) escalation under omission), and
+    ``responses_to_victims``, the answers healthy processes sent *to* the
+    victims (crash: ~0; omission: t(n-t)).
     """
-    victims = tuple(range(t))
+    from ..harness import execute
+
+    victims = range(t)
     results = {}
     for label, adversary in (
         ("none", None),
         ("crash", CrashCollectors(victims) if t else None),
         ("omission", ResponseStarver(victims) if t else None),
     ):
-        run = run_collectors(n, t, adversary, seed=seed)
-        result, processes = run.result, run.processes
-        victim_requests = max(
-            (processes[pid].contacted for pid in victims), default=0
-        )
-        healthy_requests = [
-            process.contacted
-            for process in processes
-            if process.pid not in victims
-        ]
-        healthy_responses = sum(
-            process.responses_sent
-            for process in processes
-            if process.pid not in victims
-        )
-        responses_to_victims = sum(
-            count
-            for process in processes
-            if process.pid not in victims
-            for requester, count in process.responses_by_requester.items()
-            if requester in victims
-        )
-        results[label] = AmortizationPoint(
-            n=n,
-            faulty=t,
-            messages=result.metrics.messages_sent,
-            bits=result.metrics.bits_sent,
-            victim_requests=victim_requests,
-            healthy_requests_max=max(healthy_requests, default=0),
-            healthy_responses=healthy_responses,
-            responses_to_victims=responses_to_victims,
-        )
+        processes = execute(
+            "collectors", n=n, t=t, adversary=adversary, seed=seed
+        ).processes
+        results[label] = {
+            "victim_requests": max(
+                (processes[pid].contacted for pid in victims), default=0
+            ),
+            "responses_to_victims": sum(
+                process.responses_by_requester.get(pid, 0)
+                for process in processes[t:]
+                for pid in victims
+            ),
+        }
     return results

@@ -31,7 +31,6 @@ from .partition import (
     sqrt_partition,
 )
 from .early_stopping import EarlyStoppingConsensus, run_early_stopping_consensus
-from .log_replication import ConsensusLog, LogEntry
 from .multivalued import (
     MultiValuedConsensus,
     fixed_length_binary_consensus,
@@ -49,8 +48,6 @@ __all__ = [
     "AggregationResult",
     "EarlyStoppingConsensus",
     "run_early_stopping_consensus",
-    "ConsensusLog",
-    "LogEntry",
     "MultiValuedConsensus",
     "fixed_length_binary_consensus",
     "run_multivalued_consensus",

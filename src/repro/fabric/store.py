@@ -7,10 +7,9 @@ Layout (everything under one root directory, safe to share over NFS)::
       objects/<digest[:2]>/<digest>.json.quarantine   corrupt entries, kept
 
 An entry is a schema-tagged JSON object carrying the full cell identity
-(:meth:`CellId.payload`), the finished campaign record, and — for
-invariant-violating cells — the embedded
-:class:`~repro.replay.ExecutionRecipe` payload, so a failure reproduces
-from the cache alone.
+(:meth:`CellId.payload`) and the finished campaign record (an
+invariant-violating cell's record names its saved
+:class:`~repro.replay.ExecutionRecipe` file).
 
 Durability discipline mirrors the campaign journal's: writes land in a
 temp file in the destination directory, are flushed + fsynced, then
@@ -94,13 +93,6 @@ class CampaignCache:
         self.stats.hits += 1
         return entry["record"]
 
-    def get_recipe(self, cell: CellId) -> dict[str, Any] | None:
-        """The embedded failure-recipe payload, when the cell failed."""
-        entry = self._load_verified(cell, count=False)
-        if entry is None:
-            return None
-        return entry.get("recipe")
-
     def contains(self, cell: CellId) -> bool:
         """Whether a *verified* entry exists (no stats side effects)."""
         return self._load_verified(cell, count=False) is not None
@@ -149,13 +141,8 @@ class CampaignCache:
     # ------------------------------------------------------------------
     # write side
     # ------------------------------------------------------------------
-    def put(
-        self,
-        cell: CellId,
-        record: dict[str, Any],
-        recipe: dict[str, Any] | None = None,
-    ) -> Path:
-        """Publish ``record`` (and optionally a failure recipe) for ``cell``.
+    def put(self, cell: CellId, record: dict[str, Any]) -> Path:
+        """Publish ``record`` for ``cell``.
 
         Atomic: a temp file in the destination directory is fully written,
         flushed, and fsynced before an ``os.replace`` makes it visible, so
@@ -171,8 +158,6 @@ class CampaignCache:
             "digest": cell.digest,
             "record": record,
         }
-        if recipe is not None:
-            entry["recipe"] = recipe
         tmp = path.with_name(
             f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}-{path.name}"
         )

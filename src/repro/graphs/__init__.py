@@ -1,8 +1,8 @@
 """Spreading-graph machinery (Theorem 4, Lemmas 3-4, Figure 1 overlay).
 
 * :func:`spreading_graph` — deterministic ``R(n, Delta/(n-1))`` construction;
-* :func:`theorem4_report` and friends — property checkers (degree
-  concentration, expansion, edge-sparsity);
+* :func:`is_expanding`, :func:`is_edge_sparse` — Theorem-4 property
+  checkers (expansion, edge-sparsity);
 * :func:`robust_core` — the Lemma-4 peeling that underlies the
   operative/inoperative classification;
 * :func:`dense_neighborhood_layers`, :func:`subgraph_diameter` — Lemma-3
@@ -15,26 +15,15 @@ from .cores import (
     subgraph_diameter,
 )
 from .graph import SpreadingGraph
-from .properties import (
-    DegreeReport,
-    Theorem4Report,
-    degree_report,
-    is_edge_sparse,
-    is_expanding,
-    theorem4_report,
-)
+from .properties import is_edge_sparse, is_expanding
 from .random_graph import gnp_edges, spreading_graph
 
 __all__ = [
     "SpreadingGraph",
     "spreading_graph",
     "gnp_edges",
-    "DegreeReport",
-    "Theorem4Report",
-    "degree_report",
     "is_expanding",
     "is_edge_sparse",
-    "theorem4_report",
     "robust_core",
     "subgraph_diameter",
     "dense_neighborhood_layers",

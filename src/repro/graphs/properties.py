@@ -1,8 +1,9 @@
-"""Checkers for the Theorem-4 properties of the spreading graph.
+"""Checkers for the subset-quantified Theorem-4 properties of the graph.
 
 Theorem 4: for ``Delta = Theta(log n)``, the random graph ``R(n, Delta/(n-1))``
 whp (i) is ``(n/10)``-expanding, (ii) is ``(n/10, Delta/15)``-edge-sparse, and
-(iii) has all degrees within ``[19/20, 21/20] * Delta``.
+(iii) has all degrees within ``[19/20, 21/20] * Delta``.  Property (iii) is
+read off the degrees directly (``experiments/E-F1.json``'s ``overlay``).
 
 Exact verification of (i) and (ii) is exponential (they quantify over all
 vertex subsets), so the checkers verify exhaustively for tiny n and fall back
@@ -17,40 +18,10 @@ import itertools
 import random
 
 from ..runtime.randomness import stable_seed
-from dataclasses import dataclass
-
 from .graph import SpreadingGraph
 
 #: Below this vertex count the subset-quantified checks run exhaustively.
 EXHAUSTIVE_LIMIT = 14
-
-
-@dataclass(frozen=True)
-class DegreeReport:
-    """Result of the degree-concentration check (Theorem 4 (iii))."""
-
-    minimum: int
-    maximum: int
-    expected: int
-    within_bounds: bool
-
-
-def degree_report(
-    graph: SpreadingGraph,
-    delta: int,
-    lower_factor: float = 19 / 20,
-    upper_factor: float = 21 / 20,
-) -> DegreeReport:
-    """Check all degrees lie in ``[lower, upper] * delta``."""
-    if graph.n == 0:
-        return DegreeReport(0, 0, delta, True)
-    degrees = [graph.degree(v) for v in range(graph.n)]
-    minimum, maximum = min(degrees), max(degrees)
-    capped = min(delta, graph.n - 1)
-    within = (
-        minimum >= lower_factor * capped and maximum <= upper_factor * capped
-    )
-    return DegreeReport(minimum, maximum, capped, within)
 
 
 def is_expanding(
@@ -140,34 +111,3 @@ def is_edge_sparse(
         if graph.internal_edge_count(subset) > alpha * size:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class Theorem4Report:
-    """Joint result of all three Theorem-4 property checks."""
-
-    degrees: DegreeReport
-    expanding: bool
-    edge_sparse: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.degrees.within_bounds and self.expanding and self.edge_sparse
-
-
-def theorem4_report(
-    graph: SpreadingGraph,
-    delta: int,
-    expansion_fraction: float = 0.1,
-    sparsity_alpha_divisor: float = 15.0,
-    samples: int = 200,
-    seed: int = 0,
-) -> Theorem4Report:
-    """Run the three Theorem-4 checks with the paper's default shapes."""
-    ell = max(1, int(graph.n * expansion_fraction))
-    alpha = max(1.0, delta / sparsity_alpha_divisor)
-    return Theorem4Report(
-        degrees=degree_report(graph, delta),
-        expanding=is_expanding(graph, ell, samples=samples, seed=seed),
-        edge_sparse=is_edge_sparse(graph, ell, alpha, samples=samples, seed=seed),
-    )

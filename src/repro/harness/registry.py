@@ -221,11 +221,7 @@ def capability_fingerprint() -> str:
     """Stable engine-capability token, part of every cell's cache identity.
 
     Combines the campaign record-content version with the serialization
-    schema version.  Deliberately *excludes* the delivery path — the
-    object loop and the columnar plan are certified byte-identical (see
-    docs/model.md) — so a host without numpy reuses cells a numpy host
-    computed, and vice versa.
-    What it does capture is "would this engine, handed the same identity,
+    schema version.  What it captures is "would this engine, handed the same identity,
     write the same record bytes": any change to that answer must bump
     :data:`CELL_RECORD_VERSION`.
     """

@@ -36,18 +36,13 @@ class RecordedAction:
     ``corrupt`` holds only the pids *newly* corrupted this round (the
     cumulative faulty set is implied by the prefix); ``omit`` holds the
     flat message indices omitted, in the canonical sorted/de-duplicated
-    form of :func:`repro.runtime.canonical_omissions` — the same indexing
-    both delivery paths use, which is what makes recorded schedules
-    path-independent.
+    form of :func:`repro.runtime.canonical_omissions` — the batch's flat
+    copy order, which the delivery layer and its reference oracle share.
     """
 
     round: int
     corrupt: tuple[int, ...] = ()
     omit: tuple[int, ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        return not self.corrupt and not self.omit
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ Public surface:
   bus and the one account of a run the engine keeps on it
   (``ExecutionResult.report``);
 * :class:`Metrics` — rounds / communication bits / randomness accounting;
-* :class:`ColumnarBatch`, :class:`LazyMessageList`, :data:`HAVE_NUMPY` —
-  the numpy-vectorized round layout the delivery layer uses on wide
-  fan-out batches;
+* :class:`ColumnarBatch`, :class:`LazyMessageList` — the numpy-vectorized
+  round layout every delivery step uses;
 * :func:`inbox_payloads`, :func:`inbox_senders` — an inbox read by column
   (no :class:`Message` built), for receive loops that only count;
 * :func:`canonical_omissions` — the shared sorted/de-duplicated normal form
@@ -31,7 +30,6 @@ Public surface:
 """
 
 from .columnar import (
-    HAVE_NUMPY,
     ColumnarBatch,
     LazyMessageList,
     inbox_payloads,
@@ -91,7 +89,6 @@ from .randomness import (
 )
 
 __all__ = [
-    "HAVE_NUMPY",
     "ColumnarBatch",
     "LazyMessageList",
     "inbox_payloads",

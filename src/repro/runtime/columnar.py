@@ -1,6 +1,6 @@
 """Columnar (numpy-vectorized) round representation for the engine.
 
-The object delivery loop spends its rounds making Python objects: one
+An object-per-copy delivery loop spends its rounds making Python objects: one
 :class:`Message` per multicast copy, one list append per inbox entry, one
 ``set`` probe per omit index.  At n=512 an all-to-all round is ~260k
 copies, so even with broadcasts sized and queued per *record* it tops out
@@ -40,12 +40,8 @@ vectorized index operations:
 
 Everything here is *representation only*: flat copy indices, sender-sorted
 inbox order, and every :class:`Metrics` counter are identical to the
-object loop's, which is what lets record/replay fingerprints certify the
-two paths byte-for-byte against each other (``tests/test_columnar.py``).
-
-numpy is an optional dependency: when it is missing, :data:`HAVE_NUMPY`
-is False and :mod:`repro.runtime.delivery` sends every batch through the
-object loop.
+reference object-per-copy loop's, which ``tests/delivery_oracle.py``
+keeps as the differential oracle (``tests/test_columnar.py``).
 """
 
 from __future__ import annotations
@@ -56,21 +52,17 @@ from functools import cached_property
 from itertools import repeat
 from typing import Any, overload
 
+import numpy as np
+
 from .messages import Message, Multicast
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is optional
-    np = None  # type: ignore[assignment]
-
-#: Whether numpy, and with it the columnar plan, is available here.
-HAVE_NUMPY = np is not None
-
-#: Cache of fan-out tuples already converted to arrays, keyed by tuple
-#: identity.  ``ProcessEnv.broadcast`` caches its fan-out tuple per
-#: process, so across rounds the same tuple objects recur; holding a
-#: strong reference to the tuple keeps its ``id`` valid for the cache's
-#: lifetime (one cache per network).
+#: Fan-out tuples seen in the previous batch, keyed by tuple identity,
+#: with their index array once converted.  ``ProcessEnv.broadcast`` caches
+#: its fan-out tuple per process, so across rounds the same tuple objects
+#: recur; a tuple seen in two consecutive batches is converted once and
+#: reused while it recurs.  Each batch keeps only the tuples it used, so
+#: one-off ``send_many`` tuples neither pile up nor get an array of their
+#: own.  Holding the tuple keeps its ``id`` valid while it is cached.
 FanoutCache = dict[int, tuple[tuple[int, ...], Any]]
 
 
@@ -105,51 +97,59 @@ class ColumnarBatch:
         records: list[Message | Multicast],
         fanout_cache: FanoutCache | None = None,
     ) -> ColumnarBatch:
-        """Vectorize a record list (requires :data:`HAVE_NUMPY`).
+        """Vectorize a record list.
 
-        Runs of consecutive point-to-point records are converted in one
-        array each; multicast fan-out tuples go through ``fanout_cache``
-        so a per-round broadcast whose (cached) recipient tuple recurs
-        every round converts exactly once per network.
+        Recipients go into one list converted in a single array, except a
+        multicast fan-out tuple that ``fanout_cache`` (see
+        :data:`FanoutCache`) saw in the previous batch: it is converted
+        once and its array reused.  ``fanout_cache`` is left holding this
+        batch's tuples.
         """
-        count = len(records)
+        senders: list[int] = []
+        counts: list[int] = []
+        bits: list[int] = []
+        chunks: list[Any] = []
+        run: list[int] = []
+        seen: FanoutCache = {}
+        for record in records:
+            senders.append(record.sender)
+            bits.append(record.bits)
+            if type(record) is not Multicast:
+                counts.append(1)
+                run.append(record.recipient)
+                continue
+            recipients = record.recipients
+            counts.append(len(recipients))
+            if fanout_cache is None:
+                run.extend(recipients)
+                continue
+            key = id(recipients)
+            cached = seen.get(key) or fanout_cache.get(key)
+            if cached is None or cached[0] is not recipients:
+                seen[key] = (recipients, None)
+                run.extend(recipients)
+                continue
+            array = cached[1]
+            if array is None:
+                array = np.array(recipients, dtype=np.int32)
+            seen[key] = (recipients, array)
+            if run:
+                chunks.append(np.array(run, dtype=np.int32))
+                run = []
+            chunks.append(array)
+        if fanout_cache is not None:
+            fanout_cache.clear()
+            fanout_cache.update(seen)
+        if run or not chunks:
+            chunks.append(np.array(run, dtype=np.int32))
         # Pids fit comfortably in int32; the narrower dtype makes the
         # per-round stable argsort in :func:`plan_delivery` measurably
         # faster at large n (and halves the resident column size).
-        rec_sender = np.empty(count, dtype=np.int32)
-        rec_count = np.empty(count, dtype=np.int64)
-        rec_bits = np.empty(count, dtype=np.int64)
-        chunks: list[Any] = []
-        run: list[int] = []
-        for position, record in enumerate(records):
-            rec_sender[position] = record.sender
-            rec_bits[position] = record.bits
-            if type(record) is Multicast:
-                if run:
-                    chunks.append(np.array(run, dtype=np.int32))
-                    run = []
-                recipients = record.recipients
-                rec_count[position] = len(recipients)
-                if fanout_cache is not None:
-                    cached = fanout_cache.get(id(recipients))
-                    if cached is None or cached[0] is not recipients:
-                        cached = (
-                            recipients,
-                            np.array(recipients, dtype=np.int32),
-                        )
-                        fanout_cache[id(recipients)] = cached
-                    chunks.append(cached[1])
-                else:
-                    chunks.append(np.array(recipients, dtype=np.int32))
-            else:
-                rec_count[position] = 1
-                run.append(record.recipient)
-        if run:
-            chunks.append(np.array(run, dtype=np.int32))
+        rec_sender = np.array(senders, dtype=np.int32)
+        rec_count = np.array(counts, dtype=np.int64)
+        rec_bits = np.array(bits, dtype=np.int64)
         copy_recipient = (
-            np.concatenate(chunks)
-            if chunks
-            else np.empty(0, dtype=np.int32)
+            chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         )
         return cls(records, rec_sender, rec_count, rec_bits, copy_recipient)
 
@@ -203,8 +203,8 @@ InboxColumns = tuple[list[int], list[Any], list[int]]
 class _LazyMessages(Sequence[Message]):
     """What the two lazy ``Sequence[Message]`` views share: the first
     element access fills ``_items`` once (``_materialize``, a per-copy site
-    ``tests/test_removed_surfaces.py`` lists — the cost the object loop
-    pays unconditionally); a reader that never looks pays nothing."""
+    ``tests/test_removed_surfaces.py`` lists); a reader that never looks
+    pays nothing."""
 
     __slots__ = ("_items",)
 
@@ -302,7 +302,7 @@ def inbox_payloads(inbox: Sequence[Message]) -> list[Any]:
     inbox kind: a gather from the round's payload table on a lazy view
     (no :class:`Message` built, nothing cached on the view), the shipped
     column itself inside a TCP worker, the attribute on a plain list
-    (object loop, partial-synchrony merges).
+    (partial-synchrony merges, hand-built inboxes).
     """
     if type(inbox) is LazyMessageList:
         cols = inbox._cols
@@ -345,8 +345,7 @@ class DeliveryPlan:
 
     ``inboxes`` pairs each recipient that received traffic with its (lazy)
     inbox, in ascending recipient order; ``delivered``/``lost`` are the
-    observer-facing per-copy sequences in flat index order — exactly the
-    order the object loop appends them in.
+    observer-facing per-copy sequences in flat index order.
     """
 
     inboxes: list[tuple[int, Sequence[Message]]]
@@ -499,7 +498,6 @@ def first_illegal_omission(
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "ColumnInbox",
     "InboxColumns",
     "ColumnarBatch",

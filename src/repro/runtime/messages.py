@@ -185,9 +185,8 @@ class MessageBatch(Sequence[Message]):
     one :class:`Message` per copy.
 
     Per-copy :class:`Message` views are materialized on demand
-    (``__getitem__`` / iteration); the aggregate queries (:meth:`total_bits`,
-    ``len``, :meth:`endpoints_at`, :meth:`copy_indices`) answer from the
-    records without materializing anything.
+    (``__getitem__`` / iteration); ``len`` and :meth:`total_bits` answer
+    from the records, and per-pid index queries from :meth:`columns`.
     """
 
     __slots__ = ("records", "offsets", "_total", "sender_sorted", "_columns")
@@ -266,7 +265,7 @@ class MessageBatch(Sequence[Message]):
 
         Built on first call and cached for the batch's lifetime (a batch is
         immutable once constructed), so every reader of one round shares a
-        single vectorization.  Requires numpy (:data:`columnar.HAVE_NUMPY`).
+        single vectorization.
         """
         cols = self._columns
         if cols is None:
@@ -275,18 +274,6 @@ class MessageBatch(Sequence[Message]):
             cols = ColumnarBatch.from_records(self.records, fanout_cache)
             self._columns = cols
         return cols
-
-    def endpoints_at(self, index: int) -> tuple[int, int]:
-        """``(sender, recipient)`` of flat copy ``index`` — no
-        materialization, used by the engine's omission legality check."""
-        position = bisect_right(self.offsets, index) - 1
-        record = self.records[position]
-        if type(record) is Multicast:
-            return (
-                record.sender,
-                record.recipients[index - self.offsets[position]],
-            )
-        return record.sender, record.recipient
 
     def total_bits(self) -> int:
         """Sum of per-copy bits over the whole batch, from the records."""
@@ -297,35 +284,6 @@ class MessageBatch(Sequence[Message]):
             else:
                 total += record.bits
         return total
-
-    def copy_indices(
-        self, senders: Iterable[int], recipients: Iterable[int]
-    ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """Flat copy indices sent by each of ``senders`` / addressed to each
-        of ``recipients``, ascending per pid, for the asked pids only.
-
-        One walk over the *records*, never a Python step per copy: a
-        multicast is intersected with the asked recipients, then scanned
-        once per hit (a pid may recur inside one fan-out).
-        """
-        sent: dict[int, list[int]] = {pid: [] for pid in senders}
-        received: dict[int, list[int]] = {pid: [] for pid in recipients}
-        for record, base in zip(self.records, self.offsets):
-            if isinstance(record, Multicast):
-                fanout = record.recipients
-                if record.sender in sent:
-                    sent[record.sender].extend(range(base, base + len(fanout)))
-                for pid in received.keys() & fanout if received else ():
-                    position = -1
-                    for _ in range(fanout.count(pid)):
-                        position = fanout.index(pid, position + 1)
-                        received[pid].append(base + position)
-            else:
-                if record.sender in sent:
-                    sent[record.sender].append(base)
-                if record.recipient in received:
-                    received[record.recipient].append(base)
-        return sent, received
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

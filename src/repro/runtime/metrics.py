@@ -15,9 +15,8 @@ with *omitted taking precedence over lost*: a copy the adversary omits is
 counted from the canonical omission schedule and never reaches the
 recipient-liveness check, so a copy that is **both** omitted and addressed
 to an already-terminated recipient is omitted, not lost.  This is the
-single place that rule is pinned; both delivery paths (the object loop
-in :mod:`repro.runtime.delivery` and the columnar
-:func:`repro.runtime.columnar.plan_delivery`) implement it, and
+single place that rule is pinned; the delivery layer
+(:func:`repro.runtime.columnar.plan_delivery`) implements it, and
 :class:`repro.replay.invariants.InvariantObserver` asserts the per-round
 identity on every run it observes.  Bits follow the same precedence, but
 omitted *bits* are not metered separately, so only the inequality

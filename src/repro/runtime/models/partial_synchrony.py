@@ -145,8 +145,7 @@ class PartialSynchronyModel(RoundModel):
 
         Ascending flat order is the canonical draw order: it depends only
         on the batch's flat layout, never on how the delivery layer
-        later walks it, so the per-batch choice of delivery path cannot
-        shift the latency stream.
+        later walks it.
         """
         rng = self._rng
         assert rng is not None

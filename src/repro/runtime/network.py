@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
-from .delivery import Delivery, _takes_columnar_plan
+from .delivery import Delivery
 from .engine import ExecutionCore, ExecutionResult
 from .messages import Message, MessageBatch
 from .observers import RoundObserver
@@ -142,9 +142,8 @@ class NetworkView:
     def _copy_indices(self, pids: Iterable[int], sent: bool, received: bool) -> frozenset[int]:
         """The one index query behind the three public helpers.
 
-        Answers for the asked pids only: vectorized selects on the round's
-        column vectors when the batch takes the columnar plan, else one
-        walk over the records (``copy_indices`` of either representation).
+        Answers for the asked pids only, by vectorized selects on the
+        round's column vectors.
 
         **Insertion-order contract.**  The ``frozenset`` is built from one
         fixed list — per pid ascending: its sent copies ascending, then its
@@ -161,8 +160,7 @@ class NetworkView:
         batch = self.messages
         if not isinstance(batch, MessageBatch):
             batch = MessageBatch(batch)  # a hand-built plain-list view
-        source = batch.columns() if _takes_columnar_plan(batch) else batch
-        by_sender, by_recipient = source.copy_indices(
+        by_sender, by_recipient = batch.columns().copy_indices(
             asked if sent else (), asked if received else ()
         )
         indices: list[int] = []
@@ -222,8 +220,8 @@ class SyncNetwork:
 
     A network owns one :class:`~repro.runtime.engine.ExecutionCore` (the
     processes and their metered randomness), one
-    :class:`~repro.runtime.delivery.Delivery` (the communication phase;
-    it picks its own path per batch), and one
+    :class:`~repro.runtime.delivery.Delivery` (the communication phase),
+    and one
     :class:`~repro.runtime.models.RoundModel` (the timing discipline;
     lockstep rounds unless ``model`` names another).  The network itself
     remains the adversary-arbitration and observer-dispatch surface: view
@@ -290,7 +288,7 @@ class SyncNetwork:
 
         self.sources = self._core.sources
         self.envs = self._core.envs
-        #: The delivery layer (it picks its own path per batch).
+        #: The delivery layer.
         self._delivery = Delivery()
         # Alias into the core, which mutates the container in place.
         self._inboxes = self._core.inboxes
@@ -322,11 +320,6 @@ class SyncNetwork:
         """The execution layer: process advancement and metering."""
         return self._core
 
-    @property
-    def live_count(self) -> int:
-        """Number of processes whose programs have not returned yet."""
-        return self._core.live_count
-
     def terminated_set(self) -> frozenset[int]:
         return self._core.terminated_set()
 
@@ -357,8 +350,8 @@ class SyncNetwork:
         strategy's raw action are coalesced before anything downstream
         counts or serializes them (see :func:`canonical_omissions`).
         """
-        # Vectorize a columnar-plan batch once, with the fan-out cache, for
-        # the view's index helpers, validation and delivery alike.
+        # Vectorize the batch once, with the fan-out cache, for the view's
+        # index helpers, validation and delivery alike.
         self._delivery.columns(batch)
         view = NetworkView(
             round=self.round,
@@ -404,8 +397,8 @@ class SyncNetwork:
             )
         omit = canonical_omissions(raw_omit)
         if omit:
-            # Legality is delegated to the delivery layer (the one that
-            # understands the batch representation).
+            # Legality is delegated to the delivery layer (it owns the
+            # batch's column vectors).
             self._delivery.validate_omissions(
                 batch, omit, frozenset(self.faulty)
             )

@@ -10,8 +10,6 @@ default name for the session instead.
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -71,21 +69,3 @@ def repro_env() -> dict[str, str]:
         **os.environ,
         "PYTHONPATH": root + os.pathsep + existing if existing else root,
     }
-
-
-@pytest.fixture
-def run_without_numpy(repro_env):
-    """``run(script) -> stdout``: execute *script* in a fresh interpreter
-    where ``import numpy`` raises ImportError from the first import on —
-    what a numpy-less host sees.  A non-zero exit fails the test."""
-
-    def run(script: str) -> str:
-        done = subprocess.run(
-            [sys.executable, "-c",
-             'import sys; sys.modules["numpy"] = None\n' + script],
-            capture_output=True, text=True, timeout=120, env=repro_env,
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout
-
-    return run

@@ -238,7 +238,7 @@ class TestParallel:
 
 
 def _stub_cell(spec, n, adversary, seed, record_failures=None):
-    return {"n": n, "adversary": adversary, "seed": seed}, None
+    return {"n": n, "adversary": adversary, "seed": seed}
 
 
 def _explode_on_silence(spec, n, adversary, seed, record_failures=None):

@@ -1,7 +1,8 @@
 """The columnar (numpy) delivery plan: layout, laziness, golden equivalence.
 
-The delivery layer picks the object loop or the columnar plan per batch
-(``repro.runtime.delivery``), and both must produce *byte-identical*
+Every batch takes the columnar plan (``repro.runtime.delivery``); the
+object-per-copy loop it replaced is the oracle in
+``tests/delivery_oracle.py``, and both must produce *byte-identical*
 executions: same decisions, same rounds, same value for every
 :class:`Metrics` counter, same flat omit indices, same replay
 fingerprints.  The differentials run over a 2x2 grid — how processes spell
@@ -9,8 +10,8 @@ a fan-out (``env.broadcast`` records vs. the explicit ``env.send`` loop) x
 which delivery path serves every batch — pinned through test seams
 (:func:`engine_cell`), not options.  These tests also pin the columnar
 layout itself (arrays match a naive per-copy enumeration), the lazy
-``Message`` views (inboxes materialize only when read), the per-batch rule
-(one run crossing both paths equals both pinned runs), the
+``Message`` views (inboxes materialize only when read), a run mixing both
+paths batch by batch (it equals both pinned runs), the
 metering-precedence and duplicate-omit bugfixes, and the randomized
 differential property over :class:`ChaosAdversary` schedules.
 """
@@ -18,7 +19,6 @@ differential property over :class:`ChaosAdversary` schedules.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 
 import pytest
@@ -50,19 +50,15 @@ from repro.runtime import (
     result_to_dict,
 )
 from repro.runtime.columnar import (
-    HAVE_NUMPY,
     ColumnInbox,
     inbox_columns,
     plan_delivery,
 )
 from repro.transport.framing import decode_body, encode_frame
 
+from .delivery_oracle import deliver_objects, pin_object_loop
 from .test_multicast import Broadcaster, ScriptedOmitter, use_send_loops
 from .test_replay import GOLDEN
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="columnar engine requires numpy"
-)
 
 #: (broadcast, columnar): fan-outs queued as Multicast records or as
 #: explicit env.send loops x every batch on the columnar plan or on the
@@ -75,11 +71,10 @@ ENGINE_GRID = [
 
 
 def pin_delivery(patch: pytest.MonkeyPatch, columnar: bool) -> None:
-    """Send every (sender-sorted) batch down one delivery path by pinning
-    the rule's fan-out constant — a test seam, not an option."""
-    patch.setattr(
-        delivery, "_COLUMNAR_MIN_FANOUT", 0 if columnar else math.inf
-    )
+    """Send every batch down one delivery path: the engine's columnar plan,
+    or the oracle's object loop — a test seam, not an option."""
+    if not columnar:
+        pin_object_loop(patch)
 
 
 @contextmanager
@@ -268,13 +263,13 @@ class TestInboxColumns:
         self, monkeypatch, name, columnar
     ):
         """One spelling, both inbox kinds: lazy views off the columnar
-        plan, plain lists off the object loop (and off the unsorted batch,
-        which takes the object loop wherever it is pinned)."""
+        plan (the unsorted batch included), plain lists off the object
+        loop."""
         pin_delivery(monkeypatch, columnar)
         batch, omitted, live = INBOX_ROUNDS[name]
         inboxes: list = [[] for _ in range(6)]
         receipt = delivery.Delivery().deliver(batch, omitted, inboxes, live)
-        lazy = columnar and batch.sender_sorted
+        lazy = columnar
         read = 0
         for view in (*inboxes, receipt.delivered, receipt.lost):
             assert isinstance(view, LazyMessageList) == (lazy and bool(view))
@@ -432,31 +427,6 @@ class TestEngineGridEquivalence:
         assert errors[True] == errors[False]
         assert "1->2" in errors[True]
 
-    def test_numpy_masked_takes_object_loop(self, run_without_numpy):
-        """On a host where numpy does not import, every batch — the
-        all-to-all ones included — takes the object loop and the
-        fingerprint is the one this (numpy) host computes."""
-        here = canonical(self.ben_or_result(True, True))
-        assert run_without_numpy(_MASKED_BEN_OR).strip() == here
-
-
-_MASKED_BEN_OR = """
-import json
-from repro.adversary import SilenceAdversary
-from repro.baselines.ben_or import BenOrVotingProcess
-from repro.runtime import HAVE_NUMPY, SyncNetwork, columnar, result_to_dict
-
-assert not HAVE_NUMPY
-def no_columns(*args, **kwargs):
-    raise AssertionError("columnar layout built without numpy")
-columnar.ColumnarBatch.from_records = no_columns
-network = SyncNetwork(
-    [BenOrVotingProcess(pid, 24, pid % 2) for pid in range(24)],
-    adversary=SilenceAdversary(range(4)), t=4, seed=6,
-)
-print(json.dumps(result_to_dict(network.run()), sort_keys=True))
-"""
-
 
 class SilentSink(SyncProcess):
     """Broadcasts every round but never reads a single inbox message."""
@@ -486,8 +456,6 @@ class InboxSpy(RoundObserver):
 
 class TestLazyDelivery:
     def test_unread_inboxes_never_materialize(self):
-        # n=8 all-to-all is fan-out 7: the shipped rule itself picks the
-        # columnar plan here, nothing is pinned.
         spy = InboxSpy()
         network = SyncNetwork(
             [SilentSink(pid, 8) for pid in range(8)],
@@ -501,30 +469,31 @@ class TestLazyDelivery:
         assert spy.unmaterialized == SilentSink.rounds
         assert result.metrics.messages_delivered == 8 * 7 * SilentSink.rounds
 
-    def test_hand_built_unsorted_batch_falls_back_to_object_path(
-        self, monkeypatch
-    ):
-        pin_delivery(monkeypatch, columnar=True)
-        network = SyncNetwork([Broadcaster(pid, 3) for pid in range(3)])
+    def test_hand_built_unsorted_batch_delivers_in_sender_order(self):
+        """A hand-built batch out of sender order (the engine never builds
+        one) is delivered as the object loop delivers it: inboxes in
+        sender order, omit indices naming the batch's own flat copies."""
         unsorted = MessageBatch(
-            [Message(2, 0, "b"), Multicast(0, (1, 2), "a")]
+            [Message(2, 0, "b"), Multicast(0, (1, 2, 0), "a")]
         )
         assert not unsorted.sender_sorted
-        network._deliver(unsorted, ())
-        # Object-path delivery: plain list inboxes, sender-sorted order.
-        assert [
-            (m.sender, m.payload) for m in network._inboxes[1]
-        ] == [(0, "a")]
-        assert [
-            (m.sender, m.payload) for m in network._inboxes[2]
-        ] == [(0, "a")]
-        assert [
-            (m.sender, m.payload) for m in network._inboxes[0]
-        ] == [(2, "b")]
+        for omitted in ((), (2,), (0, 3)):
+            network = SyncNetwork([Broadcaster(pid, 3) for pid in range(3)])
+            network._deliver(unsorted, omitted)
+            want: list = [[] for _ in range(3)]
+            deliver_objects(unsorted, omitted, want, None)
+            for got, expected in zip(network._inboxes, want):
+                assert [(m.sender, m.recipient, m.payload) for m in got] == [
+                    (m.sender, m.recipient, m.payload) for m in expected
+                ]
+            if not omitted:
+                assert [
+                    (m.sender, m.payload) for m in network._inboxes[0]
+                ] == [(0, "a"), (2, "b")]
 
 
 # ---------------------------------------------------------------------------
-# The per-batch rule: one run may cross both paths, round by round.
+# One run may cross both paths, batch by batch.
 FINITE_TIMEOUT = {"min_latency": 1, "max_latency": 3, "gst": 10**9,
                   "timeout": 2}
 
@@ -539,27 +508,20 @@ class TestPerBatchRule:
         self, monkeypatch, model, model_options
     ):
         """Algorithm 1 at n=64 talks per-link over its spreading graph
-        (fan-out 1: object loop) and all-to-all in its announce rounds
-        (fan-out n-1: columnar plan).  The unpinned run must provably use
-        both, and equal the runs pinned to either — also when late
-        arrivals land on top of lazy views and plain lists alike."""
+        (fan-out 1) and all-to-all in its announce rounds (fan-out n-1).
+        A run that sends fan-outs below 4 down the object loop and the
+        rest down the columnar plan — plain lists and lazy views side by
+        side, late arrivals landing on both — equals the runs pinned to
+        either path."""
         served = {"columnar": 0, "object": 0}
+        columnar_deliver = delivery.Delivery.deliver
 
-        def counting(path, function):
-            def wrapper(*args, **kwargs):
-                served[path] += 1
-                return function(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            delivery, "plan_delivery",
-            counting("columnar", delivery.plan_delivery),
-        )
-        monkeypatch.setattr(
-            delivery, "_deliver_objects",
-            counting("object", delivery._deliver_objects),
-        )
+        def mixed_deliver(self, batch, omitted, inboxes, live):
+            if len(batch) < 4 * len(batch.records):
+                served["object"] += 1
+                return deliver_objects(batch, omitted, inboxes, live)
+            served["columnar"] += 1
+            return columnar_deliver(self, batch, omitted, inboxes, live)
 
         def run():
             return canonical(
@@ -572,13 +534,13 @@ class TestPerBatchRule:
                 ).result
             )
 
-        mixed = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(delivery.Delivery, "deliver", mixed_deliver)
+            mixed = run()
         assert served["columnar"] > 0 and served["object"] > 0
-        for columnar, idle in ((True, "object"), (False, "columnar")):
-            before = served[idle]
+        for columnar in (True, False):
             with engine_cell(True, columnar):
                 assert run() == mixed
-            assert served[idle] == before  # the pin really pinned
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,16 @@ from repro.baselines import (
     DoublingCollector,
     ResponseStarver,
     measure_amortization,
-    run_collectors,
 )
+from repro.harness import execute
+
+
+def run_collectors(n, t, adversary, quorum=None, seed=0):
+    options = {} if quorum is None else {"quorum": quorum}
+    return execute(
+        "collectors", n=n, t=t, adversary=adversary, seed=seed,
+        options=options,
+    )
 
 
 class TestCollector:
@@ -39,7 +47,7 @@ class TestCollector:
 class TestCrashSemantics:
     def test_crashed_collectors_cost_nothing(self):
         points = measure_amortization(64, 2, seed=4)
-        assert points["crash"].responses_to_victims == 0
+        assert points["crash"]["responses_to_victims"] == 0
 
     def test_crashed_collectors_never_satisfied(self):
         processes = run_collectors(
@@ -61,24 +69,24 @@ class TestOmissionSemantics:
 
     def test_starved_collector_charges_everyone(self):
         points = measure_amortization(64, 1, seed=7)
-        assert points["omission"].responses_to_victims == 63
+        assert points["omission"]["responses_to_victims"] == 63
 
     def test_healthy_collectors_unaffected(self):
         """The starver only touches responses to its victims; healthy
         collectors finish exactly as in the fault-free run."""
-        points = measure_amortization(64, 2, seed=8)
-        assert (
-            points["omission"].healthy_requests_max
-            == points["none"].healthy_requests_max
+        def healthy_requests(adversary):
+            processes = run_collectors(64, 2, adversary, seed=8).processes
+            return [process.contacted for process in processes[2:]]
+
+        assert healthy_requests(ResponseStarver([0, 1])) == (
+            healthy_requests(None)
         )
 
     def test_omission_beats_crash_in_forced_work(self):
         for n, t in ((64, 2), (96, 3)):
             points = measure_amortization(n, t, seed=9)
-            assert (
-                points["omission"].responses_to_victims
-                > points["crash"].responses_to_victims
-            )
+            forced = points["omission"]["responses_to_victims"]
+            assert forced > points["crash"]["responses_to_victims"]
             # Each victim is answered by every healthy process exactly
             # once: t * (n - t) forced responses.
-            assert points["omission"].responses_to_victims == t * (n - t)
+            assert forced == t * (n - t)

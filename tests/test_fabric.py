@@ -166,11 +166,18 @@ class TestCache:
         assert target.with_name(target.name + ".quarantine").exists()
 
     def test_failure_recipe_rides_along(self, tmp_path):
+        """A failing cell's record names its saved recipe file; the entry
+        is the identity and the record, with no second copy of the
+        recipe."""
         cache = CampaignCache(tmp_path / "cache")
         cell = make_cell()
-        cache.put(cell, {"failed": True}, recipe={"schema": 2, "seed": 0})
-        assert cache.get_recipe(cell) == {"schema": 2, "seed": 0}
-        assert cache.get_recipe(make_cell(seed=1)) is None
+        record = {"failed": True, "recipe": "counterexamples/cell.json"}
+        path = cache.put(cell, record)
+        assert cache.get(cell) == record
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(entry) == ["cell", "digest", "kind", "record", "schema"]
+        with pytest.raises(TypeError):
+            cache.put(cell, record, recipe={"schema": 2})  # type: ignore[call-arg]
 
     def test_scan_yields_verified_entries(self, tmp_path):
         cache = CampaignCache(tmp_path / "cache")
@@ -282,18 +289,15 @@ class TestCampaignCache:
     def test_object_engine_cells_serve_columnar_run(
         self, tmp_path, monkeypatch
     ):
-        """The engine fingerprint spans the certified-identical delivery
-        paths: cells computed with every batch on the object loop (what a
-        numpy-less host does) are served, byte for byte, to a default
-        (columnar-where-it-pays) run."""
-        import math
-
-        from repro.runtime import delivery
+        """Cells computed with every batch on the reference object loop
+        (``tests/delivery_oracle.py``) are served, byte for byte, to a
+        default (columnar) run: the cell identity names no delivery path."""
+        from .delivery_oracle import pin_object_loop
 
         spec = small_spec()
         cache = CampaignCache(tmp_path / "cache")
         with monkeypatch.context() as patch:
-            patch.setattr(delivery, "_COLUMNAR_MIN_FANOUT", math.inf)
+            pin_object_loop(patch)
             cold = run_campaign(spec, cache=cache)
         warm_computed = []
         warm = run_campaign(

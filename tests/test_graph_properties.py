@@ -4,14 +4,12 @@ import math
 
 from repro.graphs import (
     SpreadingGraph,
-    degree_report,
     dense_neighborhood_layers,
     is_edge_sparse,
     is_expanding,
     robust_core,
     spreading_graph,
     subgraph_diameter,
-    theorem4_report,
 )
 
 
@@ -21,24 +19,6 @@ def complete_graph(n: int) -> SpreadingGraph:
 
 def cycle_graph(n: int) -> SpreadingGraph:
     return SpreadingGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-class TestDegreeReport:
-    def test_complete_graph_within_bounds(self):
-        report = degree_report(complete_graph(10), delta=9)
-        assert report.within_bounds
-        assert report.minimum == report.maximum == 9
-
-    def test_detects_outliers(self):
-        # A star: center degree n-1, leaves degree 1.
-        star = SpreadingGraph(6, [(0, i) for i in range(1, 6)])
-        report = degree_report(star, delta=5)
-        assert not report.within_bounds
-
-    def test_relaxed_factors(self):
-        graph = spreading_graph(256, 24, seed=1)
-        report = degree_report(graph, 24, lower_factor=0.4, upper_factor=1.8)
-        assert report.within_bounds
 
 
 class TestExpansion:
@@ -86,23 +66,6 @@ class TestEdgeSparsity:
         edges += [(u, v) for u in range(10) for v in range(u + 1, 10)]
         planted = SpreadingGraph(120, edges)
         assert not is_edge_sparse(planted, ell=12, alpha=2.0, samples=400, seed=4)
-
-
-class TestTheorem4Report:
-    def test_report_fields(self):
-        graph = spreading_graph(200, 20, seed=5)
-        report = theorem4_report(graph, 20, samples=50, seed=5)
-        assert isinstance(report.all_hold, bool)
-        assert report.expanding
-
-    def test_complete_graph_fully_satisfies(self):
-        graph = complete_graph(12)
-        # With delta = n-1, expansion holds; sparsity with alpha = delta/1.
-        report = theorem4_report(
-            graph, 11, sparsity_alpha_divisor=1.0, samples=20
-        )
-        assert report.degrees.within_bounds
-        assert report.expanding
 
 
 class TestRobustCore:

@@ -11,7 +11,6 @@ from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.baselines import (
     BOTTOM,
     run_ben_or,
-    run_collectors,
     run_dolev_strong,
     run_phase_king,
     run_trb,
@@ -242,7 +241,7 @@ def test_baseline_runners_return_consensus_runs():
         "phase-king": run_phase_king(mixed(16), 2, seed=3),
         "dolev-strong": run_dolev_strong(mixed(8), 1, seed=3),
         "trb": run_trb(8, 0, 1, 1, seed=3),
-        "collectors": run_collectors(8, 0, None, seed=3),
+        "collectors": execute("collectors", n=8, t=0, seed=3),
     }
     for name, run in runs.items():
         assert isinstance(run, ConsensusRun), name

@@ -59,10 +59,13 @@ class TestMessageBatch:
         batch = mixed_batch()
         endpoints = [(m.sender, m.recipient) for m in batch]
         assert endpoints == [(0, 3), (1, 0), (1, 2), (1, 3), (2, 1)]
+        cols = batch.columns()
         for index in range(len(batch)):
             view = batch[index]
             assert (view.sender, view.recipient) == endpoints[index]
-            assert batch.endpoints_at(index) == endpoints[index]
+            assert (
+                int(cols.copy_sender[index]), int(cols.copy_recipient[index])
+            ) == endpoints[index]
 
     def test_negative_index_and_slice(self):
         batch = mixed_batch()
@@ -100,7 +103,7 @@ class TestMessageBatch:
         for index, message in enumerate(batch):
             by_sender.setdefault(message.sender, []).append(index)
             by_recipient.setdefault(message.recipient, []).append(index)
-        assert batch.copy_indices(by_sender, by_recipient) == (
+        assert batch.columns().copy_indices(by_sender, by_recipient) == (
             by_sender,
             by_recipient,
         )

@@ -169,6 +169,19 @@ REMOVED_PACKAGES = frozenset({"repro.lint", "repro.runtime.trace"})
             )
         ),
         ("repro.analysis.campaign", "CAPTURES"),
+        # What the reachability census (tools/reachability.py) found that
+        # nothing runs.
+        ("repro.core", "ConsensusLog"),
+        ("repro.core", "LogEntry"),
+        ("repro.runtime", "HAVE_NUMPY"),
+        ("repro.runtime.columnar", "HAVE_NUMPY"),
+        ("repro.runtime.delivery", "_COLUMNAR_MIN_FANOUT"),
+        ("repro.graphs", "theorem4_report"),
+        ("repro.graphs", "Theorem4Report"),
+        ("repro.graphs", "degree_report"),
+        ("repro.graphs", "DegreeReport"),
+        ("repro.baselines", "AmortizationPoint"),
+        ("repro.baselines", "run_collectors"),
     ],
 )
 def test_removed_name_is_not_importable(module, name):
@@ -177,6 +190,25 @@ def test_removed_name_is_not_importable(module, name):
             importlib.import_module(module)
         return
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_numpy_is_a_hard_dependency(repro_env):
+    """Every round is delivered through numpy column vectors: numpy is an
+    install requirement, and an interpreter where it does not import
+    cannot import the engine (there is no pure-python fallback)."""
+    import configparser
+
+    setup = configparser.ConfigParser()
+    setup.read(Path(__file__).resolve().parent.parent / "setup.cfg")
+    assert setup["options"]["install_requires"].split() == ["numpy"]
+    assert "fast" not in setup["options.extras_require"]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         'import sys; sys.modules["numpy"] = None\nimport repro.runtime'],
+        capture_output=True, text=True, timeout=60, env=repro_env,
+    )
+    assert run.returncode != 0
+    assert "numpy" in run.stderr
 
 
 def test_linter_package_is_gone(repro_env):
@@ -327,8 +359,8 @@ def per_copy_message_sites(tree):
 def test_engine_builds_messages_per_copy_only_where_one_is_read():
     """A ``Message(...)`` per copy is O(copies) allocations where the
     columnar plan needs O(records); under ``src/repro/runtime`` it happens
-    only in the batch's flat expansion, the lazy views' cache fill and the
-    reference object loop.  (The
+    only in the batch's flat expansion and the lazy views' cache fill (the
+    reference object loop is ``tests/delivery_oracle.py``).  (The
     dynamic half is the ``materialized`` fixture's zero-fill tests.)  A
     new site queues a ``Multicast`` or hands out a lazy view instead — or
     is added here on purpose."""
@@ -343,7 +375,6 @@ def test_engine_builds_messages_per_copy_only_where_one_is_read():
     assert sites == {
         ("messages.py", "__iter__"),
         ("columnar.py", "_materialize"),
-        ("delivery.py", "_deliver_objects"),
     }
     planted = ast.parse(
         "def fan_out(record):\n"

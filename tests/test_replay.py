@@ -7,7 +7,6 @@ recorded *failure* replays to the same invariant violation.
 """
 
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -33,10 +32,11 @@ from repro.runtime import (
     ProcessEnv,
     SyncNetwork,
     SyncProcess,
-    delivery,
     payload_bits,
     result_to_dict,
 )
+
+from .delivery_oracle import pin_object_loop
 
 GOLDEN = Path(__file__).parent / "data" / "golden-ben-or.json"
 
@@ -85,14 +85,11 @@ class TestRecordReplayMatrix:
     def test_replay_across_engine_send_paths(
         self, protocol, n, t, adversary, seed, monkeypatch
     ):
-        """Omit indices address the flat per-copy order both delivery
-        paths share, so a schedule recorded with every batch on the
-        columnar plan replays identically with every batch on the object
-        loop and vice versa."""
+        """Omit indices address the flat per-copy order the columnar plan
+        and the object-loop oracle (``tests/delivery_oracle.py``) share,
+        so a schedule recorded on either replays identically on the
+        other."""
         inputs = [pid % 2 for pid in range(n)]
-
-        def pin(threshold):
-            monkeypatch.setattr(delivery, "_COLUMNAR_MIN_FANOUT", threshold)
 
         def recorded():
             return record(
@@ -103,13 +100,12 @@ class TestRecordReplayMatrix:
                 seed=seed,
             )
 
-        pin(0)
         on_columnar = recorded()
-        pin(math.inf)
-        assert replay(on_columnar.recipe).ok
-        on_objects = recorded()
+        with monkeypatch.context() as patch:
+            pin_object_loop(patch)
+            assert replay(on_columnar.recipe).ok
+            on_objects = recorded()
         assert on_objects.recipe.expected == on_columnar.recipe.expected
-        pin(0)
         assert replay(on_objects.recipe).ok
 
     def test_adversary_that_writes_through_its_view_does_not_replay(self):
@@ -151,28 +147,25 @@ class TestGoldenRecipe:
     """Cross-version determinism: the committed artifact was recorded once
     (CPython 3.11) and must replay byte-identically on every CI
     interpreter — the Mersenne Twister and the engine's seed derivation
-    are stable across 3.11/3.12.  "Fast path" is whatever the delivery
-    layer picks per batch; "legacy path" is the reference object loop
-    alone (``tests/test_columnar.py`` covers the remaining grid)."""
+    are stable across 3.11/3.12.  "Fast path" is the engine's columnar
+    plan; "legacy path" is the reference object loop
+    (``tests/delivery_oracle.py``; ``tests/test_columnar.py`` covers the
+    remaining grid)."""
 
     def test_golden_replays_on_fast_path(self):
         report = replay(load_recipe(GOLDEN))
         assert report.ok, report.summary()
 
     def test_golden_replays_on_legacy_path(self, monkeypatch):
-        monkeypatch.setattr(delivery, "_COLUMNAR_MIN_FANOUT", math.inf)
+        pin_object_loop(monkeypatch)
         report = replay(load_recipe(GOLDEN))
         assert report.ok, report.summary()
 
-    def test_legacy_engine_keys_are_accepted_and_ignored(
-        self, run_without_numpy
-    ):
+    def test_legacy_engine_keys_are_accepted_and_ignored(self):
         """Replay portability: recipes used to pin ``multicast`` /
-        ``columnar``, and ``"columnar": true`` made a numpy-less host
-        refuse to replay.  Old payloads still load (the golden artifact
-        carries ``"multicast": true``), pin nothing, and replay where
-        numpy does not import; new payloads stop writing the keys; schema
-        handling is untouched."""
+        ``columnar``.  Old payloads still load (the golden artifact
+        carries ``"multicast": true``), pin nothing and replay; new
+        payloads stop writing the keys; schema handling is untouched."""
         payload = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert payload["multicast"] is True
         pinned = dict(payload, multicast=False, columnar=True)
@@ -183,19 +176,7 @@ class TestGoldenRecipe:
         assert written["schema"] == payload["schema"] == SCHEMA_VERSION
         with pytest.raises(ValueError, match="recipe schema"):
             recipe_from_payload(dict(pinned, schema=SCHEMA_VERSION + 1))
-        out = run_without_numpy(
-            "import json\n"
-            "from repro.replay import replay\n"
-            "from repro.replay.recipe import recipe_from_payload\n"
-            "from repro.runtime import HAVE_NUMPY\n"
-            "assert not HAVE_NUMPY\n"
-            f"payload = json.load(open({str(GOLDEN)!r}))\n"
-            "payload.update(multicast=False, columnar=True)\n"
-            "report = replay(recipe_from_payload(payload))\n"
-            "assert report.ok, report.summary()\n"
-            "print(report.summary())\n"
-        )
-        assert "matches" in out
+        assert replay(recipe).ok
 
 
 class SplitDecider(SyncProcess):

@@ -1,8 +1,8 @@
 """Oracle for the adversary view's index helpers.
 
 ``NetworkView.message_indices_touching / _from / _to`` answer for the asked
-pids only — vectorized selects on a columnar-plan batch, one bucketed walk
-over the records otherwise.  This module keeps what they replaced — the
+pids only, by vectorized selects on the round's column vectors.  This
+module keeps what they replaced — the
 all-copies ``indices_by_sender`` / ``indices_by_recipient`` builders and
 the three helper bodies — verbatim as the executable specification, and
 checks that the new helpers hand ``frozenset()`` the **same list**: the
@@ -11,8 +11,6 @@ iteration order of a set of ints depends on its insertion sequence, and
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +26,6 @@ from repro.runtime import (
     NetworkView,
     network,
 )
-from repro.runtime.delivery import _COLUMNAR_MIN_FANOUT, _takes_columnar_plan
 
 HELPERS = {
     "message_indices_touching": (True, True),
@@ -152,8 +149,9 @@ class TestOracle:
 
     @pytest.mark.parametrize("fanout", [1, 3, 4, 9])
     def test_both_sides_of_the_per_batch_rule(self, fanout):
-        """Fan-out below ``_COLUMNAR_MIN_FANOUT`` walks the records, from
-        it on the column vectors answer — the same list either way."""
+        """Fan-outs on both sides of the retired per-batch rule (records
+        were walked below fan-out 4) answer from the column vectors with
+        the same list."""
         n = 10
         batch = MessageBatch(
             [
@@ -163,7 +161,6 @@ class TestOracle:
                 for pid in range(n)
             ]
         )
-        assert _takes_columnar_plan(batch) == (fanout >= _COLUMNAR_MIN_FANOUT)
         pids = {0, 3, 4, 11}
         for helper, (sent, received) in HELPERS.items():
             assert handed_to_frozenset(batch, helper, pids) == (
@@ -175,7 +172,6 @@ class TestOracle:
         iterate in sorted order, so only the same insertion sequence gives
         ``RandomOmissionAdversary`` the same draw assignment."""
         batch, faulty = dense_round()
-        assert _takes_columnar_plan(batch)
         new = view_of(batch).message_indices_touching(faulty)
         reference = frozenset(reference_list(batch, faulty, True, True))
         assert list(new) == list(reference)
@@ -193,49 +189,6 @@ def dense_round(n: int = 256, t: int = 32):
         ]
     )
     return batch, frozenset(range(3, n, n // t))
-
-
-_MASKED_VIEW = """
-import json
-from repro.runtime import HAVE_NUMPY, Message, MessageBatch, Multicast, NetworkView
-
-assert not HAVE_NUMPY
-n = 256
-everyone = tuple(range(n))
-dense = MessageBatch([
-    Multicast(pid, everyone[:pid] + everyone[pid + 1:], (7, pid % 2))
-    for pid in range(n)
-])
-sparse = MessageBatch([
-    Message(0, 3, "a"), Multicast(1, (0, 2, 0), "b"), Message(2, 1, "c"),
-])
-out = []
-for batch, pids in ((dense, range(3, n, 8)), (sparse, (0, 2, 9))):
-    view = NetworkView(0, (), batch, frozenset(), 0, {}, frozenset())
-    out.append([
-        list(view.message_indices_touching(pids)),
-        list(view.message_indices_from(pids)),
-        list(view.message_indices_to(pids)),
-    ])
-print(json.dumps(out))
-"""
-
-
-def test_numpy_masked_host_iterates_like_the_parent(run_without_numpy):
-    """Without numpy every batch walks the records; one dense and one
-    sparse round still iterate exactly like the reference built here."""
-    dense, faulty = dense_round()
-    sparse = MessageBatch(
-        [Message(0, 3, "a"), Multicast(1, (0, 2, 0), "b"), Message(2, 1, "c")]
-    )
-    want = [
-        [
-            list(frozenset(reference_list(batch, pids, sent, received)))
-            for sent, received in HELPERS.values()
-        ]
-        for batch, pids in ((dense, faulty), (sparse, (0, 2, 9)))
-    ]
-    assert json.loads(run_without_numpy(_MASKED_VIEW)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +212,7 @@ class ParentEclipseAdversary(EclipseAdversary):
 
 
 def test_eclipse_schedule_equals_the_parents():
-    """Algorithm 1 at n=64 crosses both sides of the per-batch rule."""
+    """Algorithm 1 at n=64: per-link and all-to-all rounds alike."""
     inputs = [pid % 2 for pid in range(64)]
     neighbors = (3, 20, 41)  # one more than the budget
 
