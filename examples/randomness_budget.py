@@ -13,7 +13,7 @@ Run:  python examples/randomness_budget.py
 
 from __future__ import annotations
 
-from repro.analysis import measure
+from repro.analysis import CampaignSpec, run_campaign
 from repro.analysis.theory import theorem3_invariant
 
 N = 64
@@ -21,8 +21,12 @@ N = 64
 
 def main() -> None:
     xs = [1, 2, 4, 8, 16, 32, 64]
+    # One campaign cell per x: Algorithm 4 on balanced inputs at seed 11.
     points = [
-        (x, measure("tradeoff", [N], seed=11, options={"x": x})[0])
+        (x, run_campaign(CampaignSpec(
+            "randomness-budget", "tradeoff", ns=(N,), seeds=(11,),
+            options={"x": x},
+        ))[0])
         for x in xs
     ]
 
@@ -30,21 +34,23 @@ def main() -> None:
     print(f"{'x':>4} {'rounds T':>9} {'rand bits R':>12} {'comm bits':>12} "
           f"{'T*max(R,1)':>12} {'decision':>9}")
     for x, point in points:
-        invariant = theorem3_invariant(point.rounds, max(point.random_bits, 1))
+        invariant = theorem3_invariant(
+            point["rounds"], max(point["random_bits"], 1)
+        )
         print(
-            f"{x:>4} {point.rounds:>9} {point.random_bits:>12} "
-            f"{point.bits_sent:>12} {invariant:>12.0f} {point.decision:>9}"
+            f"{x:>4} {point['rounds']:>9} {point['random_bits']:>12} "
+            f"{point['bits']:>12} {invariant:>12.0f} {point['decision']:>9}"
         )
 
-    frugal_x, frugal = min(points, key=lambda xp: xp[1].random_bits)
-    fastest_x, fastest = min(points, key=lambda xp: xp[1].rounds)
+    frugal_x, frugal = min(points, key=lambda xp: xp[1]["random_bits"])
+    fastest_x, fastest = min(points, key=lambda xp: xp[1]["rounds"])
     print(
-        f"\nfastest: x={fastest_x} ({fastest.rounds} rounds, "
-        f"{fastest.random_bits} random bits)"
+        f"\nfastest: x={fastest_x} ({fastest['rounds']} rounds, "
+        f"{fastest['random_bits']} random bits)"
     )
     print(
         f"most randomness-frugal: x={frugal_x} "
-        f"({frugal.rounds} rounds, {frugal.random_bits} random bits)"
+        f"({frugal['rounds']} rounds, {frugal['random_bits']} random bits)"
     )
     print("\nShape check (Theorem 3): random bits fall monotonically in x "
           "while rounds rise — you pay for determinism with time, never "

@@ -272,8 +272,8 @@ class VoteBalancingAdversary(Adversary):
 
 
 #: The named adversaries: ``name -> factory(n, t, seed)``.  The one place a
-#: name means a strategy — campaign cells, ``measure``, the conformance
-#: battery and the CLI ``--adversary`` choices all read it.
+#: name means a strategy — campaign cells (and so the report's sweeps), the
+#: conformance battery and the CLI ``--adversary`` choices all read it.
 GALLERY: dict[str, Callable[[int, int, int], Adversary | None]] = {
     "none": lambda n, t, seed: None,
     "silence": lambda n, t, seed: SilenceAdversary(range(t)),

@@ -4,8 +4,8 @@ Extracted from :mod:`repro.analysis.campaign` so the byte-level durability
 discipline (fsync-per-record appends, torn-tail quarantine, tolerant
 parsing) lives apart from cell identity and scheduling.  The public
 surface stays on ``repro.analysis.campaign``; ``load_journal`` there adds
-the :class:`~repro.fabric.CellId`-aware duplicate-cell merge on top of the
-raw :func:`load_journal_records` parser here.
+the duplicate-cell merge, keyed on the campaign name and the
+:class:`~repro.fabric.CellId`, on top of the raw parser here.
 """
 
 from __future__ import annotations

@@ -72,7 +72,11 @@ from ._journal import (
     load_journal_records,
     repair_journal,
 )
-from .experiments import mixed_inputs
+
+
+def mixed_inputs(n: int) -> list[int]:
+    """The hardest input assignment: a perfectly balanced split."""
+    return [pid % 2 for pid in range(n)]
 
 
 @dataclass(frozen=True)
@@ -237,10 +241,11 @@ def load_journal(
 
     ``dedupe`` (the default) merges cells that were appended more than
     once — e.g. a sweep re-run under a different ``jobs`` count after a
-    partial resume — by **latest-write-wins** on :class:`CellId`: the
-    surviving record is the last one appended, at the position of the
-    first.  Lines that are not cell records are kept verbatim.  Pass
-    ``dedupe=False`` for the raw line-by-line view.
+    partial resume — by **latest-write-wins** on ``(campaign, CellId)``:
+    the surviving record is the last one appended, at the position of the
+    first.  Two campaigns sharing a journal each keep their own record of
+    a cell they both ran.  Lines that are not cell records are kept
+    verbatim.  Pass ``dedupe=False`` for the raw line-by-line view.
     """
     records = load_journal_records(path)
     if not dedupe:
@@ -248,7 +253,11 @@ def load_journal(
     merged: dict[object, dict[str, Any]] = {}
     for index, record in enumerate(records):
         cell = CellId.from_record(record)
-        key: object = cell if cell is not None else ("__line__", index)
+        key: object = (
+            (record.get("campaign"), cell)
+            if cell is not None
+            else ("__line__", index)
+        )
         merged[key] = record  # latest write wins, first-seen position kept
     return list(merged.values())
 
@@ -409,11 +418,6 @@ def save_campaign(
     Path(path).write_text(
         json.dumps(list(records), indent=2, sort_keys=True), encoding="utf-8"
     )
-
-
-def load_campaign(path: str | Path) -> list[dict[str, Any]]:
-    """Read records written by :func:`save_campaign`."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def summarize_campaign(

@@ -58,6 +58,7 @@ from ..graphs import (
     spreading_graph,
     subgraph_diameter,
 )
+from ..harness import execute
 from ..lowerbound import (
     classify_all_inputs,
     FloodMinProtocol,
@@ -69,9 +70,9 @@ from ..lowerbound import (
 from ..params import ProtocolParams
 from ..runtime import CountingRandom, SyncNetwork, SyncProcess
 from . import theory
-from .experiments import measure, mixed_inputs
+from .campaign import CampaignSpec, mixed_inputs, run_campaign
 from .fits import loglog_slope
-from .montecarlo import fallback_rate_vs_epochs
+from .montecarlo import wilson_interval
 
 PRACTICAL = ProtocolParams.practical()
 
@@ -284,27 +285,50 @@ def vote_rule(band_total, gap_total, n, t, ones):
     return values
 
 
+def _cells(protocol, n, seeds, adversary="none", **options):
+    """The records of campaign cells: ``protocol`` on balanced inputs at
+    ``n`` against a ``GALLERY`` adversary, one per seed."""
+    return run_campaign(CampaignSpec(
+        "report", protocol, ns=(n,), adversaries=(adversary,),
+        seeds=tuple(seeds), options=options,
+    ))
+
+
+def _column(records, key):
+    return [record[key] for record in records]
+
+
+def whp_path(protocol, ns, seed, adversary="none"):
+    """The whp fast path over ``ns``: the cell at ``seed + n`` and, only if
+    it fell into the Dolev-Strong fallback, the cells at ``+ 7919 k`` for
+    k = 1, 2 until one does not.  Returns the reported record per n (the
+    last cell run) and every cell run, so a fallback rate and the fast-path
+    values are read off the same cells."""
+    reported, cells = [], []
+    for n in ns:
+        for k in range(3):
+            (record,) = _cells(protocol, n, [seed + n + 7919 * k], adversary)
+            cells.append(record)
+            if not record["fallback"]:
+                break
+        reported.append(record)
+    return reported, cells
+
+
 def scaling(ns, seed, quiet_seed, unanimous_ns, unanimous_seed):
-    """Theorem 1 over ``ns`` on the whp path (``whp_retries=3``): under the
+    """Theorem 1 over ``ns`` on the whp path (:func:`whp_path`): under the
     vote-balancing adversary, without one, and on unanimous inputs."""
-    attacked = measure(
-        "algorithm1", ns,
-        adversary=lambda n, t, run_seed: VoteBalancingAdversary(seed=n),
-        seed=lambda n: seed + n, whp_retries=3,
-    )
-    quiet = measure(
-        "algorithm1", ns, seed=lambda n: quiet_seed + n, whp_retries=3
-    )
+    attacked, _ = whp_path("algorithm1", ns, seed, "balance")
+    quiet, _ = whp_path("algorithm1", ns, quiet_seed)
     values = {
-        "t": [p.t for p in attacked],
-        "rounds": [p.rounds for p in attacked],
-        "bits": [p.bits_sent for p in attacked],
-        "random_bits": [p.random_bits for p in attacked],
-        "fallback": [p.used_fallback for p in attacked],
-        "quiet_rounds": [p.rounds for p in quiet],
-        "quiet_rounds_growth": quiet[-1].rounds / quiet[0].rounds,
-        "n_growth": ns[-1] / ns[0],
+        name: _column(attacked, name)
+        for name in ("t", "rounds", "bits", "random_bits", "fallback")
     }
+    values.update(
+        quiet_rounds=_column(quiet, "rounds"),
+        quiet_rounds_growth=quiet[-1]["rounds"] / quiet[0]["rounds"],
+        n_growth=ns[-1] / ns[0],
+    )
     values["rounds_slope"] = loglog_slope(ns, values["rounds"])
     values["bits_slope"] = loglog_slope(ns, values["bits"])
     values["random_bits_slope"] = loglog_slope(
@@ -357,80 +381,76 @@ def tradeoff(n, xs, seed, invariant_xs, invariant_seed, endpoint_seed):
     T x R invariant over a second sweep; the x = 1 and x = n endpoints."""
 
     def sweep(xs, seed):
-        return [
-            measure("tradeoff", [n], seed=seed, options={"x": x})[0]
-            for x in xs
-        ]
+        return [_cells("tradeoff", n, [seed], x=x)[0] for x in xs]
 
     points = sweep(xs, seed)
-    rounds = [p.rounds for p in points]
-    random_bits = [p.random_bits for p in points]
-    bits = [p.bits_sent for p in points]
+    rounds = _column(points, "rounds")
+    random_bits = _column(points, "random_bits")
+    bits = _column(points, "bits")
     invariant = [
-        p.rounds * max(1, p.random_bits) for p in sweep(invariant_xs, invariant_seed)
+        p["rounds"] * max(1, p["random_bits"])
+        for p in sweep(invariant_xs, invariant_seed)
     ]
     low, high = sweep([1, n], endpoint_seed)
     return {
         "rounds": rounds, "random_bits": random_bits, "bits": bits,
-        "decision": [p.decision for p in points],
+        "decision": _column(points, "decision"),
         "rounds_span": max(rounds) / rounds[0],
         "half_x1_random_bits": random_bits[0] // 2,
         "rounds_slope": loglog_slope(xs, rounds),
         "bits_spread": max(bits) / min(bits),
         "invariant": invariant,
         "invariant_spread": max(invariant) / min(invariant),
-        "endpoint_rounds": [low.rounds, high.rounds],
-        "endpoint_random_bits": [low.random_bits, high.random_bits],
-        "endpoint_rounds_ratio": high.rounds / low.rounds,
+        "endpoint_rounds": [low["rounds"], high["rounds"]],
+        "endpoint_random_bits": [low["random_bits"], high["random_bits"]],
+        "endpoint_rounds_ratio": high["rounds"] / low["rounds"],
     }
 
 
 def baselines(ns, seed, bits_seed, crossover_ns, crossover_seed):
     """Algorithm 1 (whp path) against Dolev-Strong and phase-king under
     full-budget silence; a bits sweep at a second seed; a crossover sweep
-    against Dolev-Strong at t = n/4."""
+    against Dolev-Strong at t = n/4 (not a cell: its t is not the
+    registry's default)."""
 
     def alg1(ns, seed):
-        return measure(
-            "algorithm1", ns, seed=lambda n: seed + n, whp_retries=3
-        )
+        return whp_path("algorithm1", ns, seed)[0]
 
-    def silenced(protocol, ns, seed, **kwargs):
-        return measure(
-            protocol, ns, adversary="silence", seed=lambda n: seed + n,
-            **kwargs,
-        )
+    def silenced(protocol, ns, seed):
+        return [_cells(protocol, n, [seed + n], "silence")[0] for n in ns]
 
     def growth(points):
-        return points[-1].rounds / points[0].rounds
+        return points[-1]["rounds"] / points[0]["rounds"]
 
     def ratio(numerators, denominators, field):
-        return [
-            getattr(a, field) / getattr(b, field)
-            for a, b in zip(numerators, denominators)
-        ]
+        return [a[field] / b[field] for a, b in zip(numerators, denominators)]
 
     ours, dolev, king = (
         alg1(ns, seed), silenced("dolev-strong", ns, seed),
         silenced("phase-king", ns, seed),
     )
     ours_bits, dolev_bits = alg1(ns, bits_seed), silenced("dolev-strong", ns, bits_seed)
+    quarter = [
+        execute(
+            "dolev-strong", mixed_inputs(n), t=n // 4,
+            adversary=SilenceAdversary(range(n // 4)), seed=crossover_seed + n,
+        ).result.time_to_agreement()
+        for n in crossover_ns
+    ]
     return {
-        "alg1_rounds": [p.rounds for p in ours],
-        "ds_rounds": [p.rounds for p in dolev],
-        "pk_rounds": [p.rounds for p in king],
+        "alg1_rounds": _column(ours, "rounds"),
+        "ds_rounds": _column(dolev, "rounds"),
+        "pk_rounds": _column(king, "rounds"),
         "alg1_growth": growth(ours), "ds_growth": growth(dolev),
         "pk_growth": growth(king),
-        "ds_alg1_bits_ratio": ratio(dolev, ours, "bits_sent"),
-        "bits_ratio": ratio(dolev_bits, ours_bits, "bits_sent"),
-        "alg1_bits_slope": loglog_slope(ns, [p.bits_sent for p in ours_bits]),
-        "ds_bits_slope": loglog_slope(ns, [p.bits_sent for p in dolev_bits]),
-        "crossover_ratio": ratio(
-            alg1(crossover_ns, crossover_seed),
-            silenced("dolev-strong", crossover_ns, crossover_seed,
-                     t=lambda n: max(1, n // 4)),
-            "rounds",
-        ),
+        "ds_alg1_bits_ratio": ratio(dolev, ours, "bits"),
+        "bits_ratio": ratio(dolev_bits, ours_bits, "bits"),
+        "alg1_bits_slope": loglog_slope(ns, _column(ours_bits, "bits")),
+        "ds_bits_slope": loglog_slope(ns, _column(dolev_bits, "bits")),
+        "crossover_ratio": [
+            point["rounds"] / rounds
+            for point, rounds in zip(alg1(crossover_ns, crossover_seed), quarter)
+        ],
     }
 
 
@@ -545,9 +565,14 @@ def epoch_budget(n, epochs, trials, seed):
     """Ablation of the epoch budget (Lemma 10): Dolev-Strong fallback rate
     on balanced inputs per number of epochs, with Wilson 95% intervals."""
     values: dict = {}
-    for _, rate in fallback_rate_vs_epochs(n, epochs, trials=trials, seed=seed):
-        _append(values, fallbacks=rate.successes, fallback_rate=rate.rate,
-                interval=[rate.low, rate.high])
+    first = seed * 1000 + 17
+    for budget in epochs:
+        records = _cells(
+            "algorithm1", n, range(first, first + trials), num_epochs=budget
+        )
+        fallbacks = sum(_column(records, "fallback"))
+        _append(values, fallbacks=fallbacks, fallback_rate=fallbacks / trials,
+                interval=list(wilson_interval(fallbacks, trials)))
     return values
 
 
@@ -839,9 +864,11 @@ inequalities the lemmas assert.  See DESIGN.md §2.
   says otherwise.  *Time* is rounds until the last non-faulty process
   decides; *bits* are metered at send time; *randomness* at the
   per-process sources.
-* Scaling sweeps measure the whp fast path: a run that fell into the
-  Dolev-Strong fallback is re-seeded up to three times and the fallback
-  flag is kept (`measure(..., whp_retries=3)`).
+* Scaling sweeps measure the whp fast path on campaign cells: the cell at
+  `seed + n` is reported unless it fell into the Dolev-Strong fallback;
+  then the cells at `seed + n + 7919k` (k = 1, 2) run, and the first that
+  does not fall back (or the last) is reported with its fallback flag
+  (`whp_path`, which also returns every cell it ran).
 * Floats are stored with 6 significant digits; criteria are judged on the
   stored values.
 * A VIOLATED verdict is reported with a shrunk `ExecutionRecipe`

@@ -55,7 +55,7 @@ def _current_engine() -> str:
 
 @dataclass(frozen=True)
 class CellId:
-    """Frozen identity of one sweep cell; hashable, orderable, digestible.
+    """Frozen identity of one sweep cell; hashable and digestible.
 
     A cell's identity is the named-axis view of the run's
     :class:`~repro.harness.ExecutionConfig` — ``protocol, n, seed, options,
@@ -186,10 +186,3 @@ class CellId:
             f"{self.protocol}:n{self.n}:{self.adversary}:s{self.seed}"
             f":{model}:{self.short}"
         )
-
-    def __lt__(self, other: object) -> bool:
-        # A total order (by digest) so mixed None/str model fields never
-        # break ``sorted`` over heterogeneous cell populations.
-        if not isinstance(other, CellId):
-            return NotImplemented
-        return self.digest < other.digest

@@ -29,7 +29,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Iterator
 from typing import Any
 
 from ..runtime.serialization import SCHEMA_VERSION
@@ -93,50 +92,35 @@ class CampaignCache:
         self.stats.hits += 1
         return entry["record"]
 
-    def contains(self, cell: CellId) -> bool:
-        """Whether a *verified* entry exists (no stats side effects)."""
-        return self._load_verified(cell, count=False) is not None
-
-    def _load_verified(
-        self, cell: CellId, count: bool = True
-    ) -> dict[str, Any] | None:
+    def _load_verified(self, cell: CellId) -> dict[str, Any] | None:
+        """``cell``'s entry if it parses and verifies; a failed entry is
+        moved to a ``.quarantine`` sidecar (kept for forensics, seen as a
+        miss)."""
         path = self.entry_path(cell)
         try:
             data = path.read_text(encoding="utf-8")
         except (FileNotFoundError, NotADirectoryError):
             return None
-        entry = self._verify(path, data, expected=cell.digest, count=count)
-        return entry
-
-    def _verify(
-        self, path: Path, data: str, expected: str | None, count: bool
-    ) -> dict[str, Any] | None:
-        """Parse + verify one entry; quarantine and return None on failure."""
         try:
             entry = json.loads(data)
             if entry.get("kind") != ENTRY_KIND:
                 raise ValueError(f"not a cell entry: kind={entry.get('kind')!r}")
             stored = CellId.from_payload(entry["cell"])
-            if expected is not None and stored.digest != expected:
+            if stored.digest != cell.digest:
                 raise ValueError(
                     f"identity re-digests to {stored.digest[:12]}, "
-                    f"file claims {expected[:12]}"
+                    f"file claims {cell.digest[:12]}"
                 )
             if not isinstance(entry.get("record"), dict):
                 raise ValueError("entry carries no record")
         except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            if count:
-                self.stats.invalid += 1
+            try:
+                os.replace(path, path.with_name(path.name + ".quarantine"))
+            except OSError:
+                pass
+            self.stats.invalid += 1
             return None
         return entry
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a failed entry aside (kept for forensics, seen as a miss)."""
-        try:
-            os.replace(path, path.with_name(path.name + ".quarantine"))
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # write side
@@ -169,26 +153,6 @@ class CampaignCache:
         os.replace(tmp, path)
         self.stats.puts += 1
         return path
-
-    # ------------------------------------------------------------------
-    # maintenance / introspection
-    # ------------------------------------------------------------------
-    def scan(self) -> Iterator[dict[str, Any]]:
-        """Yield every verified entry in the store (digest order)."""
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return
-        for path in sorted(objects.glob("*/*.json")):
-            try:
-                data = path.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            entry = self._verify(path, data, expected=path.stem, count=False)
-            if entry is not None:
-                yield entry
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.scan())
 
 
 def open_cache(

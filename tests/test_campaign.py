@@ -13,7 +13,6 @@ from repro.analysis import campaign
 from repro.analysis.campaign import (
     CampaignSpec,
     append_journal_record,
-    load_campaign,
     load_journal,
     repair_journal,
     run_campaign,
@@ -146,9 +145,9 @@ class TestParallel:
         records = run_campaign(spec, jobs=2, journal=path)
         on_disk = load_journal(path)
         assert len(on_disk) == 2
-        assert sorted(map(CellId.from_record, on_disk)) == sorted(
-            map(CellId.from_record, records)
-        )
+        assert {CellId.from_record(r) for r in on_disk} == {
+            CellId.from_record(r) for r in records
+        }
         # A re-run resumes entirely from the journal: nothing recomputed,
         # nothing re-appended.
         recomputed = []
@@ -167,8 +166,8 @@ class TestParallel:
         computed = []
         fanned = run_campaign(spec, jobs=jobs, on_record=computed.append)
         assert fanned == serial
-        assert sorted(map(CellId.from_record, computed)) == sorted(
-            spec.cell_id(*coords) for coords in spec.grid()
+        assert sorted(CellId.from_record(r).digest for r in computed) == sorted(
+            spec.cell_id(*coords).digest for coords in spec.grid()
         )
 
     def test_cells_are_submitted_largest_n_first(self, monkeypatch):
@@ -226,13 +225,14 @@ class TestParallel:
             capture_output=True, text=True, timeout=30, env=repro_env,
         )
         assert done.stdout.split() == ["BrokenProcessPool"], done.stderr
-        survivors = len(CampaignCache(cache))
+        spec = CampaignSpec(**KILLED_WORKER_SPEC)
+        survivors = sum(
+            CampaignCache(cache).get(spec.cell_id(*coords)) is not None
+            for coords in spec.grid()
+        )
         assert 1 <= survivors <= 3
         computed = []
-        records = run_campaign(
-            CampaignSpec(**KILLED_WORKER_SPEC), cache=cache,
-            on_record=computed.append,
-        )
+        records = run_campaign(spec, cache=cache, on_record=computed.append)
         assert len(records) == 4
         assert len(computed) == 4 - survivors
 
@@ -414,6 +414,23 @@ class TestJournal:
         assert loaded == [rerun, second]  # deduped, first-seen position
         assert len(load_journal(path, dedupe=False)) == 3
 
+    def test_shared_journal_keeps_each_campaigns_cells(self, tmp_path):
+        """Two campaigns that run the same cell into one journal each keep
+        their record: re-running the first executes and appends nothing."""
+        path = tmp_path / "journal.jsonl"
+        first, second = (
+            CampaignSpec(name, "ben-or", ns=(8,)) for name in ("a", "b")
+        )
+        for spec in (first, second):
+            run_campaign(spec, journal=path, resume=path)
+        computed = []
+        run_campaign(first, journal=path, resume=path, on_record=computed.append)
+        assert computed == []
+        assert len(load_journal(path, dedupe=False)) == 2
+        assert [record["campaign"] for record in load_journal(path)] == [
+            "a", "b",
+        ]
+
     def test_load_journal_dedupe_keeps_non_cell_lines(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         note = {"note": "sweep started"}
@@ -476,7 +493,7 @@ class TestPersistence:
         records = run_campaign(small_spec(adversaries=["none"], seeds=[0]))
         path = tmp_path / "campaign.json"
         save_campaign(records, path)
-        assert load_campaign(path) == records
+        assert json.loads(path.read_text(encoding="utf-8")) == records
 
 
 class TestSummary:

@@ -144,6 +144,8 @@ def test_campaign_jobs_and_jsonl_resume(tmp_path, capsys):
 
 
 def test_campaign_x_option_recorded(tmp_path, capsys):
+    import json
+
     output = tmp_path / "tradeoff.json"
     code = main(
         [
@@ -157,9 +159,7 @@ def test_campaign_x_option_recorded(tmp_path, capsys):
         ]
     )
     assert code == 0
-    from repro.analysis.campaign import load_campaign
-
-    records = load_campaign(output)
+    records = json.loads(output.read_text(encoding="utf-8"))
     assert records[0]["x"] == 2
     assert records[0]["options"] == {"x": 2}
 
@@ -187,8 +187,9 @@ def test_campaign_run_cold_then_warm_cache(tmp_path, capsys):
     argv_tail = [
         "--name", "cli-cache",
         "--ns", "33",
-        "--adversaries", "none",
+        "--adversaries", "none,silence",
         "--seeds", "0,1",
+        "--jobs", "2",
         "--cache", str(cache),
     ]
     cold_out = tmp_path / "cold.json"
@@ -199,7 +200,7 @@ def test_campaign_run_cold_then_warm_cache(tmp_path, capsys):
     )
     captured = capsys.readouterr().out
     assert code == 0
-    assert "cache: 0 hits, 2 computed" in captured
+    assert "cache: 0 hits, 4 computed" in captured
 
     warm_out = tmp_path / "warm.json"
     warm_stats = tmp_path / "warm-stats.json"
@@ -209,10 +210,10 @@ def test_campaign_run_cold_then_warm_cache(tmp_path, capsys):
     )
     captured = capsys.readouterr().out
     assert code == 0
-    assert "cache: 2 hits, 0 computed" in captured
+    assert "cache: 4 hits, 0 computed" in captured
     stats = json.loads(warm_stats.read_text())
     assert stats["computed"] == 0
-    assert stats["hits"] == 2
+    assert stats["hits"] == 4
     assert stats["hit_rate"] == 1.0
     # The cached sweep is byte-identical to the computed one.
     assert cold_out.read_bytes() == warm_out.read_bytes()
@@ -225,25 +226,27 @@ def test_campaign_status_subcommand(tmp_path, capsys):
     argv_tail = [
         "--name", "cli-status",
         "--ns", "33",
-        "--adversaries", "none",
+        "--adversaries", "none,silence",
         "--seeds", "0,1",
         "--cache", str(cache),
     ]
     code = main(["campaign", "status", *argv_tail])
     captured = capsys.readouterr().out
     assert code == 1  # cells are missing
-    assert "missing       : 2" in captured
+    assert "missing       : 4" in captured
 
-    main(["campaign", "run", "--output", str(tmp_path / "out.json"),
-          *argv_tail])
+    main(["campaign", "run", "--jobs", "2",
+          "--output", str(tmp_path / "out.json"), *argv_tail])
     capsys.readouterr()
     code = main(["campaign", "status", "--json", *argv_tail])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert payload["cache"] == 2
+    assert payload["cache"] == 4
     assert payload["missing"] == 0
     assert payload["missing_cells"] == []
-    assert [record["seed"] for record in payload["records"]] == [0, 1]
+    assert [
+        (record["adversary"], record["seed"]) for record in payload["records"]
+    ] == [("none", 0), ("none", 1), ("silence", 0), ("silence", 1)]
 
 
 def test_campaign_status_lists_each_cell_and_never_executes(tmp_path, capsys):

@@ -92,11 +92,6 @@ class TestCellId:
         cell = make_cell(options={"x": 4}, model="lockstep")
         assert CellId.from_payload(cell.payload()) == cell
 
-    def test_sorting_mixed_model_axis(self):
-        cells = [make_cell(model="lockstep"), make_cell(), make_cell(seed=1)]
-        ordered = sorted(cells)
-        assert [c.digest for c in ordered] == sorted(c.digest for c in cells)
-
     def test_str_names_the_cell(self):
         text = str(make_cell(model="lockstep"))
         assert text.startswith("algorithm1:n33:none:s0:lockstep:")
@@ -109,10 +104,10 @@ class TestCache:
         cache = CampaignCache(tmp_path / "cache")
         cell = make_cell()
         record = {"rounds": 5, "decision": 1}
-        cache.put(cell, record)
+        path = cache.put(cell, record)
         assert cache.get(cell) == record
-        assert cache.contains(cell)
-        assert len(cache) == 1
+        assert path == cache.entry_path(cell)
+        assert list((tmp_path / "cache").rglob("*.json")) == [path]
 
     def test_miss_then_hit_accounting(self, tmp_path):
         cache = CampaignCache(tmp_path / "cache")
@@ -126,10 +121,12 @@ class TestCache:
         assert stats["puts"] == 1
         assert stats["hit_rate"] == 0.5
 
-    def test_contains_has_no_stats_side_effects(self, tmp_path):
+    def test_entry_path_has_no_side_effects(self, tmp_path):
         cache = CampaignCache(tmp_path / "cache")
-        assert not cache.contains(make_cell())
-        assert cache.stats.misses == 0
+        path = cache.entry_path(make_cell())
+        assert path.name == f"{make_cell().digest}.json"
+        assert not (tmp_path / "cache").exists()
+        assert cache.stats.hits == cache.stats.misses == 0
 
     def test_corrupted_entry_is_quarantined_and_recomputable(self, tmp_path):
         cache = CampaignCache(tmp_path / "cache")
@@ -179,14 +176,15 @@ class TestCache:
         with pytest.raises(TypeError):
             cache.put(cell, record, recipe={"schema": 2})  # type: ignore[call-arg]
 
-    def test_scan_yields_verified_entries(self, tmp_path):
+    def test_each_cell_is_served_from_its_own_entry(self, tmp_path):
         cache = CampaignCache(tmp_path / "cache")
         cells = [make_cell(seed=s) for s in range(3)]
         for index, cell in enumerate(cells):
             cache.put(cell, {"rounds": index})
-        entries = list(cache.scan())
-        assert len(entries) == 3
-        assert {e["digest"] for e in entries} == {c.digest for c in cells}
+        for index, cell in enumerate(cells):
+            entry = json.loads(cache.entry_path(cell).read_text())
+            assert entry["digest"] == cell.digest
+            assert cache.get(cell) == {"rounds": index}
 
     def test_concurrent_writers_race_atomically(self, tmp_path):
         """Racing writers on one cell each publish a complete entry; the

@@ -1,13 +1,15 @@
-"""The one sweep driver, the one adversary gallery, the one budget rule.
+"""Sweeps are campaign cells; one adversary gallery; one budget rule.
 
-``tests/data/golden-sweeps.json`` was generated at the commit *before*
-``measure`` replaced the five ``measure_*`` drivers and ``sweep_tradeoff``
+``tests/data/golden-sweeps.json`` was generated at the commit *before* one
+sweep driver replaced the five ``measure_*`` drivers and ``sweep_tradeoff``
 (by calling those functions), and records what every protocol's builder
-returned for an unset ``t``; the sweeps behind EXPERIMENTS.md must not move.
+returned for an unset ``t``.  Each row is re-expressed here on campaign
+cells (``run_campaign``, and the report's whp path); the two rows no cell
+describes — an adversary seeded by ``n``, Dolev-Strong at t = n/4 — call
+``execute``.  The sweeps behind EXPERIMENTS.md must not move.
 """
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -18,49 +20,106 @@ from repro.adversary import (
     SilenceAdversary,
     VoteBalancingAdversary,
 )
-from repro.analysis import CampaignSpec, measure, mixed_inputs
+from repro.analysis import (
+    CampaignSpec,
+    campaign,
+    mixed_inputs,
+    report,
+    run_campaign,
+)
 from repro.analysis.conformance import check_consensus_protocol
 from repro.cli import main
-from repro.harness import ExecutionConfig, available_protocols, protocol_spec
+from repro.harness import (
+    ExecutionConfig,
+    available_protocols,
+    execute,
+    protocol_spec,
+)
 from repro.params import ProtocolParams
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden-sweeps.json").read_text()
 )
+PARAMS = ProtocolParams.practical()
 
 
-def plus(base):
-    return lambda n: base + n
+def cell_row(record):
+    """A campaign record in the golden's row shape."""
+    return {
+        "n": record["n"], "t": record["t"], "rounds": record["rounds"],
+        "bits_sent": record["bits"], "messages_sent": record["messages"],
+        "random_bits": record["random_bits"],
+        "random_calls": record["random_calls"],
+        "decision": record["decision"], "used_fallback": record["fallback"],
+    }
 
 
-def balancing(n, t, seed):
-    return VoteBalancingAdversary(seed=n)
+def run_row(run, t):
+    """An ``execute`` run in the golden's row shape."""
+    metrics = run.metrics
+    return {
+        "n": run.request.n, "t": t, "rounds": run.result.time_to_agreement(),
+        "bits_sent": metrics.bits_sent, "messages_sent": metrics.messages_sent,
+        "random_bits": metrics.random_bits,
+        "random_calls": metrics.random_calls, "decision": run.decision,
+        "used_fallback": run.ran_deterministic_fallback,
+    }
 
 
-#: Each old driver call, re-expressed on ``measure``.
+def silenced(protocol, ns):
+    return [
+        cell_row(run_campaign(CampaignSpec(
+            "golden", protocol, ns=(n,), adversaries=("silence",),
+            seeds=(5 + n,),
+        ))[0])
+        for n in ns
+    ]
+
+
+def balancing(ns):
+    """``VoteBalancingAdversary(seed=n)`` is not the gallery's ``balance``
+    (which seeds from the cell), so this row's whp path is spelled out."""
+    rows = []
+    for n in ns:
+        for k in range(3):
+            run = execute(
+                "algorithm1", mixed_inputs(n), seed=5 + n + 7919 * k,
+                adversary=VoteBalancingAdversary(seed=n),
+            )
+            if not run.ran_deterministic_fallback:
+                break
+        rows.append(run_row(
+            run, protocol_spec("algorithm1").campaign_t(n, PARAMS)
+        ))
+    return rows
+
+
+def quarter_budget(ns):
+    """Dolev-Strong at t = n/4, silenced: its t is not the default."""
+    return [
+        run_row(execute(
+            "dolev-strong", mixed_inputs(n), t=n // 4, seed=5 + n,
+            adversary=SilenceAdversary(range(n // 4)),
+        ), n // 4)
+        for n in ns
+    ]
+
+
+#: Each old driver call, re-expressed on cells.
 SWEEPS = {
     # measure_consensus_scaling([16, 36], seed=5)
-    "algorithm1-none": lambda: measure(
-        "algorithm1", [16, 36], seed=plus(5), whp_retries=3
-    ),
+    "algorithm1-none": lambda: [
+        cell_row(record)
+        for record in report.whp_path("algorithm1", [16, 36], 5)[0]
+    ],
     # measure_consensus_scaling(..., adversary_factory=balancing_adversary)
-    "algorithm1-balancing": lambda: measure(
-        "algorithm1", [16, 36], adversary=balancing, seed=plus(5),
-        whp_retries=3,
-    ),
+    "algorithm1-balancing": lambda: balancing([16, 36]),
     # measure_dolev_strong([16, 24], fault_fraction=4, seed=5)
-    "dolev-strong": lambda: measure(
-        "dolev-strong", [16, 24], adversary="silence",
-        t=lambda n: max(1, n // 4), seed=plus(5),
-    ),
+    "dolev-strong": lambda: quarter_budget([16, 24]),
     # measure_phase_king([17, 25], seed=5)
-    "phase-king": lambda: measure(
-        "phase-king", [17, 25], adversary="silence", seed=plus(5)
-    ),
+    "phase-king": lambda: silenced("phase-king", [17, 25]),
     # measure_ben_or([16, 24], seed=5)
-    "ben-or": lambda: measure(
-        "ben-or", [16, 24], adversary="silence", seed=plus(5)
-    ),
+    "ben-or": lambda: silenced("ben-or", [16, 24]),
 }
 
 
@@ -72,7 +131,7 @@ def lockstep_only(session_default_model):
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_measure_reproduces_the_old_driver(name, lockstep_only):
-    assert [asdict(point) for point in SWEEPS[name]()] == GOLDEN["sweeps"][name]
+    assert SWEEPS[name]() == GOLDEN["sweeps"][name]
 
 
 @pytest.mark.parametrize("want", GOLDEN["sweeps"]["tradeoff-x"], ids=str)
@@ -80,26 +139,68 @@ def test_measure_reproduces_sweep_tradeoff(want, lockstep_only):
     """``sweep_tradeoff(mixed(32), [2, 8], seed=9)``: the measures are
     exact; ``rounds`` is now the paper's time metric, one more than the
     executed-round count the old driver reported."""
-    (point,) = measure("tradeoff", [32], seed=9, options={"x": want["x"]})
-    for field in ("random_bits", "random_calls", "bits_sent", "decision"):
-        assert getattr(point, field) == want[field], field
-    assert point.rounds == want["time_to_agreement"]
-    assert point.rounds == want["executed_rounds"] + 1
+    (record,) = run_campaign(CampaignSpec(
+        "golden", "tradeoff", ns=(32,), seeds=(9,), options={"x": want["x"]}
+    ))
+    for field in ("random_bits", "random_calls", "decision"):
+        assert record[field] == want[field], field
+    assert record["bits"] == want["bits_sent"]
+    assert record["rounds"] == want["time_to_agreement"]
+    assert record["rounds"] == want["executed_rounds"] + 1
 
 
-def test_measure_takes_a_factory_and_retries_only_on_fallback():
-    built = []
+# ---------------------------------------------------------------------------
+# The whp path and the epoch-budget ablation run cells, and only the cells
+# they name.
+@pytest.fixture
+def cells_run(monkeypatch):
+    """Every cell ``run_campaign`` executes, as ``(protocol, n, adversary,
+    seed, options)``."""
+    run = []
+    original = campaign._run_cell
 
-    def factory(n, t, seed):
-        built.append((n, t, seed))
-        return None
+    def spy(spec, n, adversary, seed, *rest):
+        run.append((spec.protocol, n, adversary, seed, dict(spec.options)))
+        return original(spec, n, adversary, seed, *rest)
 
-    measure("ben-or", [8, 12], adversary=factory, seed=plus(100))
-    assert built == [(8, 1, 108), (12, 1, 112)]
-    # Ben-Or never runs the Dolev-Strong fallback: one attempt per point.
-    built.clear()
-    measure("ben-or", [8], adversary=factory, seed=3, whp_retries=3)
-    assert built == [(8, 1, 3)]
+    monkeypatch.setattr(campaign, "_run_cell", spy)
+    return run
+
+
+def test_whp_path_retries_a_cell_that_fell_back(cells_run, lockstep_only):
+    """At n=16 the cell at seed 5 + 16 falls back: the reported record is
+    the ``+7919`` cell's, and the fallen-back cell is returned too."""
+    reported, cells = report.whp_path("algorithm1", [16], 5)
+    assert [seed for *_, seed, _ in cells_run] == [21, 21 + 7919]
+    assert [record["seed"] for record in cells] == [21, 21 + 7919]
+    assert [record["fallback"] for record in cells] == [True, False]
+    assert reported == [cells[-1]]
+
+
+def test_whp_path_runs_one_cell_without_a_fallback(cells_run, lockstep_only):
+    reported, cells = report.whp_path("algorithm1", [36], 5, "balance")
+    assert cells_run == [("algorithm1", 36, "balance", 41, {})]
+    assert reported == cells
+    assert not cells[0]["fallback"]
+
+
+def test_epoch_budget_runs_one_cell_per_seed_and_budget(cells_run):
+    """E-ABL1's arguments: 4 budgets x 12 seeds, each a cell, and nothing
+    else; the fallback counts are what the committed result holds."""
+    spec = json.loads(
+        (Path(__file__).parent.parent / "experiments" / "E-ABL1.json")
+        .read_text()
+    )
+    args = spec["args"]
+    values = report.epoch_budget(**args)
+    first = args["seed"] * 1000 + 17
+    assert cells_run == [
+        ("algorithm1", args["n"], "none", seed, {"num_epochs": budget})
+        for budget in args["epochs"]
+        for seed in range(first, first + args["trials"])
+    ]
+    assert len(cells_run) == 4 * 12
+    assert values["fallbacks"] == [12, 12, 3, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +273,5 @@ def test_default_budget_is_what_the_builder_computed(name):
 def test_run_keeps_the_config_the_caller_wrote():
     """The resolved budget is handed to ``build`` only; recipes and cell
     identities read ``run.request`` and must keep seeing ``t=None``."""
-    from repro.harness import execute
-
     assert execute("ben-or", mixed_inputs(8), seed=1).request.t is None
     assert execute("ben-or", mixed_inputs(8), t=2, seed=1).request.t == 2

@@ -1,15 +1,12 @@
-"""Tests for the Monte-Carlo analysis helpers."""
+"""Tests for the Wilson interval and the fallback-rate ablation."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import (
-    estimate_rate,
-    fallback_rate_vs_epochs,
-    wilson_interval,
-)
+from repro.analysis import wilson_interval
+from repro.analysis.report import epoch_budget
 
 
 class TestWilson:
@@ -47,27 +44,12 @@ class TestWilson:
         assert (wide[1] - wide[0]) < (narrow[1] - narrow[0])
 
 
-class TestEstimateRate:
-    def test_deterministic_trial(self):
-        estimate = estimate_rate(lambda seed: seed % 2 == 0, trials=10)
-        assert estimate.successes == 5
-        assert estimate.rate == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_rate(lambda seed: True, trials=0)
-
-    def test_str_format(self):
-        estimate = estimate_rate(lambda seed: True, trials=4)
-        assert "(4/4)" in str(estimate)
-
-
 class TestPaperExperiments:
     def test_fallback_rate_decays_with_epochs(self):
-        """Lemma-10 ablation: more epochs, fewer fallbacks (on small
-        samples we assert weak monotonicity between the extremes)."""
-        rates = fallback_rate_vs_epochs(
-            36, epoch_counts=[1, 8], trials=8, seed=1
-        )
-        assert rates[0][0] == 1 and rates[1][0] == 8
-        assert rates[1][1].rate <= rates[0][1].rate
+        """Lemma-10 ablation on cells: more epochs, fewer fallbacks (on
+        small samples we assert weak monotonicity between the extremes)."""
+        values = epoch_budget(36, epochs=[1, 8], trials=8, seed=1)
+        assert len(values["fallbacks"]) == 2
+        assert values["fallback_rate"][1] <= values["fallback_rate"][0]
+        for fallbacks, interval in zip(values["fallbacks"], values["interval"]):
+            assert interval == list(wilson_interval(fallbacks, 8))

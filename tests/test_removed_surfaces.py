@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.baselines import run_ben_or
+from repro.fabric import CampaignCache, CellId
 from repro.harness import execute
 from repro.replay import ShrinkResult
 from repro.runtime import (
@@ -78,6 +79,21 @@ REMOVED_CALLS = {
     "ShrinkResult.omission_ratio": (
         AttributeError, lambda: ShrinkResult.omission_ratio
     ),
+    # The cache answers ``get``; an entry lives at ``entry_path``.
+    "CampaignCache.contains()": (
+        AttributeError, lambda: CampaignCache("unused").contains
+    ),
+    "CampaignCache.scan()": (
+        AttributeError, lambda: CampaignCache("unused").scan
+    ),
+    "len(CampaignCache)": (TypeError, lambda: len(CampaignCache("unused"))),
+    "CellId < CellId": (
+        TypeError,
+        lambda: sorted(
+            CellId.make(protocol="ben-or", n=5, adversary="none", seed=seed)
+            for seed in (0, 1)
+        ),
+    ),
 }
 
 
@@ -89,7 +105,9 @@ def test_removed_call_shape_raises(surface):
 
 
 # Whole packages that are gone: none of their names can be imported.
-REMOVED_PACKAGES = frozenset({"repro.lint", "repro.runtime.trace"})
+REMOVED_PACKAGES = frozenset(
+    {"repro.lint", "repro.runtime.trace", "repro.analysis.experiments"}
+)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +118,7 @@ REMOVED_PACKAGES = frozenset({"repro.lint", "repro.runtime.trace"})
         ("repro.analysis.campaign", "record_cell_key"),
         ("repro.transport", "default_transport_name"),
         ("repro.cli", "ADVERSARIES"),
-        # One sweep driver, one gallery: `measure` + `repro.adversary.GALLERY`.
+        # One sweep runner, one gallery: campaign cells + `GALLERY`.
         ("repro.analysis", "measure_consensus_scaling"),
         ("repro.analysis", "measure_tradeoff_scaling"),
         ("repro.analysis", "measure_dolev_strong"),
@@ -182,6 +200,21 @@ REMOVED_PACKAGES = frozenset({"repro.lint", "repro.runtime.trace"})
         ("repro.graphs", "DegreeReport"),
         ("repro.baselines", "AmortizationPoint"),
         ("repro.baselines", "run_collectors"),
+        # Experiments run as campaign cells: the second grid runner (its
+        # ``whp_retries`` became the report's explicit retry cells) and the
+        # Monte-Carlo trial loop are gone, and so is what only tests read.
+        ("repro.analysis.experiments", "measure"),
+        ("repro.analysis.experiments", "ScalingPoint"),
+        ("repro.analysis", "measure"),
+        ("repro.analysis", "ScalingPoint"),
+        ("repro.analysis", "estimate_rate"),
+        ("repro.analysis", "RateEstimate"),
+        ("repro.analysis", "fallback_rate_vs_epochs"),
+        ("repro.analysis.montecarlo", "estimate_rate"),
+        ("repro.analysis.montecarlo", "RateEstimate"),
+        ("repro.analysis.montecarlo", "fallback_rate_vs_epochs"),
+        ("repro.analysis", "load_campaign"),
+        ("repro.analysis.campaign", "load_campaign"),
     ],
 )
 def test_removed_name_is_not_importable(module, name):

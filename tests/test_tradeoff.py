@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary import SilenceAdversary, VoteBalancingAdversary
-from repro.analysis import measure
+from repro.analysis import CampaignSpec, run_campaign
 from repro.core import run_tradeoff_consensus, super_partition
 from repro.params import ProtocolParams
 
@@ -91,9 +91,13 @@ class TestCorrectness:
 
 
 def sweep(n, xs, seed):
-    """One ``measure`` point per super-process count."""
+    """One campaign cell per super-process count."""
     return [
-        measure("tradeoff", [n], seed=seed, options={"x": x})[0] for x in xs
+        run_campaign(CampaignSpec(
+            "tradeoff-shape", "tradeoff", ns=(n,), seeds=(seed,),
+            options={"x": x},
+        ))[0]
+        for x in xs
     ]
 
 
@@ -103,22 +107,22 @@ class TestTradeoffShape:
         (peak at x=1, exactly zero at x=n; the tail may wiggle by a few
         per-epoch coins in tiny groups)."""
         points = sweep(64, [1, 4, 16, 64], seed=8)
-        randomness = [point.random_bits for point in points]
+        randomness = [point["random_bits"] for point in points]
         assert randomness[0] == max(randomness)
         assert randomness[-1] == 0  # singleton phases are deterministic
         assert all(r < randomness[0] for r in randomness[1:])
 
     def test_rounds_increase_with_x(self):
         points = sweep(64, [1, 4, 16, 64], seed=8)
-        rounds = [point.rounds for point in points]
+        rounds = [point["rounds"] for point in points]
         assert rounds[0] == min(rounds)
         assert rounds[-1] > 4 * rounds[0]
 
     def test_decisions_consistent_fields(self):
         points = sweep(32, [2, 8], seed=9)
         for point in points:
-            assert point.decision in (0, 1)
-            assert point.bits_sent > 0
+            assert point["decision"] in (0, 1)
+            assert point["bits"] > 0
 
 
 @settings(max_examples=8, deadline=None)
