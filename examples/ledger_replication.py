@@ -57,10 +57,7 @@ def main() -> None:
             adversary = VoteBalancingAdversary(seed=slot)
             label = "balance"
 
-        # Every slot goes through the unified harness; the ledger runs on
-        # the partial-synchrony round model, whose default regime (wait
-        # for the slowest copy) keeps counters byte-identical to lockstep
-        # while modelling per-link latency.
+        # Every slot goes through the unified harness.
         run = execute(
             "algorithm1",
             inputs,
@@ -68,7 +65,6 @@ def main() -> None:
             adversary=adversary,
             params=params,
             seed=100 + slot,
-            model="partial-synchrony",
         )
         decision = run.decision
         faulty = run.result.faulty

@@ -125,9 +125,8 @@ def run_service(
         ]
         slot_adversary = _slot_adversary(adversary, slot, n_replicas, t, rng)
         # Each log slot is one consensus instance through the unified
-        # harness entry point; any registered protocol, adversary,
-        # execution model, or transport slots in without touching the
-        # replication loop.
+        # harness entry point; any registered protocol, adversary or
+        # transport slots in without touching the replication loop.
         slot_record: dict[str, Any] = {"slot": slot}
         if verify_replay:
             from repro.replay import record, replay

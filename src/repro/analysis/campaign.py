@@ -24,8 +24,8 @@ point::
     save_campaign(records, "scaling-study.json")
 
 Every cell is identified by a :class:`repro.fabric.CellId` — the canonical
-digest of ``(protocol, n, t, adversary, seed, options, model,
-model_options, engine capability, transport, transport_options)`` — which
+digest of ``(protocol, n, t, adversary, seed, options, engine capability,
+transport, transport_options)`` — which
 is the journal resume identity, the cache key, and the report grouping
 handle all at once.
 
@@ -89,12 +89,6 @@ class CampaignSpec:
     adversaries: Sequence[str] = ("none",)
     seeds: Sequence[int] = (0,)
     options: dict[str, Any] = field(default_factory=dict)
-    #: Execution-model axis: a registered round-model name, or ``None``
-    #: for the lockstep default.  Part of cell identity when set.
-    model: str | None = None
-    #: Options forwarded to the round-model constructor (e.g. ``gst``);
-    #: part of cell identity, valid only with an explicit ``model``.
-    model_options: dict[str, Any] = field(default_factory=dict)
     #: Transport axis: a registered transport name, or ``None`` for the
     #: in-process default.  Part of cell identity when set.
     transport: str | None = None
@@ -118,8 +112,8 @@ class CampaignSpec:
                 f"unknown adversaries {sorted(unknown)}; choose from "
                 f"{sorted(GALLERY)}"
             )
-        # Every cell's config carries the same two axes; building one
-        # validates them here, before a grid reaches any worker.
+        # Every cell's config carries the same transport axis; building
+        # one validates it here, before a grid reaches any worker.
         self.config_for(next(iter(self.ns)), 0)
 
     def grid(self):
@@ -137,8 +131,6 @@ class CampaignSpec:
             mixed_inputs(n),
             seed=seed,
             options=self.options,
-            model=self.model,
-            model_options=self.model_options,
             transport=self.transport,
             transport_options=self.transport_options,
         )
@@ -174,13 +166,12 @@ def _run_cell(
         "options": dict(config.options),
         "engine": capability_fingerprint(),
     }
-    for axis in ("model", "transport"):
-        # Only axis-pinned sweeps carry the keys, so records written by
-        # unpinned specs keep their exact journal identity.
-        if getattr(config, axis) is not None:
-            record[axis] = getattr(config, axis)
-            if options := getattr(config, f"{axis}_options"):
-                record[f"{axis}_options"] = dict(options)
+    # Only transport-pinned sweeps carry the keys, so records written by
+    # unpinned specs keep their exact journal identity.
+    if config.transport is not None:
+        record["transport"] = config.transport
+        if config.transport_options:
+            record["transport_options"] = dict(config.transport_options)
 
     if record_failures is not None:
         from ..replay import record_config, save_recipe
@@ -328,8 +319,8 @@ def run_campaign(
     """Run every grid cell, serving already-known cells without executing.
 
     A cell is identified by its :class:`CellId` digest over (protocol, n,
-    t, adversary, seed, options, model, model_options, engine capability,
-    transport, transport_options).  Cells are satisfied, in order, from
+    t, adversary, seed, options, engine capability, transport,
+    transport_options).  Cells are satisfied, in order, from
     (:func:`resolve` applies the first two):
 
     1. ``resume`` — a journal path (a missing file is an empty journal)

@@ -15,7 +15,6 @@ from collections.abc import Callable, Sequence
 from .adversary import GALLERY
 from .harness import available_protocols, execute, protocol_spec
 from .params import ProtocolParams
-from .runtime import available_models
 from .transport import available_transports
 
 
@@ -57,7 +56,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             t=t,
             adversary=adversary,
             seed=args.seed,
-            model=args.model,
             transport=args.transport,
         )
     except ValueError as exc:
@@ -108,7 +106,6 @@ def _campaign_spec_from_args(args: argparse.Namespace):
             adversaries=args.adversaries.split(","),
             seeds=args.seeds,
             options=options,
-            model=args.model,
             transport=args.transport,
         )
     except ValueError as exc:  # e.g. an unknown adversary
@@ -255,7 +252,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     )
     strict = False if args.lenient else None
     try:
-        report = replay(recipe, strict=strict, model=args.model)
+        report = replay(recipe, strict=strict)
     except ValueError as exc:
         # e.g. the recipe names a protocol this process has not
         # registered (test-only plants live in their test modules).
@@ -312,10 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full execution result as JSON",
     )
     run_parser.add_argument(
-        "--model", default=None, choices=list(available_models()),
-        help="execution model (default: lockstep)",
-    )
-    run_parser.add_argument(
         "--transport", default=None, choices=list(available_transports()),
         help="where processes execute: in-process (default) or real OS "
         "worker processes over localhost TCP",
@@ -346,10 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--x", type=int, default=None,
             help="tradeoff super-process count (stored in the spec options)",
-        )
-        parser.add_argument(
-            "--model", default=None, choices=list(available_models()),
-            help="execution model axis; part of cell identity when given",
         )
         parser.add_argument(
             "--transport", default=None,
@@ -420,10 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute a recorded ExecutionRecipe and verify the outcome",
     )
     replay_parser.add_argument("recipe", help="path to a recipe JSON")
-    replay_parser.add_argument(
-        "--model", default=None, choices=list(available_models()),
-        help="override the recipe's recorded execution model",
-    )
     replay_parser.add_argument(
         "--lenient", action="store_true",
         help="cap/censor illegal scripted actions instead of erroring "

@@ -2,8 +2,7 @@
 
 Every campaign cell — one protocol execution at one grid coordinate — is a
 pure function of its identity: ``(protocol, n, t, adversary, seed,
-options, execution model, model options, engine capability, transport,
-transport options)``.  A
+options, engine capability, transport, transport options)``.  A
 :class:`CellId` freezes exactly those components and derives a canonical
 SHA-256 digest from them, which is the key under which the cell's record
 lives in the content-addressed store (:mod:`repro.fabric.store`), the
@@ -11,10 +10,10 @@ identity journal resume matches on, and the grouping handle reports use.
 
 The digest recipe is deliberately boring so it can be recomputed anywhere:
 
-1. mappings (``options``, ``model_options``, ``transport_options``) are
-   canonicalized to compact sorted-key JSON (the frozen dataclass stores
-   the *string*, keeping the id hashable);
-2. the eleven identity components are assembled into one JSON object
+1. mappings (``options``, ``transport_options``) are canonicalized to
+   compact sorted-key JSON (the frozen dataclass stores the *string*,
+   keeping the id hashable);
+2. the nine identity components are assembled into one JSON object
    with sorted keys and no whitespace;
 3. the digest is the lowercase hex SHA-256 of that object's UTF-8 bytes.
 
@@ -59,7 +58,7 @@ class CellId:
 
     A cell's identity is the named-axis view of the run's
     :class:`~repro.harness.ExecutionConfig` — ``protocol, n, seed, options,
-    model, model_options, transport, transport_options`` — plus the three
+    transport, transport_options`` — plus the three
     coordinates a config does not carry: the ``adversary`` name, the
     adversary-construction budget ``t`` (``spec.campaign_t(n, params)``;
     the run itself gets ``t=None`` so each protocol resolves its own
@@ -67,14 +66,14 @@ class CellId:
     capability fingerprint (``None`` resolves to the running engine's).
     See :meth:`of`.
 
-    These eleven fields are the only statement of the components:
+    These nine fields are the only statement of the components:
     :meth:`make`, :meth:`from_record`, :meth:`payload` and
-    :meth:`from_payload` all read ``dataclasses.fields(CellId)``.  The three ``*options`` components
-    are stored as canonical JSON strings (:func:`canonical_json`), which
-    keeps the id hashable; :meth:`make` accepts mappings.  ``model is
-    None`` / ``transport is None`` mean the built-in default — kept
-    distinct from an explicit ``"lockstep"`` / ``"inprocess"`` so records
-    written by unpinned specs keep their exact resume identity.
+    :meth:`from_payload` all read ``dataclasses.fields(CellId)``.  The two
+    ``*options`` components are stored as canonical JSON strings
+    (:func:`canonical_json`), which keeps the id hashable; :meth:`make`
+    accepts mappings.  ``transport is None`` means the built-in default —
+    kept distinct from an explicit ``"inprocess"`` so records written by
+    unpinned specs keep their exact resume identity.
     """
 
     protocol: str
@@ -83,8 +82,6 @@ class CellId:
     seed: int
     t: int | None = None
     options: str = "{}"
-    model: str | None = None
-    model_options: str = "{}"
     engine: str | None = None
     transport: str | None = None
     transport_options: str = "{}"
@@ -114,8 +111,8 @@ class CellId:
     ) -> CellId:
         """Identity of the cell that runs *config* against *adversary*.
 
-        Only named axes have an identity: a live model or transport
-        instance on the config fails to digest (``TypeError``).
+        Only a named transport has an identity: a live transport instance
+        on the config fails to digest (``TypeError``).
         """
         view = {
             spec.name: getattr(config, spec.name)
@@ -130,10 +127,13 @@ class CellId:
 
         Tolerant of historical journal shapes: a component the record
         does not carry takes its field default — empty options, the
-        default model and transport, the *current* engine (such records
-        were readable only by engines that would have produced them).
-        Returns ``None`` when the mapping is not a cell record at all.
+        default transport, the *current* engine (such records were
+        readable only by engines that would have produced them).
+        Returns ``None`` when the mapping is not a cell record at all, or
+        when it ran a round model other than lockstep (the cell re-runs).
         """
+        if record.get("model", "lockstep") != "lockstep":
+            return None
         try:
             return cls.make(
                 **{
@@ -181,8 +181,7 @@ class CellId:
         return (self.protocol, self.n, self.adversary)
 
     def __str__(self) -> str:
-        model = self.model if self.model is not None else "default"
         return (
             f"{self.protocol}:n{self.n}:{self.adversary}:s{self.seed}"
-            f":{model}:{self.short}"
+            f":{self.short}"
         )

@@ -24,23 +24,17 @@ from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from ..params import ProtocolParams
-from ..runtime import (
-    Adversary,
-    RoundModel,
-    RoundObserver,
-    SyncNetwork,
-    SyncProcess,
-    resolve_model,
-)
+from ..runtime import Adversary, RoundObserver, SyncNetwork, SyncProcess
 from ..transport import Transport, resolve_transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..core.consensus import ConsensusRun
 
 
-#: Payload keys that differ from the field they carry: recipes have
-#: always written the round model as ``execution_model``.
-_PAYLOAD_KEYS = {"model": "execution_model"}
+#: The round-model keys older recipes carry, with the value that means
+#: lockstep.  The engine runs lockstep rounds only: a recipe with another
+#: value is refused, and a call may not pass these keys (or ``model``).
+_LOCKSTEP_KEYS = {"execution_model": "lockstep", "model_options": {}}
 
 
 @dataclass(frozen=True)
@@ -54,10 +48,10 @@ class ExecutionConfig:
     named-axis view) by :class:`repro.fabric.CellId`.
 
     Construction normalizes (``n`` from ``inputs``, default ``params``,
-    read-only copies of the option mappings) and validates both axes.  An
-    axis is a ``(name, options)`` pair: ``model`` / ``transport`` is a
-    registered name, ``None`` for the built-in default, or — as a test
-    seam — a live instance; options need a name.  Only named axes have a
+    read-only copies of the option mappings) and validates the transport
+    axis, a ``(name, options)`` pair: ``transport`` is a registered name,
+    ``None`` for the built-in default, or — as a test seam — a live
+    instance; options need a name.  Only a named transport has a
     :meth:`payload`.  ``options`` carries protocol-specific extras (``x``,
     ``num_epochs``, ``sender``, ...); specs read what they understand.
     """
@@ -72,8 +66,6 @@ class ExecutionConfig:
     graph_seed: int = 0
     max_rounds: int | None = None
     options: Mapping[str, Any] | None = None
-    model: RoundModel | str | None = None
-    model_options: Mapping[str, Any] | None = None
     transport: Transport | str | None = None
     transport_options: Mapping[str, Any] | None = None
 
@@ -90,11 +82,16 @@ class ExecutionConfig:
             put(self, "n", len(self.inputs))
         if self.params is None:
             put(self, "params", ProtocolParams.practical())
-        for name in ("options", "model_options", "transport_options"):
+        for name in ("options", "transport_options"):
             put(self, name, MappingProxyType(dict(getattr(self, name) or {})))
-        # The registries own the axis rules (unknown name, options without
+        stale = sorted(set(self.options) & {"model", *_LOCKSTEP_KEYS})
+        if stale:
+            raise TypeError(
+                f"unexpected keyword {stale[0]!r}: the round-model axis was "
+                "removed; the engine runs lockstep rounds only"
+            )
+        # The registry owns the axis rules (unknown name, options without
         # a name, option the constructor rejects); building is pure.
-        resolve_model(self.model, self.model_options)
         resolve_transport(self.transport, self.transport_options)
 
     def option(self, key: str, default: Any = None) -> Any:
@@ -105,7 +102,7 @@ class ExecutionConfig:
         out: dict[str, Any] = {}
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if spec.name in ("model", "transport") and not isinstance(
+            if spec.name == "transport" and not isinstance(
                 value, (str, type(None))
             ):
                 raise TypeError(
@@ -118,22 +115,27 @@ class ExecutionConfig:
                 value = dict(value)
             elif isinstance(value, tuple):
                 value = list(value)
-            out[_PAYLOAD_KEYS.get(spec.name, spec.name)] = value
+            out[spec.name] = value
         return out
 
     @classmethod
     def from_payload(cls, data: Mapping[str, Any]) -> ExecutionConfig:
         """Rebuild a config from :meth:`payload`; other keys are ignored.
 
-        A payload written before an axis existed has no key for it and
-        described a lockstep, in-process run.
+        A payload written before the transport axis existed has no key for
+        it and described an in-process run.  Older payloads also name the
+        round model; only lockstep still runs, so any other model is a
+        ``ValueError`` rather than a silent lockstep run.
         """
+        for key, lockstep in _LOCKSTEP_KEYS.items():
+            if data.get(key, lockstep) != lockstep:
+                raise ValueError(
+                    f"{key}={data[key]!r} is not runnable: the engine runs "
+                    f"lockstep rounds only ({key}={lockstep!r})"
+                )
         values = {
-            spec.name: data[key]
-            for spec in fields(cls)
-            if (key := _PAYLOAD_KEYS.get(spec.name, spec.name)) in data
+            spec.name: data[spec.name] for spec in fields(cls) if spec.name in data
         }
-        values.setdefault("model", "lockstep")
         values.setdefault("transport", "inprocess")
         if values.get("params") is not None:
             values["params"] = ProtocolParams(**values["params"])
@@ -284,8 +286,6 @@ def execute(
     max_rounds: int | None = None,
     observers: Sequence[RoundObserver] = (),
     options: Mapping[str, Any] | None = None,
-    model: RoundModel | str | None = None,
-    model_options: Mapping[str, Any] | None = None,
     transport: Transport | str | None = None,
     transport_options: Mapping[str, Any] | None = None,
     **extra_options: Any,
@@ -299,14 +299,11 @@ def execute(
     are passed to the spec's factory (e.g. ``x=4`` for the tradeoff,
     ``sender=0`` for TRB).  ``observers`` are attached to the underlying
     :class:`SyncNetwork`, so traces and profiles can be captured on any
-    protocol without touching its wrapper.  ``model`` selects the round
-    model (``"lockstep"`` — the default — / ``"partial-synchrony"`` / a
-    :class:`RoundModel` instance), with ``model_options`` forwarded to the
-    model constructor.
-    ``transport`` selects where the processes physically execute
-    (``"inprocess"`` — the default — or ``"tcp"`` for real OS worker
-    processes over localhost; see :mod:`repro.transport`), with
-    ``transport_options`` forwarded to the transport constructor.
+    protocol without touching its wrapper.  ``transport`` selects where
+    the processes physically execute (``"inprocess"`` — the default — or
+    ``"tcp"`` for real OS worker processes over localhost; see
+    :mod:`repro.transport`), with ``transport_options`` forwarded to the
+    transport constructor.
 
     Returns a :class:`repro.core.consensus.ConsensusRun`.
     """
@@ -323,8 +320,6 @@ def execute(
         graph_seed=graph_seed,
         max_rounds=max_rounds,
         options={**(options or {}), **extra_options},
-        model=model,
-        model_options=model_options,
         transport=transport,
         transport_options=transport_options,
     )
@@ -364,8 +359,6 @@ def run_config(
             else spec.default_max_rounds
         ),
         observers=observers,
-        model=config.model,
-        model_options=config.model_options,
         transport=config.transport,
         transport_options=config.transport_options,
     )

@@ -9,12 +9,9 @@ round and a human-readable detail — the moment a check fails:
 * **budget** — the cumulative corrupted set never exceeds ``t``
   (a second line of defence behind the engine's own validation);
 * **conservation** — metering balances *per round*: the messages sent in
-  each round equal that round's delivered + omitted + lost plus the
-  change in the in-flight count (the metering identity pinned in
-  :mod:`repro.runtime.metrics`, with omission taking precedence over
-  loss; under the lockstep model the in-flight term is identically zero,
-  under latency-bearing models it accounts for traffic still crossing
-  round boundaries), and cumulative delivered/lost bits never exceed
+  each round equal that round's delivered + omitted + lost (the metering
+  identity pinned in :mod:`repro.runtime.metrics`, with omission taking
+  precedence over loss), and cumulative delivered/lost bits never exceed
   sent bits (omitted *bits* are not metered separately, so bits get an
   inequality where messages get an identity);
 * **sizing** — every queued record carries exactly ``payload_bits`` of its
@@ -92,11 +89,11 @@ class InvariantObserver(RoundObserver):
 
     def __init__(self, inputs: Sequence[int] | None = None) -> None:
         self.inputs = tuple(inputs) if inputs is not None else None
-        # Cumulative metering totals (plus the in-flight count) at the end
-        # of the previous round, so the conservation identity is checked
-        # on per-round deltas — a round that under- or over-counts cannot
-        # hide behind an earlier compensating error.
-        self._seen_totals = (0, 0, 0, 0, 0)
+        # Cumulative metering totals at the end of the previous round, so
+        # the conservation identity is checked on per-round deltas — a
+        # round that under- or over-counts cannot hide behind an earlier
+        # compensating error.
+        self._seen_totals = (0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     def _check_agreement(
@@ -161,40 +158,28 @@ class InvariantObserver(RoundObserver):
             metrics.messages_delivered,
             metrics.messages_omitted,
             metrics.messages_lost,
-            getattr(network, "in_flight_messages", 0),
         )
 
     def on_round_end(self, round_no: int, network: SyncNetwork) -> None:
         metrics = network.metrics
-        (
-            seen_sent,
-            seen_delivered,
-            seen_omitted,
-            seen_lost,
-            seen_in_flight,
-        ) = self._seen_totals
-        # Traffic still crossing round boundaries (zero under lockstep;
-        # the partial-synchrony model's deferred copies otherwise).
-        in_flight = getattr(network, "in_flight_messages", 0)
+        seen_sent, seen_delivered, seen_omitted, seen_lost = self._seen_totals
         self._seen_totals = (
             metrics.messages_sent,
             metrics.messages_delivered,
             metrics.messages_omitted,
             metrics.messages_lost,
-            in_flight,
         )
         round_sent = metrics.messages_sent - seen_sent
         round_balance = (
             (metrics.messages_delivered - seen_delivered)
             + (metrics.messages_omitted - seen_omitted)
             + (metrics.messages_lost - seen_lost)
-            + (in_flight - seen_in_flight)
         )
         if round_balance != round_sent:
             raise InvariantViolation(
                 "conservation", round_no,
                 f"round sent={round_sent} != round delivered+omitted+lost"
-                f"+in-flight-delta={round_balance} (cumulative sent="
+                f"={round_balance} (cumulative sent="
                 f"{metrics.messages_sent})",
             )
         if metrics.bits_delivered + metrics.bits_lost > metrics.bits_sent:

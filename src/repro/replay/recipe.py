@@ -50,9 +50,8 @@ class ExecutionRecipe:
     """Everything needed to re-run one harness execution exactly.
 
     ``config`` is the recorded run's :class:`~repro.harness.ExecutionConfig`
-    with both axes pinned by name.  Replay honours the recorded round
-    model, so an execution reproduces wherever it is replayed.  The
-    transport is provenance, not a replay input: replay always runs
+    with its transport pinned by name.  The transport is provenance, not a
+    replay input: replay always runs
     in-process — a TCP-recorded schedule (including transport crash
     faults, which the recorder sees as ordinary corruptions + omissions)
     deterministically reproduces in a single interpreter, which is the
@@ -97,7 +96,7 @@ def recipe_payload(recipe: ExecutionRecipe) -> dict[str, Any]:
     """Serialize a recipe to JSON-safe primitives (schema-tagged).
 
     The config's keys sit flat beside the recipe's own, as they always
-    have (``execution_model`` is the config's ``model``).
+    have.
     """
     return {
         "schema": SCHEMA_VERSION,
@@ -130,6 +129,8 @@ def recipe_from_payload(data: Mapping[str, Any]) -> ExecutionRecipe:
     ``ValueError`` before touching any field.  The ``"multicast"`` and
     ``"columnar"`` keys older writers emitted are accepted and ignored:
     fingerprints are path-independent, so no recipe pins a delivery path.
+    A recipe that names a round model other than lockstep is refused
+    (:meth:`~repro.harness.ExecutionConfig.from_payload`).
     """
     check_schema(dict(data), "recipe")
     kind = data.get("kind")

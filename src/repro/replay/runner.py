@@ -39,7 +39,6 @@ from ..runtime import (
     LockstepError,
     RoundObserver,
     canonical_omissions,
-    resolve_model,
     result_to_dict,
 )
 from ..transport import resolve_transport
@@ -130,8 +129,6 @@ def record(
     max_rounds: int | None = None,
     observers: Sequence[RoundObserver] = (),
     options: Mapping[str, Any] | None = None,
-    model: str | None = None,
-    model_options: Mapping[str, Any] | None = None,
     transport: str | None = None,
     transport_options: Mapping[str, Any] | None = None,
     invariants: bool = True,
@@ -154,8 +151,6 @@ def record(
         graph_seed=graph_seed,
         max_rounds=max_rounds,
         options={**(options or {}), **extra_options},
-        model=model,
-        model_options=model_options,
         transport=transport,
         transport_options=transport_options,
     )
@@ -181,17 +176,14 @@ def record_config(
     shrunk.  A clean run stores the full result fingerprint in
     ``expected``.
 
-    An axis the config leaves at ``None`` is pinned to the default's
-    name, so the recipe says what ran: replay reproduces the same round
-    model, and the transport is stored as *provenance* — :func:`replay`
-    always re-executes in-process, so a run recorded over real TCP worker
-    processes verifies against the same fingerprint in a single
-    interpreter (the cross-transport equivalence check).
+    A transport the config leaves at ``None`` is pinned to the default's
+    name, so the recipe says what ran.  The transport is *provenance* —
+    :func:`replay` always re-executes in-process, so a run recorded over
+    real TCP worker processes verifies against the same fingerprint in a
+    single interpreter (the cross-transport equivalence check).
     """
     config = dataclasses.replace(
-        config,
-        model=config.model or resolve_model().name,
-        transport=config.transport or resolve_transport().name,
+        config, transport=config.transport or resolve_transport().name
     )
     recorder = RecipeRecorder()
     attached: list[RoundObserver] = [recorder]
@@ -296,7 +288,6 @@ def replay(
     recipe: ExecutionRecipe,
     *,
     strict: bool | None = None,
-    model: str | None = None,
     invariants: bool = True,
     observers: Sequence[RoundObserver] = (),
 ) -> ReplayReport:
@@ -305,10 +296,7 @@ def replay(
     ``strict`` controls the :class:`ScriptedAdversary` mode; the default is
     strict for passing recipes (the schedule must be legal verbatim) and
     lenient for failing ones (shrunk schedules may carry omissions whose
-    sender was un-corrupted by the shrinker).  The round model comes from
-    the recipe itself; ``model`` overrides it explicitly, which
-    cross-model equivalence tests use to replay a lockstep recording
-    under partial synchrony and vice versa.
+    sender was un-corrupted by the shrinker).
 
     Replay always runs in-process, whatever transport the recipe records:
     the recorded schedule (transport crash faults included — the engine
@@ -319,13 +307,10 @@ def replay(
     if strict is None:
         strict = not recipe.failing
     scripted = ScriptedAdversary(recipe.actions, strict=strict)
-    # An axis is a (name, options) pair: overriding the name replaces the
-    # pair, and the recorded transport is never a replay input.
+    # The recorded transport is never a replay input.
     config = dataclasses.replace(
         recipe.config, transport=None, transport_options=None
     )
-    if model is not None:
-        config = dataclasses.replace(config, model=model, model_options=None)
     attached: list[RoundObserver] = []
     if invariants:
         attached.append(InvariantObserver(inputs=config.inputs))

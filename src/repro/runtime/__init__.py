@@ -11,12 +11,9 @@ Public surface:
 * :class:`SyncNetwork`, :class:`Adversary`, :class:`AdversaryAction`,
   :class:`NetworkView`, :class:`ExecutionResult` — the engine facade and the
   adaptive full-information adversary hook;
-* :class:`ExecutionCore`, :class:`~repro.runtime.delivery.Delivery`,
-  :class:`RoundModel` — the engine's three layers (execution, delivery,
-  scheduling), with
-  :class:`LockstepModel` / :class:`PartialSynchronyModel` as the two
-  registered timing disciplines (:func:`create_model`,
-  :func:`available_models`, :func:`resolve_model`);
+* :class:`ExecutionCore`, :class:`~repro.runtime.delivery.Delivery` —
+  the engine's two layers under :class:`SyncNetwork`'s lockstep round
+  loop (execution, delivery);
 * :class:`RoundObserver`, :class:`RunReport` — the engine-driven observer
   bus and the one account of a run the engine keeps on it
   (``ExecutionResult.report``);
@@ -45,14 +42,6 @@ from .messages import (
 )
 from .engine import ExecutionCore
 from .metrics import Metrics
-from .models import (
-    LockstepModel,
-    PartialSynchronyModel,
-    RoundModel,
-    available_models,
-    create_model,
-    resolve_model,
-)
 from .observers import LinkSample, RoundObserver
 from .network import (
     Adversary,
@@ -110,12 +99,6 @@ __all__ = [
     "NetworkView",
     "SyncNetwork",
     "ExecutionCore",
-    "LockstepModel",
-    "PartialSynchronyModel",
-    "RoundModel",
-    "available_models",
-    "create_model",
-    "resolve_model",
     "ProcessEnv",
     "Program",
     "SyncProcess",

@@ -302,7 +302,7 @@ def inbox_payloads(inbox: Sequence[Message]) -> list[Any]:
     inbox kind: a gather from the round's payload table on a lazy view
     (no :class:`Message` built, nothing cached on the view), the shipped
     column itself inside a TCP worker, the attribute on a plain list
-    (partial-synchrony merges, hand-built inboxes).
+    (hand-built inboxes).
     """
     if type(inbox) is LazyMessageList:
         cols = inbox._cols
@@ -341,7 +341,7 @@ _EMPTY: tuple[Message, ...] = ()
 
 @dataclass(slots=True)
 class DeliveryPlan:
-    """Everything ``_deliver`` needs, computed in one vectorized pass.
+    """Everything a delivery step needs, computed in one vectorized pass.
 
     ``inboxes`` pairs each recipient that received traffic with its (lazy)
     inbox, in ascending recipient order; ``delivered``/``lost`` are the

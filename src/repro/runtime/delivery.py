@@ -1,8 +1,8 @@
 """Delivery: the communication-phase layer of the engine.
 
-The engine's round structure (who advances when, which inbox a message
-lands in) is the round model's business (:mod:`repro.runtime.models`);
-*how* a validated round of traffic is turned into inbox contents and
+The engine's round structure (who advances when) is the round loop's
+business (:meth:`repro.runtime.network.SyncNetwork.run`); *how* a
+validated round of traffic is turned into inbox contents and
 metering totals is this module's.  A network owns one :class:`Delivery`
 (:meth:`~Delivery.validate_omissions`, :meth:`~Delivery.deliver`), and
 every batch takes the columnar plan

@@ -1,16 +1,14 @@
 """ExecutionCore: the engine-neutral execution layer.
 
-Everything about driving a set of :class:`SyncProcess` generators that
-does *not* depend on the timing model lives here: process-coroutine
-advancement (the paper's local-computation phase), inbox bookkeeping,
-decision tracking, termination queries, the per-process counted random
-sources, and the final :class:`ExecutionResult` assembly.  Round models
-(:mod:`repro.runtime.models`) decide *when* to call these operations and
-with which inbox contents; the delivery layer
+Everything about driving a set of :class:`SyncProcess` generators lives
+here: process-coroutine advancement (the paper's local-computation
+phase), inbox bookkeeping, decision tracking, termination queries, the
+per-process counted random sources, and the final
+:class:`ExecutionResult` assembly.  The round loop in
+:meth:`SyncNetwork.run <repro.runtime.network.SyncNetwork.run>` decides
+*when* to call these operations; the delivery layer
 (:mod:`repro.runtime.delivery`) decides *how* surviving traffic becomes
-inbox contents.  :class:`~repro.runtime.network.SyncNetwork` wires the
-three layers together and remains the adversary-arbitration and
-observer-dispatch surface.
+inbox contents.
 """
 
 from __future__ import annotations
@@ -108,8 +106,8 @@ class ExecutionCore:
     deterministically derived :class:`CountingRandom` sources, the
     per-process :class:`ProcessEnv` objects, the generator programs, and
     the inbox slots the delivery layer writes into.  It knows nothing about
-    rounds-as-time: the round number is handed in by the model on every
-    :meth:`advance`.
+    rounds-as-time: the round number is handed in by the round loop on
+    every :meth:`advance`.
     """
 
     __slots__ = (
@@ -227,15 +225,14 @@ class ExecutionCore:
     def drain_faults(self) -> frozenset[int]:
         """Process ids newly crash-faulted by the transport since the
         last drain.  :meth:`SyncNetwork._apply_adversary` folds them into
-        the round's corruptions and omits their in-flight copies, so a
+        the round's corruptions and omits their copies, so a
         dead worker lands inside the paper's omission-fault model instead
         of hanging the run."""
         return frozenset()
 
     def drain_link_samples(self) -> tuple[LinkSample, ...]:
         """Per-link transport measurements since the last drain (consumed
-        by ``SyncNetwork._dispatch_round_end`` for the ``on_transport``
-        observer hook)."""
+        by ``SyncNetwork.run`` for the ``on_transport`` observer hook)."""
         return ()
 
     # ------------------------------------------------------------------

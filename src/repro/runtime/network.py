@@ -53,7 +53,6 @@ from .report import RunReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..transport import Transport
-    from .models import RoundModel
 
 __all__ = [
     "Adversary",
@@ -216,17 +215,15 @@ class Adversary:
 
 
 class SyncNetwork:
-    """The engine facade: wires scheduler, delivery, and execution layers.
+    """The engine facade: drives lockstep rounds over two layers.
 
     A network owns one :class:`~repro.runtime.engine.ExecutionCore` (the
-    processes and their metered randomness), one
-    :class:`~repro.runtime.delivery.Delivery` (the communication phase),
-    and one
-    :class:`~repro.runtime.models.RoundModel` (the timing discipline;
-    lockstep rounds unless ``model`` names another).  The network itself
-    remains the adversary-arbitration and observer-dispatch surface: view
+    processes and their metered randomness) and one
+    :class:`~repro.runtime.delivery.Delivery` (the communication phase).
+    The network itself is the round loop (:meth:`run`), the
+    adversary-arbitration surface and the observer-dispatch surface: view
     construction, action validation, and the fixed hook sequence all live
-    here, identically for every model.
+    here.
 
     The ``transport`` axis (:mod:`repro.transport`) decides *where* the
     processes physically execute: the default in-process transport keeps
@@ -247,8 +244,6 @@ class SyncNetwork:
         max_rounds: int = 100_000,
         reseed_at: tuple[int, int] | None = None,
         observers: Sequence[RoundObserver] = (),
-        model: RoundModel | str | None = None,
-        model_options: Mapping[str, Any] | None = None,
         transport: Transport | str | None = None,
         transport_options: Mapping[str, Any] | None = None,
     ) -> None:
@@ -272,7 +267,7 @@ class SyncNetwork:
         self.metrics = self._core.metrics
         self.faulty: set[int] = set()
         self.round = 0
-        # Per-round delivery totals accumulated by _deliver so the
+        # Per-round delivery totals kept by the delivery step so the
         # report does not need a second O(copies) pass.
         self._delivered_bits = 0
         self._lost_bits = 0
@@ -292,11 +287,6 @@ class SyncNetwork:
         self._delivery = Delivery()
         # Alias into the core, which mutates the container in place.
         self._inboxes = self._core.inboxes
-
-        from .models import resolve_model
-
-        #: The scheduler layer driving :meth:`run` (see class docstring).
-        self.model = resolve_model(model, model_options)
 
     # ------------------------------------------------------------------
     def add_observer(self, observer: RoundObserver) -> SyncNetwork:
@@ -323,16 +313,6 @@ class SyncNetwork:
     def terminated_set(self) -> frozenset[int]:
         return self._core.terminated_set()
 
-    @property
-    def in_flight_messages(self) -> int:
-        """Messages sent but not yet delivered, omitted, or lost.
-
-        Always zero under the lockstep model; non-zero mid-run under
-        models with cross-round latency (the conservation invariant then
-        reads ``sent == delivered + omitted + lost + in_flight``).
-        """
-        return self.model.in_flight_count
-
     def maybe_reseed(self) -> None:
         """Honour a pending ``reseed_at`` fork point for the current round."""
         if self._reseed_at is not None and self.round == self._reseed_at[0]:
@@ -343,7 +323,7 @@ class SyncNetwork:
         """Communication phase: let the adversary corrupt and omit.
 
         Returns the validated, canonical (sorted, de-duplicated) omitted
-        flat message indices; :meth:`_deliver` skips them without
+        flat message indices; the delivery step skips them without
         rebuilding the batch.  Observers — including the metrics
         accounting and the replay recorder — are dispatched a
         canonicalized :class:`AdversaryAction`, so duplicate indices in a
@@ -410,41 +390,6 @@ class SyncNetwork:
             observer.on_adversary_action(self.round, view, canonical, self)
         return omit
 
-    def _deliver(self, batch: MessageBatch, omitted: Sequence[int]) -> None:
-        """One delivery step: inbox placement plus observer dispatch.
-
-        The batch-to-inbox mechanics live in the network's
-        :class:`~repro.runtime.delivery.Delivery`; this method adds
-        the engine-side bookkeeping — the accumulated bit totals the
-        :attr:`report` reads without a second O(copies) pass, and the
-        ``on_deliveries`` hook.
-        """
-        receipt = self._delivery.deliver(
-            batch, omitted, self._inboxes, self._core.live_mask()
-        )
-        self._delivered_bits = receipt.delivered_bits
-        self._lost_bits = receipt.lost_bits
-        for observer in self._observers:
-            observer.on_deliveries(
-                self.round, receipt.delivered, receipt.lost, self
-            )
-
-    def _dispatch_round_end(self) -> None:
-        """Round epilogue: transport link metrics (if any), then
-        ``on_round_end``.
-
-        Round models call this once per round instead of dispatching
-        ``on_round_end`` themselves, so :class:`LinkSample` measurements
-        drained from a transport-backed core reach the ``on_transport``
-        hook identically under every timing discipline.
-        """
-        samples = self._core.drain_link_samples()
-        if samples:
-            for observer in self._observers:
-                observer.on_transport(self.round, samples, self)
-        for observer in self._observers:
-            observer.on_round_end(self.round, self)
-
     def _absorb_residual_faults(self) -> None:
         """Fold crash faults the transport detected after the last
         adversary arbitration (e.g. a worker dying during the terminal
@@ -466,13 +411,18 @@ class SyncNetwork:
 
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
-        """Run rounds until every process terminates (or max_rounds).
+        """Run lockstep rounds until every process terminates.
 
-        The network brackets the run (adversary setup, ``on_run_start``,
-        result assembly, ``on_run_end``); the round loop itself belongs to
-        the configured :class:`~repro.runtime.models.RoundModel`.
+        Every round dispatches the same hook sequence: ``on_round_start``
+        → ``on_messages_sent`` → ``on_adversary_action`` →
+        ``on_deliveries`` → ``on_transport`` (rounds with link samples
+        only) → ``on_round_end``.  A terminal local-computation phase
+        with no traffic is not a round: observers see its unmatched
+        ``on_round_start``.  Raises :class:`LockstepError` at
+        ``max_rounds``.
         """
-        observers = self._observers
+        observers = self.observers
+        core = self.core
         self.adversary.setup(
             AdversaryContext(
                 n=self.n,
@@ -485,7 +435,39 @@ class SyncNetwork:
             observer.on_run_start(self)
 
         try:
-            self.model.run_rounds(self)
+            while core.live_count > 0:
+                self.maybe_reseed()
+                if self.round >= self.max_rounds:
+                    raise LockstepError(
+                        f"protocol did not terminate within {self.max_rounds} "
+                        f"rounds; {core.live_count} processes still live"
+                    )
+                for observer in observers:
+                    observer.on_round_start(self.round, self)
+                outbound = core.advance(self.round)
+                if core.live_count == 0 and not outbound:
+                    break
+                for observer in observers:
+                    observer.on_messages_sent(self.round, outbound, self)
+                omitted = self._apply_adversary(outbound)
+                # Communication phase: every surviving copy lands now, to
+                # be consumed next round; the report reads the bit totals.
+                receipt = self._delivery.deliver(
+                    outbound, omitted, self._inboxes, core.live_mask()
+                )
+                self._delivered_bits = receipt.delivered_bits
+                self._lost_bits = receipt.lost_bits
+                for observer in observers:
+                    observer.on_deliveries(
+                        self.round, receipt.delivered, receipt.lost, self
+                    )
+                samples = core.drain_link_samples()
+                if samples:
+                    for observer in observers:
+                        observer.on_transport(self.round, samples, self)
+                for observer in observers:
+                    observer.on_round_end(self.round, self)
+                self.round += 1
             self._absorb_residual_faults()
         finally:
             # Graceful shutdown of transport resources (worker processes,

@@ -21,8 +21,8 @@ in the same order as in-process (inboxes cross as columns, outboxes as
 records), and transport failures surface through
 :meth:`~repro.runtime.engine.ExecutionCore.drain_faults` as crash faults
 the network arbitrates inside the paper's omission model — never as
-hangs, and never outside the ``sent == delivered + omitted + lost +
-in-flight`` metering identity.
+hangs, and never outside the ``sent == delivered + omitted + lost``
+metering identity.
 
 Wall-clock note: ``time.monotonic`` is permitted *only* here, outside
 ``CLOCK_SCOPE`` of ``tests/test_determinism_census.py`` — real links need
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from ..runtime.engine import ExecutionCore
 from ..runtime.process import SyncProcess
@@ -73,11 +73,3 @@ class Transport(ABC):
         seed: int,
     ) -> ExecutionCore:
         """Build the execution core hosting ``processes`` for one run."""
-
-    def options_payload(self) -> dict[str, Any]:
-        """JSON-safe constructor options, for identity serialization.
-
-        Must round-trip: ``create_transport(self.name, payload)`` builds
-        an equivalent transport.
-        """
-        return {}

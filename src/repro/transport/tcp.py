@@ -8,7 +8,7 @@ running :func:`repro.transport.worker.main`: it already holds the
 engine and its block's process objects, so nothing is imported or
 shipped before its hello.  The coordinator is a
 :class:`~repro.runtime.engine.ExecutionCore` subclass
-(:class:`RemoteExecutionCore`) so the whole engine — round models,
+(:class:`RemoteExecutionCore`) so the whole engine — round loop,
 delivery layer, adversary arbitration, observers, record/replay —
 drives it unchanged:
 
@@ -23,8 +23,8 @@ drives it unchanged:
   order keeps the engine's sender-sorted invariant.
 * Per-link timeouts and dead connections surface as *crash faults*
   via :meth:`drain_faults` — the network folds them into the round's
-  corruptions and omits their in-flight copies, preserving
-  ``sent == delivered + omitted + lost + Δin-flight`` instead of hanging.
+  corruptions and omits their copies, preserving
+  ``sent == delivered + omitted + lost`` instead of hanging.
 * Every round-trip is measured into a
   :class:`~repro.runtime.observers.LinkSample` (drained per round for
   the ``on_transport`` observer hook).
@@ -127,14 +127,6 @@ class TcpTransport(Transport):
         self.host = host
         self.connect_timeout_s = connect_timeout_s
         self.link_timeout_s = link_timeout_s
-
-    def options_payload(self) -> dict[str, Any]:
-        return {
-            "processes_per_worker": self.processes_per_worker,
-            "host": self.host,
-            "connect_timeout_s": self.connect_timeout_s,
-            "link_timeout_s": self.link_timeout_s,
-        }
 
     def create_core(
         self,
@@ -462,7 +454,7 @@ class RemoteExecutionCore(ExecutionCore):
     def reseed(self, fork_seed: int) -> None:
         # Applied by each worker before its next local-computation phase —
         # the same reseed-before-advance point as the in-process core
-        # (maybe_reseed precedes advance in every round model).
+        # (maybe_reseed precedes advance in every round).
         self._pending_reseed = fork_seed
 
     def drain_faults(self) -> frozenset[int]:

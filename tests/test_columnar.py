@@ -301,7 +301,7 @@ class TestInboxColumns:
         inboxes: list = [[] for _ in range(8)]
         delivery.Delivery().deliver(batch, omitted, inboxes, live)
         # No round above addresses pids 6 and 7: a hand-built plain list
-        # (a partial-synchrony merge looks like this) and the empty inbox.
+        # and the empty inbox.
         inboxes[6] = [Message(3, 6, ("late", 1), 9), Message(0, 6, None)]
         assert inboxes[7] == []
         for pid, inbox in enumerate(inboxes):
@@ -339,7 +339,7 @@ class TestInboxColumns:
         """Algorithm 4's flood, safety count and decision scans read by
         column (the parent materialized every inbox of every flood round);
         unanimous inputs, so no Dolev-Strong fallback runs."""
-        run = execute("tradeoff", [1] * 64, x=4, seed=2, model="lockstep")
+        run = execute("tradeoff", [1] * 64, x=4, seed=2)
         assert not run.ran_deterministic_fallback
         assert run.result.metrics.messages_sent > 0
         assert materialized == []
@@ -479,7 +479,9 @@ class TestLazyDelivery:
         assert not unsorted.sender_sorted
         for omitted in ((), (2,), (0, 3)):
             network = SyncNetwork([Broadcaster(pid, 3) for pid in range(3)])
-            network._deliver(unsorted, omitted)
+            network._delivery.deliver(
+                unsorted, omitted, network._inboxes, network.core.live_mask()
+            )
             want: list = [[] for _ in range(3)]
             deliver_objects(unsorted, omitted, want, None)
             for got, expected in zip(network._inboxes, want):
@@ -494,25 +496,13 @@ class TestLazyDelivery:
 
 # ---------------------------------------------------------------------------
 # One run may cross both paths, batch by batch.
-FINITE_TIMEOUT = {"min_latency": 1, "max_latency": 3, "gst": 10**9,
-                  "timeout": 2}
-
-
 class TestPerBatchRule:
-    @pytest.mark.parametrize(
-        "model,model_options",
-        [("lockstep", None), ("partial-synchrony", FINITE_TIMEOUT)],
-        ids=["lockstep", "partial-synchrony-finite-timeout"],
-    )
-    def test_run_crossing_both_paths_equals_both_pinned_runs(
-        self, monkeypatch, model, model_options
-    ):
+    def test_run_crossing_both_paths_equals_both_pinned_runs(self, monkeypatch):
         """Algorithm 1 at n=64 talks per-link over its spreading graph
         (fan-out 1) and all-to-all in its announce rounds (fan-out n-1).
         A run that sends fan-outs below 4 down the object loop and the
         rest down the columnar plan — plain lists and lazy views side by
-        side, late arrivals landing on both — equals the runs pinned to
-        either path."""
+        side — equals the runs pinned to either path."""
         served = {"columnar": 0, "object": 0}
         columnar_deliver = delivery.Delivery.deliver
 
@@ -526,11 +516,7 @@ class TestPerBatchRule:
         def run():
             return canonical(
                 execute(
-                    "algorithm1",
-                    [pid % 2 for pid in range(64)],
-                    seed=3,
-                    model=model,
-                    model_options=model_options,
+                    "algorithm1", [pid % 2 for pid in range(64)], seed=3
                 ).result
             )
 

@@ -126,7 +126,7 @@ def test_bool_inputs_keep_their_bits(protocol, n, options, bits):
     totals are the per-copy originals'; int inputs give 121 440 and
     588 960)."""
     run = execute(
-        protocol, [bool(pid % 2) for pid in range(n)], seed=3, model="lockstep",
+        protocol, [bool(pid % 2) for pid in range(n)], seed=3,
         **options,
     )
     assert run.result.metrics.bits_sent == bits

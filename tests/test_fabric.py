@@ -53,8 +53,8 @@ class TestCellId:
             {"adversary": "silence"},
             {"seed": 1},
             {"options": {"x": 3}},
-            {"model": "lockstep"},
-            {"model": "partial-synchrony", "model_options": {"gst": 2}},
+            {"transport": "inprocess"},
+            {"transport": "tcp", "transport_options": {"processes_per_worker": 4}},
             {"engine": "cells-v1+schema-v1"},
         ],
     )
@@ -88,13 +88,26 @@ class TestCellId:
         assert CellId.from_record({"note": "hello"}) is None
         assert CellId.from_record({}) is None
 
+    def test_from_record_refuses_a_non_lockstep_round_model(self):
+        """A journal line written by a sweep pinned to the removed
+        partial-synchrony model is never served: resume re-runs the cell.
+        One pinned to lockstep is the lockstep cell it always was."""
+        legacy = {
+            "protocol": "algorithm1", "n": 33, "t": 8, "adversary": "none",
+            "seed": 0,
+        }
+        assert CellId.from_record(
+            dict(legacy, model="partial-synchrony", model_options={"gst": 2})
+        ) is None
+        assert CellId.from_record(dict(legacy, model="lockstep")) == make_cell()
+
     def test_payload_round_trips(self):
-        cell = make_cell(options={"x": 4}, model="lockstep")
+        cell = make_cell(options={"x": 4}, transport="inprocess")
         assert CellId.from_payload(cell.payload()) == cell
 
     def test_str_names_the_cell(self):
-        text = str(make_cell(model="lockstep"))
-        assert text.startswith("algorithm1:n33:none:s0:lockstep:")
+        cell = make_cell()
+        assert str(cell) == f"algorithm1:n33:none:s0:{cell.short}"
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +277,6 @@ class TestCampaignCache:
         assert json.dumps(
             summarize_campaign(cold), sort_keys=True
         ) == json.dumps(summarize_campaign(warm), sort_keys=True)
-
-    @pytest.mark.parametrize(
-        "model_kwargs",
-        [
-            {"model": "lockstep"},
-            {"model": "partial-synchrony", "model_options": {"gst": 2}},
-        ],
-    )
-    def test_cache_round_trip_on_both_round_models(
-        self, tmp_path, model_kwargs
-    ):
-        spec = small_spec(adversaries=["none"], **model_kwargs)
-        cold, cold_computed, warm, warm_computed, _ = self.run_twice(
-            spec, tmp_path
-        )
-        assert len(cold_computed) == 1 and warm_computed == []
-        assert json.dumps(warm, sort_keys=True) == json.dumps(
-            cold, sort_keys=True
-        )
 
     def test_object_engine_cells_serve_columnar_run(
         self, tmp_path, monkeypatch

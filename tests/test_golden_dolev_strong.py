@@ -5,8 +5,7 @@ the receive loop started looking a source up ahead of walking its chain (and
 before ``GroupBitsSpreading`` moved to bitmask queues and run multicasts), so
 every value in it — decisions, every ``Metrics`` total, the per-round trace
 and the per-round flat copy order with payloads and bit sizes — has to be
-reproduced exactly.  Every case pins its round model, so both
-``--execution-model`` arms check the same bytes.
+reproduced exactly.
 
 Regenerate (only when a simulated statistic is *meant* to move)::
 
@@ -97,17 +96,12 @@ ADVERSARIES = {
     "staggered": lambda t: StaticCrashAdversary({k: [k] for k in range(t)}),
 }
 
-#: name -> (protocol, n, t, adversary, model, options)
+#: name -> (protocol, n, t, adversary, options)
 CASES = {
-    f"dolev-strong-n{n}-{adversary}": (
-        "dolev-strong", n, t, adversary, "lockstep", {}
-    )
+    f"dolev-strong-n{n}-{adversary}": ("dolev-strong", n, t, adversary, {})
     for n, t in ((16, 3), (33, 5), (64, 8))
     for adversary in ADVERSARIES
 }
-CASES["dolev-strong-n16-random-partial-synchrony"] = (
-    "dolev-strong", 16, 3, "random", "partial-synchrony", {}
-)
 # One epoch cannot settle a balanced input, so every run takes lines 17-20;
 # the silenced (resp. omitted-from) processes went inoperative in that epoch
 # and only a strict subset participates in the fallback.
@@ -115,12 +109,12 @@ for _n, _t, _adversary in (
     (33, 1, "silence"), (64, 2, "random"), (100, 3, "silence"), (100, 3, "staggered")
 ):
     CASES[f"algorithm1-fallback-n{_n}-{_adversary}"] = (
-        "algorithm1", _n, _t, _adversary, "lockstep", {"num_epochs": 1}
+        "algorithm1", _n, _t, _adversary, {"num_epochs": 1}
     )
 
 
 def fingerprint(name):
-    protocol, n, t, adversary, model, options = CASES[name]
+    protocol, n, t, adversary, options = CASES[name]
     copies, trace = FlatCopyRecorder(), RoundRecorder()
     run = execute(
         protocol,
@@ -128,7 +122,6 @@ def fingerprint(name):
         t=t,
         adversary=ADVERSARIES[adversary](t),
         seed=7,
-        model=model,
         observers=[copies, trace],
         options=options,
     )

@@ -72,7 +72,7 @@ def run_entry(case: str, adversary: str, seed: int) -> dict:
         strategy = GALLERY[adversary](n, t, seed)
     run = execute(
         protocol, [pid % width for pid in range(n)], t=t, adversary=strategy,
-        seed=seed, model="lockstep", **keywords,
+        seed=seed, **keywords,
     )
     state = [
         [getattr(process, name, None) for name in STATE]

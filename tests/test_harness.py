@@ -143,26 +143,39 @@ def test_config_normalizes_once():
     config = ExecutionConfig("ben-or", [0, 1, 1], options=None)
     assert (config.n, config.inputs) == (3, (0, 1, 1))
     assert config.params == ProtocolParams.practical()
-    assert config.options == config.model_options == {}
+    assert config.options == config.transport_options == {}
     assert execute("ben-or", [0, 1, 1]).request == config
     with pytest.raises(ValueError, match="needs `inputs` or an explicit `n`"):
         ExecutionConfig("trb")
 
 
 def test_config_payload_round_trips_named_axes_only():
-    from repro.runtime import PartialSynchronyModel
+    from repro.transport import InProcessTransport
 
     config = ExecutionConfig(
         "tradeoff", mixed(16), seed=3, options={"x": 4},
-        model="partial-synchrony", model_options={"gst": 2},
         transport="tcp", transport_options={"processes_per_worker": 4},
     )
     payload = json.loads(json.dumps(config.payload()))
-    assert payload["execution_model"] == "partial-synchrony"
+    assert payload["transport"] == "tcp"
+    assert "execution_model" not in payload and "model_options" not in payload
     assert ExecutionConfig.from_payload(payload) == config
-    live = ExecutionConfig("ben-or", mixed(5), model=PartialSynchronyModel())
+    live = ExecutionConfig("ben-or", mixed(5), transport=InProcessTransport())
     with pytest.raises(TypeError, match="named axis"):
         live.payload()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("execution_model", "partial-synchrony"), ("model_options", {"gst": 2})],
+    ids=["execution_model", "model_options"],
+)
+def test_config_refuses_a_recipe_of_another_round_model(key, value):
+    """What the removed model axis wrote is refused by name, never run
+    as lockstep."""
+    payload = ExecutionConfig("ben-or", mixed(5)).payload()
+    with pytest.raises(ValueError, match=key):
+        ExecutionConfig.from_payload({**payload, key: value})
 
 
 def _campaign_spec(protocol, inputs, **axes):
@@ -193,20 +206,26 @@ def never_built():
 @pytest.mark.parametrize(
     "axes,message",
     [
-        ({"model": "warp-speed"}, "unknown execution model 'warp-speed'"),
+        (
+            {"transport": "tcp", "transport_options": {"host": "example.com"}},
+            "is not a loopback address",
+        ),
         ({"transport": "pigeon"}, "unknown transport 'pigeon'"),
-        ({"model_options": {"gst": 3}}, "model_options requires an explicit"),
+        (
+            {"transport": "tcp", "transport_options": {"link_timeout_s": 0}},
+            "link_timeout_s=0 must be > 0",
+        ),
         (
             {"transport_options": {"processes_per_worker": 2}},
             "transport_options requires an explicit",
         ),
         (
-            {"model": "partial-synchrony", "model_options": {"bogus": 1}},
-            "execution model 'partial-synchrony' takes no option 'bogus'",
+            {"transport": "tcp", "transport_options": {"connect_timeout_s": 0}},
+            "connect_timeout_s=0 must be > 0",
         ),
         (
-            {"model": "lockstep", "model_options": {"gst": 3}},
-            "execution model 'lockstep' takes no option 'gst'",
+            {"transport": "inprocess", "transport_options": {"workers": 2}},
+            "transport 'inprocess' takes no option 'workers'",
         ),
         (
             {"transport": "tcp", "transport_options": {"workers": 2}},

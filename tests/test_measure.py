@@ -123,19 +123,13 @@ SWEEPS = {
 }
 
 
-@pytest.fixture
-def lockstep_only(session_default_model):
-    if session_default_model != "lockstep":
-        pytest.skip("the golden sweeps were generated under lockstep")
-
-
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_measure_reproduces_the_old_driver(name, lockstep_only):
+def test_measure_reproduces_the_old_driver(name):
     assert SWEEPS[name]() == GOLDEN["sweeps"][name]
 
 
 @pytest.mark.parametrize("want", GOLDEN["sweeps"]["tradeoff-x"], ids=str)
-def test_measure_reproduces_sweep_tradeoff(want, lockstep_only):
+def test_measure_reproduces_sweep_tradeoff(want):
     """``sweep_tradeoff(mixed(32), [2, 8], seed=9)``: the measures are
     exact; ``rounds`` is now the paper's time metric, one more than the
     executed-round count the old driver reported."""
@@ -167,7 +161,7 @@ def cells_run(monkeypatch):
     return run
 
 
-def test_whp_path_retries_a_cell_that_fell_back(cells_run, lockstep_only):
+def test_whp_path_retries_a_cell_that_fell_back(cells_run):
     """At n=16 the cell at seed 5 + 16 falls back: the reported record is
     the ``+7919`` cell's, and the fallen-back cell is returned too."""
     reported, cells = report.whp_path("algorithm1", [16], 5)
@@ -177,7 +171,7 @@ def test_whp_path_retries_a_cell_that_fell_back(cells_run, lockstep_only):
     assert reported == [cells[-1]]
 
 
-def test_whp_path_runs_one_cell_without_a_fallback(cells_run, lockstep_only):
+def test_whp_path_runs_one_cell_without_a_fallback(cells_run):
     reported, cells = report.whp_path("algorithm1", [36], 5, "balance")
     assert cells_run == [("algorithm1", 36, "balance", 41, {})]
     assert reported == cells

@@ -4,17 +4,26 @@ Uses small scripted processes rather than the real protocols, so each engine
 behaviour is exercised in isolation.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.replay import InvariantObserver, recipe_from_payload, replay
 from repro.runtime import (
     Adversary,
     AdversaryAction,
     AdversaryProtocolError,
+    ExecutionCore,
+    LinkSample,
     LockstepError,
     ProcessEnv,
+    RoundObserver,
     SyncNetwork,
     SyncProcess,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "golden-ben-or.json"
 
 
 class EchoOnce(SyncProcess):
@@ -105,8 +114,11 @@ def test_max_rounds_enforced():
                 yield
 
     network = SyncNetwork([Forever(0, 1)], max_rounds=10)
-    with pytest.raises(LockstepError):
+    with pytest.raises(
+        LockstepError, match="did not terminate within 10 rounds; 1 processes"
+    ):
         network.run()
+    assert network.round == 10
 
 
 def test_pid_position_mismatch_rejected():
@@ -311,3 +323,66 @@ def test_runs_reproducible_for_same_seed():
         return network.run().decisions
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------------
+# The one round loop (``SyncNetwork.run``).
+class HookOrder(RoundObserver):
+    def __init__(self):
+        self.calls = []
+
+    def on_round_start(self, round_no, network):
+        self.calls.append(("round_start", round_no))
+
+    def on_messages_sent(self, round_no, outbound, network):
+        self.calls.append(("messages_sent", round_no))
+
+    def on_adversary_action(self, round_no, view, action, network):
+        self.calls.append(("adversary_action", round_no))
+
+    def on_deliveries(self, round_no, delivered, lost, network):
+        self.calls.append(("deliveries", round_no))
+
+    def on_transport(self, round_no, samples, network):
+        self.calls.append(("transport", round_no))
+
+    def on_round_end(self, round_no, network):
+        self.calls.append(("round_end", round_no))
+
+
+def test_round_hooks_run_in_the_fixed_order(monkeypatch):
+    """Every round: start, sent, adversary, deliveries, transport (when the
+    core drained link samples), end.  The terminal phase, which only
+    decides, sends nothing and is no round: observers see its unmatched
+    start, and the metering identity holds exactly in every round."""
+    log = HookOrder()
+    network = SyncNetwork(
+        [Chatter(pid, 3, rounds=2) for pid in range(3)],
+        observers=[log, InvariantObserver()],
+    )
+    sample = LinkSample(worker=0, pids=(0,), round=0, latency_s=0.0,
+                        bytes_sent=1, bytes_received=1)
+    monkeypatch.setattr(
+        ExecutionCore, "drain_link_samples", lambda self: (sample,)
+    )
+    result = network.run()
+    cycle = ["round_start", "messages_sent", "adversary_action",
+             "deliveries", "transport", "round_end"]
+    assert log.calls == [
+        (hook, round_no) for round_no in range(2) for hook in cycle
+    ] + [("round_start", 2)]
+    assert result.rounds == network.round == 2
+    assert set(result.decisions.values()) == {"done"}
+
+
+def test_parent_format_lockstep_recipe_replays():
+    """Recipes written while the round model was an axis name it; a
+    lockstep one loads as the same recipe and replays to its fingerprint.
+    (The committed golden recipe predates the keys.)"""
+    golden = json.loads(GOLDEN.read_text())
+    recipe = recipe_from_payload(
+        dict(golden, execution_model="lockstep", model_options={})
+    )
+    assert recipe == recipe_from_payload(golden)
+    report = replay(recipe)
+    assert report.ok, report.summary()

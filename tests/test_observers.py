@@ -221,20 +221,14 @@ def _deterministic(report):
 def test_report_is_deterministic_and_passive():
     def algorithm1(**kwargs):
         return execute(
-            "algorithm1", [pid % 2 for pid in range(16)], seed=3,
-            model="lockstep", **kwargs
+            "algorithm1", [pid % 2 for pid in range(16)], seed=3, **kwargs
         ).result
 
     reference = algorithm1()
     payload = _deterministic(reference.report)
-    # The same account over real worker processes, under the other round
-    # model, and with a user observer on the bus.
+    # The same account over real worker processes and with a user
+    # observer on the bus.
     assert _deterministic(algorithm1(transport="tcp").report) == payload
-    partial = execute(
-        "algorithm1", [pid % 2 for pid in range(16)], seed=3,
-        model="partial-synchrony",
-    ).result
-    assert _deterministic(partial.report) == payload
     assert _deterministic(algorithm1(observers=[HookLog()]).report) == payload
     # It is not part of the result's identity or its JSON.
     assert "report" not in result_to_dict(reference)
@@ -244,7 +238,7 @@ def test_report_is_deterministic_and_passive():
     n, t = 64, 2
     recorded = record(
         "algorithm1", [pid % 2 for pid in range(n)], t=t,
-        adversary=VoteBalancingAdversary(seed=1), seed=4, model="lockstep",
+        adversary=VoteBalancingAdversary(seed=1), seed=4,
     )
     report = recorded.run.result.report
     metrics = recorded.run.metrics

@@ -21,7 +21,8 @@ from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.baselines import run_ben_or
 from repro.fabric import CampaignCache, CellId
 from repro.harness import execute
-from repro.replay import ShrinkResult
+from repro.replay import ShrinkResult, load_recipe, record, replay
+from repro.transport import TcpTransport
 from repro.runtime import (
     Adversary,
     MessageBatch,
@@ -31,6 +32,7 @@ from repro.runtime import (
 
 INPUTS = [0, 1, 1, 0, 1]
 SPEC = CampaignSpec("removed", "ben-or", ns=(5,))
+GOLDEN = Path(__file__).parent / "data" / "golden-ben-or.json"
 
 
 class ThreeArgumentSetup(Adversary):
@@ -87,6 +89,26 @@ REMOVED_CALLS = {
         AttributeError, lambda: CampaignCache("unused").scan
     ),
     "len(CampaignCache)": (TypeError, lambda: len(CampaignCache("unused"))),
+    # One round model: lockstep rounds, driven by ``SyncNetwork.run``.
+    "execute(model=)": (
+        TypeError, lambda: execute("ben-or", INPUTS, model="lockstep")
+    ),
+    "record(model_options=)": (
+        TypeError, lambda: record("ben-or", INPUTS, model_options={})
+    ),
+    "replay(recipe, model=)": (
+        TypeError, lambda: replay(load_recipe(GOLDEN), model="lockstep")
+    ),
+    "CampaignSpec(model=)": (
+        TypeError, lambda: CampaignSpec("removed", model="lockstep")
+    ),
+    "SyncNetwork(model=)": (TypeError, lambda: SyncNetwork([], model=None)),
+    "SyncNetwork.in_flight_messages": (
+        AttributeError, lambda: SyncNetwork.in_flight_messages
+    ),
+    "TcpTransport.options_payload()": (
+        AttributeError, lambda: TcpTransport().options_payload
+    ),
     "CellId < CellId": (
         TypeError,
         lambda: sorted(
@@ -106,7 +128,12 @@ def test_removed_call_shape_raises(surface):
 
 # Whole packages that are gone: none of their names can be imported.
 REMOVED_PACKAGES = frozenset(
-    {"repro.lint", "repro.runtime.trace", "repro.analysis.experiments"}
+    {
+        "repro.lint",
+        "repro.runtime.trace",
+        "repro.analysis.experiments",
+        "repro.runtime.models",
+    }
 )
 
 
@@ -215,6 +242,18 @@ REMOVED_PACKAGES = frozenset(
         ("repro.analysis.montecarlo", "fallback_rate_vs_epochs"),
         ("repro.analysis", "load_campaign"),
         ("repro.analysis.campaign", "load_campaign"),
+        # One round model: the round-model axis and its registry are gone.
+        *(
+            (module, name)
+            for module in ("repro.runtime", "repro.runtime.models")
+            for name in (
+                "RoundModel", "LockstepModel", "PartialSynchronyModel",
+                "create_model", "available_models", "resolve_model",
+            )
+        ),
+        ("repro.runtime.models", "_DEFAULT_MODEL"),
+        ("repro.runtime.models", "create_named"),
+        ("repro.transport", "create_named"),
     ],
 )
 def test_removed_name_is_not_importable(module, name):
@@ -321,6 +360,25 @@ def test_cli_multi_host_flag_is_gone(flag, capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["run", "--model", "lockstep"],
+        ["campaign", "run", "--model", "lockstep"],
+        ["replay", str(GOLDEN), "--model", "lockstep"],
+    ],
+    ids=" ".join,
+)
+def test_cli_model_flag_is_gone(argv, capsys):
+    """The engine runs lockstep rounds only; no command selects a model."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["campaign", "run", "--capture", "trace"], ["run", "--profile"]],
     ids=" ".join,
 )
@@ -338,8 +396,8 @@ def test_cli_observer_flag_is_gone(argv, capsys):
 def test_engine_is_constructed_at_the_front_door_and_three_fixtures():
     """``SyncNetwork(...)`` call sites under ``src/repro`` outside the
     engine's own package: ``run_config`` and the three designated fixtures
-    (each says why at its call).  A new site bypasses the registry's model
-    axis, option normalization and record/replay — route it through
+    (each says why at its call).  A new site bypasses the registry's
+    transport axis, option normalization and record/replay — route it through
     ``repro.harness.execute`` or add it here on purpose."""
     package = Path(__file__).resolve().parent.parent / "src" / "repro"
     sites = set()

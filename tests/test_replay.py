@@ -247,7 +247,7 @@ class TestInvariantObserver:
         )
         with pytest.raises(InvariantViolation) as excinfo:
             execute(
-                "algorithm1", inputs, seed=5, model="lockstep",
+                "algorithm1", inputs, seed=5,
                 observers=[InvariantObserver(inputs)],
             )
         assert excinfo.value.invariant == "sizing"
@@ -390,22 +390,6 @@ class TestReplayCLI:
         assert main(["replay", str(path)]) == 0
         out = capsys.readouterr().out
         assert "replay matches recorded fingerprint" in out
-
-    def test_cli_replay_model_override_of_configured_model(
-        self, tmp_path, capsys
-    ):
-        from repro.cli import main
-
-        recorded = record(
-            "ben-or",
-            [0, 1, 1, 0, 1, 0, 1],
-            seed=4,
-            model="partial-synchrony",
-            model_options={"max_latency": 3},
-        )
-        path = save_recipe(recorded.recipe, tmp_path / "r.json")
-        assert main(["replay", str(path), "--model", "lockstep"]) == 0
-        assert "replay matches" in capsys.readouterr().out
 
     def test_cli_replay_detects_tampering(self, tmp_path, capsys):
         from repro.cli import main

@@ -240,6 +240,6 @@ def test_algorithm1_sizes_a_pack_when_it_is_learned(monkeypatch):
         monkeypatch.setattr(module, "payload_bits", counted)
     inputs = [pid % 2 for pid in range(64)]
     random.Random(16000).shuffle(inputs)
-    result = execute("algorithm1", inputs, seed=16000, model="lockstep")
+    result = execute("algorithm1", inputs, seed=16000)
     assert result.metrics.bits_sent == 3_014_701
     assert 0 < calls["top"] <= 6_360

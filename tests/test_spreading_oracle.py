@@ -326,7 +326,7 @@ def test_algorithm1_queues_a_fifth_of_the_per_link_records():
     counter = OutboxRecords()
     execute(
         "algorithm1", [pid % 2 for pid in range(64)], seed=3,
-        model="lockstep", observers=[counter],
+        observers=[counter],
     )
     assert counter.copies == 113_832
     assert counter.records < 93_200 // 5

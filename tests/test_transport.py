@@ -12,6 +12,7 @@ conservation intact), never as a hang, and a worker that cannot start
 fails setup with a ``TransportError``.
 """
 
+import json
 import os
 import signal
 import socket
@@ -27,9 +28,9 @@ import pytest
 from repro.adversary import RandomOmissionAdversary
 from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.fabric import CellId
-from repro.harness import execute
+from repro.harness import available_protocols, execute
 from repro.replay import record, recipe_from_payload, recipe_payload, replay
-from repro.runtime import RoundObserver, SyncNetwork, SyncProcess
+from repro.runtime import RoundObserver, SyncNetwork, SyncProcess, result_to_dict
 from repro.transport import (
     InProcessTransport,
     TcpTransport,
@@ -50,7 +51,27 @@ from repro.transport.framing import (
 )
 from repro.transport.worker import connect_with_backoff
 
-from .test_models import EQUIVALENCE_CASES, fingerprint, mixed
+
+def mixed(n):
+    return [pid % 2 for pid in range(n)]
+
+
+def fingerprint(run):
+    return json.dumps(result_to_dict(run.result), sort_keys=True)
+
+
+#: One small case per built-in registry protocol.
+EQUIVALENCE_CASES = {
+    "algorithm1": {"inputs": mixed(36)},
+    "tradeoff": {"inputs": mixed(36)},
+    "early-stopping": {"inputs": mixed(24)},
+    "multivalued": {"inputs": mixed(16)},
+    "ben-or": {"inputs": mixed(9), "t": 1},
+    "phase-king": {"inputs": mixed(13), "t": 3},
+    "dolev-strong": {"inputs": mixed(9), "t": 2},
+    "trb": {"n": 8},
+    "collectors": {"n": 8},
+}
 
 
 class InboxProbe(SyncProcess):
@@ -164,16 +185,6 @@ class TestTransportRegistry:
         with pytest.raises(ValueError, match="transport_options"):
             resolve_transport(InProcessTransport(), {"anything": 1})
 
-    def test_options_payload_round_trips(self):
-        for per_worker in (4, None):  # None: the computed default
-            original = TcpTransport(
-                processes_per_worker=per_worker, link_timeout_s=5.0
-            )
-            payload = original.options_payload()
-            assert payload["processes_per_worker"] == per_worker
-            rebuilt = create_transport("tcp", payload)
-            assert rebuilt.options_payload() == payload
-
     def test_default_places_one_worker_per_core(self, monkeypatch):
         """``processes_per_worker=None`` (the default) is resolved per run
         from what the process can observe: ceil(n / cores) per worker, in
@@ -189,7 +200,7 @@ class TestTransportRegistry:
         finally:
             network._core.close()
         assert blocks == [(0, 1, 2), (3, 4, 5), (6,)]
-        assert network.transport.options_payload()["processes_per_worker"] is None
+        assert network.transport.processes_per_worker is None
 
     def test_transports_subclass_transport(self):
         assert issubclass(InProcessTransport, Transport)
@@ -241,6 +252,13 @@ class TestConnectBackoff:
 # fingerprint between the in-process core and real OS workers over TCP,
 # and the TCP-recorded recipe replays in-process.
 class TestCrossTransportEquivalence:
+    def test_cases_cover_builtin_registry(self):
+        assert set(EQUIVALENCE_CASES) <= set(available_protocols())
+        assert set(EQUIVALENCE_CASES) == {
+            "algorithm1", "tradeoff", "early-stopping", "multivalued",
+            "ben-or", "phase-king", "dolev-strong", "trb", "collectors",
+        }
+
     @pytest.mark.parametrize("protocol", sorted(EQUIVALENCE_CASES))
     def test_tcp_matches_inprocess_and_replays(self, protocol):
         """Also the certificate for Algorithm 3's quiescent-round test by
@@ -326,7 +344,6 @@ class TestWire:
             "algorithm1",
             mixed(64),
             seed=7,
-            model="lockstep",
             observers=(links,),
             transport="tcp",
             transport_options=tcp_options(64, workers=2),
@@ -501,7 +518,7 @@ class TestTransportFaults:
         """``connect_timeout_s`` budgets the connection, not the run: a
         coordinator that takes longer than that between two step frames
         (slow adversary, debugger, loaded box) finds its workers waiting."""
-        kwargs = dict(t=3, seed=7, model="lockstep")
+        kwargs = dict(t=3, seed=7)
         baseline = fingerprint(execute("phase-king", mixed(13), **kwargs))
         run = execute(
             "phase-king",
@@ -554,7 +571,7 @@ class TestSetup:
             return server
 
         monkeypatch.setattr(tcp.socket, "create_server", listener_with_strays)
-        kwargs = dict(t=3, seed=7, model="lockstep")
+        kwargs = dict(t=3, seed=7)
         baseline = fingerprint(execute("phase-king", mixed(13), **kwargs))
         run = execute(
             "phase-king",
@@ -739,7 +756,7 @@ class TestTransportIdentity:
         pinned = self._cell(transport="tcp")
         assert default.digest != pinned.digest
         # None (unpinned) and an explicit "inprocess" are distinct
-        # identities, like the model axis: pinning is part of the ask.
+        # identities: pinning is part of the ask.
         assert default.digest != self._cell(transport="inprocess").digest
 
     def test_transport_options_change_the_digest(self):
@@ -759,7 +776,6 @@ class TestTransportIdentity:
             payload,
             transport_options={"processes_per_worker": 4},
             options={},
-            model_options={},
         )
         assert CellId.from_record(record_shape) == cell
 
@@ -768,7 +784,7 @@ class TestTransportIdentity:
         payload = cell.payload()
         del payload["transport"]
         del payload["transport_options"]
-        legacy = dict(payload, options={}, model_options={})
+        legacy = dict(payload, options={})
         assert CellId.from_record(legacy) == cell
 
     def test_campaign_spec_validates_transport(self):
