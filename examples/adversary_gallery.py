@@ -15,7 +15,7 @@ Run:  python examples/adversary_gallery.py
 
 from __future__ import annotations
 
-from repro import ProtocolParams, run_consensus
+from repro import ProtocolParams, execute
 from repro.adversary import (
     GroupKnockoutAdversary,
     RandomOmissionAdversary,
@@ -51,8 +51,8 @@ def main() -> None:
           f"{'rbits':>6} {'faulty':>7} {'inoper.':>8} {'fallback':>9}")
 
     for name, adversary in gallery:
-        run = run_consensus(
-            inputs, t=t, adversary=adversary, params=params, seed=9
+        run = execute(
+            "algorithm1", inputs, t=t, adversary=adversary, params=params, seed=9
         )
         inoperative = sum(
             1 for process in run.processes if not process.operative

@@ -25,7 +25,7 @@ Run:  python examples/custom_protocol.py
 from __future__ import annotations
 
 from repro.analysis import check_consensus_protocol
-from repro.core import run_consensus
+from repro.harness import execute
 from repro.params import ProtocolParams
 from repro.runtime import ProcessEnv, Program, SyncNetwork, SyncProcess
 
@@ -105,8 +105,8 @@ def main() -> None:
     network = SyncNetwork(factory(inputs, t), t=t, seed=3)
     custom = network.run()
     custom.agreement_value()
-    paper = run_consensus(inputs, t=t, params=ProtocolParams.practical(),
-                          seed=3)
+    paper = execute("algorithm1", inputs, t=t,
+                    params=ProtocolParams.practical(), seed=3)
 
     print(f"\ncost on n={n}, balanced inputs, no adversary:")
     print(f"  ConfirmedMajority : {custom.time_to_agreement():>4} rounds, "

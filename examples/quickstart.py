@@ -8,7 +8,7 @@ complexity measures for the execution.
 Run:  python examples/quickstart.py
 """
 
-from repro import ProtocolParams, run_consensus
+from repro import ProtocolParams, execute
 from repro.adversary import SilenceAdversary
 
 
@@ -20,7 +20,8 @@ def main() -> None:
     # The hardest inputs: a perfectly balanced bit assignment.
     inputs = [pid % 2 for pid in range(n)]
 
-    run = run_consensus(
+    run = execute(
+        "algorithm1",
         inputs,
         t=t,
         adversary=SilenceAdversary(range(t)),
@@ -40,7 +41,7 @@ def main() -> None:
 
     # Validity: a unanimous system must decide its common input and, per the
     # paper's validity argument, spends zero randomness doing so.
-    unanimous = run_consensus([1] * n, t=t, params=params, seed=42)
+    unanimous = execute("algorithm1", [1] * n, t=t, params=params, seed=42)
     print(f"\nunanimous inputs 1   : decision={unanimous.decision}, "
           f"random bits={unanimous.metrics.random_bits}")
 

@@ -7,19 +7,16 @@ and lower-bound machinery.
 
 Quickstart::
 
-    from repro import run_consensus
+    from repro import execute
     from repro.adversary import SilenceAdversary
 
-    run = run_consensus([pid % 2 for pid in range(100)],
-                        adversary=SilenceAdversary(range(3)))
+    run = execute("algorithm1", [pid % 2 for pid in range(100)],
+                  adversary=SilenceAdversary(range(3)))
     print(run.decision, run.metrics.rounds, run.metrics.bits_sent)
 """
 
-from .core import (
-    ConsensusRun,
-    OptimalOmissionsConsensus,
-    run_consensus,
-)
+from .core import ConsensusRun, OptimalOmissionsConsensus
+from .harness import execute
 from .params import ProtocolParams, default_fault_bound
 from .runtime import (
     Adversary,
@@ -36,7 +33,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ConsensusRun",
     "OptimalOmissionsConsensus",
-    "run_consensus",
+    "execute",
     "ProtocolParams",
     "default_fault_bound",
     "Adversary",

@@ -92,7 +92,7 @@ class CampaignSpec:
     #: Transport axis: a registered transport name, or ``None`` for the
     #: in-process default.  Part of cell identity when set.
     transport: str | None = None
-    #: Options forwarded to the transport constructor (e.g.
+    #: The transport's options (e.g.
     #: ``processes_per_worker``); part of cell identity, valid only with
     #: an explicit ``transport``.
     transport_options: dict[str, Any] = field(default_factory=dict)

@@ -39,16 +39,8 @@ from ..adversary import (
     StaticCrashAdversary,
     VoteBalancingAdversary,
 )
-from ..baselines import measure_amortization, run_trb
-from ..core import (
-    apply_vote_rule,
-    cached_bag_tree,
-    cached_sqrt_partition,
-    run_consensus,
-    run_early_stopping_consensus,
-    run_multivalued_consensus,
-    run_tradeoff_consensus,
-)
+from ..baselines import measure_amortization
+from ..core import apply_vote_rule, cached_bag_tree, cached_sqrt_partition
 from ..core.aggregation import group_bits_aggregation
 from ..core.spreading import SpreadingState, group_bits_spreading
 from ..graphs import (
@@ -100,8 +92,8 @@ def table1(n, seed):
     the theory rows and the three lower-bound rows evaluated beside them."""
     t, x = PRACTICAL.max_faults(n), max(2, n // 16)
     inputs = mixed_inputs(n)
-    main = run_consensus(inputs, t=t, params=PRACTICAL, seed=seed)
-    dial = run_tradeoff_consensus(inputs, x, params=PRACTICAL, seed=seed)
+    main = execute("algorithm1", inputs, t=t, params=PRACTICAL, seed=seed)
+    dial = execute("tradeoff", inputs, x=x, params=PRACTICAL, seed=seed)
     rounds, metrics = main.result.time_to_agreement(), main.metrics
     values = {
         "n": n, "t": t, "x": x, "rounds": rounds,
@@ -278,7 +270,7 @@ def vote_rule(band_total, gap_total, n, t, ones):
         ),
     }
     for k in ones:
-        run = run_consensus([1] * k + [0] * (n - k), t=t, seed=k + 1)
+        run = execute("algorithm1", [1] * k + [0] * (n - k), t=t, seed=k + 1)
         _append(values, decision=run.decision,
                 random_bits=run.metrics.random_bits,
                 fallback=run.ran_deterministic_fallback)
@@ -335,7 +327,7 @@ def scaling(ns, seed, quiet_seed, unanimous_ns, unanimous_seed):
         ns, [max(1, bits) for bits in values["random_bits"]]
     )
     for n in unanimous_ns:
-        run = run_consensus([1] * n, seed=unanimous_seed)
+        run = execute("algorithm1", [1] * n, seed=unanimous_seed)
         _append(values, unanimous_decision=run.decision,
                 unanimous_random_bits=run.metrics.random_bits)
     return values
@@ -504,9 +496,10 @@ def early_stopping(n, seed, skew_ones, balancer_seed, suppression_seeds):
     }
     values: dict = {"cases": list(cases)}
     for inputs, adversary in cases.values():
-        fixed = run_consensus(inputs, params=PRACTICAL, seed=seed)
-        adaptive = run_early_stopping_consensus(
-            inputs, adversary=adversary, params=PRACTICAL, seed=seed
+        fixed = execute("algorithm1", inputs, params=PRACTICAL, seed=seed)
+        adaptive = execute(
+            "early-stopping", inputs, adversary=adversary, params=PRACTICAL,
+            seed=seed,
         )
         exits = sorted({process.exited_epoch for process in adaptive.processes})
         _append(
@@ -519,8 +512,8 @@ def early_stopping(n, seed, skew_ones, balancer_seed, suppression_seeds):
     values["unanimous_fixed_third"] = values["fixed_rounds"][0] / 3
     t = PRACTICAL.max_faults(n)
     for run_seed in suppression_seeds:
-        run = run_early_stopping_consensus(
-            [1] * n, t=t, adversary=SilenceAdversary(range(t)),
+        run = execute(
+            "early-stopping", [1] * n, t=t, adversary=SilenceAdversary(range(t)),
             params=PRACTICAL, seed=run_seed,
         )
         _append(values, suppressed_decision=run.decision,
@@ -539,12 +532,13 @@ def trb(n, budgets, seed, silenced_t, silenced_seeds, crash_n, crash_t,
     relay per round (f in total, sender 0 sends 3)."""
     values: dict = {}
     for t in budgets:
-        _append(values, fault_free_rounds=run_trb(
-            n, 0, 9, t, seed=seed).result.time_to_agreement())
+        _append(values, fault_free_rounds=execute(
+            "trb", n=n, sender=0, value=9, t=t, seed=seed,
+        ).result.time_to_agreement())
     values["fault_free_distinct"] = len(set(values["fault_free_rounds"]))
     for run_seed in silenced_seeds:
-        deliveries = _deliveries(run_trb(
-            n, sender=0, value=9, t=silenced_t,
+        deliveries = _deliveries(execute(
+            "trb", n=n, sender=0, value=9, t=silenced_t,
             adversary=SilenceAdversary([0]), seed=run_seed,
         ).result)
         _append(values, silenced_deliveries=deliveries,
@@ -553,7 +547,7 @@ def trb(n, budgets, seed, silenced_t, silenced_seeds, crash_n, crash_t,
         adversary = (
             StaticCrashAdversary({k: [k] for k in range(f)}) if f else None
         )
-        result = run_trb(crash_n, sender=0, value=3, t=crash_t,
+        result = execute("trb", n=crash_n, sender=0, value=3, t=crash_t,
                          adversary=adversary, seed=crash_seed).result
         deliveries = _deliveries(result)
         _append(values, crash_rounds=result.time_to_agreement(),
@@ -637,8 +631,8 @@ def overlay_degree(n, t, omission, trials, seed, degrees):
         params = PRACTICAL.with_overrides(delta_factor=factor, delta_min=minimum)
         inoperative = 0
         for trial in range(trials):
-            run = run_consensus(
-                mixed_inputs(n), t=t, params=params,
+            run = execute(
+                "algorithm1", mixed_inputs(n), t=t, params=params,
                 adversary=RandomOmissionAdversary(omission, seed=trial),
                 seed=seed + trial,
             )
@@ -656,8 +650,9 @@ def multivalued(n, widths, seed, trials, proposal_seed, validity_seed):
     then random 4-bit proposals, odd trials with one process silenced."""
     values: dict = {}
     for width in widths:
-        result = run_multivalued_consensus(
-            [pid % (1 << width) for pid in range(n)], value_bits=width,
+        result = execute(
+            "multivalued", [pid % (1 << width) for pid in range(n)],
+            value_bits=width,
             seed=seed,
         ).result
         _append(values, rounds=result.time_to_agreement(),
@@ -667,8 +662,8 @@ def multivalued(n, widths, seed, trials, proposal_seed, validity_seed):
     rng = random.Random(proposal_seed)
     for trial in range(trials):
         proposals = [rng.randrange(1, 16) for _ in range(n)]
-        decision = run_multivalued_consensus(
-            proposals, value_bits=4, t=1, seed=validity_seed + trial,
+        decision = execute(
+            "multivalued", proposals, value_bits=4, t=1, seed=validity_seed + trial,
             adversary=SilenceAdversary([trial]) if trial % 2 else None,
         ).result.agreement_value()
         _append(values, decision=decision,

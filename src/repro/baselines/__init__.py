@@ -9,34 +9,26 @@
   ancestor Algorithm 1 economizes).
 """
 
-from .ben_or import BenOrVotingProcess, run_ben_or
+from .ben_or import BenOrVotingProcess
 from .doubling_gossip import (
     CrashCollectors,
     DoublingCollector,
     ResponseStarver,
     measure_amortization,
 )
-from .dolev_strong import (
-    DolevStrongProcess,
-    dolev_strong_consensus,
-    run_dolev_strong,
-)
-from .reliable_broadcast import BOTTOM, TRBProcess, run_trb
-from .phase_king import PhaseKingProcess, run_phase_king
+from .dolev_strong import DolevStrongProcess, dolev_strong_consensus
+from .reliable_broadcast import BOTTOM, TRBProcess
+from .phase_king import PhaseKingProcess
 
 __all__ = [
     "DolevStrongProcess",
     "dolev_strong_consensus",
-    "run_dolev_strong",
     "PhaseKingProcess",
-    "run_phase_king",
     "BenOrVotingProcess",
-    "run_ben_or",
     "CrashCollectors",
     "DoublingCollector",
     "ResponseStarver",
     "measure_amortization",
     "BOTTOM",
     "TRBProcess",
-    "run_trb",
 ]

@@ -21,10 +21,8 @@ Two roles in this repository:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from ..runtime import (
-    Adversary,
     ProcessEnv,
     Program,
     SyncProcess,
@@ -148,36 +146,3 @@ class BenOrVotingProcess(SyncProcess):
         env.broadcast((TAG_DECIDE, decided_value))
         env.decide(decided_value)
         return None
-
-
-def run_ben_or(
-    inputs: Sequence[int],
-    t: int = 0,
-    adversary: Adversary | None = None,
-    threshold: float | None = None,
-    max_phases: int | None = None,
-    coin_pids: frozenset[int] | None = None,
-    seed: int = 0,
-    max_rounds: int = 100_000,
-    observers: Sequence = (),
-):
-    """Run the voting baseline end-to-end.
-
-    Thin wrapper over :func:`repro.harness.execute`; returns a
-    :class:`repro.core.consensus.ConsensusRun` (named ``result`` /
-    ``processes`` fields — it does not unpack as a tuple).
-    """
-    from ..harness import execute
-
-    return execute(
-        "ben-or",
-        inputs,
-        t=t,
-        adversary=adversary,
-        seed=seed,
-        max_rounds=max_rounds,
-        observers=observers,
-        threshold=threshold,
-        max_phases=max_phases,
-        coin_pids=coin_pids,
-    )

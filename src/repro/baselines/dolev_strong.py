@@ -151,30 +151,3 @@ class DolevStrongProcess(SyncProcess):
         self.decision = decision
         env.decide(decision)
         return None
-
-
-def run_dolev_strong(
-    inputs,
-    t,
-    adversary=None,
-    seed: int = 0,
-    max_rounds: int = 100_000,
-    observers=(),
-):
-    """Run the standalone Dolev-Strong baseline end-to-end.
-
-    Thin wrapper over :func:`repro.harness.execute`; returns a
-    :class:`repro.core.consensus.ConsensusRun` (named ``result`` /
-    ``processes`` fields — it does not unpack as a tuple).
-    """
-    from ..harness import execute
-
-    return execute(
-        "dolev-strong",
-        inputs,
-        t=t,
-        adversary=adversary,
-        seed=seed,
-        max_rounds=max_rounds,
-        observers=observers,
-    )

@@ -22,10 +22,7 @@ phases because support then stays at least ``n - t``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..runtime import (
-    Adversary,
     ProcessEnv,
     Program,
     SyncProcess,
@@ -100,30 +97,3 @@ class PhaseKingProcess(SyncProcess):
         self.decision = self.b
         env.decide(self.b)
         return None
-
-
-def run_phase_king(
-    inputs: Sequence[int],
-    t: int,
-    adversary: Adversary | None = None,
-    seed: int = 0,
-    max_rounds: int = 100_000,
-    observers: Sequence = (),
-):
-    """Run phase-king end-to-end.
-
-    Thin wrapper over :func:`repro.harness.execute`; returns a
-    :class:`repro.core.consensus.ConsensusRun` (named ``result`` /
-    ``processes`` fields — it does not unpack as a tuple).
-    """
-    from ..harness import execute
-
-    return execute(
-        "phase-king",
-        inputs,
-        t=t,
-        adversary=adversary,
-        seed=seed,
-        max_rounds=max_rounds,
-        observers=observers,
-    )

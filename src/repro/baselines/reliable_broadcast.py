@@ -30,10 +30,7 @@ against a faulty sender all correct processes converge on the value or on
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..runtime import (
-    Adversary,
     ProcessEnv,
     Program,
     SyncProcess,
@@ -136,32 +133,3 @@ class TRBProcess(SyncProcess):
         env.decide(self.delivered)
         self.delivery_round = env.round
         return None
-
-
-def run_trb(
-    n: int,
-    sender: int,
-    value: int,
-    t: int,
-    adversary: Adversary | None = None,
-    seed: int = 0,
-    observers: Sequence = (),
-):
-    """Run one TRB instance.
-
-    Thin wrapper over :func:`repro.harness.execute`; returns a
-    :class:`repro.core.consensus.ConsensusRun` (named ``result`` /
-    ``processes`` fields — it does not unpack as a tuple).
-    """
-    from ..harness import execute
-
-    return execute(
-        "trb",
-        n=n,
-        t=t,
-        adversary=adversary,
-        seed=seed,
-        observers=observers,
-        sender=sender,
-        value=value,
-    )

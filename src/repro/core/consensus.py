@@ -44,7 +44,6 @@ from ..baselines.dolev_strong import dolev_strong_consensus
 from ..graphs import SpreadingGraph, spreading_graph
 from ..params import ProtocolParams
 from ..runtime import (
-    Adversary,
     ExecutionResult,
     Message,
     ProcessEnv,
@@ -419,39 +418,3 @@ def build_processes(
         )
         for pid in range(n)
     ]
-
-
-def run_consensus(
-    inputs: Sequence[int],
-    t: int | None = None,
-    adversary: Adversary | None = None,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-    graph_seed: int = 0,
-    num_epochs: int | None = None,
-    max_rounds: int = 200_000,
-    observers: Sequence[Any] = (),
-) -> ConsensusRun:
-    """Run Algorithm 1 end-to-end on the synchronous substrate.
-
-    Parameters mirror the paper's inputs: one bit per process, the fault
-    budget ``t`` (defaults to the preset's maximum for n), and an adversary
-    strategy (defaults to no faults).  Returns a :class:`ConsensusRun` whose
-    ``decision`` property asserts agreement+termination of non-faulty
-    processes while extracting the decided value.  Thin wrapper over
-    :func:`repro.harness.execute`.
-    """
-    from ..harness import execute
-
-    return execute(
-        "algorithm1",
-        inputs,
-        t=t,
-        adversary=adversary,
-        params=params,
-        seed=seed,
-        graph_seed=graph_seed,
-        max_rounds=max_rounds,
-        observers=observers,
-        num_epochs=num_epochs,
-    )

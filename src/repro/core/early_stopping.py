@@ -35,11 +35,7 @@ budget, and the saving shrinks as the adversary forces more epochs — the
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from ..params import ProtocolParams
 from ..runtime import (
-    Adversary,
     Message,
     ProcessEnv,
     Program,
@@ -48,7 +44,6 @@ from ..runtime import (
     inbox_senders,
 )
 from .consensus import (
-    ConsensusRun,
     OptimalOmissionsConsensus,
     TAG_DECISION,
     deterministic_fallback,
@@ -139,33 +134,3 @@ class EarlyStoppingConsensus(OptimalOmissionsConsensus):
             state,
             self.t + 3 + self.num_epochs * self.epoch_rounds(),
         )
-
-
-def run_early_stopping_consensus(
-    inputs: Sequence[int],
-    t: int | None = None,
-    adversary: Adversary | None = None,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-    graph_seed: int = 0,
-    num_epochs: int | None = None,
-    max_rounds: int = 200_000,
-    observers: Sequence = (),
-) -> ConsensusRun:
-    """Run the early-stopping variant end to end (API of
-    :func:`repro.core.run_consensus`).  Thin wrapper over
-    :func:`repro.harness.execute`."""
-    from ..harness import execute
-
-    return execute(
-        "early-stopping",
-        inputs,
-        t=t,
-        adversary=adversary,
-        params=params,
-        seed=seed,
-        graph_seed=graph_seed,
-        max_rounds=max_rounds,
-        observers=observers,
-        num_epochs=num_epochs,
-    )

@@ -24,12 +24,9 @@ Strong validity holds: the decided value is some process's actual input
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..baselines.dolev_strong import dolev_strong_consensus
 from ..params import ProtocolParams
 from ..runtime import (
-    Adversary,
     ProcessEnv,
     Program,
     SyncProcess,
@@ -204,36 +201,3 @@ class MultiValuedConsensus(SyncProcess):
             decided_value = (decided_value << 1) | bit
         env.decide(decided_value)
         return None
-
-
-def run_multivalued_consensus(
-    inputs: Sequence[int],
-    value_bits: int,
-    t: int | None = None,
-    adversary: Adversary | None = None,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-    graph_seed: int = 0,
-    max_rounds: int = 500_000,
-    observers: Sequence = (),
-):
-    """Run multi-valued consensus end to end.
-
-    Thin wrapper over :func:`repro.harness.execute`; returns a
-    :class:`repro.core.consensus.ConsensusRun` (named ``result`` /
-    ``processes`` fields — it does not unpack as a tuple).
-    """
-    from ..harness import execute
-
-    return execute(
-        "multivalued",
-        inputs,
-        t=t,
-        adversary=adversary,
-        params=params,
-        seed=seed,
-        graph_seed=graph_seed,
-        max_rounds=max_rounds,
-        observers=observers,
-        value_bits=value_bits,
-    )

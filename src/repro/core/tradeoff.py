@@ -25,12 +25,9 @@ one value in the system after the first reliable super-process's phase.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from typing import Any
 
 from ..params import ProtocolParams, log2ceil
 from ..runtime import (
-    Adversary,
     Message,
     ProcessEnv,
     Program,
@@ -41,7 +38,6 @@ from ..runtime import (
     payload_bits,
 )
 from .consensus import (
-    ConsensusRun,
     CoreState,
     core_total_rounds,
     deterministic_fallback,
@@ -260,37 +256,3 @@ class ParamOmissions(SyncProcess):
             f"ParamOmissions(pid={self.pid}, x={self.x}, b={self.b}, "
             f"operative={self.operative}, phase={self.phase})"
         )
-
-
-def run_tradeoff_consensus(
-    inputs: Sequence[int],
-    x: int,
-    t: int | None = None,
-    adversary: Adversary | None = None,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-    graph_seed: int = 0,
-    max_rounds: int = 500_000,
-    observers: Sequence[Any] = (),
-) -> ConsensusRun:
-    """Run Algorithm 4 end-to-end with ``x`` super-processes.
-
-    ``x = 1`` degenerates to a single Algorithm-1 run plus the safety rule;
-    ``x = n`` is the randomness-free extreme (singleton phases use no coins),
-    paying ~n rounds of round-robin time — the two ends of the Theorem-3
-    interpolation.  Thin wrapper over :func:`repro.harness.execute`.
-    """
-    from ..harness import execute
-
-    return execute(
-        "tradeoff",
-        inputs,
-        t=t,
-        adversary=adversary,
-        params=params,
-        seed=seed,
-        graph_seed=graph_seed,
-        max_rounds=max_rounds,
-        observers=observers,
-        x=x,
-    )

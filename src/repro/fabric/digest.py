@@ -109,11 +109,7 @@ class CellId:
     def of(
         cls, config: ExecutionConfig, *, adversary: str, t: int | None
     ) -> CellId:
-        """Identity of the cell that runs *config* against *adversary*.
-
-        Only a named transport has an identity: a live transport instance
-        on the config fails to digest (``TypeError``).
-        """
+        """Identity of the cell that runs *config* against *adversary*."""
         view = {
             spec.name: getattr(config, spec.name)
             for spec in fields(cls)

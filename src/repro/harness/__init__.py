@@ -1,10 +1,9 @@
 """The unified execution harness: protocol registry + observer wiring.
 
-``execute`` runs any registered protocol on the synchronous substrate and
-returns a :class:`repro.core.consensus.ConsensusRun`; the ``run_*`` helpers
-throughout ``repro.core`` and ``repro.baselines`` are thin wrappers over
-it.  The registry makes every protocol sweepable by the campaign runner and
-the CLI, and ``observers=...`` attaches :class:`RoundObserver` instances
+``execute(name, ...)`` runs any registered protocol on the synchronous
+substrate and returns a :class:`repro.core.consensus.ConsensusRun`; it is
+the one way to start a run.  The registry makes every protocol sweepable
+by the campaign runner and the CLI, and ``observers=...`` attaches :class:`RoundObserver` instances
 to any run without touching protocol code.  Every run already carries the
 engine's own account of itself as ``run.result.report``
 (:class:`repro.runtime.RunReport`).

@@ -1,10 +1,8 @@
 """Registration of every runnable protocol with the harness registry.
 
 Importing this module (done lazily by the registry accessors) populates the
-registry with the paper's algorithms and all baselines.  Each ``build``
-reproduces the exact process construction its ``run_*`` wrapper used before
-the harness existed, so dispatching through :func:`repro.harness.execute`
-is behaviour-identical to calling the wrapper.
+registry with the paper's algorithms and all baselines; each is started
+by name through :func:`repro.harness.execute`.
 """
 
 from __future__ import annotations

@@ -2,11 +2,10 @@
 
 Every runnable protocol in the repository registers a
 :class:`ProtocolSpec`: a name, a process factory, a default fault budget,
-and a result adapter.  The public ``run_*`` helpers in ``repro.core`` and
-``repro.baselines`` are thin wrappers over :func:`execute`, and the
-campaign runner, the CLI, and the analysis drivers dispatch through the
-registry — so registering a protocol makes it sweepable everywhere at
-once.
+and a result adapter.  :func:`execute` is the one way to start a run by
+name; the campaign runner, the CLI, and the analysis drivers dispatch
+through the same registry — so registering a protocol makes it sweepable
+everywhere at once.
 
 A spec's ``build`` receives an :class:`ExecutionConfig` (the normalized
 run description, its ``t`` already resolved by :meth:`ProtocolSpec.resolve_t`)
@@ -25,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..params import ProtocolParams
 from ..runtime import Adversary, RoundObserver, SyncNetwork, SyncProcess
-from ..transport import Transport, resolve_transport
+from ..transport import check_transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..core.consensus import ConsensusRun
@@ -49,11 +48,10 @@ class ExecutionConfig:
 
     Construction normalizes (``n`` from ``inputs``, default ``params``,
     read-only copies of the option mappings) and validates the transport
-    axis, a ``(name, options)`` pair: ``transport`` is a registered name,
-    ``None`` for the built-in default, or — as a test seam — a live
-    instance; options need a name.  Only a named transport has a
-    :meth:`payload`.  ``options`` carries protocol-specific extras (``x``,
-    ``num_epochs``, ``sender``, ...); specs read what they understand.
+    axis, a ``(name, options)`` pair: ``transport`` is a registered name
+    or ``None`` for the built-in default; options need a name.
+    ``options`` carries protocol-specific extras (``x``, ``num_epochs``,
+    ``sender``, ...); specs read what they understand.
     """
 
     protocol: str
@@ -66,7 +64,7 @@ class ExecutionConfig:
     graph_seed: int = 0
     max_rounds: int | None = None
     options: Mapping[str, Any] | None = None
-    transport: Transport | str | None = None
+    transport: str | None = None
     transport_options: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
@@ -90,9 +88,9 @@ class ExecutionConfig:
                 f"unexpected keyword {stale[0]!r}: the round-model axis was "
                 "removed; the engine runs lockstep rounds only"
             )
-        # The registry owns the axis rules (unknown name, options without
-        # a name, option the constructor rejects); building is pure.
-        resolve_transport(self.transport, self.transport_options)
+        # Eager: a bad pair fails here, before any process is built or
+        # any worker forked.
+        check_transport(self.transport, self.transport_options)
 
     def option(self, key: str, default: Any = None) -> Any:
         return self.options.get(key, default)
@@ -102,13 +100,6 @@ class ExecutionConfig:
         out: dict[str, Any] = {}
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if spec.name == "transport" and not isinstance(
-                value, (str, type(None))
-            ):
-                raise TypeError(
-                    f"{spec.name}={value!r} is a live instance; only a "
-                    "named axis can be serialized"
-                )
             if isinstance(value, ProtocolParams):
                 value = asdict(value)
             elif isinstance(value, Mapping):
@@ -286,7 +277,7 @@ def execute(
     max_rounds: int | None = None,
     observers: Sequence[RoundObserver] = (),
     options: Mapping[str, Any] | None = None,
-    transport: Transport | str | None = None,
+    transport: str | None = None,
     transport_options: Mapping[str, Any] | None = None,
     **extra_options: Any,
 ) -> ConsensusRun:
@@ -299,11 +290,10 @@ def execute(
     are passed to the spec's factory (e.g. ``x=4`` for the tradeoff,
     ``sender=0`` for TRB).  ``observers`` are attached to the underlying
     :class:`SyncNetwork`, so traces and profiles can be captured on any
-    protocol without touching its wrapper.  ``transport`` selects where
+    protocol without touching its code.  ``transport`` selects where
     the processes physically execute (``"inprocess"`` — the default — or
     ``"tcp"`` for real OS worker processes over localhost; see
-    :mod:`repro.transport`), with ``transport_options`` forwarded to the
-    transport constructor.
+    :mod:`repro.transport`), with ``transport_options`` configuring it.
 
     Returns a :class:`repro.core.consensus.ConsensusRun`.
     """

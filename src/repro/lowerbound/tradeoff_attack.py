@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from ..baselines.ben_or import BenOrVotingProcess, run_ben_or
+from ..baselines.ben_or import BenOrVotingProcess
+from ..harness import execute
 from ..runtime import Adversary, AdversaryAction, NetworkView
 
 
@@ -137,7 +138,8 @@ def measure_tradeoff_product(
     for k in coin_counts:
         adversary = BalancingCrashAdversary()
         coin_pids = frozenset(range(k)) if k < n else None
-        result = run_ben_or(
+        result = execute(
+            "ben-or",
             inputs,
             t=t,
             adversary=adversary,

@@ -9,7 +9,7 @@ tooling:
   action) plus the run's full result fingerprint;
 * :func:`replay` — re-execute a recipe through the harness with a
   :class:`~repro.adversary.ScriptedAdversary` and verify byte-identical
-  metrics and decisions (over either delivery path);
+  metrics and decisions;
 * :class:`InvariantObserver` — always-on agreement / validity /
   termination / budget / metering-conservation checks that trip
   :class:`InvariantViolation` with the offending round;

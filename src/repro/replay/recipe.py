@@ -128,7 +128,8 @@ def recipe_from_payload(data: Mapping[str, Any]) -> ExecutionRecipe:
     Rejects unknown schema versions and non-recipe payloads with
     ``ValueError`` before touching any field.  The ``"multicast"`` and
     ``"columnar"`` keys older writers emitted are accepted and ignored:
-    fingerprints are path-independent, so no recipe pins a delivery path.
+    the engine has one send and one delivery path, so they select
+    nothing.
     A recipe that names a round model other than lockstep is refused
     (:meth:`~repro.harness.ExecutionConfig.from_payload`).
     """

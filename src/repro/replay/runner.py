@@ -11,9 +11,8 @@ fingerprint.
 
 Because executions are deterministic functions of (seed, adversary action
 sequence), a replayed run reproduces every :class:`Metrics` counter and
-every decision exactly — whichever delivery path the engine picks per
-batch, since omission indices address the flat per-copy message order
-both paths share.
+every decision exactly: omission indices address the round's flat
+per-copy message order, which the recipe's seed fixes.
 
 :func:`run_checked` is the fuzzing entry point: record with invariants on;
 on violation, shrink the recipe (``repro.replay.shrink``) and save the
@@ -41,7 +40,6 @@ from ..runtime import (
     canonical_omissions,
     result_to_dict,
 )
-from ..transport import resolve_transport
 from .invariants import InvariantObserver, InvariantViolation
 from .recipe import ExecutionRecipe, RecordedAction, save_recipe
 
@@ -183,7 +181,7 @@ def record_config(
     single interpreter (the cross-transport equivalence check).
     """
     config = dataclasses.replace(
-        config, transport=config.transport or resolve_transport().name
+        config, transport=config.transport or "inprocess"
     )
     recorder = RecipeRecorder()
     attached: list[RoundObserver] = [recorder]

@@ -186,8 +186,9 @@ class ColumnarBatch:
     def copy_indices(
         self, senders: Iterable[int], recipients: Iterable[int]
     ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """:meth:`MessageBatch.copy_indices`, as one vectorized select per
-        asked pid and side."""
+        """Flat copy indices sent by each of *senders* and addressed to
+        each of *recipients*, one vectorized select per asked pid and
+        side (:meth:`NetworkView._copy_indices` reads them)."""
         sent, to = self.copy_sender, self.copy_recipient
         return (
             {pid: np.flatnonzero(sent == pid).tolist() for pid in senders},

@@ -18,8 +18,8 @@ The engine's broadcast fast path rides two further types defined here:
 * :class:`MessageBatch` — a round's entire outbound traffic as a flat,
   lazily-expanded ``Sequence[Message]`` over a mix of :class:`Message` and
   :class:`Multicast` records.  Adversary omit indices address the flat
-  per-copy positions, so multicast and per-message executions agree on
-  every index, counter, and inbox byte-for-byte.
+  per-copy positions: a multicast's copies sit at consecutive indices,
+  in recipient order, exactly where one :class:`Message` per copy would.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .delivery import Delivery
 from .engine import ExecutionCore, ExecutionResult
@@ -50,9 +50,6 @@ from .observers import RoundObserver
 from .process import SyncProcess
 from .randomness import stable_seed
 from .report import RunReport
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from ..transport import Transport
 
 __all__ = [
     "Adversary",
@@ -81,7 +78,7 @@ def canonical_omissions(indices: Iterable[int]) -> tuple[int, ...]:
     normalize through the same function.  An adversary that emits the same
     flat index twice (easy to do when building ``omit`` from overlapping
     per-target index sets) therefore omits one copy, is metered for one
-    copy, and records/replays as one copy on every engine path.
+    copy, and records/replays as one copy.
     """
     return tuple(sorted(set(indices)))
 
@@ -225,10 +222,9 @@ class SyncNetwork:
     construction, action validation, and the fixed hook sequence all live
     here.
 
-    The ``transport`` axis (:mod:`repro.transport`) decides *where* the
-    processes physically execute: the default in-process transport keeps
-    today's zero-overhead single-interpreter core, while the TCP
-    transport places them in real OS worker processes behind the same
+    The ``transport`` name (:mod:`repro.transport`) decides *where* the
+    processes physically execute: by default in this interpreter, with
+    ``"tcp"`` in real OS worker processes behind the same
     :class:`~repro.runtime.engine.ExecutionCore` surface — crash faults
     it detects are folded into the adversary arbitration as corruptions
     plus omissions, and its per-link measurements reach observers via the
@@ -244,19 +240,22 @@ class SyncNetwork:
         max_rounds: int = 100_000,
         reseed_at: tuple[int, int] | None = None,
         observers: Sequence[RoundObserver] = (),
-        transport: Transport | str | None = None,
+        transport: str | None = None,
         transport_options: Mapping[str, Any] | None = None,
     ) -> None:
-        from ..transport import resolve_transport
+        from ..transport import create_core
 
-        #: The transport layer: where process execution physically lives
-        #: (in this interpreter by default; real OS processes over
-        #: localhost TCP with ``transport="tcp"``).
-        self.transport = resolve_transport(transport, transport_options)
-        self._core = self.transport.create_core(processes, seed=seed)
-        n = self._core.n
-        if t < 0 or t >= n:
+        # Checked before the core exists (a TCP core forks its workers);
+        # an empty process list is the core's error.
+        n = len(processes)
+        if n and not 0 <= t < n:
             raise ValueError(f"fault budget t={t} must satisfy 0 <= t < n={n}")
+        self._core = create_core(
+            processes,
+            seed=seed,
+            transport=transport,
+            transport_options=transport_options,
+        )
 
         self.processes = self._core.processes
         self.n = n
@@ -423,18 +422,19 @@ class SyncNetwork:
         """
         observers = self.observers
         core = self.core
-        self.adversary.setup(
-            AdversaryContext(
-                n=self.n,
-                t=self.t,
-                processes=tuple(self.processes),
-                rng=random.Random(stable_seed(self.seed, "adversary-setup")),
-            )
-        )
-        for observer in observers:
-            observer.on_run_start(self)
-
         try:
+            self.adversary.setup(
+                AdversaryContext(
+                    n=self.n,
+                    t=self.t,
+                    processes=tuple(self.processes),
+                    rng=random.Random(
+                        stable_seed(self.seed, "adversary-setup")
+                    ),
+                )
+            )
+            for observer in observers:
+                observer.on_run_start(self)
             while core.live_count > 0:
                 self.maybe_reseed()
                 if self.round >= self.max_rounds:
@@ -471,8 +471,8 @@ class SyncNetwork:
             self._absorb_residual_faults()
         finally:
             # Graceful shutdown of transport resources (worker processes,
-            # sockets) whether the run finished or raised mid-round; a
-            # no-op for the in-process transport.
+            # sockets) whether the run finished or raised, set-up
+            # included; a no-op in-process.
             self._core.close()
 
         self._core.record_randomness()

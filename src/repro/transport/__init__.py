@@ -1,101 +1,101 @@
-"""Transport registry: the engine's selectable process-hosting layers.
+"""The transport axis: *where* an execution's processes physically run.
 
-A :class:`Transport` decides *where* an execution's consensus processes
-physically run, while the round loop, delivery layer, adversary
-API, observer bus, metering, and record/replay behave identically across
-transports (see :mod:`repro.transport.base`).
+The round loop, delivery layer, adversary API, observer bus, metering
+and record/replay behave identically on every transport; the transport
+only decides where the process programs execute.  It is a name:
 
-Transports are addressed by registry name — ``"inprocess"`` (today's
-single-interpreter core, the default) and ``"tcp"`` (real OS worker
-processes over localhost TCP, :mod:`repro.transport.tcp`).  There is
-deliberately no environment-variable default: a real-network execution
-must always be an explicit request.
+* ``None`` (the default) or ``"inprocess"`` — the plain in-interpreter
+  :class:`~repro.runtime.engine.ExecutionCore`, zero overhead;
+* ``"tcp"`` — :class:`~repro.transport.tcp.RemoteExecutionCore`, real OS
+  worker processes speaking length-prefixed frames over localhost TCP,
+  configured by the options in :data:`repro.transport.tcp.OPTIONS`.
+
+There is deliberately no environment-variable default: a real-network
+execution must always be an explicit request.
+
+Every transport-backed core honours the in-process core's contract:
+per-process randomness is derived from ``(seed, pid)`` regardless of
+hosting location, a hosted program reads the same ``Message`` fields in
+the same order as in-process (inboxes cross as columns, outboxes as
+records), and transport failures surface through
+:meth:`~repro.runtime.engine.ExecutionCore.drain_faults` as crash faults
+the network arbitrates inside the paper's omission model — never as
+hangs, and never outside the ``sent == delivered + omitted + lost``
+metering identity.
+
+Wall-clock note: ``time.monotonic`` is permitted *only* in this package,
+outside ``CLOCK_SCOPE`` of ``tests/test_determinism_census.py`` — real
+links need real timeouts — and never influences protocol semantics, only
+fault detection and :class:`~repro.runtime.observers.LinkSample`
+measurements.
 """
 
 from __future__ import annotations
 
-import inspect
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any
 
+from ..runtime.engine import ExecutionCore
 from ..runtime.observers import LinkSample
-from .base import Transport, TransportError
-from .inprocess import InProcessTransport
-from .tcp import RemoteExecutionCore, TcpTransport
+from ..runtime.process import SyncProcess
+from .framing import TransportError
+from .tcp import RemoteExecutionCore, tcp_settings
 
 __all__ = [
-    "InProcessTransport",
     "LinkSample",
     "RemoteExecutionCore",
-    "TcpTransport",
-    "Transport",
     "TransportError",
     "available_transports",
-    "create_transport",
-    "resolve_transport",
+    "check_transport",
+    "create_core",
 ]
-
-_TRANSPORTS: dict[str, type[Transport]] = {
-    InProcessTransport.name: InProcessTransport,
-    TcpTransport.name: TcpTransport,
-}
-
-
-# The transport used when the caller names none.  Not configurable.
-_DEFAULT_TRANSPORT = InProcessTransport.name
 
 
 def available_transports() -> tuple[str, ...]:
-    """Registered transport names, sorted."""
-    return tuple(sorted(_TRANSPORTS))
+    """Transport names, sorted."""
+    return ("inprocess", "tcp")
 
 
-def create_transport(
-    name: str, options: Mapping[str, Any] | None = None
-) -> Transport:
-    """Instantiate a registered transport by name with options.
+def check_transport(
+    name: str | None, options: Mapping[str, Any] | None = None
+) -> None:
+    """Validate one ``(transport, transport_options)`` pair.
 
-    An unknown name, or an option the constructor does not take, is a
+    An unknown name (a live object included), options without a name,
+    and an option the named transport does not take each raise a
     ``ValueError`` naming the key, wherever the pair came from (a call, a
-    recipe, a campaign spec).
+    recipe, a campaign spec); so does a bad TCP option value.
     """
-    try:
-        cls = _TRANSPORTS[name]
-    except KeyError:
+    if name == "tcp":
+        tcp_settings(options)
+    elif name not in (None, "inprocess"):
         raise ValueError(
             f"unknown transport {name!r}; choose from: "
-            f"{', '.join(sorted(_TRANSPORTS))}"
-        ) from None
-    try:
-        return cls(**dict(options or {}))
-    except TypeError:
-        accepted = inspect.signature(cls).parameters
-        unknown = sorted(set(options or {}) - set(accepted))
-        if not unknown:
-            raise
-        raise ValueError(
-            f"transport {name!r} takes no option {unknown[0]!r}; choose "
-            f"from: {', '.join(accepted) or '(none)'}"
-        ) from None
-
-
-def resolve_transport(
-    transport: Transport | str | None = None,
-    options: Mapping[str, Any] | None = None,
-) -> Transport:
-    """Resolve the ``transport=`` axis: instance > name > in-process.
-
-    ``options`` configure a transport given by name; with ``None`` or a
-    ready-made :class:`Transport` instance (used as-is) they must be
-    empty.
-    """
-    if isinstance(transport, str):
-        return create_transport(transport, options)
-    if options:
+            f"{', '.join(available_transports())}"
+        )
+    elif options and name is None:
         raise ValueError(
             "transport_options requires an explicit transport name, got "
-            f"transport={transport!r}"
+            "transport=None"
         )
-    if transport is not None:
-        return transport
-    return create_transport(_DEFAULT_TRANSPORT)
+    elif options:
+        raise ValueError(
+            f"transport 'inprocess' takes no option {sorted(options)[0]!r}; "
+            "choose from: (none)"
+        )
+
+
+def create_core(
+    processes: Sequence[SyncProcess],
+    *,
+    seed: int,
+    transport: str | None = None,
+    transport_options: Mapping[str, Any] | None = None,
+) -> ExecutionCore:
+    """The execution core that hosts *processes* for one run."""
+    if transport == "tcp":
+        return RemoteExecutionCore(
+            processes, seed=seed, options=transport_options
+        )
+    check_transport(transport, transport_options)
+    return ExecutionCore(processes, seed=seed)

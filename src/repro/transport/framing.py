@@ -26,6 +26,7 @@ from typing import Any
 __all__ = [
     "MAX_FRAME_BYTES",
     "FramingError",
+    "TransportError",
     "decode_body",
     "encode_frame",
     "recv_frame",
@@ -41,6 +42,18 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 class FramingError(RuntimeError):
     """Raised on malformed frames (oversized length, bad payload)."""
+
+
+class TransportError(RuntimeError):
+    """Raised when a transport cannot be brought up or torn down.
+
+    Failures *during* a run (a worker dying mid-round, a link timeout)
+    do not raise this — they surface as crash faults via
+    :meth:`~repro.runtime.engine.ExecutionCore.drain_faults` so the run
+    completes inside the fault model.  ``TransportError`` is reserved for
+    setup/teardown problems: workers that never connected, bad
+    handshakes.
+    """
 
 
 def encode_frame(payload: Any) -> bytes:

@@ -1,6 +1,6 @@
 """The TCP transport: real OS processes over localhost frames.
 
-``TcpTransport`` places an execution's consensus processes in
+``transport="tcp"`` places an execution's consensus processes in
 real worker OS processes, each hosting a contiguous pid block, all
 dialing a loopback listener owned by the coordinator.  A worker is a
 ``fork`` of the coordinator (its direct child, reaped by :meth:`close`)
@@ -53,8 +53,9 @@ import os
 import select
 import socket
 import time
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
 
 from ..runtime.columnar import InboxColumns, inbox_columns
@@ -63,10 +64,9 @@ from ..runtime.messages import MessageBatch, MessageRecord
 from ..runtime.observers import LinkSample
 from ..runtime.process import SyncProcess
 from . import worker
-from .base import Transport, TransportError
-from .framing import FramingError, encode_frame, recv_frame
+from .framing import FramingError, TransportError, encode_frame, recv_frame
 
-__all__ = ["RemoteExecutionCore", "TcpTransport"]
+__all__ = ["OPTIONS", "RemoteExecutionCore", "tcp_settings"]
 
 #: Exceptions that mean "this link is gone" rather than "this run is
 #: broken": the step that hit one crash-faults the link's processes.
@@ -75,66 +75,53 @@ __all__ = ["RemoteExecutionCore", "TcpTransport"]
 _LINK_FAILURES = (FramingError, OSError)
 
 
-class TcpTransport(Transport):
-    """Consensus processes as real OS processes over localhost TCP.
+#: The TCP transport's options, in documentation order, with defaults.
+#:
+#: ``processes_per_worker``: how many consensus processes each worker OS
+#: process hosts (contiguous pid blocks).  ``None`` is one worker per
+#: core this process may run on, ``ceil(n / cores)`` resolved when the
+#: core is built; ``1`` is one OS process per consensus process.
+#: ``host``: the loopback interface to listen on; frames are pickled and
+#: must never leave the machine.  ``connect_timeout_s``: the budget for
+#: all workers to dial in at setup (workers retry with backoff inside
+#: it).  ``link_timeout_s``: the per-link budget for one step round-trip;
+#: a link that exceeds it is crash-faulted and its processes' in-flight
+#: copies become omissions.
+OPTIONS: Mapping[str, Any] = MappingProxyType(
+    {
+        "processes_per_worker": None,
+        "host": "127.0.0.1",
+        "connect_timeout_s": 20.0,
+        "link_timeout_s": 30.0,
+    }
+)
 
-    Parameters
-    ----------
-    processes_per_worker:
-        How many consensus processes each worker OS process hosts
-        (contiguous pid blocks).  ``None`` — the default — is one worker
-        per core this process may run on, ``ceil(n / cores)`` resolved
-        when :meth:`create_core` builds the run's core.  ``1`` is one OS
-        process per consensus process (n workers to fork).
-    host:
-        Loopback interface to listen on.  Non-loopback hosts are
-        rejected: frames are pickled and must never leave the machine.
-    connect_timeout_s:
-        Wall-clock budget for all workers to dial in at setup
-        (workers retry with exponential backoff inside this budget).
-    link_timeout_s:
-        Per-link budget for one step round-trip (send + compute +
-        reply).  A link that exceeds it is crash-faulted and its
-        processes' in-flight copies become omissions.
+
+def tcp_settings(options: Mapping[str, Any] | None = None) -> dict[str, Any]:
+    """*options* over :data:`OPTIONS`, validated: the transport's one check.
+
+    An option it does not take, a non-loopback host, a non-positive
+    timeout and ``processes_per_worker < 1`` each raise ``ValueError``.
     """
-
-    name = "tcp"
-
-    def __init__(
-        self,
-        *,
-        processes_per_worker: int | None = None,
-        host: str = "127.0.0.1",
-        connect_timeout_s: float = 20.0,
-        link_timeout_s: float = 30.0,
-    ) -> None:
-        if processes_per_worker is not None and processes_per_worker < 1:
-            raise ValueError(
-                f"processes_per_worker={processes_per_worker} must be >= 1"
-            )
-        if not (host == "localhost" or host.startswith("127.")):
-            raise ValueError(
-                f"host={host!r} is not a loopback address; the TCP "
-                "transport speaks pickle frames and must stay on-machine"
-            )
-        if connect_timeout_s <= 0:
-            raise ValueError(
-                f"connect_timeout_s={connect_timeout_s} must be > 0"
-            )
-        if link_timeout_s <= 0:
-            raise ValueError(f"link_timeout_s={link_timeout_s} must be > 0")
-        self.processes_per_worker = processes_per_worker
-        self.host = host
-        self.connect_timeout_s = connect_timeout_s
-        self.link_timeout_s = link_timeout_s
-
-    def create_core(
-        self,
-        processes: Sequence[SyncProcess],
-        *,
-        seed: int,
-    ) -> ExecutionCore:
-        return RemoteExecutionCore(processes, seed=seed, transport=self)
+    unknown = sorted(set(options or {}) - set(OPTIONS))
+    if unknown:
+        raise ValueError(
+            f"transport 'tcp' takes no option {unknown[0]!r}; choose "
+            f"from: {', '.join(OPTIONS)}"
+        )
+    settings = {**OPTIONS, **(options or {})}
+    per_worker, host = settings["processes_per_worker"], settings["host"]
+    if per_worker is not None and per_worker < 1:
+        raise ValueError(f"processes_per_worker={per_worker} must be >= 1")
+    if not (host == "localhost" or host.startswith("127.")):
+        raise ValueError(
+            f"host={host!r} is not a loopback address; the TCP "
+            "transport speaks pickle frames and must stay on-machine"
+        )
+    for name in ("connect_timeout_s", "link_timeout_s"):
+        if settings[name] <= 0:
+            raise ValueError(f"{name}={settings[name]} must be > 0")
+    return settings
 
 
 @dataclass(slots=True)
@@ -168,7 +155,7 @@ class RemoteExecutionCore(ExecutionCore):
     """
 
     __slots__ = (
-        "_transport",
+        "_settings",
         "_links",
         "_server",
         "_token",
@@ -183,10 +170,10 @@ class RemoteExecutionCore(ExecutionCore):
         processes: Sequence[SyncProcess],
         *,
         seed: int,
-        transport: TcpTransport,
+        options: Mapping[str, Any] | None = None,
     ) -> None:
+        self._settings = settings = tcp_settings(options)
         super().__init__(processes, seed=seed)
-        self._transport = transport
         self._faults: set[int] = set()
         self._samples: list[LinkSample] = []
         self._pending_reseed: int | None = None
@@ -194,7 +181,7 @@ class RemoteExecutionCore(ExecutionCore):
         self._server: socket.socket | None = None
         self._token = os.urandom(16).hex()
         # The computed default: one worker per core this process may use.
-        per_worker = transport.processes_per_worker or -(
+        per_worker = settings["processes_per_worker"] or -(
             -self.n // len(os.sched_getaffinity(0))
         )
         self._links = [
@@ -210,8 +197,8 @@ class RemoteExecutionCore(ExecutionCore):
     # ------------------------------------------------------------------
     # Setup / teardown
     def _start(self) -> None:
-        transport = self._transport
-        self._server = server = socket.create_server((transport.host, 0))
+        settings = self._settings
+        self._server = server = socket.create_server((settings["host"], 0))
         port = int(server.getsockname()[1])
 
         started = time.monotonic()
@@ -225,13 +212,13 @@ class RemoteExecutionCore(ExecutionCore):
             process.start()
             link.process = process
 
-        deadline = started + transport.connect_timeout_s
+        deadline = started + settings["connect_timeout_s"]
         waiting = {link.index for link in self._links}
         while waiting:
             if time.monotonic() >= deadline:
                 raise TransportError(
                     f"workers {sorted(waiting)} did not connect within "
-                    f"{transport.connect_timeout_s:.1f}s"
+                    f"{settings['connect_timeout_s']:.1f}s"
                 )
             for index in sorted(waiting):
                 process = self._links[index].process
@@ -289,16 +276,16 @@ class RemoteExecutionCore(ExecutionCore):
         in memory, so it drops the coordinator's listener and serves them."""
         assert self._server is not None
         self._server.close()
-        transport = self._transport
+        settings = self._settings
         worker.main(
             [self.processes[pid] for pid in self._links[index].pids],
             self.n,
             self.seed,
-            host=transport.host,
+            host=settings["host"],
             port=port,
             token=self._token,
             worker=index,
-            connect_timeout_s=transport.connect_timeout_s,
+            connect_timeout_s=settings["connect_timeout_s"],
         )
 
     def close(self) -> None:
@@ -342,7 +329,7 @@ class RemoteExecutionCore(ExecutionCore):
     def advance(self, round_no: int) -> MessageBatch:
         reseed = self._pending_reseed
         self._pending_reseed = None
-        timeout = self._transport.link_timeout_s
+        timeout = self._settings["link_timeout_s"]
         # socket -> (link index, send time, frame bytes) of the replies
         # awaited; insertion is in link order, so the first entry holds
         # the earliest deadline.

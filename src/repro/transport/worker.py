@@ -31,8 +31,7 @@ from ..runtime.columnar import ColumnInbox, InboxColumns
 from ..runtime.messages import MessageRecord
 from ..runtime.process import ProcessEnv, Program, SyncProcess
 from ..runtime.randomness import CountingRandom, derive_seeds
-from .base import TransportError
-from .framing import recv_frame, send_frame
+from .framing import TransportError, recv_frame, send_frame
 
 __all__ = ["ProcessShard", "connect_with_backoff", "main"]
 

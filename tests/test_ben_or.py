@@ -3,8 +3,9 @@
 import pytest
 
 from repro.adversary import SilenceAdversary, StaticCrashAdversary
-from repro.baselines import BenOrVotingProcess, run_ben_or
+from repro.baselines import BenOrVotingProcess
 from repro.baselines.ben_or import TAG_DECIDE, TAG_VOTE
+from repro.harness import execute
 from repro.runtime import CountingRandom, Message, ProcessEnv
 
 
@@ -30,23 +31,23 @@ class TestConstruction:
 class TestCorrectness:
     @pytest.mark.parametrize("bit", [0, 1])
     def test_validity(self, bit):
-        result = run_ben_or([bit] * 20, seed=1).result
+        result = execute("ben-or", [bit] * 20, t=0, seed=1).result
         assert result.agreement_value() == bit
 
     def test_strong_majority_decides_fast(self):
         inputs = [1] * 18 + [0] * 2
-        result = run_ben_or(inputs, seed=2).result
+        result = execute("ben-or", inputs, t=0, seed=2).result
         assert result.agreement_value() == 1
         assert result.time_to_agreement() <= 6
 
     @pytest.mark.parametrize("seed", range(4))
     def test_balanced_inputs_agree(self, seed):
-        result = run_ben_or([pid % 2 for pid in range(24)], seed=seed).result
+        result = execute("ben-or", [pid % 2 for pid in range(24)], t=0, seed=seed).result
         assert result.agreement_value() in (0, 1)
 
     def test_agreement_under_crashes(self):
-        result = run_ben_or(
-            [pid % 2 for pid in range(24)],
+        result = execute(
+            "ben-or", [pid % 2 for pid in range(24)],
             t=4,
             adversary=StaticCrashAdversary({1: [0, 1], 3: [2, 3]}),
             seed=5,
@@ -54,8 +55,8 @@ class TestCorrectness:
         assert result.agreement_value() in (0, 1)
 
     def test_agreement_under_silence(self):
-        result = run_ben_or(
-            [pid % 2 for pid in range(24)],
+        result = execute(
+            "ben-or", [pid % 2 for pid in range(24)],
             t=4,
             adversary=SilenceAdversary(range(4)),
             seed=6,
@@ -66,8 +67,8 @@ class TestCorrectness:
 class TestCoinThrottling:
     def test_coinless_processes_never_draw(self):
         coin_pids = frozenset({0, 1})
-        result = run_ben_or(
-            [pid % 2 for pid in range(16)],
+        result = execute(
+            "ben-or", [pid % 2 for pid in range(16)], t=0,
             coin_pids=coin_pids,
             seed=7,
         ).result
@@ -76,17 +77,17 @@ class TestCoinThrottling:
                 assert calls == 0
 
     def test_unrestricted_runs_draw_coins_on_balanced_inputs(self):
-        result = run_ben_or([pid % 2 for pid in range(16)], seed=8).result
+        result = execute("ben-or", [pid % 2 for pid in range(16)], t=0, seed=8).result
         assert result.metrics.random_calls > 0
 
     def test_unanimous_runs_draw_no_coins(self):
-        result = run_ben_or([1] * 16, seed=9).result
+        result = execute("ben-or", [1] * 16, t=0, seed=9).result
         assert result.metrics.random_calls == 0
 
     def test_phase_cutoff_terminates(self):
         """Even a fully deterministic balanced system ends at max_phases."""
-        result = run_ben_or(
-            [pid % 2 for pid in range(10)],
+        result = execute(
+            "ben-or", [pid % 2 for pid in range(10)], t=0,
             coin_pids=frozenset(),
             max_phases=5,
             seed=10,

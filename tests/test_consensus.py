@@ -6,7 +6,7 @@ randomness accounting and fallback-path behaviour the paper specifies.
 
 import pytest
 
-from repro import ProtocolParams, run_consensus
+from repro import ProtocolParams, execute
 from repro.adversary import (
     GroupKnockoutAdversary,
     RandomOmissionAdversary,
@@ -26,29 +26,29 @@ def mixed(n):
 class TestValidity:
     @pytest.mark.parametrize("bit", [0, 1])
     def test_unanimous_decides_input(self, bit):
-        run = run_consensus([bit] * 40, t=1, seed=3)
+        run = execute("algorithm1", [bit] * 40, t=1, seed=3)
         assert run.decision == bit
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_unanimous_uses_zero_randomness(self, bit):
         """Theorem 5's validity argument: with one value in the system no
         process ever touches its random source."""
-        run = run_consensus([bit] * 40, t=1, seed=3)
+        run = execute("algorithm1", [bit] * 40, t=1, seed=3)
         assert run.metrics.random_bits == 0
 
     def test_unanimous_under_silence_adversary(self):
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_consensus(
-            [1] * n, t=t, adversary=SilenceAdversary(range(t)), seed=4
+        run = execute(
+            "algorithm1", [1] * n, t=t, adversary=SilenceAdversary(range(t)), seed=4
         )
         assert run.decision == 1
 
     def test_unanimous_under_balancer(self):
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_consensus(
-            [0] * n, t=t, adversary=VoteBalancingAdversary(seed=1), seed=5
+        run = execute(
+            "algorithm1", [0] * n, t=t, adversary=VoteBalancingAdversary(seed=1), seed=5
         )
         assert run.decision == 0
 
@@ -56,15 +56,15 @@ class TestValidity:
 class TestAgreementUnderAdversaries:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_adversary(self, seed):
-        run = run_consensus(mixed(48), t=1, seed=seed)
+        run = execute("algorithm1", mixed(48), t=1, seed=seed)
         assert run.decision in (0, 1)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_silence(self, seed):
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_consensus(
-            mixed(n), t=t, adversary=SilenceAdversary(range(t)), seed=seed
+        run = execute(
+            "algorithm1", mixed(n), t=t, adversary=SilenceAdversary(range(t)), seed=seed
         )
         assert run.decision in (0, 1)
 
@@ -72,8 +72,8 @@ class TestAgreementUnderAdversaries:
     def test_random_omissions(self, seed):
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_consensus(
-            mixed(n),
+        run = execute(
+            "algorithm1", mixed(n),
             t=t,
             adversary=RandomOmissionAdversary(0.7, seed=seed),
             seed=seed,
@@ -84,16 +84,16 @@ class TestAgreementUnderAdversaries:
         n = 64
         t = PARAMS.max_faults(n)
         schedule = {5 * k: [k] for k in range(t)}
-        run = run_consensus(
-            mixed(n), t=t, adversary=StaticCrashAdversary(schedule), seed=6
+        run = execute(
+            "algorithm1", mixed(n), t=t, adversary=StaticCrashAdversary(schedule), seed=6
         )
         assert run.decision in (0, 1)
 
     def test_vote_balancer(self):
         n = 96
         t = PARAMS.max_faults(n)
-        run = run_consensus(
-            mixed(n), t=t, adversary=VoteBalancingAdversary(seed=2), seed=7
+        run = execute(
+            "algorithm1", mixed(n), t=t, adversary=VoteBalancingAdversary(seed=2), seed=7
         )
         assert run.decision in (0, 1)
 
@@ -101,8 +101,8 @@ class TestAgreementUnderAdversaries:
         n = 100
         t = PARAMS.max_faults(n)
         partition = cached_sqrt_partition(n)
-        run = run_consensus(
-            mixed(n),
+        run = execute(
+            "algorithm1", mixed(n),
             t=t,
             adversary=GroupKnockoutAdversary(partition.group_members(0)),
             seed=8,
@@ -113,7 +113,7 @@ class TestAgreementUnderAdversaries:
 class TestComplexityAccounting:
     def test_randomness_at_most_one_bit_per_process_per_epoch(self):
         n = 64
-        run = run_consensus(mixed(n), t=2, seed=9)
+        run = execute("algorithm1", mixed(n), t=2, seed=9)
         epochs = run.processes[0].num_epochs
         assert run.metrics.random_bits <= n * epochs
         assert run.metrics.random_calls == run.metrics.random_bits
@@ -122,7 +122,7 @@ class TestComplexityAccounting:
         """Without the fallback, rounds = epochs * epoch_rounds + 1
         dissemination round + the final decide resume."""
         n = 49
-        run = run_consensus([1] * n, t=1, seed=10)
+        run = execute("algorithm1", [1] * n, t=1, seed=10)
         assert not run.used_fallback
         epochs = run.processes[0].num_epochs
         expected = epochs * epoch_rounds(n, PARAMS) + 1
@@ -131,14 +131,14 @@ class TestComplexityAccounting:
     def test_time_metric_ignores_faulty_stragglers(self):
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_consensus(
-            mixed(n), t=t, adversary=SilenceAdversary(range(t)), seed=11
+        run = execute(
+            "algorithm1", mixed(n), t=t, adversary=SilenceAdversary(range(t)), seed=11
         )
         assert run.result.time_to_agreement() <= run.metrics.rounds
 
     def test_deterministic_given_seed(self):
-        a = run_consensus(mixed(48), t=1, seed=12)
-        b = run_consensus(mixed(48), t=1, seed=12)
+        a = execute("algorithm1", mixed(48), t=1, seed=12)
+        b = execute("algorithm1", mixed(48), t=1, seed=12)
         assert a.decision == b.decision
         assert a.metrics.bits_sent == b.metrics.bits_sent
         assert a.metrics.random_bits == b.metrics.random_bits
@@ -150,20 +150,20 @@ class TestFallbackPath:
         agreement must still hold with probability 1."""
         n = 33
         t = PARAMS.max_faults(n)
-        run = run_consensus(mixed(n), t=t, num_epochs=0, seed=13)
+        run = execute("algorithm1", mixed(n), t=t, num_epochs=0, seed=13)
         assert run.used_fallback
         assert run.decision in (0, 1)
 
     def test_zero_epochs_unanimous_validity(self):
         n = 33
-        run = run_consensus([1] * n, t=1, num_epochs=0, seed=14)
+        run = execute("algorithm1", [1] * n, t=1, num_epochs=0, seed=14)
         assert run.decision == 1
 
     def test_zero_epochs_with_silence_adversary(self):
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_consensus(
-            mixed(n),
+        run = execute(
+            "algorithm1", mixed(n),
             t=t,
             num_epochs=0,
             adversary=SilenceAdversary(range(t)),
@@ -174,7 +174,7 @@ class TestFallbackPath:
 
 class TestStateExposure:
     def test_process_state_visible(self):
-        run = run_consensus(mixed(36), t=1, seed=16)
+        run = execute("algorithm1", mixed(36), t=1, seed=16)
         process = run.processes[0]
         assert process.b in (0, 1)
         assert process.epoch == process.num_epochs
@@ -182,13 +182,13 @@ class TestStateExposure:
 
     def test_small_systems(self):
         for n in (2, 3, 5, 9):
-            run = run_consensus([pid % 2 for pid in range(n)], t=0, seed=17)
+            run = execute("algorithm1", [pid % 2 for pid in range(n)], t=0, seed=17)
             assert run.decision in (0, 1)
 
     def test_invalid_input_bit_rejected(self):
         with pytest.raises(ValueError):
-            run_consensus([2, 0, 1], t=0)
+            execute("algorithm1", [2, 0, 1], t=0)
 
     def test_excess_fault_budget_rejected(self):
         with pytest.raises(ValueError):
-            run_consensus(mixed(32), t=5)
+            execute("algorithm1", mixed(32), t=5)

@@ -7,11 +7,8 @@ from repro.adversary import (
     StaticCrashAdversary,
     VoteBalancingAdversary,
 )
-from repro.core import (
-    EarlyStoppingConsensus,
-    run_consensus,
-    run_early_stopping_consensus,
-)
+from repro.core import EarlyStoppingConsensus
+from repro.harness import execute
 from repro.params import ProtocolParams
 
 PARAMS = ProtocolParams.practical()
@@ -24,39 +21,39 @@ def mixed(n):
 class TestCorrectness:
     @pytest.mark.parametrize("bit", [0, 1])
     def test_validity(self, bit):
-        run = run_early_stopping_consensus([bit] * 48, t=1, seed=1)
+        run = execute("early-stopping", [bit] * 48, t=1, seed=1)
         assert run.decision == bit
 
     def test_validity_zero_randomness(self):
-        run = run_early_stopping_consensus([1] * 48, t=1, seed=2)
+        run = execute("early-stopping", [1] * 48, t=1, seed=2)
         assert run.metrics.random_bits == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_agreement_balanced(self, seed):
-        run = run_early_stopping_consensus(mixed(64), t=2, seed=seed)
+        run = execute("early-stopping", mixed(64), t=2, seed=seed)
         assert run.decision in (0, 1)
 
     def test_agreement_under_silence(self):
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_early_stopping_consensus(
-            mixed(n), t=t, adversary=SilenceAdversary(range(t)), seed=3
+        run = execute(
+            "early-stopping", mixed(n), t=t, adversary=SilenceAdversary(range(t)), seed=3
         )
         assert run.decision in (0, 1)
 
     def test_agreement_under_balancer(self):
         n = 96
         t = PARAMS.max_faults(n)
-        run = run_early_stopping_consensus(
-            mixed(n), t=t, adversary=VoteBalancingAdversary(seed=4), seed=4
+        run = execute(
+            "early-stopping", mixed(n), t=t, adversary=VoteBalancingAdversary(seed=4), seed=4
         )
         assert run.decision in (0, 1)
 
     def test_agreement_under_staggered_crashes(self):
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_early_stopping_consensus(
-            mixed(n),
+        run = execute(
+            "early-stopping", mixed(n),
             t=t,
             adversary=StaticCrashAdversary({7 * k: [k] for k in range(t)}),
             seed=5,
@@ -69,8 +66,8 @@ class TestCorrectness:
         so exit epochs can differ; agreement must survive the desync."""
         n = 64
         t = PARAMS.max_faults(n)
-        run = run_early_stopping_consensus(
-            [1] * n, t=t, adversary=SilenceAdversary(range(t)),
+        run = execute(
+            "early-stopping", [1] * n, t=t, adversary=SilenceAdversary(range(t)),
             seed=100 + seed,
         )
         assert run.decision == 1
@@ -78,41 +75,41 @@ class TestCorrectness:
 
 class TestEarlyExit:
     def test_unanimous_exits_after_first_epoch(self):
-        run = run_early_stopping_consensus([1] * 64, t=2, seed=6)
+        run = execute("early-stopping", [1] * 64, t=2, seed=6)
         exits = {process.exited_epoch for process in run.processes}
         assert exits == {0}
 
     def test_unanimous_beats_fixed_budget(self):
-        fixed = run_consensus([1] * 64, t=2, seed=7)
-        adaptive = run_early_stopping_consensus([1] * 64, t=2, seed=7)
+        fixed = execute("algorithm1", [1] * 64, t=2, seed=7)
+        adaptive = execute("early-stopping", [1] * 64, t=2, seed=7)
         assert (
             adaptive.result.time_to_agreement()
             < fixed.result.time_to_agreement() / 2
         )
 
     def test_balanced_needs_more_epochs_than_unanimous(self):
-        unanimous = run_early_stopping_consensus([1] * 64, t=2, seed=8)
-        balanced = run_early_stopping_consensus(mixed(64), t=2, seed=8)
+        unanimous = execute("early-stopping", [1] * 64, t=2, seed=8)
+        balanced = execute("early-stopping", mixed(64), t=2, seed=8)
         assert max(
             p.exited_epoch for p in balanced.processes
         ) >= max(p.exited_epoch for p in unanimous.processes)
 
     def test_exit_epoch_exposed_and_bounded(self):
-        run = run_early_stopping_consensus(mixed(48), t=1, seed=9)
+        run = execute("early-stopping", mixed(48), t=1, seed=9)
         budget = run.processes[0].num_epochs
         for process in run.processes:
             assert process.exited_epoch is not None
             assert 0 <= process.exited_epoch <= budget
 
     def test_poll_adds_one_round_per_epoch(self):
-        process = run_early_stopping_consensus(
-            [1] * 48, t=1, seed=10
+        process = execute(
+            "early-stopping", [1] * 48, t=1, seed=10
         ).processes[0]
-        base = run_consensus([1] * 48, t=1, seed=10).processes[0]
+        base = execute("algorithm1", [1] * 48, t=1, seed=10).processes[0]
         assert process.epoch_rounds() == base.epoch_rounds() + 1
 
     def test_time_metric_reflects_early_exit(self):
-        run = run_early_stopping_consensus([1] * 64, t=2, seed=11)
+        run = execute("early-stopping", [1] * 64, t=2, seed=11)
         epoch_len = run.processes[0].epoch_rounds()
         # One epoch + dissemination + decide resume, nothing more.
         assert run.result.time_to_agreement() <= epoch_len + 3
@@ -124,7 +121,7 @@ class TestPublicState:
         attributes declared in ``__init__``; the poll count is a local of
         ``program`` (the parent grew a hidden ``_ready_seen`` on early
         exit)."""
-        run = run_early_stopping_consensus([1] * 36, t=1, seed=6)
+        run = execute("early-stopping", [1] * 36, t=1, seed=6)
         declared = set(vars(EarlyStoppingConsensus(0, 36, 1, t=1)))
         for process in run.processes:
             assert process.exited_epoch == 0
@@ -134,8 +131,8 @@ class TestPublicState:
         """READY counts, the dissemination round and the inoperative wait
         build no ``Message`` from an inbox (no Dolev-Strong ran; its
         early-exit scan still iterates messages)."""
-        run = run_early_stopping_consensus(
-            mixed(36), t=1, adversary=SilenceAdversary(range(1)), seed=3
+        run = execute(
+            "early-stopping", mixed(36), t=1, adversary=SilenceAdversary(range(1)), seed=3
         )
         assert run.used_fallback and not run.ran_deterministic_fallback
         assert materialized == []

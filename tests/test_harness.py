@@ -1,4 +1,4 @@
-"""The unified execution harness: registry, execute(), and wrapper compat."""
+"""The unified execution harness: registry, execute() and ExecutionConfig."""
 
 from __future__ import annotations
 
@@ -8,20 +8,8 @@ import pytest
 
 from repro.adversary import SilenceAdversary
 from repro.analysis.campaign import CampaignSpec, run_campaign
-from repro.baselines import (
-    BOTTOM,
-    run_ben_or,
-    run_dolev_strong,
-    run_phase_king,
-    run_trb,
-)
-from repro.core import (
-    ConsensusRun,
-    run_consensus,
-    run_early_stopping_consensus,
-    run_multivalued_consensus,
-    run_tradeoff_consensus,
-)
+from repro.baselines import BOTTOM
+from repro.core import ConsensusRun
 from repro.harness import (
     ExecutionConfig,
     ProtocolSpec,
@@ -32,7 +20,6 @@ from repro.harness import (
     register_protocol,
 )
 from repro.params import ProtocolParams
-from repro.runtime import result_to_dict
 
 
 def mixed(n):
@@ -92,16 +79,6 @@ def test_execute_accepts_spec_object():
     assert run.decision in (0, 1)
 
 
-def test_execute_matches_legacy_wrapper_exactly():
-    inputs = mixed(32)
-    adversary = lambda: SilenceAdversary(range(1))  # noqa: E731
-    via_wrapper = run_consensus(inputs, adversary=adversary(), seed=5)
-    via_execute = execute("algorithm1", inputs, adversary=adversary(), seed=5)
-    assert json.dumps(
-        result_to_dict(via_wrapper.result), sort_keys=True
-    ) == json.dumps(result_to_dict(via_execute.result), sort_keys=True)
-
-
 def test_execute_threads_observers():
     class RoundCount(RoundObserver):
         rounds = 0
@@ -150,8 +127,6 @@ def test_config_normalizes_once():
 
 
 def test_config_payload_round_trips_named_axes_only():
-    from repro.transport import InProcessTransport
-
     config = ExecutionConfig(
         "tradeoff", mixed(16), seed=3, options={"x": 4},
         transport="tcp", transport_options={"processes_per_worker": 4},
@@ -160,9 +135,10 @@ def test_config_payload_round_trips_named_axes_only():
     assert payload["transport"] == "tcp"
     assert "execution_model" not in payload and "model_options" not in payload
     assert ExecutionConfig.from_payload(payload) == config
-    live = ExecutionConfig("ben-or", mixed(5), transport=InProcessTransport())
-    with pytest.raises(TypeError, match="named axis"):
-        live.payload()
+    # The axis is a name: a live object is refused before it can reach
+    # a payload, a digest or a core.
+    with pytest.raises(ValueError, match="unknown transport <object"):
+        ExecutionConfig("ben-or", mixed(5), transport=object())
 
 
 @pytest.mark.parametrize(
@@ -247,26 +223,24 @@ def test_axis_options_are_validated_at_entry(
 
 
 # ---------------------------------------------------------------------------
-# Baseline runners return ConsensusRun objects with named fields only —
-# the tuple protocol was removed after its deprecation window.  Every
-# ``run_*`` wrapper is called here or in the legacy-wrapper test above: one
-# whose protocol is not registered fails on this first call.
+# Every registered protocol returns a ConsensusRun with named fields only —
+# the tuple protocol was removed after its deprecation window.
 def test_baseline_runners_return_consensus_runs():
     runs = {
-        "tradeoff": run_tradeoff_consensus(mixed(16), 2, seed=3),
-        "early-stopping": run_early_stopping_consensus(mixed(16), seed=3),
-        "multivalued": run_multivalued_consensus(mixed(16), 1, seed=3),
-        "ben-or": run_ben_or(mixed(8), seed=3),
-        "phase-king": run_phase_king(mixed(16), 2, seed=3),
-        "dolev-strong": run_dolev_strong(mixed(8), 1, seed=3),
-        "trb": run_trb(8, 0, 1, 1, seed=3),
+        "tradeoff": execute("tradeoff", mixed(16), x=2, seed=3),
+        "early-stopping": execute("early-stopping", mixed(16), seed=3),
+        "multivalued": execute("multivalued", mixed(16), value_bits=1, seed=3),
+        "ben-or": execute("ben-or", mixed(8), t=0, seed=3),
+        "phase-king": execute("phase-king", mixed(16), t=2, seed=3),
+        "dolev-strong": execute("dolev-strong", mixed(8), t=1, seed=3),
+        "trb": execute("trb", n=8, sender=0, value=1, t=1, seed=3),
         "collectors": execute("collectors", n=8, t=0, seed=3),
     }
     for name, run in runs.items():
         assert isinstance(run, ConsensusRun), name
         assert len(run.processes) == run.result.n, name
         # The tuple shims are gone: a ConsensusRun is not iterable or
-        # indexable, so stale `result, procs = run_*(...)` code fails fast.
+        # indexable, so stale `result, procs = run` code fails fast.
         with pytest.raises(TypeError):
             iter(run)
         with pytest.raises(TypeError):
@@ -274,13 +248,16 @@ def test_baseline_runners_return_consensus_runs():
 
 
 def test_trb_indexing_and_decision():
-    run = run_trb(16, 0, 9, 2, adversary=SilenceAdversary([0]), seed=7)
+    run = execute(
+        "trb", n=16, sender=0, value=9, t=2, adversary=SilenceAdversary([0]),
+        seed=7,
+    )
     assert run.result.time_to_agreement() >= 1
     assert run.decision in (9, BOTTOM)
 
 
 def test_run_dolev_strong_agrees_with_manual_metrics():
-    run = run_dolev_strong(mixed(12), 2, seed=4)
+    run = execute("dolev-strong", mixed(12), t=2, seed=4)
     assert run.decision in (0, 1)
     # t + 1 communication rounds.
     assert run.metrics.rounds == 3

@@ -16,8 +16,6 @@ import json
 import pytest
 
 from repro.adversary import SilenceAdversary, VoteBalancingAdversary
-from repro.baselines import run_ben_or
-from repro.core import run_consensus
 from repro.harness import execute
 from repro.replay import record
 from repro.runtime import (
@@ -146,8 +144,8 @@ def test_observer_order_follows_attachment_order():
 # Neutrality: observed and unobserved runs are byte-identical.
 def _algorithm1_run(observers=()):
     inputs = [pid % 2 for pid in range(32)]
-    return run_consensus(
-        inputs,
+    return execute(
+        "algorithm1", inputs,
         adversary=SilenceAdversary(range(1)),
         t=1,
         seed=11,
@@ -157,8 +155,8 @@ def _algorithm1_run(observers=()):
 
 def _ben_or_run(observers=()):
     inputs = [pid % 2 for pid in range(32)]
-    return run_ben_or(
-        inputs,
+    return execute(
+        "ben-or", inputs,
         t=4,
         adversary=SilenceAdversary(range(4)),
         seed=11,

@@ -9,7 +9,7 @@ checks and tiny-system runs can use the untouched numbers.
 import pytest
 
 from repro.adversary import SilenceAdversary
-from repro.core import run_consensus, run_tradeoff_consensus
+from repro.harness import execute
 from repro.params import ProtocolParams
 
 PAPER = ProtocolParams.paper()
@@ -37,19 +37,19 @@ class TestPaperModeExecution:
     def test_unanimous_run_with_paper_constants(self):
         """Full Algorithm 1 with untouched constants on a small complete
         overlay: validity and zero randomness must hold exactly."""
-        run = run_consensus([1] * 36, t=1, params=PAPER, seed=1)
+        run = execute("algorithm1", [1] * 36, t=1, params=PAPER, seed=1)
         assert run.decision == 1
         assert run.metrics.random_bits == 0
 
     def test_mixed_run_with_paper_constants(self):
-        run = run_consensus(
-            [pid % 2 for pid in range(36)], t=1, params=PAPER, seed=2
+        run = execute(
+            "algorithm1", [pid % 2 for pid in range(36)], t=1, params=PAPER, seed=2
         )
         assert run.decision in (0, 1)
 
     def test_adversarial_run_with_paper_constants(self):
-        run = run_consensus(
-            [pid % 2 for pid in range(36)],
+        run = execute(
+            "algorithm1", [pid % 2 for pid in range(36)],
             t=1,
             params=PAPER,
             adversary=SilenceAdversary([0]),
@@ -58,8 +58,8 @@ class TestPaperModeExecution:
         assert run.decision in (0, 1)
 
     def test_tradeoff_with_paper_constants(self):
-        run = run_tradeoff_consensus(
-            [pid % 2 for pid in range(36)], 3, params=PAPER, seed=4
+        run = execute(
+            "tradeoff", [pid % 2 for pid in range(36)], x=3, params=PAPER, seed=4
         )
         assert run.decision in (0, 1)
 

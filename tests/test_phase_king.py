@@ -7,7 +7,8 @@ from repro.adversary import (
     SilenceAdversary,
     StaticCrashAdversary,
 )
-from repro.baselines import PhaseKingProcess, run_phase_king
+from repro.baselines import PhaseKingProcess
+from repro.harness import execute
 
 
 class TestConstruction:
@@ -23,21 +24,21 @@ class TestConstruction:
 class TestCorrectness:
     @pytest.mark.parametrize("bit", [0, 1])
     def test_validity(self, bit):
-        result = run_phase_king([bit] * 9, t=2).result
+        result = execute("phase-king", [bit] * 9, t=2).result
         assert result.agreement_value() == bit
 
     def test_rounds_are_three_per_phase(self):
-        result = run_phase_king([1] * 9, t=2).result
+        result = execute("phase-king", [1] * 9, t=2).result
         assert result.time_to_agreement() == 3 * 3 + 1
 
     def test_agreement_mixed_inputs(self):
-        result = run_phase_king([pid % 2 for pid in range(9)], t=2).result
+        result = execute("phase-king", [pid % 2 for pid in range(9)], t=2).result
         assert result.agreement_value() in (0, 1)
 
     def test_agreement_with_silenced_kings(self):
         """Silencing the first kings forces reliance on later phases."""
-        result = run_phase_king(
-            [pid % 2 for pid in range(13)],
+        result = execute(
+            "phase-king", [pid % 2 for pid in range(13)],
             t=3,
             adversary=SilenceAdversary([0, 1, 2]),
         ).result
@@ -45,8 +46,8 @@ class TestCorrectness:
 
     def test_agreement_under_random_omissions(self):
         for seed in range(3):
-            result = run_phase_king(
-                [pid % 2 for pid in range(13)],
+            result = execute(
+                "phase-king", [pid % 2 for pid in range(13)],
                 t=3,
                 adversary=RandomOmissionAdversary(0.5, seed=seed),
                 seed=seed,
@@ -54,8 +55,8 @@ class TestCorrectness:
             assert result.agreement_value() in (0, 1)
 
     def test_agreement_under_crashes(self):
-        result = run_phase_king(
-            [pid % 2 for pid in range(17)],
+        result = execute(
+            "phase-king", [pid % 2 for pid in range(17)],
             t=4,
             adversary=StaticCrashAdversary({2: [0], 5: [5], 8: [9]}),
         ).result
@@ -63,7 +64,7 @@ class TestCorrectness:
 
     def test_validity_beats_faulty_minority(self):
         inputs = [0] * 2 + [1] * 11
-        result = run_phase_king(
-            inputs, t=2, adversary=SilenceAdversary([0, 1])
+        result = execute(
+            "phase-king", inputs, t=2, adversary=SilenceAdversary([0, 1])
         ).result
         assert result.agreement_value() == 1

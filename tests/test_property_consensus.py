@@ -7,13 +7,12 @@ whole module stays in seconds.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import run_consensus
+from repro import execute
 from repro.adversary import (
     RandomOmissionAdversary,
     SilenceAdversary,
     StaticCrashAdversary,
 )
-from repro.baselines import run_phase_king
 from repro.baselines.dolev_strong import DolevStrongProcess
 from repro.runtime import SyncNetwork
 
@@ -31,8 +30,8 @@ SLOW = settings(
 )
 def test_algorithm1_agreement_and_validity(inputs, seed):
     n = len(inputs)
-    run = run_consensus(inputs, t=1, adversary=SilenceAdversary([seed % n]),
-                        seed=seed)
+    run = execute("algorithm1", inputs, t=1,
+                  adversary=SilenceAdversary([seed % n]), seed=seed)
     decision = run.decision  # asserts agreement + termination
     assert decision in (0, 1)
     non_faulty_inputs = {
@@ -50,8 +49,8 @@ def test_algorithm1_agreement_and_validity(inputs, seed):
 def test_algorithm1_under_random_omission_noise(seed, omit_probability):
     n = 48
     inputs = [(pid * 7 + seed) % 2 for pid in range(n)]
-    run = run_consensus(
-        inputs,
+    run = execute(
+        "algorithm1", inputs,
         t=1,
         adversary=RandomOmissionAdversary(omit_probability, seed=seed),
         seed=seed,
@@ -93,7 +92,7 @@ def test_dolev_strong_under_arbitrary_crash_schedules(data, seed):
     seed=st.integers(0, 10**6),
 )
 def test_phase_king_agreement_with_silenced_prefix(inputs, seed):
-    result = run_phase_king(
-        inputs, t=3, adversary=SilenceAdversary([seed % 13]), seed=seed
+    result = execute(
+        "phase-king", inputs, t=3, adversary=SilenceAdversary([seed % 13]), seed=seed
     ).result
     assert result.agreement_value() in (0, 1)

@@ -7,7 +7,8 @@ from repro.adversary import (
     SilenceAdversary,
     StaticCrashAdversary,
 )
-from repro.baselines import BOTTOM, TRBProcess, run_trb
+from repro.baselines import BOTTOM, TRBProcess
+from repro.harness import execute
 
 
 class TestConstruction:
@@ -25,14 +26,14 @@ class TestConstruction:
 class TestFaultFree:
     @pytest.mark.parametrize("t", [1, 3, 7])
     def test_integrity_and_agreement(self, t):
-        result = run_trb(24, sender=3, value=9, t=t, seed=1).result
+        result = execute("trb", n=24, sender=3, value=9, t=t, seed=1).result
         assert set(result.decisions.values()) == {9}
 
     def test_early_stopping_is_t_independent(self):
         """Without faults the QUIET quorum fires immediately: rounds do not
         grow with the budget t — the [34] early-stopping property."""
         rounds = [
-            run_trb(24, sender=0, value=5, t=t, seed=2).result.time_to_agreement()
+            execute("trb", n=24, sender=0, value=5, t=t, seed=2).result.time_to_agreement()
             for t in (1, 4, 8)
         ]
         assert len(set(rounds)) == 1
@@ -41,8 +42,8 @@ class TestFaultFree:
 
 class TestFaultySender:
     def test_silenced_sender_delivers_bottom(self):
-        result = run_trb(
-            24, sender=0, value=5, t=4,
+        result = execute(
+            "trb", n=24, sender=0, value=5, t=4,
             adversary=SilenceAdversary([0]), seed=3,
         ).result
         assert set(result.non_faulty_decisions().values()) == {BOTTOM}
@@ -50,16 +51,16 @@ class TestFaultySender:
     def test_sender_crashing_later_still_agrees(self):
         """A sender crashed after its first broadcast: everyone already has
         the value and must agree on it."""
-        result = run_trb(
-            24, sender=0, value=5, t=4,
+        result = execute(
+            "trb", n=24, sender=0, value=5, t=4,
             adversary=StaticCrashAdversary({1: [0]}), seed=4,
         ).result
         assert set(result.non_faulty_decisions().values()) == {5}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_agreement_under_noisy_omissions(self, seed):
-        result = run_trb(
-            20, sender=0, value=3, t=3,
+        result = execute(
+            "trb", n=20, sender=0, value=3, t=3,
             adversary=RandomOmissionAdversary(0.7, seed=seed), seed=seed,
         ).result
         values = set(result.non_faulty_decisions().values())
@@ -69,8 +70,8 @@ class TestFaultySender:
     def test_partial_first_round_converges(self):
         """The adversary delivers the faulty sender's broadcast to nobody:
         without relays the value never enters the system."""
-        result = run_trb(
-            16, sender=0, value=1, t=2,
+        result = execute(
+            "trb", n=16, sender=0, value=1, t=2,
             adversary=SilenceAdversary([0]), seed=5,
         ).result
         values = set(result.non_faulty_decisions().values())
@@ -82,9 +83,9 @@ class TestEarlyStoppingShape:
         """min(f + O(1), t + 1): crashing relays delays termination, but
         only the *actual* crash count matters."""
         t = 5
-        fault_free = run_trb(24, sender=0, value=1, t=t, seed=6).result
-        sender_dead = run_trb(
-            24, sender=0, value=1, t=t,
+        fault_free = execute("trb", n=24, sender=0, value=1, t=t, seed=6).result
+        sender_dead = execute(
+            "trb", n=24, sender=0, value=1, t=t,
             adversary=SilenceAdversary([0]), seed=6,
         ).result
         assert fault_free.time_to_agreement() < sender_dead.time_to_agreement()

@@ -18,11 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.campaign import CampaignSpec, run_campaign
-from repro.baselines import run_ben_or
 from repro.fabric import CampaignCache, CellId
 from repro.harness import execute
 from repro.replay import ShrinkResult, load_recipe, record, replay
-from repro.transport import TcpTransport
 from repro.runtime import (
     Adversary,
     MessageBatch,
@@ -49,8 +47,10 @@ REMOVED_CALLS = {
     "SyncNetwork(on_round=)": (
         TypeError, lambda: SyncNetwork([], on_round=lambda *args: None)
     ),
-    "run[0]": (TypeError, lambda: run_ben_or(INPUTS)[0]),
-    "result, processes = run": (TypeError, lambda: unpack(run_ben_or(INPUTS))),
+    "run[0]": (TypeError, lambda: execute("ben-or", INPUTS, t=0)[0]),
+    "result, processes = run": (
+        TypeError, lambda: unpack(execute("ben-or", INPUTS, t=0))
+    ),
     "Adversary.setup(n, t, processes)": (
         TypeError,
         lambda: execute("ben-or", INPUTS, adversary=ThreeArgumentSetup()),
@@ -106,8 +106,9 @@ REMOVED_CALLS = {
     "SyncNetwork.in_flight_messages": (
         AttributeError, lambda: SyncNetwork.in_flight_messages
     ),
-    "TcpTransport.options_payload()": (
-        AttributeError, lambda: TcpTransport().options_payload
+    # The transport is a name: a live object is not a transport.
+    "execute(transport=<object>)": (
+        ValueError, lambda: execute("ben-or", INPUTS, transport=object())
     ),
     "CellId < CellId": (
         TypeError,
@@ -133,6 +134,8 @@ REMOVED_PACKAGES = frozenset(
         "repro.runtime.trace",
         "repro.analysis.experiments",
         "repro.runtime.models",
+        "repro.transport.base",
+        "repro.transport.inprocess",
     }
 )
 
@@ -254,6 +257,37 @@ REMOVED_PACKAGES = frozenset(
         ("repro.runtime.models", "_DEFAULT_MODEL"),
         ("repro.runtime.models", "create_named"),
         ("repro.transport", "create_named"),
+        # One front door: every run is ``execute(name, ...)``, and the
+        # transport is a name, not an object.
+        *(
+            (module, name)
+            for module, names in (
+                ("repro", ("run_consensus",)),
+                (
+                    "repro.core",
+                    (
+                        "run_consensus", "run_tradeoff_consensus",
+                        "run_early_stopping_consensus",
+                        "run_multivalued_consensus",
+                    ),
+                ),
+                (
+                    "repro.baselines",
+                    ("run_ben_or", "run_dolev_strong", "run_phase_king", "run_trb"),
+                ),
+                (
+                    "repro.transport",
+                    (
+                        "Transport", "InProcessTransport", "TcpTransport",
+                        "create_transport", "resolve_transport",
+                    ),
+                ),
+            )
+            for name in names
+        ),
+        ("repro.transport.tcp", "TcpTransport"),
+        ("repro.transport.base", "Transport"),
+        ("repro.transport.inprocess", "InProcessTransport"),
     ],
 )
 def test_removed_name_is_not_importable(module, name):
@@ -511,3 +545,51 @@ def test_protocols_read_inboxes_by_column():
         "    return [m.sender for m in inbox], [q for q in inboxes]\n"
     )
     assert bare_inbox_loops(planted) == [2, 6]
+
+
+def forwards_to_execute(tree):
+    """Names of the top-level functions whose body, past a docstring and
+    imports, is one ``return execute(...)``."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = [
+            statement
+            for statement in node.body
+            if not isinstance(statement, (ast.Import, ast.ImportFrom))
+            and not (
+                isinstance(statement, ast.Expr)
+                and isinstance(statement.value, ast.Constant)
+            )
+        ]
+        if (
+            len(body) == 1
+            and isinstance(body[0], ast.Return)
+            and isinstance(body[0].value, ast.Call)
+            and getattr(body[0].value.func, "id", None) == "execute"
+        ):
+            found.append(node.name)
+    return found
+
+
+def test_no_function_only_forwards_to_execute():
+    """Every run is ``execute(name, ...)``: a function that only forwards
+    its keywords there is a second front door for one protocol, with its
+    own defaults to drift (the ``run_*`` wrappers were eight)."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    sites = [
+        f"{path.relative_to(package).as_posix()}:{name}"
+        for path in sorted(package.rglob("*.py"))
+        for name in forwards_to_execute(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == []
+    planted = ast.parse(
+        "def run_x(inputs, seed=0):\n"
+        "    '''Doc.'''\n"
+        "    from repro.harness import execute\n"
+        "    return execute('x', inputs, seed=seed)\n"
+        "def measure(inputs):\n"
+        "    return execute('x', inputs).decision\n"
+    )
+    assert forwards_to_execute(planted) == ["run_x"]

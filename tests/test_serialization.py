@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.adversary import SilenceAdversary
-from repro.core import build_processes, run_consensus
+from repro.core import build_processes
+from repro.harness import execute
 from repro.runtime import (
     SCHEMA_VERSION,
     SyncNetwork,
@@ -19,8 +20,8 @@ from repro.runtime import (
 
 
 def sample_result():
-    return run_consensus(
-        [pid % 2 for pid in range(36)],
+    return execute(
+        "algorithm1", [pid % 2 for pid in range(36)],
         t=1,
         adversary=SilenceAdversary([0]),
         seed=1,

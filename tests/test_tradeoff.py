@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary import SilenceAdversary, VoteBalancingAdversary
 from repro.analysis import CampaignSpec, run_campaign
-from repro.core import run_tradeoff_consensus, super_partition
+from repro.core import super_partition
+from repro.harness import execute
 from repro.params import ProtocolParams
 
 PARAMS = ProtocolParams.practical()
@@ -47,36 +48,36 @@ class TestSuperPartition:
 class TestCorrectness:
     @pytest.mark.parametrize("x", [1, 2, 4, 8, 32])
     def test_agreement_no_adversary(self, x):
-        run = run_tradeoff_consensus(mixed(32), x, seed=1)
+        run = execute("tradeoff", mixed(32), x=x, seed=1)
         assert run.decision in (0, 1)
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_validity(self, bit):
-        run = run_tradeoff_consensus([bit] * 32, 4, seed=2)
+        run = execute("tradeoff", [bit] * 32, x=4, seed=2)
         assert run.decision == bit
 
     def test_validity_uses_zero_randomness(self):
-        run = run_tradeoff_consensus([1] * 32, 4, seed=3)
+        run = execute("tradeoff", [1] * 32, x=4, seed=3)
         assert run.metrics.random_bits == 0
 
     def test_agreement_under_silence(self):
         n = 64
-        run = run_tradeoff_consensus(
-            mixed(n), 4, adversary=SilenceAdversary([0]), seed=4
+        run = execute(
+            "tradeoff", mixed(n), x=4, adversary=SilenceAdversary([0]), seed=4
         )
         assert run.decision in (0, 1)
 
     def test_agreement_under_balancer(self):
         n = 64
-        run = run_tradeoff_consensus(
-            mixed(n), 4, adversary=VoteBalancingAdversary(seed=5), seed=5
+        run = execute(
+            "tradeoff", mixed(n), x=4, adversary=VoteBalancingAdversary(seed=5), seed=5
         )
         assert run.decision in (0, 1)
 
     def test_fault_budget_is_halved(self):
         """Theorem 8 tolerates t < n/60 — half of Algorithm 1's budget."""
-        run_small = run_tradeoff_consensus(mixed(124), 4, seed=6)
-        run_large = run_tradeoff_consensus(mixed(248), 4, seed=6)
+        run_small = execute("tradeoff", mixed(124), x=4, seed=6)
+        run_large = execute("tradeoff", mixed(248), x=4, seed=6)
         # Strictly below n/60, at roughly half Algorithm 1's budget.
         for run, n in ((run_small, 124), (run_large, 248)):
             t = run.processes[0].t
@@ -86,7 +87,7 @@ class TestCorrectness:
 
     def test_small_n_edge_cases(self):
         for n, x in ((2, 1), (2, 2), (5, 3), (7, 7)):
-            run = run_tradeoff_consensus(mixed(n), x, seed=7)
+            run = execute("tradeoff", mixed(n), x=x, seed=7)
             assert run.decision in (0, 1)
 
 
@@ -134,7 +135,7 @@ def test_property_agreement_random_configurations(n, seed):
     """Random (n, x, seed) configurations always reach agreement."""
     x = max(1, (seed % n) or 1)
     inputs = [(pid * seed + pid) % 2 for pid in range(n)]
-    run = run_tradeoff_consensus(inputs, x, seed=seed)
+    run = execute("tradeoff", inputs, x=x, seed=seed)
     assert run.decision in (0, 1)
 
 
@@ -148,9 +149,9 @@ class TestAdversarialSuperProcesses:
 
         n, x = 64, 4
         supers = super_partition(n, x)
-        run = run_tradeoff_consensus(
-            mixed(n),
-            x,
+        run = execute(
+            "tradeoff", mixed(n),
+            x=x,
             adversary=GroupKnockoutAdversary(supers[0][:3]),
             seed=31,
         )
@@ -159,8 +160,8 @@ class TestAdversarialSuperProcesses:
     def test_chaos_over_phases(self):
         from repro.adversary import ChaosAdversary
 
-        run = run_tradeoff_consensus(
-            mixed(64), 8, adversary=ChaosAdversary(seed=9), seed=32
+        run = execute(
+            "tradeoff", mixed(64), x=8, adversary=ChaosAdversary(seed=9), seed=32
         )
         assert run.decision in (0, 1)
 
@@ -170,9 +171,9 @@ class TestAdversarialSuperProcesses:
 
         n, x = 64, 4
         supers = super_partition(n, x)
-        run = run_tradeoff_consensus(
-            [1] * n,
-            x,
+        run = execute(
+            "tradeoff", [1] * n,
+            x=x,
             adversary=GroupKnockoutAdversary(supers[1][:3]),
             seed=33,
         )

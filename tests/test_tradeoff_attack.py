@@ -17,10 +17,10 @@ class TestBalancingAdversary:
 
     def test_corruptions_bounded_by_budget(self):
         adversary = BalancingCrashAdversary()
-        from repro.baselines.ben_or import run_ben_or
+        from repro.harness import execute
 
-        result = run_ben_or(
-            [pid % 2 for pid in range(32)],
+        result = execute(
+            "ben-or", [pid % 2 for pid in range(32)],
             t=6,
             adversary=adversary,
             seed=2,

@@ -1,5 +1,6 @@
-"""Tests for repro.transport: framing, the registry, the TCP backend, and
-cross-transport equivalence against the in-process core.
+"""Tests for repro.transport: framing, the transport names and options,
+the TCP backend, and cross-transport equivalence against the in-process
+core.
 
 The equivalence suite is the transport axis's core guarantee: every
 registered protocol produces a byte-identical fingerprint (decisions
@@ -13,6 +14,7 @@ fails setup with a ``TransportError``.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -28,17 +30,21 @@ import pytest
 from repro.adversary import RandomOmissionAdversary
 from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.fabric import CellId
-from repro.harness import available_protocols, execute
+from repro.harness import ExecutionConfig, available_protocols, execute
 from repro.replay import record, recipe_from_payload, recipe_payload, replay
-from repro.runtime import RoundObserver, SyncNetwork, SyncProcess, result_to_dict
+from repro.runtime import (
+    Adversary,
+    ExecutionCore,
+    RoundObserver,
+    SyncNetwork,
+    SyncProcess,
+    result_to_dict,
+)
 from repro.transport import (
-    InProcessTransport,
-    TcpTransport,
-    Transport,
+    RemoteExecutionCore,
     TransportError,
     available_transports,
-    create_transport,
-    resolve_transport,
+    create_core,
 )
 from repro.transport import tcp
 from repro.transport.framing import (
@@ -156,41 +162,65 @@ class TestFraming:
             right.close()
 
 
+def tcp_config(**options):
+    """A run description naming the TCP transport with *options*."""
+    return ExecutionConfig(
+        "ben-or", mixed(5), transport="tcp", transport_options=options
+    )
+
+
 # ---------------------------------------------------------------------------
-# Registry and resolution.
+# The transport is a name, with options.
 class TestTransportRegistry:
     def test_available_transports(self):
         assert available_transports() == ("inprocess", "tcp")
 
     def test_default_is_inprocess(self):
-        assert resolve_transport().name == "inprocess"
-        assert isinstance(resolve_transport(), InProcessTransport)
-        assert isinstance(resolve_transport(None), InProcessTransport)
+        for name in (None, "inprocess"):
+            core = create_core([InboxProbe(0, 1)], seed=0, transport=name)
+            assert type(core) is ExecutionCore
+        assert ExecutionConfig("ben-or", mixed(5)).transport is None
 
-    def test_create_transport_by_name(self):
-        assert isinstance(create_transport("inprocess"), InProcessTransport)
-        transport = create_transport("tcp", {"processes_per_worker": 3})
-        assert isinstance(transport, TcpTransport)
-        assert transport.processes_per_worker == 3
+    def test_create_transport_by_name(self, monkeypatch):
+        config = tcp_config(processes_per_worker=3)
+        assert config.transport_options == {"processes_per_worker": 3}
+        monkeypatch.setattr(tcp.RemoteExecutionCore, "_start", lambda core: None)
+        core = create_core(
+            [InboxProbe(pid, 7) for pid in range(7)],
+            seed=0,
+            transport=config.transport,
+            transport_options=config.transport_options,
+        )
+        core.close()
+        assert type(core) is RemoteExecutionCore
+        assert [link.pids for link in core._links] == [
+            (0, 1, 2), (3, 4, 5), (6,)
+        ]
 
     def test_create_transport_unknown_name(self):
         with pytest.raises(ValueError, match="unknown transport"):
-            create_transport("carrier-pigeon")
+            ExecutionConfig("ben-or", mixed(5), transport="carrier-pigeon")
 
-    def test_resolve_instance_passthrough(self):
-        transport = InProcessTransport()
-        assert resolve_transport(transport) is transport
-
-    def test_resolve_instance_rejects_options(self):
+    def test_options_require_a_name(self):
         with pytest.raises(ValueError, match="transport_options"):
-            resolve_transport(InProcessTransport(), {"anything": 1})
+            ExecutionConfig("ben-or", mixed(5), transport_options={"anything": 1})
+
+    @pytest.mark.parametrize(
+        "name,accepted",
+        [("inprocess", r"\(none\)"), ("tcp", "processes_per_worker, host")],
+    )
+    def test_rejects_an_option_the_transport_does_not_take(self, name, accepted):
+        with pytest.raises(ValueError, match=f"takes no option 'hops'.*{accepted}"):
+            ExecutionConfig(
+                "ben-or", mixed(5), transport=name, transport_options={"hops": 1}
+            )
 
     def test_default_places_one_worker_per_core(self, monkeypatch):
         """``processes_per_worker=None`` (the default) is resolved per run
         from what the process can observe: ceil(n / cores) per worker, in
         contiguous pid blocks; the options, hence every identity, keep the
         ``None`` the caller gave."""
-        assert TcpTransport().processes_per_worker is None
+        assert tcp.OPTIONS["processes_per_worker"] is None
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         network = SyncNetwork(
             [InboxProbe(pid, 7) for pid in range(7)], transport="tcp"
@@ -200,17 +230,13 @@ class TestTransportRegistry:
         finally:
             network._core.close()
         assert blocks == [(0, 1, 2), (3, 4, 5), (6,)]
-        assert network.transport.processes_per_worker is None
-
-    def test_transports_subclass_transport(self):
-        assert issubclass(InProcessTransport, Transport)
-        assert issubclass(TcpTransport, Transport)
+        assert tcp_config().transport_options == {}
 
 
 class TestTcpValidation:
     def test_rejects_non_loopback_host(self):
         with pytest.raises(ValueError, match="loopback"):
-            TcpTransport(host="0.0.0.0")
+            tcp_config(host="0.0.0.0")
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -222,7 +248,7 @@ class TestTcpValidation:
     )
     def test_rejects_bad_parameters(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            TcpTransport(**kwargs)
+            tcp_config(**kwargs)
 
 
 class TestConnectBackoff:
@@ -303,13 +329,6 @@ class TestCrossTransportEquivalence:
         ]
         assert fingerprint(runs[0]) == fingerprint(runs[1])
         assert runs[0].result.faulty == runs[1].result.faulty
-
-    def test_execute_accepts_transport_instance(self):
-        baseline = fingerprint(execute("ben-or", mixed(9), t=1, seed=7))
-        run = execute(
-            "ben-or", mixed(9), t=1, seed=7, transport=InProcessTransport()
-        )
-        assert fingerprint(run) == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +568,56 @@ def spawned(monkeypatch):
     return made
 
 
+class _FailingSetup(Adversary):
+    def setup(self, ctx):
+        raise RuntimeError("set-up failed")
+
+
+class _FailingStart(RoundObserver):
+    def on_run_start(self, network):
+        raise RuntimeError("set-up failed")
+
+
 class TestSetup:
+    @pytest.mark.parametrize(
+        "hooks",
+        [{"adversary": _FailingSetup()}, {"observers": (_FailingStart(),)}],
+        ids=["adversary-setup", "on_run_start"],
+    )
+    def test_workers_do_not_outlive_a_failing_run_setup(self, hooks):
+        """``Adversary.setup`` and every ``on_run_start`` run inside the
+        ``try`` whose ``finally`` closes the core: no worker is left alive
+        while the caller holds the exception (as pytest and ``campaign``
+        do), its traceback keeping the network reachable."""
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="set-up failed") as held:
+            execute(
+                "ben-or",
+                mixed(8),
+                t=1,
+                transport="tcp",
+                transport_options={"processes_per_worker": 4},
+                **hooks,
+            )
+        assert held.value.__traceback__ is not None
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_budget_is_checked_before_any_worker_starts(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            tcp.RemoteExecutionCore, "_start", lambda core: started.append(core)
+        )
+        with pytest.raises(
+            ValueError, match=r"fault budget t=8 must satisfy 0 <= t < n=8"
+        ):
+            SyncNetwork(
+                [InboxProbe(pid, 8) for pid in range(8)],
+                t=8,
+                transport="tcp",
+                transport_options={"processes_per_worker": 2},
+            )
+        assert started == []
+
     def test_stray_connections_take_no_worker_slot(self, monkeypatch):
         """Connections that dial the listener before any worker — a wrong
         token claiming slot 0, a hello of the wrong shape, bytes that are
