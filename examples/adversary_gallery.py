@@ -69,7 +69,7 @@ def main() -> None:
             f"{run.metrics.random_bits:>6} "
             f"{len(run.result.faulty):>7} "
             f"{inoperative:>4}/{non_faulty_inoperative:<3} "
-            f"{str(run.used_fallback):>9}"
+            f"{str(run.ran_deterministic_fallback):>9}"
         )
 
     print("\ninoper. column = total inoperative / non-faulty inoperative:")

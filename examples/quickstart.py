@@ -37,7 +37,7 @@ def main() -> None:
     print(f"messages             : {metrics.messages_sent:,}")
     print(f"random bits          : {metrics.random_bits}")
     print(f"corrupted processes  : {sorted(run.result.faulty)}")
-    print(f"fallback triggered   : {run.used_fallback}")
+    print(f"fallback triggered   : {run.ran_deterministic_fallback}")
 
     # Validity: a unanimous system must decide its common input and, per the
     # paper's validity argument, spends zero randomness doing so.

@@ -7,12 +7,7 @@ and benchmarks.
 
 from ..runtime import Adversary, AdversaryAction, AdversaryContext, NetworkView
 from .chaos import ChaosAdversary
-from .compose import (
-    RecordingAdversary,
-    SequentialAdversary,
-    ThrottledAdversary,
-    UnionAdversary,
-)
+from .compose import SequentialAdversary
 from .scripted import ScriptedAdversary
 from .strategies import (
     GALLERY,
@@ -38,8 +33,5 @@ __all__ = [
     "GroupKnockoutAdversary",
     "VoteBalancingAdversary",
     "SequentialAdversary",
-    "UnionAdversary",
-    "ThrottledAdversary",
-    "RecordingAdversary",
     "ChaosAdversary",
 ]

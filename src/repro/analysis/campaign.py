@@ -209,9 +209,7 @@ def _run_cell(
         random_bits=metrics.random_bits,
         random_calls=metrics.random_calls,
         faulty=sorted(run.result.faulty),
-        fallback=bool(
-            getattr(run, "ran_deterministic_fallback", run.used_fallback)
-        ),
+        fallback=run.ran_deterministic_fallback,
     )
     if protocol.record_extras is not None:
         record.update(protocol.record_extras(run, run.request))

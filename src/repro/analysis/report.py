@@ -40,7 +40,12 @@ from ..adversary import (
     VoteBalancingAdversary,
 )
 from ..baselines import measure_amortization
-from ..core import apply_vote_rule, cached_bag_tree, cached_sqrt_partition
+from ..core import (
+    apply_vote_rule,
+    cached_bag_tree,
+    cached_sqrt_partition,
+    core_total_rounds,
+)
 from ..core.aggregation import group_bits_aggregation
 from ..core.spreading import SpreadingState, group_bits_spreading
 from ..graphs import (
@@ -307,17 +312,27 @@ def whp_path(protocol, ns, seed, adversary="none"):
     return reported, cells
 
 
+def _first_fallback(cells, ns):
+    """The fallback flag of the first cell at each n, before any retry."""
+    return [next(c["fallback"] for c in cells if c["n"] == n) for n in ns]
+
+
 def scaling(ns, seed, quiet_seed, unanimous_ns, unanimous_seed):
     """Theorem 1 over ``ns`` on the whp path (:func:`whp_path`): under the
-    vote-balancing adversary, without one, and on unanimous inputs."""
-    attacked, _ = whp_path("algorithm1", ns, seed, "balance")
-    quiet, _ = whp_path("algorithm1", ns, quiet_seed)
+    vote-balancing adversary, without one, and on unanimous inputs.  A
+    run that does not fall back takes exactly ``schedule_rounds``,
+    ``core_total_rounds(n) + 1``."""
+    attacked, attacked_cells = whp_path("algorithm1", ns, seed, "balance")
+    quiet, quiet_cells = whp_path("algorithm1", ns, quiet_seed)
     values = {
         name: _column(attacked, name)
         for name in ("t", "rounds", "bits", "random_bits", "fallback")
     }
     values.update(
+        first_fallback=_first_fallback(attacked_cells, ns),
         quiet_rounds=_column(quiet, "rounds"),
+        quiet_first_fallback=_first_fallback(quiet_cells, ns),
+        schedule_rounds=[core_total_rounds(n, PRACTICAL) + 1 for n in ns],
         quiet_rounds_growth=quiet[-1]["rounds"] / quiet[0]["rounds"],
         n_growth=ns[-1] / ns[0],
     )

@@ -73,7 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         payload["protocol"] = spec.name
         payload["decision"] = run.decision
         payload["time_to_agreement"] = run.result.time_to_agreement()
-        payload["used_fallback"] = run.used_fallback
+        payload["fallback"] = run.ran_deterministic_fallback
         payload["report"] = report.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -84,7 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"messages      : {metrics.messages_sent}")
     print(f"random bits   : {metrics.random_bits}")
     print(f"faulty        : {sorted(run.result.faulty)}")
-    print(f"used fallback : {run.used_fallback}")
+    print(f"fallback      : {run.ran_deterministic_fallback}")
     from .analysis.sparkline import render_series
 
     print(render_series("traffic/round", metrics.messages_per_round, width=64))

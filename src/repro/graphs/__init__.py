@@ -5,15 +5,11 @@
   checkers (expansion, edge-sparsity);
 * :func:`robust_core` — the Lemma-4 peeling that underlies the
   operative/inoperative classification;
-* :func:`dense_neighborhood_layers`, :func:`subgraph_diameter` — Lemma-3
-  growth and "shallow" diameter measurements.
+* :func:`subgraph_diameter` — the Lemma-3 "shallow" diameter
+  measurement.
 """
 
-from .cores import (
-    dense_neighborhood_layers,
-    robust_core,
-    subgraph_diameter,
-)
+from .cores import robust_core, subgraph_diameter
 from .graph import SpreadingGraph
 from .properties import is_edge_sparse, is_expanding
 from .random_graph import gnp_edges, spreading_graph
@@ -26,5 +22,4 @@ __all__ = [
     "is_edge_sparse",
     "robust_core",
     "subgraph_diameter",
-    "dense_neighborhood_layers",
 ]

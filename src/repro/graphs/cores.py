@@ -10,8 +10,7 @@ of the protocol's operative/inoperative classification.
 
 Lemma 3 concerns ``(gamma, delta)``-dense-neighbourhoods: sets around a
 vertex whose inner members all keep ``delta`` neighbours inside the set; in a
-Theorem-4 graph they grow geometrically until they span ``n/10`` vertices.
-:func:`dense_neighborhood_layers` measures that growth.
+Theorem-4 graph they are shallow, which :func:`subgraph_diameter` measures.
 """
 
 from __future__ import annotations
@@ -79,34 +78,3 @@ def subgraph_diameter(graph: SpreadingGraph, members: frozenset[int]) -> int:
             return -1
         worst = max(worst, max(distances.values()))
     return worst
-
-
-def dense_neighborhood_layers(
-    graph: SpreadingGraph,
-    vertex: int,
-    members: frozenset[int],
-    max_depth: int,
-) -> list[int]:
-    """Sizes of BFS balls around ``vertex`` within ``members``.
-
-    Returns ``[|B_0|, |B_1|, ..., |B_max_depth|]`` where ``B_d`` is the set of
-    members within distance d — the quantity Lemma 3 lower-bounds by
-    ``min(2^d, n/10)`` when ``members`` is a ``Delta/3`` robust core.
-    """
-    if vertex not in members:
-        raise ValueError(f"vertex {vertex} is not a member of the core")
-    member_set = set(members)
-    distances = {vertex: 0}
-    queue = deque([vertex])
-    while queue:
-        v = queue.popleft()
-        if distances[v] >= max_depth:
-            continue
-        for u in graph.neighbors(v):
-            if u in member_set and u not in distances:
-                distances[u] = distances[v] + 1
-                queue.append(u)
-    sizes = []
-    for depth in range(max_depth + 1):
-        sizes.append(sum(1 for d in distances.values() if d <= depth))
-    return sizes

@@ -6,7 +6,7 @@ counts, so this avoids pulling a full graph library into the hot path.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 
 class SpreadingGraph:
@@ -45,17 +45,6 @@ class SpreadingGraph:
     @property
     def edge_count(self) -> int:
         return self._edge_count
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate each undirected edge once, as ``(u, v)`` with u < v."""
-        for u in range(self.n):
-            for v in self._adjacency[u]:
-                if u < v:
-                    yield (u, v)
-
-    def degree_within(self, v: int, members: frozenset[int] | set[int]) -> int:
-        """Number of neighbours of ``v`` inside ``members``."""
-        return len(self._adjacency[v] & members)
 
     def internal_edge_count(self, members: Sequence[int] | set[int]) -> int:
         """Number of edges with both endpoints in ``members``."""

@@ -15,7 +15,6 @@
 
 from .anticoncentration import (
     Lemma9Check,
-    adversary_cost_to_cancel,
     deviation_probability,
     lemma9_lower_bound,
     verify_lemma9,
@@ -35,12 +34,6 @@ from .talagrand import (
     check_threshold_point,
     verify_threshold_inequality,
 )
-from .rollout_adversary import (
-    KeepSilencingFaulty,
-    RolloutConfig,
-    RolloutValencyAdversary,
-    replay_prefix,
-)
 from .tradeoff_attack import (
     AttackPoint,
     BalancingCrashAdversary,
@@ -55,7 +48,6 @@ from .prob_valency import (
     ProbabilisticValency,
     RandomizedToyProtocol,
     classify_state,
-    lemma13_probabilistic_witness,
     probability_band,
 )
 from .valency import (
@@ -72,7 +64,6 @@ from .valency import (
 
 __all__ = [
     "Lemma9Check",
-    "adversary_cost_to_cancel",
     "deviation_probability",
     "lemma9_lower_bound",
     "verify_lemma9",
@@ -87,10 +78,6 @@ __all__ = [
     "binomial_tail_lt",
     "check_threshold_point",
     "verify_threshold_inequality",
-    "KeepSilencingFaulty",
-    "RolloutConfig",
-    "RolloutValencyAdversary",
-    "replay_prefix",
     "AttackPoint",
     "BalancingCrashAdversary",
     "measure_tradeoff_product",
@@ -111,6 +98,5 @@ __all__ = [
     "ProbabilisticValency",
     "RandomizedToyProtocol",
     "classify_state",
-    "lemma13_probabilistic_witness",
     "probability_band",
 ]

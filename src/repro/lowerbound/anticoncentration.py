@@ -48,13 +48,6 @@ class Lemma9Check:
     def holds(self) -> bool:
         return self.exact >= self.bound - 1e-15
 
-    @property
-    def slack(self) -> float:
-        """exact / bound — how loose the constant-4 exponent is."""
-        if self.bound == 0:
-            return math.inf
-        return self.exact / self.bound
-
 
 def verify_lemma9(
     ns: Sequence[int],
@@ -85,23 +78,3 @@ def verify_lemma9(
                 )
             )
     return checks
-
-
-def adversary_cost_to_cancel(n: int, quantile: float = 0.25) -> int:
-    """Corruptions the adversary needs to cancel a typical coin deviation.
-
-    Returns the ``quantile``-upper deviation of ``Bin(n, 1/2)`` from its
-    mean (in processes).  With probability at least ``quantile``, cancelling
-    the coin round costs the adversary at least this many corruptions —
-    the quantity Lemma 10's "good epoch" argument charges against the
-    budget.
-    """
-    if not 0.0 < quantile < 1.0:
-        raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-    deviation = 0
-    while deviation <= n:
-        threshold = n // 2 + deviation
-        if binomial_tail_geq(n, threshold) < quantile:
-            return max(0, deviation - 1)
-        deviation += 1
-    return n

@@ -141,13 +141,6 @@ class CoinGamePoint:
     measured_budget: int
     lemma12_bound: float
 
-    @property
-    def ratio(self) -> float:
-        """measured / bound — Lemma 12 predicts this stays below 1."""
-        if self.lemma12_bound == 0:
-            return 0.0
-        return self.measured_budget / self.lemma12_bound
-
 
 def sweep_lemma12(
     ks: Sequence[int],

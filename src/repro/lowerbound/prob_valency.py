@@ -26,7 +26,6 @@ classified into the paper's four types relative to a slack ``epsilon``:
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -157,16 +156,3 @@ def classify_state(
         sup_probability=sup_probability,
         classification=classification,
     )
-
-
-def lemma13_probabilistic_witness(
-    protocol: RandomizedToyProtocol,
-    t: int,
-    epsilon: float = 0.1,
-) -> ProbabilisticValency | None:
-    """An initial state that is null-valent or bivalent (Lemma 13)."""
-    for inputs in itertools.product((0, 1), repeat=protocol.n):
-        result = classify_state(protocol, inputs, t, epsilon)
-        if result.classification in (NULL_VALENT, BIVALENT):
-            return result
-    return None

@@ -59,17 +59,12 @@ from .process import (
     Program,
     SyncProcess,
     idle_rounds,
-    receive_round,
 )
 from .serialization import (
     SCHEMA_VERSION,
     check_schema,
-    load_result,
-    metrics_from_dict,
     metrics_to_dict,
-    result_from_dict,
     result_to_dict,
-    save_result,
 )
 from .report import RunReport
 from .randomness import (
@@ -103,18 +98,13 @@ __all__ = [
     "Program",
     "SyncProcess",
     "idle_rounds",
-    "receive_round",
     "LinkSample",
     "RoundObserver",
     "RunReport",
     "SCHEMA_VERSION",
     "check_schema",
-    "load_result",
-    "metrics_from_dict",
     "metrics_to_dict",
-    "result_from_dict",
     "result_to_dict",
-    "save_result",
     "CountingRandom",
     "derive_seeds",
 ]

@@ -41,8 +41,8 @@ class ExecutionResult:
     randomness_per_process: list[tuple[int, int]] = field(default_factory=list)
     #: Round in which each process first decided (absent = never decided).
     decision_rounds: dict[int, int] = field(default_factory=dict)
-    #: The engine's account of the run (``None`` for a result read back
-    #: from JSON); never part of equality or of :func:`result_to_dict`.
+    #: The engine's account of the run, attached by ``SyncNetwork.run``;
+    #: never part of equality or of :func:`result_to_dict`.
     report: RunReport | None = field(default=None, compare=False, repr=False)
 
     def time_to_agreement(self) -> int:
@@ -206,14 +206,6 @@ class ExecutionCore:
             # process completed its local computation phase this round.
             records.extend(env.outbox)
         return MessageBatch(records)
-
-    def reseed(self, fork_seed: int) -> None:
-        """Re-seed every process's random source from ``fork_seed`` — the
-        fork point used by rollout-based adversaries (future coins must be
-        fresh, already-drawn coins must replay exactly)."""
-        fork_seeds = derive_seeds(fork_seed, self.n, salt="fork")
-        for source, per_process_seed in zip(self.sources, fork_seeds):
-            source.reseed(per_process_seed)
 
     # ------------------------------------------------------------------
     # Transport surface.  The base core is fully in-process: it owns no

@@ -238,7 +238,6 @@ class SyncNetwork:
         t: int = 0,
         seed: int = 0,
         max_rounds: int = 100_000,
-        reseed_at: tuple[int, int] | None = None,
         observers: Sequence[RoundObserver] = (),
         transport: str | None = None,
         transport_options: Mapping[str, Any] | None = None,
@@ -273,12 +272,8 @@ class SyncNetwork:
         #: The engine's account of the run, first on the observer bus so
         #: user observers read up-to-date Metrics series.
         self.report = RunReport(self.metrics)
-        self._observers: list[RoundObserver] = [self.report, *observers]
-        #: Optional (round, seed): at the start of that round every
-        #: process's random source is re-seeded from ``seed`` — the fork
-        #: point used by rollout-based adversaries (future coins must be
-        #: fresh, already-drawn coins must replay exactly).
-        self._reseed_at = reseed_at
+        #: The attached observers, the engine's own :attr:`report` first.
+        self.observers: tuple[RoundObserver, ...] = (self.report, *observers)
 
         self.sources = self._core.sources
         self.envs = self._core.envs
@@ -288,22 +283,6 @@ class SyncNetwork:
         self._inboxes = self._core.inboxes
 
     # ------------------------------------------------------------------
-    def add_observer(self, observer: RoundObserver) -> SyncNetwork:
-        """Attach a :class:`RoundObserver`; returns the network (chainable).
-
-        Attach before :meth:`run` — observers joining mid-run would see a
-        partial hook sequence.
-        """
-        self._observers.append(observer)
-        return self
-
-    @property
-    def observers(self) -> tuple[RoundObserver, ...]:
-        """The attached observers (first entry is the engine's own
-        :attr:`report`)."""
-        return tuple(self._observers)
-
-    # ------------------------------------------------------------------
     @property
     def core(self) -> ExecutionCore:
         """The execution layer: process advancement and metering."""
@@ -311,12 +290,6 @@ class SyncNetwork:
 
     def terminated_set(self) -> frozenset[int]:
         return self._core.terminated_set()
-
-    def maybe_reseed(self) -> None:
-        """Honour a pending ``reseed_at`` fork point for the current round."""
-        if self._reseed_at is not None and self.round == self._reseed_at[0]:
-            self._core.reseed(self._reseed_at[1])
-            self._reseed_at = None
 
     def _apply_adversary(self, batch: MessageBatch) -> tuple[int, ...]:
         """Communication phase: let the adversary corrupt and omit.
@@ -385,7 +358,7 @@ class SyncNetwork:
             corrupt=frozenset(action.corrupt) | transport_faults,
             omit=frozenset(omit),
         )
-        for observer in self._observers:
+        for observer in self.observers:
             observer.on_adversary_action(self.round, view, canonical, self)
         return omit
 
@@ -436,7 +409,6 @@ class SyncNetwork:
             for observer in observers:
                 observer.on_run_start(self)
             while core.live_count > 0:
-                self.maybe_reseed()
                 if self.round >= self.max_rounds:
                     raise LockstepError(
                         f"protocol did not terminate within {self.max_rounds} "

@@ -206,12 +206,3 @@ def idle_rounds(env: ProcessEnv, rounds: int) -> Program:
     for _ in range(rounds):
         yield
     return None
-
-
-def receive_round(env: ProcessEnv) -> Program:
-    """Consume one round without sending; generator returns the inbox.
-
-    Usage: ``inbox = yield from receive_round(env)``.
-    """
-    inbox = yield
-    return inbox

@@ -1,29 +1,22 @@
 """JSON serialization of execution results.
 
-Long experiment campaigns want to run once and analyze offline;
-this module round-trips the substrate's result objects through plain JSON:
+:func:`result_to_dict` writes an :class:`ExecutionResult` as plain JSON
+primitives (metrics, decisions, faulty set, per-process randomness,
+decision rounds; the run's :class:`~repro.runtime.report.RunReport` has
+its own ``to_dict``).  Replay recipes and the CLI's ``--json`` embed it.
 
-* :func:`result_to_dict` / :func:`result_from_dict` — full
-  :class:`ExecutionResult` fidelity (metrics, decisions, faulty set,
-  per-process randomness, decision rounds; the run's
-  :class:`~repro.runtime.report.RunReport` has its own ``to_dict``);
-* :func:`save_result` / :func:`load_result` — file helpers.
+Every payload carries a ``"schema"`` field (:data:`SCHEMA_VERSION`).
+:func:`check_schema` accepts the current schema plus the explicitly
+listed legacy versions, and rejects anything else with a
+:class:`ValueError` naming the version.  Bump :data:`SCHEMA_VERSION`
+whenever a payload's shape changes incompatibly.
 
-Every payload carries a ``"schema"`` field (:data:`SCHEMA_VERSION`).  The
-readers accept the current schema plus the explicitly listed legacy
-versions, and reject anything else with a :class:`ValueError` naming the
-version — never a ``KeyError`` from a silently missing field.  Bump
-:data:`SCHEMA_VERSION` whenever a payload's shape changes incompatibly.
-
-Decision values are JSON-encoded as-is, so protocols whose decisions are
-ints/strings/lists round-trip exactly; tuples come back as lists (JSON has
-no tuple type) — normalize in the protocol if that distinction matters.
+Decision values are JSON-encoded as-is; tuples are written as lists (JSON
+has no tuple type).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any
 
 from .engine import ExecutionResult
@@ -74,27 +67,6 @@ def metrics_to_dict(metrics: Metrics) -> dict[str, Any]:
     }
 
 
-def metrics_from_dict(data: dict[str, Any]) -> Metrics:
-    if "schema" in data:
-        check_schema(data, "metrics")
-    metrics = Metrics(
-        rounds=data["rounds"],
-        messages_sent=data["messages_sent"],
-        messages_delivered=data["messages_delivered"],
-        messages_omitted=data["messages_omitted"],
-        # Absent in files written before the lost-traffic counters existed.
-        messages_lost=data.get("messages_lost", 0),
-        bits_sent=data["bits_sent"],
-        bits_delivered=data["bits_delivered"],
-        bits_lost=data.get("bits_lost", 0),
-        random_calls=data["random_calls"],
-        random_bits=data["random_bits"],
-    )
-    metrics.messages_per_round = list(data["messages_per_round"])
-    metrics.bits_per_round = list(data["bits_per_round"])
-    return metrics
-
-
 def result_to_dict(result: ExecutionResult) -> dict[str, Any]:
     """Serialize an :class:`ExecutionResult` to JSON-safe primitives."""
     return {
@@ -113,38 +85,3 @@ def result_to_dict(result: ExecutionResult) -> dict[str, Any]:
             for pid, round_no in result.decision_rounds.items()
         },
     }
-
-
-def result_from_dict(data: dict[str, Any]) -> ExecutionResult:
-    """Rebuild an :class:`ExecutionResult` from :func:`result_to_dict`."""
-    check_schema(data, "result")
-    return ExecutionResult(
-        n=data["n"],
-        decisions={int(pid): value for pid, value in data["decisions"].items()},
-        metrics=metrics_from_dict(data["metrics"]),
-        faulty=frozenset(data["faulty"]),
-        all_terminated=data["all_terminated"],
-        rounds=data["rounds"],
-        randomness_per_process=[
-            tuple(pair) for pair in data["randomness_per_process"]
-        ],
-        decision_rounds={
-            int(pid): round_no
-            for pid, round_no in data["decision_rounds"].items()
-        },
-    )
-
-
-def save_result(result: ExecutionResult, path: str | Path) -> None:
-    """Write an execution result as JSON."""
-    Path(path).write_text(
-        json.dumps(result_to_dict(result), indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-
-
-def load_result(path: str | Path) -> ExecutionResult:
-    """Read an execution result written by :func:`save_result`."""
-    return result_from_dict(
-        json.loads(Path(path).read_text(encoding="utf-8"))
-    )

@@ -161,7 +161,6 @@ class RemoteExecutionCore(ExecutionCore):
         "_token",
         "_faults",
         "_samples",
-        "_pending_reseed",
         "_closed",
     )
 
@@ -176,7 +175,6 @@ class RemoteExecutionCore(ExecutionCore):
         super().__init__(processes, seed=seed)
         self._faults: set[int] = set()
         self._samples: list[LinkSample] = []
-        self._pending_reseed: int | None = None
         self._closed = False
         self._server: socket.socket | None = None
         self._token = os.urandom(16).hex()
@@ -327,8 +325,6 @@ class RemoteExecutionCore(ExecutionCore):
     # ------------------------------------------------------------------
     # Per-round execution
     def advance(self, round_no: int) -> MessageBatch:
-        reseed = self._pending_reseed
-        self._pending_reseed = None
         timeout = self._settings["link_timeout_s"]
         # socket -> (link index, send time, frame bytes) of the replies
         # awaited; insertion is in link order, so the first entry holds
@@ -350,9 +346,7 @@ class RemoteExecutionCore(ExecutionCore):
                 continue
             sock = link.sock
             assert sock is not None
-            data = encode_frame(
-                ("step", {"round": round_no, "reseed": reseed, "inboxes": inbox_map})
-            )
+            data = encode_frame(("step", {"round": round_no, "inboxes": inbox_map}))
             started = time.monotonic()
             try:
                 sock.settimeout(timeout)
@@ -438,12 +432,6 @@ class RemoteExecutionCore(ExecutionCore):
 
     # ------------------------------------------------------------------
     # Transport surface consumed by SyncNetwork
-    def reseed(self, fork_seed: int) -> None:
-        # Applied by each worker before its next local-computation phase —
-        # the same reseed-before-advance point as the in-process core
-        # (maybe_reseed precedes advance in every round).
-        self._pending_reseed = fork_seed
-
     def drain_faults(self) -> frozenset[int]:
         faults = frozenset(self._faults)
         self._faults.clear()

@@ -48,7 +48,6 @@ class ProcessShard:
         # Index the full derivation table by hosted pid: randomness is a
         # function of (seed, pid), never of worker placement.
         seeds = derive_seeds(seed, n, salt="process-randomness")
-        self.n = n
         self.pids = [process.pid for process in processes]
         self.sources: dict[int, CountingRandom] = {}
         self.envs: dict[int, ProcessEnv] = {}
@@ -61,18 +60,9 @@ class ProcessShard:
             self.envs[pid] = env
             self.programs[pid] = process.program(env)
 
-    def step(
-        self,
-        round_no: int,
-        inboxes: Mapping[int, InboxColumns],
-        reseed: int | None,
-    ) -> dict[str, Any]:
+    def step(self, round_no: int, inboxes: Mapping[int, InboxColumns]) -> dict[str, Any]:
         """One local-computation phase over the hosted live processes;
         ``inboxes`` holds every hosted live pid's inbox, by column."""
-        if reseed is not None:
-            fork_seeds = derive_seeds(reseed, self.n, salt="fork")
-            for pid, source in self.sources.items():
-                source.reseed(fork_seeds[pid])
         records: list[MessageRecord] = []
         terminated: list[int] = []
         for pid in self.pids:
@@ -176,9 +166,7 @@ def main(
                 return
             if kind != "step":
                 raise TransportError(f"expected step frame, got {kind!r}")
-            out = shard.step(
-                payload["round"], payload["inboxes"], payload["reseed"]
-            )
+            out = shard.step(payload["round"], payload["inboxes"])
             send_frame(sock, ("out", out))
     except (ConnectionError, BrokenPipeError):
         return  # the coordinator went away; nothing useful to report

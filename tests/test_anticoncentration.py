@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lowerbound import (
-    adversary_cost_to_cancel,
     deviation_probability,
     lemma9_lower_bound,
     verify_lemma9,
@@ -72,20 +71,3 @@ class TestLemma9:
         t = fraction * math.sqrt(n) / 8.0
         exact = deviation_probability(n, t)
         assert exact >= lemma9_lower_bound(t)
-
-
-class TestAdversaryCost:
-    def test_scales_like_sqrt_n(self):
-        small = adversary_cost_to_cancel(64)
-        large = adversary_cost_to_cancel(4096)
-        # sqrt(4096/64) = 8; allow slack for the discrete quantile.
-        assert 4 <= large / max(1, small) <= 12
-
-    def test_higher_quantile_means_lower_cost(self):
-        assert adversary_cost_to_cancel(256, 0.45) <= adversary_cost_to_cancel(
-            256, 0.05
-        )
-
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError):
-            adversary_cost_to_cancel(64, 0.0)

@@ -84,6 +84,21 @@ def test_run_json_output(capsys):
     }
 
 
+def test_run_reports_only_a_fallback_that_ran(capsys):
+    """``fallback`` is the campaign records' flag: operative processes ran
+    Dolev-Strong.  Under ``balance`` at n=144, seed 1, silenced processes
+    only wait for the decision broadcast, which is not a fallback."""
+    import json
+
+    argv = ["run", "--n", "144", "--adversary", "balance", "--seed", "1"]
+    assert main([*argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fallback"] is False
+    assert "used_fallback" not in payload
+    assert main(argv) == 0
+    assert "fallback      : False" in capsys.readouterr().out.splitlines()
+
+
 def test_run_prints_one_phases_line(capsys):
     assert main(["run", "--n", "16", "--seed", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()

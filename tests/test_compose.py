@@ -1,15 +1,8 @@
-"""Tests for the adversary combinators."""
+"""Tests for the adversary combinator."""
 
 import pytest
 
-from repro.adversary import (
-    RecordingAdversary,
-    SequentialAdversary,
-    SilenceAdversary,
-    StaticCrashAdversary,
-    ThrottledAdversary,
-    UnionAdversary,
-)
+from repro.adversary import SequentialAdversary, SilenceAdversary
 from repro.runtime import ProcessEnv, SyncNetwork, SyncProcess
 
 
@@ -53,88 +46,3 @@ class TestSequential:
             SequentialAdversary(
                 [SilenceAdversary([0])] * 3, boundaries=[5, 5]
             )
-
-
-class TestUnion:
-    def test_merges_corruptions_and_omissions(self):
-        adversary = UnionAdversary(
-            [SilenceAdversary([0]), SilenceAdversary([1])]
-        )
-        result, processes = run(adversary, t=2)
-        assert result.faulty == frozenset({0, 1})
-        listener = processes[5]
-        assert listener.heard[1].isdisjoint({0, 1})
-
-    def test_budget_shared(self):
-        adversary = UnionAdversary(
-            [SilenceAdversary([0, 1]), SilenceAdversary([2, 3])]
-        )
-        result, _ = run(adversary, t=3)
-        assert len(result.faulty) == 3
-
-    def test_dropped_corruption_cannot_omit(self):
-        """A strategy whose corruption was budget-dropped must not leave
-        illegal omissions behind (the engine would reject the action)."""
-        adversary = UnionAdversary(
-            [SilenceAdversary([0]), SilenceAdversary([1])]
-        )
-        result, _ = run(adversary, t=1)
-        assert result.faulty == frozenset({0})
-
-    def test_requires_parts(self):
-        with pytest.raises(ValueError):
-            UnionAdversary([])
-
-
-class TestThrottled:
-    def test_per_round_cap(self):
-        inner = SilenceAdversary([0, 1, 2])
-        recording = RecordingAdversary(ThrottledAdversary(inner, 1))
-        result, _ = run(recording, t=3)
-        per_round = [len(action.corrupt) for _, action in recording.actions]
-        assert max(per_round) <= 1
-        # SilenceAdversary only corrupts in round 0, so the throttle leaves
-        # just one victim corrupted in total.
-        assert result.faulty == frozenset({0})
-
-    def test_zero_cap_blocks_everything(self):
-        adversary = ThrottledAdversary(SilenceAdversary([0, 1]), 0)
-        result, _ = run(adversary, t=2)
-        assert result.faulty == frozenset()
-        assert result.metrics.messages_omitted == 0
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            ThrottledAdversary(SilenceAdversary([0]), -1)
-
-
-class TestRecording:
-    def test_records_every_round(self):
-        recording = RecordingAdversary(StaticCrashAdversary({2: [0]}))
-        result, _ = run(recording, t=1)
-        assert len(recording.actions) == result.metrics.rounds
-        assert recording.total_corruptions() == 1
-        assert recording.total_omissions() == result.metrics.messages_omitted
-
-
-class TestThrottledRecordingComposition:
-    def test_recorded_totals_match_metrics_through_throttle(self):
-        """Recording outside a throttle sees the *capped* schedule, so its
-        totals must equal the engine's metrics, not the inner intent."""
-        inner = SilenceAdversary([0, 1, 2])
-        recording = RecordingAdversary(ThrottledAdversary(inner, 1))
-        result, _ = run(recording, t=3)
-        assert recording.total_corruptions() == 1
-        assert recording.total_corruptions() == len(result.faulty)
-        assert recording.total_omissions() == result.metrics.messages_omitted
-
-    def test_scripted_replay_of_recorded_composition(self):
-        """A recorded composed schedule replays to the identical result."""
-        recording = RecordingAdversary(
-            ThrottledAdversary(SilenceAdversary([0, 1, 2]), 1)
-        )
-        result, _ = run(recording, t=3)
-        replayed, _ = run(recording.scripted(), t=3)
-        assert replayed.faulty == result.faulty
-        assert replayed.metrics.summary() == result.metrics.summary()
-        assert replayed.decisions == result.decisions

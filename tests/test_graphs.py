@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.graphs import SpreadingGraph, gnp_edges, spreading_graph
 
 
+def adjacency(graph: SpreadingGraph) -> list[frozenset[int]]:
+    return [graph.neighbors(v) for v in range(graph.n)]
+
+
 class TestSpreadingGraph:
     def test_empty(self):
         graph = SpreadingGraph(3, [])
@@ -32,11 +36,6 @@ class TestSpreadingGraph:
         with pytest.raises(ValueError):
             SpreadingGraph(3, [(0, 3)])
 
-    def test_edges_iterates_once(self):
-        edges = [(0, 1), (1, 2), (0, 2)]
-        graph = SpreadingGraph(3, edges)
-        assert sorted(graph.edges()) == sorted(edges)
-
     def test_internal_edge_count(self):
         graph = SpreadingGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert graph.internal_edge_count({0, 1, 2}) == 2
@@ -46,10 +45,6 @@ class TestSpreadingGraph:
         graph = SpreadingGraph(4, [(0, 2), (0, 3), (1, 2)])
         assert graph.edges_between({0, 1}, {2, 3}) == 3
         assert graph.edges_between({0}, {1}) == 0
-
-    def test_degree_within(self):
-        graph = SpreadingGraph(4, [(0, 1), (0, 2), (0, 3)])
-        assert graph.degree_within(0, frozenset({1, 2})) == 2
 
 
 class TestGnpEdges:
@@ -94,12 +89,12 @@ class TestSpreadingGraphConstruction:
     def test_deterministic_in_inputs(self):
         a = spreading_graph(64, 12, seed=3)
         b = spreading_graph(64, 12, seed=3)
-        assert sorted(a.edges()) == sorted(b.edges())
+        assert adjacency(a) == adjacency(b)
 
     def test_seed_changes_graph(self):
         a = spreading_graph(64, 12, seed=3)
         b = spreading_graph(64, 12, seed=4)
-        assert sorted(a.edges()) != sorted(b.edges())
+        assert adjacency(a) != adjacency(b)
 
     def test_degree_concentrates_near_delta(self):
         delta = 24

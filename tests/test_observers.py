@@ -24,7 +24,7 @@ from repro.runtime import (
     SyncNetwork,
     result_to_dict,
 )
-from repro.runtime.process import SyncProcess, receive_round
+from repro.runtime.process import SyncProcess
 
 
 class PingPong(SyncProcess):
@@ -32,9 +32,9 @@ class PingPong(SyncProcess):
 
     def program(self, env):
         env.broadcast(("ping",))
-        yield from receive_round(env)
+        yield
         env.broadcast(("pong",))
-        yield from receive_round(env)
+        yield
         env.decide(1)
 
 
@@ -110,17 +110,16 @@ def test_observers_see_adversary_omissions():
     assert omitted > 0
 
 
-def test_add_observer_is_chainable_and_listed():
+def test_constructor_observers_are_listed():
     log = HookLog()
-    network = SyncNetwork([PingPong(pid, 2) for pid in range(2)])
-    assert network.add_observer(log) is network
-    assert log in network.observers
+    network = SyncNetwork([PingPong(pid, 2) for pid in range(2)], observers=[log])
+    assert network.observers == (network.report, log)
     network.run()
     assert log.calls[0] == ("run_start",)
 
 
 def test_observer_order_follows_attachment_order():
-    """Constructor observers run before ones attached via add_observer."""
+    """Observers run in the order ``observers=`` lists them."""
     order = []
 
     class Tail(RoundObserver):
@@ -132,12 +131,11 @@ def test_observer_order_follows_attachment_order():
 
     network = SyncNetwork(
         [PingPong(pid, 2) for pid in range(2)],
-        observers=[Tail("constructor")],
+        observers=[Tail("first"), Tail("second")],
     )
-    network.add_observer(Tail("added"))
     network.run()
     rounds = network.metrics.rounds
-    assert order == ["constructor", "added"] * rounds
+    assert order == ["first", "second"] * rounds
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,18 @@
 """Tests for the probabilistic valency machinery (Pr(H, A) bands)."""
 
+import itertools
 import math
 
 import pytest
 
 from repro.lowerbound import (
     BIVALENT,
-    NULL_VALENT,
     ONE_VALENT,
     ZERO_VALENT,
     CoinVotingProtocol,
     FloodMinProtocol,
     classify_all_inputs,
     classify_state,
-    lemma13_probabilistic_witness,
     probability_band,
     reachable_outcomes,
 )
@@ -86,9 +85,8 @@ class TestClassification:
         adversary can push the outcome probability both above 1-eps and
         below eps (Lemma 13's content)."""
         protocol = CoinVotingProtocol(n=3, max_rounds=3)
-        witness = lemma13_probabilistic_witness(protocol, t=1, epsilon=0.2)
-        assert witness is not None
-        assert witness.classification in (BIVALENT, NULL_VALENT)
+        witness = classify_state(protocol, (0, 1, 1), t=1, epsilon=0.2)
+        assert witness.classification == BIVALENT
         assert witness.sup_probability > 0.8
         assert witness.inf_probability < 0.2
 
@@ -98,9 +96,10 @@ class TestClassification:
         the lemma's statement ('if the adversary can control one
         process')."""
         protocol = CoinVotingProtocol(n=2, max_rounds=2)
-        witness = lemma13_probabilistic_witness(protocol, t=0, epsilon=0.05)
-        if witness is not None:
-            assert witness.classification == NULL_VALENT
+        for inputs in itertools.product((0, 1), repeat=2):
+            result = classify_state(protocol, inputs, t=0, epsilon=0.05)
+            assert result.inf_probability == result.sup_probability
+            assert result.classification != BIVALENT
 
 
 class TestOneSearchTwoClassifiers:

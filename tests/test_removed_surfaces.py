@@ -19,14 +19,20 @@ import pytest
 
 from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.fabric import CampaignCache, CellId
+from repro.graphs import SpreadingGraph
 from repro.harness import execute
+from repro.lowerbound import CoinGamePoint, Lemma9Check
 from repro.replay import ShrinkResult, load_recipe, record, replay
 from repro.runtime import (
     Adversary,
+    CountingRandom,
+    ExecutionCore,
     MessageBatch,
     NetworkView,
     SyncNetwork,
 )
+from repro.transport.tcp import RemoteExecutionCore
+from repro.transport.worker import ProcessShard
 
 INPUTS = [0, 1, 1, 0, 1]
 SPEC = CampaignSpec("removed", "ben-or", ns=(5,))
@@ -117,7 +123,36 @@ REMOVED_CALLS = {
             for seed in (0, 1)
         ),
     ),
+    # No rollout fork: a run's coins come from its seed alone.
+    "SyncNetwork(reseed_at=)": (
+        TypeError, lambda: SyncNetwork([], reseed_at=(1, 2))
+    ),
+    "ProcessShard.step(round, inboxes, reseed)": (
+        TypeError, lambda: ProcessShard.step(None, 0, {}, None)
+    ),
 }
+# Methods and properties that only the rollout fork or tests called.
+REMOVED_CALLS.update(
+    {
+        f"{owner.__name__}.{attribute}": (
+            AttributeError,
+            lambda owner=owner, attribute=attribute: getattr(owner, attribute),
+        )
+        for owner, attributes in (
+            (SyncNetwork, ("add_observer", "maybe_reseed")),
+            (ExecutionCore, ("reseed",)),
+            (RemoteExecutionCore, ("reseed",)),
+            (
+                CountingRandom,
+                ("reseed", "randrange", "uniform", "choice", "sample", "shuffle"),
+            ),
+            (SpreadingGraph, ("edges", "degree_within")),
+            (Lemma9Check, ("slack",)),
+            (CoinGamePoint, ("ratio",)),
+        )
+        for attribute in attributes
+    }
+)
 
 
 @pytest.mark.parametrize("surface", sorted(REMOVED_CALLS))
@@ -136,6 +171,7 @@ REMOVED_PACKAGES = frozenset(
         "repro.runtime.models",
         "repro.transport.base",
         "repro.transport.inprocess",
+        "repro.lowerbound.rollout_adversary",
     }
 )
 
@@ -288,6 +324,52 @@ REMOVED_PACKAGES = frozenset(
         ("repro.transport.tcp", "TcpTransport"),
         ("repro.transport.base", "Transport"),
         ("repro.transport.inprocess", "InProcessTransport"),
+        # The rollout fork (its reseed plumbing is pinned in REMOVED_CALLS)
+        # and what the census found only tests called.
+        *(
+            (module, name)
+            for module, names in (
+                (
+                    "repro.lowerbound",
+                    (
+                        "RolloutValencyAdversary", "RolloutConfig",
+                        "replay_prefix", "KeepSilencingFaulty",
+                        "lemma13_probabilistic_witness",
+                        "adversary_cost_to_cancel",
+                    ),
+                ),
+                ("repro.lowerbound.rollout_adversary", ("RolloutValencyAdversary",)),
+                ("repro.lowerbound.prob_valency", ("lemma13_probabilistic_witness",)),
+                ("repro.lowerbound.anticoncentration", ("adversary_cost_to_cancel",)),
+                (
+                    "repro.adversary",
+                    ("UnionAdversary", "ThrottledAdversary", "RecordingAdversary"),
+                ),
+                (
+                    "repro.adversary.compose",
+                    ("UnionAdversary", "ThrottledAdversary", "RecordingAdversary"),
+                ),
+                ("repro.graphs", ("dense_neighborhood_layers",)),
+                ("repro.graphs.cores", ("dense_neighborhood_layers",)),
+                (
+                    "repro.runtime",
+                    (
+                        "metrics_from_dict", "result_from_dict",
+                        "save_result", "load_result", "receive_round",
+                    ),
+                ),
+                (
+                    "repro.runtime.serialization",
+                    (
+                        "metrics_from_dict", "result_from_dict",
+                        "save_result", "load_result",
+                    ),
+                ),
+                ("repro.runtime.process", ("receive_round",)),
+                ("repro.runtime.randomness", ("_range_bits",)),
+            )
+            for name in names
+        ),
     ],
 )
 def test_removed_name_is_not_importable(module, name):
@@ -427,9 +509,9 @@ def test_cli_observer_flag_is_gone(argv, capsys):
     assert flag in capsys.readouterr().err
 
 
-def test_engine_is_constructed_at_the_front_door_and_three_fixtures():
+def test_engine_is_constructed_at_the_front_door_and_two_fixtures():
     """``SyncNetwork(...)`` call sites under ``src/repro`` outside the
-    engine's own package: ``run_config`` and the three designated fixtures
+    engine's own package: ``run_config`` and the two designated fixtures
     (each says why at its call).  A new site bypasses the registry's
     transport axis, option normalization and record/replay — route it through
     ``repro.harness.execute`` or add it here on purpose."""
@@ -448,7 +530,6 @@ def test_engine_is_constructed_at_the_front_door_and_three_fixtures():
         "harness/registry.py",
         "analysis/conformance.py",
         "analysis/report.py",
-        "lowerbound/rollout_adversary.py",
     }
 
 
