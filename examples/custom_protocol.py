@@ -2,9 +2,10 @@
 
 Implements a small consensus protocol from scratch on the substrate — a
 quorum-confirmation protocol in the spirit of the omission-fault folklore —
-and immediately puts it through the repository's conformance battery
-(agreement / validity / termination across the adversary gallery), then
-compares its cost against Algorithm 1 on the same workload.
+registers it as a ``ProtocolSpec``, and immediately puts it through the
+repository's conformance battery (agreement / validity / termination
+checked in-run across the adversary gallery), then compares its cost
+against Algorithm 1 on the same workload, both by name.
 
 The protocol ("ConfirmedMajority", t+2 phases of 2 rounds):
 
@@ -24,10 +25,15 @@ Run:  python examples/custom_protocol.py
 
 from __future__ import annotations
 
-from repro.analysis import check_consensus_protocol
-from repro.harness import execute
+from repro.harness import (
+    ExecutionConfig,
+    ProtocolSpec,
+    execute,
+    register_protocol,
+)
 from repro.params import ProtocolParams
-from repro.runtime import ProcessEnv, Program, SyncNetwork, SyncProcess
+from repro.replay import check_consensus_protocol
+from repro.runtime import ProcessEnv, Program, SyncProcess
 
 
 class ConfirmedMajority(SyncProcess):
@@ -82,9 +88,15 @@ class ConfirmedMajority(SyncProcess):
         return None
 
 
-def factory(inputs, t):
-    n = len(inputs)
-    return [ConfirmedMajority(pid, n, inputs[pid], t) for pid in range(n)]
+register_protocol(ProtocolSpec(
+    name="confirmed-majority",
+    summary="quorum-confirmation consensus (examples/custom_protocol.py)",
+    build=lambda config: ([
+        ConfirmedMajority(pid, config.n, bit, config.t)
+        for pid, bit in enumerate(config.inputs)
+    ], config.t),
+    sweepable=False,
+), replace=True)
 
 
 def main() -> None:
@@ -92,18 +104,21 @@ def main() -> None:
 
     print("running the conformance battery "
           "(4 input scenarios x 5 adversaries x 2 seeds)...")
-    report = check_consensus_protocol(factory, n=n, t=t, seeds=(0, 1))
-    print(report.summary())
-    if not report.passed:
-        print("\nthe battery caught a defect — fix before trusting it!")
+    failing = check_consensus_protocol(
+        ExecutionConfig("confirmed-majority", n=n, t=t), seeds=(0, 1)
+    )
+    for recipe in failing:
+        print(f"  FAIL {recipe.note}: {recipe.expected_failure}")
+    if failing:
+        print("\nthe battery caught a defect — each failing cell's shrunk "
+              "recipe is saved under counterexamples/; fix before trusting "
+              "it!")
         return
+    print("every cell passed")
 
     # Cost comparison against the paper's algorithm on one workload.
-    # This example deliberately drives the raw engine; registered
-    # protocols should go through repro.harness.execute() instead.
     inputs = [pid % 2 for pid in range(n)]
-    network = SyncNetwork(factory(inputs, t), t=t, seed=3)
-    custom = network.run()
+    custom = execute("confirmed-majority", inputs, t=t, seed=3).result
     custom.agreement_value()
     paper = execute("algorithm1", inputs, t=t,
                     params=ProtocolParams.practical(), seed=3)

@@ -31,7 +31,7 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.adversary import RandomOmissionAdversary, SilenceAdversary
-from repro.harness import execute
+from repro.harness import ExecutionConfig, execute
 from repro.params import ProtocolParams
 from repro.transport import available_transports
 
@@ -131,17 +131,18 @@ def run_service(
         if verify_replay:
             from repro.replay import record, replay
 
-            recorded = record(
+            config = ExecutionConfig(
                 "multivalued",
                 proposals,
-                value_bits=VALUE_BITS,
                 t=t,
-                adversary=slot_adversary,
                 params=params,
                 seed=500 + slot,
+                options={"value_bits": VALUE_BITS},
                 transport=transport,
                 transport_options=transport_options,
-                note=f"SMR service slot {slot}",
+            )
+            recorded = record(
+                config, slot_adversary, note=f"SMR service slot {slot}"
             )
             if recorded.failed:
                 raise AssertionError(

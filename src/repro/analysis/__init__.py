@@ -14,11 +14,6 @@ from .campaign import (
     save_campaign,
     summarize_campaign,
 )
-from .conformance import (
-    ConformanceReport,
-    ScenarioResult,
-    check_consensus_protocol,
-)
 from .fits import least_squares_slope, loglog_slope
 from .sparkline import render_series, sparkline
 from .montecarlo import wilson_interval
@@ -37,9 +32,6 @@ __all__ = [
     "run_campaign",
     "save_campaign",
     "summarize_campaign",
-    "ConformanceReport",
-    "ScenarioResult",
-    "check_consensus_protocol",
     "render_series",
     "sparkline",
     "wilson_interval",

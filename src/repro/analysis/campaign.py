@@ -174,20 +174,17 @@ def _run_cell(
             record["transport_options"] = dict(config.transport_options)
 
     if record_failures is not None:
-        from ..replay import record_config, save_recipe
+        from .. import replay
 
-        recorded = record_config(
+        recorded = replay.record(
             config,
             adversary,
-            note=(
-                f"campaign {spec.name}: n={n} "
-                f"adversary={adversary_name} seed={seed}"
-            ),
+            note=f"campaign {spec.name}: n={n} adversary={adversary_name} seed={seed}",
         )
         if recorded.failed:
-            stem = f"{spec.protocol}-n{n}-{adversary_name}-seed{seed}"
-            path = save_recipe(
-                recorded.recipe, Path(record_failures) / f"{stem}.json"
+            path = replay.save_failure(
+                recorded.recipe, record_failures,
+                f"{spec.protocol}-n{n}-{adversary_name}-seed{seed}",
             )
             record.update(
                 failed=True,

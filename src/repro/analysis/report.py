@@ -34,6 +34,8 @@ import time
 from pathlib import Path
 
 from ..adversary import (
+    GALLERY,
+    ChaosAdversary,
     RandomOmissionAdversary,
     SilenceAdversary,
     StaticCrashAdversary,
@@ -55,7 +57,7 @@ from ..graphs import (
     spreading_graph,
     subgraph_diameter,
 )
-from ..harness import execute
+from ..harness import ExecutionConfig, ProtocolSpec, available_protocols, execute, protocol_spec
 from ..lowerbound import (
     classify_all_inputs,
     FloodMinProtocol,
@@ -65,7 +67,8 @@ from ..lowerbound import (
     verify_threshold_inequality,
 )
 from ..params import ProtocolParams
-from ..runtime import CountingRandom, SyncNetwork, SyncProcess
+from ..replay import SCENARIOS, check_consensus_protocol
+from ..runtime import CountingRandom, SyncProcess
 from . import theory
 from .campaign import CampaignSpec, mixed_inputs, run_campaign
 from .fits import loglog_slope
@@ -199,13 +202,24 @@ class _Aggregator(SyncProcess):
         return None
 
 
+def _adhoc(process, *args):
+    """An unregistered spec running ``process(pid, n, *args)`` per pid
+    through ``execute`` (budget 0 unless the call sets ``t``)."""
+    return ProtocolSpec(
+        "adhoc", "ad hoc harness processes",
+        build=lambda config: (
+            [process(pid, config.n, *args) for pid in range(config.n)], config.t
+        ),
+        default_t=lambda n, params: 0, sweepable=False, uses_inputs=False,
+    )
+
+
 def aggregation(sizes, silenced_sizes):
     """Figure 2: one tree aggregation per group size m, fault-free, then
     with the first m/8 members silenced."""
     values: dict = {}
     for m in sizes:
-        # Engine fixture: ad hoc harness processes, not a registered protocol.
-        result = SyncNetwork([_Aggregator(pid, m) for pid in range(m)]).run()
+        result = execute(_adhoc(_Aggregator), n=m).result
         truth = (m // 2, (m + 1) // 2)
         _append(
             values, rounds=result.rounds,
@@ -219,11 +233,10 @@ def aggregation(sizes, silenced_sizes):
     values["size_growth_cubed"] = (sizes[-1] / sizes[0]) ** 3
     for m in silenced_sizes:
         silenced = max(1, m // 8)
-        # Engine fixture, as above.
-        result = SyncNetwork(
-            [_Aggregator(pid, m) for pid in range(m)],
-            adversary=SilenceAdversary(range(silenced)), t=silenced, seed=m,
-        ).run()
+        result = execute(
+            _adhoc(_Aggregator), n=m, t=silenced,
+            adversary=SilenceAdversary(range(silenced)), seed=m,
+        ).result
         totals = [o + z for o, z, alive in result.decisions.values() if alive]
         _append(values, silenced=silenced,
                 view_spread=max(totals) - min(totals),
@@ -629,10 +642,7 @@ def spreading_rounds(n, delta, seed, rounds):
     graph = spreading_graph(n, delta, seed=seed)
     coverage = []
     for budget in rounds:
-        # Engine fixture: ad hoc harness processes, not a registered protocol.
-        result = SyncNetwork(
-            [_Spreader(pid, n, graph, budget) for pid in range(n)], seed=seed
-        ).run()
+        result = execute(_adhoc(_Spreader, graph, budget), n=n, seed=seed).result
         coverage.append(sum(result.decisions.values()) / (n * n))
     return {"coverage": coverage}
 
@@ -686,13 +696,34 @@ def multivalued(n, widths, seed, trials, proposal_seed, validity_seed):
     return values
 
 
+def conformance(protocols, adversaries, seeds):
+    """Section 2's definition, checked in-run: the property battery
+    (:func:`repro.replay.check_consensus_protocol`) on each ``[name, n,
+    t]`` under the named ``GALLERY`` adversaries plus ``chaos``."""
+    gallery = {
+        **GALLERY, "chaos": lambda n, t, seed: ChaosAdversary(seed=seed),
+    }
+    chosen = {name: gallery[name] for name in adversaries}
+    values: dict = {"failing": []}
+    for name, n, t in protocols:
+        failing = check_consensus_protocol(ExecutionConfig(name, n=n, t=t), chosen, seeds)
+        scenarios = len(SCENARIOS) if protocol_spec(name).uses_inputs else 1
+        _append(values, cells=scenarios * len(chosen) * len(seeds), violations=len(failing))
+        values["failing"] += [
+            f"{name}: {r.expected_failure['invariant']} ({r.note})" for r in failing
+        ]
+    unlisted = set(available_protocols(sweepable=True)) - {p[0] for p in protocols}
+    values["uncovered"] = len(unlisted)
+    return values
+
+
 MEASURES = {
     function.__name__: function
     for function in (
         table1, overlay, aggregation, vote_rule, scaling, lower_bound,
         tradeoff, baselines, lemma9, amortization, early_stopping, trb,
         epoch_budget, threshold_gap, spreading_rounds, overlay_degree,
-        multivalued,
+        multivalued, conformance,
     )
 }
 

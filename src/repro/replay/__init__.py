@@ -4,9 +4,9 @@ The engine makes every execution a deterministic function of (protocol,
 seeds, adversary action sequence); this package turns that property into
 tooling:
 
-* :func:`record` — run any registered protocol while capturing an
-  :class:`ExecutionRecipe` (seeds, parameters, every validated adversary
-  action) plus the run's full result fingerprint;
+* :func:`record` — run an :class:`~repro.harness.ExecutionConfig` while
+  capturing an :class:`ExecutionRecipe` (seeds, parameters, every
+  validated adversary action) plus the run's full result fingerprint;
 * :func:`replay` — re-execute a recipe through the harness with a
   :class:`~repro.adversary.ScriptedAdversary` and verify byte-identical
   metrics and decisions;
@@ -16,8 +16,9 @@ tooling:
 * :func:`shrink_recipe` — ddmin the adversary schedule of a failing
   recipe down to a locally minimal counterexample, re-validating each
   candidate by replay;
-* :func:`run_checked` — the fuzzing entry point: record with invariants
-  on, and on violation shrink + save the recipe before re-raising.
+* :func:`check_consensus_protocol` — the property battery: record every
+  (input scenario, adversary, seed) cell of a registered protocol with
+  invariants on; shrink, save and return the failing recipes.
 
 Recipes serialize through :func:`save_recipe` / :func:`load_recipe`
 (schema-tagged JSON, same versioning as ``repro.runtime.serialization``).
@@ -30,6 +31,7 @@ from .recipe import (
     load_recipe,
     recipe_from_payload,
     recipe_payload,
+    save_failure,
     save_recipe,
 )
 from .runner import (
@@ -37,11 +39,11 @@ from .runner import (
     RecipeRecorder,
     RecordedRun,
     ReplayReport,
+    SCENARIOS,
+    check_consensus_protocol,
     counterexample_dir,
     record,
-    record_config,
     replay,
-    run_checked,
 )
 from .shrink import ShrinkResult, shrink_recipe
 
@@ -54,15 +56,16 @@ __all__ = [
     "RecipeRecorder",
     "RecordedRun",
     "ReplayReport",
+    "SCENARIOS",
     "ShrinkResult",
+    "check_consensus_protocol",
     "counterexample_dir",
     "load_recipe",
     "record",
-    "record_config",
     "recipe_from_payload",
     "recipe_payload",
     "replay",
-    "run_checked",
+    "save_failure",
     "save_recipe",
     "shrink_recipe",
 ]

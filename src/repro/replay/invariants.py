@@ -11,9 +11,10 @@ round and a human-readable detail — the moment a check fails:
 * **conservation** — metering balances *per round*: the messages sent in
   each round equal that round's delivered + omitted + lost (the metering
   identity pinned in :mod:`repro.runtime.metrics`, with omission taking
-  precedence over loss), and cumulative delivered/lost bits never exceed
+  precedence over loss), cumulative delivered/lost bits never exceed
   sent bits (omitted *bits* are not metered separately, so bits get an
-  inequality where messages get an identity);
+  inequality where messages get an identity), and at run end the
+  per-round message series sums to the total;
 * **sizing** — every queued record carries exactly ``payload_bits`` of its
   payload plus the per-message overhead, so a send that states its own
   size (``ProcessEnv.send_many(..., size=)``) cannot drift from the rule;
@@ -196,6 +197,13 @@ class InvariantObserver(RoundObserver):
     def on_run_end(
         self, result: ExecutionResult, network: SyncNetwork
     ) -> None:
+        metrics = result.metrics
+        if sum(metrics.messages_per_round) != metrics.messages_sent:
+            raise InvariantViolation(
+                "conservation", None,
+                f"per-round messages sum to {sum(metrics.messages_per_round)}"
+                f", messages_sent={metrics.messages_sent}",
+            )
         self._check_agreement(result.decisions, result.faulty, None)
         self._check_validity(result.decisions, result.faulty, None)
         undecided = [

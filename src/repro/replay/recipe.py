@@ -10,14 +10,15 @@ invariant violation the run tripped) so a replay can verify itself.
 
 Recipes are plain JSON artifacts (:func:`recipe_payload` /
 :func:`recipe_from_payload`), schema-tagged like every payload written by
-:mod:`repro.runtime.serialization`.  They are what the chaos-fuzz suite
-saves when a run violates an invariant, what the shrinker minimizes, and
-what ``python -m repro.cli replay`` consumes.
+:mod:`repro.runtime.serialization`.  They are what the property battery
+and failing campaign cells save when a run violates an invariant, what the
+shrinker minimizes, and what ``python -m repro.cli replay`` consumes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,6 +168,17 @@ def save_recipe(recipe: ExecutionRecipe, path: str | Path) -> Path:
         encoding="utf-8",
     )
     return path
+
+
+def save_failure(
+    recipe: ExecutionRecipe, directory: str | Path, stem: str
+) -> Path:
+    """Save a failing recipe as ``<stem>-<digest>.json`` under *directory*:
+    12 hex digits of the SHA-256 of its config's canonical payload, so
+    runs differing anywhere in their config never share a file."""
+    canonical = json.dumps(recipe.config.payload(), sort_keys=True)
+    digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return save_recipe(recipe, Path(directory) / f"{stem}-{digest}.json")
 
 
 def load_recipe(path: str | Path) -> ExecutionRecipe:

@@ -14,24 +14,25 @@ sequence), a replayed run reproduces every :class:`Metrics` counter and
 every decision exactly: omission indices address the round's flat
 per-copy message order, which the recipe's seed fixes.
 
-:func:`run_checked` is the fuzzing entry point: record with invariants on;
-on violation, shrink the recipe (``repro.replay.shrink``) and save the
-minimized counterexample next to the failure before re-raising.
+:func:`check_consensus_protocol` is the property battery: one
+:func:`record` per (input scenario, adversary, seed) cell with invariants
+on; a failing cell is shrunk (``repro.replay.shrink``) and saved.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
+from ..adversary import GALLERY
 from ..adversary.scripted import ScriptedAdversary
-from ..harness import ExecutionConfig, run_config
-from ..params import ProtocolParams
+from ..harness import ExecutionConfig, protocol_spec, run_config
 from ..runtime import (
     Adversary,
     AdversaryProtocolError,
@@ -41,7 +42,7 @@ from ..runtime import (
     result_to_dict,
 )
 from .invariants import InvariantObserver, InvariantViolation
-from .recipe import ExecutionRecipe, RecordedAction, save_recipe
+from .recipe import ExecutionRecipe, RecordedAction, save_failure
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.consensus import ConsensusRun
@@ -115,49 +116,6 @@ def _failure_payload(failure: BaseException) -> dict[str, Any]:
 
 
 def record(
-    protocol: str,
-    inputs: Sequence[int] | None = None,
-    *,
-    n: int | None = None,
-    t: int | None = None,
-    adversary: Adversary | None = None,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-    graph_seed: int = 0,
-    max_rounds: int | None = None,
-    observers: Sequence[RoundObserver] = (),
-    options: Mapping[str, Any] | None = None,
-    transport: str | None = None,
-    transport_options: Mapping[str, Any] | None = None,
-    invariants: bool = True,
-    note: str = "",
-    **extra_options: Any,
-) -> RecordedRun:
-    """Run a protocol while capturing its :class:`ExecutionRecipe`.
-
-    Accepts :func:`repro.harness.execute`'s keyword surface and builds
-    the same :class:`~repro.harness.ExecutionConfig` from it; see
-    :func:`record_config` for what is captured.
-    """
-    config = ExecutionConfig(
-        protocol,
-        inputs,
-        n=n,
-        t=t,
-        params=params,
-        seed=seed,
-        graph_seed=graph_seed,
-        max_rounds=max_rounds,
-        options={**(options or {}), **extra_options},
-        transport=transport,
-        transport_options=transport_options,
-    )
-    return record_config(
-        config, adversary, observers, invariants=invariants, note=note
-    )
-
-
-def record_config(
     config: ExecutionConfig,
     adversary: Adversary | None = None,
     observers: Sequence[RoundObserver] = (),
@@ -180,6 +138,11 @@ def record_config(
     real TCP worker processes verifies against the same fingerprint in a
     single interpreter (the cross-transport equivalence check).
     """
+    if not isinstance(config, ExecutionConfig):
+        raise TypeError(
+            f"record takes an ExecutionConfig, got {type(config).__name__!r}; the "
+            "record(protocol, inputs, **keywords) spelling was removed (see docs/api.md)"
+        )
     config = dataclasses.replace(
         config, transport=config.transport or "inprocess"
     )
@@ -328,55 +291,67 @@ def replay(
 
 
 def counterexample_dir() -> Path:
-    """Where :func:`run_checked` saves shrunk recipes
+    """Where :func:`check_consensus_protocol` saves shrunk recipes
     (``$REPRO_COUNTEREXAMPLE_DIR``, default ``./counterexamples``)."""
     return Path(os.environ.get("REPRO_COUNTEREXAMPLE_DIR", "counterexamples"))
 
 
-def run_checked(
-    protocol: str,
-    inputs: Sequence[int] | None = None,
-    *,
+#: The battery's input vectors, by scenario name: ``rule(pid, n)``.
+SCENARIOS: dict[str, Callable[[int, int], int]] = {
+    "all-zero": lambda pid, n: 0,
+    "all-one": lambda pid, n: 1,
+    "balanced": lambda pid, n: pid % 2,
+    "skewed": lambda pid, n: int(pid < (3 * n) // 4),
+}
+
+
+def check_consensus_protocol(
+    config: ExecutionConfig,
+    adversaries: Mapping[str, Callable[[int, int, int], Adversary | None]] = GALLERY,
+    seeds: Sequence[int] = (0, 1),
     save_dir: str | Path | None = None,
-    shrink: bool = True,
-    label: str = "",
-    **kwargs: Any,
-) -> ConsensusRun:
-    """Record a run with invariants on; on failure, shrink + save + raise.
+) -> list[ExecutionRecipe]:
+    """Check a registered protocol for agreement, validity and termination.
 
-    The fuzzing entry point: a clean run returns its ``ConsensusRun``; a
-    violating run is shrunk to a minimal schedule (when ``shrink=True``),
-    written as a recipe JSON under ``save_dir`` (default
-    :func:`counterexample_dir`), and the original violation is re-raised
-    with the artifact path attached as an exception note.
+    *config* names the protocol with its ``n``, ``t`` and options.  Each
+    cell sets its ``inputs`` (per :data:`SCENARIOS`; input-free protocols
+    run one ``n``-only cell) and ``seed`` and is one :func:`record` with
+    invariants on, under ``adversaries[name](n, t, seed)`` (``t`` unset:
+    the campaign budget).  A failing cell is shrunk (kept as recorded if
+    it cannot be), saved under *save_dir* (default
+    :func:`counterexample_dir`) and returned; ``[]`` means the protocol
+    conforms.  Errors outside :data:`RECORDABLE_FAILURES` propagate.
     """
-    recorded = record(protocol, inputs, invariants=True, **kwargs)
-    failure = recorded.failure
-    if failure is None:
-        assert recorded.run is not None
-        return recorded.run
+    from .shrink import shrink_recipe
 
-    recipe = recorded.recipe
-    if shrink:
-        from .shrink import shrink_recipe
-
-        try:
-            recipe = shrink_recipe(recipe).recipe
-        except ValueError:
-            # Not deterministically reproducible (or no schedule to
-            # shrink) — save the unshrunk recipe as-is.
-            pass
-    stem = label or recipe.config.protocol
-    failure_info = recipe.expected_failure
-    assert failure_info is not None  # record() always sets it on failure
-    name = f"{stem}-seed{recipe.config.seed}-{failure_info['invariant']}"
-    path = save_recipe(
-        recipe,
-        Path(save_dir if save_dir is not None else counterexample_dir())
-        / f"{name}.json",
-    )
-    failure.add_note(
-        f"counterexample recipe saved to {path} "
-        f"(replay with: python -m repro.cli replay {path})"
-    )
-    raise failure
+    spec = protocol_spec(config.protocol)
+    n, params = config.n, config.params
+    assert n is not None and params is not None  # the config derives both
+    t = config.t if config.t is not None else spec.campaign_t(n, params)
+    scenarios: dict[str, tuple[int, ...] | None] = {"n-only": None}
+    if spec.uses_inputs:
+        scenarios = {
+            scenario: tuple(rule(pid, n) for pid in range(n))
+            for scenario, rule in SCENARIOS.items()
+        }
+    failing: list[ExecutionRecipe] = []
+    for scenario, inputs in scenarios.items():
+        for name, build in adversaries.items():
+            for seed in seeds:
+                cell = dataclasses.replace(config, inputs=inputs, seed=seed)
+                recorded = record(
+                    cell, build(n, t, seed),
+                    note=f"battery: {scenario} adversary={name} seed={seed}",
+                )
+                if not recorded.failed:
+                    continue
+                recipe = recorded.recipe
+                with contextlib.suppress(ValueError):
+                    recipe = shrink_recipe(recipe).recipe
+                save_failure(
+                    recipe,
+                    save_dir if save_dir is not None else counterexample_dir(),
+                    f"{config.protocol}-{scenario}-{name}-seed{seed}",
+                )
+                failing.append(recipe)
+    return failing

@@ -18,7 +18,6 @@ orders and counters (``tests/test_columnar.py``).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence, Set
 from typing import NamedTuple
 
@@ -63,24 +62,15 @@ def _raise_illegal(total: int, index: int, sender: int, recipient: int,
     )
 
 
-def _sender_sorted(
-    batch: MessageBatch, omitted: Sequence[int]
-) -> tuple[MessageBatch, list[int]]:
-    """A hand-built batch's records in stable ascending-sender order, with
-    the omitted flat indices moved along (engine batches are already in
-    that order: processes advance in pid order)."""
-    order = sorted(
-        range(len(batch.records)), key=lambda i: batch.records[i].sender
-    )
-    ordered = MessageBatch([batch.records[i] for i in order])
-    moved_base = [0] * len(order)
-    for new_position, old_position in enumerate(order):
-        moved_base[old_position] = ordered.offsets[new_position]
-    moved = []
-    for index in omitted:
-        position = bisect_right(batch.offsets, index) - 1
-        moved.append(moved_base[position] + index - batch.offsets[position])
-    return ordered, sorted(moved)
+def check_sender_order(columns: ColumnarBatch) -> None:
+    """Raise ``ValueError`` unless a batch's records are in non-decreasing
+    sender order, which every engine batch is: processes advance in pid
+    order, and inboxes are filled in that order."""
+    senders = columns.rec_sender
+    if len(senders) > 1 and (senders[1:] < senders[:-1]).any():
+        raise ValueError(
+            "a MessageBatch's records must be in non-decreasing sender order"
+        )
 
 
 class Delivery:
@@ -129,17 +119,20 @@ class Delivery:
         inboxes: list[Sequence[Message]],
         live: Sequence[bool] | None,
     ) -> DeliveryReceipt:
-        """Place surviving copies into ``inboxes``, in sender-sorted order.
+        """Place surviving copies into ``inboxes``, in sender order.
+
+        A batch whose records are out of sender order is a ``ValueError``
+        (:func:`check_sender_order`).
 
         ``live[pid]`` is False for terminated recipients; ``None`` means
         every process is live (the common case, enabling fast paths).
         Every slot of ``inboxes`` must hold a plain list on entry (the
         execution core's advance resets them).
         """
-        if not batch.sender_sorted:
-            batch, omitted = _sender_sorted(batch, omitted)
+        columns = self.columns(batch)
+        check_sender_order(columns)
         plan = plan_delivery(
-            self.columns(batch), omitted, None if live is None else list(live)
+            columns, omitted, None if live is None else list(live)
         )
         for recipient, view in plan.inboxes:
             inboxes[recipient] = view

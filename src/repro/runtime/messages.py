@@ -189,31 +189,21 @@ class MessageBatch(Sequence[Message]):
     from the records, and per-pid index queries from :meth:`columns`.
     """
 
-    __slots__ = ("records", "offsets", "_total", "sender_sorted", "_columns")
+    __slots__ = ("records", "offsets", "_total", "_columns")
 
     def __init__(self, records: Iterable[MessageRecord] = ()) -> None:
         records = records if type(records) is list else list(records)
         offsets: list[int] = []
         total = 0
-        sender_sorted = True
-        previous = -1
         for record in records:
             offsets.append(total)
             total += (
                 len(record.recipients) if type(record) is Multicast else 1
             )
-            sender = record.sender
-            if sender < previous:
-                sender_sorted = False
-            previous = sender
         self.records = records
         #: Flat index of each record's first copy (parallel to ``records``).
         self.offsets = offsets
         self._total = total
-        #: True when records appear in non-decreasing sender order (always
-        #: the case for engine-built batches, where processes advance in pid
-        #: order) — lets delivery skip the per-round sender bucketing.
-        self.sender_sorted = sender_sorted
         self._columns: ColumnarBatch | None = None
 
     def __len__(self) -> int:

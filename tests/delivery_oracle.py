@@ -16,7 +16,11 @@ from typing import cast
 import pytest
 
 from repro.runtime import delivery
-from repro.runtime.delivery import DeliveryReceipt, _raise_illegal
+from repro.runtime.delivery import (
+    DeliveryReceipt,
+    _raise_illegal,
+    check_sender_order,
+)
 from repro.runtime.messages import Message, MessageBatch, MessageRecord, Multicast
 
 
@@ -43,9 +47,8 @@ def deliver_objects(
 ) -> DeliveryReceipt:
     """The reference object-per-copy delivery loop.
 
-    A stable record sort puts hand-built outboxes in ascending-sender
-    order (engine batches already are); one ``Message`` per surviving
-    copy.  The omission check runs *before* the recipient-liveness check,
+    A batch out of sender order raises the engine's ``ValueError``; one
+    ``Message`` per surviving copy.  The omission check runs *before* the recipient-liveness check,
     so a copy both omitted and addressed to a terminated recipient counts
     as omitted, never as lost.
     """
@@ -57,14 +60,8 @@ def deliver_objects(
     boxes = cast("list[list[Message]]", inboxes)
     delivered_append = delivered.append
 
-    pairs: Iterable[tuple[MessageRecord, int]]
-    if batch.sender_sorted:
-        pairs = zip(batch.records, batch.offsets)
-    else:
-        pairs = sorted(
-            zip(batch.records, batch.offsets),
-            key=lambda pair: pair[0].sender,
-        )
+    check_sender_order(batch.columns())
+    pairs: Iterable[tuple[MessageRecord, int]] = zip(batch.records, batch.offsets)
     clean = not omitted_set and live is None
 
     for record, base in pairs:

@@ -20,6 +20,9 @@ from repro.analysis.campaign import (
     summarize_campaign,
 )
 from repro.fabric import CampaignCache, CellId
+from repro.harness import ProtocolSpec, registry
+from repro.replay import load_recipe
+from repro.runtime import SyncProcess
 
 
 def small_spec(**overrides):
@@ -128,6 +131,53 @@ class TestRun:
         record = run_campaign(spec)[0]
         rehydrated = json.loads(json.dumps(record))
         assert CellId.from_record(rehydrated) == spec.cell_id(33, "none", 0)
+
+
+class OwnBit(SyncProcess):
+    """Decides its own input bit: mixed inputs violate agreement."""
+
+    def __init__(self, pid, n, bit):
+        super().__init__(pid, n)
+        self.bit = bit
+
+    def program(self, env):
+        env.decide(self.bit)
+        return None
+        yield  # pragma: no cover
+
+
+class TestFailureRecipes:
+    def test_campaigns_differing_only_in_options_keep_their_recipes(
+        self, tmp_path, monkeypatch
+    ):
+        """A failing cell's recipe is named by its config's digest, so a
+        campaign that differs only in options cannot overwrite it."""
+        spec = ProtocolSpec(
+            name="own-bit",
+            summary="test-only planted agreement bug",
+            build=lambda config: ([
+                OwnBit(pid, config.n, bit)
+                for pid, bit in enumerate(config.inputs)
+            ], config.t),
+            default_max_rounds=5,
+        )
+        monkeypatch.setitem(registry._REGISTRY, spec.name, spec)
+        records = {
+            k: run_campaign(
+                small_spec(
+                    name=f"campaign-{k}", protocol="own-bit", ns=[6],
+                    adversaries=["none"], seeds=[0], options={"k": k},
+                ),
+                record_failures=tmp_path,
+            )[0]
+            for k in (1, 2)
+        }
+        assert {r["invariant"] for r in records.values()} == {"agreement"}
+        assert records[1]["recipe"] != records[2]["recipe"]
+        for k, record in records.items():
+            recipe = load_recipe(record["recipe"])
+            assert dict(recipe.config.options) == {"k": k}
+            assert recipe.note.startswith(f"campaign campaign-{k}: n=6")
 
 
 class TestParallel:

@@ -4,23 +4,19 @@ Every ChaosAdversary schedule is within the model, so the consensus
 properties must hold for every seed — the protocol-level analogue of
 property-based testing.
 
-Each run goes through ``repro.replay.run_checked``: invariants (agreement,
-validity, termination, budget, metering conservation) are checked *during*
-the run, and a violation is automatically shrunk to a minimal adversary
-schedule and saved as a replayable recipe under ``counterexamples/``
-(override with ``$REPRO_COUNTEREXAMPLE_DIR``; CI uploads the directory as
-a workflow artifact).  Re-run a saved failure with::
-
-    python -m repro.cli replay counterexamples/<name>.json
+Each test runs one seed of a ``chaos-*`` row of the property suite
+(``test_conformance.SUITE``) through the battery,
+``repro.replay.check_consensus_protocol``: invariants are checked *during*
+the run on four input scenarios, and a violation is shrunk to a minimal
+adversary schedule and saved as a replayable recipe under
+``counterexamples/`` (override with ``$REPRO_COUNTEREXAMPLE_DIR``).
 """
 
 import pytest
 
 from repro.adversary import ChaosAdversary
-from repro.params import ProtocolParams
-from repro.replay import run_checked
 
-PARAMS = ProtocolParams.practical()
+from .test_conformance import SUITE, assert_conforms
 
 
 class TestChaosConstruction:
@@ -29,87 +25,31 @@ class TestChaosConstruction:
             ChaosAdversary(corrupt_rate=1.5)
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", SUITE["chaos-algorithm1"].seeds)
 def test_algorithm1_survives_chaos(seed):
-    n = 64
-    run = run_checked(
-        "algorithm1",
-        [pid % 2 for pid in range(n)],
-        t=PARAMS.max_faults(n),
-        adversary=ChaosAdversary(seed=seed),
-        params=PARAMS,
-        seed=seed,
-        label="chaos-algorithm1",
-    )
-    assert run.decision in (0, 1)
+    assert_conforms("chaos-algorithm1", (seed,))
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", SUITE["chaos-algorithm1-validity"].seeds)
 def test_algorithm1_validity_under_chaos(seed):
-    n = 64
-    run = run_checked(
-        "algorithm1",
-        [1] * n,
-        t=PARAMS.max_faults(n),
-        adversary=ChaosAdversary(seed=seed, corrupt_rate=0.2),
-        params=PARAMS,
-        seed=seed,
-        label="chaos-algorithm1-validity",
-    )
-    assert run.decision == 1
+    assert_conforms("chaos-algorithm1-validity", (seed,))
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", SUITE["chaos-early-stopping"].seeds)
 def test_early_stopping_survives_chaos(seed):
-    n = 64
-    run = run_checked(
-        "early-stopping",
-        [pid % 2 for pid in range(n)],
-        t=PARAMS.max_faults(n),
-        adversary=ChaosAdversary(seed=100 + seed),
-        params=PARAMS,
-        seed=seed,
-        label="chaos-early-stopping",
-    )
-    assert run.decision in (0, 1)
+    assert_conforms("chaos-early-stopping", (seed,))
 
 
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", SUITE["chaos-tradeoff"].seeds)
 def test_tradeoff_survives_chaos(seed):
-    n = 64
-    run = run_checked(
-        "tradeoff",
-        [pid % 2 for pid in range(n)],
-        adversary=ChaosAdversary(seed=200 + seed),
-        params=PARAMS,
-        seed=seed,
-        x=4,
-        label="chaos-tradeoff",
-    )
-    assert run.decision in (0, 1)
+    assert_conforms("chaos-tradeoff", (seed,))
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", SUITE["chaos-dolev-strong"].seeds)
 def test_dolev_strong_survives_chaos(seed):
-    run = run_checked(
-        "dolev-strong",
-        [pid % 2 for pid in range(13)],
-        t=3,
-        adversary=ChaosAdversary(seed=300 + seed, corrupt_rate=0.3),
-        seed=seed,
-        label="chaos-dolev-strong",
-    )
-    assert run.result.agreement_value() in (0, 1)
+    assert_conforms("chaos-dolev-strong", (seed,))
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", SUITE["chaos-phase-king"].seeds)
 def test_phase_king_survives_chaos(seed):
-    run = run_checked(
-        "phase-king",
-        [pid % 2 for pid in range(13)],
-        t=3,
-        adversary=ChaosAdversary(seed=400 + seed, corrupt_rate=0.3),
-        seed=seed,
-        label="chaos-phase-king",
-    )
-    assert run.result.agreement_value() in (0, 1)
+    assert_conforms("chaos-phase-king", (seed,))

@@ -29,7 +29,7 @@ from repro.adversary import (
     SilenceAdversary,
 )
 from repro.baselines.ben_or import BenOrVotingProcess
-from repro.harness import execute
+from repro.harness import ExecutionConfig, execute
 from repro.replay import InvariantObserver, load_recipe, record, replay
 from repro.runtime import (
     Adversary,
@@ -256,6 +256,18 @@ INBOX_ROUNDS = {
 }
 
 
+def deliver_round(name, inboxes):
+    """Deliver one :data:`INBOX_ROUNDS` round; the batch out of sender
+    order is refused, on either path, and leaves every inbox empty."""
+    batch, omitted, live = INBOX_ROUNDS[name]
+    if name != "hand-built-unsorted":
+        return delivery.Delivery().deliver(batch, omitted, inboxes, live)
+    with pytest.raises(ValueError, match="non-decreasing sender order"):
+        delivery.Delivery().deliver(batch, omitted, inboxes, live)
+    assert inboxes == [[]] * len(inboxes)
+    return None
+
+
 class TestInboxColumns:
     @pytest.mark.parametrize("columnar", [True, False])
     @pytest.mark.parametrize("name", INBOX_ROUNDS)
@@ -263,12 +275,13 @@ class TestInboxColumns:
         self, monkeypatch, name, columnar
     ):
         """One spelling, both inbox kinds: lazy views off the columnar
-        plan (the unsorted batch included), plain lists off the object
-        loop."""
+        plan, plain lists off the object loop."""
         pin_delivery(monkeypatch, columnar)
-        batch, omitted, live = INBOX_ROUNDS[name]
+        batch, omitted, _ = INBOX_ROUNDS[name]
         inboxes: list = [[] for _ in range(6)]
-        receipt = delivery.Delivery().deliver(batch, omitted, inboxes, live)
+        receipt = deliver_round(name, inboxes)
+        if receipt is None:
+            return
         lazy = columnar
         read = 0
         for view in (*inboxes, receipt.delivered, receipt.lost):
@@ -297,9 +310,8 @@ class TestInboxColumns:
         ``Message`` fields, in order — for lazy views, plain lists and
         the empty inbox alike."""
         pin_delivery(monkeypatch, columnar)
-        batch, omitted, live = INBOX_ROUNDS[name]
         inboxes: list = [[] for _ in range(8)]
-        delivery.Delivery().deliver(batch, omitted, inboxes, live)
+        deliver_round(name, inboxes)
         # No round above addresses pids 6 and 7: a hand-built plain list
         # and the empty inbox.
         inboxes[6] = [Message(3, 6, ("late", 1), 9), Message(0, 6, None)]
@@ -469,29 +481,22 @@ class TestLazyDelivery:
         assert spy.unmaterialized == SilentSink.rounds
         assert result.metrics.messages_delivered == 8 * 7 * SilentSink.rounds
 
-    def test_hand_built_unsorted_batch_delivers_in_sender_order(self):
+    def test_hand_built_unsorted_batch_is_refused(self):
         """A hand-built batch out of sender order (the engine never builds
-        one) is delivered as the object loop delivers it: inboxes in
-        sender order, omit indices naming the batch's own flat copies."""
+        one) is refused before any copy moves, with the same message from
+        the engine and from the object-loop oracle."""
         unsorted = MessageBatch(
             [Message(2, 0, "b"), Multicast(0, (1, 2, 0), "a")]
         )
-        assert not unsorted.sender_sorted
-        for omitted in ((), (2,), (0, 3)):
-            network = SyncNetwork([Broadcaster(pid, 3) for pid in range(3)])
-            network._delivery.deliver(
-                unsorted, omitted, network._inboxes, network.core.live_mask()
-            )
-            want: list = [[] for _ in range(3)]
-            deliver_objects(unsorted, omitted, want, None)
-            for got, expected in zip(network._inboxes, want):
-                assert [(m.sender, m.recipient, m.payload) for m in got] == [
-                    (m.sender, m.recipient, m.payload) for m in expected
-                ]
-            if not omitted:
-                assert [
-                    (m.sender, m.payload) for m in network._inboxes[0]
-                ] == [(0, "a"), (2, "b")]
+        errors = []
+        for deliver in (delivery.Delivery().deliver, deliver_objects):
+            inboxes: list = [[] for _ in range(3)]
+            with pytest.raises(ValueError) as raised:
+                deliver(unsorted, (2,), inboxes, None)
+            assert inboxes == [[], [], []]
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert "non-decreasing sender order" in errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +643,8 @@ class TestDuplicateOmissions:
 
     def test_recorded_recipe_round_trips_through_strict_replay(self):
         recorded = record(
-            "ben-or",
-            [pid % 2 for pid in range(8)],
-            t=1,
-            adversary=DuplicateOmitter(),
-            seed=3,
+            ExecutionConfig("ben-or", [pid % 2 for pid in range(8)], t=1, seed=3),
+            DuplicateOmitter(),
         )
         assert not recorded.failed
         (action,) = [a for a in recorded.recipe.actions if a.omit]
@@ -656,11 +658,8 @@ class TestDuplicateOmissions:
         from repro.replay.recipe import recipe_from_payload, recipe_payload
 
         recorded = record(
-            "ben-or",
-            [pid % 2 for pid in range(8)],
-            t=1,
-            adversary=DuplicateOmitter(),
-            seed=3,
+            ExecutionConfig("ben-or", [pid % 2 for pid in range(8)], t=1, seed=3),
+            DuplicateOmitter(),
         )
         payload = recipe_payload(recorded.recipe)
         # Simulate a pre-canonicalization artifact with raw duplicates.
@@ -706,11 +705,8 @@ class TestChaosDifferential:
         inputs = [pid % 2 for pid in range(n)]
         with engine_cell(True, True):
             recorded = record(
-                protocol,
-                inputs,
-                t=t,
-                adversary=ChaosAdversary(seed=seed),
-                seed=seed,
+                ExecutionConfig(protocol, inputs, t=t, seed=seed),
+                ChaosAdversary(seed=seed),
             )
         assert not recorded.failed
         for cell in ENGINE_GRID:

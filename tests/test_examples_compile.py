@@ -85,6 +85,19 @@ def test_trace_inspection_executes(capsys):
     assert "processes decided in total" in out
 
 
+def test_custom_protocol_executes(capsys, tmp_path, monkeypatch):
+    """The extension walkthrough registers its protocol, passes the
+    battery and compares costs by name."""
+    monkeypatch.setenv("REPRO_COUNTEREXAMPLE_DIR", str(tmp_path))
+    runpy.run_path(
+        str(EXAMPLES_DIR / "custom_protocol.py"), run_name="__main__"
+    )
+    out = capsys.readouterr().out
+    assert "every cell passed" in out
+    assert "ConfirmedMajority :    8 rounds,   546,840 bits" in out
+    assert not list(tmp_path.iterdir())
+
+
 def test_every_example_has_a_main():
     for script in SCRIPTS:
         text = script.read_text(encoding="utf-8")

@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.campaign import CampaignSpec, run_campaign
 from repro.fabric import CellId
+from repro.harness import ExecutionConfig
 from repro.replay import load_recipe, record, replay, save_recipe
 
 DATA = Path(__file__).parent / "data"
@@ -47,10 +48,10 @@ def test_campaign_record_bytes_are_unchanged(name):
 
 
 def test_recipe_keeps_its_flat_key_set(tmp_path):
-    recorded = record(
+    recorded = record(ExecutionConfig(
         "ben-or", [0, 1, 1, 0, 1, 0, 1], t=1, seed=5,
         transport="tcp", transport_options={"processes_per_worker": 4},
-    )
+    ))
     path = save_recipe(recorded.recipe, tmp_path / "recipe.json")
     assert sorted(json.loads(path.read_text())) == GOLDEN["recipe_keys"]
     assert load_recipe(path) == recorded.recipe

@@ -158,10 +158,10 @@ def _campaign_spec(protocol, inputs, **axes):
     return CampaignSpec("axes", protocol, ns=(len(inputs),), **axes)
 
 
-def _record(*args, **kwargs):
+def _record(protocol, inputs, **axes):
     from repro.replay import record
 
-    return record(*args, **kwargs)
+    return record(ExecutionConfig(protocol, inputs, **axes))
 
 
 @pytest.fixture

@@ -108,12 +108,6 @@ class TestMessageBatch:
             by_recipient,
         )
 
-    def test_sender_sorted_flag(self):
-        assert mixed_batch().sender_sorted
-        unsorted = MessageBatch(
-            [Message(2, 0, 1), Multicast(0, (1, 2), 5)]
-        )
-        assert not unsorted.sender_sorted
 
 
 class TestNetworkViewHelpers:

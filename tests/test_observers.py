@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.adversary import SilenceAdversary, VoteBalancingAdversary
-from repro.harness import execute
+from repro.harness import ExecutionConfig, execute
 from repro.replay import record
 from repro.runtime import (
     RoundObserver,
@@ -233,8 +233,8 @@ def test_report_is_deterministic_and_passive():
     # Against the run's other accounts, on a run the adversary works on.
     n, t = 64, 2
     recorded = record(
-        "algorithm1", [pid % 2 for pid in range(n)], t=t,
-        adversary=VoteBalancingAdversary(seed=1), seed=4,
+        ExecutionConfig("algorithm1", [pid % 2 for pid in range(n)], t=t, seed=4),
+        VoteBalancingAdversary(seed=1),
     )
     report = recorded.run.result.report
     metrics = recorded.run.metrics

@@ -102,6 +102,8 @@ REMOVED_CALLS = {
     "record(model_options=)": (
         TypeError, lambda: record("ben-or", INPUTS, model_options={})
     ),
+    # One recording signature: record takes an ExecutionConfig.
+    "record(protocol, inputs)": (TypeError, lambda: record("ben-or", INPUTS)),
     "replay(recipe, model=)": (
         TypeError, lambda: replay(load_recipe(GOLDEN), model="lockstep")
     ),
@@ -147,6 +149,8 @@ REMOVED_CALLS.update(
                 ("reseed", "randrange", "uniform", "choice", "sample", "shuffle"),
             ),
             (SpreadingGraph, ("edges", "degree_within")),
+            # A batch out of sender order is refused, never re-sorted.
+            (MessageBatch, ("sender_sorted",)),
             (Lemma9Check, ("slack",)),
             (CoinGamePoint, ("ratio",)),
         )
@@ -172,6 +176,7 @@ REMOVED_PACKAGES = frozenset(
         "repro.transport.base",
         "repro.transport.inprocess",
         "repro.lowerbound.rollout_adversary",
+        "repro.analysis.conformance",
     }
 )
 
@@ -195,6 +200,12 @@ REMOVED_PACKAGES = frozenset(
         ("repro.core", "TradeoffPoint"),
         ("repro.analysis.campaign", "ADVERSARY_FACTORIES"),
         ("repro.analysis.conformance", "DEFAULT_GALLERY"),
+        # One checker: the battery is repro.replay.check_consensus_protocol.
+        ("repro.analysis", "check_consensus_protocol"),
+        ("repro.analysis", "ConformanceReport"),
+        ("repro.analysis", "ScenarioResult"),
+        ("repro.replay", "run_checked"),
+        ("repro.replay", "record_config"),
         ("repro.runtime", "recipe_to_dict"),
         ("repro.runtime", "recipe_from_dict"),
         ("repro.lowerbound", "ScriptedAdversary"),
@@ -509,12 +520,12 @@ def test_cli_observer_flag_is_gone(argv, capsys):
     assert flag in capsys.readouterr().err
 
 
-def test_engine_is_constructed_at_the_front_door_and_two_fixtures():
+def test_engine_is_constructed_at_the_front_door_only():
     """``SyncNetwork(...)`` call sites under ``src/repro`` outside the
-    engine's own package: ``run_config`` and the two designated fixtures
-    (each says why at its call).  A new site bypasses the registry's
-    transport axis, option normalization and record/replay — route it through
-    ``repro.harness.execute`` or add it here on purpose."""
+    engine's own package: ``run_config`` alone.  A new site bypasses the
+    registry's transport axis, option normalization and record/replay —
+    route it through ``repro.harness.execute`` (an unregistered
+    ``ProtocolSpec`` runs ad hoc processes)."""
     package = Path(__file__).resolve().parent.parent / "src" / "repro"
     sites = set()
     for path in sorted(package.rglob("*.py")):
@@ -526,11 +537,7 @@ def test_engine_is_constructed_at_the_front_door_and_two_fixtures():
                 name = getattr(called, "attr", getattr(called, "id", None))
                 if name == "SyncNetwork":
                     sites.add(path.relative_to(package).as_posix())
-    assert sites == {
-        "harness/registry.py",
-        "analysis/conformance.py",
-        "analysis/report.py",
-    }
+    assert sites == {"harness/registry.py"}
 
 
 _LOOPS = (

@@ -11,17 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.adversary import RandomOmissionAdversary, VoteBalancingAdversary
+from repro.adversary import (
+    GALLERY,
+    RandomOmissionAdversary,
+    VoteBalancingAdversary,
+)
 from repro.harness import ExecutionConfig
 from repro.replay import (
     ExecutionRecipe,
     InvariantObserver,
     InvariantViolation,
     RecordedAction,
+    check_consensus_protocol,
     load_recipe,
     record,
     replay,
-    run_checked,
     save_recipe,
 )
 from repro.replay.recipe import recipe_from_payload, recipe_payload
@@ -42,7 +46,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden-ben-or.json"
 
 # Engine seeds are pinned per cell to recorded *clean* runs: ben-or is a
 # randomized baseline whose agreement can genuinely break under the vote
-# balancer at some seeds (exactly what run_checked exists to catch), and
+# balancer at some seeds (exactly what the battery exists to catch), and
 # this matrix is about replay fidelity of passing executions.
 MATRIX = [
     ("algorithm1", 64, None, "random", 23),
@@ -65,11 +69,8 @@ class TestRecordReplayMatrix:
     def test_replay_is_byte_identical(self, protocol, n, t, adversary, seed):
         inputs = [pid % 2 for pid in range(n)]
         recorded = record(
-            protocol,
-            inputs,
-            t=t,
-            adversary=make_adversary(adversary, seed=5),
-            seed=seed,
+            ExecutionConfig(protocol, inputs, t=t, seed=seed),
+            make_adversary(adversary, seed=5),
         )
         assert not recorded.failed
         report = replay(recorded.recipe)
@@ -93,11 +94,8 @@ class TestRecordReplayMatrix:
 
         def recorded():
             return record(
-                protocol,
-                inputs,
-                t=t,
-                adversary=make_adversary(adversary, seed=5),
-                seed=seed,
+                ExecutionConfig(protocol, inputs, t=t, seed=seed),
+                make_adversary(adversary, seed=5),
             )
 
         on_columnar = recorded()
@@ -120,11 +118,8 @@ class TestRecordReplayMatrix:
                 return AdversaryAction()
 
         recorded = record(
-            "ben-or",
-            [pid % 2 for pid in range(16)],
-            t=2,
-            adversary=WritesThroughItsView(),
-            seed=0,
+            ExecutionConfig("ben-or", [pid % 2 for pid in range(16)], t=2),
+            WritesThroughItsView(),
         )
         assert not recorded.failed
         report = replay(recorded.recipe)
@@ -133,10 +128,8 @@ class TestRecordReplayMatrix:
 
     def test_recipe_file_round_trip(self, tmp_path):
         recorded = record(
-            "ben-or",
-            [0, 1, 1, 0, 1, 0, 1],
-            adversary=RandomOmissionAdversary(0.3, seed=1),
-            seed=4,
+            ExecutionConfig("ben-or", [0, 1, 1, 0, 1, 0, 1], seed=4),
+            RandomOmissionAdversary(0.3, seed=1),
         )
         path = save_recipe(recorded.recipe, tmp_path / "r.json")
         assert load_recipe(path) == recorded.recipe
@@ -272,22 +265,15 @@ class TestInvariantObserver:
         assert excinfo.value.invariant == "validity"
 
     def test_clean_run_unaffected(self):
+        config = ExecutionConfig(
+            "phase-king", [pid % 2 for pid in range(13)], t=3, seed=8
+        )
         recorded = record(
-            "phase-king",
-            [pid % 2 for pid in range(13)],
-            t=3,
-            adversary=RandomOmissionAdversary(0.5, seed=8),
-            seed=8,
-            invariants=True,
+            config, RandomOmissionAdversary(0.5, seed=8), invariants=True
         )
         assert not recorded.failed
         bare = record(
-            "phase-king",
-            [pid % 2 for pid in range(13)],
-            t=3,
-            adversary=RandomOmissionAdversary(0.5, seed=8),
-            seed=8,
-            invariants=False,
+            config, RandomOmissionAdversary(0.5, seed=8), invariants=False
         )
         # Observers never perturb the execution.
         assert recorded.recipe.expected == bare.recipe.expected
@@ -325,7 +311,7 @@ class TestRecordedFailures:
             ),
             replace=True,
         )
-        recorded = record("split-decider", n=processes_n, seed=0)
+        recorded = record(ExecutionConfig("split-decider", n=processes_n))
         assert recorded.failed
         assert recorded.recipe.failing
         assert recorded.recipe.expected is None
@@ -335,6 +321,9 @@ class TestRecordedFailures:
         assert report.ok
 
     def test_run_checked_saves_replayable_recipe(self, tmp_path):
+        """The battery records, shrinks and saves a failing cell (the job
+        of the removed ``run_checked``); an input-free protocol runs one
+        cell per adversary and seed."""
         from repro.harness import ProtocolSpec, register_protocol
 
         def build(request):
@@ -351,12 +340,15 @@ class TestRecordedFailures:
             ),
             replace=True,
         )
-        with pytest.raises(InvariantViolation):
-            run_checked("split-decider", n=4, seed=0, save_dir=tmp_path)
-        saved = list(tmp_path.glob("*.json"))
-        assert len(saved) == 1
-        assert "agreement" in saved[0].name
-        assert replay(load_recipe(saved[0])).reproduced_failure
+        (failing,) = check_consensus_protocol(
+            ExecutionConfig("split-decider", n=4), {"none": GALLERY["none"]},
+            seeds=(0,), save_dir=tmp_path,
+        )
+        assert failing.expected_failure["invariant"] == "agreement"
+        (saved,) = tmp_path.glob("*.json")
+        assert saved.name.startswith("split-decider-n-only-none-seed0-")
+        assert load_recipe(saved) == failing
+        assert replay(failing).reproduced_failure
 
 
 class TestRecipeDataclass:
@@ -381,10 +373,8 @@ class TestReplayCLI:
         from repro.cli import main
 
         recorded = record(
-            "ben-or",
-            [0, 1, 1, 0, 1, 0, 1],
-            adversary=RandomOmissionAdversary(0.3, seed=1),
-            seed=4,
+            ExecutionConfig("ben-or", [0, 1, 1, 0, 1, 0, 1], seed=4),
+            RandomOmissionAdversary(0.3, seed=1),
         )
         path = save_recipe(recorded.recipe, tmp_path / "r.json")
         assert main(["replay", str(path)]) == 0
@@ -395,10 +385,8 @@ class TestReplayCLI:
         from repro.cli import main
 
         recorded = record(
-            "ben-or",
-            [0, 1, 1, 0, 1, 0, 1],
-            adversary=RandomOmissionAdversary(0.3, seed=1),
-            seed=4,
+            ExecutionConfig("ben-or", [0, 1, 1, 0, 1, 0, 1], seed=4),
+            RandomOmissionAdversary(0.3, seed=1),
         )
         data = json.loads(
             save_recipe(recorded.recipe, tmp_path / "r.json").read_text()

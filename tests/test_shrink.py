@@ -10,13 +10,12 @@ omissions that still reproduce the agreement violation on replay.
 import pytest
 
 from repro.adversary import RandomOmissionAdversary
-from repro.harness import ProtocolSpec, register_protocol
+from repro.harness import ExecutionConfig, ProtocolSpec, register_protocol
 from repro.replay import (
-    InvariantViolation,
+    check_consensus_protocol,
     load_recipe,
     record,
     replay,
-    run_checked,
     shrink_recipe,
 )
 from repro.replay.shrink import _ddmin
@@ -66,11 +65,8 @@ register_protocol(
 def record_planted_failure():
     """Seed 0 is a verified failing execution (agreement violation)."""
     recorded = record(
-        "buggy-majority",
-        INPUTS,
-        t=4,
-        adversary=RandomOmissionAdversary(0.6, corrupt_count=4, seed=0),
-        seed=0,
+        ExecutionConfig("buggy-majority", INPUTS, t=4),
+        RandomOmissionAdversary(0.6, corrupt_count=4, seed=0),
     )
     assert recorded.failed
     assert recorded.recipe.expected_failure["invariant"] == "agreement"
@@ -130,11 +126,10 @@ class TestShrinkPlantedBug:
 
     def test_rejects_recipe_that_does_not_fail(self):
         recorded = record(
-            "phase-king",
-            [pid % 2 for pid in range(13)],
-            t=3,
-            adversary=RandomOmissionAdversary(0.4, seed=6),
-            seed=6,
+            ExecutionConfig(
+                "phase-king", [pid % 2 for pid in range(13)], t=3, seed=6
+            ),
+            RandomOmissionAdversary(0.4, seed=6),
         )
         assert not recorded.failed
         with pytest.raises(ValueError, match="does not reproduce"):
@@ -143,24 +138,25 @@ class TestShrinkPlantedBug:
 
 class TestRunCheckedShrinks:
     def test_fuzz_failure_lands_as_shrunk_recipe(self, tmp_path):
-        with pytest.raises(InvariantViolation) as excinfo:
-            run_checked(
-                "buggy-majority",
-                INPUTS,
-                t=4,
-                adversary=RandomOmissionAdversary(
-                    0.6, corrupt_count=4, seed=0
-                ),
-                seed=0,
-                save_dir=tmp_path,
-            )
-        assert excinfo.value.invariant == "agreement"
+        """The battery saves the *shrunk* schedule of a failing cell."""
+        (failing,) = check_consensus_protocol(
+            ExecutionConfig("buggy-majority", n=len(INPUTS), t=4),
+            {"random": lambda n, t, seed: RandomOmissionAdversary(
+                0.6, corrupt_count=4, seed=seed
+            )},
+            seeds=(2,),
+            save_dir=tmp_path,
+        )
+        assert failing.expected_failure["invariant"] == "agreement"
         (saved,) = tmp_path.glob("*.json")
         recipe = load_recipe(saved)
-        # The artifact on disk is the *shrunk* schedule and still fails.
+        assert recipe == failing
         assert "(shrunk)" in recipe.note
-        assert recipe.total_omissions() <= record_planted_failure(
-        ).total_omissions() // 4
+        original = record(
+            recipe.config, RandomOmissionAdversary(
+                0.6, corrupt_count=4, seed=2
+            ),
+        ).recipe
+        assert original.total_omissions() >= 8
+        assert recipe.total_omissions() <= original.total_omissions() // 4
         assert replay(recipe).reproduced_failure
-        # The exception points the developer at the artifact.
-        assert str(saved) in "".join(excinfo.value.__notes__)

@@ -295,14 +295,14 @@ class TestCrossTransportEquivalence:
         every presized pack the workers queued."""
         inputs, case = case_kwargs(protocol)
         baseline = fingerprint(execute(protocol, inputs, seed=7, **case))
-        recorded = record(
+        recorded = record(ExecutionConfig(
             protocol,
             inputs,
             seed=7,
             transport="tcp",
             transport_options=tcp_options(case_n(protocol)),
             **case,
-        )
+        ))
         assert not recorded.failed
         assert fingerprint(recorded.run) == baseline
         assert recorded.recipe.config.transport == "tcp"
@@ -775,19 +775,19 @@ class TestForkedWorkers:
 # replay always runs in-process.
 class TestRecipeProvenance:
     def test_recorded_transport_defaults_to_inprocess(self):
-        recorded = record("ben-or", mixed(9), t=1, seed=7)
+        recorded = record(ExecutionConfig("ben-or", mixed(9), t=1, seed=7))
         assert recorded.recipe.config.transport == "inprocess"
         assert recorded.recipe.config.transport_options == {}
 
     def test_payload_round_trips_transport_fields(self):
-        recorded = record(
+        recorded = record(ExecutionConfig(
             "ben-or",
             mixed(9),
             t=1,
             seed=7,
             transport="tcp",
             transport_options={"processes_per_worker": 3},
-        )
+        ))
         payload = recipe_payload(recorded.recipe)
         assert payload["transport"] == "tcp"
         assert payload["transport_options"] == {"processes_per_worker": 3}
@@ -796,7 +796,7 @@ class TestRecipeProvenance:
         assert rebuilt.config.transport_options == {"processes_per_worker": 3}
 
     def test_pre_transport_payload_reads_as_inprocess(self):
-        recorded = record("ben-or", mixed(9), t=1, seed=7)
+        recorded = record(ExecutionConfig("ben-or", mixed(9), t=1, seed=7))
         payload = recipe_payload(recorded.recipe)
         del payload["transport"]
         del payload["transport_options"]

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary import EclipseAdversary
 from repro.adversary.strategies import _cap_to_budget
+from repro.harness import ExecutionConfig
 from repro.replay import record
 from repro.runtime import (
     AdversaryAction,
@@ -218,7 +219,7 @@ def test_eclipse_schedule_equals_the_parents():
 
     def actions(adversary):
         recorded = record(
-            "algorithm1", inputs, t=2, adversary=adversary, seed=5
+            ExecutionConfig("algorithm1", inputs, t=2, seed=5), adversary
         )
         assert not recorded.failed
         return recorded.recipe.actions

@@ -139,7 +139,7 @@ def _failing_recipe(workdir: Path) -> Path:
     """A recipe whose run violates agreement: a one-round majority vote
     with no fault tolerance at all, split by random omissions."""
     from repro.adversary import RandomOmissionAdversary
-    from repro.harness import ProtocolSpec, register_protocol
+    from repro.harness import ExecutionConfig, ProtocolSpec, register_protocol
     from repro.replay import record, save_recipe
     from repro.runtime import SyncProcess, inbox_payloads
 
@@ -163,8 +163,8 @@ def _failing_recipe(workdir: Path) -> Path:
         default_max_rounds=10, sweepable=False,
     ), replace=True)
     recorded = record(
-        "census-majority", [0, 1, 0, 1, 0, 1, 0, 1, 1], t=4,
-        adversary=RandomOmissionAdversary(0.6, corrupt_count=4, seed=0),
+        ExecutionConfig("census-majority", [0, 1, 0, 1, 0, 1, 0, 1, 1], t=4),
+        RandomOmissionAdversary(0.6, corrupt_count=4, seed=0),
     )
     assert recorded.failed, "the planted recipe must fail for --shrink to run"
     return save_recipe(recorded.recipe, workdir / "failing.json")
@@ -203,7 +203,12 @@ def workloads() -> None:
 
 def protocols() -> None:
     from repro.adversary import GALLERY
-    from repro.harness import available_protocols, execute, protocol_spec
+    from repro.harness import (
+        ExecutionConfig,
+        available_protocols,
+        execute,
+        protocol_spec,
+    )
     from repro.params import ProtocolParams
     from repro.replay import record, replay
 
@@ -215,8 +220,8 @@ def protocols() -> None:
         for adversary in sorted(GALLERY):
             execute(name, inputs, n=n, t=t,
                     adversary=GALLERY[adversary](n, t, 1), seed=1)
-        recorded = record(name, inputs, n=n, t=t,
-                          adversary=GALLERY["random"](n, t, 2), seed=2)
+        recorded = record(ExecutionConfig(name, inputs, n=n, t=t, seed=2),
+                          GALLERY["random"](n, t, 2))
         replay(recorded.recipe)
 
 
