@@ -60,9 +60,6 @@ class ScriptedAdversary(Adversary):
             self._by_round[round_no] = (corrupt, omit)
         self.strict = strict
 
-    def __len__(self) -> int:
-        return len(self._by_round)
-
     def act(self, view: NetworkView) -> AdversaryAction:
         entry = self._by_round.get(view.round)
         if entry is None:

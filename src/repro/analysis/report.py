@@ -29,6 +29,7 @@ import os
 import platform
 import random
 import re
+import signal
 import subprocess
 import time
 from pathlib import Path
@@ -68,7 +69,7 @@ from ..lowerbound import (
 )
 from ..params import ProtocolParams
 from ..replay import SCENARIOS, check_consensus_protocol
-from ..runtime import CountingRandom, SyncProcess
+from ..runtime import CountingRandom, RoundObserver, SyncProcess
 from . import theory
 from .campaign import CampaignSpec, mixed_inputs, run_campaign
 from .fits import loglog_slope
@@ -717,13 +718,79 @@ def conformance(protocols, adversaries, seeds):
     return values
 
 
+class _KillWorkerLink(RoundObserver):
+    """Signal (default: kill) the OS processes of a TCP run's worker links
+    ``indices`` at the end of round ``at_round``; ``pids`` are then the
+    processes they hosted."""
+
+    def __init__(self, indices, at_round, signum=signal.SIGKILL):
+        self.indices, self.at_round, self.signum = tuple(indices), at_round, signum
+        self.killed, self.links, self.pids = False, None, ()
+
+    def on_round_end(self, round_no, network):
+        if round_no == self.at_round and not self.killed:
+            self.links = network.core._links
+            for link in (self.links[index] for index in self.indices):
+                os.kill(link.process.pid, self.signum)
+                self.pids += link.pids
+            self.killed = True
+
+
+def kill(cells, seeds):
+    """A real crash is the modelled one: SIGKILL the TCP worker links
+    ``links`` at the end of ``round`` (cell ``[protocol, n, t,
+    processes_per_worker, links, round]``, balanced inputs) and compare
+    with an in-process twin whose ``StaticCrashAdversary`` crashes the
+    same pids at ``round + 1``, where the dead link surfaces.  The copies
+    the dead never sent (``unsent``) and those later sent to them
+    (``lost``) are the twin's omissions."""
+    values: dict = {}
+    for protocol, n, t, per_worker, links, round_no in cells:
+        for seed in seeds:
+            killer = _KillWorkerLink(links, round_no)
+            run = execute(
+                protocol, mixed_inputs(n), t=t, seed=seed, observers=(killer,),
+                transport="tcp", transport_options={"processes_per_worker": per_worker},
+            ).result
+            twin = execute(
+                protocol, mixed_inputs(n), t=t, seed=seed,
+                adversary=StaticCrashAdversary({round_no + 1: killer.pids}),
+            ).result
+            tcp, model = run.metrics, twin.metrics
+            honest = [pid for pid in range(n) if pid not in run.faulty]
+            decided = run.non_faulty_decisions()
+            outcome = [
+                [(r.decisions.get(p), r.decision_rounds.get(p), r.randomness_per_process[p])
+                 for p in honest]
+                for r in (run, twin)
+            ]
+            unsent = model.messages_sent - tcp.messages_sent
+            _append(
+                values,
+                agreed=len(decided) == len(honest) and len(set(decided.values())) == 1,
+                charged=killer.killed and run.faulty == set(killer.pids) and len(run.faulty) <= t,
+                delivered_equal=(tcp.messages_delivered, tcp.bits_delivered)
+                == (model.messages_delivered, model.bits_delivered),
+                nonfaulty_equal=outcome[0] == outcome[1],
+                accounted=model.messages_omitted
+                == tcp.messages_omitted + tcp.messages_lost + unsent,
+                conserved=all(
+                    m.messages_sent == m.messages_delivered + m.messages_omitted + m.messages_lost
+                    for m in (tcp, model)
+                ),
+                unsent=unsent,
+                lost=tcp.messages_lost,
+            )
+    return values
+
+
 MEASURES = {
     function.__name__: function
     for function in (
         table1, overlay, aggregation, vote_rule, scaling, lower_bound,
         tradeoff, baselines, lemma9, amortization, early_stopping, trb,
         epoch_budget, threshold_gap, spreading_rounds, overlay_degree,
-        multivalued, conformance,
+        multivalued, conformance, kill,
     )
 }
 

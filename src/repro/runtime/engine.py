@@ -14,7 +14,7 @@ inbox contents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
 from .messages import Message, MessageBatch, MessageRecord
@@ -179,15 +179,18 @@ class ExecutionCore:
         }
 
     # ------------------------------------------------------------------
-    def advance(self, round_no: int) -> MessageBatch:
+    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> MessageBatch:
         """Run one local-computation phase; collect the outbound batch.
 
-        Every live program is resumed (in pid order) with the inbox its
-        slot currently holds; the slot is reset so the next delivery step
-        starts from empty.
+        Every live program among *pids* (all of them by default) is
+        resumed, in the order given, with the inbox its slot currently
+        holds; the slot is reset so the next delivery step starts from
+        empty.  A TCP worker runs this loop over its pid block.
         """
         records: list[MessageRecord] = []
-        for pid, program in enumerate(self.programs):
+        programs = self.programs
+        for pid in range(self.n) if pids is None else pids:
+            program = programs[pid]
             if program is None:
                 continue
             env = self.envs[pid]
@@ -201,7 +204,7 @@ class ExecutionCore:
                 else:
                     program.send(inbox)
             except StopIteration:
-                self.programs[pid] = None
+                programs[pid] = None
             # Messages queued before a final ``return`` are still sent: the
             # process completed its local computation phase this round.
             records.extend(env.outbox)

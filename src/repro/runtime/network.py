@@ -254,6 +254,7 @@ class SyncNetwork:
             seed=seed,
             transport=transport,
             transport_options=transport_options,
+            mirror=adversary is not None or bool(observers),
         )
 
         self.processes = self._core.processes

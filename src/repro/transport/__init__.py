@@ -6,28 +6,28 @@ only decides where the process programs execute.  It is a name:
 
 * ``None`` (the default) or ``"inprocess"`` — the plain in-interpreter
   :class:`~repro.runtime.engine.ExecutionCore`, zero overhead;
-* ``"tcp"`` — :class:`~repro.transport.tcp.RemoteExecutionCore`, real OS
-  worker processes speaking length-prefixed frames over localhost TCP,
-  configured by the options in :data:`repro.transport.tcp.OPTIONS`.
+* ``"tcp"`` — :class:`~repro.transport.tcp.RemoteExecutionCore`, forked
+  worker OS processes speaking length-prefixed frames over localhost TCP;
+  its one option is ``processes_per_worker``
+  (:func:`~repro.transport.tcp.tcp_settings`).
 
 There is deliberately no environment-variable default: a real-network
 execution must always be an explicit request.
 
-Every transport-backed core honours the in-process core's contract:
-per-process randomness is derived from ``(seed, pid)`` regardless of
-hosting location, a hosted program reads the same ``Message`` fields in
-the same order as in-process (inboxes cross as columns, outboxes as
-records), and transport failures surface through
+A TCP worker runs the in-process core's own loop over its pid block (one
+loop, one ``(seed, pid)`` seed table), its programs read inboxes that
+cross as columns, field for field what the delivery layer wrote, and the
+hosted process state crosses back whenever the run has a reader.
+Transport failures surface through
 :meth:`~repro.runtime.engine.ExecutionCore.drain_faults` as crash faults
 the network arbitrates inside the paper's omission model — never as
 hangs, and never outside the ``sent == delivered + omitted + lost``
 metering identity.
 
 Wall-clock note: ``time.monotonic`` is permitted *only* in this package,
-outside ``CLOCK_SCOPE`` of ``tests/test_determinism_census.py`` — real
-links need real timeouts — and never influences protocol semantics, only
-fault detection and :class:`~repro.runtime.observers.LinkSample`
-measurements.
+outside ``CLOCK_SCOPE`` of ``tests/test_determinism_census.py``, and never
+influences protocol semantics, only fault detection and
+:class:`~repro.runtime.observers.LinkSample` measurements.
 """
 
 from __future__ import annotations
@@ -91,11 +91,17 @@ def create_core(
     seed: int,
     transport: str | None = None,
     transport_options: Mapping[str, Any] | None = None,
+    mirror: bool = False,
 ) -> ExecutionCore:
-    """The execution core that hosts *processes* for one run."""
+    """The execution core that hosts *processes* for one run.
+
+    ``mirror`` says the run has a mid-run reader of process state (an
+    adversary or an observer): a TCP core then ships every live hosted
+    process's attributes back each round, not only the terminated ones.
+    """
     if transport == "tcp":
         return RemoteExecutionCore(
-            processes, seed=seed, options=transport_options
+            processes, seed=seed, options=transport_options, mirror=mirror
         )
     check_transport(transport, transport_options)
     return ExecutionCore(processes, seed=seed)

@@ -1,45 +1,38 @@
 """The TCP transport: real OS processes over localhost frames.
 
-``transport="tcp"`` places an execution's consensus processes in
-real worker OS processes, each hosting a contiguous pid block, all
-dialing a loopback listener owned by the coordinator.  A worker is a
-``fork`` of the coordinator (its direct child, reaped by :meth:`close`)
-running :func:`repro.transport.worker.main`: it already holds the
-engine and its block's process objects, so nothing is imported or
-shipped before its hello.  The coordinator is a
+``transport="tcp"`` places an execution's consensus processes in worker
+OS processes, each hosting a contiguous pid block, all dialing a loopback
+listener owned by the coordinator.  The coordinator is an
 :class:`~repro.runtime.engine.ExecutionCore` subclass
-(:class:`RemoteExecutionCore`) so the whole engine — round loop,
-delivery layer, adversary arbitration, observers, record/replay —
-drives it unchanged:
+(:class:`RemoteExecutionCore`), so the whole engine — round loop,
+delivery layer, adversary arbitration, observers, record/replay — drives
+it unchanged.  A worker is a ``fork`` of the coordinator (its direct
+child, reaped by :meth:`close`) taken after the core was built: it runs
+that core's own loop over its block (:func:`repro.transport.worker.main`),
+so one loop and one seed table serve both transports.
 
-* :meth:`RemoteExecutionCore.advance` is a blocking fan-out: it sends
-  one ``step`` frame to every live worker (a worker computes while the
-  later frames are still being pickled), each carrying the hosted pids'
-  inboxes *by column* — senders, payloads and bits as three plain lists
-  (:func:`~repro.runtime.columnar.inbox_columns`), never ``Message``
-  objects — then reads the replies as ``select`` reports them, each
-  against its own link deadline; blocks are contiguous and workers
-  advance pids in ascending order, so the batch concatenated in link
-  order keeps the engine's sender-sorted invariant.
-* Per-link timeouts and dead connections surface as *crash faults*
-  via :meth:`drain_faults` — the network folds them into the round's
+* :meth:`RemoteExecutionCore.advance` is a blocking fan-out: one ``step``
+  frame per live worker carries its pids' inboxes *by column*
+  (:func:`~repro.runtime.columnar.inbox_columns`), and the replies are
+  read as ``select`` reports them, each against its own link deadline.
+  Blocks are contiguous and advanced in ascending pid order, so the batch
+  concatenated in link order keeps the engine's sender-sorted invariant.
+* A reply carries the records, terminations, decisions, randomness
+  counters and hosted process attributes, so the coordinator's process
+  objects are the hosted ones for every reader (see
+  :class:`RemoteExecutionCore`).
+* Per-link timeouts and dead connections surface as *crash faults* via
+  :meth:`drain_faults`: the network folds them into the round's
   corruptions and omits their copies, preserving
   ``sent == delivered + omitted + lost`` instead of hanging.
 * Every round-trip is measured into a
-  :class:`~repro.runtime.observers.LinkSample` (drained per round for
-  the ``on_transport`` observer hook).
+  :class:`~repro.runtime.observers.LinkSample` (``on_transport``).
 
-Determinism: per-process randomness is seeded from the same
-``derive_seeds(seed, n)`` table as the in-process core (indexed by pid
-inside each worker), and the worker's
-:class:`~repro.runtime.columnar.ColumnInbox` over the shipped columns
-reads — by column or as ``Message`` objects — field for field what the
-delivery layer put in the coordinator's slot — so a fault-free TCP execution is
-fingerprint-identical to the in-process one, and its recorded recipe
-replays in-process deterministically.  Runs where the transport itself
-faulted replay the *recorded schedule* (the faults became recorded
-corruptions/omissions) but are not promised fingerprint-identical: the
-dead processes' unsent traffic never entered the record.
+A fault-free TCP execution is therefore fingerprint-identical to the
+in-process one, and its recorded recipe replays in-process.  Runs where
+the transport itself faulted replay the *recorded schedule* but are not
+promised fingerprint-identical: the dead processes' unsent traffic never
+entered the record.
 
 ``transport/`` is outside ``CLOCK_SCOPE`` (tests/test_determinism_census.py):
 ``time.monotonic`` is used for timeouts and latency measurement, never
@@ -53,9 +46,8 @@ import os
 import select
 import socket
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Any
 
 from ..runtime.columnar import InboxColumns, inbox_columns
@@ -66,7 +58,9 @@ from ..runtime.process import SyncProcess
 from . import worker
 from .framing import FramingError, TransportError, encode_frame, recv_frame
 
-__all__ = ["OPTIONS", "RemoteExecutionCore", "tcp_settings"]
+__all__ = [
+    "CONNECT_TIMEOUT_S", "HOST", "LINK_TIMEOUT_S", "RemoteExecutionCore", "tcp_settings",
+]
 
 #: Exceptions that mean "this link is gone" rather than "this run is
 #: broken": the step that hit one crash-faults the link's processes.
@@ -75,53 +69,36 @@ __all__ = ["OPTIONS", "RemoteExecutionCore", "tcp_settings"]
 _LINK_FAILURES = (FramingError, OSError)
 
 
-#: The TCP transport's options, in documentation order, with defaults.
-#:
-#: ``processes_per_worker``: how many consensus processes each worker OS
-#: process hosts (contiguous pid blocks).  ``None`` is one worker per
-#: core this process may run on, ``ceil(n / cores)`` resolved when the
-#: core is built; ``1`` is one OS process per consensus process.
-#: ``host``: the loopback interface to listen on; frames are pickled and
-#: must never leave the machine.  ``connect_timeout_s``: the budget for
-#: all workers to dial in at setup (workers retry with backoff inside
-#: it).  ``link_timeout_s``: the per-link budget for one step round-trip;
-#: a link that exceeds it is crash-faulted and its processes' in-flight
-#: copies become omissions.
-OPTIONS: Mapping[str, Any] = MappingProxyType(
-    {
-        "processes_per_worker": None,
-        "host": "127.0.0.1",
-        "connect_timeout_s": 20.0,
-        "link_timeout_s": 30.0,
-    }
-)
+#: The loopback interface the coordinator listens on: frames are
+#: pickled and must never leave the machine.
+HOST = "127.0.0.1"
+#: The budget for every worker to dial in at setup (workers retry with
+#: backoff inside it).
+CONNECT_TIMEOUT_S = 20.0
+#: The per-link budget for one step round-trip: a link that exceeds it is
+#: crash-faulted and its processes' in-flight copies become omissions.
+LINK_TIMEOUT_S = 30.0
 
 
-def tcp_settings(options: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    """*options* over :data:`OPTIONS`, validated: the transport's one check.
+def tcp_settings(options: Mapping[str, Any] | None = None) -> int | None:
+    """The transport's one option, validated: ``processes_per_worker``.
 
-    An option it does not take, a non-loopback host, a non-positive
-    timeout and ``processes_per_worker < 1`` each raise ``ValueError``.
+    It is how many consensus processes each worker OS process hosts
+    (contiguous pid blocks): an ``int >= 1`` (not a ``bool``), or ``None``
+    — one worker per core this process may run on, ``ceil(n / cores)``
+    resolved when the core is built.  Any other option, and any other
+    value, raise ``ValueError`` naming the key.
     """
-    unknown = sorted(set(options or {}) - set(OPTIONS))
+    unknown = sorted(set(options or {}) - {"processes_per_worker"})
     if unknown:
         raise ValueError(
             f"transport 'tcp' takes no option {unknown[0]!r}; choose "
-            f"from: {', '.join(OPTIONS)}"
+            "from: processes_per_worker"
         )
-    settings = {**OPTIONS, **(options or {})}
-    per_worker, host = settings["processes_per_worker"], settings["host"]
-    if per_worker is not None and per_worker < 1:
-        raise ValueError(f"processes_per_worker={per_worker} must be >= 1")
-    if not (host == "localhost" or host.startswith("127.")):
-        raise ValueError(
-            f"host={host!r} is not a loopback address; the TCP "
-            "transport speaks pickle frames and must stay on-machine"
-        )
-    for name in ("connect_timeout_s", "link_timeout_s"):
-        if settings[name] <= 0:
-            raise ValueError(f"{name}={settings[name]} must be > 0")
-    return settings
+    per_worker = (options or {}).get("processes_per_worker")
+    if per_worker is not None and (type(per_worker) is not int or per_worker < 1):
+        raise ValueError(f"processes_per_worker={per_worker!r} must be an int >= 1")
+    return per_worker
 
 
 @dataclass(slots=True)
@@ -144,18 +121,19 @@ def _until(deadline: float) -> float:
 class RemoteExecutionCore(ExecutionCore):
     """ExecutionCore whose local-computation phase runs in OS workers.
 
-    The base-class containers become coordinator-side mirrors: ``envs``
-    hold decisions/termination synced from worker replies, ``sources``
-    mirror the workers' randomness counters, ``programs`` track liveness
-    (the mirror generators are never advanced), and ``inboxes`` are the
-    slots the delivery layer writes into — their contents ship to the
-    owning worker on the next step.  Everything the network and the
-    result assembly read (``live_count``, ``current_decisions``,
-    ``build_result``, …) therefore works unchanged from the base class.
+    The base-class containers become coordinator-side mirrors of the
+    workers' (forked) ones: ``envs`` hold the decisions, ``sources`` the
+    randomness counters, ``programs`` liveness (never advanced here), and
+    ``processes`` the attributes of every process that terminated and,
+    with ``mirror`` (the run has a mid-run reader: an adversary or an
+    observer), of every live one, each round.  ``inboxes`` are the slots
+    the delivery layer writes into; they ship to the owning worker on
+    the next step.  Everything the network, the adversary and the result
+    assembly read therefore works unchanged from the base class.
     """
 
     __slots__ = (
-        "_settings",
+        "_mirror",
         "_links",
         "_server",
         "_token",
@@ -170,18 +148,18 @@ class RemoteExecutionCore(ExecutionCore):
         *,
         seed: int,
         options: Mapping[str, Any] | None = None,
+        mirror: bool = False,
     ) -> None:
-        self._settings = settings = tcp_settings(options)
+        per_worker = tcp_settings(options)
         super().__init__(processes, seed=seed)
+        self._mirror = mirror
         self._faults: set[int] = set()
         self._samples: list[LinkSample] = []
         self._closed = False
         self._server: socket.socket | None = None
         self._token = os.urandom(16).hex()
         # The computed default: one worker per core this process may use.
-        per_worker = settings["processes_per_worker"] or -(
-            -self.n // len(os.sched_getaffinity(0))
-        )
+        per_worker = per_worker or -(-self.n // len(os.sched_getaffinity(0)))
         self._links = [
             _WorkerLink(index, tuple(range(start, min(start + per_worker, self.n))))
             for index, start in enumerate(range(0, self.n, per_worker))
@@ -195,8 +173,7 @@ class RemoteExecutionCore(ExecutionCore):
     # ------------------------------------------------------------------
     # Setup / teardown
     def _start(self) -> None:
-        settings = self._settings
-        self._server = server = socket.create_server((settings["host"], 0))
+        self._server = server = socket.create_server((HOST, 0))
         port = int(server.getsockname()[1])
 
         started = time.monotonic()
@@ -210,13 +187,13 @@ class RemoteExecutionCore(ExecutionCore):
             process.start()
             link.process = process
 
-        deadline = started + settings["connect_timeout_s"]
+        deadline = started + CONNECT_TIMEOUT_S
         waiting = {link.index for link in self._links}
         while waiting:
             if time.monotonic() >= deadline:
                 raise TransportError(
                     f"workers {sorted(waiting)} did not connect within "
-                    f"{settings['connect_timeout_s']:.1f}s"
+                    f"{CONNECT_TIMEOUT_S:.1f}s"
                 )
             for index in sorted(waiting):
                 process = self._links[index].process
@@ -270,21 +247,12 @@ class RemoteExecutionCore(ExecutionCore):
             )
 
     def _serve(self, index: int, port: int) -> None:
-        """A forked worker's whole life: its block's processes are already
-        in memory, so it drops the coordinator's listener and serves them."""
+        """A forked worker's whole life: this core, its programs included,
+        is already in memory, so it drops the coordinator's listener and
+        runs the core's own loop over link ``index``'s block."""
         assert self._server is not None
         self._server.close()
-        settings = self._settings
-        worker.main(
-            [self.processes[pid] for pid in self._links[index].pids],
-            self.n,
-            self.seed,
-            host=settings["host"],
-            port=port,
-            token=self._token,
-            worker=index,
-            connect_timeout_s=settings["connect_timeout_s"],
-        )
+        worker.main(self, index, port)
 
     def close(self) -> None:
         """Graceful shutdown: fini frames, closed sockets, reaped workers.
@@ -324,8 +292,10 @@ class RemoteExecutionCore(ExecutionCore):
 
     # ------------------------------------------------------------------
     # Per-round execution
-    def advance(self, round_no: int) -> MessageBatch:
-        timeout = self._settings["link_timeout_s"]
+    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> MessageBatch:
+        # A worker runs the base class's loop over its block (``pids``).
+        assert pids is None, "the coordinator advances every live pid"
+        timeout = LINK_TIMEOUT_S
         # socket -> (link index, send time, frame bytes) of the replies
         # awaited; insertion is in link order, so the first entry holds
         # the earliest deadline.
@@ -414,6 +384,8 @@ class RemoteExecutionCore(ExecutionCore):
                 source = self.sources[pid]
                 source.calls = calls
                 source.bits_drawn = bits_drawn
+            for pid, state in out["state"].items():
+                vars(self.processes[pid]).update(state)
             records.extend(out["records"])
         return MessageBatch(records)
 

@@ -1,120 +1,41 @@
 """The TCP transport's worker process (forked by ``repro.transport.tcp``).
 
-One worker hosts a contiguous block of consensus processes, handed to
-:func:`main` as the objects the fork inherited.  It dials the
-coordinator's loopback listener (with retry/backoff inside the connect
-budget), authenticates with the per-run token, and then serves one
-``step`` frame per round: resume every hosted live program with the
-inbox the coordinator shipped — three plain lists, wrapped in a
-:class:`~repro.runtime.columnar.ColumnInbox` — and reply with the queued
-outbound records, newly terminated pids, current decisions, and
-randomness counters.
-
-The shard mirrors :meth:`repro.runtime.engine.ExecutionCore.advance`
-exactly — same pid order, same round-0 ``next`` vs ``send`` resumption,
-same outbox/inbox reset semantics — and seeds each hosted process's
-:class:`~repro.runtime.randomness.CountingRandom` from the *same*
-``derive_seeds(seed, n)`` table the in-process core uses, indexed by
-pid.  Process randomness therefore does not depend on where a process is
-hosted, which is what makes TCP executions replay byte-identically
-in-process from their recorded recipes.
+A worker is a ``fork`` of the coordinator, so it already holds the
+coordinator's :class:`~repro.transport.tcp.RemoteExecutionCore`: its
+processes, programs, environments and counted random sources.
+:func:`main` dials the loopback listener (retrying with backoff inside
+the connect budget), authenticates with the per-run token, and serves one
+``step`` frame per round: it wraps each shipped inbox (three plain lists)
+in a :class:`~repro.runtime.columnar.ColumnInbox`, runs the core's own
+loop (:meth:`ExecutionCore.advance
+<repro.runtime.engine.ExecutionCore.advance>`) over its pid block, and
+replies with the outbound records, newly terminated pids, decisions,
+randomness counters and hosted process attributes.  One loop and one
+seed table serve both transports, which is what makes a TCP execution
+replay byte-identically in-process from its recorded recipe.
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from collections.abc import Mapping, Sequence
-from typing import Any
 
-from ..runtime.columnar import ColumnInbox, InboxColumns
-from ..runtime.messages import MessageRecord
-from ..runtime.process import ProcessEnv, Program, SyncProcess
-from ..runtime.randomness import CountingRandom, derive_seeds
+from ..runtime.columnar import ColumnInbox
+from ..runtime.engine import ExecutionCore
+from . import tcp  # a cycle: tcp forks this module's main; read at call time
 from .framing import TransportError, recv_frame, send_frame
 
-__all__ = ["ProcessShard", "connect_with_backoff", "main"]
+__all__ = ["connect_with_backoff", "main"]
 
 
-class ProcessShard:
-    """The hosted block of processes and their per-round advancement."""
-
-    def __init__(
-        self,
-        processes: Sequence[SyncProcess],
-        n: int,
-        seed: int,
-    ) -> None:
-        # Index the full derivation table by hosted pid: randomness is a
-        # function of (seed, pid), never of worker placement.
-        seeds = derive_seeds(seed, n, salt="process-randomness")
-        self.pids = [process.pid for process in processes]
-        self.sources: dict[int, CountingRandom] = {}
-        self.envs: dict[int, ProcessEnv] = {}
-        self.programs: dict[int, Program | None] = {}
-        for process in processes:
-            pid = process.pid
-            source = CountingRandom(seeds[pid])
-            env = ProcessEnv(pid, n, source)
-            self.sources[pid] = source
-            self.envs[pid] = env
-            self.programs[pid] = process.program(env)
-
-    def step(self, round_no: int, inboxes: Mapping[int, InboxColumns]) -> dict[str, Any]:
-        """One local-computation phase over the hosted live processes;
-        ``inboxes`` holds every hosted live pid's inbox, by column."""
-        records: list[MessageRecord] = []
-        terminated: list[int] = []
-        for pid in self.pids:
-            program = self.programs.get(pid)
-            if program is None:
-                continue
-            env = self.envs[pid]
-            env.round = round_no
-            env.outbox = []
-            try:
-                if round_no == 0:
-                    next(program)
-                else:
-                    program.send(ColumnInbox(pid, inboxes[pid]))
-            except StopIteration:
-                self.programs[pid] = None
-                terminated.append(pid)
-            # Messages queued before a final ``return`` are still sent —
-            # identical to ExecutionCore.advance.
-            records.extend(env.outbox)
-        decisions = {
-            pid: (env.decision, env.decision_round)
-            for pid, env in self.envs.items()
-            if env.has_decided
-        }
-        randomness = {
-            pid: (source.calls, source.bits_drawn)
-            for pid, source in self.sources.items()
-        }
-        return {
-            "records": records,
-            "terminated": terminated,
-            "decisions": decisions,
-            "randomness": randomness,
-        }
-
-
-def connect_with_backoff(
-    host: str,
-    port: int,
-    *,
-    timeout_s: float,
-    initial_backoff_s: float = 0.05,
-    max_backoff_s: float = 1.0,
-) -> tuple[socket.socket, int]:
+def connect_with_backoff(host: str, port: int, *, timeout_s: float) -> tuple[socket.socket, int]:
     """Dial the coordinator, retrying with exponential backoff.
 
     Returns ``(socket, retries)``; raises :class:`TransportError` once
     ``timeout_s`` of wall-clock has elapsed without a connection.
     """
     deadline = time.monotonic() + timeout_s
-    backoff = initial_backoff_s
+    backoff = 0.05
     retries = 0
     while True:
         try:
@@ -127,7 +48,7 @@ def connect_with_backoff(
                 ) from error
             time.sleep(backoff)
             retries += 1
-            backoff = min(backoff * 2.0, max_backoff_s)
+            backoff = min(backoff * 2.0, 1.0)
             continue
         # The connect budget ends here: between frames a worker waits as
         # long as the coordinator takes (it owns the link deadlines).
@@ -136,26 +57,14 @@ def connect_with_backoff(
         return sock, retries
 
 
-def main(
-    processes: Sequence[SyncProcess],
-    n: int,
-    seed: int,
-    *,
-    host: str,
-    port: int,
-    token: str,
-    worker: int,
-    connect_timeout_s: float,
-) -> None:
-    """Serve one run: host ``processes`` (worker ``worker``'s block of an
-    ``n``-process run seeded ``seed``) for the coordinator at
-    ``host:port`` until it says ``fini`` or goes away."""
-    shard = ProcessShard(processes, n, seed)
-    sock, retries = connect_with_backoff(host, port, timeout_s=connect_timeout_s)
+def main(core: tcp.RemoteExecutionCore, index: int, port: int) -> None:
+    """Serve one run: host link ``index``'s pid block of ``core`` for the
+    coordinator listening on ``port`` until it says ``fini`` or goes
+    away."""
+    block = core._links[index].pids
+    sock, retries = connect_with_backoff(tcp.HOST, port, timeout_s=tcp.CONNECT_TIMEOUT_S)
     try:
-        send_frame(
-            sock, ("hello", {"worker": worker, "token": token, "retries": retries})
-        )
+        send_frame(sock, ("hello", {"worker": index, "token": core._token, "retries": retries}))
         while True:
             frame, _ = recv_frame(sock)
             if not (isinstance(frame, tuple) and len(frame) == 2):
@@ -166,8 +75,22 @@ def main(
                 return
             if kind != "step":
                 raise TransportError(f"expected step frame, got {kind!r}")
-            out = shard.step(payload["round"], payload["inboxes"])
-            send_frame(sock, ("out", out))
+            # Every hosted live pid has an inbox, in ascending pid order.
+            live = list(payload["inboxes"])
+            for pid, columns in payload["inboxes"].items():
+                core.inboxes[pid] = ColumnInbox(pid, columns)
+            batch = ExecutionCore.advance(core, payload["round"], live)
+            terminated = [pid for pid in live if core.programs[pid] is None]
+            envs, sources, shipped = core.envs, core.sources, live if core._mirror else terminated
+            send_frame(sock, ("out", {
+                "records": batch.records,
+                "terminated": terminated,
+                "decisions": {
+                    p: (envs[p].decision, envs[p].decision_round) for p in block if envs[p].has_decided
+                },
+                "randomness": {p: (sources[p].calls, sources[p].bits_drawn) for p in block},
+                "state": {p: vars(core.processes[p]) for p in shipped},
+            }))
     except (ConnectionError, BrokenPipeError):
         return  # the coordinator went away; nothing useful to report
     finally:

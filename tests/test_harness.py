@@ -182,22 +182,28 @@ def never_built():
 @pytest.mark.parametrize(
     "axes,message",
     [
-        (
+        # The host and the two timeouts were TCP options once, validated
+        # by value; they are constants now and refused by name.  Their
+        # rows keep the ids they had then, so the test ids stay stable.
+        pytest.param(
             {"transport": "tcp", "transport_options": {"host": "example.com"}},
-            "is not a loopback address",
+            "transport 'tcp' takes no option 'host'",
+            id="axes0-is not a loopback address",
         ),
         ({"transport": "pigeon"}, "unknown transport 'pigeon'"),
-        (
+        pytest.param(
             {"transport": "tcp", "transport_options": {"link_timeout_s": 0}},
-            "link_timeout_s=0 must be > 0",
+            "transport 'tcp' takes no option 'link_timeout_s'",
+            id="axes2-link_timeout_s=0 must be > 0",
         ),
         (
             {"transport_options": {"processes_per_worker": 2}},
             "transport_options requires an explicit",
         ),
-        (
+        pytest.param(
             {"transport": "tcp", "transport_options": {"connect_timeout_s": 0}},
-            "connect_timeout_s=0 must be > 0",
+            "transport 'tcp' takes no option 'connect_timeout_s'",
+            id="axes4-connect_timeout_s=0 must be > 0",
         ),
         (
             {"transport": "inprocess", "transport_options": {"workers": 2}},
@@ -210,6 +216,18 @@ def never_built():
         (
             {"transport": "tcp", "transport_options": {"processes_per_worker": 0}},
             "processes_per_worker=0",
+        ),
+        (
+            {"transport": "tcp", "transport_options": {"processes_per_worker": 2.5}},
+            "processes_per_worker=2.5 must be an int",
+        ),
+        (
+            {"transport": "tcp", "transport_options": {"processes_per_worker": True}},
+            "processes_per_worker=True must be an int",
+        ),
+        (
+            {"transport": "tcp", "transport_options": {"processes_per_worker": "4"}},
+            "processes_per_worker='4' must be an int",
         ),
     ],
 )

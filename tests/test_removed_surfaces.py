@@ -31,8 +31,8 @@ from repro.runtime import (
     NetworkView,
     SyncNetwork,
 )
+from repro.transport import worker
 from repro.transport.tcp import RemoteExecutionCore
-from repro.transport.worker import ProcessShard
 
 INPUTS = [0, 1, 1, 0, 1]
 SPEC = CampaignSpec("removed", "ben-or", ns=(5,))
@@ -129,8 +129,9 @@ REMOVED_CALLS = {
     "SyncNetwork(reseed_at=)": (
         TypeError, lambda: SyncNetwork([], reseed_at=(1, 2))
     ),
+    # One execution loop: the worker's copy of the core is gone with it.
     "ProcessShard.step(round, inboxes, reseed)": (
-        TypeError, lambda: ProcessShard.step(None, 0, {}, None)
+        AttributeError, lambda: worker.ProcessShard.step(None, 0, {}, None)
     ),
 }
 # Methods and properties that only the rollout fork or tests called.
@@ -378,6 +379,10 @@ REMOVED_PACKAGES = frozenset(
                 ),
                 ("repro.runtime.process", ("receive_round",)),
                 ("repro.runtime.randomness", ("_range_bits",)),
+                # One execution loop: a TCP worker runs its forked
+                # ExecutionCore, and the TCP options are one.
+                ("repro.transport.worker", ("ProcessShard",)),
+                ("repro.transport.tcp", ("OPTIONS",)),
             )
             for name in names
         ),

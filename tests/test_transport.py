@@ -27,10 +27,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.adversary import RandomOmissionAdversary
+from repro.adversary import GALLERY, RandomOmissionAdversary
 from repro.analysis.campaign import CampaignSpec, run_campaign
+from repro.analysis.report import _KillWorkerLink
 from repro.fabric import CellId
-from repro.harness import ExecutionConfig, available_protocols, execute
+from repro.harness import (
+    ExecutionConfig,
+    available_protocols,
+    execute,
+    protocol_spec,
+)
 from repro.replay import record, recipe_from_payload, recipe_payload, replay
 from repro.runtime import (
     Adversary,
@@ -63,7 +69,16 @@ def mixed(n):
 
 
 def fingerprint(run):
-    return json.dumps(result_to_dict(run.result), sort_keys=True)
+    """The result, and what a campaign record reads off the processes."""
+    extras = protocol_spec(run.request.protocol).record_extras
+    return json.dumps(
+        {
+            "result": result_to_dict(run.result),
+            "fallback": run.ran_deterministic_fallback,
+            "extras": extras(run, run.request) if extras else {},
+        },
+        sort_keys=True,
+    )
 
 
 #: One small case per built-in registry protocol.
@@ -207,7 +222,7 @@ class TestTransportRegistry:
 
     @pytest.mark.parametrize(
         "name,accepted",
-        [("inprocess", r"\(none\)"), ("tcp", "processes_per_worker, host")],
+        [("inprocess", r"\(none\)"), ("tcp", "processes_per_worker")],
     )
     def test_rejects_an_option_the_transport_does_not_take(self, name, accepted):
         with pytest.raises(ValueError, match=f"takes no option 'hops'.*{accepted}"):
@@ -220,7 +235,7 @@ class TestTransportRegistry:
         from what the process can observe: ceil(n / cores) per worker, in
         contiguous pid blocks; the options, hence every identity, keep the
         ``None`` the caller gave."""
-        assert tcp.OPTIONS["processes_per_worker"] is None
+        assert tcp.tcp_settings(None) is None
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         network = SyncNetwork(
             [InboxProbe(pid, 7) for pid in range(7)], transport="tcp"
@@ -235,13 +250,18 @@ class TestTransportRegistry:
 
 class TestTcpValidation:
     def test_rejects_non_loopback_host(self):
-        with pytest.raises(ValueError, match="loopback"):
+        """There is no ``host`` option: the listener is ``tcp.HOST``, the
+        loopback interface, on every run."""
+        assert tcp.HOST == "127.0.0.1"
+        with pytest.raises(ValueError, match="takes no option 'host'"):
             tcp_config(host="0.0.0.0")
 
     @pytest.mark.parametrize(
         "kwargs,message",
         [
             ({"processes_per_worker": 0}, "processes_per_worker"),
+            # The timeouts are constants now: naming one is an option the
+            # transport does not take.
             ({"connect_timeout_s": 0}, "connect_timeout_s"),
             ({"link_timeout_s": -1}, "link_timeout_s"),
         ],
@@ -329,6 +349,42 @@ class TestCrossTransportEquivalence:
         ]
         assert fingerprint(runs[0]) == fingerprint(runs[1])
         assert runs[0].result.faulty == runs[1].result.faulty
+
+    @pytest.mark.parametrize(
+        "adversary,seed",
+        [*((name, 1) for name in GALLERY), ("none", 5)],
+        ids=[*GALLERY, "none-fallback"],
+    )
+    def test_equivalence_under_every_gallery_adversary(self, adversary, seed):
+        """The adversary is full-information over TCP too: hosted process
+        state crosses back every round it has a reader, so ``balance``
+        corrupts whom it corrupts in-process.  The last row (no reader)
+        falls back in-process, and the final state of every terminated
+        process crosses back, so the TCP run says so."""
+        inputs = mixed(64)
+        t = protocol_spec("algorithm1").campaign_t(
+            64, ExecutionConfig("algorithm1", inputs).params
+        )
+        runs = [
+            execute(
+                "algorithm1",
+                inputs,
+                seed=seed,
+                adversary=GALLERY[adversary](64, t, seed),
+                transport=transport,
+                transport_options=options,
+            )
+            for transport, options in (
+                (None, None),
+                ("tcp", {"processes_per_worker": 32}),
+            )
+        ]
+        assert fingerprint(runs[1]) == fingerprint(runs[0])
+        assert runs[1].result.faulty == runs[0].result.faulty
+        if adversary == "balance":
+            assert runs[0].result.faulty  # the row exercises a reader
+        if seed == 5:
+            assert runs[0].ran_deterministic_fallback
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +487,6 @@ class TestWire:
 # ---------------------------------------------------------------------------
 # Transport faults: a killed worker process lands inside the omission
 # model — crash fault plus omitted copies — never as a hang.
-class _KillWorkerLink(RoundObserver):
-    """Signal (default: kill) one worker link's OS process at the end of
-    a given round.
-
-    Phase-king's traffic cycles heavy/light/silent across each 3-round
-    phase; killing at the *end* of round 2 makes the crash surface during
-    round 3's heavy advance, so the dead worker has in-flight copies for
-    the adversary arbitration to omit.
-    """
-
-    def __init__(self, link_index, at_round, signum=signal.SIGKILL):
-        self.link_index = link_index
-        self.at_round = at_round
-        self.signum = signum
-        self.killed = False
-        self.links = None
-
-    def on_round_end(self, round_no, network):
-        if round_no != self.at_round or self.killed:
-            return
-        self.links = network._core._links
-        link = self.links[self.link_index]
-        assert link.process is not None
-        os.kill(link.process.pid, self.signum)
-        self.killed = True
-
-
 class _Sleep(RoundObserver):
     """A coordinator busy for ``seconds`` between two step frames."""
 
@@ -479,10 +508,15 @@ def conserved(metrics):
 
 
 class TestTransportFaults:
-    def test_killed_worker_becomes_omissions_not_a_hang(self):
+    def test_killed_worker_becomes_omissions_not_a_hang(self, monkeypatch):
         # ppw=4 over n=13 gives links (0-3)(4-7)(8-11)(12): link 3
         # hosts exactly pid 12, so the blast radius is one process.
-        killer = _KillWorkerLink(link_index=3, at_round=2)
+        # Phase-king's traffic cycles heavy/light/silent across each
+        # 3-round phase; killing at the *end* of round 2 makes the crash
+        # surface during round 3's heavy advance, so the dead worker has
+        # in-flight copies for the adversary arbitration to omit.
+        monkeypatch.setattr(tcp, "LINK_TIMEOUT_S", 5.0)
+        killer = _KillWorkerLink([3], at_round=2)
         metrics_tap = _LinkTap()
         run = execute(
             "phase-king",
@@ -491,7 +525,7 @@ class TestTransportFaults:
             seed=7,
             observers=(killer, metrics_tap),
             transport="tcp",
-            transport_options={"processes_per_worker": 4, "link_timeout_s": 5.0},
+            transport_options={"processes_per_worker": 4},
         )
         assert killer.killed
         result = run.result
@@ -504,11 +538,14 @@ class TestTransportFaults:
         assert conserved(metrics)
         assert any(not sample.ok for sample in metrics_tap.steps())
 
-    def test_stalled_worker_becomes_omissions_at_its_own_deadline(self):
+    def test_stalled_worker_becomes_omissions_at_its_own_deadline(
+        self, monkeypatch
+    ):
         """A live-but-silent link (SIGSTOP) is crash-faulted after
-        ``link_timeout_s``; the links that did reply that round were
+        ``LINK_TIMEOUT_S``; the links that did reply that round were
         measured to *their* reply, not to the stalled one's deadline."""
-        stopper = _KillWorkerLink(link_index=3, at_round=2, signum=signal.SIGSTOP)
+        monkeypatch.setattr(tcp, "LINK_TIMEOUT_S", 1.0)
+        stopper = _KillWorkerLink([3], at_round=2, signum=signal.SIGSTOP)
         tap = _LinkTap()
         began = time.monotonic()
         run = execute(
@@ -518,7 +555,7 @@ class TestTransportFaults:
             seed=7,
             observers=(stopper, tap),
             transport="tcp",
-            transport_options={"processes_per_worker": 4, "link_timeout_s": 1.0},
+            transport_options={"processes_per_worker": 4},
         )
         assert time.monotonic() - began < 15.0
         assert stopper.killed
@@ -533,10 +570,12 @@ class TestTransportFaults:
         # close() reaped every worker, the stopped one included.
         assert all(link.process.exitcode is not None for link in stopper.links)
 
-    def test_busy_coordinator_does_not_time_its_workers_out(self):
-        """``connect_timeout_s`` budgets the connection, not the run: a
+    def test_busy_coordinator_does_not_time_its_workers_out(self, monkeypatch):
+        """``CONNECT_TIMEOUT_S`` budgets the connection, not the run: a
         coordinator that takes longer than that between two step frames
-        (slow adversary, debugger, loaded box) finds its workers waiting."""
+        (slow adversary, debugger, loaded box) finds its workers waiting.
+        The forked workers inherit the patched constant."""
+        monkeypatch.setattr(tcp, "CONNECT_TIMEOUT_S", 2.0)
         kwargs = dict(t=3, seed=7)
         baseline = fingerprint(execute("phase-king", mixed(13), **kwargs))
         run = execute(
@@ -544,7 +583,7 @@ class TestTransportFaults:
             mixed(13),
             observers=(_Sleep(at_round=1, seconds=3.0),),
             transport="tcp",
-            transport_options={"processes_per_worker": 4, "connect_timeout_s": 2.0},
+            transport_options={"processes_per_worker": 4},
             **kwargs,
         )
         assert run.result.faulty == frozenset()
@@ -658,6 +697,7 @@ class TestSetup:
     def test_workers_that_never_connect_fail_at_the_deadline(
         self, monkeypatch, spawned
     ):
+        monkeypatch.setattr(tcp, "CONNECT_TIMEOUT_S", 1.0)
         monkeypatch.setattr(
             "repro.transport.worker.main", lambda *args, **kwargs: time.sleep(60)
         )
@@ -668,10 +708,7 @@ class TestSetup:
                 mixed(13),
                 t=3,
                 transport="tcp",
-                transport_options={
-                    "processes_per_worker": 7,
-                    "connect_timeout_s": 1.0,
-                },
+                transport_options={"processes_per_worker": 7},
             )
         assert 1.0 <= time.monotonic() - began < 10.0
         assert len(spawned) == 2
@@ -682,6 +719,7 @@ class TestSetup:
     ):
         """A worker that exits before its hello (its block failed to
         start) is noticed by its exit, not by the connect deadline."""
+        monkeypatch.setattr(tcp, "CONNECT_TIMEOUT_S", 10.0)
         monkeypatch.setattr(
             "repro.transport.worker.main", lambda *args, **kwargs: sys.exit(3)
         )
@@ -692,10 +730,7 @@ class TestSetup:
                 mixed(13),
                 t=3,
                 transport="tcp",
-                transport_options={
-                    "processes_per_worker": 7,
-                    "connect_timeout_s": 10.0,
-                },
+                transport_options={"processes_per_worker": 7},
             )
         assert time.monotonic() - began < 2.0
         assert len(spawned) == 2
