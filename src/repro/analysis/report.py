@@ -335,7 +335,8 @@ def scaling(ns, seed, quiet_seed, unanimous_ns, unanimous_seed):
     """Theorem 1 over ``ns`` on the whp path (:func:`whp_path`): under the
     vote-balancing adversary, without one, and on unanimous inputs.  A
     run that does not fall back takes exactly ``schedule_rounds``,
-    ``core_total_rounds(n) + 1``."""
+    ``core_total_rounds(n) + 1``.  The first cell at each n gives the
+    fallback rate without retries, with its Wilson 95% interval."""
     attacked, attacked_cells = whp_path("algorithm1", ns, seed, "balance")
     quiet, quiet_cells = whp_path("algorithm1", ns, quiet_seed)
     values = {
@@ -355,6 +356,13 @@ def scaling(ns, seed, quiet_seed, unanimous_ns, unanimous_seed):
     values["random_bits_slope"] = loglog_slope(
         ns, [max(1, bits) for bits in values["random_bits"]]
     )
+    # The fallback rate without retries: the first cell at each n.
+    for prefix in ("", "quiet_"):
+        fallbacks = sum(values[f"{prefix}first_fallback"])
+        values[f"{prefix}first_fallback_rate"] = fallbacks / len(ns)
+        values[f"{prefix}first_fallback_interval"] = list(
+            wilson_interval(fallbacks, len(ns))
+        )
     for n in unanimous_ns:
         run = execute("algorithm1", [1] * n, seed=unanimous_seed)
         _append(values, unanimous_decision=run.decision,

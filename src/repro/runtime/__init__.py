@@ -4,30 +4,30 @@ Public surface:
 
 * :class:`Message`, :class:`Multicast`, :class:`MessageBatch`,
   :func:`payload_bits` — metered point-to-point messages, shared-payload
-  multicast records, and the flat per-round batch the engine and the
-  adversary operate on;
+  multicast records, and the round's one batch: its records as numpy
+  column vectors, read as a flat ``Sequence[Message]`` by the adversary,
+  validation and delivery;
 * :class:`CountingRandom` — the counted random source;
 * :class:`SyncProcess`, :class:`ProcessEnv` — generator-based processes;
 * :class:`SyncNetwork`, :class:`Adversary`, :class:`AdversaryAction`,
   :class:`NetworkView`, :class:`ExecutionResult` — the engine facade and the
   adaptive full-information adversary hook;
-* :class:`ExecutionCore`, :class:`~repro.runtime.delivery.Delivery` —
-  the engine's two layers under :class:`SyncNetwork`'s lockstep round
-  loop (execution, delivery);
+* :class:`ExecutionCore`, :mod:`~repro.runtime.delivery` — the engine's
+  two layers under :class:`SyncNetwork`'s lockstep round loop (execution;
+  delivery, whose ``deliver`` returns a ``DeliveryReceipt``);
 * :class:`RoundObserver`, :class:`RunReport` — the engine-driven observer
   bus and the one account of a run the engine keeps on it
   (``ExecutionResult.report``);
 * :class:`Metrics` — rounds / communication bits / randomness accounting;
-* :class:`ColumnarBatch`, :class:`LazyMessageList` — the numpy-vectorized
-  round layout every delivery step uses;
+* :class:`LazyMessageList` — the lazy ``Sequence[Message]`` inbox and
+  delivery views over a batch's copies;
 * :func:`inbox_payloads`, :func:`inbox_senders` — an inbox read by column
   (no :class:`Message` built), for receive loops that only count;
 * :func:`canonical_omissions` — the shared sorted/de-duplicated normal form
   of an omission schedule.
 """
 
-from .columnar import (
-    ColumnarBatch,
+from .delivery import (
     LazyMessageList,
     inbox_payloads,
     inbox_senders,
@@ -73,7 +73,6 @@ from .randomness import (
 )
 
 __all__ = [
-    "ColumnarBatch",
     "LazyMessageList",
     "inbox_payloads",
     "inbox_senders",

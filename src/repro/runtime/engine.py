@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
-from .messages import Message, MessageBatch, MessageRecord
+from .messages import Message, MessageRecord
 from .metrics import Metrics
 from .observers import LinkSample
 from .process import ProcessEnv, Program, SyncProcess
@@ -179,13 +179,15 @@ class ExecutionCore:
         }
 
     # ------------------------------------------------------------------
-    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> MessageBatch:
-        """Run one local-computation phase; collect the outbound batch.
+    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> list[MessageRecord]:
+        """Run one local-computation phase; collect the outbound records.
 
         Every live program among *pids* (all of them by default) is
         resumed, in the order given, with the inbox its slot currently
         holds; the slot is reset so the next delivery step starts from
-        empty.  A TCP worker runs this loop over its pid block.
+        empty.  The records come in pid order; the round loop makes them
+        the round's one :class:`~repro.runtime.messages.MessageBatch`.  A
+        TCP worker runs this loop over its pid block and ships the records.
         """
         records: list[MessageRecord] = []
         programs = self.programs
@@ -208,7 +210,7 @@ class ExecutionCore:
             # Messages queued before a final ``return`` are still sent: the
             # process completed its local computation phase this round.
             records.extend(env.outbox)
-        return MessageBatch(records)
+        return records
 
     # ------------------------------------------------------------------
     # Transport surface.  The base core is fully in-process: it owns no

@@ -16,7 +16,7 @@ counted from the canonical omission schedule and never reaches the
 recipient-liveness check, so a copy that is **both** omitted and addressed
 to an already-terminated recipient is omitted, not lost.  This is the
 single place that rule is pinned; the delivery layer
-(:func:`repro.runtime.columnar.plan_delivery`) implements it, and
+(:func:`repro.runtime.delivery.deliver`) implements it, and
 :class:`repro.replay.invariants.InvariantObserver` asserts the per-round
 identity on every run it observes.  Bits follow the same precedence, but
 omitted *bits* are not metered separately, so only the inequality

@@ -41,11 +41,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
+from numbers import Integral
 from typing import Any
 
-from .delivery import Delivery
+from . import delivery
 from .engine import ExecutionCore, ExecutionResult
-from .messages import Message, MessageBatch
+from .messages import FanoutCache, Message, MessageBatch
 from .observers import RoundObserver
 from .process import SyncProcess
 from .randomness import stable_seed
@@ -156,7 +157,7 @@ class NetworkView:
         batch = self.messages
         if not isinstance(batch, MessageBatch):
             batch = MessageBatch(batch)  # a hand-built plain-list view
-        by_sender, by_recipient = batch.columns().copy_indices(
+        by_sender, by_recipient = batch.copy_indices(
             asked if sent else (), asked if received else ()
         )
         indices: list[int] = []
@@ -215,10 +216,10 @@ class SyncNetwork:
     """The engine facade: drives lockstep rounds over two layers.
 
     A network owns one :class:`~repro.runtime.engine.ExecutionCore` (the
-    processes and their metered randomness) and one
-    :class:`~repro.runtime.delivery.Delivery` (the communication phase).
-    The network itself is the round loop (:meth:`run`), the
-    adversary-arbitration surface and the observer-dispatch surface: view
+    processes and their metered randomness) and drives the communication
+    phase through :mod:`repro.runtime.delivery`'s functions.  The network
+    itself is the round loop (:meth:`run`), the adversary-arbitration
+    surface and the observer-dispatch surface: batch construction, view
     construction, action validation, and the fixed hook sequence all live
     here.
 
@@ -278,8 +279,9 @@ class SyncNetwork:
 
         self.sources = self._core.sources
         self.envs = self._core.envs
-        #: The delivery layer.
-        self._delivery = Delivery()
+        # Fan-out tuples already converted to index arrays, shared across
+        # this network's rounds (see FanoutCache).
+        self._fanout_cache: FanoutCache = {}
         # Alias into the core, which mutates the container in place.
         self._inboxes = self._core.inboxes
 
@@ -303,9 +305,6 @@ class SyncNetwork:
         strategy's raw action are coalesced before anything downstream
         counts or serializes them (see :func:`canonical_omissions`).
         """
-        # Vectorize the batch once, with the fan-out cache, for the view's
-        # index helpers, validation and delivery alike.
-        self._delivery.columns(batch)
         view = NetworkView(
             round=self.round,
             processes=self.processes,
@@ -338,9 +337,11 @@ class SyncNetwork:
                 f"tried to add {len(new_corruptions)}, budget t={self.t}"
                 + detail
             )
-        for pid in sorted(new_corruptions):
-            if not 0 <= pid < self.n:
-                raise AdversaryProtocolError(f"cannot corrupt unknown pid {pid}")
+        # Keyed on repr: an entry need not be an int, and the one named
+        # must not depend on hash order.
+        for pid in sorted(new_corruptions, key=repr):
+            if not isinstance(pid, Integral) or not 0 <= pid < self.n:
+                raise AdversaryProtocolError(f"cannot corrupt unknown pid {pid!r}")
         self.faulty |= new_corruptions
 
         raw_omit: Iterable[int] = action.omit
@@ -348,13 +349,13 @@ class SyncNetwork:
             raw_omit = set(action.omit) | view.message_indices_touching(
                 transport_faults
             )
-        omit = canonical_omissions(raw_omit)
-        if omit:
-            # Legality is delegated to the delivery layer (it owns the
-            # batch's column vectors).
-            self._delivery.validate_omissions(
-                batch, omit, frozenset(self.faulty)
-            )
+        try:
+            omit = canonical_omissions(raw_omit)
+        except TypeError:
+            # Entries that do not hash or compare with each other; the
+            # check below names one that is not an integer.
+            omit = tuple(sorted(raw_omit, key=repr))
+        delivery.validate_omissions(batch, omit, self.faulty)
         canonical = AdversaryAction(
             corrupt=frozenset(action.corrupt) | transport_faults,
             omit=frozenset(omit),
@@ -417,15 +418,18 @@ class SyncNetwork:
                     )
                 for observer in observers:
                     observer.on_round_start(self.round, self)
-                outbound = core.advance(self.round)
-                if core.live_count == 0 and not outbound:
+                records = core.advance(self.round)
+                if core.live_count == 0 and not records:
                     break
+                # The round's one batch: its vectors serve the adversary's
+                # view, validation and delivery alike.
+                outbound = MessageBatch(records, self._fanout_cache)
                 for observer in observers:
                     observer.on_messages_sent(self.round, outbound, self)
                 omitted = self._apply_adversary(outbound)
                 # Communication phase: every surviving copy lands now, to
                 # be consumed next round; the report reads the bit totals.
-                receipt = self._delivery.deliver(
+                receipt = delivery.deliver(
                     outbound, omitted, self._inboxes, core.live_mask()
                 )
                 self._delivered_bits = receipt.delivered_bits

@@ -11,8 +11,9 @@ counters — and keeps, next to them:
   schedule ``repro.replay`` records);
 * ``decision_rounds`` — pid → the round it first decided (the result's
   map, complete with the terminal local-computation phase);
-* ``seconds`` — wall time per phase: ``compute`` (local computation),
-  ``adversary`` (view, strategy, validation), ``delivery`` (inbox
+* ``seconds`` — wall time per phase: ``compute`` (local computation and
+  the round's :class:`MessageBatch` build), ``adversary`` (view,
+  strategy, validation), ``delivery`` (inbox
   placement), ``overhead`` (the rest of the run: other observers, round
   bookkeeping, set-up and tear-down) and ``wall`` (``on_run_start`` to
   ``on_run_end``).  Four ``perf_counter`` reads per round.

@@ -13,10 +13,11 @@ so one loop and one seed table serve both transports.
 
 * :meth:`RemoteExecutionCore.advance` is a blocking fan-out: one ``step``
   frame per live worker carries its pids' inboxes *by column*
-  (:func:`~repro.runtime.columnar.inbox_columns`), and the replies are
+  (:func:`~repro.runtime.delivery.inbox_columns`), and the replies are
   read as ``select`` reports them, each against its own link deadline.
-  Blocks are contiguous and advanced in ascending pid order, so the batch
-  concatenated in link order keeps the engine's sender-sorted invariant.
+  Blocks are contiguous and advanced in ascending pid order, so the
+  records concatenated in link order keep the engine's sender-sorted
+  invariant.
 * A reply carries the records, terminations, decisions, randomness
   counters and hosted process attributes, so the coordinator's process
   objects are the hosted ones for every reader (see
@@ -50,9 +51,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from ..runtime.columnar import InboxColumns, inbox_columns
+from ..runtime.delivery import InboxColumns, inbox_columns
 from ..runtime.engine import ExecutionCore
-from ..runtime.messages import MessageBatch, MessageRecord
+from ..runtime.messages import MessageRecord
 from ..runtime.observers import LinkSample
 from ..runtime.process import SyncProcess
 from . import worker
@@ -292,7 +293,7 @@ class RemoteExecutionCore(ExecutionCore):
 
     # ------------------------------------------------------------------
     # Per-round execution
-    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> MessageBatch:
+    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> list[MessageRecord]:
         # A worker runs the base class's loop over its block (``pids``).
         assert pids is None, "the coordinator advances every live pid"
         timeout = LINK_TIMEOUT_S
@@ -352,7 +353,7 @@ class RemoteExecutionCore(ExecutionCore):
         records: list[MessageRecord] = []
         # Contiguous ascending pid blocks advanced in ascending pid order
         # inside each worker: concatenation in link order keeps the
-        # batch's sender-sorted invariant.
+        # records' sender-sorted invariant.
         for index, (latency, sent, reply, received) in sorted(done.items()):
             link = self._links[index]
             # A timeout, a dead connection and a malformed reply are one
@@ -387,7 +388,7 @@ class RemoteExecutionCore(ExecutionCore):
             for pid, state in out["state"].items():
                 vars(self.processes[pid]).update(state)
             records.extend(out["records"])
-        return MessageBatch(records)
+        return records
 
     def _fail_link(self, link: _WorkerLink) -> None:
         """Crash-fault a link: its live pids become transport faults."""

@@ -6,7 +6,7 @@ processes, programs, environments and counted random sources.
 :func:`main` dials the loopback listener (retrying with backoff inside
 the connect budget), authenticates with the per-run token, and serves one
 ``step`` frame per round: it wraps each shipped inbox (three plain lists)
-in a :class:`~repro.runtime.columnar.ColumnInbox`, runs the core's own
+in a :class:`~repro.runtime.delivery.ColumnInbox`, runs the core's own
 loop (:meth:`ExecutionCore.advance
 <repro.runtime.engine.ExecutionCore.advance>`) over its pid block, and
 replies with the outbound records, newly terminated pids, decisions,
@@ -20,7 +20,7 @@ from __future__ import annotations
 import socket
 import time
 
-from ..runtime.columnar import ColumnInbox
+from ..runtime.delivery import ColumnInbox
 from ..runtime.engine import ExecutionCore
 from . import tcp  # a cycle: tcp forks this module's main; read at call time
 from .framing import TransportError, recv_frame, send_frame
@@ -79,11 +79,11 @@ def main(core: tcp.RemoteExecutionCore, index: int, port: int) -> None:
             live = list(payload["inboxes"])
             for pid, columns in payload["inboxes"].items():
                 core.inboxes[pid] = ColumnInbox(pid, columns)
-            batch = ExecutionCore.advance(core, payload["round"], live)
+            records = ExecutionCore.advance(core, payload["round"], live)
             terminated = [pid for pid in live if core.programs[pid] is None]
             envs, sources, shipped = core.envs, core.sources, live if core._mirror else terminated
             send_frame(sock, ("out", {
-                "records": batch.records,
+                "records": records,
                 "terminated": terminated,
                 "decisions": {
                     p: (envs[p].decision, envs[p].decision_round) for p in block if envs[p].has_decided

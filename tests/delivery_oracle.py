@@ -1,11 +1,11 @@
 """The reference object-per-copy delivery loop, kept as a differential oracle.
 
-The engine delivers every batch through the columnar plan
+The engine delivers every batch as array math over its column vectors
 (:mod:`repro.runtime.delivery`).  What it replaced — one Python step and one
 :class:`Message` per copy, the scalar omission validator — lives here
 verbatim, and :func:`pin_object_loop` routes a network's delivery layer
 through it, so a test can run the same execution both ways and compare
-inboxes, orders and counters byte for byte.
+inboxes, orders, counters and errors byte for byte.
 """
 
 from __future__ import annotations
@@ -13,30 +13,32 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence, Set
 from typing import cast
 
+import numpy as np
 import pytest
 
-from repro.runtime import delivery
-from repro.runtime.delivery import (
-    DeliveryReceipt,
-    _raise_illegal,
-    check_sender_order,
-)
+from repro.runtime import AdversaryProtocolError, delivery
+from repro.runtime.delivery import DeliveryReceipt, check_sender_order
 from repro.runtime.messages import Message, MessageBatch, MessageRecord, Multicast
 
 
 def validate_objects(
-    self, batch: MessageBatch, omit: Sequence[int], faulty: Set[int]
+    batch: MessageBatch, omit: Sequence[int], faulty: Set[int]
 ) -> None:
     """The scalar omission validator: range, then faulty incidence, per
     canonical (sorted) index."""
     total = len(batch)
     for index in omit:
         if not 0 <= index < total:
-            _raise_illegal(total, index, -1, -1, out_of_range=True)
+            raise AdversaryProtocolError(
+                f"omit index {index} out of range ({total} messages this round)"
+            )
         copy = batch[index]
         sender, recipient = copy.sender, copy.recipient
         if sender not in faulty and recipient not in faulty:
-            _raise_illegal(total, index, sender, recipient, out_of_range=False)
+            raise AdversaryProtocolError(
+                "omissions are only allowed on messages to/from faulty "
+                f"processes; message {sender}->{recipient} touches none"
+            )
 
 
 def deliver_objects(
@@ -60,8 +62,9 @@ def deliver_objects(
     boxes = cast("list[list[Message]]", inboxes)
     delivered_append = delivered.append
 
-    check_sender_order(batch.columns())
-    pairs: Iterable[tuple[MessageRecord, int]] = zip(batch.records, batch.offsets)
+    check_sender_order(batch)
+    offsets = np.cumsum(batch.rec_count) - batch.rec_count
+    pairs: Iterable[tuple[MessageRecord, int]] = zip(batch.records, offsets.tolist())
     clean = not omitted_set and live is None
 
     for record, base in pairs:
@@ -110,10 +113,5 @@ def deliver_objects(
 def pin_object_loop(patch: pytest.MonkeyPatch) -> None:
     """Route every network's validation and delivery through the oracle
     (a test seam, not an option)."""
-    patch.setattr(delivery.Delivery, "validate_omissions", validate_objects)
-    patch.setattr(
-        delivery.Delivery, "deliver",
-        lambda self, batch, omitted, inboxes, live: deliver_objects(
-            batch, omitted, inboxes, live
-        ),
-    )
+    patch.setattr(delivery, "validate_omissions", validate_objects)
+    patch.setattr(delivery, "deliver", deliver_objects)

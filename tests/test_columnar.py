@@ -1,7 +1,8 @@
-"""The columnar (numpy) delivery plan: layout, laziness, golden equivalence.
+"""The columnar (numpy) batch and delivery: layout, laziness, golden equivalence.
 
-Every batch takes the columnar plan (``repro.runtime.delivery``); the
-object-per-copy loop it replaced is the oracle in
+Every batch is delivered as array math over its column vectors
+(``repro.runtime.delivery``); the object-per-copy loop it replaced is the
+oracle in
 ``tests/delivery_oracle.py``, and both must produce *byte-identical*
 executions: same decisions, same rounds, same value for every
 :class:`Metrics` counter, same flat omit indices, same replay
@@ -35,7 +36,6 @@ from repro.runtime import (
     Adversary,
     AdversaryAction,
     AdversaryProtocolError,
-    ColumnarBatch,
     LazyMessageList,
     Message,
     MessageBatch,
@@ -49,11 +49,7 @@ from repro.runtime import (
     inbox_senders,
     result_to_dict,
 )
-from repro.runtime.columnar import (
-    ColumnInbox,
-    inbox_columns,
-    plan_delivery,
-)
+from repro.runtime.delivery import ColumnInbox, inbox_columns
 from repro.transport.framing import decode_body, encode_frame
 
 from .delivery_oracle import deliver_objects, pin_object_loop
@@ -105,55 +101,51 @@ def mixed_batch() -> MessageBatch:
 # ---------------------------------------------------------------------------
 # The columnar layout itself.
 class TestColumnarBatch:
+    """The layout a MessageBatch builds from its records."""
+
     def test_columns_match_naive_enumeration(self):
         batch = mixed_batch()
-        cols = batch.columns()
         flat = list(batch)
-        assert cols.total_copies == len(batch)
-        assert cols.copy_sender.tolist() == [m.sender for m in flat]
-        assert cols.copy_recipient.tolist() == [m.recipient for m in flat]
-        assert cols.copy_bits.tolist() == [m.bits for m in flat]
-        assert cols.rec_payload.tolist() == [r.payload for r in batch.records]
-        assert cols.total_bits() == batch.total_bits()
+        assert len(batch) == len(flat)
+        assert batch.copy_sender.tolist() == [m.sender for m in flat]
+        assert batch.copy_recipient.tolist() == [m.recipient for m in flat]
+        assert batch.copy_bits.tolist() == [m.bits for m in flat]
+        assert batch.rec_payload.tolist() == [r.payload for r in batch.records]
+        assert batch.total_bits() == sum(m.bits for m in flat)
 
     def test_copy_record_indexes_the_payload_table(self):
         batch = mixed_batch()
-        cols = batch.columns()
         for index in range(len(batch)):
-            record_position = int(cols.copy_record[index])
+            record_position = int(batch.copy_record[index])
             assert batch.records[record_position].payload is (
                 batch[index].payload
             )
 
     def test_columns_are_cached_per_batch(self):
         batch = mixed_batch()
-        assert batch.columns() is batch.columns()
+        for column in ("copy_sender", "copy_bits", "copy_record", "rec_payload"):
+            assert getattr(batch, column) is getattr(batch, column)
 
     def test_fanout_cache_reuses_tuple_conversions(self):
         recipients = (0, 2, 3)
         cache: dict = {}
-        first = ColumnarBatch.from_records(
-            [Multicast(1, recipients, (7,))], cache
-        )
-        second = ColumnarBatch.from_records(
-            [Multicast(4, recipients, (9,))], cache
-        )
+        first = MessageBatch([Multicast(1, recipients, (7,))], cache)
+        second = MessageBatch([Multicast(4, recipients, (9,))], cache)
         assert len(cache) == 1
         assert first.copy_recipient.tolist() == (
             second.copy_recipient.tolist()
         )
 
     def test_empty_batch(self):
-        cols = MessageBatch([]).columns()
-        assert cols.total_copies == 0
-        assert cols.total_bits() == 0
+        batch = MessageBatch([])
+        assert len(batch) == 0
+        assert batch.total_bits() == 0
 
 
 class TestLazyMessageList:
     def test_len_and_bool_do_not_materialize(self):
         batch = mixed_batch()
-        cols = batch.columns()
-        view = LazyMessageList(cols)
+        view = LazyMessageList(batch)
         assert len(view) == len(batch)
         assert bool(view)
         assert view._items is None
@@ -162,8 +154,7 @@ class TestLazyMessageList:
         import numpy as np
 
         batch = mixed_batch()
-        cols = batch.columns()
-        view = LazyMessageList(cols, np.arange(len(batch)))
+        view = LazyMessageList(batch, np.arange(len(batch)))
         for lazy, eager in zip(view, batch):
             assert (lazy.sender, lazy.recipient, lazy.bits) == (
                 eager.sender,
@@ -175,18 +166,27 @@ class TestLazyMessageList:
         assert view[0] is view[0]  # cached after first access
 
 
+def deliver_fresh(batch, omitted, live):
+    """``delivery.deliver`` into empty inboxes: the receipt, and each
+    recipient that received traffic paired with its inbox."""
+    inboxes: list = [[] for _ in range(4)]
+    receipt = delivery.deliver(batch, omitted, inboxes, live)
+    return receipt, [(owner, inbox) for owner, inbox in enumerate(inboxes) if inbox]
+
+
 class TestPlanDelivery:
+    """``delivery.deliver``: the communication phase as array math."""
+
     def test_clean_round_delivers_everything_grouped(self):
         batch = mixed_batch()
-        plan = plan_delivery(batch.columns(), (), None)
+        plan, filled = deliver_fresh(batch, (), None)
         assert plan.delivered_bits == batch.total_bits()
         assert plan.lost_bits == 0
         assert len(plan.lost) == 0
-        owners = [owner for owner, _ in plan.inboxes]
-        assert owners == sorted(owners)
+        assert all(isinstance(inbox, LazyMessageList) for _, inbox in filled)
         grouped = {
             owner: [(m.sender, m.recipient) for m in inbox]
-            for owner, inbox in plan.inboxes
+            for owner, inbox in filled
         }
         want: dict[int, list[tuple[int, int]]] = {}
         for message in batch:
@@ -202,7 +202,7 @@ class TestPlanDelivery:
         # the un-omitted copy to recipient 0 is lost.
         batch = mixed_batch()
         live = [False, True, True, True]
-        plan = plan_delivery(batch.columns(), (1,), live)
+        plan, _ = deliver_fresh(batch, (1,), live)
         delivered = [(m.sender, m.recipient) for m in plan.delivered]
         lost = [(m.sender, m.recipient) for m in plan.lost]
         assert (1, 0) not in delivered and (1, 0) not in lost
@@ -214,7 +214,7 @@ class TestPlanDelivery:
             [Multicast(1, (0, 2, 0), (7,)), Message(2, 0, 5)]
         )
         live = [False, True, True]
-        plan = plan_delivery(batch.columns(), (), live)
+        plan, _ = deliver_fresh(batch, (), live)
         assert [(m.sender, m.recipient) for m in plan.lost] == [
             (1, 0),
             (1, 0),
@@ -261,9 +261,9 @@ def deliver_round(name, inboxes):
     order is refused, on either path, and leaves every inbox empty."""
     batch, omitted, live = INBOX_ROUNDS[name]
     if name != "hand-built-unsorted":
-        return delivery.Delivery().deliver(batch, omitted, inboxes, live)
+        return delivery.deliver(batch, omitted, inboxes, live)
     with pytest.raises(ValueError, match="non-decreasing sender order"):
-        delivery.Delivery().deliver(batch, omitted, inboxes, live)
+        delivery.deliver(batch, omitted, inboxes, live)
     assert inboxes == [[]] * len(inboxes)
     return None
 
@@ -489,7 +489,7 @@ class TestLazyDelivery:
             [Message(2, 0, "b"), Multicast(0, (1, 2, 0), "a")]
         )
         errors = []
-        for deliver in (delivery.Delivery().deliver, deliver_objects):
+        for deliver in (delivery.deliver, deliver_objects):
             inboxes: list = [[] for _ in range(3)]
             with pytest.raises(ValueError) as raised:
                 deliver(unsorted, (2,), inboxes, None)
@@ -509,14 +509,14 @@ class TestPerBatchRule:
         rest down the columnar plan — plain lists and lazy views side by
         side — equals the runs pinned to either path."""
         served = {"columnar": 0, "object": 0}
-        columnar_deliver = delivery.Delivery.deliver
+        columnar_deliver = delivery.deliver
 
-        def mixed_deliver(self, batch, omitted, inboxes, live):
+        def mixed_deliver(batch, omitted, inboxes, live):
             if len(batch) < 4 * len(batch.records):
                 served["object"] += 1
                 return deliver_objects(batch, omitted, inboxes, live)
             served["columnar"] += 1
-            return columnar_deliver(self, batch, omitted, inboxes, live)
+            return columnar_deliver(batch, omitted, inboxes, live)
 
         def run():
             return canonical(
@@ -526,7 +526,7 @@ class TestPerBatchRule:
             )
 
         with monkeypatch.context() as patch:
-            patch.setattr(delivery.Delivery, "deliver", mixed_deliver)
+            patch.setattr(delivery, "deliver", mixed_deliver)
             mixed = run()
         assert served["columnar"] > 0 and served["object"] > 0
         for columnar in (True, False):

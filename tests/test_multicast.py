@@ -59,12 +59,11 @@ class TestMessageBatch:
         batch = mixed_batch()
         endpoints = [(m.sender, m.recipient) for m in batch]
         assert endpoints == [(0, 3), (1, 0), (1, 2), (1, 3), (2, 1)]
-        cols = batch.columns()
         for index in range(len(batch)):
             view = batch[index]
             assert (view.sender, view.recipient) == endpoints[index]
             assert (
-                int(cols.copy_sender[index]), int(cols.copy_recipient[index])
+                int(batch.copy_sender[index]), int(batch.copy_recipient[index])
             ) == endpoints[index]
 
     def test_negative_index_and_slice(self):
@@ -103,7 +102,7 @@ class TestMessageBatch:
         for index, message in enumerate(batch):
             by_sender.setdefault(message.sender, []).append(index)
             by_recipient.setdefault(message.recipient, []).append(index)
-        assert batch.columns().copy_indices(by_sender, by_recipient) == (
+        assert batch.copy_indices(by_sender, by_recipient) == (
             by_sender,
             by_recipient,
         )

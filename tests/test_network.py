@@ -5,10 +5,14 @@ behaviour is exercised in isolation.
 """
 
 import json
+import os
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.harness import execute
 from repro.replay import InvariantObserver, recipe_from_payload, replay
 from repro.runtime import (
     Adversary,
@@ -17,10 +21,12 @@ from repro.runtime import (
     ExecutionCore,
     LinkSample,
     LockstepError,
+    MessageBatch,
     ProcessEnv,
     RoundObserver,
     SyncNetwork,
     SyncProcess,
+    result_to_dict,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden-ben-or.json"
@@ -203,6 +209,71 @@ def test_omission_index_validated():
     )
     with pytest.raises(AdversaryProtocolError):
         network.run()
+
+
+class OneAction(Adversary):
+    """Plays one raw action in round 0, exactly as given."""
+
+    def __init__(self, corrupt, omit):
+        self.action = AdversaryAction(corrupt=frozenset(corrupt), omit=frozenset(omit))
+
+    def act(self, view):
+        return self.action if view.round == 0 else AdversaryAction.nothing()
+
+
+def ben_or_under(corrupt, omit):
+    return execute(
+        "ben-or", [pid % 2 for pid in range(8)], t=1,
+        adversary=OneAction(corrupt, omit), seed=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt,omit,entry",
+    [
+        ({0}, {1.5}, 1.5),
+        ({0}, {"1"}, "1"),
+        ({0}, {2**70}, 2**70),
+        ({0}, {"1", 2}, "1"),
+        ({1.5}, set(), 1.5),
+        ({0.0}, set(), 0.0),
+    ],
+    ids=["omit-float", "omit-str", "omit-2**70", "omit-str-and-int",
+         "corrupt-float", "corrupt-float-zero"],
+)
+def test_malformed_action_is_a_protocol_error(corrupt, omit, entry):
+    """An action entry that is not an integer, or is out of range, is an
+    AdversaryProtocolError naming it — never silently coerced to a copy
+    or a pid, never a bare OverflowError or TypeError."""
+    with pytest.raises(AdversaryProtocolError, match=re.escape(repr(entry))):
+        ben_or_under(corrupt, omit)
+
+
+def test_numpy_integer_action_is_accepted():
+    plain = ben_or_under({0}, {1})
+    numpy = ben_or_under({np.int64(0)}, {np.int32(1)})
+    assert plain.result.metrics.messages_omitted == 1
+    assert result_to_dict(numpy.result) == result_to_dict(plain.result)
+
+
+@pytest.mark.parametrize("transport", [None, "tcp"])
+def test_one_batch_per_round(monkeypatch, transport):
+    """The round loop builds one MessageBatch per round with traffic and
+    none for the terminal phase; a TCP worker (a fork of this process)
+    builds none: it ships records."""
+    built = []
+    coordinator = os.getpid()
+    init = MessageBatch.__init__
+
+    def counted(self, *args, **kwargs):
+        assert os.getpid() == coordinator, "a TCP worker built a MessageBatch"
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MessageBatch, "__init__", counted)
+    run = execute("ben-or", [pid % 2 for pid in range(8)], t=0, seed=1, transport=transport)
+    assert not run.result.faulty
+    assert len(built) == run.result.metrics.rounds > 0
 
 
 def test_agreement_value_detects_disagreement():

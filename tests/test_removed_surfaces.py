@@ -28,6 +28,7 @@ from repro.runtime import (
     CountingRandom,
     ExecutionCore,
     MessageBatch,
+    Multicast,
     NetworkView,
     SyncNetwork,
 )
@@ -150,8 +151,10 @@ REMOVED_CALLS.update(
                 ("reseed", "randrange", "uniform", "choice", "sample", "shuffle"),
             ),
             (SpreadingGraph, ("edges", "degree_within")),
-            # A batch out of sender order is refused, never re-sorted.
-            (MessageBatch, ("sender_sorted",)),
+            # A batch out of sender order is refused, never re-sorted; the
+            # batch is its own columns, indexed through them.
+            (MessageBatch, ("sender_sorted", "columns", "offsets", "_copy_at")),
+            (Multicast, ("message",)),
             (Lemma9Check, ("slack",)),
             (CoinGamePoint, ("ratio",)),
         )
@@ -178,6 +181,7 @@ REMOVED_PACKAGES = frozenset(
         "repro.transport.inprocess",
         "repro.lowerbound.rollout_adversary",
         "repro.analysis.conformance",
+        "repro.runtime.columnar",
     }
 )
 
@@ -383,6 +387,14 @@ REMOVED_PACKAGES = frozenset(
                 # ExecutionCore, and the TCP options are one.
                 ("repro.transport.worker", ("ProcessShard",)),
                 ("repro.transport.tcp", ("OPTIONS",)),
+                # One round batch: MessageBatch holds its own columns, and
+                # delivery is two module functions.
+                ("repro.runtime", ("ColumnarBatch",)),
+                (
+                    "repro.runtime.columnar",
+                    ("ColumnarBatch", "DeliveryPlan", "plan_delivery", "first_illegal_omission"),
+                ),
+                ("repro.runtime.delivery", ("Delivery", "DeliveryPlan", "_raise_illegal")),
             )
             for name in names
         ),
@@ -592,7 +604,7 @@ def test_engine_builds_messages_per_copy_only_where_one_is_read():
     }
     assert sites == {
         ("messages.py", "__iter__"),
-        ("columnar.py", "_materialize"),
+        ("delivery.py", "_materialize"),
     }
     planted = ast.parse(
         "def fan_out(record):\n"

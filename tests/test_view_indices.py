@@ -12,6 +12,7 @@ iteration order of a set of ints depends on its insertion sequence, and
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,10 +38,15 @@ HELPERS = {
 
 # ---------------------------------------------------------------------------
 # The reference: the parent's index builders and helper bodies, verbatim.
+def offsets(batch: MessageBatch) -> list[int]:
+    """Flat index of each record's first copy (parallel to ``records``)."""
+    return (np.cumsum(batch.rec_count) - batch.rec_count).tolist()
+
+
 def indices_by_sender(batch: MessageBatch) -> dict[int, list[int]]:
     """Flat copy indices grouped by sender, in index order."""
     by_sender: dict[int, list[int]] = {}
-    for record, base in zip(batch.records, batch.offsets):
+    for record, base in zip(batch.records, offsets(batch)):
         if type(record) is Multicast:
             indices = range(base, base + len(record.recipients))
         else:
@@ -57,7 +63,7 @@ def indices_by_recipient(batch: MessageBatch) -> dict[int, list[int]]:
     """Flat copy indices grouped by recipient, in index order."""
     by_recipient: dict[int, list[int]] = {}
     setdefault = by_recipient.setdefault
-    for record, base in zip(batch.records, batch.offsets):
+    for record, base in zip(batch.records, offsets(batch)):
         if type(record) is Multicast:
             for position, recipient in enumerate(record.recipients):
                 setdefault(recipient, []).append(base + position)
