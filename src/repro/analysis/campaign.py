@@ -50,11 +50,12 @@ which cells the journal and the cache already answer, and which are left.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -213,9 +214,7 @@ def _run_cell(
     return record
 
 
-def load_journal(
-    path: str | Path, dedupe: bool = True
-) -> list[dict[str, Any]]:
+def load_journal(path: str | Path) -> list[dict[str, Any]]:
     """Read records from a JSONL journal written by the campaign runner.
 
     Crash-tolerant: the journal is read as bytes and every line is decoded
@@ -225,19 +224,16 @@ def load_journal(
     cell simply re-runs.  :func:`repair_journal` (invoked by every append)
     is what moves such a tail into the quarantine sidecar.
 
-    ``dedupe`` (the default) merges cells that were appended more than
-    once — e.g. a sweep re-run under a different ``jobs`` count after a
-    partial resume — by **latest-write-wins** on ``(campaign, CellId)``:
-    the surviving record is the last one appended, at the position of the
-    first.  Two campaigns sharing a journal each keep their own record of
-    a cell they both ran.  Lines that are not cell records are kept
-    verbatim.  Pass ``dedupe=False`` for the raw line-by-line view.
+    A cell appended more than once — e.g. a sweep re-run under a
+    different ``jobs`` count after a partial resume — is merged by
+    **latest-write-wins** on ``(campaign, CellId)``: the surviving record
+    is the last one appended, at the position of the first.  Two campaigns
+    sharing a journal each keep their own record of a cell they both ran.
+    Lines that are not cell records are kept verbatim.
+    :func:`load_journal_records` is the raw line-by-line view.
     """
-    records = load_journal_records(path)
-    if not dedupe:
-        return records
     merged: dict[object, dict[str, Any]] = {}
-    for index, record in enumerate(records):
+    for index, record in enumerate(load_journal_records(path)):
         cell = CellId.from_record(record)
         key: object = (
             (record.get("campaign"), cell)
@@ -256,7 +252,7 @@ def resolve(
     spec: CampaignSpec,
     *,
     cache: CampaignCache | str | Path | None = None,
-    resume: Sequence[Mapping[str, Any]] | str | Path | None = None,
+    resume: str | Path | None = None,
 ) -> tuple[
     dict[Coords, tuple[str, dict[str, Any]]], list[tuple[Coords, CellId]]
 ]:
@@ -264,21 +260,23 @@ def resolve(
 
     The one place the resume → cache → execute order is applied.  Returns
     ``(results, pending)``: ``results`` maps a cell's coordinates to
-    ``(source, record)`` with ``source`` ``"journal"`` (found in ``resume``
-    — a journal path, a missing file being an empty journal, or a sequence
-    of finished records) or ``"cache"`` (served by the
-    :class:`repro.fabric.CampaignCache`, given as an instance or a
-    directory path); ``pending`` lists, in grid order, the
-    ``(coordinates, CellId)`` of the cells neither could answer.
+    ``(source, record)`` with ``source`` ``"journal"`` (found in the
+    journal at path ``resume``, a missing file being an empty journal) or
+    ``"cache"`` (served by the :class:`repro.fabric.CampaignCache`, given
+    as an instance or a directory path, and stamped with ``spec.name``:
+    the cache is shared across campaigns); ``pending`` lists, in grid
+    order, the ``(coordinates, CellId)`` of the cells neither could answer.
     """
     store = open_cache(cache)
-    if isinstance(resume, (str, Path)):
-        try:
-            resume = load_journal(resume)
-        except FileNotFoundError:
-            resume = ()
+    records: list[dict[str, Any]] = []
+    if resume is not None:
+        if not isinstance(resume, (str, Path)):
+            name = type(resume).__name__
+            raise TypeError(f"resume takes a journal path, got {name!r} (see docs/api.md)")
+        with contextlib.suppress(FileNotFoundError):
+            records = load_journal(resume)
     done: dict[CellId, dict[str, Any]] = {}
-    for record in resume or ():
+    for record in records:
         if record.get("campaign") != spec.name:
             continue
         cell = CellId.from_record(record)
@@ -295,7 +293,7 @@ def resolve(
         if store is not None:
             cached = store.get(cell)
             if cached is not None:
-                results[coords] = ("cache", cached)
+                results[coords] = ("cache", {**cached, "campaign": spec.name})
                 continue
         pending.append((coords, cell))
     return results, pending
@@ -309,7 +307,7 @@ def run_campaign(
     on_record: Callable[[dict[str, Any]], None] | None = None,
     record_failures: str | Path | None = None,
     cache: CampaignCache | str | Path | None = None,
-    resume: Sequence[Mapping[str, Any]] | str | Path | None = None,
+    resume: str | Path | None = None,
 ) -> list[dict[str, Any]]:
     """Run every grid cell, serving already-known cells without executing.
 
@@ -318,8 +316,7 @@ def run_campaign(
     transport_options).  Cells are satisfied, in order, from
     (:func:`resolve` applies the first two):
 
-    1. ``resume`` — a journal path (a missing file is an empty journal)
-       or a sequence of finished records;
+    1. ``resume`` — a journal path (a missing file is an empty journal);
     2. ``cache`` — a content-addressed :class:`repro.fabric.CampaignCache`
        (or a directory path for one) consulted per cell and fed every
        newly computed record, so identical cells are never recomputed

@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = 1.959964
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95 % score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(
             f"successes {successes} out of range for {trials} trials"
         )
+    z = 1.959964  # the two-sided 95 % normal quantile
     p_hat = successes / trials
     denominator = 1 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denominator

@@ -994,9 +994,10 @@ inequalities the lemmas assert.  See DESIGN.md §2.
 OUTRO = """\
 Known deviations, all documented in DESIGN.md: practical constants; the
 relay-chain replacement for Dolev-Strong signatures; the fallback rate at
-small n (the truncated epoch budget makes the whp guarantee a few-percent
-guarantee at n ~ 100, which the safety rule and the deterministic fallback
-absorb at the cost of O(n^2 t) bits in those runs).
+small n (under the truncated epoch budget about one balanced fault-free run
+in seven falls back at n = 64-256, and E-ABL1 counts 3 of 12 at n=48 with
+four epochs; the safety rule and the deterministic fallback absorb those
+runs at the cost of O(n^2 t) bits each).
 """
 
 

@@ -142,25 +142,19 @@ def _print_campaign_records(records, output) -> None:
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis.campaign import load_journal, run_campaign
+    from pathlib import Path
+
+    from .analysis.campaign import run_campaign
     from .fabric import open_cache
 
     spec = _campaign_spec_from_args(args)
     cache = open_cache(args.cache)
-    resume_records: list = []
-    if args.journal is not None:
-        try:
-            resume_records = load_journal(args.journal)
-        except FileNotFoundError:
-            pass
-        else:
-            print(
-                f"resuming from {args.journal} ({len(resume_records)} records)"
-            )
+    if args.journal is not None and Path(args.journal).exists():
+        print(f"resuming from {args.journal}")
     computed: list[dict] = []
     records = run_campaign(
         spec,
-        resume=resume_records,
+        resume=args.journal,
         jobs=args.jobs,
         journal=args.journal,
         record_failures=args.record_failures,
@@ -250,9 +244,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         f"{recipe.total_corruptions()} corruptions, "
         f"{recipe.total_omissions()} omissions"
     )
-    strict = False if args.lenient else None
     try:
-        report = replay(recipe, strict=strict)
+        report = replay(recipe)
     except ValueError as exc:
         # e.g. the recipe names a protocol this process has not
         # registered (test-only plants live in their test modules).
@@ -409,11 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute a recorded ExecutionRecipe and verify the outcome",
     )
     replay_parser.add_argument("recipe", help="path to a recipe JSON")
-    replay_parser.add_argument(
-        "--lenient", action="store_true",
-        help="cap/censor illegal scripted actions instead of erroring "
-        "(the default for failing recipes)",
-    )
     replay_parser.add_argument(
         "--shrink", action="store_true",
         help="minimize a failing recipe's schedule and write it back "

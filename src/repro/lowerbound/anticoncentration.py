@@ -49,26 +49,16 @@ class Lemma9Check:
         return self.exact >= self.bound - 1e-15
 
 
-def verify_lemma9(
-    ns: Sequence[int],
-    t_values: Sequence[float] | None = None,
-) -> list[Lemma9Check]:
+def verify_lemma9(ns: Sequence[int]) -> list[Lemma9Check]:
     """Evaluate Lemma 9 on a grid; each point's ``holds`` should be True.
 
-    ``t_values`` defaults to a spread over the lemma's valid range
-    ``t <= sqrt(n)/8`` for each n.
+    For each n, ``t`` spreads over the lemma's valid range
+    ``t <= sqrt(n)/8``.
     """
     checks = []
     for n in ns:
         limit = math.sqrt(n) / 8.0
-        values = (
-            t_values
-            if t_values is not None
-            else [0.0, limit / 4, limit / 2, limit]
-        )
-        for t in values:
-            if t > limit:
-                continue
+        for t in (0.0, limit / 4, limit / 2, limit):
             checks.append(
                 Lemma9Check(
                     n=n,

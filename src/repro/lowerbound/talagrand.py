@@ -73,18 +73,17 @@ def check_threshold_point(k: int, s: int, t: float) -> TalagrandCheck:
 def verify_threshold_inequality(
     ks: Sequence[int],
     t_values: Sequence[float],
-    thresholds_per_k: int = 5,
 ) -> list[TalagrandCheck]:
     """Evaluate the inequality on a grid of (k, s, t); returns all points.
 
-    Thresholds are spread from the mean to the far tail for each k, probing
-    both the bulk (large Pr[U]) and the tail (small Pr[U]) regimes.
+    Five thresholds are spread from the mean to the far tail for each k,
+    probing both the bulk (large Pr[U]) and the tail (small Pr[U]) regimes.
     """
     checks = []
     for k in ks:
         mean = k // 2
         spread = max(1, int(2 * math.sqrt(k)))
-        step = max(1, (2 * spread) // max(1, thresholds_per_k - 1))
+        step = max(1, spread // 2)
         thresholds = range(mean - spread, mean + spread + 1, step)
         for s in thresholds:
             for t in t_values:

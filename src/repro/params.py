@@ -153,8 +153,8 @@ class ProtocolParams:
             spread_rounds_min=3,
             epoch_factor=1.0,
             # Each epoch unifies the candidate bits with constant
-            # probability (Lemma 10); five epochs push the fall-back rate
-            # on balanced inputs to a few percent while staying cheap.
+            # probability (Lemma 10); with five epochs about one balanced
+            # fault-free run in seven still falls back at n = 64-256.
             epoch_min=5,
         )
 

@@ -143,7 +143,7 @@ class InvariantObserver(RoundObserver):
                 f"{len(network.faulty)} corrupted processes exceed t="
                 f"{network.t}",
             )
-        for record in getattr(view.messages, "records", view.messages):
+        for record in view.messages.records:
             bits = payload_bits(record.payload) + MESSAGE_OVERHEAD_BITS
             if record.bits != bits:
                 raise InvariantViolation(

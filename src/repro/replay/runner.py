@@ -120,17 +120,15 @@ def record(
     adversary: Adversary | None = None,
     observers: Sequence[RoundObserver] = (),
     *,
-    invariants: bool = True,
     note: str = "",
 ) -> RecordedRun:
     """Run *config* while capturing its :class:`ExecutionRecipe`.
 
-    With ``invariants=True`` (the default) an :class:`InvariantObserver`
-    rides along; a violation (or any :data:`RECORDABLE_FAILURES` error)
-    does not propagate — it is folded into the recipe's
-    ``expected_failure`` so the failing schedule can be replayed and
-    shrunk.  A clean run stores the full result fingerprint in
-    ``expected``.
+    An :class:`InvariantObserver` rides along; a violation (or any
+    :data:`RECORDABLE_FAILURES` error) does not propagate — it is folded
+    into the recipe's ``expected_failure`` so the failing schedule can be
+    replayed and shrunk.  A clean run stores the full result fingerprint
+    in ``expected``.
 
     A transport the config leaves at ``None`` is pinned to the default's
     name, so the recipe says what ran.  The transport is *provenance* —
@@ -147,10 +145,7 @@ def record(
         config, transport=config.transport or "inprocess"
     )
     recorder = RecipeRecorder()
-    attached: list[RoundObserver] = [recorder]
-    if invariants:
-        attached.append(InvariantObserver(inputs=config.inputs))
-    attached.extend(observers)
+    attached = [recorder, InvariantObserver(inputs=config.inputs), *observers]
 
     run: ConsensusRun | None = None
     failure: BaseException | None = None
@@ -248,16 +243,14 @@ def _diff_payload(
 def replay(
     recipe: ExecutionRecipe,
     *,
-    strict: bool | None = None,
-    invariants: bool = True,
     observers: Sequence[RoundObserver] = (),
 ) -> ReplayReport:
     """Re-execute a recipe and verify it against its recorded outcome.
 
-    ``strict`` controls the :class:`ScriptedAdversary` mode; the default is
-    strict for passing recipes (the schedule must be legal verbatim) and
-    lenient for failing ones (shrunk schedules may carry omissions whose
-    sender was un-corrupted by the shrinker).
+    The :class:`ScriptedAdversary` is strict for passing recipes (the
+    schedule must be legal verbatim) and lenient for failing ones (shrunk
+    schedules may carry omissions whose sender was un-corrupted by the
+    shrinker).  An :class:`InvariantObserver` rides along.
 
     Replay always runs in-process, whatever transport the recipe records:
     the recorded schedule (transport crash faults included — the engine
@@ -265,17 +258,12 @@ def replay(
     deterministic function of (seed, actions), so a TCP-recorded recipe
     verifies byte-for-byte in a single interpreter.
     """
-    if strict is None:
-        strict = not recipe.failing
-    scripted = ScriptedAdversary(recipe.actions, strict=strict)
+    scripted = ScriptedAdversary(recipe.actions, strict=not recipe.failing)
     # The recorded transport is never a replay input.
     config = dataclasses.replace(
         recipe.config, transport=None, transport_options=None
     )
-    attached: list[RoundObserver] = []
-    if invariants:
-        attached.append(InvariantObserver(inputs=config.inputs))
-    attached.extend(observers)
+    attached = [InvariantObserver(inputs=config.inputs), *observers]
 
     report = ReplayReport(recipe=recipe)
     try:

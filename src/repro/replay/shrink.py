@@ -3,8 +3,8 @@
 A fuzzer-found invariant violation typically arrives wrapped in hundreds
 of irrelevant adversary decisions.  :func:`shrink_recipe` minimizes the
 schedule with three ddmin passes, re-validating every candidate by actual
-replay (``strict=False``, so deleting a corruption merely weakens the
-remaining omissions instead of making them illegal):
+replay (lenient, as for every failing recipe, so deleting a corruption
+merely weakens the remaining omissions instead of making them illegal):
 
 1. drop whole round-actions;
 2. drop individual corruption entries (omissions held fixed);
@@ -19,7 +19,7 @@ stops the failure from reproducing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Callable, Sequence
 from typing import TypeVar
 
@@ -27,6 +27,9 @@ from .recipe import ExecutionRecipe, RecordedAction
 from .runner import _failure_payload, replay
 
 T = TypeVar("T")
+
+#: Candidate replays one :func:`shrink_recipe` may spend.
+MAX_REPLAYS = 600
 
 
 def _ddmin(
@@ -92,44 +95,22 @@ class ShrinkResult:
     replays: int
 
 
-def shrink_recipe(
-    recipe: ExecutionRecipe,
-    fails: Callable[[ExecutionRecipe], bool] | None = None,
-    max_replays: int = 600,
-) -> ShrinkResult:
+def shrink_recipe(recipe: ExecutionRecipe) -> ShrinkResult:
     """Minimize a failing recipe's adversary schedule by replaying.
 
-    ``fails`` overrides the candidate predicate (default: lenient replay
-    trips the same invariant as ``recipe.expected_failure``).  The search
-    stops reducing once ``max_replays`` candidate replays were spent.
-    Raises ``ValueError`` if the recipe does not fail to begin with.
+    A candidate counts when its replay reproduces the recipe's failure
+    (:attr:`ReplayReport.reproduced_failure`).  The search stops reducing
+    once :data:`MAX_REPLAYS` candidate replays were spent.  Raises
+    ``ValueError`` if the recipe does not fail to begin with.
     """
     replays = 0
 
-    if fails is None:
-        reference = (
-            recipe.expected_failure.get("invariant")
-            if recipe.expected_failure is not None
-            else None
-        )
-
-        def fails(candidate: ExecutionRecipe) -> bool:
-            report = replay(candidate, strict=False, invariants=True)
-            if report.failure is None:
-                return False
-            if reference is None:
-                return True
-            got = getattr(
-                report.failure, "invariant", type(report.failure).__name__
-            )
-            return got == reference
-
     def try_candidate(actions: Sequence[RecordedAction]) -> bool:
         nonlocal replays
-        if replays >= max_replays:
+        if replays >= MAX_REPLAYS:
             return False
         replays += 1
-        return fails(recipe.with_actions(actions))
+        return replay(recipe.with_actions(actions)).reproduced_failure
 
     if not try_candidate(recipe.actions):
         raise ValueError(
@@ -163,12 +144,10 @@ def shrink_recipe(
 
     # Refresh the failure description from the minimized schedule and
     # mark the artifact as shrunk.
-    final = replay(shrunk, strict=False, invariants=True)
+    final = replay(shrunk)
     replays += 1
     if final.failure is not None:
-        import dataclasses
-
-        shrunk = dataclasses.replace(
+        shrunk = replace(
             shrunk,
             expected_failure=_failure_payload(final.failure),
             note=(recipe.note + " " if recipe.note else "") + "(shrunk)",

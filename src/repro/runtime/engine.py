@@ -125,7 +125,6 @@ class ExecutionCore:
         self,
         processes: Sequence[SyncProcess],
         seed: int = 0,
-        metrics: Metrics | None = None,
     ) -> None:
         if not processes:
             raise ValueError("need at least one process")
@@ -144,7 +143,7 @@ class ExecutionCore:
         self.processes = list(processes)
         self.n = n
         self.seed = seed
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         seeds = derive_seeds(seed, n, salt="process-randomness")
         self.sources = [CountingRandom(s) for s in seeds]
         self.envs = [

@@ -46,7 +46,7 @@ from typing import Any
 
 from . import delivery
 from .engine import ExecutionCore, ExecutionResult
-from .messages import FanoutCache, Message, MessageBatch
+from .messages import FanoutCache, MessageBatch
 from .observers import RoundObserver
 from .process import SyncProcess
 from .randomness import stable_seed
@@ -124,12 +124,11 @@ class NetworkView:
 
     round: int
     processes: Sequence[SyncProcess]
-    #: The round's outbound traffic as a flat ``Sequence[Message]`` — a
-    #: :class:`MessageBatch` for engine-built views, where multicast copies
-    #: occupy consecutive indices and materialize lazily on
-    #: ``view.messages[i]`` / iteration.  Omit indices address these flat
-    #: positions.
-    messages: Sequence[Message]
+    #: The round's outbound traffic: its :class:`MessageBatch`, a flat
+    #: per-copy sequence where multicast copies occupy consecutive indices
+    #: and materialize lazily on ``view.messages[i]`` / iteration.  Omit
+    #: indices address these flat positions.
+    messages: MessageBatch
     faulty: frozenset[int]
     budget_left: int
     decisions: Mapping[int, Any]
@@ -154,10 +153,7 @@ class NetworkView:
         asked = sorted(set(pids))
         if not asked:
             return frozenset()
-        batch = self.messages
-        if not isinstance(batch, MessageBatch):
-            batch = MessageBatch(batch)  # a hand-built plain-list view
-        by_sender, by_recipient = batch.copy_indices(
+        by_sender, by_recipient = self.messages.copy_indices(
             asked if sent else (), asked if received else ()
         )
         indices: list[int] = []

@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .messages import Message
+from .messages import Message, MessageBatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from .network import AdversaryAction, ExecutionResult, NetworkView, SyncNetwork
@@ -77,7 +77,7 @@ class RoundObserver:
         """Called before the round's local-computation phase."""
 
     def on_messages_sent(
-        self, round_no: int, outbound: Sequence[Message], network: SyncNetwork
+        self, round_no: int, outbound: MessageBatch, network: SyncNetwork
     ) -> None:
         """Called after local computation with the round's outbound traffic."""
 

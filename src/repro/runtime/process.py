@@ -74,11 +74,9 @@ class ProcessEnv:
         self.round = 0
         #: Round in which :meth:`decide` was first called (None = never).
         self.decision_round: int | None = None
-        # Cached (recipients-except-self, recipients-including-self) tuples
-        # so per-round broadcasts don't rebuild the O(n) fan-out list.
-        self._fanout_cache: tuple[tuple[int, ...], tuple[int, ...]] | None = (
-            None
-        )
+        # The cached everyone-but-self tuple: per-round broadcasts neither
+        # rebuild the O(n) fan-out nor change its identity.
+        self._fanout_cache: tuple[int, ...] | None = None
 
     def send(self, recipient: int, payload: Any) -> None:
         """Queue a message for delivery at the end of this round."""
@@ -140,26 +138,22 @@ class ProcessEnv:
         self,
         payload: Any,
         recipients: Iterable[int] | None = None,
-        include_self: bool = False,
     ) -> None:
         """Queue the payload to every process, or to ``recipients``.
 
         With the default ``recipients=None`` the fan-out is all n processes
-        except the sender (``include_self=True`` adds it); the fan-out
-        tuple is cached per process, so a per-round broadcast costs one
-        queued :class:`Multicast` record.  Passing ``recipients=`` is the
-        keyword-friendly spelling of :meth:`send_many`.
+        except the sender; the fan-out tuple is cached per process, so a
+        per-round broadcast costs one queued :class:`Multicast` record.
+        Passing ``recipients=`` is the keyword-friendly spelling of
+        :meth:`send_many`.
         """
         if recipients is None:
-            cache = self._fanout_cache
-            if cache is None:
-                everyone = tuple(range(self.n))
-                others = everyone[: self.pid] + everyone[self.pid + 1 :]
-                cache = (others, everyone)
-                self._fanout_cache = cache
-            # The cached tuples were validated when built; skip straight
+            fanout = self._fanout_cache
+            if fanout is None:
+                fanout = tuple(range(self.pid)) + tuple(range(self.pid + 1, self.n))
+                self._fanout_cache = fanout
+            # The cached tuple was validated when built; skip straight
             # past send_many's per-recipient range loop.
-            fanout = cache[1] if include_self else cache[0]
             if fanout:
                 self._queue_multicast(fanout, payload)
             return

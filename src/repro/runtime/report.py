@@ -69,16 +69,12 @@ class RunReport(RoundObserver):
         self._mark = time.perf_counter()
 
     def on_messages_sent(
-        self, round_no: int, outbound: Sequence[Message], network: SyncNetwork
+        self, round_no: int, outbound: MessageBatch, network: SyncNetwork
     ) -> None:
         self._lap("compute")
-        # A MessageBatch answers the bit total from its records (one term
-        # per multicast) instead of materializing every per-copy view.
-        if isinstance(outbound, MessageBatch):
-            bits = outbound.total_bits()
-        else:
-            bits = sum(message.bits for message in outbound)
-        self.metrics.record_round(len(outbound), bits)
+        # The batch answers the bit total from its records (one term per
+        # multicast) instead of materializing every per-copy view.
+        self.metrics.record_round(len(outbound), outbound.total_bits())
 
     def on_adversary_action(
         self,
@@ -101,17 +97,10 @@ class RunReport(RoundObserver):
         network: SyncNetwork,
     ) -> None:
         self._lap("delivery")
-        # The engine accumulates delivery bit totals while it expands the
-        # batch; fall back to summing for hand-driven dispatch.
-        delivered_bits = getattr(network, "_delivered_bits", None)
-        if delivered_bits is None:
-            delivered_bits = sum(message.bits for message in delivered)
-        self.metrics.record_delivery(len(delivered), delivered_bits)
+        # The engine summed the delivered and lost bits while delivering.
+        self.metrics.record_delivery(len(delivered), network._delivered_bits)
         if lost:
-            lost_bits = getattr(network, "_lost_bits", None)
-            if lost_bits is None:
-                lost_bits = sum(message.bits for message in lost)
-            self.metrics.record_lost(len(lost), lost_bits)
+            self.metrics.record_lost(len(lost), network._lost_bits)
 
     def on_run_end(
         self, result: ExecutionResult, network: SyncNetwork

@@ -10,6 +10,7 @@ from repro.adversary import (
 )
 from repro.runtime import (
     Message,
+    MessageBatch,
     NetworkView,
     ProcessEnv,
     SyncNetwork,
@@ -146,7 +147,7 @@ class TestViewHelpers:
         view = NetworkView(
             round=0,
             processes=[],
-            messages=messages,
+            messages=MessageBatch(messages),
             faulty=frozenset(),
             budget_left=0,
             decisions={},

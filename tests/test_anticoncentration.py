@@ -58,9 +58,9 @@ class TestLemma9:
         assert all(check.holds for check in checks)
 
     def test_respects_validity_range(self):
-        # t values beyond sqrt(n)/8 are skipped.
-        checks = verify_lemma9([16], t_values=[10.0])
-        assert checks == []
+        # The grid spans t in [0, sqrt(n)/8], the lemma's valid range.
+        checks = verify_lemma9([16])
+        assert [check.t for check in checks] == [0.0, 0.125, 0.25, 0.5]
 
     @settings(deadline=None, max_examples=30)
     @given(

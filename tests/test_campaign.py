@@ -14,6 +14,7 @@ from repro.analysis.campaign import (
     CampaignSpec,
     append_journal_record,
     load_journal,
+    load_journal_records,
     repair_journal,
     run_campaign,
     save_campaign,
@@ -23,6 +24,14 @@ from repro.fabric import CampaignCache, CellId
 from repro.harness import ProtocolSpec, registry
 from repro.replay import load_recipe
 from repro.runtime import SyncProcess
+
+
+def journal_of(tmp_path, *records):
+    """A journal holding *records*, for ``resume=`` (a path only)."""
+    path = tmp_path / "resume.jsonl"
+    for record in records:
+        append_journal_record(path, record)
+    return path
 
 
 def small_spec(**overrides):
@@ -80,24 +89,26 @@ class TestRun:
         )
         assert records[0]["x"] == 3
 
-    def test_resume_skips_done_cells(self):
+    def test_resume_skips_done_cells(self, tmp_path):
         spec = small_spec(adversaries=["none"], seeds=[0, 1])
         first = run_campaign(spec)
         marker = dict(first[0])
         marker["rounds"] = -1  # sentinel proving reuse
-        resumed = run_campaign(spec, resume=[marker, first[1]])
+        resumed = run_campaign(
+            spec, resume=journal_of(tmp_path, marker, first[1])
+        )
         assert resumed[0]["rounds"] == -1
         assert resumed[1] == first[1]
 
-    def test_resume_ignores_other_campaigns(self):
+    def test_resume_ignores_other_campaigns(self, tmp_path):
         spec = small_spec(adversaries=["none"], seeds=[0])
         foreign = dict(run_campaign(spec)[0])
         foreign["campaign"] = "someone-else"
         foreign["rounds"] = -1
-        records = run_campaign(spec, resume=[foreign])
+        records = run_campaign(spec, resume=journal_of(tmp_path, foreign))
         assert records[0]["rounds"] > 0
 
-    def test_resume_respects_options(self):
+    def test_resume_respects_options(self, tmp_path):
         """A record from a differently-parameterized sweep is not reused."""
         spec_x2 = small_spec(
             protocol="tradeoff", adversaries=["none"], seeds=[0],
@@ -109,18 +120,21 @@ class TestRun:
         )
         stale = dict(run_campaign(spec_x2)[0])
         stale["rounds"] = -1  # sentinel proving reuse
-        same_options = run_campaign(spec_x2, resume=[stale])
+        path = journal_of(tmp_path, stale)
+        same_options = run_campaign(spec_x2, resume=path)
         assert same_options[0]["rounds"] == -1
-        other_options = run_campaign(spec_x3, resume=[stale])
+        other_options = run_campaign(spec_x3, resume=path)
         assert other_options[0]["rounds"] > 0
         assert other_options[0]["x"] == 3
 
-    def test_legacy_records_without_options_match_empty_options(self):
+    def test_legacy_records_without_options_match_empty_options(
+        self, tmp_path
+    ):
         spec = small_spec(adversaries=["none"], seeds=[0])
         legacy = dict(run_campaign(spec)[0])
         del legacy["options"]
         legacy["rounds"] = -1
-        records = run_campaign(spec, resume=[legacy])
+        records = run_campaign(spec, resume=journal_of(tmp_path, legacy))
         assert records[0]["rounds"] == -1
 
     def test_record_identity_round_trips_through_json(self):
@@ -202,7 +216,7 @@ class TestParallel:
         # nothing re-appended.
         recomputed = []
         resumed = run_campaign(
-            spec, resume=on_disk, jobs=2, journal=path,
+            spec, resume=path, jobs=2, journal=path,
             on_record=recomputed.append,
         )
         assert recomputed == []
@@ -351,7 +365,7 @@ class TestJournal:
 
         finished = []
         resumed = run_campaign(
-            spec, resume=on_disk, journal=path,
+            spec, resume=path, journal=path,
             on_record=finished.append,
         )
         assert len(finished) == 2  # only the missing cells ran
@@ -462,7 +476,7 @@ class TestJournal:
             append_journal_record(path, record)
         loaded = load_journal(path)
         assert loaded == [rerun, second]  # deduped, first-seen position
-        assert len(load_journal(path, dedupe=False)) == 3
+        assert len(load_journal_records(path)) == 3
 
     def test_shared_journal_keeps_each_campaigns_cells(self, tmp_path):
         """Two campaigns that run the same cell into one journal each keep
@@ -476,7 +490,7 @@ class TestJournal:
         computed = []
         run_campaign(first, journal=path, resume=path, on_record=computed.append)
         assert computed == []
-        assert len(load_journal(path, dedupe=False)) == 2
+        assert len(load_journal_records(path)) == 2
         assert [record["campaign"] for record in load_journal(path)] == [
             "a", "b",
         ]
@@ -502,7 +516,7 @@ class TestJournal:
         assert len(on_disk) == 3
         finished = []
         resumed = run_campaign(
-            spec, resume=on_disk, journal=path,
+            spec, resume=path, journal=path,
             on_record=finished.append,
         )
         assert len(finished) == 1

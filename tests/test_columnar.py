@@ -651,7 +651,7 @@ class TestDuplicateOmissions:
         assert action.omit == (1,)  # canonical in the recording itself
         for cell in ENGINE_GRID:
             with engine_cell(*cell):
-                report = replay(recorded.recipe, strict=True)
+                report = replay(recorded.recipe)
             assert report.ok, report.summary()
 
     def test_legacy_recipe_with_duplicates_parses_canonical(self):
@@ -669,7 +669,8 @@ class TestDuplicateOmissions:
         parsed = recipe_from_payload(payload)
         (action,) = [a for a in parsed.actions if a.omit]
         assert action.omit == (1,)
-        assert replay(parsed, strict=True).ok
+        assert not parsed.failing  # so replay is strict
+        assert replay(parsed).ok
 
 
 # ---------------------------------------------------------------------------

@@ -192,3 +192,34 @@ class TestStateExposure:
     def test_excess_fault_budget_rejected(self):
         with pytest.raises(ValueError):
             execute("algorithm1", mixed(32), t=5)
+
+
+class TestVoteRuleBinding:
+    """Lines 9-12 as the engine runs them: fault-free, every process of an
+    epoch votes on the same ``(ones, zeros)``, so the deterministic bands
+    leave no room for a split (the exact-chain comparison is separate)."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_every_epoch_shares_one_view(self, n, seed, monkeypatch):
+        from repro.core import consensus
+
+        rule = consensus.apply_vote_rule
+        votes = {}  # a process's metered source (env.random) -> its votes
+
+        def spy(ones, zeros, params, coin):
+            outcome = rule(ones, zeros, params, coin)
+            votes.setdefault(coin, []).append((ones, zeros, outcome))
+            return outcome
+
+        monkeypatch.setattr(consensus, "apply_vote_rule", spy)
+        run = execute("algorithm1", mixed(n), seed=seed)
+        assert run.result.faulty == frozenset()
+        assert len(votes) == n  # every process voted
+        epochs = list(zip(*votes.values(), strict=True))  # equal lengths
+        assert epochs
+        for epoch in epochs:
+            assert len({(ones, zeros) for ones, zeros, _ in epoch}) == 1
+            assert len(
+                {out.bit for _, _, out in epoch if not out.used_coin}
+            ) <= 1

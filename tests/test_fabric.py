@@ -336,6 +336,29 @@ class TestCampaignCache:
             serial, sort_keys=True
         )
 
+    def test_cache_hit_carries_the_asking_campaigns_name(self, tmp_path):
+        """The cache is shared across campaigns: a hit is stamped with the
+        name of the campaign that asked, in its records and in the file
+        ``save_campaign`` writes, and the stored entry is not rewritten."""
+        from repro.analysis.campaign import save_campaign
+
+        cache = CampaignCache(tmp_path / "cache")
+        grid = dict(protocol="ben-or", ns=(8,), seeds=(1,))
+        (alpha,) = run_campaign(CampaignSpec("alpha", **grid), cache=cache)
+        computed = []
+        (beta,) = run_campaign(
+            CampaignSpec("beta", **grid), cache=cache,
+            on_record=computed.append,
+        )
+        assert computed == []  # served from the cache
+        assert (alpha["campaign"], beta["campaign"]) == ("alpha", "beta")
+        assert {**beta, "campaign": "alpha"} == alpha
+        save_campaign([beta], tmp_path / "beta.json")
+        (saved,) = json.loads((tmp_path / "beta.json").read_text())
+        assert saved["campaign"] == "beta"
+        (again,) = run_campaign(CampaignSpec("alpha", **grid), cache=cache)
+        assert again == alpha
+
     def test_cache_accepts_a_path(self, tmp_path):
         spec = small_spec(adversaries=["none"])
         run_campaign(spec, cache=tmp_path / "cache")
@@ -384,6 +407,14 @@ class TestResolve:
         assert results[(33, "none", 0)] == ("journal", journaled)
         assert [coords for coords, _ in pending] == [(33, "silence", 0)]
         assert cache.stats.hits == 0  # the journaled cell was never probed
+
+    def test_resume_is_a_journal_path(self, tmp_path):
+        spec = small_spec()
+        records = run_campaign(small_spec(adversaries=["none"]))
+        with pytest.raises(TypeError, match="'list'"):
+            resolve(spec, resume=records)
+        with pytest.raises(TypeError, match="'list'"):
+            run_campaign(spec, resume=records)
 
     def test_without_cache_or_journal_everything_is_pending(self, tmp_path):
         spec = small_spec()

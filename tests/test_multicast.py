@@ -231,10 +231,16 @@ class TestEnvApi:
         network = self.network(n=4)
         env = network.envs[1]
         env.broadcast("a", recipients=(3, 0))
-        env.broadcast("b", include_self=True)
-        first, second = env.outbox
+        env.broadcast("b")
+        env.broadcast("c")
+        first, second, third = env.outbox
         assert first.recipients == (3, 0)
-        assert second.recipients == (0, 1, 2, 3)
+        # Never the sender itself; one cached tuple, so the round's
+        # FanoutCache keeps hitting on its identity.
+        assert second.recipients == (0, 2, 3)
+        assert third.recipients is second.recipients
+        with pytest.raises(TypeError):
+            env.broadcast("d", include_self=True)
 
     def test_broadcast_matches_explicit_send_loop(self):
         """One Multicast record is, copy for copy, the env.send loop:

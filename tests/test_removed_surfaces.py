@@ -17,12 +17,29 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.campaign import CampaignSpec, run_campaign
+from repro.analysis.campaign import (
+    CampaignSpec,
+    load_journal,
+    resolve,
+    run_campaign,
+)
+from repro.analysis.montecarlo import wilson_interval
 from repro.fabric import CampaignCache, CellId
 from repro.graphs import SpreadingGraph
-from repro.harness import execute
-from repro.lowerbound import CoinGamePoint, Lemma9Check
-from repro.replay import ShrinkResult, load_recipe, record, replay
+from repro.harness import ExecutionConfig, execute
+from repro.lowerbound import (
+    CoinGamePoint,
+    Lemma9Check,
+    verify_lemma9,
+    verify_threshold_inequality,
+)
+from repro.replay import (
+    ShrinkResult,
+    load_recipe,
+    record,
+    replay,
+    shrink_recipe,
+)
 from repro.runtime import (
     Adversary,
     CountingRandom,
@@ -30,6 +47,7 @@ from repro.runtime import (
     MessageBatch,
     Multicast,
     NetworkView,
+    ProcessEnv,
     SyncNetwork,
 )
 from repro.transport import worker
@@ -133,6 +151,50 @@ REMOVED_CALLS = {
     # One execution loop: the worker's copy of the core is gone with it.
     "ProcessShard.step(round, inboxes, reseed)": (
         AttributeError, lambda: worker.ProcessShard.step(None, 0, {}, None)
+    ),
+    # One value in use, one constant: strictness is ``not recipe.failing``,
+    # invariants are always on, the shrinker's predicate and budget fixed.
+    "replay(strict=)": (
+        TypeError, lambda: replay(load_recipe(GOLDEN), strict=True)
+    ),
+    "replay(invariants=)": (
+        TypeError, lambda: replay(load_recipe(GOLDEN), invariants=False)
+    ),
+    "record(invariants=)": (
+        TypeError,
+        lambda: record(ExecutionConfig("ben-or", INPUTS), invariants=False),
+    ),
+    "shrink_recipe(fails=)": (
+        TypeError, lambda: shrink_recipe(load_recipe(GOLDEN), fails=None)
+    ),
+    "shrink_recipe(max_replays=)": (
+        TypeError, lambda: shrink_recipe(load_recipe(GOLDEN), max_replays=9)
+    ),
+    "ExecutionCore(metrics=)": (
+        TypeError, lambda: ExecutionCore([], metrics=None)
+    ),
+    "ProcessEnv.broadcast(include_self=)": (
+        TypeError,
+        lambda: ProcessEnv(0, 2, CountingRandom(0)).broadcast(
+            "x", include_self=True
+        ),
+    ),
+    "load_journal(dedupe=)": (
+        TypeError, lambda: load_journal("unused.jsonl", dedupe=False)
+    ),
+    "resolve(spec, resume=<records>)": (
+        TypeError, lambda: resolve(SPEC, resume=[])
+    ),
+    "run_campaign(spec, resume=<records>)": (
+        TypeError, lambda: run_campaign(SPEC, resume=[])
+    ),
+    "wilson_interval(z=)": (TypeError, lambda: wilson_interval(1, 2, z=1.0)),
+    "verify_threshold_inequality(thresholds_per_k=)": (
+        TypeError,
+        lambda: verify_threshold_inequality([16], [1.0], thresholds_per_k=3),
+    ),
+    "verify_lemma9(t_values=)": (
+        TypeError, lambda: verify_lemma9([16], t_values=[0.1])
     ),
 }
 # Methods and properties that only the rollout fork or tests called.
@@ -479,6 +541,16 @@ def test_cli_report_output_flag_is_gone(capsys):
         main(["report", "--output", "-"])
     assert exit_info.value.code == 2
     assert "--output" in capsys.readouterr().err
+
+
+def test_cli_replay_lenient_flag_is_gone(capsys):
+    """A failing recipe replays leniently, a passing one strictly."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["replay", str(GOLDEN), "--lenient"])
+    assert exit_info.value.code == 2
+    assert "--lenient" in capsys.readouterr().err
 
 
 def test_cli_resume_alias_is_gone(capsys):

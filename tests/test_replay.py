@@ -16,7 +16,7 @@ from repro.adversary import (
     RandomOmissionAdversary,
     VoteBalancingAdversary,
 )
-from repro.harness import ExecutionConfig
+from repro.harness import ExecutionConfig, run_config
 from repro.replay import (
     ExecutionRecipe,
     InvariantObserver,
@@ -268,15 +268,13 @@ class TestInvariantObserver:
         config = ExecutionConfig(
             "phase-king", [pid % 2 for pid in range(13)], t=3, seed=8
         )
-        recorded = record(
-            config, RandomOmissionAdversary(0.5, seed=8), invariants=True
-        )
+        recorded = record(config, RandomOmissionAdversary(0.5, seed=8))
         assert not recorded.failed
-        bare = record(
-            config, RandomOmissionAdversary(0.5, seed=8), invariants=False
-        )
+        bare = run_config(config, RandomOmissionAdversary(0.5, seed=8))
         # Observers never perturb the execution.
-        assert recorded.recipe.expected == bare.recipe.expected
+        assert recorded.recipe.expected == json.loads(
+            json.dumps(result_to_dict(bare.result), sort_keys=True)
+        )
 
     def test_payload_shape(self):
         violation = InvariantViolation("agreement", 3, "split decisions")

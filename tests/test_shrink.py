@@ -122,7 +122,7 @@ class TestShrinkPlantedBug:
             candidate = result.recipe.with_actions(
                 actions[:index] + actions[index + 1:]
             )
-            assert not replay(candidate, strict=False).reproduced_failure
+            assert not replay(candidate).reproduced_failure
 
     def test_rejects_recipe_that_does_not_fail(self):
         recorded = record(

@@ -148,11 +148,12 @@ class TestOracle:
         if sender_sorted:
             records = sorted(records, key=lambda record: record.sender)
         batch = MessageBatch(records)
+        # A plain list is the per-copy expansion, as a batch of its own.
         messages = list(batch) if plain_list else batch
         for helper, (sent, received) in HELPERS.items():
-            assert handed_to_frozenset(messages, helper, pids) == (
-                reference_list(messages, pids, sent, received)
-            )
+            assert handed_to_frozenset(
+                MessageBatch(messages) if plain_list else batch, helper, pids
+            ) == reference_list(messages, pids, sent, received)
 
     @pytest.mark.parametrize("fanout", [1, 3, 4, 9])
     def test_both_sides_of_the_per_batch_rule(self, fanout):
