@@ -7,7 +7,6 @@ from ..fabric import CampaignCache, CellId
 from .campaign import (
     CampaignSpec,
     append_journal_record,
-    load_journal,
     mixed_inputs,
     repair_journal,
     run_campaign,
@@ -27,7 +26,6 @@ __all__ = [
     "CampaignSpec",
     "CellId",
     "append_journal_record",
-    "load_journal",
     "repair_journal",
     "run_campaign",
     "save_campaign",

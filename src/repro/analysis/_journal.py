@@ -1,11 +1,10 @@
 """Crash-safe JSONL journal primitives for the campaign runner.
 
-Extracted from :mod:`repro.analysis.campaign` so the byte-level durability
-discipline (fsync-per-record appends, torn-tail quarantine, tolerant
-parsing) lives apart from cell identity and scheduling.  The public
-surface stays on ``repro.analysis.campaign``; ``load_journal`` there adds
-the duplicate-cell merge, keyed on the campaign name and the
-:class:`~repro.fabric.CellId`, on top of the raw parser here.
+The journal is a write-only log of newly computed cell records (the
+:class:`~repro.fabric.CampaignCache` is what a sweep resumes from).  Its
+byte-level durability discipline — fsync-per-record appends and torn-tail
+quarantine — lives here, apart from cell identity and scheduling; the
+public surface stays on ``repro.analysis.campaign``.
 """
 
 from __future__ import annotations
@@ -15,11 +14,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-__all__ = [
-    "append_journal_record",
-    "load_journal_records",
-    "repair_journal",
-]
+__all__ = ["append_journal_record", "repair_journal"]
 
 
 def append_journal_record(path: str | Path, record: dict[str, Any]) -> None:
@@ -91,22 +86,3 @@ def repair_journal(path: str | Path) -> bytes:
         handle.flush()
         os.fsync(handle.fileno())
     return b""
-
-
-def load_journal_records(path: str | Path) -> list[dict[str, Any]]:
-    """Raw line-by-line parse of a JSONL journal (no deduplication).
-
-    Crash-tolerant: every line is decoded and parsed independently, so a
-    final line truncated mid-append — at any byte offset, including the
-    middle of a multi-byte UTF-8 character — is skipped rather than fatal.
-    """
-    records: list[dict[str, Any]] = []
-    for line in Path(path).read_bytes().split(b"\n"):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            continue
-    return records

@@ -1,4 +1,4 @@
-"""Batch experiment campaigns: cached grid sweeps with resume.
+"""Batch experiment campaigns: cached grid sweeps that resume.
 
 For parameter studies on one host: declare a grid over (protocol, n,
 adversary, seeds) as a :class:`CampaignSpec`, run the missing cells over a
@@ -17,40 +17,33 @@ point::
         seeds=[0, 1, 2],
         options={"x": 4},                 # protocol-specific extras
     )
-    records = run_campaign(
-        spec, jobs=4, cache="~/.cache/repro-cells",
-        journal="scaling-study.jsonl",
-    )
+    records = run_campaign(spec, jobs=4, cache="~/.cache/repro-cells")
     save_campaign(records, "scaling-study.json")
 
 Every cell is identified by a :class:`repro.fabric.CellId` — the canonical
 digest of ``(protocol, n, t, adversary, seed, options, engine capability,
-transport, transport_options)`` — which
-is the journal resume identity, the cache key, and the report grouping
-handle all at once.
+transport, transport_options)`` — which is the cache key and the report
+grouping handle at once.
 
-Three persistence layers:
-
-* the **cache** (``cache=``, a :class:`repro.fabric.CampaignCache` or a
-  directory path) stores each finished cell under its content digest;
-  any later campaign touching the same cell is served from it instantly;
-* the **journal** (append-only JSONL, one record per line) is written as
-  each cell is computed, flushed and fsynced, so a crashed or interrupted
-  sweep resumes from disk via ``load_journal`` — only missing cells re-run;
-* ``save_campaign`` writes the conventional pretty JSON array once the
-  whole grid is done.
+The **cache** (``cache=``, a :class:`repro.fabric.CampaignCache` or a
+directory path) is the one store a finished cell is served from: each cell
+is published to it atomically the moment it finishes, so an interrupted
+sweep resumes by running again with the same cache, and any later campaign
+touching the same cell is served from it instantly.  ``journal=`` appends
+each newly computed record to a JSONL log (write-only: nothing reads it
+back), and ``save_campaign`` writes the pretty JSON array of a finished
+grid.
 
 Grid cells are pure functions of the spec and their (n, adversary, seed)
 coordinates — each worker reruns the cell from its seeds — so a parallel
 or cached run produces records identical to a serial one, merely
 finishing sooner.  ``run_campaign`` always returns records in grid order
 regardless of completion order.  :func:`resolve` is the read-only half:
-which cells the journal and the cache already answer, and which are left.
+which cells the cache already answers, and which are left.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -68,11 +61,7 @@ from ..harness import (
     protocol_spec,
     run_config,
 )
-from ._journal import (
-    append_journal_record,
-    load_journal_records,
-    repair_journal,
-)
+from ._journal import append_journal_record, repair_journal
 
 
 def mixed_inputs(n: int) -> list[int]:
@@ -105,7 +94,7 @@ class CampaignSpec:
                 f"unknown protocol {self.protocol!r}; choose from {sweepable}"
             )
         for axis in ("ns", "adversaries", "seeds"):
-            if not getattr(self, axis):
+            if not len(getattr(self, axis)):
                 raise ValueError(f"campaign axis {axis!r} is empty")
         unknown = set(self.adversaries) - set(GALLERY)
         if unknown:
@@ -155,7 +144,7 @@ def _run_cell(
     protocol = protocol_spec(spec.protocol)
     config = spec.config_for(n, seed)
     t = protocol.campaign_t(n, config.params)
-    adversary = GALLERY[adversary_name](n, t, seed)
+    adversary = GALLERY[adversary_name](n, t, config.seed)
 
     record: dict[str, Any] = {
         "campaign": spec.name,
@@ -163,12 +152,12 @@ def _run_cell(
         "n": n,
         "t": t,
         "adversary": adversary_name,
-        "seed": seed,
+        "seed": config.seed,
         "options": dict(config.options),
         "engine": capability_fingerprint(),
     }
     # Only transport-pinned sweeps carry the keys, so records written by
-    # unpinned specs keep their exact journal identity.
+    # unpinned specs keep their exact cell identity.
     if config.transport is not None:
         record["transport"] = config.transport
         if config.transport_options:
@@ -180,12 +169,12 @@ def _run_cell(
         recorded = replay.record(
             config,
             adversary,
-            note=f"campaign {spec.name}: n={n} adversary={adversary_name} seed={seed}",
+            note=f"campaign {spec.name}: n={n} adversary={adversary_name} seed={config.seed}",
         )
         if recorded.failed:
             path = replay.save_failure(
                 recorded.recipe, record_failures,
-                f"{spec.protocol}-n{n}-{adversary_name}-seed{seed}",
+                f"{spec.protocol}-n{n}-{adversary_name}-seed{config.seed}",
             )
             record.update(
                 failed=True,
@@ -214,88 +203,31 @@ def _run_cell(
     return record
 
 
-def load_journal(path: str | Path) -> list[dict[str, Any]]:
-    """Read records from a JSONL journal written by the campaign runner.
-
-    Crash-tolerant: the journal is read as bytes and every line is decoded
-    and parsed independently, so a final line truncated mid-append — at
-    any byte offset, including the middle of a multi-byte UTF-8 character —
-    is skipped rather than fatal, and resume always works.  The skipped
-    cell simply re-runs.  :func:`repair_journal` (invoked by every append)
-    is what moves such a tail into the quarantine sidecar.
-
-    A cell appended more than once — e.g. a sweep re-run under a
-    different ``jobs`` count after a partial resume — is merged by
-    **latest-write-wins** on ``(campaign, CellId)``: the surviving record
-    is the last one appended, at the position of the first.  Two campaigns
-    sharing a journal each keep their own record of a cell they both ran.
-    Lines that are not cell records are kept verbatim.
-    :func:`load_journal_records` is the raw line-by-line view.
-    """
-    merged: dict[object, dict[str, Any]] = {}
-    for index, record in enumerate(load_journal_records(path)):
-        cell = CellId.from_record(record)
-        key: object = (
-            (record.get("campaign"), cell)
-            if cell is not None
-            else ("__line__", index)
-        )
-        merged[key] = record  # latest write wins, first-seen position kept
-    return list(merged.values())
-
-
 #: Grid coordinates of one cell: ``(n, adversary, seed)``.
 Coords = tuple[int, str, int]
 
 
 def resolve(
-    spec: CampaignSpec,
-    *,
-    cache: CampaignCache | str | Path | None = None,
-    resume: str | Path | None = None,
-) -> tuple[
-    dict[Coords, tuple[str, dict[str, Any]]], list[tuple[Coords, CellId]]
-]:
-    """Answer every grid cell that needs no execution; read-only.
+    spec: CampaignSpec, *, cache: CampaignCache | str | Path | None = None
+) -> tuple[dict[Coords, dict[str, Any]], list[tuple[Coords, CellId]]]:
+    """Answer every grid cell the cache holds; read-only.
 
-    The one place the resume → cache → execute order is applied.  Returns
-    ``(results, pending)``: ``results`` maps a cell's coordinates to
-    ``(source, record)`` with ``source`` ``"journal"`` (found in the
-    journal at path ``resume``, a missing file being an empty journal) or
-    ``"cache"`` (served by the :class:`repro.fabric.CampaignCache`, given
-    as an instance or a directory path, and stamped with ``spec.name``:
-    the cache is shared across campaigns); ``pending`` lists, in grid
-    order, the ``(coordinates, CellId)`` of the cells neither could answer.
+    Returns ``(results, pending)``: ``results`` maps a cell's coordinates
+    to the record the :class:`repro.fabric.CampaignCache` (an instance or a
+    directory path) serves for it, stamped with ``spec.name`` — the cache
+    is shared across campaigns; ``pending`` lists, in grid order, the
+    ``(coordinates, CellId)`` of the cells it could not answer.
     """
     store = open_cache(cache)
-    records: list[dict[str, Any]] = []
-    if resume is not None:
-        if not isinstance(resume, (str, Path)):
-            name = type(resume).__name__
-            raise TypeError(f"resume takes a journal path, got {name!r} (see docs/api.md)")
-        with contextlib.suppress(FileNotFoundError):
-            records = load_journal(resume)
-    done: dict[CellId, dict[str, Any]] = {}
-    for record in records:
-        if record.get("campaign") != spec.name:
-            continue
-        cell = CellId.from_record(record)
-        if cell is not None:
-            done[cell] = dict(record)
-
-    results: dict[Coords, tuple[str, dict[str, Any]]] = {}
+    results: dict[Coords, dict[str, Any]] = {}
     pending: list[tuple[Coords, CellId]] = []
     for coords in spec.grid():
         cell = spec.cell_id(*coords)
-        if cell in done:
-            results[coords] = ("journal", done[cell])
-            continue
-        if store is not None:
-            cached = store.get(cell)
-            if cached is not None:
-                results[coords] = ("cache", {**cached, "campaign": spec.name})
-                continue
-        pending.append((coords, cell))
+        cached = store.get(cell) if store is not None else None
+        if cached is not None:
+            results[coords] = {**cached, "campaign": spec.name}
+        else:
+            pending.append((coords, cell))
     return results, pending
 
 
@@ -307,21 +239,20 @@ def run_campaign(
     on_record: Callable[[dict[str, Any]], None] | None = None,
     record_failures: str | Path | None = None,
     cache: CampaignCache | str | Path | None = None,
-    resume: str | Path | None = None,
 ) -> list[dict[str, Any]]:
     """Run every grid cell, serving already-known cells without executing.
 
     A cell is identified by its :class:`CellId` digest over (protocol, n,
     t, adversary, seed, options, engine capability, transport,
-    transport_options).  Cells are satisfied, in order, from
-    (:func:`resolve` applies the first two):
+    transport_options).  Cells are satisfied, in order, from:
 
-    1. ``resume`` — a journal path (a missing file is an empty journal);
-    2. ``cache`` — a content-addressed :class:`repro.fabric.CampaignCache`
-       (or a directory path for one) consulted per cell and fed every
-       newly computed record, so identical cells are never recomputed
-       across campaigns or CLI invocations;
-    3. execution.  With ``jobs > 1`` the missing cells go to one process
+    1. ``cache`` — a content-addressed :class:`repro.fabric.CampaignCache`
+       (or a directory path for one) consulted per cell by
+       :func:`resolve` and fed every newly computed record the moment it
+       finishes, so identical cells are never recomputed across campaigns
+       or CLI invocations, and an interrupted sweep resumes by running
+       again with the same cache;
+    2. execution.  With ``jobs > 1`` the missing cells go to one process
        pool, largest ``n`` first: each idle worker takes the heaviest
        remaining cell, so one large-``n`` cell cannot idle the pool.
        Every cell is a pure function of the spec and its seeds, so the
@@ -329,11 +260,11 @@ def run_campaign(
        in grid order).  A cell that raises re-raises here with the
        worker's traceback attached and the cells still queued are
        cancelled; a worker that dies raises ``BrokenProcessPool``.  Either
-       way the cells already finished are in the journal and the cache.
+       way the cells already finished are in the cache.
 
-    ``journal`` names an append-only JSONL file that receives each newly
-    computed record the moment it finishes (resumed and cache-served
-    records are already durable and are not re-appended).  ``on_record``
+    ``journal`` names an append-only JSONL log that receives each newly
+    computed record the moment it finishes (cache-served records are not
+    re-appended); nothing reads it back.  ``on_record``
     is called with each newly computed record, in completion order.
 
     ``record_failures`` names a directory: each cell then runs through the
@@ -350,8 +281,7 @@ def run_campaign(
             "spelling was removed (see docs/api.md)"
         )
     store = open_cache(cache)
-    served, pending = resolve(spec, cache=store, resume=resume)
-    results = {coords: record for coords, (_, record) in served.items()}
+    results, pending = resolve(spec, cache=store)
     journal_path = Path(journal) if journal is not None else None
 
     def finish(coords: Coords, cell: CellId, record: dict[str, Any]) -> None:

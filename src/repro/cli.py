@@ -140,23 +140,15 @@ def _print_campaign_records(records, output) -> None:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    import json
-
-    from pathlib import Path
-
     from .analysis.campaign import run_campaign
     from .fabric import open_cache
 
     spec = _campaign_spec_from_args(args)
     cache = open_cache(args.cache)
-    if args.journal is not None and Path(args.journal).exists():
-        print(f"resuming from {args.journal}")
     computed: list[dict] = []
     records = run_campaign(
         spec,
-        resume=args.journal,
         jobs=args.jobs,
-        journal=args.journal,
         record_failures=args.record_failures,
         cache=cache,
         on_record=computed.append,
@@ -168,52 +160,37 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             f"cache: {stats['hits']} hits, {len(computed)} computed, "
             f"hit rate {stats['hit_rate']:.2f}"
         )
-        if args.cache_stats is not None:
-            payload = {
-                "spec": spec.name,
-                "cells": len(records),
-                "computed": len(computed),
-                "resumed": len(records) - len(computed) - stats["hits"],
-                **stats,
-            }
-            with open(args.cache_stats, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.cache_stats}")
     return 0
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    """Journal + cache standing for a spec — reads only, never executes."""
+    """Cache standing for a spec — reads only, never executes."""
     import json
 
     from .analysis.campaign import resolve
     from .fabric import CellId
 
     spec = _campaign_spec_from_args(args)
-    results, pending = resolve(spec, cache=args.cache, resume=args.journal)
-    records = [record for _, record in results.values()]
+    results, pending = resolve(spec, cache=args.cache)
+    records = list(results.values())
     missing = [str(cell) for _, cell in pending]
-    states = {"journal": 0, "cache": 0, "missing": len(missing)}
-    for source, _ in results.values():
-        states[source] += 1
-    total = len(results) + len(missing)
+    total = len(records) + len(missing)
     if args.json:
         payload = {
             "spec": spec.name,
             "cells": total,
-            **states,
+            "cache": len(records),
+            "missing": len(missing),
             "missing_cells": missing,
             "records": records,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"campaign      : {spec.name} ({total} cells)")
-        print(f"in journal    : {states['journal']}")
-        print(f"in cache      : {states['cache']}")
-        print(f"missing       : {states['missing']}")
-        for source, record in results.values():
-            print(f"  {source:<7} {CellId.from_record(record)}")
+        print(f"in cache      : {len(records)}")
+        print(f"missing       : {len(missing)}")
+        for record in records:
+            print(f"  cache   {CellId.from_record(record)}")
         for cell in missing:
             print(f"  MISSING {cell}")
         _print_campaign_summary(records)
@@ -342,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--cache", default=None, metavar="DIR",
             help="content-addressed cell cache: hits are served without "
-            "executing, newly computed cells are stored for every later "
-            "campaign or invocation",
+            "executing, newly computed cells are stored as they finish for "
+            "every later campaign or invocation (an interrupted sweep "
+            "resumes from it)",
         )
 
     def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -354,19 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
             "each idle worker takes the largest-n cell left",
         )
         parser.add_argument(
-            "--journal", default=None, metavar="PATH",
-            help="append-only JSONL journal: newly computed cells stream "
-            "to it and are reused on restart",
-        )
-        parser.add_argument(
             "--record-failures", default=None, metavar="DIR",
             help="run cells through the replay recorder with invariants "
             "on; violating cells save an ExecutionRecipe here (and into "
             "the cache) instead of aborting the sweep",
-        )
-        parser.add_argument(
-            "--cache-stats", default=None, metavar="PATH",
-            help="write hit/miss/computed accounting JSON after the run",
         )
 
     campaign_sub = campaign_parser.add_subparsers(
@@ -374,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     campaign_run = campaign_sub.add_parser(
-        "run", help="execute the grid (cache and journal hits are reused; "
-        "an interrupted sweep continues from its --journal)"
+        "run", help="execute the grid (cache hits are reused; an "
+        "interrupted sweep continues from its --cache)"
     )
     _add_grid_flags(campaign_run)
     _add_run_flags(campaign_run)
@@ -383,14 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_status = campaign_sub.add_parser(
         "status",
-        help="journal + cache standing for a spec (reads only, no runs; "
+        help="cache standing for a spec (reads only, no runs; "
         "exit 1 when any cell is missing)",
     )
     _add_grid_flags(campaign_status)
-    campaign_status.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="JSONL journal to count completed cells from",
-    )
     campaign_status.add_argument(
         "--json", action="store_true",
         help="print the counts, the missing cells and the hit records",

@@ -10,7 +10,8 @@ aggregating up the binary bag tree (Figure 2).  Each tree stage runs the
    which is what keeps Lemma 7's quorum argument sound for non-faulty
    processes that have merely gone inoperative);
 2. transmitters acknowledge the sources they heard; a source hearing at most
-   ``|W|/2`` confirmations goes inoperative;
+   ``|W|/group_relay_quorum_divisor`` (paper: 2) confirmations goes
+   inoperative;
 3. transmitters push the merged counts of each member's two child bags back;
    a source hearing fewer than ``|W|/r3 + 1`` goes inoperative.
 
@@ -125,7 +126,7 @@ def group_bits_aggregation(
                 and payload
                 and payload[0] == TAG_ACK
             )
-            if 2 * acks <= group_size:
+            if params.group_relay_quorum_divisor * acks <= group_size:
                 operative = False
 
         # ---- Round 3: transmitters push merged counts back to everyone. --

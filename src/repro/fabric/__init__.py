@@ -3,10 +3,11 @@
 The two things every sweep uses:
 
 * :class:`CellId` (``digest.py``): the canonical SHA-256 identity of one
-  grid cell — journal resume key, cache key and report grouping handle;
+  grid cell — cache key and report grouping handle;
 * :class:`CampaignCache` (``store.py``): every finished cell lives under
   its digest, published atomically and verified on read, so identical
-  cells are never recomputed across campaigns or CLI invocations.
+  cells are never recomputed across campaigns or CLI invocations, and an
+  interrupted sweep resumes from it.
 
 Executing the cells a cache cannot serve is ``run_campaign``'s job
 (``repro.analysis.campaign``).  See docs/fabric.md for the CAS layout and

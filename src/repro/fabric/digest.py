@@ -5,8 +5,9 @@ pure function of its identity: ``(protocol, n, t, adversary, seed,
 options, engine capability, transport, transport options)``.  A
 :class:`CellId` freezes exactly those components and derives a canonical
 SHA-256 digest from them, which is the key under which the cell's record
-lives in the content-addressed store (:mod:`repro.fabric.store`), the
-identity journal resume matches on, and the grouping handle reports use.
+lives in the content-addressed store (:mod:`repro.fabric.store`) — the one
+store an interrupted sweep resumes from — and the grouping handle reports
+use.
 
 The digest recipe is deliberately boring so it can be recomputed anywhere:
 
@@ -73,7 +74,7 @@ class CellId:
     (:func:`canonical_json`), which keeps the id hashable; :meth:`make`
     accepts mappings.  ``transport is None`` means the built-in default —
     kept distinct from an explicit ``"inprocess"`` so records written by
-    unpinned specs keep their exact resume identity.
+    unpinned specs keep their exact cell identity.
     """
 
     protocol: str
@@ -121,7 +122,7 @@ class CellId:
     def from_record(cls, record: Mapping[str, Any]) -> CellId | None:
         """The identity under which a finished record satisfies a cell.
 
-        Tolerant of historical journal shapes: a component the record
+        Tolerant of historical record shapes: a component the record
         does not carry takes its field default — empty options, the
         default transport, the *current* engine (such records were
         readable only by engines that would have produced them).

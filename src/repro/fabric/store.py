@@ -11,7 +11,9 @@ An entry is a schema-tagged JSON object carrying the full cell identity
 invariant-violating cell's record names its saved
 :class:`~repro.replay.ExecutionRecipe` file).
 
-Durability discipline mirrors the campaign journal's: writes land in a
+This is the one store a finished cell is served from: ``run_campaign``
+publishes each cell as it finishes, so an interrupted sweep resumes by
+running again against the same root.  Writes land in a
 temp file in the destination directory, are flushed + fsynced, then
 published with an atomic ``os.replace`` — concurrent writers racing on the
 same cell each publish a complete entry and the last one wins; a reader

@@ -17,6 +17,7 @@ with the caller's adversary and observers and wraps the outcome in a
 
 from __future__ import annotations
 
+import operator
 from dataclasses import KW_ONLY, asdict, dataclass, fields, replace
 from types import MappingProxyType
 from collections.abc import Callable, Mapping, Sequence
@@ -69,6 +70,10 @@ class ExecutionConfig:
 
     def __post_init__(self) -> None:
         put = object.__setattr__
+        # Seeds are hashed by ``repr``: ``np.int64(1)`` or ``True`` would
+        # silently run another execution than ``1``.
+        put(self, "seed", operator.index(self.seed))
+        put(self, "graph_seed", operator.index(self.graph_seed))
         if self.inputs is not None:
             put(self, "inputs", tuple(self.inputs))
         if self.n is None:

@@ -111,6 +111,8 @@ class ProtocolParams:
             raise ValueError("delta_min must be >= 1")
         if self.operative_degree_divisor < 1:
             raise ValueError("operative_degree_divisor must be >= 1")
+        if self.group_relay_quorum_divisor < 1:
+            raise ValueError("group_relay_quorum_divisor must be >= 1")
         if self.spread_rounds_min < 1:
             raise ValueError("spread_rounds_min must be >= 1")
         if self.epoch_min < 0:

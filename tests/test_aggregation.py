@@ -33,6 +33,7 @@ class AggregationHarness(SyncProcess):
     """Runs one aggregation over the whole pid range as a single group."""
 
     aggregation = staticmethod(group_bits_aggregation)
+    params = ProtocolParams.practical()
 
     def __init__(self, pid, n, bit, operative=True, stage_budget=None):
         super().__init__(pid, n)
@@ -55,7 +56,7 @@ class AggregationHarness(SyncProcess):
             tree,
             self.operative_in,
             self.bit,
-            ProtocolParams.practical(),
+            self.params,
             budget,
         )
         self.result = result
@@ -113,6 +114,24 @@ class TestFaultFreeAggregation:
         result, _ = run_group([1, 0, 1], stage_budget=5)
         assert result.decisions[0] == (2, 1, True)
         assert result.rounds == 15
+
+
+class TestRound2Quorum:
+    def test_quorum_divisor_is_read(self):
+        """A source stays operative only on more than |W|/divisor acks: a
+        divisor of 1 asks for more acks than the group has members, so
+        every aggregating process goes inoperative in stage 1."""
+
+        class WholeGroupQuorum(AggregationHarness):
+            params = ProtocolParams.practical().with_overrides(
+                group_relay_quorum_divisor=1
+            )
+
+        bits = [pid % 2 for pid in range(8)]
+        result, _ = run_group(bits, harness=WholeGroupQuorum)
+        assert {result.decisions[pid][2] for pid in range(8)} == {False}
+        result, _ = run_group(bits)
+        assert {result.decisions[pid][2] for pid in range(8)} == {True}
 
 
 class TestInoperativeInputs:

@@ -13,8 +13,6 @@ from repro.analysis import campaign
 from repro.analysis.campaign import (
     CampaignSpec,
     append_journal_record,
-    load_journal,
-    load_journal_records,
     repair_journal,
     run_campaign,
     save_campaign,
@@ -26,12 +24,39 @@ from repro.replay import load_recipe
 from repro.runtime import SyncProcess
 
 
-def journal_of(tmp_path, *records):
-    """A journal holding *records*, for ``resume=`` (a path only)."""
-    path = tmp_path / "resume.jsonl"
-    for record in records:
-        append_journal_record(path, record)
-    return path
+def journal_lines(path):
+    """The records of a JSONL journal, one per line (it is write-only:
+    the campaign runner never reads it back)."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def interrupted_run(spec, cache, after, **kwargs):
+    """Run *spec* into *cache*, interrupted once *after* cells finished;
+    returns the records that finished before the interrupt."""
+    seen = []
+
+    def interrupt(record):
+        seen.append(record)
+        if len(seen) == after:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(spec, cache=cache, on_record=interrupt, **kwargs)
+    return seen
+
+
+def assert_resumes(spec, cache, missing, **kwargs):
+    """Re-running *spec* against *cache* executes exactly *missing* cells
+    and returns the records of an uninterrupted run."""
+    computed = []
+    resumed = run_campaign(
+        spec, cache=cache, on_record=computed.append, **kwargs
+    )
+    assert len(computed) == missing
+    assert json.dumps(resumed, sort_keys=True) == json.dumps(
+        run_campaign(spec), sort_keys=True
+    )
+    return resumed
 
 
 def small_spec(**overrides):
@@ -91,22 +116,9 @@ class TestRun:
 
     def test_resume_skips_done_cells(self, tmp_path):
         spec = small_spec(adversaries=["none"], seeds=[0, 1])
-        first = run_campaign(spec)
-        marker = dict(first[0])
-        marker["rounds"] = -1  # sentinel proving reuse
-        resumed = run_campaign(
-            spec, resume=journal_of(tmp_path, marker, first[1])
-        )
-        assert resumed[0]["rounds"] == -1
-        assert resumed[1] == first[1]
-
-    def test_resume_ignores_other_campaigns(self, tmp_path):
-        spec = small_spec(adversaries=["none"], seeds=[0])
-        foreign = dict(run_campaign(spec)[0])
-        foreign["campaign"] = "someone-else"
-        foreign["rounds"] = -1
-        records = run_campaign(spec, resume=journal_of(tmp_path, foreign))
-        assert records[0]["rounds"] > 0
+        cache = CampaignCache(tmp_path / "cache")
+        run_campaign(small_spec(adversaries=["none"], seeds=[0]), cache=cache)
+        assert_resumes(spec, cache, missing=1)
 
     def test_resume_respects_options(self, tmp_path):
         """A record from a differently-parameterized sweep is not reused."""
@@ -118,14 +130,11 @@ class TestRun:
             protocol="tradeoff", adversaries=["none"], seeds=[0],
             options={"x": 3},
         )
-        stale = dict(run_campaign(spec_x2)[0])
-        stale["rounds"] = -1  # sentinel proving reuse
-        path = journal_of(tmp_path, stale)
-        same_options = run_campaign(spec_x2, resume=path)
-        assert same_options[0]["rounds"] == -1
-        other_options = run_campaign(spec_x3, resume=path)
-        assert other_options[0]["rounds"] > 0
-        assert other_options[0]["x"] == 3
+        cache = CampaignCache(tmp_path / "cache")
+        run_campaign(spec_x2, cache=cache)
+        assert_resumes(spec_x2, cache, missing=0)
+        (record,) = assert_resumes(spec_x3, cache, missing=1)
+        assert record["x"] == 3
 
     def test_legacy_records_without_options_match_empty_options(
         self, tmp_path
@@ -134,7 +143,11 @@ class TestRun:
         legacy = dict(run_campaign(spec)[0])
         del legacy["options"]
         legacy["rounds"] = -1
-        records = run_campaign(spec, resume=journal_of(tmp_path, legacy))
+        cell = CellId.from_record(legacy)
+        assert cell == spec.cell_id(33, "none", 0)
+        cache = CampaignCache(tmp_path / "cache")
+        cache.put(cell, legacy)
+        records = run_campaign(spec, cache=cache)
         assert records[0]["rounds"] == -1
 
     def test_record_identity_round_trips_through_json(self):
@@ -204,24 +217,20 @@ class TestParallel:
         )
 
     def test_parallel_streams_journal_and_resumes(self, tmp_path):
-        spec = small_spec(adversaries=["none"], seeds=[0, 1])
+        """A pooled sweep interrupted after its first cell resumes from the
+        cache; the journal logs each computed cell once, as it finishes."""
+        spec = small_spec()  # 4 cells
+        cache = CampaignCache(tmp_path / "cache")
         path = tmp_path / "journal.jsonl"
-        records = run_campaign(spec, jobs=2, journal=path)
-        on_disk = load_journal(path)
-        assert len(on_disk) == 2
-        assert {CellId.from_record(r) for r in on_disk} == {
-            CellId.from_record(r) for r in records
-        }
-        # A re-run resumes entirely from the journal: nothing recomputed,
-        # nothing re-appended.
-        recomputed = []
-        resumed = run_campaign(
-            spec, resume=path, jobs=2, journal=path,
-            on_record=recomputed.append,
+        (first,) = interrupted_run(spec, cache, after=1, jobs=2, journal=path)
+        assert journal_lines(path) == [first]
+        resumed = assert_resumes(spec, cache, missing=3, jobs=2, journal=path)
+        on_disk = journal_lines(path)
+        assert sorted(CellId.from_record(r).digest for r in on_disk) == sorted(
+            CellId.from_record(r).digest for r in resumed
         )
-        assert recomputed == []
-        assert len(load_journal(path)) == 2
-        assert resumed == records
+        assert_resumes(spec, cache, missing=0, jobs=2, journal=path)
+        assert journal_lines(path) == on_disk  # hits are not re-appended
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_mixed_n_grid_matches_serial_each_cell_reported_once(self, jobs):
@@ -295,10 +304,7 @@ class TestParallel:
             for coords in spec.grid()
         )
         assert 1 <= survivors <= 3
-        computed = []
-        records = run_campaign(spec, cache=cache, on_record=computed.append)
-        assert len(records) == 4
-        assert len(computed) == 4 - survivors
+        assert_resumes(spec, cache, missing=4 - survivors)
 
 
 def _stub_cell(spec, n, adversary, seed, record_failures=None):
@@ -346,41 +352,23 @@ except Exception as exc:
 """
 
 
-class TestJournal:
-    def test_interrupted_campaign_resumes_from_journal(self, tmp_path):
-        """Kill a campaign mid-grid; the journal completes the sweep."""
+class TestResume:
+    def test_interrupted_campaign_resumes_from_cache(self, tmp_path):
+        """Kill a serial campaign mid-grid; the cache completes the sweep."""
         spec = small_spec()  # 4 cells
-        path = tmp_path / "journal.jsonl"
-        seen = []
-
-        def interrupt(record):
-            seen.append(record)
-            if len(seen) == 2:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(spec, journal=path, on_record=interrupt)
-        on_disk = load_journal(path)
-        assert len(on_disk) == 2  # the finished cells survived the crash
-
-        finished = []
-        resumed = run_campaign(
-            spec, resume=path, journal=path,
-            on_record=finished.append,
+        cache = CampaignCache(tmp_path / "cache")
+        interrupted_run(spec, cache, after=2)
+        survivors = sum(
+            cache.get(spec.cell_id(*coords)) is not None
+            for coords in spec.grid()
         )
-        assert len(finished) == 2  # only the missing cells ran
-        assert len(resumed) == 4
-        assert len(load_journal(path)) == 4
+        assert survivors == 2  # the finished cells survived the crash
+        resumed = assert_resumes(spec, cache, missing=2)
         done = {CellId.from_record(rec) for rec in resumed}
         assert done == {spec.cell_id(*cell) for cell in spec.grid()}
 
-    def test_load_journal_tolerates_truncated_tail(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        append_journal_record(path, {"campaign": "c", "seed": 0})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"campaign": "c", "se')  # crash mid-append
-        assert load_journal(path) == [{"campaign": "c", "seed": 0}]
 
+class TestJournal:
     RECORDS = [
         {"campaign": "c", "seed": 0},
         {"campaign": "αβγ", "seed": 1},  # multi-byte UTF-8 in the middle
@@ -395,8 +383,8 @@ class TestJournal:
 
     def test_load_survives_truncation_at_every_byte_offset(self, tmp_path):
         """A crash can cut the final ``write`` anywhere — including inside
-        a multi-byte UTF-8 character.  Whatever the offset, ``load_journal``
-        must return exactly the records whose lines survived intact."""
+        a multi-byte UTF-8 character.  Whatever the offset, the repaired
+        journal holds exactly the records whose lines survived intact."""
         source = self.full_journal(tmp_path)
         data = source.read_bytes()
         boundaries = [0]
@@ -407,7 +395,8 @@ class TestJournal:
         for offset in range(len(data) + 1):
             victim.write_bytes(data[:offset])
             intact = sum(1 for b in boundaries if b <= offset) - 1
-            loaded = load_journal(victim)
+            repair_journal(victim)
+            loaded = journal_lines(victim)
             # Always a clean prefix: the terminated lines, plus the tail
             # line iff the cut landed exactly at the end of its JSON.
             assert loaded == self.RECORDS[: len(loaded)], (
@@ -425,7 +414,7 @@ class TestJournal:
         assert tail  # the severed bytes are reported back
         # The journal itself is clean again...
         assert path.read_bytes() == data[: data.rfind(b"\n", 0, -1) + 1]
-        assert load_journal(path) == self.RECORDS[:2]
+        assert journal_lines(path) == self.RECORDS[:2]
         # ...and no bytes were destroyed: the tail sits in the sidecar.
         quarantine = path.with_name(path.name + ".quarantine")
         assert quarantine.read_bytes() == tail + b"\n"
@@ -437,7 +426,7 @@ class TestJournal:
         append_journal_record(path, fresh)
         # The torn tail was quarantined first, so the new record landed on
         # its own line instead of gluing onto the partial one.
-        assert load_journal(path) == self.RECORDS[:2] + [fresh]
+        assert journal_lines(path) == self.RECORDS[:2] + [fresh]
         assert path.with_name(path.name + ".quarantine").exists()
 
     def test_repair_restores_missing_newline_on_intact_tail(self, tmp_path):
@@ -449,7 +438,7 @@ class TestJournal:
         path.write_bytes(data[:-1])  # strip only the final newline
         assert repair_journal(path) == b""
         assert path.read_bytes() == data
-        assert load_journal(path) == self.RECORDS
+        assert journal_lines(path) == self.RECORDS
         assert not path.with_name(path.name + ".quarantine").exists()
 
     def test_repair_on_clean_journal_is_a_no_op(self, tmp_path):
@@ -458,70 +447,21 @@ class TestJournal:
         assert repair_journal(path) == b""
         assert path.read_bytes() == before
 
-    def test_load_journal_dedupes_rerun_cells_latest_write_wins(
-        self, tmp_path
-    ):
-        """A cell appended twice (e.g. a sweep re-run after a partial
-        resume) must surface once: the *last* record appended, at the
-        position of the first."""
-        spec = small_spec(adversaries=["none"], seeds=[0, 1])
-        path = tmp_path / "journal.jsonl"
-        first, second = run_campaign(spec, journal=path)
-        stale = dict(first)
-        stale["rounds"] = -1  # the superseded earlier write
-        rerun = dict(first)
-        rerun["rounds"] = 99  # the authoritative re-run
-        path.write_text("", encoding="utf-8")
-        for record in (stale, second, rerun):
-            append_journal_record(path, record)
-        loaded = load_journal(path)
-        assert loaded == [rerun, second]  # deduped, first-seen position
-        assert len(load_journal_records(path)) == 3
-
-    def test_shared_journal_keeps_each_campaigns_cells(self, tmp_path):
-        """Two campaigns that run the same cell into one journal each keep
-        their record: re-running the first executes and appends nothing."""
-        path = tmp_path / "journal.jsonl"
-        first, second = (
-            CampaignSpec(name, "ben-or", ns=(8,)) for name in ("a", "b")
-        )
-        for spec in (first, second):
-            run_campaign(spec, journal=path, resume=path)
-        computed = []
-        run_campaign(first, journal=path, resume=path, on_record=computed.append)
-        assert computed == []
-        assert len(load_journal_records(path)) == 2
-        assert [record["campaign"] for record in load_journal(path)] == [
-            "a", "b",
-        ]
-
-    def test_load_journal_dedupe_keeps_non_cell_lines(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        note = {"note": "sweep started"}
-        cell = {"campaign": "c", "protocol": "algorithm1", "n": 33,
-                "t": 8, "adversary": "none", "seed": 0}
-        for record in (note, cell, note, cell):
-            append_journal_record(path, record)
-        assert load_journal(path) == [note, cell, note]
-
     def test_resume_after_torn_append(self, tmp_path):
-        """End-to-end: a campaign whose journal was torn mid-record still
-        resumes, re-running only the severed cell."""
+        """End-to-end: a campaign killed mid-append tears its journal's
+        last record; it still resumes from the cache, re-running only the
+        cell that never finished, and its next append repairs the tail."""
         spec = small_spec()  # 4 cells
+        cache = CampaignCache(tmp_path / "cache")
         path = tmp_path / "journal.jsonl"
-        run_campaign(spec, journal=path)
+        finished = interrupted_run(spec, cache, after=3, journal=path)
         data = path.read_bytes()
         path.write_bytes(data[:-7])  # sever the final record
-        on_disk = load_journal(path)
-        assert len(on_disk) == 3
-        finished = []
-        resumed = run_campaign(
-            spec, resume=path, journal=path,
-            on_record=finished.append,
-        )
-        assert len(finished) == 1
-        assert len(resumed) == 4
-        assert len(load_journal(path)) == 4
+        assert_resumes(spec, cache, missing=1, journal=path)
+        on_disk = journal_lines(path)
+        assert on_disk[:2] == finished[:2]
+        assert len(on_disk) == 3  # the torn line went to the quarantine
+        assert path.with_name(path.name + ".quarantine").exists()
 
 
 class TestRemovedGridKwargs:

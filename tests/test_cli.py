@@ -109,13 +109,12 @@ def test_run_prints_one_phases_line(capsys):
 
 def test_campaign_run_subcommand(tmp_path, capsys):
     output = tmp_path / "campaign.json"
-    journal = tmp_path / "campaign.jsonl"
     argv = [
         "campaign", "run",
         "--ns", "33",
         "--adversaries", "none",
         "--seeds", "0",
-        "--journal", str(journal),
+        "--cache", str(tmp_path / "cache"),
         "--output", str(output),
     ]
     code = main(argv)
@@ -123,39 +122,38 @@ def test_campaign_run_subcommand(tmp_path, capsys):
     assert code == 0
     assert output.exists()
     assert "rounds=" in captured
-    # Second invocation resumes from the journal instead of recomputing.
+    # Second invocation is served from the cache instead of recomputing.
     code = main(argv)
     captured = capsys.readouterr().out
     assert code == 0
-    assert "resuming" in captured
+    assert "cache: 1 hits, 0 computed" in captured
 
 
-def test_campaign_jobs_and_jsonl_resume(tmp_path, capsys):
-    from repro.analysis.campaign import load_journal
-
-    journal = tmp_path / "campaign.jsonl"
-    output = tmp_path / "campaign.json"
-    argv = [
+def campaign_argv(output, seeds, *extra):
+    return [
         "campaign", "run",
+        "--name", "cli-resume",
         "--ns", "33",
-        "--adversaries", "none",
-        "--seeds", "0,1",
-        "--jobs", "2",
-        "--journal", str(journal),
+        "--adversaries", "none,silence",
+        "--seeds", seeds,
         "--output", str(output),
+        *extra,
     ]
-    code = main(argv)
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "rounds=" in captured
-    assert len(load_journal(journal)) == 2
-    # Second invocation resumes from the JSONL journal: no re-runs, so
-    # nothing new is appended.
-    code = main(argv)
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert f"resuming from {journal}" in captured
-    assert len(load_journal(journal)) == 2
+
+
+def test_campaign_jobs_and_cache_resume(tmp_path, capsys):
+    """A pooled sweep cut short resumes from its --cache: the rerun
+    computes only the missing cells and writes what an uninterrupted run
+    writes."""
+    cache = ["--jobs", "2", "--cache", str(tmp_path / "cache")]
+    resumed, uninterrupted = tmp_path / "resumed.json", tmp_path / "full.json"
+    assert main(campaign_argv(tmp_path / "cut.json", "0", *cache)) == 0
+    assert "cache: 0 hits, 2 computed" in capsys.readouterr().out
+    assert main(campaign_argv(resumed, "0,1", *cache)) == 0
+    assert "cache: 2 hits, 2 computed" in capsys.readouterr().out
+    assert main(campaign_argv(uninterrupted, "0,1")) == 0
+    capsys.readouterr()
+    assert resumed.read_bytes() == uninterrupted.read_bytes()
 
 
 def test_campaign_x_option_recorded(tmp_path, capsys):
@@ -196,8 +194,6 @@ def test_campaign_flat_flags_removed(tmp_path, capsys):
 
 
 def test_campaign_run_cold_then_warm_cache(tmp_path, capsys):
-    import json
-
     cache = tmp_path / "cache"
     argv_tail = [
         "--name", "cli-cache",
@@ -208,28 +204,16 @@ def test_campaign_run_cold_then_warm_cache(tmp_path, capsys):
         "--cache", str(cache),
     ]
     cold_out = tmp_path / "cold.json"
-    cold_stats = tmp_path / "cold-stats.json"
-    code = main(
-        ["campaign", "run", "--output", str(cold_out),
-         "--cache-stats", str(cold_stats), *argv_tail]
-    )
+    code = main(["campaign", "run", "--output", str(cold_out), *argv_tail])
     captured = capsys.readouterr().out
     assert code == 0
     assert "cache: 0 hits, 4 computed" in captured
 
     warm_out = tmp_path / "warm.json"
-    warm_stats = tmp_path / "warm-stats.json"
-    code = main(
-        ["campaign", "run", "--output", str(warm_out),
-         "--cache-stats", str(warm_stats), *argv_tail]
-    )
+    code = main(["campaign", "run", "--output", str(warm_out), *argv_tail])
     captured = capsys.readouterr().out
     assert code == 0
-    assert "cache: 4 hits, 0 computed" in captured
-    stats = json.loads(warm_stats.read_text())
-    assert stats["computed"] == 0
-    assert stats["hits"] == 4
-    assert stats["hit_rate"] == 1.0
+    assert "cache: 4 hits, 0 computed, hit rate 1.00" in captured
     # The cached sweep is byte-identical to the computed one.
     assert cold_out.read_bytes() == warm_out.read_bytes()
 
@@ -265,7 +249,6 @@ def test_campaign_status_subcommand(tmp_path, capsys):
 
 
 def test_campaign_status_lists_each_cell_and_never_executes(tmp_path, capsys):
-    journal = tmp_path / "journal.jsonl"
     argv_tail = [
         "--name", "cli-status-cells",
         "--ns", "33",
@@ -274,7 +257,7 @@ def test_campaign_status_lists_each_cell_and_never_executes(tmp_path, capsys):
         "--cache", str(tmp_path / "cache"),
     ]
     # Nothing computed yet: nonzero exit, nothing executed or created.
-    code = main(["campaign", "status", "--journal", str(journal), *argv_tail])
+    code = main(["campaign", "status", *argv_tail])
     captured = capsys.readouterr().out
     assert code == 1
     assert "MISSING algorithm1:n33:none:s0" in captured
@@ -292,27 +275,14 @@ def test_campaign_status_lists_each_cell_and_never_executes(tmp_path, capsys):
 
 
 def test_campaign_resume_subcommand(tmp_path, capsys):
-    """Resuming is ``campaign run --journal``; the separate ``resume``
+    """Resuming is ``campaign run --cache`` again; the separate ``resume``
     subcommand is gone (``test_removed_surfaces``)."""
-    journal = tmp_path / "sweep.jsonl"
-    argv = [
-        "campaign", "run",
-        "--name", "cli-resume",
-        "--ns", "33",
-        "--adversaries", "none",
-        "--seeds", "0,1",
-        "--journal", str(journal),
-        "--output", str(tmp_path / "out.json"),
-    ]
-    code = main(argv)
-    capsys.readouterr()
-    assert code == 0
-    from repro.analysis.campaign import load_journal
-
-    assert len(load_journal(journal)) == 2
-    # Second pass resumes every cell from the journal.
-    code = main(argv)
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert f"resuming from {journal}" in captured
-    assert len(load_journal(journal)) == 2
+    cache = ["--cache", str(tmp_path / "cache")]
+    output = tmp_path / "out.json"
+    assert main(campaign_argv(output, "0", *cache)) == 0
+    assert "cache: 0 hits, 2 computed" in capsys.readouterr().out
+    # Second pass serves the finished cells and computes only the rest.
+    assert main(campaign_argv(output, "0,1", *cache)) == 0
+    assert "cache: 2 hits, 2 computed" in capsys.readouterr().out
+    assert main(campaign_argv(output, "0,1", *cache)) == 0
+    assert "cache: 4 hits, 0 computed" in capsys.readouterr().out

@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.campaign import (
     CampaignSpec,
-    load_journal,
     resolve,
     run_campaign,
     summarize_campaign,
@@ -89,8 +88,8 @@ class TestCellId:
         assert CellId.from_record({}) is None
 
     def test_from_record_refuses_a_non_lockstep_round_model(self):
-        """A journal line written by a sweep pinned to the removed
-        partial-synchrony model is never served: resume re-runs the cell.
+        """A record written by a sweep pinned to the removed
+        partial-synchrony model is never served: the cell re-runs.
         One pinned to lockstep is the lockstep cell it always was."""
         legacy = {
             "protocol": "algorithm1", "n": 33, "t": 8, "adversary": "none",
@@ -378,7 +377,9 @@ class TestResolve:
         run_campaign(small_spec(seeds=[0]), cache=cache)  # fill half
         results, pending = resolve(spec, cache=tmp_path / "cache")
         assert sorted(results) == [(33, "none", 0), (33, "silence", 0)]
-        assert {source for source, _ in results.values()} == {"cache"}
+        assert {record["campaign"] for record in results.values()} == {
+            "fabric-test"
+        }
         assert pending == [
             (coords, spec.cell_id(*coords))
             for coords in [(33, "none", 1), (33, "silence", 1)]
@@ -390,35 +391,14 @@ class TestResolve:
         results, pending = resolve(spec, cache=tmp_path / "cache")
         assert pending == []
         assert list(results) == list(spec.grid())
-        assert json.dumps(
-            [record for _, record in results.values()], sort_keys=True
-        ) == json.dumps(expected, sort_keys=True)
-
-    def test_journal_answers_before_cache(self, tmp_path):
-        spec = small_spec()
-        journal = tmp_path / "journal.jsonl"
-        run_campaign(
-            small_spec(adversaries=["none"]),
-            cache=tmp_path / "cache", journal=journal,
+        assert json.dumps(list(results.values()), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
         )
-        cache = CampaignCache(tmp_path / "cache")
-        results, pending = resolve(spec, cache=cache, resume=journal)
-        journaled = load_journal(journal)[0]
-        assert results[(33, "none", 0)] == ("journal", journaled)
-        assert [coords for coords, _ in pending] == [(33, "silence", 0)]
-        assert cache.stats.hits == 0  # the journaled cell was never probed
-
-    def test_resume_is_a_journal_path(self, tmp_path):
-        spec = small_spec()
-        records = run_campaign(small_spec(adversaries=["none"]))
-        with pytest.raises(TypeError, match="'list'"):
-            resolve(spec, resume=records)
-        with pytest.raises(TypeError, match="'list'"):
-            run_campaign(spec, resume=records)
 
     def test_without_cache_or_journal_everything_is_pending(self, tmp_path):
         spec = small_spec()
-        results, pending = resolve(spec, resume=tmp_path / "absent.jsonl")
-        assert results == {}
-        assert [coords for coords, _ in pending] == list(spec.grid())
+        for cache in (None, tmp_path / "absent"):
+            results, pending = resolve(spec, cache=cache)
+            assert results == {}
+            assert [coords for coords, _ in pending] == list(spec.grid())
         assert list(tmp_path.iterdir()) == []  # read-only: nothing created

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.adversary import SilenceAdversary
@@ -139,6 +140,28 @@ def test_config_payload_round_trips_named_axes_only():
     # a payload, a digest or a core.
     with pytest.raises(ValueError, match="unknown transport <object"):
         ExecutionConfig("ben-or", mixed(5), transport=object())
+
+
+@pytest.mark.parametrize(
+    "seeds", [[np.int64(1)], [np.uint8(1)], [True], np.arange(1, 2)], ids=repr
+)
+def test_integer_like_seed_runs_the_int_seed(seeds, tmp_path):
+    """Seeds are hashed by ``repr``: a config stores ``operator.index`` of
+    its seeds, so an integer-like seed runs, records and caches as the
+    plain ``int`` it equals."""
+    (seed,) = seeds
+    config = ExecutionConfig("ben-or", mixed(5), seed=seed, graph_seed=seed)
+    assert (type(config.seed), type(config.graph_seed)) == (int, int)
+    want = execute("algorithm1", mixed(16), seed=1).metrics
+    got = execute("algorithm1", mixed(16), seed=seed).metrics
+    assert (got.bits_sent, got.random_bits) == (want.bits_sent, want.random_bits)
+    (plain,) = run_campaign(CampaignSpec("seeds", "ben-or", ns=(8,), seeds=[1]))
+    spec = CampaignSpec("seeds", "ben-or", ns=(8,), seeds=seeds)
+    (cached,) = run_campaign(spec, cache=tmp_path)
+    assert json.dumps(cached, sort_keys=True) == json.dumps(plain, sort_keys=True)
+    for bad in (1.0, "1"):
+        with pytest.raises(TypeError):
+            ExecutionConfig("ben-or", mixed(5), seed=bad)
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,8 @@ class TestPresets:
             ProtocolParams(delta_factor=0)
         with pytest.raises(ValueError):
             ProtocolParams(spread_rounds_min=0)
+        with pytest.raises(ValueError, match="group_relay_quorum_divisor"):
+            ProtocolParams(group_relay_quorum_divisor=0)
 
 
 class TestDerivedQuantities:

@@ -17,13 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.campaign import (
-    CampaignSpec,
-    load_journal,
-    resolve,
-    run_campaign,
-)
+from repro.analysis import _journal, campaign
+from repro.analysis.campaign import CampaignSpec, resolve, run_campaign
 from repro.analysis.montecarlo import wilson_interval
+from repro.cli import main as cli_main
 from repro.fabric import CampaignCache, CellId
 from repro.graphs import SpreadingGraph
 from repro.harness import ExecutionConfig, execute
@@ -179,8 +176,18 @@ REMOVED_CALLS = {
             "x", include_self=True
         ),
     ),
+    # One store for finished cells: a sweep resumes from its cache, and
+    # the journal is a write-only log.
     "load_journal(dedupe=)": (
-        TypeError, lambda: load_journal("unused.jsonl", dedupe=False)
+        AttributeError,
+        lambda: campaign.load_journal("unused.jsonl", dedupe=False),
+    ),
+    "load_journal(path)": (
+        AttributeError, lambda: campaign.load_journal("unused.jsonl")
+    ),
+    "load_journal_records(path)": (
+        AttributeError,
+        lambda: _journal.load_journal_records("unused.jsonl"),
     ),
     "resolve(spec, resume=<records>)": (
         TypeError, lambda: resolve(SPEC, resume=[])
@@ -188,6 +195,20 @@ REMOVED_CALLS = {
     "run_campaign(spec, resume=<records>)": (
         TypeError, lambda: run_campaign(SPEC, resume=[])
     ),
+    "resolve(spec, resume=<path>)": (
+        TypeError, lambda: resolve(SPEC, resume="unused.jsonl")
+    ),
+    "run_campaign(spec, resume=<path>)": (
+        TypeError, lambda: run_campaign(SPEC, resume="unused.jsonl")
+    ),
+    **{
+        " ".join(argv): (SystemExit, lambda argv=argv: cli_main(argv))
+        for argv in (
+            ("campaign", "run", "--journal", "unused.jsonl"),
+            ("campaign", "status", "--journal", "unused.jsonl"),
+            ("campaign", "run", "--cache-stats", "unused.json"),
+        )
+    },
     "wilson_interval(z=)": (TypeError, lambda: wilson_interval(1, 2, z=1.0)),
     "verify_threshold_inequality(thresholds_per_k=)": (
         TypeError,

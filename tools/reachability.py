@@ -6,7 +6,7 @@ repository ships:
 * every ``experiments/<id>.json`` spec (the measures ``report`` runs; no
   result file is written) and the EXPERIMENTS.md render;
 * the CLI flows CI and the docs drive: ``run`` (text and ``--json``), a
-  cold and a warm ``campaign run`` into a fresh cache and journal,
+  cold and a warm ``campaign run`` into a fresh cache,
   ``campaign status`` (text and ``--json``), ``replay`` of the committed
   golden recipes, and a ``replay --shrink`` of a failing recipe;
 * every example script, at its shipped arguments (the SMR example at
@@ -123,10 +123,8 @@ def cli_flows() -> None:
                 "--adversaries", "none,silence", "--seeds", "0,1",
                 "--cache", str(workdir / "cache")]
         for _ in ("cold", "warm"):
-            main(["campaign", "run", *grid, "--journal",
-                  str(workdir / "journal.jsonl"),
-                  "--output", str(workdir / "out.json"),
-                  "--cache-stats", str(workdir / "stats.json")])
+            main(["campaign", "run", *grid,
+                  "--output", str(workdir / "out.json")])
         for extra in ([], ["--json"]):
             main(["campaign", "status", *grid, *extra])
         for recipe in sorted((ROOT / "tests" / "data").glob("golden-*.json")):
