@@ -5,14 +5,15 @@ chaos adversary probes everything else.  Each round it draws a random but
 *legal* combination of moves:
 
 * with probability ``corrupt_rate`` (and budget left), corrupt a uniformly
-  random healthy process — sometimes a burst of several;
+  random healthy process — sometimes a burst of several (each further
+  one with probability ``BURST_RATE``);
 * for every faulty-incident message, draw an omission from a per-(sender,
   recipient) biased coin whose bias is itself randomized per link — so some
   links are reliably dead, some flaky, some clean, and the pattern differs
   every run;
-* occasionally flips a link's bias (the "faulty process changes who it
-  talks to round by round" behaviour Section B.3 highlights as the
-  difference from crashes).
+* occasionally (probability ``FLIP_RATE`` per look) flips a link's bias
+  (the "faulty process changes who it talks to round by round" behaviour
+  Section B.3 highlights as the difference from crashes).
 
 Used by the property-based fuzz tests: Algorithm 1 (and friends) must
 satisfy agreement/validity/termination under *any* seed of this adversary,
@@ -26,28 +27,20 @@ import random
 from ..runtime import Adversary, AdversaryAction, AdversaryContext, NetworkView
 from ..runtime.randomness import stable_seed
 
+#: Chance that a corruption burst grows by one more process.
+BURST_RATE = 0.02
+#: Chance that a link's omission bias is redrawn when it is looked up.
+FLIP_RATE = 0.05
+
 
 class ChaosAdversary(Adversary):
     """Randomized legal adversary for fuzzing (see module docstring)."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        corrupt_rate: float = 0.08,
-        burst_rate: float = 0.02,
-        flip_rate: float = 0.05,
-    ) -> None:
-        for name, value in (
-            ("corrupt_rate", corrupt_rate),
-            ("burst_rate", burst_rate),
-            ("flip_rate", flip_rate),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+    def __init__(self, seed: int = 0, corrupt_rate: float = 0.08) -> None:
+        if not 0.0 <= corrupt_rate <= 1.0:
+            raise ValueError(f"corrupt_rate must be in [0, 1], got {corrupt_rate}")
         self._rng = random.Random(stable_seed("chaos", seed))
         self.corrupt_rate = corrupt_rate
-        self.burst_rate = burst_rate
-        self.flip_rate = flip_rate
         #: Per-link omission bias, assigned lazily per (sender, recipient).
         self._link_bias: dict[tuple[int, int], float] = {}
 
@@ -56,7 +49,7 @@ class ChaosAdversary(Adversary):
 
     def _bias(self, link: tuple[int, int]) -> float:
         bias = self._link_bias.get(link)
-        if bias is None or self._rng.random() < self.flip_rate:
+        if bias is None or self._rng.random() < FLIP_RATE:
             # Mixture: dead links, flaky links, clean links.
             roll = self._rng.random()
             if roll < 0.3:
@@ -80,7 +73,7 @@ class ChaosAdversary(Adversary):
             while (
                 count < budget
                 and count < len(healthy)
-                and rng.random() < self.burst_rate
+                and rng.random() < BURST_RATE
             ):
                 count += 1
             corrupt.update(rng.sample(healthy, count))

@@ -197,32 +197,15 @@ class VoteBalancingAdversary(Adversary):
     The constructive strategy behind the sqrt(n)-round lower-bound intuition
     (Section B.3): whenever the operative vote drifts toward a value, corrupt
     and silence holders of the *leading* bit (most-connected first) to pull
-    the visible counts back toward the undecided band.  Spends at most
-    ``per_epoch_budget`` corruptions per epoch, mirroring the
-    Theta(sqrt(n))-per-round cost the analysis forces on the adversary.
+    the visible counts back toward the undecided band, spending from the
+    whole remaining budget.
     """
 
-    def __init__(
-        self, per_epoch_budget: int | None = None, seed: int = 0
-    ) -> None:
-        self.per_epoch_budget = per_epoch_budget
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(stable_seed("vote-balancer", seed))
         self._silenced: set[int] = set()
-        self._epoch_seen = -1
-        self._spent_this_epoch = 0
-
-    def _current_epoch(self, view: NetworkView) -> int:
-        epochs = [
-            getattr(process, "epoch", -1) for process in view.processes
-        ]
-        return max(epochs) if epochs else -1
 
     def act(self, view: NetworkView) -> AdversaryAction:
-        epoch = self._current_epoch(view)
-        if epoch != self._epoch_seen:
-            self._epoch_seen = epoch
-            self._spent_this_epoch = 0
-
         ones = zeros = 0
         holders: dict[int, list[int]] = {0: [], 1: []}
         for process in view.processes:
@@ -249,12 +232,7 @@ class VoteBalancingAdversary(Adversary):
         if total > 0:
             leading = 1 if ones >= zeros else 0
             margin = abs(ones - zeros)
-            budget = view.budget_left
-            if self.per_epoch_budget is not None:
-                budget = min(
-                    budget, self.per_epoch_budget - self._spent_this_epoch
-                )
-            to_silence = min(margin // 2, budget)
+            to_silence = min(margin // 2, view.budget_left)
             if to_silence > 0:
                 pool = [
                     pid for pid in holders[leading] if pid not in view.faulty
@@ -262,7 +240,6 @@ class VoteBalancingAdversary(Adversary):
                 self._rng.shuffle(pool)
                 corrupt = frozenset(pool[:to_silence])
                 self._silenced |= corrupt
-                self._spent_this_epoch += len(corrupt)
 
         silenced_now = self._silenced & (view.faulty | corrupt)
         return AdversaryAction(

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import operator
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from collections.abc import Callable, Sequence
@@ -88,6 +89,8 @@ class CampaignSpec:
     transport_options: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # A numpy ``n`` would reach the records as ``np.int64`` (not JSON).
+        object.__setattr__(self, "ns", tuple(map(operator.index, self.ns)))
         sweepable = available_protocols(sweepable=True)
         if self.protocol not in sweepable:
             raise ValueError(

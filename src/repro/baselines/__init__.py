@@ -11,7 +11,6 @@
 
 from .ben_or import BenOrVotingProcess
 from .doubling_gossip import (
-    CrashCollectors,
     DoublingCollector,
     ResponseStarver,
     measure_amortization,
@@ -25,7 +24,6 @@ __all__ = [
     "dolev_strong_consensus",
     "PhaseKingProcess",
     "BenOrVotingProcess",
-    "CrashCollectors",
     "DoublingCollector",
     "ResponseStarver",
     "measure_amortization",

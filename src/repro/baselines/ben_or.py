@@ -5,7 +5,8 @@ Section B.3): every round every process broadcasts its candidate bit, counts
 the received bits, and either follows a clear majority (margin beyond
 ``threshold ~ c*sqrt(n)``), decides (margin beyond ``2*threshold``), or flips
 a fresh coin.  The adversary must remove ~sqrt(n) deviating coins per round
-to stall it, which it can only do for ~t/sqrt(n) rounds.
+to stall it, which it can only do for ~t/sqrt(n) rounds.  Votes are tallied
+with ``list.count``; only a round they do not cover looks for a DECIDE.
 
 Two roles in this repository:
 
@@ -27,6 +28,8 @@ from ..runtime import (
     Program,
     SyncProcess,
     inbox_payloads,
+    inbox_senders,
+    tagged_from,
 )
 
 TAG_VOTE = 7
@@ -101,14 +104,9 @@ class BenOrVotingProcess(SyncProcess):
             total = 1 + votes
             adopted: int | None = None
             if votes != len(payloads):
-                for payload in reversed(payloads):
-                    if (
-                        isinstance(payload, tuple)
-                        and len(payload) == 2
-                        and payload[0] == TAG_DECIDE
-                    ):
-                        adopted = payload[1]
-                        break
+                decides = tagged_from(inbox_senders(inbox), payloads, TAG_DECIDE, 2)
+                if decides:
+                    _, (_, adopted) = decides[-1]
             if adopted is not None:
                 decided_value = adopted
                 break

@@ -13,8 +13,10 @@ each time when too few responses are received", and
 
 This module makes that argument executable.  :class:`DoublingCollector` is
 the canonical doubling primitive: it needs ``quorum`` responses and
-contacts processes in exponentially growing batches until satisfied.
-Against **crashes**, a faulty collector simply stops — zero further cost.
+contacts processes in exponentially growing batches until satisfied
+(``(TAG_REQUEST, pid)`` out, ``(TAG_RESPONSE, pid)`` back, read with ``tagged_from``).
+Against **crashes** (:class:`~repro.adversary.SilenceAdversary` on the
+victims), a faulty collector simply stops — zero further cost.
 Against **omissions** (:class:`ResponseStarver`), the same faulty collector
 keeps running: its requests are delivered (the adversary wants the system
 to pay for the answers) while every response back to it is omitted, so it
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+from ..adversary import SilenceAdversary
 from ..runtime import (
     Adversary,
     AdversaryAction,
@@ -39,6 +42,7 @@ from ..runtime import (
     SyncProcess,
     inbox_payloads,
     inbox_senders,
+    tagged_from,
 )
 
 TAG_REQUEST = 14
@@ -72,17 +76,15 @@ class DoublingCollector(SyncProcess):
         self.satisfied = False
 
     def _answer_requests(self, env: ProcessEnv, inbox: list[Message]) -> None:
-        for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
-            if isinstance(payload, tuple) and payload and payload[0] == TAG_REQUEST:
-                self.responses_by_requester[sender] = (
-                    self.responses_by_requester.get(sender, 0) + 1
-                )
-                env.send(sender, (TAG_RESPONSE, self.pid))
+        for sender, _ in tagged_from(inbox_senders(inbox), inbox_payloads(inbox), TAG_REQUEST):
+            self.responses_by_requester[sender] = (
+                self.responses_by_requester.get(sender, 0) + 1
+            )
+            env.send(sender, (TAG_RESPONSE, self.pid))
 
     def _collect_responses(self, inbox: list[Message]) -> None:
-        for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
-            if isinstance(payload, tuple) and payload and payload[0] == TAG_RESPONSE:
-                self.responses.add(sender)
+        responses = tagged_from(inbox_senders(inbox), inbox_payloads(inbox), TAG_RESPONSE)
+        self.responses.update(sender for sender, _ in responses)
 
     def program(self, env: ProcessEnv) -> Program:
         targets = [pid for pid in range(self.n) if pid != self.pid]
@@ -112,29 +114,6 @@ class DoublingCollector(SyncProcess):
             else ("starved", len(self.responses))
         )
         return None
-
-
-class CrashCollectors(Adversary):
-    """Crash the victim collectors outright: the crash-model comparison.
-
-    A crashed collector sends nothing, so its doubling strategy costs the
-    system nothing further — the amortization [23] relies on.
-    """
-
-    def __init__(self, victims: Sequence[int]) -> None:
-        self.victims = tuple(victims)
-        self._started = False
-
-    def act(self, view: NetworkView) -> AdversaryAction:
-        corrupt = frozenset()
-        if not self._started:
-            self._started = True
-            corrupt = frozenset(self.victims[: view.budget_left])
-        crashed = set(self.victims) & (view.faulty | corrupt)
-        return AdversaryAction(
-            corrupt=corrupt,
-            omit=view.message_indices_touching(crashed),
-        )
 
 
 class ResponseStarver(Adversary):
@@ -185,7 +164,7 @@ def measure_amortization(
     results = {}
     for label, adversary in (
         ("none", None),
-        ("crash", CrashCollectors(victims) if t else None),
+        ("crash", SilenceAdversary(victims) if t else None),
         ("omission", ResponseStarver(victims) if t else None),
     ):
         processes = execute(

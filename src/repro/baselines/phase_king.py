@@ -15,6 +15,8 @@ Phase k (king = process k-1):
 3. a process keeps ``m`` if its support was at least ``n - t``; otherwise it
    adopts the king's bit (default 0 if the king stayed silent).
 
+Rounds 1 and 2 read ``(TAG_PK_VOTE, bit)`` / ``(TAG_PK_KING, m)`` with ``tagged``.
+
 After phase t+1 every process decides its bit: some phase has a non-faulty
 king, which unifies all non-faulty bits, and unified bits survive later
 phases because support then stays at least ``n - t``.
@@ -28,6 +30,8 @@ from ..runtime import (
     SyncProcess,
     inbox_payloads,
     inbox_senders,
+    tagged,
+    tagged_from,
 )
 
 TAG_PK_VOTE = 9
@@ -57,17 +61,9 @@ class PhaseKingProcess(SyncProcess):
             # Round 1: universal exchange.
             env.broadcast((TAG_PK_VOTE, self.b))
             inbox = yield
-            ones = self.b
-            total = 1
-            for payload in inbox_payloads(inbox):
-                if (
-                    isinstance(payload, tuple)
-                    and len(payload) == 2
-                    and payload[0] == TAG_PK_VOTE
-                ):
-                    total += 1
-                    ones += payload[1]
-            zeros = total - ones
+            votes = tagged(inbox, TAG_PK_VOTE, 2)
+            ones = self.b + sum(bit for _, bit in votes)
+            zeros = 1 + len(votes) - ones
             majority = 1 if ones >= zeros else 0
             support = ones if majority == 1 else zeros
 
@@ -76,14 +72,10 @@ class PhaseKingProcess(SyncProcess):
                 env.broadcast((TAG_PK_KING, majority))
             inbox = yield
             king_value = 0
-            for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
-                if (
-                    sender == king
-                    and isinstance(payload, tuple)
-                    and len(payload) == 2
-                    and payload[0] == TAG_PK_KING
-                ):
-                    king_value = payload[1]
+            proposals = tagged_from(inbox_senders(inbox), inbox_payloads(inbox), TAG_PK_KING, 2)
+            for sender, (_, proposed) in proposals:
+                if sender == king:
+                    king_value = proposed
             if self.pid == king:
                 king_value = majority
 

@@ -13,8 +13,8 @@ Implementation: the single-source slice of the Dolev-Strong chain relay
 (unforgeable under omissions — processes never lie) plus the classic
 early-stopping rule:
 
-* a process that has accepted the value relays it once and, from the next
-  round on, broadcasts a ``QUIET`` vote;
+* a process that has accepted the value relays it once (``(TAG_TRB, value,
+  chain)``) and, from the next round on, broadcasts a ``(TAG_QUIET,)`` vote;
 * a process that sees ``n - t`` QUIET votes in one round knows every
   correct process has accepted (any n-t set contains a correct witness,
   and a correct QUIET sender reaches everyone), so it delivers and stops
@@ -36,6 +36,7 @@ from ..runtime import (
     SyncProcess,
     inbox_payloads,
     inbox_senders,
+    tagged_from,
 )
 
 TAG_TRB = 19
@@ -97,16 +98,9 @@ class TRBProcess(SyncProcess):
             inbox = yield
 
             # ---- Accept via valid chains (Dolev-Strong discipline). -------
-            quiet_votes = 1 if quiet_next else 0
-            for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
-                if not isinstance(payload, tuple) or not payload:
-                    continue
-                if payload[0] == TAG_QUIET:
-                    quiet_votes += 1
-                    continue
-                if payload[0] != TAG_TRB or len(payload) != 3:
-                    continue
-                _, value, chain = payload
+            senders, payloads = inbox_senders(inbox), inbox_payloads(inbox)
+            quiet_votes = (1 if quiet_next else 0) + len(tagged_from(senders, payloads, TAG_QUIET))
+            for sender, (_, value, chain) in tagged_from(senders, payloads, TAG_TRB, 3):
                 if self.accepted is not None:
                     continue
                 if (

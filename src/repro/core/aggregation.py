@@ -17,7 +17,8 @@ aggregating up the binary bag tree (Figure 2).  Each tree stage runs the
 
 The phase consumes exactly ``3 * stage_budget`` rounds on every code path —
 processes in groups with shallower trees idle-pad — so the global network
-stays in lockstep.
+stays in lockstep.  Each round keeps its own message, ``(TAG_COUNTS, child,
+ones, zeros)``, ``(TAG_ACK,)`` or ``(TAG_MERGED, left, right)``, with ``tagged``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..params import ProtocolParams
-from ..runtime import Message, ProcessEnv, Program, inbox_payloads, inbox_senders
+from ..runtime import (
+    Message,
+    ProcessEnv,
+    Program,
+    inbox_payloads,
+    inbox_senders,
+    tagged,
+    tagged_from,
+)
 from .partition import BagTree
 
 #: Payload tags (small ints keep the metered bit sizes honest).
@@ -54,9 +63,7 @@ def _first_counts(
     """Collect first-received (ones, zeros) per child bag, and the senders."""
     counts: dict[int, tuple[int, int]] = {}
     senders: set[int] = set()
-    for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
-        if not (isinstance(payload, tuple) and payload and payload[0] == TAG_COUNTS):
-            continue
+    for sender, payload in tagged_from(inbox_senders(inbox), inbox_payloads(inbox), TAG_COUNTS):
         senders.add(sender)
         _, child_index, ones, zeros = payload
         if child_index not in counts:
@@ -119,13 +126,7 @@ def group_bits_aggregation(
         inbox = yield
         if operative:
             # +1: a source always (implicitly) confirms itself.
-            acks = 1 + sum(
-                1
-                for payload in inbox_payloads(inbox)
-                if isinstance(payload, tuple)
-                and payload
-                and payload[0] == TAG_ACK
-            )
+            acks = 1 + len(tagged(inbox, TAG_ACK))
             if params.group_relay_quorum_divisor * acks <= group_size:
                 operative = False
 
@@ -154,13 +155,7 @@ def group_bits_aggregation(
             env.send_many(run_members, run_payload)
         inbox = yield
         if operative:
-            merged = [
-                payload
-                for payload in inbox_payloads(inbox)
-                if isinstance(payload, tuple)
-                and payload
-                and payload[0] == TAG_MERGED
-            ]
+            merged = tagged(inbox, TAG_MERGED)
             # +1: the process transmits to itself implicitly.
             heard = 1 + len(merged)
             if heard < group_size // GROUP_RELAY_R3_DIVISOR + 1:

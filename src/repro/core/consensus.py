@@ -17,7 +17,8 @@ Afterwards (lines 14-16, :func:`disseminate`) decided operative processes
 broadcast their bit and inoperative processes adopt any received bit;
 undecided operative processes fall back (lines 17-20,
 :func:`deterministic_fallback`) to the deterministic Dolev-Strong-style
-protocol and broadcast its outcome.
+protocol and broadcast its outcome.  Both broadcasts are ``(TAG_DECISION,
+bit)``, read with :func:`~repro.runtime.tagged` like every message here.
 
 Each part is stated once, over an arbitrary member subset: one epoch is
 :func:`epoch_program`, and lines 5-16 are the standalone sub-protocol
@@ -50,7 +51,7 @@ from ..runtime import (
     Program,
     SyncProcess,
     idle_rounds,
-    inbox_payloads,
+    tagged,
 )
 from .aggregation import group_bits_aggregation
 from .partition import (
@@ -115,14 +116,7 @@ class CoreState:
 
 def _decision_from(inbox: list[Message]) -> int | None:
     """Extract the first decision bit from line-14-style broadcasts."""
-    for payload in inbox_payloads(inbox):
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == TAG_DECISION
-        ):
-            return payload[1]
-    return None
+    return next((bit for _, bit in tagged(inbox, TAG_DECISION, 2)), None)
 
 
 def epoch_program(

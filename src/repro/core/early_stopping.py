@@ -24,8 +24,8 @@ Why the majority rule keeps the protocol safe:
   either they keep their (already unified) bit — unanimous counts are
   absorbing — or they lose quorums and go inoperative; both paths end in
   the same decision value through lines 14-20.  Phase misalignment is
-  tolerated because every sub-protocol dispatches on message tags and
-  ignores foreign traffic.
+  tolerated because every sub-protocol keeps only its own tag's messages
+  (``tagged``) and ignores foreign traffic.
 
 The variant's win is measured by `experiments/E-ES.json`:
 unanimous or skewed inputs finish after one epoch instead of the full
@@ -36,12 +36,12 @@ budget, and the saving shrinks as the adversary forces more epochs — the
 from __future__ import annotations
 
 from ..runtime import (
-    Message,
     ProcessEnv,
     Program,
     idle_rounds,
     inbox_payloads,
     inbox_senders,
+    tagged_from,
 )
 from .consensus import (
     OptimalOmissionsConsensus,
@@ -52,19 +52,6 @@ from .consensus import (
 )
 
 TAG_READY = 13
-
-
-def _ready_count(inbox: list[Message]) -> int:
-    """Distinct senders of a READY in the poll round's inbox."""
-    return len(
-        {
-            sender
-            for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox))
-            if isinstance(payload, tuple)
-            and len(payload) == 1
-            and payload[0] == TAG_READY
-        }
-    )
 
 
 class EarlyStoppingConsensus(OptimalOmissionsConsensus):
@@ -96,7 +83,8 @@ class EarlyStoppingConsensus(OptimalOmissionsConsensus):
                 env.broadcast((TAG_READY,))
             inbox = yield
             # Count distinct READY senders; the sender itself counts too.
-            ready = _ready_count(inbox) + (1 if state.decided else 0)
+            polls = tagged_from(inbox_senders(inbox), inbox_payloads(inbox), TAG_READY, 1)
+            ready = len({sender for sender, _ in polls}) + (1 if state.decided else 0)
             if 2 * ready > n:
                 self.exited_epoch = index
                 break

@@ -18,6 +18,9 @@ and the repository's lockstep substrate:
    at least one non-faulty process always holds a witness.
 3. **Decide** the assembled bit string.
 
+Its messages ``(TAG_VALUE | TAG_WITNESS | TAG_BIN_DECISION, v)`` are read
+with :func:`~repro.runtime.tagged`, beside Algorithm 1's and Dolev-Strong's.
+
 Strong validity holds: the decided value is some process's actual input
 (the last bit's validity pins the full string to an existing candidate).
 """
@@ -30,7 +33,7 @@ from ..runtime import (
     ProcessEnv,
     Program,
     SyncProcess,
-    inbox_payloads,
+    tagged,
 )
 from .consensus import CoreState, optimal_epochs_and_dissemination
 
@@ -91,14 +94,7 @@ def fixed_length_binary_consensus(
         )
     inbox = yield
     if final is None:
-        for payload in inbox_payloads(inbox):
-            if (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] == TAG_BIN_DECISION
-            ):
-                final = payload[1]
-                break
+        final = next((bit for _, bit in tagged(inbox, TAG_BIN_DECISION, 2)), None)
     return final
 
 
@@ -143,13 +139,7 @@ class MultiValuedConsensus(SyncProcess):
         # ---- Value exchange. ---------------------------------------------
         env.broadcast((TAG_VALUE, self.input_value))
         inbox = yield
-        for payload in inbox_payloads(inbox):
-            if (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] == TAG_VALUE
-            ):
-                self.seen.add(payload[1])
+        self.seen.update(value for _, value in tagged(inbox, TAG_VALUE, 2))
 
         # ---- Bit loop. -----------------------------------------------------
         for index in range(width):
@@ -178,13 +168,7 @@ class MultiValuedConsensus(SyncProcess):
             if matching:
                 env.broadcast((TAG_WITNESS, matching[0]))
             inbox = yield
-            for payload in inbox_payloads(inbox):
-                if (
-                    isinstance(payload, tuple)
-                    and len(payload) == 2
-                    and payload[0] == TAG_WITNESS
-                ):
-                    self.seen.add(payload[1])
+            self.seen.update(value for _, value in tagged(inbox, TAG_WITNESS, 2))
             matching = sorted(
                 value
                 for value in self.seen

@@ -14,7 +14,8 @@ neighbour liveness is judged by "did it deliver a message this round".
 Most rounds are such rounds (the graph's diameter is 2-3, the phase runs
 ``Theta(log n)`` rounds), so a round's cost follows its news: with no queue
 to serve and an all-heartbeat inbox it is one multicast, one ``list.count``
-and one set intersection -- no per-link step.  A learned slot is kept as the
+and one set intersection -- no per-link step; a round with news walks the
+packs ``tagged_from`` keeps of those same columns.  A learned slot is kept as the
 wire triple it arrived in, forwarded by reference and sized once, when
 learned (``payload_bits`` is additive: a pack's size is a sum of slot costs).
 """
@@ -24,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from ..runtime import ProcessEnv, Program, inbox_payloads, inbox_senders, payload_bits
+from ..runtime import (
+    ProcessEnv,
+    Program,
+    inbox_payloads,
+    inbox_senders,
+    payload_bits,
+    tagged_from,
+)
 
 TAG_PACK = 4
 
@@ -128,10 +136,8 @@ def group_bits_spreading(
         else:
             new_mask = 0
             heard = seen_from = {}  # heard sender -> slots it sent
-            for sender, payload in zip(senders, payloads):
+            for sender, payload in tagged_from(senders, payloads, TAG_PACK):
                 if sender not in live_set:
-                    continue
-                if not (isinstance(payload, tuple) and payload and payload[0] == TAG_PACK):
                     continue
                 seen = seen_from.get(sender, 0)
                 for triple in payload[1]:

@@ -5,7 +5,8 @@ The trade-off algorithm: split ``P`` into ``x`` super-processes of size
 ``OptimalOmissionsConsensus`` (lines 5-16 only — the sub-protocol
 :func:`repro.core.consensus.optimal_epochs_and_dissemination`) on its own
 members, then floods the phase's outcome (if any) along the global spreading
-graph for ``2 log n`` rounds.  Every subsequent phase uses the propagated
+graph for ``2 log n`` rounds (``(TAG_FLOOD, v)``, read with ``tagged_from``
+off the tally's columns).  Every subsequent phase uses the propagated
 value as its input bit.  A final 2-round safety rule (lines 15-23) counts
 bits among operative processes; near-unanimous counts decide, anything else
 drops to the deterministic fallback (lines 24-30), giving correctness with
@@ -28,7 +29,6 @@ import math
 
 from ..params import ProtocolParams, log2ceil
 from ..runtime import (
-    Message,
     ProcessEnv,
     Program,
     SyncProcess,
@@ -36,6 +36,8 @@ from ..runtime import (
     inbox_payloads,
     inbox_senders,
     payload_bits,
+    tagged,
+    tagged_from,
 )
 from .consensus import (
     CoreState,
@@ -105,20 +107,14 @@ def _flood_decision(
                 heard = live_set.intersection(senders)
             else:
                 heard = set()
-                for sender, payload in zip(senders, payloads):
+                for sender, (_, flooded) in tagged_from(senders, payloads, TAG_FLOOD, 2):
                     # Undirected graph: a live sender is a neighbour whose
                     # link was not disregarded.
                     if sender not in live_set:
                         continue
-                    if not (
-                        isinstance(payload, tuple)
-                        and len(payload) == 2
-                        and payload[0] == TAG_FLOOD
-                    ):
-                        continue
                     heard.add(sender)
-                    if value is None and payload[1] is not None:
-                        value = payload[1]
+                    if value is None and flooded is not None:
+                        value = flooded
             if len(heard) != len(live):
                 state.disregarded.update(v for v in live if v not in heard)
             if len(heard) < degree_threshold:
@@ -126,22 +122,6 @@ def _flood_decision(
         else:
             yield
     return value, operative
-
-
-def _safety_counts(inbox: list[Message]) -> tuple[int, int]:
-    """Count (ones, zeros) among received line-17 safety broadcasts."""
-    ones = zeros = 0
-    for payload in inbox_payloads(inbox):
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == TAG_SAFETY
-        ):
-            if payload[1] == 1:
-                ones += 1
-            else:
-                zeros += 1
-    return ones, zeros
 
 
 class ParamOmissions(SyncProcess):
@@ -231,10 +211,9 @@ class ParamOmissions(SyncProcess):
             env.broadcast((TAG_SAFETY, self.b))
         inbox = yield
         if self.operative:
-            ones, zeros = _safety_counts(inbox)
-            ones += self.b
-            zeros += 1 - self.b
-            total = ones + zeros
+            # Received safety bits (any but 1 counts as a zero), plus its own.
+            bits = [bit for _, bit in tagged(inbox, TAG_SAFETY, 2)]
+            ones, total = bits.count(1) + self.b, len(bits) + 1
             if params.adopt_one(ones, total):
                 self.b = 1
             elif params.adopt_zero(ones, total):

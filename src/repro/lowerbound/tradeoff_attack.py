@@ -43,8 +43,7 @@ class BalancingCrashAdversary(Adversary):
     the adversary-optimal behaviour in the Theorem-2 analysis.
     """
 
-    def __init__(self, target_margin: float = 0.0) -> None:
-        self.target_margin = target_margin
+    def __init__(self) -> None:
         self._silenced: set[int] = set()
         self.corruptions_per_round: list[int] = []
 
@@ -66,7 +65,7 @@ class BalancingCrashAdversary(Adversary):
         ones, zeros = len(ones_holders), len(zeros_holders)
         margin = ones - zeros
         corrupt: frozenset[int] = frozenset()
-        if abs(margin) > 2 * self.target_margin and view.budget_left > 0:
+        if margin and view.budget_left > 0:
             leading = ones_holders if margin > 0 else zeros_holders
             need = (abs(margin) + 1) // 2
             # Silence coinless holders first: they can never flip back, so

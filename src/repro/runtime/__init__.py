@@ -23,6 +23,8 @@ Public surface:
   delivery views over a batch's copies;
 * :func:`inbox_payloads`, :func:`inbox_senders` — an inbox read by column
   (no :class:`Message` built), for receive loops that only count;
+* :func:`tagged`, :func:`tagged_from` — an inbox's payloads (with their
+  senders) that are tuples headed by a protocol's tag: the receive rule;
 * :func:`canonical_omissions` — the shared sorted/de-duplicated normal form
   of an omission schedule.
 """
@@ -31,6 +33,8 @@ from .delivery import (
     LazyMessageList,
     inbox_payloads,
     inbox_senders,
+    tagged,
+    tagged_from,
 )
 from .messages import (
     MESSAGE_OVERHEAD_BITS,
@@ -76,6 +80,8 @@ __all__ = [
     "LazyMessageList",
     "inbox_payloads",
     "inbox_senders",
+    "tagged",
+    "tagged_from",
     "MESSAGE_OVERHEAD_BITS",
     "Message",
     "MessageBatch",

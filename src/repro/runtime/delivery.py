@@ -25,7 +25,10 @@ totals is this module's, as array math over the round's
 * :func:`inbox_columns` / :class:`ColumnInbox` — the same read as the TCP
   transport's wire shape: the coordinator ships ``(senders, payloads,
   bits)`` per hosted inbox, the worker wraps them back into a lazy
-  ``Sequence[Message]`` (plain lists only: no numpy on that side).
+  ``Sequence[Message]`` (plain lists only: no numpy on that side);
+* :func:`tagged` / :func:`tagged_from` — the one receive rule of the
+  shipped protocols: a protocol message is a tuple headed by its tag, so a
+  receive step keeps the payloads (with their senders) headed by its tag.
 
 :func:`deliver` implements the metering identity and precedence pinned in
 :mod:`repro.runtime.metrics` — ``sent = delivered + omitted + lost`` with
@@ -173,6 +176,33 @@ def inbox_senders(inbox: Sequence[Message]) -> list[int]:
     if type(inbox) is ColumnInbox:
         return inbox.senders
     return [message.sender for message in inbox]
+
+
+def tagged(
+    inbox: Sequence[Message], tag: int, width: int | None = None
+) -> list[tuple[Any, ...]]:
+    """The payloads of ``inbox`` that are tuples headed by ``tag`` (of
+    exactly ``width`` fields, when given), in inbox order."""
+    payloads = inbox_payloads(inbox)
+    if width is None:
+        return [p for p in payloads if isinstance(p, tuple) and p and p[0] == tag]
+    return [p for p in payloads if isinstance(p, tuple) and len(p) == width and p[0] == tag]
+
+
+def tagged_from(
+    senders: Sequence[int], payloads: Sequence[Any], tag: int, width: int | None = None
+) -> list[tuple[int, tuple[Any, ...]]]:
+    """:func:`tagged` with senders: the ``(sender, payload)`` pairs of an
+    inbox's two columns (as :func:`inbox_senders` / :func:`inbox_payloads`
+    read them) whose payload :func:`tagged` keeps.  A receive step that
+    already holds the columns for a ``list.count`` tally filters them here
+    rather than reading the inbox again."""
+    pairs = zip(senders, payloads)
+    if width is None:
+        return [(s, p) for s, p in pairs if isinstance(p, tuple) and p and p[0] == tag]
+    return [
+        (s, p) for s, p in pairs if isinstance(p, tuple) and len(p) == width and p[0] == tag
+    ]
 
 
 def inbox_columns(inbox: Sequence[Message]) -> InboxColumns:
@@ -352,5 +382,7 @@ __all__ = [
     "inbox_columns",
     "inbox_payloads",
     "inbox_senders",
+    "tagged",
+    "tagged_from",
     "validate_omissions",
 ]

@@ -7,6 +7,7 @@ import sys
 import warnings
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from repro.analysis import campaign
@@ -158,6 +159,16 @@ class TestRun:
         record = run_campaign(spec)[0]
         rehydrated = json.loads(json.dumps(record))
         assert CellId.from_record(rehydrated) == spec.cell_id(33, "none", 0)
+
+    def test_numpy_ns_axis_runs_the_int_cell(self, tmp_path):
+        """A numpy ``ns`` axis is stored as ints: its cell publishes to the
+        cache as JSON and is the ``ns=(8,)`` cell."""
+        spec = CampaignSpec("x", "ben-or", ns=np.array([8]), seeds=[1])
+        (record,) = run_campaign(spec, cache=CampaignCache(tmp_path))
+        assert type(record["n"]) is int
+        json.dumps(record)
+        plain = CampaignSpec("x", "ben-or", ns=(8,), seeds=[1])
+        assert CellId.from_record(record).digest == plain.cell_id(8, "none", 1).digest
 
 
 class OwnBit(SyncProcess):

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.adversary import SilenceAdversary
 from repro.baselines import (
-    CrashCollectors,
     DoublingCollector,
     ResponseStarver,
     measure_amortization,
@@ -51,7 +51,7 @@ class TestCrashSemantics:
 
     def test_crashed_collectors_never_satisfied(self):
         processes = run_collectors(
-            32, 2, CrashCollectors([0, 1]), seed=5
+            32, 2, SilenceAdversary([0, 1]), seed=5
         ).processes
         assert not processes[0].satisfied
         assert not processes[1].satisfied

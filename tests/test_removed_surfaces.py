@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.adversary import ChaosAdversary, VoteBalancingAdversary
 from repro.analysis import _journal, campaign
 from repro.analysis.campaign import CampaignSpec, resolve, run_campaign
 from repro.analysis.montecarlo import wilson_interval
@@ -25,6 +26,7 @@ from repro.fabric import CampaignCache, CellId
 from repro.graphs import SpreadingGraph
 from repro.harness import ExecutionConfig, execute
 from repro.lowerbound import (
+    BalancingCrashAdversary,
     CoinGamePoint,
     Lemma9Check,
     verify_lemma9,
@@ -217,6 +219,19 @@ REMOVED_CALLS = {
     "verify_lemma9(t_values=)": (
         TypeError, lambda: verify_lemma9([16], t_values=[0.1])
     ),
+    # Adversary knobs no caller set: their one value is a constant.
+    "ChaosAdversary(burst_rate=)": (
+        TypeError, lambda: ChaosAdversary(burst_rate=0.02)
+    ),
+    "ChaosAdversary(flip_rate=)": (
+        TypeError, lambda: ChaosAdversary(flip_rate=0.05)
+    ),
+    "VoteBalancingAdversary(per_epoch_budget=)": (
+        TypeError, lambda: VoteBalancingAdversary(per_epoch_budget=None)
+    ),
+    "BalancingCrashAdversary(target_margin=)": (
+        TypeError, lambda: BalancingCrashAdversary(target_margin=0.0)
+    ),
 }
 # Methods and properties that only the rollout fork or tests called.
 REMOVED_CALLS.update(
@@ -365,6 +380,9 @@ REMOVED_PACKAGES = frozenset(
         ("repro.graphs", "DegreeReport"),
         ("repro.baselines", "AmortizationPoint"),
         ("repro.baselines", "run_collectors"),
+        # The crash comparison is the gallery's SilenceAdversary.
+        ("repro.baselines", "CrashCollectors"),
+        ("repro.baselines.doubling_gossip", "CrashCollectors"),
         # Experiments run as campaign cells: the second grid runner (its
         # ``whp_retries`` became the report's explicit retry cells) and the
         # Monte-Carlo trial loop are gone, and so is what only tests read.
