@@ -33,7 +33,7 @@ from repro.harness import (
 )
 from repro.params import ProtocolParams
 from repro.replay import check_consensus_protocol
-from repro.runtime import ProcessEnv, Program, SyncProcess
+from repro.runtime import ProcessEnv, Program, SyncProcess, tagged
 
 
 class ConfirmedMajority(SyncProcess):
@@ -51,13 +51,9 @@ class ConfirmedMajority(SyncProcess):
             # Round A: exchange bits, adopt the majority.
             env.broadcast(("bit", self.b))
             inbox = yield
-            ones = self.b
-            total = 1
-            for message in inbox:
-                payload = message.payload
-                if isinstance(payload, tuple) and payload[0] == "bit":
-                    total += 1
-                    ones += payload[1]
+            bits = tagged(inbox, "bit")
+            ones = self.b + sum(bit for _, bit in bits)
+            total = 1 + len(bits)
             if not self.locked:
                 self.b = 1 if 2 * ones > total else 0
 
@@ -66,10 +62,8 @@ class ConfirmedMajority(SyncProcess):
             inbox = yield
             confirms = {0: 0, 1: 0}
             confirms[self.b] += 1
-            for message in inbox:
-                payload = message.payload
-                if isinstance(payload, tuple) and payload[0] == "confirm":
-                    confirms[payload[1]] += 1
+            for _, value in tagged(inbox, "confirm"):
+                confirms[value] += 1
             for value in (0, 1):
                 if confirms[value] >= n - t:
                     self.b = value
@@ -77,13 +71,9 @@ class ConfirmedMajority(SyncProcess):
 
         env.broadcast(("final", self.b))
         inbox = yield
-        ones = self.b
-        total = 1
-        for message in inbox:
-            payload = message.payload
-            if isinstance(payload, tuple) and payload[0] == "final":
-                total += 1
-                ones += payload[1]
+        finals = tagged(inbox, "final")
+        ones = self.b + sum(bit for _, bit in finals)
+        total = 1 + len(finals)
         env.decide(1 if 2 * ones > total else 0)
         return None
 

@@ -33,6 +33,7 @@ from ..runtime import (
     Program,
     inbox_payloads,
     inbox_senders,
+    payload_bits,
     tagged,
     tagged_from,
 )
@@ -42,6 +43,10 @@ from .partition import BagTree
 TAG_COUNTS = 1
 TAG_ACK = 2
 TAG_MERGED = 3
+
+#: The acknowledgement, and its size: one shared, presized payload.
+_ACK = (TAG_ACK,)
+_ACK_BITS = payload_bits(_ACK)
 
 #: Divisor of the round-3 quorum: a source must hear from more than
 #: ``|W| / GROUP_RELAY_R3_DIVISOR`` transmitters (Appendix B.1 uses 1/5).
@@ -88,7 +93,8 @@ def group_bits_aggregation(
     """
     pid = env.pid
     group_size = len(group)
-    others = [member for member in group if member != pid]
+    # One tuple for every stage: send_many validates it once.
+    others = tuple([member for member in group if member != pid])
 
     # Lines 1-4: operative processes seed their singleton bag with their bit.
     if operative and bit == 1:
@@ -122,7 +128,7 @@ def group_bits_aggregation(
 
         # ---- Round 2: transmitters acknowledge the sources they heard. ---
         if round1_senders:
-            env.send_many(round1_senders, (TAG_ACK,))
+            env.send_many(round1_senders, _ACK, _ACK_BITS)
         inbox = yield
         if operative:
             # +1: a source always (implicitly) confirms itself.

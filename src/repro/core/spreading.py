@@ -13,11 +13,14 @@ Heartbeats: a round with nothing new still sends an empty pack, because
 neighbour liveness is judged by "did it deliver a message this round".
 Most rounds are such rounds (the graph's diameter is 2-3, the phase runs
 ``Theta(log n)`` rounds), so a round's cost follows its news: with no queue
-to serve and an all-heartbeat inbox it is one multicast, one ``list.count``
-and one set intersection -- no per-link step; a round with news walks the
-packs ``tagged_from`` keeps of those same columns.  A learned slot is kept as the
-wire triple it arrived in, forwarded by reference and sized once, when
-learned (``payload_bits`` is additive: a pack's size is a sum of slot costs).
+to serve and an all-heartbeat inbox it is one multicast and one
+``list.count`` -- no per-link step.  A round with news builds its *fresh
+pack* (the slots learned the round before) once and cuts each link's pack
+from it, by a tuple slice for a link that sent us one of those slots.  A
+received pack's triples are learned only when its slot mask shows a slot
+not yet known.  A learned slot is kept as the wire triple it arrived in,
+forwarded by reference and sized once, when learned (``payload_bits`` is
+additive: a pack's size is a sum of slot costs).
 """
 
 from __future__ import annotations
@@ -97,12 +100,16 @@ def group_bits_spreading(
     cost = [0] * group_count
     triples[my_group] = mine = (my_group, *my_counts)
     cost[my_group] = payload_bits(mine) + 1
-    live = state.live_neighbors()
-    live_set = state.live_set()
-    # Per-link queues of slots not yet exchanged on that link, one bitmask
-    # over the group slots each (each slot crosses each link at most once),
-    # kept only for live links that are owed something.
-    pending = dict.fromkeys(live, 1 << my_group)
+    bit = [1 << slot for slot in range(group_count)]
+    live, live_set = state.live_neighbors(), state.live_set()
+    # The slots learned the round before (ascending) and their mask -- what
+    # this round's fresh pack carries -- and the mask of every slot known.
+    fresh_slots, fresh_mask = [my_group], bit[my_group]
+    known = fresh_mask
+    # Per-link queues of fresh slots not yet exchanged on that link, one
+    # bitmask each (each slot crosses each link at most once), kept only
+    # for live links that are owed something.
+    pending = dict.fromkeys(live, fresh_mask)
     operative = True
 
     for _round_index in range(rounds):
@@ -113,51 +120,61 @@ def group_bits_spreading(
             # Liveness is judged per round: one heartbeat to every live link.
             env.send_many(live, _HEARTBEAT, _HEARTBEAT_BITS)
         else:
+            fresh = tuple([triples[slot] for slot in fresh_slots])
+            fresh_bits = _HEARTBEAT_BITS + sum([cost[slot] for slot in fresh_slots])
             # One sized payload per distinct queue (``None``: owed nothing).
             # Consecutive neighbours with equal queues share one multicast
             # -- runs only: merging non-adjacent links would permute the
             # flat copy order that omission schedules index.
-            sized = {None: (_HEARTBEAT, _HEARTBEAT_BITS)}
+            sized = {None: (_HEARTBEAT, _HEARTBEAT_BITS), fresh_mask: ((TAG_PACK, fresh), fresh_bits)}
             for mask, run in groupby(live, key=pending.get):
-                entry = sized.get(mask)
-                if entry is None:
-                    slots = [slot for slot in range(group_count) if mask >> slot & 1]
-                    entry = sized[mask] = (
-                        (TAG_PACK, tuple(triples[slot] for slot in slots)),
-                        _HEARTBEAT_BITS + sum(cost[slot] for slot in slots),
-                    )
-                env.send_many(run, *entry)
+                if mask not in sized:
+                    dropped = fresh_mask & ~mask
+                    if dropped & (dropped - 1) == 0:  # one slot: the one this link sent
+                        cut = (fresh_mask & (dropped - 1)).bit_count()
+                        pack, size = fresh[:cut] + fresh[cut + 1 :], fresh_bits - cost[fresh_slots[cut]]
+                    else:
+                        owed = [slot for slot in fresh_slots if mask & bit[slot]]
+                        pack = tuple([triples[slot] for slot in owed])
+                        size = _HEARTBEAT_BITS + sum([cost[slot] for slot in owed])
+                    sized[mask] = ((TAG_PACK, pack), size)
+                env.send_many(run, *sized[mask])
             pending = {}  # everything sent is off its queue
         inbox = yield
         senders, payloads = inbox_senders(inbox), inbox_payloads(inbox)
         if payloads.count(_HEARTBEAT) == len(payloads):
-            # A quiescent round: nothing to learn, nothing owed.
-            heard = live_set.intersection(senders)
+            # A quiescent round: nothing to learn, nothing owed; most often
+            # exactly the live links were heard.
+            heard = live_set if tuple(senders) == live else live_set.intersection(senders)
         else:
-            new_mask = 0
+            fresh_slots = []
             heard = seen_from = {}  # heard sender -> slots it sent
             for sender, payload in tagged_from(senders, payloads, TAG_PACK):
                 if sender not in live_set:
                     continue
-                seen = seen_from.get(sender, 0)
-                for triple in payload[1]:
-                    slot, _ones, _zeros = triple
-                    if triples[slot] is None:
-                        triples[slot] = triple
-                        cost[slot] = payload_bits(triple) + 1
-                        new_mask |= 1 << slot
-                    seen |= 1 << slot
-                seen_from[sender] = seen
+                mask = 0
+                for slot, _ones, _zeros in payload[1]:
+                    mask |= bit[slot]
+                if mask & ~known:
+                    for triple in payload[1]:
+                        if triples[triple[0]] is None:
+                            triples[triple[0]] = triple
+                            cost[triple[0]] = payload_bits(triple) + 1
+                            fresh_slots.append(triple[0])
+                    known |= mask
+                seen_from[sender] = seen_from.get(sender, 0) | mask
             # A new slot joins the queue of every link heard from but one it
             # was just seen on (no need to echo it back).
-            pending = {
-                v: owed for v in live if v in seen_from and (owed := new_mask & ~seen_from[v])
-            }
+            if fresh_slots:
+                fresh_slots.sort()
+                fresh_mask = sum(map(bit.__getitem__, fresh_slots))
+                pending = {
+                    v: owed for v in live if v in seen_from and (owed := fresh_mask & ~seen_from[v])
+                }
         if len(heard) != len(live):
             # A link went silent: never use it again.
             state.disregarded.update(v for v in live if v not in heard)
-            live = state.live_neighbors()
-            live_set = state.live_set()
+            live, live_set = state.live_neighbors(), state.live_set()
         if len(heard) < degree_threshold:
             operative = False
 

@@ -143,13 +143,14 @@ class InvariantObserver(RoundObserver):
                 f"{len(network.faulty)} corrupted processes exceed t="
                 f"{network.t}",
             )
-        for record in view.messages.records:
-            bits = payload_bits(record.payload) + MESSAGE_OVERHEAD_BITS
-            if record.bits != bits:
+        batch = view.messages
+        for sender, payload, queued in zip(batch.senders, batch.payloads, batch.bits):
+            bits = payload_bits(payload) + MESSAGE_OVERHEAD_BITS
+            if queued != bits:
                 raise InvariantViolation(
                     "sizing", round_no,
-                    f"process {record.sender} queued {record.payload!r} as "
-                    f"{record.bits} bits, payload_bits + overhead is {bits}",
+                    f"process {sender} queued {payload!r} as "
+                    f"{queued} bits, payload_bits + overhead is {bits}",
                 )
 
     def on_run_start(self, network: SyncNetwork) -> None:

@@ -2,11 +2,11 @@
 
 Public surface:
 
-* :class:`Message`, :class:`Multicast`, :class:`MessageBatch`,
-  :func:`payload_bits` — metered point-to-point messages, shared-payload
-  multicast records, and the round's one batch: its records as numpy
-  column vectors, read as a flat ``Sequence[Message]`` by the adversary,
-  validation and delivery;
+* :class:`Message`, :class:`MessageBatch`, :data:`SendColumns`,
+  :func:`payload_bits` — metered point-to-point messages and the round's
+  one batch: the four send columns every env of the round appends to
+  (sender, fan-out tuple, payload, bits), as numpy vectors read as a flat
+  ``Sequence[Message]`` by the adversary, validation and delivery;
 * :class:`CountingRandom` — the counted random source;
 * :class:`SyncProcess`, :class:`ProcessEnv` — generator-based processes;
 * :class:`SyncNetwork`, :class:`Adversary`, :class:`AdversaryAction`,
@@ -19,8 +19,9 @@ Public surface:
   bus and the one account of a run the engine keeps on it
   (``ExecutionResult.report``);
 * :class:`Metrics` — rounds / communication bits / randomness accounting;
-* :class:`LazyMessageList` — the lazy ``Sequence[Message]`` inbox and
-  delivery views over a batch's copies;
+* :class:`ColumnInbox` — the one inbox class: a lazy ``Sequence[Message]``
+  over a slice of the round's delivered columns (the receipt's
+  delivered/lost lists and a TCP worker's inboxes are the same class);
 * :func:`inbox_payloads`, :func:`inbox_senders` — an inbox read by column
   (no :class:`Message` built), for receive loops that only count;
 * :func:`tagged`, :func:`tagged_from` — an inbox's payloads (with their
@@ -30,7 +31,7 @@ Public surface:
 """
 
 from .delivery import (
-    LazyMessageList,
+    ColumnInbox,
     inbox_payloads,
     inbox_senders,
     tagged,
@@ -40,8 +41,7 @@ from .messages import (
     MESSAGE_OVERHEAD_BITS,
     Message,
     MessageBatch,
-    MessageRecord,
-    Multicast,
+    SendColumns,
     payload_bits,
 )
 from .engine import ExecutionCore
@@ -77,7 +77,7 @@ from .randomness import (
 )
 
 __all__ = [
-    "LazyMessageList",
+    "ColumnInbox",
     "inbox_payloads",
     "inbox_senders",
     "tagged",
@@ -85,8 +85,7 @@ __all__ = [
     "MESSAGE_OVERHEAD_BITS",
     "Message",
     "MessageBatch",
-    "MessageRecord",
-    "Multicast",
+    "SendColumns",
     "payload_bits",
     "canonical_omissions",
     "Metrics",

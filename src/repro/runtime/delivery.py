@@ -1,71 +1,171 @@
 """Delivery: the communication-phase layer of the engine.
 
-The engine's round structure (who advances when) is the round loop's
-business (:meth:`repro.runtime.network.SyncNetwork.run`); *how* a
-validated round of traffic is turned into inbox contents and metering
-totals is this module's, as array math over the round's
+The round loop (:meth:`repro.runtime.network.SyncNetwork.run`) decides who
+advances when; this module turns a validated round of traffic into inbox
+contents and metering totals, as array math over the round's
 :class:`~repro.runtime.messages.MessageBatch` vectors:
 
-* :func:`validate_omissions` — the engine's omission legality check:
-  integer entries (one dtype check), then range and faulty incidence as
-  two vectorized membership tests;
-* :func:`deliver` — adversary omissions become a boolean mask over flat
-  copy indices, terminated-recipient filtering an index select against a
-  liveness vector, and inbox assembly a grouped scatter (stable argsort by
-  recipient, then boundary slicing).  Returns a :class:`DeliveryReceipt`;
-* :class:`LazyMessageList` — a ``Sequence[Message]`` view over a set of
-  flat copy indices.  Inboxes and the observer-facing delivered/lost
-  lists are these views: per-copy :class:`Message` objects materialize
-  only when a program or observer iterates them, and a process that
-  ignores its inbox never pays for it;
-* :func:`inbox_payloads` / :func:`inbox_senders` — the column read for
-  receive loops that only count: an inbox's payloads and senders as plain
-  lists in inbox order, without building a :class:`Message` on a lazy
-  view and from the ``Message`` attributes on a plain-list inbox;
-* :func:`inbox_columns` / :class:`ColumnInbox` — the same read as the TCP
-  transport's wire shape: the coordinator ships ``(senders, payloads,
-  bits)`` per hosted inbox, the worker wraps them back into a lazy
-  ``Sequence[Message]`` (plain lists only: no numpy on that side);
-* :func:`tagged` / :func:`tagged_from` — the one receive rule of the
-  shipped protocols: a protocol message is a tuple headed by its tag, so a
-  receive step keeps the payloads (with their senders) headed by its tag.
+* :func:`validate_omissions` — the omission legality check: integer
+  entries (one dtype check), then range and faulty incidence as two
+  vectorized membership tests;
+* :func:`deliver` — omissions and terminated recipients become one keep
+  mask, which filters the batch's one recipient sort (the adversary's view
+  read the same sort); every recipient's inbox is a slice of the result;
+* :class:`CopyColumns` — copies by column (senders, recipients, payloads,
+  bits), each a plain list converted on first read, once per round;
+* :class:`ColumnInbox` — the one inbox class, a ``Sequence[Message]`` over
+  a slice of a :class:`CopyColumns`: inboxes, the receipt's delivered/lost
+  lists and a TCP worker's inboxes alike;
+* :func:`inbox_payloads` / :func:`inbox_senders` / :func:`inbox_columns` —
+  an inbox read by column, without building a :class:`Message`
+  (``inbox_columns`` is what the TCP transport ships per hosted pid);
+* :func:`tagged` / :func:`tagged_from` — the one receive rule: a protocol
+  message is a tuple headed by its tag.
 
 :func:`deliver` implements the metering identity and precedence pinned in
 :mod:`repro.runtime.metrics` — ``sent = delivered + omitted + lost`` with
 *omitted beats lost*.  The object-per-copy loop and the scalar validator
-it replaced are kept in ``tests/delivery_oracle.py`` as the differential
-oracle: same inboxes, orders, counters and errors
-(``tests/test_columnar.py``).
+it replaced are the differential oracle in ``tests/delivery_oracle.py``:
+same inboxes, orders, counters and errors (``tests/test_columnar.py``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence, Set
-from itertools import repeat
+from functools import cached_property
 from numbers import Integral
 from typing import Any, NamedTuple, overload
 
 import numpy as np
 
-from .messages import Message, MessageBatch
+from .messages import ALL, Message, MessageBatch
 
 #: One inbox by column — ``(senders, payloads, bits)``, plain lists in
 #: inbox order: what :func:`inbox_columns` reads and the TCP wire carries.
 InboxColumns = tuple[list[int], list[Any], list[int]]
 
 
-class _LazyMessages(Sequence[Message]):
-    """What the two lazy ``Sequence[Message]`` views share: the first
-    element access fills ``_items`` once (``_materialize``, a per-copy site
-    ``tests/test_removed_surfaces.py`` lists); a reader that never looks
-    pays nothing."""
+#: Copies per gather when a column becomes a list (see CopyColumns).
+_GATHER_CHUNK = 1 << 16
 
-    __slots__ = ("_items",)
 
-    _items: list[Message] | None
+class CopyColumns:
+    """Some of a batch's copies by column, in a given order.
+
+    ``order`` indexes the flat copies (:data:`~repro.runtime.messages.ALL`:
+    every copy, in flat order).  Each column — ``senders``,
+    ``recipients``, ``payloads``, ``bits`` — becomes a plain list on its
+    first read and stays one, so a round converts each column it reads
+    once, whoever reads it; a column nobody reads is never converted.  A
+    copy's entries are its record's objects: a sender pid or a payload
+    shared by k copies is one object k times.  :meth:`of` wraps columns
+    already read.
+    """
+
+    def __init__(self, batch: MessageBatch, order: Any = ALL) -> None:
+        self._batch = batch
+        self._order = order
+
+    @classmethod
+    def of(
+        cls, senders: list[int], recipients: list[int], payloads: list[Any], bits: list[int]
+    ) -> CopyColumns:
+        """Columns already plain lists (a TCP worker's shipped inbox)."""
+        columns = cls.__new__(cls)
+        vars(columns).update(
+            senders=senders, recipients=recipients, payloads=payloads, bits=bits
+        )
+        return columns
+
+    @cached_property
+    def _records(self) -> Any:
+        """The record owning each copy, in this order."""
+        return self._batch.record_of(self._order)
+
+    def _per_copy(self, record_column: Sequence[Any]) -> list[Any]:
+        """A record-level column repeated per copy, in this order, gathered
+        from a transient object vector a chunk at a time into a list
+        allocated once, so a big round holds neither a full-length object
+        vector nor a regrown list (peak RSS at n=1024)."""
+        table = np.fromiter(record_column, dtype=object, count=len(record_column))
+        records = self._records
+        column: list[Any] = [None] * records.shape[0]
+        for start in range(0, len(column), _GATHER_CHUNK):
+            end = start + _GATHER_CHUNK
+            column[start:end] = table[records[start:end]].tolist()
+        return column
+
+    @cached_property
+    def senders(self) -> list[int]:
+        return self._per_copy(self._batch.senders)
+
+    @cached_property
+    def payloads(self) -> list[Any]:
+        return self._per_copy(self._batch.payloads)
+
+    @cached_property
+    def bits(self) -> list[int]:
+        return self._per_copy(self._batch.bits)
+
+    @cached_property
+    def recipients(self) -> list[int]:
+        recipients: list[int] = self._batch.copy_recipient[self._order].tolist()
+        return recipients
+
+
+class ColumnInbox(Sequence[Message]):
+    """``Sequence[Message]`` over copies ``start:end`` of a
+    :class:`CopyColumns`: an inbox, or a receipt's delivered/lost list.
+
+    The column attributes are slices of the shared lists (the lists
+    themselves when ``start:end`` spans them: a TCP worker's inbox);
+    iterating or indexing builds ``Message(sender, recipient, payload,
+    bits)`` per copy once (``_materialize``, a per-copy site
+    ``tests/test_removed_surfaces.py`` lists); a reader that only counts
+    or reads columns builds none.
+    """
+
+    __slots__ = ("_columns", "_start", "_end", "_items")
+
+    def __init__(self, columns: CopyColumns, start: int = 0, end: int | None = None) -> None:
+        self._columns = columns
+        self._start = start
+        self._end = len(columns.senders) if end is None else end
+        self._items: list[Message] | None = None
+
+    def _column(self, column: list[Any]) -> list[Any]:
+        whole = self._start == 0 and self._end == len(column)
+        return column if whole else column[self._start : self._end]
+
+    @property
+    def senders(self) -> list[int]:
+        return self._column(self._columns.senders)
+
+    @property
+    def recipients(self) -> list[int]:
+        return self._column(self._columns.recipients)
+
+    @property
+    def payloads(self) -> list[Any]:
+        return self._column(self._columns.payloads)
+
+    @property
+    def bits(self) -> list[int]:
+        return self._column(self._columns.bits)
 
     def _materialize(self) -> list[Message]:
-        raise NotImplementedError
+        items = self._items
+        if items is None:
+            items = self._items = [
+                Message(sender, recipient, payload, bits)
+                for sender, recipient, payload, bits in zip(
+                    self.senders, self.recipients, self.payloads, self.bits
+                )
+            ]
+        return items
+
+    def __len__(self) -> int:
+        return self._end - self._start
 
     @overload
     def __getitem__(self, index: int) -> Message: ...
@@ -79,89 +179,15 @@ class _LazyMessages(Sequence[Message]):
     def __iter__(self) -> Iterator[Message]:
         return iter(self._materialize())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({len(self)} copies)"
-
-
-class LazyMessageList(_LazyMessages):
-    """``Sequence[Message]`` over a vector of flat copy indices.
-
-    :func:`deliver` hands these out as inboxes and as the observer hook's
-    delivered/lost lists.  ``len``/truthiness are O(1) and touch no
-    objects; :func:`inbox_payloads`, :func:`inbox_senders` and
-    :func:`inbox_columns` read one column each without materializing.
-    """
-
-    __slots__ = ("_batch", "_indices")
-
-    def __init__(self, batch: MessageBatch, indices: Any = None) -> None:
-        # ``indices=None`` means *every* copy in the batch — the clean
-        # all-to-all round — without materializing an identity arange.
-        self._batch = batch
-        self._indices = indices
-        self._items = None
-
-    def _gather(self, column: Any) -> Any:
-        """``column`` restricted to this view's copies, in view order."""
-        return column if self._indices is None else column[self._indices]
-
-    def _materialize(self) -> list[Message]:
-        # The only place flat indices become Message objects, entered
-        # only when a consumer actually reads.
-        items = self._items
-        if items is None:
-            batch, gather = self._batch, self._gather
-            records = map(batch.records.__getitem__, gather(batch.copy_record).tolist())
-            items = [
-                Message(record.sender, recipient, record.payload, record.bits)
-                for record, recipient in zip(records, gather(batch.copy_recipient).tolist())
-            ]
-            self._items = items
-        return items
-
-    def __len__(self) -> int:
-        indices = self._indices
-        return len(self._batch) if indices is None else len(indices)
-
-
-class ColumnInbox(_LazyMessages):
-    """``recipient``'s inbox over the columns a TCP step frame shipped:
-    what a worker hands a hosted program.  Iterating builds
-    ``Message(sender, recipient, payload, bits)``, field for field what
-    the coordinator's inbox held; the column reads return its lists."""
-
-    __slots__ = ("recipient", "senders", "payloads", "bits")
-
-    def __init__(self, recipient: int, columns: InboxColumns) -> None:
-        self.recipient = recipient
-        self.senders, self.payloads, self.bits = columns
-        self._items = None
-
-    def _materialize(self) -> list[Message]:
-        items = self._items
-        if items is None:
-            items = self._items = list(
-                map(Message, self.senders, repeat(self.recipient), self.payloads, self.bits)
-            )
-        return items
-
-    def __len__(self) -> int:
-        return len(self.senders)
-
 
 def inbox_payloads(inbox: Sequence[Message]) -> list[Any]:
     """``[message.payload for message in inbox]`` without the messages.
 
     The read for receive loops that only count, one spelling for every
-    inbox kind: a gather from the round's payload table on a lazy view
-    (no :class:`Message` built, nothing cached on the view), the shipped
-    column itself inside a TCP worker, the attribute on a plain list
-    (hand-built inboxes).
+    inbox kind: a slice of the round's payload column on a
+    :class:`ColumnInbox` (no :class:`Message` built), the attribute on a
+    plain list (hand-built inboxes).
     """
-    if type(inbox) is LazyMessageList:
-        batch = inbox._batch
-        payloads: list[Any] = batch.rec_payload[inbox._gather(batch.copy_record)].tolist()
-        return payloads
     if type(inbox) is ColumnInbox:
         return inbox.payloads
     return [message.payload for message in inbox]
@@ -170,9 +196,6 @@ def inbox_payloads(inbox: Sequence[Message]) -> list[Any]:
 def inbox_senders(inbox: Sequence[Message]) -> list[int]:
     """``[message.sender for message in inbox]``, parallel to
     :func:`inbox_payloads` (``zip`` the two for ``(sender, payload)``)."""
-    if type(inbox) is LazyMessageList:
-        senders: list[int] = inbox._gather(inbox._batch.copy_sender).tolist()
-        return senders
     if type(inbox) is ColumnInbox:
         return inbox.senders
     return [message.sender for message in inbox]
@@ -207,13 +230,10 @@ def tagged_from(
 
 def inbox_columns(inbox: Sequence[Message]) -> InboxColumns:
     """All three columns of ``inbox``: what crosses the TCP wire per hosted
-    pid, for :class:`ColumnInbox` to wrap.  A lazy view builds no
-    :class:`Message`, and a payload shared by k copies is one object k
-    times, so pickle writes it once per frame."""
-    if type(inbox) is LazyMessageList:
-        bits: list[int] = inbox._gather(inbox._batch.copy_bits).tolist()
-    else:
-        bits = [message.bits for message in inbox]
+    pid.  A :class:`ColumnInbox` builds no :class:`Message`, and a payload
+    shared by k copies is one object k times, so pickle writes it once per
+    frame."""
+    bits = inbox.bits if type(inbox) is ColumnInbox else [message.bits for message in inbox]
     return inbox_senders(inbox), inbox_payloads(inbox), bits
 
 
@@ -288,6 +308,7 @@ def validate_omissions(
 
 
 _EMPTY: tuple[Message, ...] = ()
+_NO_COPIES = np.empty(0, dtype=np.int64)
 
 
 def deliver(
@@ -301,82 +322,61 @@ def deliver(
     ``omitted`` holds validated flat copy indices (canonical: sorted,
     de-duplicated); ``live[pid]`` is False for terminated recipients, and
     ``None`` means every process is live (the clean-round fast path).
-    Every slot of ``inboxes`` must hold a plain list on entry (the
-    execution core's advance resets them); each recipient that received
-    traffic gets a :class:`LazyMessageList`.  Omission precedence is the
-    engine-wide rule (see ``repro.runtime.metrics``): a copy that is both
-    omitted and addressed to a terminated recipient counts as omitted,
-    never as lost.  A batch whose records are out of sender order is a
-    ``ValueError`` (:func:`check_sender_order`), raised before any copy
-    moves.
+    Each recipient that received traffic gets a :class:`ColumnInbox`: a
+    slice of the round's delivered copies, grouped by the batch's one
+    recipient sort filtered by the keep mask (no second sort).  Omission
+    precedence is the engine-wide rule (see ``repro.runtime.metrics``): a
+    copy that is both omitted and addressed to a terminated recipient
+    counts as omitted, never as lost.  A batch whose records are out of
+    sender order is a ``ValueError`` (:func:`check_sender_order`), raised
+    before any copy moves.
     """
     check_sender_order(batch)
-    if not omitted and live is None:
-        # Clean round: everything sent is delivered.  ``None`` stands for
-        # the identity index vector so neither an arange nor a gather is
-        # paid; the grouped scatter sorts ``copy_recipient`` directly.
-        delivered = None
-        lost = None
-        delivered_bits = batch.total_bits()
-        lost_bits = 0
-    else:
+    # A clean round delivers everything, grouped by the shared sort.
+    order, bounds = batch.recipient_order, batch.recipient_bounds
+    delivered: Any = ALL
+    lost: Any = _NO_COPIES
+    delivered_bits, lost_bits = batch.total_bits(), 0
+    if omitted or live is not None:
         keep = np.ones(len(batch), dtype=bool)
         if omitted:
             keep[np.fromiter(omitted, dtype=np.int64, count=len(omitted))] = False
         if live is not None:
             recipient_live = np.asarray(live, dtype=bool)[batch.copy_recipient]
-            delivered = np.flatnonzero(keep & recipient_live)
             lost = np.flatnonzero(keep & ~recipient_live)
-        else:
-            delivered = np.flatnonzero(keep)
-            lost = delivered[:0]
+            keep &= recipient_live
+        delivered = np.flatnonzero(keep)
         copy_bits = batch.copy_bits
         delivered_bits = int(copy_bits[delivered].sum())
         lost_bits = int(copy_bits[lost].sum())
+        # Filtering the stable sort keeps each recipient's copies in flat
+        # (sender) order: the engine's sender-sorted inbox contract.
+        order = order[keep[order]]
+        kept = np.bincount(batch.copy_recipient[keep], minlength=len(bounds) - 1)
+        bounds = np.zeros_like(bounds)
+        np.cumsum(kept, out=bounds[1:])
 
-    if delivered is None:
-        recipients = batch.copy_recipient
-        grouped = None
-    elif delivered.shape[0]:
-        recipients = batch.copy_recipient[delivered]
-        grouped = delivered
-    else:
-        recipients = None
-        grouped = None
-    if recipients is not None and recipients.shape[0]:
-        # Grouped scatter: stable sort by recipient keeps flat-index order
-        # inside each group, which is the engine's sender-sorted inbox
-        # contract (engine batches are sender-sorted, so flat order is
-        # sender order).
-        order = np.argsort(recipients, kind="stable")
-        grouped = order if grouped is None else grouped[order]
-        grouped_recipients = recipients[order]
-        boundaries = np.flatnonzero(grouped_recipients[1:] != grouped_recipients[:-1])
-        starts = np.empty(boundaries.shape[0] + 1, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = boundaries + 1
-        ends = np.empty_like(starts)
-        ends[:-1] = starts[1:]
-        ends[-1] = grouped.shape[0]
-        owners = grouped_recipients[starts].tolist()
-        for owner, start, end in zip(owners, starts.tolist(), ends.tolist()):
-            inboxes[owner] = LazyMessageList(batch, grouped[start:end])
-
-    if delivered is None:
-        delivered_view: Sequence[Message] = LazyMessageList(batch) if len(batch) else _EMPTY
-    else:
-        delivered_view = LazyMessageList(batch, delivered) if delivered.shape[0] else _EMPTY
+    total = order.shape[0]
+    if total:
+        columns = CopyColumns(batch, order)
+        starts = bounds.tolist()
+        for owner, (start, end) in enumerate(zip(starts, starts[1:])):
+            if start != end:
+                inboxes[owner] = ColumnInbox(columns, start, end)
+    delivered_view: Sequence[Message] = (
+        ColumnInbox(CopyColumns(batch, delivered), 0, total) if total else _EMPTY
+    )
     lost_view: Sequence[Message] = (
-        LazyMessageList(batch, lost) if lost is not None and lost.shape[0] else _EMPTY
+        ColumnInbox(CopyColumns(batch, lost), 0, lost.shape[0]) if lost.shape[0] else _EMPTY
     )
     return DeliveryReceipt(delivered_view, lost_view, delivered_bits, lost_bits)
 
 
 __all__ = [
     "ColumnInbox",
+    "CopyColumns",
     "DeliveryReceipt",
     "InboxColumns",
-    "LazyMessageList",
     "check_sender_order",
     "deliver",
     "inbox_columns",

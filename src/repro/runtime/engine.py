@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
-from .messages import Message, MessageRecord
+from .messages import Message, SendColumns
 from .metrics import Metrics
 from .observers import LinkSample
 from .process import ProcessEnv, Program, SyncProcess
@@ -119,6 +119,9 @@ class ExecutionCore:
         "envs",
         "programs",
         "inboxes",
+        "live_count",
+        "_terminated",
+        "_live",
     )
 
     def __init__(
@@ -154,23 +157,25 @@ class ExecutionCore:
             for process in self.processes
         ]
         self.inboxes: list[Sequence[Message]] = [[] for _ in range(n)]
+        #: Programs not returned yet; :meth:`terminate` keeps it.
+        self.live_count = n
+        self._terminated: frozenset[int] = frozenset()
+        self._live = [True] * n
 
     # ------------------------------------------------------------------
-    @property
-    def live_count(self) -> int:
-        """Number of processes whose programs have not returned yet."""
-        return sum(1 for program in self.programs if program is not None)
+    def terminate(self, pid: int) -> None:
+        """Mark ``pid``'s program finished (the one place liveness moves)."""
+        self.programs[pid] = None
+        self.live_count -= 1
+        self._terminated |= {pid}
+        self._live[pid] = False
 
     def terminated_set(self) -> frozenset[int]:
-        return frozenset(
-            pid for pid, program in enumerate(self.programs) if program is None
-        )
+        return self._terminated
 
     def live_mask(self) -> list[bool] | None:
         """Per-pid liveness for the delivery layer; ``None`` = all live."""
-        if self.live_count == self.n:
-            return None
-        return [program is not None for program in self.programs]
+        return None if self.live_count == self.n else self._live
 
     def current_decisions(self) -> dict[int, Any]:
         return {
@@ -178,38 +183,36 @@ class ExecutionCore:
         }
 
     # ------------------------------------------------------------------
-    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> list[MessageRecord]:
-        """Run one local-computation phase; collect the outbound records.
+    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> SendColumns:
+        """Run one local-computation phase; collect the round's sends.
 
         Every live program among *pids* (all of them by default) is
-        resumed, in the order given, with the inbox its slot currently
-        holds; the slot is reset so the next delivery step starts from
-        empty.  The records come in pid order; the round loop makes them
-        the round's one :class:`~repro.runtime.messages.MessageBatch`.  A
-        TCP worker runs this loop over its pid block and ships the records.
+        resumed, in the order given, with the inbox its slot holds (the
+        slot is reset).  Every env of the round appends to the same four
+        :data:`~repro.runtime.messages.SendColumns` lists, in pid order,
+        sends queued before a final ``return`` included; the round loop
+        makes them the round's one ``MessageBatch``, a TCP worker ships
+        them.
         """
-        records: list[MessageRecord] = []
-        programs = self.programs
+        columns: SendColumns = ([], [], [], [])
+        programs, envs, inboxes = self.programs, self.envs, self.inboxes
         for pid in range(self.n) if pids is None else pids:
             program = programs[pid]
             if program is None:
                 continue
-            env = self.envs[pid]
+            env = envs[pid]
             env.round = round_no
-            env.outbox = []
-            inbox = self.inboxes[pid]
-            self.inboxes[pid] = []
+            env.columns = columns
+            inbox = inboxes[pid]
+            inboxes[pid] = []
             try:
                 if round_no == 0:
                     next(program)
                 else:
                     program.send(inbox)
             except StopIteration:
-                programs[pid] = None
-            # Messages queued before a final ``return`` are still sent: the
-            # process completed its local computation phase this round.
-            records.extend(env.outbox)
-        return records
+                self.terminate(pid)
+        return columns
 
     # ------------------------------------------------------------------
     # Transport surface.  The base core is fully in-process: it owns no

@@ -1,4 +1,4 @@
-"""Point-to-point messages, multicast records, and bit-size accounting.
+"""Point-to-point messages, a round's send columns, and bit-size accounting.
 
 The paper's communication complexity is measured in *bits* sent over
 point-to-point channels (Section 2).  Every payload handed to
@@ -10,24 +10,21 @@ benchmark numbers are directly comparable with the paper's
 dispatches on exact types with the common cases (ints, tuples of ints)
 first; the semantics are unchanged from the reference recursive definition.
 
-The engine's broadcast fast path rides two further types defined here:
-
-* :class:`Multicast` — one sender fanning a single shared payload (and a
-  single precomputed ``bits`` value) out to many recipients, queued as one
-  record instead of one :class:`Message` per recipient;
-* :class:`MessageBatch` — a round's entire outbound traffic: the records
-  the processes queued, held as contiguous numpy vectors (the *columnar*
-  layout) and presented as a flat ``Sequence[Message]``.  Adversary omit
-  indices address the flat per-copy positions: a multicast's copies sit at
-  consecutive indices, in recipient order, exactly where one
-  :class:`Message` per copy would.
+A round's traffic never becomes one object per send.  Every send call of
+the round appends one entry to each of four plain lists — :data:`SendColumns`:
+sender, fan-out tuple, payload, per-copy bits — and
+:class:`MessageBatch` turns those lists into numpy vectors and presents
+them as a flat ``Sequence[Message]``.  Adversary omit indices address the
+flat per-copy positions: a fan-out's copies sit at consecutive indices, in
+recipient order, exactly where one :class:`Message` per copy would.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Any, overload
+from itertools import chain
+from typing import Any, NamedTuple, overload
 
 import numpy as np
 
@@ -113,153 +110,85 @@ class Message:
         )
 
 
-class Multicast:
-    """One shared payload fanned out by one sender to many recipients.
-
-    Queued by :meth:`ProcessEnv.send_many` / :meth:`ProcessEnv.broadcast` as
-    a *single* outbox record: the payload is sized once (``bits`` is the
-    per-copy charge, identical to what :meth:`ProcessEnv.send` would have
-    computed for each copy) and the engine expands it into per-recipient
-    :class:`Message` views only where a concrete copy is needed — inbox
-    delivery, trace capture, adversary inspection.
-
-    Attributes
-    ----------
-    sender:
-        Sending process id.
-    recipients:
-        Tuple of recipient pids, in fan-out order; each contributes one
-        flat index to the round's :class:`MessageBatch`.
-    payload:
-        The shared (treated-as-immutable) protocol data.
-    bits:
-        Per-copy size including :data:`MESSAGE_OVERHEAD_BITS`.
-    """
-
-    __slots__ = ("sender", "recipients", "payload", "bits")
-
-    def __init__(
-        self,
-        sender: int,
-        recipients: Iterable[int],
-        payload: Any,
-        bits: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.recipients = (
-            recipients if type(recipients) is tuple else tuple(recipients)
-        )
-        self.payload = payload
-        self.bits = (
-            bits if bits else payload_bits(payload) + MESSAGE_OVERHEAD_BITS
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Multicast(sender={self.sender}, "
-            f"recipients={self.recipients!r}, payload={self.payload!r}, "
-            f"bits={self.bits})"
-        )
+#: A round's traffic as the processes queued it: four parallel lists with
+#: one entry per send call — sender pid, fan-out tuple (the recipients, in
+#: copy order), payload, per-copy bits (overhead included).
+#: :meth:`ExecutionCore.advance <repro.runtime.engine.ExecutionCore.advance>`
+#: hands one such tuple to every env of the round, a TCP worker ships it,
+#: and :class:`MessageBatch` is built from it.
+SendColumns = tuple[list[int], list[tuple[int, ...]], list[Any], list[int]]
 
 
-#: An outbox entry: a point-to-point message or a multicast record.
-MessageRecord = Message | Multicast
+#: Every copy of a batch, as an index into its per-copy vectors.
+ALL = slice(None)
 
 
-#: Fan-out tuples seen in the previous batch, keyed by tuple identity,
-#: with their index array once converted.  ``ProcessEnv.broadcast`` caches
-#: its fan-out tuple per process, so across rounds the same tuple objects
-#: recur; a tuple seen in two consecutive batches is converted once and
-#: reused while it recurs.  Each batch keeps only the tuples it used, so
-#: one-off ``send_many`` tuples neither pile up nor get an array of their
-#: own.  Holding the tuple keeps its ``id`` valid while it is cached.
-FanoutCache = dict[int, tuple[tuple[int, ...], Any]]
+class Record(NamedTuple):
+    """One send call of a round, as :attr:`MessageBatch.records` reads it."""
+
+    sender: int
+    recipients: tuple[int, ...]
+    payload: Any
+    bits: int
+
+
+class RecordView:
+    """A batch's send calls for observers: ``len`` is O(1), and iterating
+    builds one :class:`Record` per call (the engine reads the columns)."""
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: MessageBatch) -> None:
+        self._batch = batch
+
+    def __len__(self) -> int:
+        return len(self._batch.senders)
+
+    def __iter__(self) -> Iterator[Record]:
+        batch = self._batch
+        return map(Record, batch.senders, batch.fanouts, batch.payloads, batch.bits)
 
 
 class MessageBatch(Sequence[Message]):
-    """A round's outbound traffic: its records as contiguous vectors.
+    """A round's outbound traffic: its send columns as contiguous vectors.
 
-    Wraps the ordered list of :class:`Message` / :class:`Multicast` records
-    the processes queued this round and presents it as a
-    ``Sequence[Message]``: ``batch[i]`` is the i-th *per-copy* message, with
-    a multicast of k recipients occupying k consecutive flat indices in
-    fan-out order.  Adversary omit indices, the :class:`NetworkView`
-    helpers, and the :class:`Metrics` counters all use these flat
-    positions, which makes them byte-identical to an execution that queued
-    one :class:`Message` per copy.
+    Built from the four :data:`SendColumns` lists (kept as given:
+    ``senders``, ``fanouts``, ``payloads``, ``bits``) and read as a
+    ``Sequence[Message]``: ``batch[i]`` is the i-th *per-copy* message, a
+    fan-out of k recipients occupying k consecutive flat indices in
+    fan-out order.  Omit indices, the :class:`NetworkView` helpers and the
+    :class:`Metrics` counters use these flat positions, byte-identical to
+    an execution that queued one :class:`Message` per copy.
 
-    The constructor builds the per-record vectors — sender id
-    (``rec_sender``), fan-out count (``rec_count``), per-copy bit size
-    (``rec_bits``) — and the flat ``copy_recipient`` vector; the per-copy
-    columns (``copy_sender``, ``copy_bits``, ``copy_record``) and the
-    payload table (``rec_payload``) are derived on first use.  Payloads stay
-    Python objects, indexed per record — never copied or inspected.  The
-    adversary's view, validation, delivery and the inbox reads of one round
-    all read these vectors.
+    The constructor builds the record vectors (``rec_sender``,
+    ``rec_count``, ``rec_bits``) and ``copy_recipient``, with one
+    ``np.fromiter`` over the chained fan-outs.  The per-copy expansions
+    (``copy_sender``, ``copy_bits``, ``copy_record``: the ``payloads``
+    key) and the round's one recipient sort (``recipient_order``, each
+    recipient's range in ``recipient_bounds``) are derived on first use.
+    Payloads are never copied or inspected.
     """
 
     def __init__(
         self,
-        records: Iterable[MessageRecord] = (),
-        fanout_cache: FanoutCache | None = None,
+        senders: Sequence[int] = (),
+        fanouts: Sequence[tuple[int, ...]] = (),
+        payloads: Sequence[Any] = (),
+        bits: Sequence[int] = (),
     ) -> None:
-        """Vectorize ``records``.
-
-        Recipients go into one list converted in a single array, except a
-        multicast fan-out tuple that ``fanout_cache`` (see
-        :data:`FanoutCache`) saw in the previous batch: it is converted
-        once and its array reused.  ``fanout_cache`` is left holding this
-        batch's tuples.
-        """
-        records = records if type(records) is list else list(records)
-        senders: list[int] = []
-        counts: list[int] = []
-        bits: list[int] = []
-        chunks: list[Any] = []
-        run: list[int] = []
-        seen: FanoutCache = {}
-        for record in records:
-            senders.append(record.sender)
-            bits.append(record.bits)
-            if type(record) is not Multicast:
-                counts.append(1)
-                run.append(record.recipient)
-                continue
-            recipients = record.recipients
-            counts.append(len(recipients))
-            if fanout_cache is None:
-                run.extend(recipients)
-                continue
-            key = id(recipients)
-            cached = seen.get(key) or fanout_cache.get(key)
-            if cached is None or cached[0] is not recipients:
-                seen[key] = (recipients, None)
-                run.extend(recipients)
-                continue
-            array = cached[1]
-            if array is None:
-                array = np.array(recipients, dtype=np.int32)
-            seen[key] = (recipients, array)
-            if run:
-                chunks.append(np.array(run, dtype=np.int32))
-                run = []
-            chunks.append(array)
-        if fanout_cache is not None:
-            fanout_cache.clear()
-            fanout_cache.update(seen)
-        if run or not chunks:
-            chunks.append(np.array(run, dtype=np.int32))
-        self.records = records
-        # Pids fit comfortably in int32; the narrower dtype makes the
-        # per-round stable argsort in :func:`repro.runtime.delivery.deliver`
-        # measurably faster at large n (and halves the resident column size).
+        counts = list(map(len, fanouts))
+        self._total = total = sum(counts)
+        self.senders = senders
+        self.fanouts = fanouts
+        self.payloads = payloads
+        self.bits = bits
+        # Pids fit comfortably in int32, half the resident size of int64.
         self.rec_sender = np.array(senders, dtype=np.int32)
         self.rec_count = np.array(counts, dtype=np.int64)
         self.rec_bits = np.array(bits, dtype=np.int64)
-        self.copy_recipient = (
-            chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        self.copy_recipient = np.fromiter(
+            chain.from_iterable(fanouts), dtype=np.int32, count=total
         )
-        self._total = int(self.copy_recipient.shape[0])
 
     # ------------------------------------------------------------------
     # Lazily derived columns, each built on first use.
@@ -273,19 +202,42 @@ class MessageBatch(Sequence[Message]):
 
     @cached_property
     def copy_record(self) -> Any:
-        """Record position owning each flat copy (the payload-table key)."""
-        return np.repeat(
-            np.arange(len(self.records), dtype=np.int64), self.rec_count
-        )
+        """Record position owning each flat copy (the ``payloads`` key)."""
+        return self.record_of()
+
+    def record_of(self, order: Any = ALL) -> Any:
+        """The record owning each copy of ``order`` (flat copy indices),
+        in the narrowest index dtype that holds every record position."""
+        count = len(self.senders)
+        dtype = np.int16 if count < 1 << 15 else np.int32
+        return np.repeat(np.arange(count, dtype=dtype), self.rec_count)[order]
 
     @cached_property
-    def rec_payload(self) -> Any:
-        """The payload table: each record's payload, as an object vector
-        that ``copy_record`` positions gather from."""
-        table = np.empty(len(self.records), dtype=object)
-        for position, record in enumerate(self.records):
-            table[position] = record.payload
-        return table
+    def recipient_order(self) -> Any:
+        """The round's one recipient sort: flat copy indices (int32) stably
+        sorted by recipient, so each recipient's copies keep flat (sender)
+        order.  The adversary's view and delivery both read it, each
+        recipient's range from :attr:`recipient_bounds`."""
+        keys = self.copy_recipient
+        if self._total and keys.max() < 1 << 16:
+            # 16-bit keys take numpy's radix sort: several times faster.
+            keys = keys.astype(np.uint16)
+        return np.argsort(keys, kind="stable").astype(np.int32)
+
+    @cached_property
+    def recipient_bounds(self) -> Any:
+        """Where each recipient's copies sit in :attr:`recipient_order`:
+        pid ``p``'s are ``recipient_order[bounds[p]:bounds[p + 1]]``
+        (``bounds`` has one entry per pid up to the largest recipient,
+        plus one)."""
+        bounds = np.zeros(int(self.copy_recipient.max(initial=-1)) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(self.copy_recipient), out=bounds[1:])
+        return bounds
+
+    @property
+    def records(self) -> RecordView:
+        """The send calls, one :class:`Record` each, in queue order."""
+        return RecordView(self)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -306,22 +258,20 @@ class MessageBatch(Sequence[Message]):
             raise IndexError(
                 f"message index {index} out of range ({self._total} copies)"
             )
-        record = self.records[int(self.copy_record[index])]
-        if type(record) is Multicast:
-            recipient = int(self.copy_recipient[index])
-            return Message(record.sender, recipient, record.payload, record.bits)
-        return record
+        record = int(self.copy_record[index])
+        return Message(
+            self.senders[record],
+            int(self.copy_recipient[index]),
+            self.payloads[record],
+            self.bits[record],
+        )
 
     def __iter__(self) -> Iterator[Message]:
-        for record in self.records:
-            if type(record) is Multicast:
-                sender = record.sender
-                payload = record.payload
-                bits = record.bits
-                for recipient in record.recipients:
-                    yield Message(sender, recipient, payload, bits)
-            else:
-                yield record
+        for sender, fanout, payload, bits in zip(
+            self.senders, self.fanouts, self.payloads, self.bits
+        ):
+            for recipient in fanout:
+                yield Message(sender, recipient, payload, bits)
 
     def total_bits(self) -> int:
         """Sum of per-copy bits over the batch, from the record vectors."""
@@ -331,16 +281,29 @@ class MessageBatch(Sequence[Message]):
         self, senders: Iterable[int], recipients: Iterable[int]
     ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
         """Flat copy indices sent by each of *senders* and addressed to
-        each of *recipients*, one vectorized select per asked pid and
-        side (:meth:`NetworkView._copy_indices` reads them)."""
-        sent, to = self.copy_sender, self.copy_recipient
-        return (
-            {pid: np.flatnonzero(sent == pid).tolist() for pid in senders},
-            {pid: np.flatnonzero(to == pid).tolist() for pid in recipients},
-        )
+        each of *recipients*, ascending (:meth:`NetworkView._copy_indices`
+        reads them).  A sender's copies are the flat ranges of its records;
+        a recipient's are its slice of the round's one recipient sort."""
+        senders, recipients = list(senders), list(recipients)
+        sent: dict[int, list[int]] = {}
+        if senders:
+            ends = np.cumsum(self.rec_count)
+            starts = ends - self.rec_count
+            for pid in senders:
+                own = self.rec_sender == pid
+                sent[pid] = list(
+                    chain.from_iterable(map(range, starts[own].tolist(), ends[own].tolist()))
+                )
+        to: dict[int, list[int]] = {}
+        if recipients:
+            order, bounds = self.recipient_order, self.recipient_bounds.tolist()
+            last = len(bounds) - 2
+            for pid in recipients:
+                to[pid] = order[bounds[pid] : bounds[pid + 1]].tolist() if 0 <= pid <= last else []
+        return sent, to
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MessageBatch({len(self.records)} records, "
+            f"MessageBatch({len(self.senders)} records, "
             f"{self._total} copies)"
         )

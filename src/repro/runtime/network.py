@@ -12,14 +12,14 @@ Each simulated round follows the paper's two-phase structure (Section 2):
    validates legality (corruption budget, omissions only at faulty processes)
    and delivers the surviving messages, to be consumed next round.
 
-The round's outbound traffic is a flat :class:`MessageBatch` over the
-records the processes queued — point-to-point :class:`Message` objects and
-:class:`Multicast` records (one shared payload, one precomputed size, many
-recipients).  Omit indices address the batch's flat per-copy positions, so
-adversary semantics, sender-ordered inboxes, and every :class:`Metrics`
-counter are byte-identical to an execution that queued one
-:class:`Message` per copy, while the engine sizes, meters, and dispatches
-broadcast traffic per record instead of per copy.
+The round's outbound traffic is a flat :class:`MessageBatch` over the four
+send columns the processes appended to (sender, fan-out tuple, payload,
+bits: one entry per send call, however many recipients).  Omit indices
+address the batch's flat per-copy positions, so adversary semantics,
+sender-ordered inboxes, and every :class:`Metrics` counter are
+byte-identical to an execution that queued one :class:`Message` per copy,
+while the engine sizes, meters, and dispatches broadcast traffic per
+record instead of per copy.
 
 The engine never trusts the strategy: illegal actions raise
 :class:`AdversaryProtocolError`.
@@ -46,7 +46,7 @@ from typing import Any
 
 from . import delivery
 from .engine import ExecutionCore, ExecutionResult
-from .messages import FanoutCache, MessageBatch
+from .messages import MessageBatch
 from .observers import RoundObserver
 from .process import SyncProcess
 from .randomness import stable_seed
@@ -125,7 +125,7 @@ class NetworkView:
     round: int
     processes: Sequence[SyncProcess]
     #: The round's outbound traffic: its :class:`MessageBatch`, a flat
-    #: per-copy sequence where multicast copies occupy consecutive indices
+    #: per-copy sequence where a fan-out's copies occupy consecutive indices
     #: and materialize lazily on ``view.messages[i]`` / iteration.  Omit
     #: indices address these flat positions.
     messages: MessageBatch
@@ -138,8 +138,9 @@ class NetworkView:
     def _copy_indices(self, pids: Iterable[int], sent: bool, received: bool) -> frozenset[int]:
         """The one index query behind the three public helpers.
 
-        Answers for the asked pids only, by vectorized selects on the
-        round's column vectors.
+        Answers for the asked pids only: the sender side from record
+        ranges, the recipient side from the round's one recipient sort
+        (which delivery reuses).
 
         **Insertion-order contract.**  The ``frozenset`` is built from one
         fixed list — per pid ascending: its sent copies ascending, then its
@@ -275,9 +276,6 @@ class SyncNetwork:
 
         self.sources = self._core.sources
         self.envs = self._core.envs
-        # Fan-out tuples already converted to index arrays, shared across
-        # this network's rounds (see FanoutCache).
-        self._fanout_cache: FanoutCache = {}
         # Alias into the core, which mutates the container in place.
         self._inboxes = self._core.inboxes
 
@@ -414,12 +412,12 @@ class SyncNetwork:
                     )
                 for observer in observers:
                     observer.on_round_start(self.round, self)
-                records = core.advance(self.round)
-                if core.live_count == 0 and not records:
+                columns = core.advance(self.round)
+                if core.live_count == 0 and not columns[0]:
                     break
                 # The round's one batch: its vectors serve the adversary's
                 # view, validation and delivery alike.
-                outbound = MessageBatch(records, self._fanout_cache)
+                outbound = MessageBatch(*columns)
                 for observer in observers:
                     observer.on_messages_sent(self.round, outbound, self)
                 omitted = self._apply_adversary(outbound)
@@ -440,6 +438,7 @@ class SyncNetwork:
                         observer.on_transport(self.round, samples, self)
                 for observer in observers:
                     observer.on_round_end(self.round, self)
+                del columns, outbound, receipt  # the inboxes keep what is read
                 self.round += 1
             self._absorb_residual_faults()
         finally:

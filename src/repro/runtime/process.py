@@ -30,8 +30,7 @@ from typing import Any
 from .messages import (
     MESSAGE_OVERHEAD_BITS,
     Message,
-    MessageRecord,
-    Multicast,
+    SendColumns,
     payload_bits,
 )
 from .randomness import CountingRandom
@@ -55,19 +54,22 @@ class ProcessEnv:
         "pid",
         "n",
         "random",
-        "outbox",
+        "columns",
         "decision",
         "has_decided",
         "round",
         "decision_round",
         "_fanout_cache",
+        "_checked",
     )
 
     def __init__(self, pid: int, n: int, random_source: CountingRandom) -> None:
         self.pid = pid
         self.n = n
         self.random = random_source
-        self.outbox: list[MessageRecord] = []
+        #: The round's :data:`~repro.runtime.messages.SendColumns`, which
+        #: the core hands every env of the round; a send appends to each.
+        self.columns: SendColumns = ([], [], [], [])
         self.decision: Any = None
         self.has_decided = False
         #: Current round number (0-based), maintained by the engine.
@@ -77,6 +79,9 @@ class ProcessEnv:
         # The cached everyone-but-self tuple: per-round broadcasts neither
         # rebuild the O(n) fan-out nor change its identity.
         self._fanout_cache: tuple[int, ...] | None = None
+        # The last fan-out tuple send_many validated: handed in again (the
+        # same object), it is not walked again.
+        self._checked: tuple[int, ...] = ()
 
     def send(self, recipient: int, payload: Any) -> None:
         """Queue a message for delivery at the end of this round."""
@@ -84,20 +89,17 @@ class ProcessEnv:
             raise ValueError(
                 f"recipient {recipient} out of range for n={self.n}"
             )
-        self.outbox.append(Message(self.pid, recipient, payload))
+        self._queue((recipient,), payload)
 
     def send_many(
         self, recipients: Iterable[int], payload: Any, size: int | None = None
     ) -> None:
-        """Queue the same payload to several recipients as one multicast.
+        """Queue the same payload to several recipients as one record.
 
         The payload is sized once, not once per recipient — identical bits
-        on the wire, much cheaper to queue and meter for wide fan-outs.  A
-        single :class:`Multicast` record enters the outbox; the engine
-        expands it into per-recipient :class:`Message` views only where a
-        concrete copy is needed.  Recipient order is preserved: the copies
-        occupy consecutive flat indices of the round's
-        :class:`MessageBatch` in exactly this order.
+        on the wire, much cheaper to queue and meter for wide fan-outs.
+        Recipient order is preserved: the copies occupy consecutive flat
+        indices of the round's :class:`MessageBatch` in exactly this order.
 
         ``size``, when the caller already knows it, must be exactly
         ``payload_bits(payload)`` — the payload alone, *without*
@@ -105,20 +107,19 @@ class ProcessEnv:
         other value is a metering bug, caught in-run by
         ``InvariantObserver``'s *sizing* check.
         """
-        recipients = (
-            recipients if type(recipients) is tuple else tuple(recipients)
-        )
-        n = self.n
-        for recipient in recipients:
-            if not 0 <= recipient < n:
-                raise ValueError(
-                    f"recipient {recipient} out of range for n={n}"
-                )
-        if not recipients:
-            return
-        self._queue_multicast(recipients, payload, size)
+        if recipients is not self._checked:
+            fanout = recipients if type(recipients) is tuple else tuple(recipients)
+            n = self.n
+            for recipient in fanout:
+                if not 0 <= recipient < n:
+                    raise ValueError(
+                        f"recipient {recipient} out of range for n={n}"
+                    )
+            self._checked = fanout
+        if self._checked:
+            self._queue(self._checked, payload, size)
 
-    def _queue_multicast(
+    def _queue(
         self, recipients: tuple[int, ...], payload: Any, size: int | None = None
     ) -> None:
         """Queue a validated, non-empty fan-out tuple.
@@ -126,12 +127,14 @@ class ProcessEnv:
         Callers guarantee every recipient is in range — :meth:`send_many`
         validates arbitrary input, :meth:`broadcast` reuses its cached
         (already validated) fan-out — so a per-round broadcast costs one
-        ``payload_bits`` call and one append, no O(n) re-checking.
+        ``payload_bits`` call and four appends, no O(n) re-checking.
         """
-        if size is None:
-            size = payload_bits(payload)
-        self.outbox.append(
-            Multicast(self.pid, recipients, payload, size + MESSAGE_OVERHEAD_BITS)
+        senders, fanouts, payloads, bits = self.columns
+        senders.append(self.pid)
+        fanouts.append(recipients)
+        payloads.append(payload)
+        bits.append(
+            (payload_bits(payload) if size is None else size) + MESSAGE_OVERHEAD_BITS
         )
 
     def broadcast(
@@ -143,9 +146,8 @@ class ProcessEnv:
 
         With the default ``recipients=None`` the fan-out is all n processes
         except the sender; the fan-out tuple is cached per process, so a
-        per-round broadcast costs one queued :class:`Multicast` record.
-        Passing ``recipients=`` is the keyword-friendly spelling of
-        :meth:`send_many`.
+        per-round broadcast queues one record.  Passing ``recipients=`` is
+        the keyword-friendly spelling of :meth:`send_many`.
         """
         if recipients is None:
             fanout = self._fanout_cache
@@ -155,7 +157,7 @@ class ProcessEnv:
             # The cached tuple was validated when built; skip straight
             # past send_many's per-recipient range loop.
             if fanout:
-                self._queue_multicast(fanout, payload)
+                self._queue(fanout, payload)
             return
         self.send_many(recipients, payload)
 

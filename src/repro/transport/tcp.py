@@ -16,9 +16,9 @@ so one loop and one seed table serve both transports.
   (:func:`~repro.runtime.delivery.inbox_columns`), and the replies are
   read as ``select`` reports them, each against its own link deadline.
   Blocks are contiguous and advanced in ascending pid order, so the
-  records concatenated in link order keep the engine's sender-sorted
+  send columns concatenated in link order keep the engine's sender-sorted
   invariant.
-* A reply carries the records, terminations, decisions, randomness
+* A reply carries the four send columns, terminations, decisions, randomness
   counters and hosted process attributes, so the coordinator's process
   objects are the hosted ones for every reader (see
   :class:`RemoteExecutionCore`).
@@ -53,7 +53,7 @@ from typing import Any
 
 from ..runtime.delivery import InboxColumns, inbox_columns
 from ..runtime.engine import ExecutionCore
-from ..runtime.messages import MessageRecord
+from ..runtime.messages import SendColumns
 from ..runtime.observers import LinkSample
 from ..runtime.process import SyncProcess
 from . import worker
@@ -293,7 +293,7 @@ class RemoteExecutionCore(ExecutionCore):
 
     # ------------------------------------------------------------------
     # Per-round execution
-    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> list[MessageRecord]:
+    def advance(self, round_no: int, pids: Iterable[int] | None = None) -> SendColumns:
         # A worker runs the base class's loop over its block (``pids``).
         assert pids is None, "the coordinator advances every live pid"
         timeout = LINK_TIMEOUT_S
@@ -350,10 +350,10 @@ class RemoteExecutionCore(ExecutionCore):
                     pass
                 done[index] = (time.monotonic() - started, sent, reply, received)
 
-        records: list[MessageRecord] = []
+        columns: SendColumns = ([], [], [], [])
         # Contiguous ascending pid blocks advanced in ascending pid order
         # inside each worker: concatenation in link order keeps the
-        # records' sender-sorted invariant.
+        # columns' sender-sorted invariant.
         for index, (latency, sent, reply, received) in sorted(done.items()):
             link = self._links[index]
             # A timeout, a dead connection and a malformed reply are one
@@ -375,7 +375,7 @@ class RemoteExecutionCore(ExecutionCore):
                 continue
             out = reply[1]
             for pid in out["terminated"]:
-                self.programs[pid] = None
+                self.terminate(pid)
             for pid, (value, decided_round) in out["decisions"].items():
                 env = self.envs[pid]
                 env.decision = value
@@ -387,15 +387,19 @@ class RemoteExecutionCore(ExecutionCore):
                 source.bits_drawn = bits_drawn
             for pid, state in out["state"].items():
                 vars(self.processes[pid]).update(state)
-            records.extend(out["records"])
-        return records
+            senders, fanouts, payloads, bits = out["columns"]
+            columns[0].extend(senders)
+            columns[1].extend(fanouts)
+            columns[2].extend(payloads)
+            columns[3].extend(bits)
+        return columns
 
     def _fail_link(self, link: _WorkerLink) -> None:
         """Crash-fault a link: its live pids become transport faults."""
         link.alive = False
         for pid in link.pids:
             if self.programs[pid] is not None:
-                self.programs[pid] = None
+                self.terminate(pid)
                 self._faults.add(pid)
         if link.sock is not None:
             link.sock.close()

@@ -9,7 +9,7 @@ the connect budget), authenticates with the per-run token, and serves one
 in a :class:`~repro.runtime.delivery.ColumnInbox`, runs the core's own
 loop (:meth:`ExecutionCore.advance
 <repro.runtime.engine.ExecutionCore.advance>`) over its pid block, and
-replies with the outbound records, newly terminated pids, decisions,
+replies with the round's four send columns, newly terminated pids, decisions,
 randomness counters and hosted process attributes.  One loop and one
 seed table serve both transports, which is what makes a TCP execution
 replay byte-identically in-process from its recorded recipe.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import socket
 import time
 
-from ..runtime.delivery import ColumnInbox
+from ..runtime.delivery import ColumnInbox, CopyColumns
 from ..runtime.engine import ExecutionCore
 from . import tcp  # a cycle: tcp forks this module's main; read at call time
 from .framing import TransportError, recv_frame, send_frame
@@ -77,13 +77,15 @@ def main(core: tcp.RemoteExecutionCore, index: int, port: int) -> None:
                 raise TransportError(f"expected step frame, got {kind!r}")
             # Every hosted live pid has an inbox, in ascending pid order.
             live = list(payload["inboxes"])
-            for pid, columns in payload["inboxes"].items():
-                core.inboxes[pid] = ColumnInbox(pid, columns)
-            records = ExecutionCore.advance(core, payload["round"], live)
+            for pid, (senders, payloads, bits) in payload["inboxes"].items():
+                core.inboxes[pid] = ColumnInbox(
+                    CopyColumns.of(senders, [pid] * len(senders), payloads, bits)
+                )
+            columns = ExecutionCore.advance(core, payload["round"], live)
             terminated = [pid for pid in live if core.programs[pid] is None]
             envs, sources, shipped = core.envs, core.sources, live if core._mirror else terminated
             send_frame(sock, ("out", {
-                "records": records,
+                "columns": columns,
                 "terminated": terminated,
                 "decisions": {
                     p: (envs[p].decision, envs[p].decision_round) for p in block if envs[p].has_decided

@@ -11,15 +11,15 @@ import repro
 
 @pytest.fixture
 def materialized(monkeypatch) -> list[int]:
-    """The sizes of the lazy inbox views this interpreter filled with
+    """The sizes of the inbox views this interpreter filled with
     ``Message`` objects while the fixture was active (``[]``: every read
     was a column read)."""
-    from repro.runtime import LazyMessageList
+    from repro.runtime import ColumnInbox
 
     entered: list[int] = []
-    materialize = LazyMessageList._materialize
+    materialize = ColumnInbox._materialize
     monkeypatch.setattr(
-        LazyMessageList,
+        ColumnInbox,
         "_materialize",
         lambda self: entered.append(len(self)) or materialize(self),
     )

@@ -2,23 +2,65 @@
 
 The engine delivers every batch as array math over its column vectors
 (:mod:`repro.runtime.delivery`).  What it replaced — one Python step and one
-:class:`Message` per copy, the scalar omission validator — lives here
-verbatim, and :func:`pin_object_loop` routes a network's delivery layer
-through it, so a test can run the same execution both ways and compare
-inboxes, orders, counters and errors byte for byte.
+:class:`Message` per copy, the scalar omission validator — lives here,
+walking the batch's four send columns record by record, and
+:func:`pin_object_loop` routes a network's delivery layer through it, so a
+test can run the same execution both ways and compare inboxes, orders,
+counters and errors byte for byte.  :func:`batch_of` hand-builds a batch
+and :func:`queued` reads what an env queued, for the tests that need
+either.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence, Set
-from typing import cast
+from typing import Any, cast
 
 import numpy as np
 import pytest
 
 from repro.runtime import AdversaryProtocolError, delivery
 from repro.runtime.delivery import DeliveryReceipt, check_sender_order
-from repro.runtime.messages import Message, MessageBatch, MessageRecord, Multicast
+from repro.runtime.messages import (
+    MESSAGE_OVERHEAD_BITS,
+    Message,
+    MessageBatch,
+    Record,
+    SendColumns,
+    payload_bits,
+)
+
+
+def batch_of(records: Iterable[Message | tuple[int, Sequence[int], Any]]) -> MessageBatch:
+    """A hand-built batch, one send-column entry per record: a
+    :class:`Message` is a one-copy record, ``(sender, recipients,
+    payload)`` a fan-out sized as ``env.send_many`` sizes it."""
+    columns: SendColumns = ([], [], [], [])
+    senders, fanouts, payloads, bits = columns
+    for record in records:
+        if isinstance(record, Message):
+            senders.append(record.sender)
+            fanouts.append((record.recipient,))
+            payloads.append(record.payload)
+            bits.append(record.bits)
+        else:
+            sender, recipients, payload = record
+            senders.append(sender)
+            fanouts.append(tuple(recipients))
+            payloads.append(payload)
+            bits.append(payload_bits(payload) + MESSAGE_OVERHEAD_BITS)
+    return MessageBatch(*columns)
+
+
+def queued(env: Any) -> list[Record]:
+    """What ``env`` queued into its current send columns, one
+    :class:`Record` per send call."""
+    return list(map(Record, *env.columns))
+
+
+def clear(env: Any) -> None:
+    """Start ``env`` on fresh send columns (a new round's)."""
+    env.columns = ([], [], [], [])
 
 
 def validate_objects(
@@ -64,48 +106,32 @@ def deliver_objects(
 
     check_sender_order(batch)
     offsets = np.cumsum(batch.rec_count) - batch.rec_count
-    pairs: Iterable[tuple[MessageRecord, int]] = zip(batch.records, offsets.tolist())
     clean = not omitted_set and live is None
 
-    for record, base in pairs:
-        if type(record) is Multicast:
-            sender = record.sender
-            payload = record.payload
-            bits = record.bits
-            recipients = record.recipients
-            if clean:
-                copies = [
-                    Message(sender, recipient, payload, bits)
-                    for recipient in recipients
-                ]
-                for message, recipient in zip(copies, recipients):
-                    boxes[recipient].append(message)
-                delivered.extend(copies)
-                delivered_bits += bits * len(recipients)
+    for sender, recipients, payload, bits, base in zip(
+        batch.senders, batch.fanouts, batch.payloads, batch.bits, offsets.tolist()
+    ):
+        if clean:
+            copies = [
+                Message(sender, recipient, payload, bits)
+                for recipient in recipients
+            ]
+            for message, recipient in zip(copies, recipients):
+                boxes[recipient].append(message)
+            delivered.extend(copies)
+            delivered_bits += bits * len(recipients)
+            continue
+        for position, recipient in enumerate(recipients):
+            if base + position in omitted_set:
                 continue
-            for position, recipient in enumerate(recipients):
-                if base + position in omitted_set:
-                    continue
-                message = Message(sender, recipient, payload, bits)
-                if live is not None and not live[recipient]:
-                    lost.append(message)
-                    lost_bits += bits
-                else:
-                    boxes[recipient].append(message)
-                    delivered_append(message)
-                    delivered_bits += bits
-        else:
-            message = cast(Message, record)
-            if not clean:
-                if base in omitted_set:
-                    continue
-                if live is not None and not live[message.recipient]:
-                    lost.append(message)
-                    lost_bits += message.bits
-                    continue
-            boxes[message.recipient].append(message)
-            delivered_append(message)
-            delivered_bits += message.bits
+            message = Message(sender, recipient, payload, bits)
+            if live is not None and not live[recipient]:
+                lost.append(message)
+                lost_bits += bits
+            else:
+                boxes[recipient].append(message)
+                delivered_append(message)
+                delivered_bits += bits
 
     return DeliveryReceipt(delivered, lost, delivered_bits, lost_bits)
 

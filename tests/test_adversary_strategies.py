@@ -10,12 +10,13 @@ from repro.adversary import (
 )
 from repro.runtime import (
     Message,
-    MessageBatch,
     NetworkView,
     ProcessEnv,
     SyncNetwork,
     SyncProcess,
 )
+
+from .delivery_oracle import batch_of
 
 
 class Babbler(SyncProcess):
@@ -147,7 +148,7 @@ class TestViewHelpers:
         view = NetworkView(
             round=0,
             processes=[],
-            messages=MessageBatch(messages),
+            messages=batch_of(messages),
             faulty=frozenset(),
             budget_left=0,
             decisions={},

@@ -8,6 +8,8 @@ from repro.baselines.ben_or import TAG_DECIDE, TAG_VOTE
 from repro.harness import execute
 from repro.runtime import CountingRandom, Message, ProcessEnv
 
+from .delivery_oracle import clear, queued
+
 
 class TestConstruction:
     def test_rejects_bad_bit(self):
@@ -109,14 +111,14 @@ class TestReceiveTally:
         env = ProcessEnv(0, n, CountingRandom(0))
         program = process.program(env)
         next(program)
-        env.outbox = []
+        clear(env)
         program.send(
             [
                 Message(sender, 0, payload)
                 for sender, payload in enumerate(payloads, start=1)
             ]
         )
-        return process, env.outbox
+        return process, queued(env)
 
     def test_last_decide_copy_in_sender_order_wins(self):
         """Two DECIDE values can coexist after the phase-budget cut-off;

@@ -36,10 +36,11 @@ from repro.runtime import (
     Adversary,
     AdversaryAction,
     AdversaryProtocolError,
-    LazyMessageList,
+    ColumnInbox,
     Message,
     MessageBatch,
-    Multicast,
+    ProcessEnv,
+    CountingRandom,
     RoundObserver,
     SyncNetwork,
     SyncProcess,
@@ -49,14 +50,14 @@ from repro.runtime import (
     inbox_senders,
     result_to_dict,
 )
-from repro.runtime.delivery import ColumnInbox, inbox_columns
+from repro.runtime.delivery import CopyColumns, inbox_columns
 from repro.transport.framing import decode_body, encode_frame
 
-from .delivery_oracle import deliver_objects, pin_object_loop
+from .delivery_oracle import batch_of, deliver_objects, pin_object_loop, queued
 from .test_multicast import Broadcaster, ScriptedOmitter, use_send_loops
 from .test_replay import GOLDEN
 
-#: (broadcast, columnar): fan-outs queued as Multicast records or as
+#: (broadcast, columnar): fan-outs queued as one record each or as
 #: explicit env.send loops x every batch on the columnar plan or on the
 #: object loop.
 ENGINE_GRID = [
@@ -88,12 +89,12 @@ def canonical(result) -> str:
 
 
 def mixed_batch() -> MessageBatch:
-    return MessageBatch(
+    return batch_of(
         [
             Message(0, 3, (1, 2)),
-            Multicast(1, (0, 2, 3), (7,)),
+            (1, (0, 2, 3), (7,)),
             Message(2, 1, 9),
-            Multicast(3, (1,), "x"),
+            (3, (1,), "x"),
         ]
     )
 
@@ -101,7 +102,7 @@ def mixed_batch() -> MessageBatch:
 # ---------------------------------------------------------------------------
 # The columnar layout itself.
 class TestColumnarBatch:
-    """The layout a MessageBatch builds from its records."""
+    """The layout a MessageBatch builds from its send columns."""
 
     def test_columns_match_naive_enumeration(self):
         batch = mixed_batch()
@@ -110,42 +111,63 @@ class TestColumnarBatch:
         assert batch.copy_sender.tolist() == [m.sender for m in flat]
         assert batch.copy_recipient.tolist() == [m.recipient for m in flat]
         assert batch.copy_bits.tolist() == [m.bits for m in flat]
-        assert batch.rec_payload.tolist() == [r.payload for r in batch.records]
+        assert [batch.payloads[r] for r in batch.copy_record.tolist()] == [
+            m.payload for m in flat
+        ]
         assert batch.total_bits() == sum(m.bits for m in flat)
 
     def test_copy_record_indexes_the_payload_table(self):
         batch = mixed_batch()
         for index in range(len(batch)):
             record_position = int(batch.copy_record[index])
-            assert batch.records[record_position].payload is (
+            assert batch.payloads[record_position] is (
                 batch[index].payload
             )
 
     def test_columns_are_cached_per_batch(self):
         batch = mixed_batch()
-        for column in ("copy_sender", "copy_bits", "copy_record", "rec_payload"):
+        for column in (
+            "copy_sender", "copy_bits", "copy_record", "recipient_order", "recipient_bounds"
+        ):
             assert getattr(batch, column) is getattr(batch, column)
 
-    def test_fanout_cache_reuses_tuple_conversions(self):
-        recipients = (0, 2, 3)
-        cache: dict = {}
-        first = MessageBatch([Multicast(1, recipients, (7,))], cache)
-        second = MessageBatch([Multicast(4, recipients, (9,))], cache)
-        assert len(cache) == 1
-        assert first.copy_recipient.tolist() == (
-            second.copy_recipient.tolist()
-        )
+    def test_validated_fanout_is_not_walked_again(self):
+        """``send_many`` range-checks a fan-out tuple once: the same object
+        handed in again is queued without a second walk, and the batch
+        reads its recipients from the tuple itself."""
+
+        class Pid(int):
+            checks = 0
+
+            def __ge__(self, other):
+                Pid.checks += 1
+                return int(self) >= other
+
+        env = ProcessEnv(1, 5, CountingRandom(0))
+        recipients = (Pid(0), Pid(2), Pid(3))
+        env.send_many(recipients, (7,))
+        assert Pid.checks == 3
+        env.send_many(recipients, (9,))
+        env.send_many(list(recipients), (8,))  # a new object: walked
+        assert Pid.checks == 6
+        first, second, third = queued(env)
+        assert first.recipients is second.recipients is recipients
+        batch = MessageBatch(*env.columns)
+        assert batch.copy_recipient.tolist() == [0, 2, 3] * 3
 
     def test_empty_batch(self):
-        batch = MessageBatch([])
+        batch = MessageBatch()
         assert len(batch) == 0
         assert batch.total_bits() == 0
 
 
 class TestLazyMessageList:
+    """The lazy ``Sequence[Message]`` view over a batch's copies: a
+    :class:`ColumnInbox` over :class:`CopyColumns`."""
+
     def test_len_and_bool_do_not_materialize(self):
         batch = mixed_batch()
-        view = LazyMessageList(batch)
+        view = ColumnInbox(CopyColumns(batch), 0, len(batch))
         assert len(view) == len(batch)
         assert bool(view)
         assert view._items is None
@@ -154,7 +176,7 @@ class TestLazyMessageList:
         import numpy as np
 
         batch = mixed_batch()
-        view = LazyMessageList(batch, np.arange(len(batch)))
+        view = ColumnInbox(CopyColumns(batch, np.arange(len(batch))), 0, len(batch))
         for lazy, eager in zip(view, batch):
             assert (lazy.sender, lazy.recipient, lazy.bits) == (
                 eager.sender,
@@ -183,7 +205,7 @@ class TestPlanDelivery:
         assert plan.delivered_bits == batch.total_bits()
         assert plan.lost_bits == 0
         assert len(plan.lost) == 0
-        assert all(isinstance(inbox, LazyMessageList) for _, inbox in filled)
+        assert all(isinstance(inbox, ColumnInbox) for _, inbox in filled)
         grouped = {
             owner: [(m.sender, m.recipient) for m in inbox]
             for owner, inbox in filled
@@ -210,9 +232,7 @@ class TestPlanDelivery:
         assert len(delivered) == len(batch) - 1
 
     def test_lost_copies_in_flat_order(self):
-        batch = MessageBatch(
-            [Multicast(1, (0, 2, 0), (7,)), Message(2, 0, 5)]
-        )
+        batch = batch_of([(1, (0, 2, 0), (7,)), Message(2, 0, 5)])
         live = [False, True, True]
         plan, _ = deliver_fresh(batch, (), live)
         assert [(m.sender, m.recipient) for m in plan.lost] == [
@@ -227,13 +247,9 @@ class TestPlanDelivery:
 # ---------------------------------------------------------------------------
 # The column read: payloads / senders of an inbox without its Messages.
 def all_to_all(n: int) -> MessageBatch:
-    return MessageBatch(
+    return batch_of(
         [
-            Multicast(
-                pid,
-                tuple(other for other in range(n) if other != pid),
-                (7, pid),
-            )
+            (pid, tuple(other for other in range(n) if other != pid), (7, pid))
             for pid in range(n)
         ]
     )
@@ -244,16 +260,67 @@ INBOX_ROUNDS = {
     "clean-all-to-all": (all_to_all(6), (), None),
     "omission+terminated": (mixed_batch(), (1,), [False, True, True, True]),
     "lost-copies": (
-        MessageBatch([Multicast(1, (0, 2, 0), (7,)), Message(2, 0, 5)]),
+        batch_of([(1, (0, 2, 0), (7,)), Message(2, 0, 5)]),
         (),
         [False, True, True],
     ),
     "hand-built-unsorted": (
-        MessageBatch([Message(2, 0, "b"), Multicast(0, (1, 2, 1), "a")]),
+        batch_of([Message(2, 0, "b"), (0, (1, 2, 1), "a")]),
         (),
         None,
     ),
 }
+
+
+#: (batch, omitted, live) — rounds the slice-inbox differential delivers on
+#: both paths (n=5).
+SLICE_ROUNDS = {
+    "omissions": (all_to_all(5), (0, 3, 7, 19), None),
+    "terminated": (all_to_all(5), (), [True, False, True, True, False]),
+    "omissions+terminated": (all_to_all(5), (1, 2, 10), [False, True, True, True, True]),
+    "point-to-point": (
+        batch_of([
+            Message(0, 2, "a"), Message(1, 2, ("b", 1)), (1, (0, 3), "c"), Message(3, 0, None)
+        ]),
+        (1,),
+        None,
+    ),
+    "empty": (MessageBatch(), (), None),
+}
+
+
+def fields(messages):
+    return [(m.sender, m.recipient, m.payload, m.bits) for m in messages]
+
+
+class TestSliceInboxes:
+    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize("name", SLICE_ROUNDS)
+    def test_slices_equal_the_oracle(self, monkeypatch, name, chunk):
+        """Every inbox is a slice of the round's delivered columns: its
+        senders, payloads and bits — read by column and by iteration —
+        are the object loop's, in order; the receipt's delivered and lost
+        lists are too (flat order), with the same bit totals.  With a
+        gather chunk of 3 copies every column of these rounds is gathered
+        over several chunks, the last one short."""
+        if chunk is not None:
+            monkeypatch.setattr(delivery, "_GATHER_CHUNK", chunk)
+        batch, omitted, live = SLICE_ROUNDS[name]
+        engine: list = [[] for _ in range(5)]
+        oracle: list = [[] for _ in range(5)]
+        receipt = delivery.deliver(batch, omitted, engine, live)
+        expected = deliver_objects(batch, omitted, oracle, live)
+        for inbox, want in zip(engine, oracle):
+            senders, payloads, bits = inbox_columns(inbox)
+            assert senders == [m.sender for m in want]
+            assert bits == [m.bits for m in want]
+            assert len(payloads) == len(want)
+            assert all(p is m.payload for p, m in zip(payloads, want))
+            assert fields(inbox) == fields(want)
+        assert fields(receipt.delivered) == fields(expected.delivered)
+        assert fields(receipt.lost) == fields(expected.lost)
+        assert receipt.delivered_bits == expected.delivered_bits
+        assert receipt.lost_bits == expected.lost_bits
 
 
 def deliver_round(name, inboxes):
@@ -285,9 +352,9 @@ class TestInboxColumns:
         lazy = columnar
         read = 0
         for view in (*inboxes, receipt.delivered, receipt.lost):
-            assert isinstance(view, LazyMessageList) == (lazy and bool(view))
+            assert isinstance(view, ColumnInbox) == (lazy and bool(view))
             payloads, senders = inbox_payloads(view), inbox_senders(view)
-            if isinstance(view, LazyMessageList):
+            if isinstance(view, ColumnInbox):
                 assert view._items is None  # nothing built, nothing cached
             assert senders == [message.sender for message in view]
             assert len(payloads) == len(view)
@@ -318,11 +385,13 @@ class TestInboxColumns:
         assert inboxes[7] == []
         for pid, inbox in enumerate(inboxes):
             columns = inbox_columns(inbox)
-            if isinstance(inbox, LazyMessageList):
-                assert inbox._items is None  # gathered, never built
+            if isinstance(inbox, ColumnInbox):
+                assert inbox._items is None  # sliced, never built
             senders, payloads, bits = decode_body(encode_frame(columns)[4:])
             assert (senders, payloads, bits) == columns
-            view = ColumnInbox(pid, (senders, payloads, bits))
+            view = ColumnInbox(
+                CopyColumns.of(senders, [pid] * len(senders), payloads, bits)
+            )
             assert len(view) == len(inbox) and bool(view) == bool(inbox)
             assert inbox_senders(view) is senders
             assert inbox_payloads(view) is payloads
@@ -460,7 +529,7 @@ class InboxSpy(RoundObserver):
     def on_deliveries(self, round_no, delivered, lost, network):
         self.delivered_types.append(type(delivered))
         if (
-            isinstance(delivered, LazyMessageList)
+            isinstance(delivered, ColumnInbox)
             and delivered._items is None
         ):
             self.unmaterialized += 1
@@ -477,7 +546,7 @@ class TestLazyDelivery:
         # Every delivery round handed observers a lazy view, and since the
         # metrics observer only needs len() + the engine's bit totals, no
         # per-copy Message was ever constructed.
-        assert spy.delivered_types == [LazyMessageList] * SilentSink.rounds
+        assert spy.delivered_types == [ColumnInbox] * SilentSink.rounds
         assert spy.unmaterialized == SilentSink.rounds
         assert result.metrics.messages_delivered == 8 * 7 * SilentSink.rounds
 
@@ -485,9 +554,7 @@ class TestLazyDelivery:
         """A hand-built batch out of sender order (the engine never builds
         one) is refused before any copy moves, with the same message from
         the engine and from the object-loop oracle."""
-        unsorted = MessageBatch(
-            [Message(2, 0, "b"), Multicast(0, (1, 2, 0), "a")]
-        )
+        unsorted = batch_of([Message(2, 0, "b"), (0, (1, 2, 0), "a")])
         errors = []
         for deliver in (delivery.deliver, deliver_objects):
             inboxes: list = [[] for _ in range(3)]
@@ -512,7 +579,7 @@ class TestPerBatchRule:
         columnar_deliver = delivery.deliver
 
         def mixed_deliver(batch, omitted, inboxes, live):
-            if len(batch) < 4 * len(batch.records):
+            if len(batch) < 4 * len(batch.senders):
                 served["object"] += 1
                 return deliver_objects(batch, omitted, inboxes, live)
             served["columnar"] += 1

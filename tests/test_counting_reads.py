@@ -16,6 +16,8 @@ from repro.core.tradeoff import TAG_FLOOD, _flood_decision
 from repro.harness import execute
 from repro.runtime import CountingRandom, Message, ProcessEnv
 
+from .delivery_oracle import clear, queued
+
 
 class Probe(tuple):
     """A payload tuple that counts how often it is indexed or hashed."""
@@ -47,9 +49,9 @@ def ben_or_first_phase(input_bit, inbox):
     env = ProcessEnv(0, n, CountingRandom(0))
     program = process.program(env)
     next(program)
-    env.outbox = []
+    clear(env)
     program.send(inbox)
-    return process, env.outbox
+    return process, queued(env)
 
 
 def flood(value, inboxes):
@@ -61,7 +63,7 @@ def flood(value, inboxes):
     next(program)
     for inbox in inboxes[:-1]:
         program.send(inbox)
-    sent = [record.payload for record in env.outbox]
+    sent = [record.payload for record in queued(env)]
     with pytest.raises(StopIteration) as done:
         program.send(inboxes[-1])
     value, operative = done.value.value

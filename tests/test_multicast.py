@@ -1,9 +1,9 @@
-"""Multicast records: batch semantics and golden equivalence.
+"""Fan-out records: batch semantics and golden equivalence.
 
 The engine's contract is that ``env.broadcast`` / ``env.send_many``
-(queueing one :class:`Multicast` record) and the explicit loop of
-``env.send`` calls they abbreviate (one eagerly-sized :class:`Message` per
-copy) produce *byte-identical* executions: same decisions, same rounds,
+(queueing one record: one entry per send column, the fan-out a tuple) and
+the explicit loop of ``env.send`` calls they abbreviate (one eagerly-sized
+one-copy record per copy) produce *byte-identical* executions: same decisions, same rounds,
 same value for every :class:`Metrics` counter and per-round series, same
 flat adversary omit indices.  These tests pin that contract down; the
 send-loop side is test-local (:class:`LoopBroadcaster`,
@@ -26,7 +26,6 @@ from repro.runtime import (
     AdversaryProtocolError,
     Message,
     MessageBatch,
-    Multicast,
     NetworkView,
     ProcessEnv,
     SyncNetwork,
@@ -36,14 +35,16 @@ from repro.runtime import (
 )
 from repro.runtime.messages import MESSAGE_OVERHEAD_BITS
 
+from .delivery_oracle import batch_of, queued
+
 
 # ---------------------------------------------------------------------------
 # MessageBatch: the flat per-copy sequence over mixed records.
 def mixed_batch() -> MessageBatch:
-    return MessageBatch(
+    return batch_of(
         [
             Message(0, 3, (1, 2)),
-            Multicast(1, (0, 2, 3), (7,)),
+            (1, (0, 2, 3), (7,)),
             Message(2, 1, 9),
         ]
     )
@@ -173,11 +174,13 @@ def use_send_loops(monkeypatch) -> None:
     with ``payload_bits``, so the differentials also certify presized
     sends."""
 
+    queue = ProcessEnv._queue
+
     def send_loop(env, recipients, payload, size=None):
         for recipient in recipients:
-            env.send(recipient, payload)
+            queue(env, (recipient,), payload)  # what env.send queues
 
-    monkeypatch.setattr(ProcessEnv, "_queue_multicast", send_loop)
+    monkeypatch.setattr(ProcessEnv, "_queue", send_loop)
 
 
 class TestEnvApi:
@@ -204,13 +207,13 @@ class TestEnvApi:
         env = network.envs[0]
         with pytest.raises(ValueError):
             env.send_many([1, 7], "x")
-        assert env.outbox == []
+        assert queued(env) == []
 
     def test_send_many_empty_is_a_noop(self):
         network = self.network(n=3)
         env = network.envs[0]
         env.send_many([], "x")
-        assert env.outbox == []
+        assert queued(env) == []
 
     def test_presized_send_many_queues_the_same_record(self):
         """``size`` is the payload's ``payload_bits``, overhead excluded:
@@ -221,10 +224,8 @@ class TestEnvApi:
         env.send_many((3, 1), payload)
         env.send_many((3, 1), payload, size=payload_bits(payload))
         env.send_many([], payload, size=payload_bits(payload))  # still a no-op
-        plain, presized = env.outbox
-        assert type(presized) is Multicast
-        for name in Multicast.__slots__:
-            assert getattr(presized, name) == getattr(plain, name), name
+        plain, presized = queued(env)
+        assert presized == plain
         assert presized.bits == payload_bits(payload) + MESSAGE_OVERHEAD_BITS
 
     def test_broadcast_recipient_kwarg_and_include_self(self):
@@ -233,26 +234,24 @@ class TestEnvApi:
         env.broadcast("a", recipients=(3, 0))
         env.broadcast("b")
         env.broadcast("c")
-        first, second, third = env.outbox
+        first, second, third = queued(env)
         assert first.recipients == (3, 0)
-        # Never the sender itself; one cached tuple, so the round's
-        # FanoutCache keeps hitting on its identity.
+        # Never the sender itself; one cached tuple, built once.
         assert second.recipients == (0, 2, 3)
         assert third.recipients is second.recipients
         with pytest.raises(TypeError):
             env.broadcast("d", include_self=True)
 
     def test_broadcast_matches_explicit_send_loop(self):
-        """One Multicast record is, copy for copy, the env.send loop:
+        """One fan-out record is, copy for copy, the env.send loop:
         same payload and same bits on every copy."""
         network = self.network(n=3)
         network.envs[0].broadcast((1, 2, 3))
+        (record,) = queued(network.envs[0])
         for recipient in (0, 2):
             network.envs[1].send(recipient, (1, 2, 3))
-        (record,) = network.envs[0].outbox
-        assert type(record) is Multicast
-        copies = network.envs[1].outbox
-        assert [type(copy) for copy in copies] == [Message, Message]
+        copies = queued(network.envs[1])
+        assert [copy.recipients for copy in copies] == [(0,), (2,)]
         assert [(c.payload, c.bits) for c in copies] == [
             (record.payload, record.bits)
         ] * len(record.recipients)

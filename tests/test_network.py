@@ -260,7 +260,7 @@ def test_numpy_integer_action_is_accepted():
 def test_one_batch_per_round(monkeypatch, transport):
     """The round loop builds one MessageBatch per round with traffic and
     none for the terminal phase; a TCP worker (a fork of this process)
-    builds none: it ships records."""
+    builds none: it ships its four send columns."""
     built = []
     coordinator = os.getpid()
     init = MessageBatch.__init__
@@ -274,6 +274,54 @@ def test_one_batch_per_round(monkeypatch, transport):
     run = execute("ben-or", [pid % 2 for pid in range(8)], t=0, seed=1, transport=transport)
     assert not run.result.faulty
     assert len(built) == run.result.metrics.rounds > 0
+
+
+class LivenessRecount(RoundObserver):
+    """Checks the core's kept liveness against a recount of its programs
+    at every round boundary."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self, network):
+        core = network.core
+        ended = frozenset(
+            pid for pid, program in enumerate(core.programs) if program is None
+        )
+        assert core.live_count == core.n - len(ended)
+        assert network.terminated_set() == ended
+        mask = core.live_mask()
+        if ended:
+            assert list(mask) == [pid not in ended for pid in range(core.n)]
+        else:
+            assert mask is None
+        self.checks += 1
+
+    def on_round_start(self, round_no, network):
+        self.check(network)
+
+    def on_round_end(self, round_no, network):
+        self.check(network)
+
+
+@pytest.mark.parametrize("transport", [None, "tcp"])
+def test_liveness_is_kept_not_recounted(transport):
+    """``live_count``, ``terminated_set()`` and ``live_mask()`` move when a
+    program ends, and equal a recount after every round of a run whose
+    processes end in different rounds."""
+    n = 5
+    recount = LivenessRecount()
+    network = SyncNetwork(
+        [Chatter(pid, n, rounds=1 + pid % 3) for pid in range(n)],
+        observers=[recount],
+        transport=transport,
+        transport_options={"processes_per_worker": 2} if transport else None,
+    )
+    result = network.run()
+    assert recount.checks == 2 * result.rounds + 1
+    assert network.core.live_count == 0
+    assert network.terminated_set() == frozenset(range(n))
+    assert result.metrics.messages_lost > 0  # copies to processes already done
 
 
 def test_agreement_value_detects_disagreement():

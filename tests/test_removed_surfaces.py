@@ -44,7 +44,6 @@ from repro.runtime import (
     CountingRandom,
     ExecutionCore,
     MessageBatch,
-    Multicast,
     NetworkView,
     ProcessEnv,
     SyncNetwork,
@@ -91,6 +90,14 @@ REMOVED_CALLS = {
     "MessageBatch.indices_by_sender()": (
         AttributeError, lambda: MessageBatch([]).indices_by_sender()
     ),
+    # A round's sends are four columns: no record object per send call.
+    "Multicast.message": (
+        AttributeError, lambda: importlib.import_module("repro.runtime").Multicast
+    ),
+    "ProcessEnv.outbox": (
+        AttributeError, lambda: ProcessEnv(0, 1, CountingRandom(0)).outbox
+    ),
+
     # The run report is always on; a campaign has no observer channels.
     "CampaignSpec(capture=)": (
         TypeError, lambda: CampaignSpec("removed", capture=["trace"])
@@ -251,8 +258,10 @@ REMOVED_CALLS.update(
             (SpreadingGraph, ("edges", "degree_within")),
             # A batch out of sender order is refused, never re-sorted; the
             # batch is its own columns, indexed through them.
-            (MessageBatch, ("sender_sorted", "columns", "offsets", "_copy_at")),
-            (Multicast, ("message",)),
+            (
+                MessageBatch,
+                ("sender_sorted", "columns", "offsets", "_copy_at", "rec_payload"),
+            ),
             (Lemma9Check, ("slack",)),
             (CoinGamePoint, ("ratio",)),
         )
@@ -496,6 +505,12 @@ REMOVED_PACKAGES = frozenset(
                     ("ColumnarBatch", "DeliveryPlan", "plan_delivery", "first_illegal_omission"),
                 ),
                 ("repro.runtime.delivery", ("Delivery", "DeliveryPlan", "_raise_illegal")),
+                # One column path for a round's copies: sends append to four
+                # lists, and every inbox is a ColumnInbox slice.
+                ("repro.runtime", ("Multicast", "MessageRecord", "LazyMessageList")),
+                ("repro.runtime.messages", ("Multicast", "MessageRecord", "FanoutCache")),
+                ("repro.runtime.delivery", ("LazyMessageList", "_LazyMessages")),
+                ("repro.runtime.process", ("Multicast", "MessageRecord")),
             )
             for name in names
         ),
@@ -510,14 +525,14 @@ def test_removed_name_is_not_importable(module, name):
 
 
 def test_numpy_is_a_hard_dependency(repro_env):
-    """Every round is delivered through numpy column vectors: numpy is an
-    install requirement, and an interpreter where it does not import
+    """Every round is delivered through numpy column vectors: numpy (1.23 or
+    later) is an install requirement, and an interpreter where it does not import
     cannot import the engine (there is no pure-python fallback)."""
     import configparser
 
     setup = configparser.ConfigParser()
     setup.read(Path(__file__).resolve().parent.parent / "setup.cfg")
-    assert setup["options"]["install_requires"].split() == ["numpy"]
+    assert setup["options"]["install_requires"].split() == ["numpy>=1.23"]
     assert "fast" not in setup["options.extras_require"]
     run = subprocess.run(
         [sys.executable, "-c",
@@ -703,7 +718,7 @@ def test_engine_builds_messages_per_copy_only_where_one_is_read():
     only in the batch's flat expansion and the lazy views' cache fill (the
     reference object loop is ``tests/delivery_oracle.py``).  (The
     dynamic half is the ``materialized`` fixture's zero-fill tests.)  A
-    new site queues a ``Multicast`` or hands out a lazy view instead — or
+    new site queues one fan-out record or hands out a lazy view instead — or
     is added here on purpose."""
     runtime = Path(__file__).resolve().parent.parent / "src" / "repro" / "runtime"
     sites = {

@@ -22,6 +22,8 @@ from repro.runtime import (
     SyncProcess,
 )
 
+from .delivery_oracle import clear, queued
+
 
 class SpreadingHarness(SyncProcess):
     """Each process owns one slot (its pid) and gossips it on the graph."""
@@ -183,9 +185,9 @@ class TestQuiescentRounds:
         next(program)  # round 1: its own pack to every link
         outboxes = []
         for inbox in ([probe(1), probe(2), probe(3)], second_inbox):
-            env.outbox.clear()
+            clear(env)
             program.send(inbox)
-            outboxes.append(list(env.outbox))
+            outboxes.append(queued(env))
         return state, outboxes
 
     def test_all_heartbeat_inbox_never_enters_the_general_loop(

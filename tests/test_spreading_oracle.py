@@ -37,6 +37,7 @@ from repro.runtime import (
     SyncProcess,
 )
 
+from .delivery_oracle import clear, queued
 from .test_golden_dolev_strong import FlatCopyRecorder
 
 
@@ -286,9 +287,9 @@ def test_equal_payloads_on_non_adjacent_links_are_not_merged():
     program = group_bits_spreading(env, state, 2, 0, (5, 6), 2, 0)
 
     next(program)
-    (first,) = env.outbox  # the same fresh pack to all three: one run
+    (first,) = queued(env)  # the same fresh pack to all three: one run
     assert first.recipients == (1, 2, 3)
-    env.outbox.clear()
+    clear(env)
 
     heartbeat = (TAG_PACK, ())
     # Round 2 is queued before the generator asks for its next inbox.
@@ -298,14 +299,15 @@ def test_equal_payloads_on_non_adjacent_links_are_not_merged():
         Message(3, 0, heartbeat),
     ])
     pack = (TAG_PACK, ((1, 7, 8),))
+    outbox = queued(env)
     flat = [
         (recipient, record.payload)
-        for record in env.outbox
+        for record in outbox
         for recipient in record.recipients
     ]
     assert flat == [(1, pack), (2, heartbeat), (3, pack)]
-    assert [record.recipients for record in env.outbox] == [(1,), (2,), (3,)]
-    assert env.outbox[0].payload is env.outbox[2].payload
+    assert [record.recipients for record in outbox] == [(1,), (2,), (3,)]
+    assert outbox[0].payload is outbox[2].payload
     with pytest.raises(StopIteration):
         program.send([])
 
@@ -320,7 +322,7 @@ def test_algorithm1_queues_a_fifth_of_the_per_link_records():
         records = copies = 0
 
         def on_messages_sent(self, round_no, outbound, network):
-            self.records += len(outbound.records)
+            self.records += len(outbound.senders)
             self.copies += len(outbound)
 
     counter = OutboxRecords()
@@ -330,3 +332,73 @@ def test_algorithm1_queues_a_fifth_of_the_per_link_records():
     )
     assert counter.copies == 113_832
     assert counter.records < 93_200 // 5
+
+
+def drive(spreading, inboxes):
+    """Pid 0 with neighbours 1..3 and four slots, its own slot 0, run for
+    ``len(inboxes)`` rounds on the given inboxes; returns the flat copies
+    ``(recipient, payload, bits)`` it queued each round, its result and
+    its state."""
+    env = ProcessEnv(0, 4, CountingRandom(0))
+    state = SpreadingState(neighbors=(1, 2, 3))
+    program = spreading(env, state, 4, 0, (5, 6), len(inboxes), 0)
+    next(program)
+    sent = []
+    for inbox in inboxes:
+        sent.append([
+            (recipient, record.payload, record.bits)
+            for record in queued(env)
+            for recipient in record.recipients
+        ])
+        clear(env)
+        try:
+            program.send(inbox)
+        except StopIteration as done:
+            return sent, done.value, state
+    raise AssertionError("the run outlived its rounds")
+
+
+def test_a_link_owed_two_slots_fewer_takes_the_general_build():
+    """Round 2's fresh pack holds slots 1, 2 and 3: link 1 sent two of
+    them (its pack drops two slots: no single tuple slice), link 2 sent
+    one (a slice), link 3 none (the whole fresh pack).  Every copy equals
+    the per-link original's, payload and bits."""
+    heartbeat = (TAG_PACK, ())
+    inboxes = [
+        [
+            Message(1, 0, (TAG_PACK, ((1, 1, 0), (2, 0, 1)))),
+            Message(2, 0, (TAG_PACK, ((3, 1, 1),))),
+            Message(3, 0, heartbeat),
+        ],
+        [Message(1, 0, heartbeat), Message(2, 0, heartbeat), Message(3, 0, heartbeat)],
+    ]
+    new = drive(group_bits_spreading, inboxes)
+    old = drive(reference_group_bits_spreading, inboxes)
+    assert new[0] == old[0]
+    assert new[1] == old[1]
+    second = {recipient: payload for recipient, payload, _ in new[0][1]}
+    assert second == {
+        1: (TAG_PACK, ((3, 1, 1),)),
+        2: (TAG_PACK, ((1, 1, 0), (2, 0, 1))),
+        3: (TAG_PACK, ((1, 1, 0), (2, 0, 1), (3, 1, 1))),
+    }
+
+
+def test_a_neighbour_disregarded_mid_phase():
+    """Link 2 is silent in round 1 and never used again; the fresh packs
+    of rounds 2 and 3 are cut for the two live links only, as the per-link
+    original queues them."""
+    heartbeat = (TAG_PACK, ())
+    inboxes = [
+        [Message(1, 0, (TAG_PACK, ((1, 1, 0),))), Message(3, 0, heartbeat)],
+        [Message(1, 0, heartbeat), Message(3, 0, (TAG_PACK, ((2, 0, 1), (1, 1, 0))))],
+        [Message(1, 0, heartbeat), Message(3, 0, heartbeat)],
+    ]
+    new = drive(group_bits_spreading, inboxes)
+    old = drive(reference_group_bits_spreading, inboxes)
+    assert new[0] == old[0]
+    assert new[1] == old[1]
+    assert new[2].disregarded == old[2].disregarded == {2}
+    assert [sorted({r for r, _, _ in copies}) for copies in new[0]] == [
+        [1, 2, 3], [1, 3], [1, 3]
+    ]

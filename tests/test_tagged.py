@@ -11,15 +11,17 @@ from pathlib import Path
 import pytest
 
 from repro.runtime import (
-    LazyMessageList,
+    ColumnInbox,
     Message,
-    MessageBatch,
+    delivery,
     inbox_payloads,
     inbox_senders,
     tagged,
     tagged_from,
 )
-from repro.runtime.delivery import ColumnInbox
+from repro.runtime.delivery import CopyColumns
+
+from .delivery_oracle import batch_of
 
 #: Sender i sends PAYLOADS[i] to pid 0: every shape a receive step skips
 #: (not a tuple, the empty tuple, a foreign tag, a list headed by the tag)
@@ -31,10 +33,14 @@ def inboxes():
     messages = [
         Message(sender, 0, payload, bits=1) for sender, payload in enumerate(PAYLOADS)
     ]
-    columns = (list(range(len(PAYLOADS))), list(PAYLOADS), [1] * len(PAYLOADS))
+    delivered: list = [[]]
+    delivery.deliver(batch_of(messages), (), delivered, None)
+    columns = CopyColumns.of(
+        list(range(len(PAYLOADS))), [0] * len(PAYLOADS), list(PAYLOADS), [1] * len(PAYLOADS)
+    )
     return {
-        "lazy": LazyMessageList(MessageBatch(messages)),
-        "columns": ColumnInbox(0, columns),
+        "lazy": delivered[0],
+        "columns": ColumnInbox(columns),
         "list": messages,
     }
 

@@ -1,13 +1,14 @@
 """Oracle for the adversary view's index helpers.
 
 ``NetworkView.message_indices_touching / _from / _to`` answer for the asked
-pids only, by vectorized selects on the round's column vectors.  This
-module keeps what they replaced — the
-all-copies ``indices_by_sender`` / ``indices_by_recipient`` builders and
-the three helper bodies — verbatim as the executable specification, and
-checks that the new helpers hand ``frozenset()`` the **same list**: the
-iteration order of a set of ints depends on its insertion sequence, and
-``RandomOmissionAdversary`` assigns its draws in that order.
+pids only: the sender side from record ranges, the recipient side from
+the round's one recipient sort (the one delivery reuses).  This module
+keeps what they replaced — the all-copies ``indices_by_sender`` /
+``indices_by_recipient`` builders (walking the send columns record by
+record) and the three helper bodies — as the executable specification,
+and checks that the new helpers hand ``frozenset()`` the **same list**:
+the iteration order of a set of ints depends on its insertion sequence,
+and ``RandomOmissionAdversary`` assigns its draws in that order.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from repro.runtime import (
     AdversaryAction,
     Message,
     MessageBatch,
-    Multicast,
     NetworkView,
     network,
 )
+
+from .delivery_oracle import batch_of
 
 HELPERS = {
     "message_indices_touching": (True, True),
@@ -46,14 +48,11 @@ def offsets(batch: MessageBatch) -> list[int]:
 def indices_by_sender(batch: MessageBatch) -> dict[int, list[int]]:
     """Flat copy indices grouped by sender, in index order."""
     by_sender: dict[int, list[int]] = {}
-    for record, base in zip(batch.records, offsets(batch)):
-        if type(record) is Multicast:
-            indices = range(base, base + len(record.recipients))
-        else:
-            indices = (base,)
-        existing = by_sender.get(record.sender)
+    for sender, fanout, base in zip(batch.senders, batch.fanouts, offsets(batch)):
+        indices = range(base, base + len(fanout))
+        existing = by_sender.get(sender)
         if existing is None:
-            by_sender[record.sender] = list(indices)
+            by_sender[sender] = list(indices)
         else:
             existing.extend(indices)
     return by_sender
@@ -63,12 +62,9 @@ def indices_by_recipient(batch: MessageBatch) -> dict[int, list[int]]:
     """Flat copy indices grouped by recipient, in index order."""
     by_recipient: dict[int, list[int]] = {}
     setdefault = by_recipient.setdefault
-    for record, base in zip(batch.records, offsets(batch)):
-        if type(record) is Multicast:
-            for position, recipient in enumerate(record.recipients):
-                setdefault(recipient, []).append(base + position)
-        else:
-            setdefault(record.recipient, []).append(base)
+    for fanout, base in zip(batch.fanouts, offsets(batch)):
+        for position, recipient in enumerate(fanout):
+            setdefault(recipient, []).append(base + position)
     return by_recipient
 
 
@@ -93,6 +89,10 @@ def reference_list(messages, pids, sent: bool, received: bool) -> list[int]:
         if received:
             indices.extend(by_recipient.get(pid, ()))
     return indices
+
+
+def sender_of(record) -> int:
+    return record.sender if isinstance(record, Message) else record[0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +121,7 @@ pid_in_range = st.integers(0, N - 1)
 records = st.lists(
     st.one_of(
         st.builds(Message, pid_in_range, pid_in_range, st.just("p")),
-        st.builds(
-            Multicast,
+        st.tuples(
             pid_in_range,
             # Repeats allowed: a recipient may recur inside one fan-out.
             st.lists(pid_in_range, min_size=1, max_size=3 * N).map(tuple),
@@ -146,14 +145,29 @@ class TestOracle:
         self, records, sender_sorted, plain_list, pids
     ):
         if sender_sorted:
-            records = sorted(records, key=lambda record: record.sender)
-        batch = MessageBatch(records)
+            records = sorted(records, key=sender_of)
+        batch = batch_of(records)
         # A plain list is the per-copy expansion, as a batch of its own.
         messages = list(batch) if plain_list else batch
         for helper, (sent, received) in HELPERS.items():
             assert handed_to_frozenset(
-                MessageBatch(messages) if plain_list else batch, helper, pids
+                batch_of(messages) if plain_list else batch, helper, pids
             ) == reference_list(messages, pids, sent, received)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=records, pids=st.sets(st.integers(-2, N + 2), max_size=N))
+    def test_shared_sort_equals_per_pid_flatnonzero(self, records, pids):
+        """``copy_indices`` answers from record ranges and one recipient
+        sort with the lists a per-pid ``flatnonzero`` select over the copy
+        columns gives, order included."""
+        batch = batch_of(records)
+        asked = sorted(pids)
+        by_sender, by_recipient = batch.copy_indices(asked, asked)
+        for pid in asked:
+            assert by_sender[pid] == np.flatnonzero(batch.copy_sender == pid).tolist()
+            assert by_recipient[pid] == (
+                np.flatnonzero(batch.copy_recipient == pid).tolist()
+            )
 
     @pytest.mark.parametrize("fanout", [1, 3, 4, 9])
     def test_both_sides_of_the_per_batch_rule(self, fanout):
@@ -161,11 +175,9 @@ class TestOracle:
         were walked below fan-out 4) answer from the column vectors with
         the same list."""
         n = 10
-        batch = MessageBatch(
+        batch = batch_of(
             [
-                Multicast(
-                    pid, tuple((pid + k) % n for k in range(1, fanout + 1)), pid
-                )
+                (pid, tuple((pid + k) % n for k in range(1, fanout + 1)), pid)
                 for pid in range(n)
             ]
         )
@@ -190,11 +202,8 @@ class TestOracle:
 def dense_round(n: int = 256, t: int = 32):
     """One Ben-Or-shaped all-to-all round and a spread-out faulty set."""
     everyone = tuple(range(n))
-    batch = MessageBatch(
-        [
-            Multicast(pid, everyone[:pid] + everyone[pid + 1 :], (7, pid % 2))
-            for pid in range(n)
-        ]
+    batch = batch_of(
+        [(pid, everyone[:pid] + everyone[pid + 1 :], (7, pid % 2)) for pid in range(n)]
     )
     return batch, frozenset(range(3, n, n // t))
 
