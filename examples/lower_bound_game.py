@@ -4,7 +4,7 @@ Three demonstrations from Section 4 / Appendix C:
 
 1. **Lemma 12, the coin-flipping game** — an adversary hiding
    ``O(sqrt(k log 1/alpha))`` of k coin flips biases the game's outcome with
-   probability ``1 - alpha``; we measure the actual minimal hide budget.
+   probability ``1 - alpha``; we compute the exact minimal hide budget.
 
 2. **Lemma 13, valency** — exhaustive search over adaptive crash schedules
    shows the 3-process flooding protocol has bivalent initial states (the
@@ -34,12 +34,12 @@ from repro.lowerbound import (
 def demo_coin_game() -> None:
     print("=== Lemma 12: the one-round coin-flipping game ===")
     print(f"{'k':>6} {'alpha':>6} {'hides needed':>13} {'8*sqrt(k log 1/a)':>18}")
-    for point in sweep_lemma12([16, 64, 256, 1024], [0.25, 0.05], trials=800):
+    for point in sweep_lemma12([16, 64, 256, 1024], [0.25, 0.05]):
         print(
             f"{point.k:>6} {point.alpha:>6} {point.measured_budget:>13} "
             f"{point.lemma12_bound:>18.1f}"
         )
-    print("measured budgets grow like sqrt(k), comfortably under the bound\n")
+    print("exact budgets grow like sqrt(k), comfortably under the bound\n")
 
 
 def demo_valency() -> None:
@@ -85,7 +85,7 @@ def main() -> None:
     # Bonus: a single game, end to end.
     game = ThresholdCoinGame(k=100)
     budget = minimal_budget_for_success(game, target=0,
-                                        success_probability=0.9, trials=500)
+                                        success_probability=0.9)
     print(f"biasing a 100-coin game to 0 with 90% success: "
           f"{budget} hides needed (Lemma 12 allows "
           f"{lemma12_budget(100, 0.1):.0f})")

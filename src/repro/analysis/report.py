@@ -34,6 +34,8 @@ import subprocess
 import time
 from pathlib import Path
 
+import numpy as np
+
 from ..adversary import (
     GALLERY,
     ChaosAdversary,
@@ -60,6 +62,8 @@ from ..graphs import (
 )
 from ..harness import ExecutionConfig, ProtocolSpec, available_protocols, execute, protocol_spec
 from ..lowerbound import (
+    binomial_tail_geq,
+    chain_point,
     classify_all_inputs,
     FloodMinProtocol,
     measure_tradeoff_product,
@@ -72,7 +76,7 @@ from ..replay import SCENARIOS, check_consensus_protocol
 from ..runtime import CountingRandom, RoundObserver, SyncProcess
 from . import theory
 from .campaign import CampaignSpec, mixed_inputs, run_campaign
-from .fits import loglog_slope
+from .fits import least_squares_slope, loglog_slope
 from .montecarlo import wilson_interval
 
 PRACTICAL = ProtocolParams.practical()
@@ -370,13 +374,13 @@ def scaling(ns, seed, quiet_seed, unanimous_ns, unanimous_seed):
     return values
 
 
-def lower_bound(ks, alphas, trials, talagrand_ns, talagrand_ts, floodmin,
-                n, t, coins, seed, max_phases):
+def lower_bound(ks, alphas, talagrand_ns, talagrand_ts, floodmin, n, t,
+                coins, seed, max_phases):
     """Theorem 2's pieces: Lemma 12's hide budgets (slope over the first
     alpha), Theorem 6 on threshold sets, a Lemma-13 bivalent input of
     ``FloodMinProtocol(*floodmin)`` at t=1, and T x (R+T) of the
     coin-throttled attack at (n, t)."""
-    lemma12 = sweep_lemma12(ks, alphas, trials=trials)
+    lemma12 = sweep_lemma12(ks, alphas)
     first = [p for p in lemma12 if p.alpha == alphas[0]]
     checks = verify_threshold_inequality(talagrand_ns, talagrand_ts)
     valency = classify_all_inputs(FloodMinProtocol(*floodmin), t=1)
@@ -594,7 +598,8 @@ def trb(n, budgets, seed, silenced_t, silenced_seeds, crash_n, crash_t,
 
 def epoch_budget(n, epochs, trials, seed):
     """Ablation of the epoch budget (Lemma 10): Dolev-Strong fallback rate
-    on balanced inputs per number of epochs, with Wilson 95% intervals."""
+    on balanced inputs per number of epochs, with Wilson 95% intervals and
+    the epoch chain's fault-free value beside them."""
     values: dict = {}
     first = seed * 1000 + 17
     for budget in epochs:
@@ -602,8 +607,58 @@ def epoch_budget(n, epochs, trials, seed):
             "algorithm1", n, range(first, first + trials), num_epochs=budget
         )
         fallbacks = sum(_column(records, "fallback"))
+        low, high = wilson_interval(fallbacks, trials)
         _append(values, fallbacks=fallbacks, fallback_rate=fallbacks / trials,
-                interval=list(wilson_interval(fallbacks, trials)))
+                interval=[low, high], interval_low=low, interval_high=high,
+                chain_fallback=chain_point(n, 0, budget).fallback)
+    return values
+
+
+def epoch_chain(ns):
+    """The epoch chain alone at the registry budget t and the practical
+    epoch count E per n: Pr[fallback] with no adversary (beside its closed
+    form, the band probability to the power E - 2) and under the optimum,
+    expected coin epochs, the E that reaches Pr <= 1/n and the optimum's
+    Pr[fallback] against E; the fit E - 2 = a t/sqrt(n) + b ln n over the
+    lower and the upper half of ns (sharing the middle n); the slope of the
+    optimum's coin epochs against t/sqrt(n)."""
+    values: dict = {"table": [[
+        "n", "t", "E", "Pr none", "Pr optimal", "coin epochs none",
+        "coin epochs optimal", "E for 1/n none", "E for 1/n optimal",
+    ]]}
+    for n in ns:
+        t = PRACTICAL.max_faults(n)
+        epochs = PRACTICAL.num_epochs(n, t)
+        none, optimal = chain_point(n, 0, epochs), chain_point(n, t, epochs)
+        band = binomial_tail_geq(n, -(-n // 2)) - binomial_tail_geq(n, 3 * n // 5 + 1)
+        _append(values, t=t, epochs=epochs, t_over_sqrt_n=t / math.sqrt(n),
+                fallback_none=none.fallback,
+                fallback_closed_form=band ** max(0, epochs - 2),
+                fallback_optimal=optimal.fallback,
+                coin_epochs_none=none.coin_epochs,
+                coin_epochs_optimal=optimal.coin_epochs,
+                needed_none=none.epochs_needed,
+                needed_optimal=optimal.epochs_needed,
+                curve_optimal=list(optimal.curve))
+        values["table"].append([
+            str(n), str(t), str(epochs),
+            f"{none.fallback:#.3g}", f"{optimal.fallback:#.3g}",
+            f"{none.coin_epochs:.2f}", f"{optimal.coin_epochs:.2f}",
+            str(none.epochs_needed), str(optimal.epochs_needed),
+        ])
+    x = np.array([values["t_over_sqrt_n"], np.log(ns)]).T
+    middle = len(ns) // 2
+    fits = [
+        np.linalg.lstsq(x[half], np.array(values["needed_optimal"])[half] - 2,
+                        rcond=None)[0]
+        for half in (slice(0, middle + 1), slice(middle, None))
+    ]
+    values["fit_a"], values["fit_b"] = ([float(f[i]) for f in fits] for i in (0, 1))
+    values["fit_a_ratio"] = values["fit_a"][1] / values["fit_a"][0]
+    values["fit_b_ratio"] = values["fit_b"][1] / values["fit_b"][0]
+    values["coin_slope"] = least_squares_slope(
+        values["t_over_sqrt_n"], values["coin_epochs_optimal"]
+    )
     return values
 
 
@@ -797,8 +852,8 @@ MEASURES = {
     for function in (
         table1, overlay, aggregation, vote_rule, scaling, lower_bound,
         tradeoff, baselines, lemma9, amortization, early_stopping, trb,
-        epoch_budget, threshold_gap, spreading_rounds, overlay_degree,
-        multivalued, conformance, kill,
+        epoch_budget, epoch_chain, threshold_gap, spreading_rounds,
+        overlay_degree, multivalued, conformance, kill,
     )
 }
 

@@ -1,9 +1,11 @@
 """Lower-bound machinery (Section 4 / Appendix C).
 
 * :mod:`~repro.lowerbound.coin_game` — the one-round coin-flipping game and
-  the Lemma-12 hide-budget measurements;
+  the Lemma-12 hide budget as an exact quantile;
 * :mod:`~repro.lowerbound.talagrand` — exact numeric verification of
   Talagrand's inequality (Theorem 6) on threshold sets;
+* :mod:`~repro.lowerbound.epoch_chain` — the one ``Bin(m, 1/2)`` layer and
+  the exact chain of Algorithm 1's coin epochs (Lemmas 9/10) on it;
 * :mod:`~repro.lowerbound.valency` — exhaustive valency classification of
   toy protocols under adaptive crash schedules (Lemma 13): one fold over
   the crash game, whose expectimax classifier is
@@ -22,15 +24,18 @@ from .anticoncentration import (
 from .coin_game import (
     CoinGamePoint,
     ThresholdCoinGame,
-    bias_success_probability,
     lemma12_budget,
     minimal_budget_for_success,
     sweep_lemma12,
 )
-from .talagrand import (
-    TalagrandCheck,
+from .epoch_chain import (
     binomial_tail_geq,
     binomial_tail_lt,
+    chain_point,
+    epoch_step,
+)
+from .talagrand import (
+    TalagrandCheck,
     check_threshold_point,
     verify_threshold_inequality,
 )
@@ -69,13 +74,14 @@ __all__ = [
     "verify_lemma9",
     "CoinGamePoint",
     "ThresholdCoinGame",
-    "bias_success_probability",
     "lemma12_budget",
     "minimal_budget_for_success",
     "sweep_lemma12",
     "TalagrandCheck",
     "binomial_tail_geq",
     "binomial_tail_lt",
+    "chain_point",
+    "epoch_step",
     "check_threshold_point",
     "verify_threshold_inequality",
     "AttackPoint",

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .talagrand import binomial_tail_geq
+from .epoch_chain import binomial_tail_geq
 
 
 def lemma9_lower_bound(t: float) -> float:

@@ -10,20 +10,19 @@ one fixed outcome with probability ``> 1 - alpha`` by hiding at most
 This module implements the game for the canonical *threshold* family —
 players flip fair ±1 coins and ``f`` is 1 iff the visible sum is at least a
 threshold (hidden values count 0) — where the optimal adversary is greedy
-(hide the largest contributors toward the undesired side).  The
-Theorem-2-shaped experiments measure, by Monte-Carlo + binary search, the
-minimal hide budget achieving success probability ``1 - alpha`` and compare
-its growth with ``sqrt(k log(1/alpha))``.
+(hide the largest contributors toward the undesired side).  The minimal
+hide budget achieving success probability ``1 - alpha`` is an exact
+quantile of ``Bin(k, 1/2)``; the Theorem-2-shaped experiments compare its
+growth with ``sqrt(k log(1/alpha))``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from ..runtime.randomness import stable_seed
+from .epoch_chain import binomial_tail_geq
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,6 @@ class ThresholdCoinGame:
             if index not in hidden
         )
         return 1 if visible_sum >= self.threshold else 0
-
-    def draw(self, rng: random.Random) -> list[int]:
-        return [1 if rng.getrandbits(1) else -1 for _ in range(self.k)]
 
     def bias_toward(
         self, values: Sequence[int], target: int, budget: int
@@ -74,53 +70,37 @@ class ThresholdCoinGame:
             return None
         return frozenset(available[:deficit])
 
+    def escape_probability(self, target: int, budget: int) -> float:
+        """Exact probability that :meth:`bias_toward` cannot force
+        ``target`` on fair coins.
 
-def bias_success_probability(
-    game: ThresholdCoinGame,
-    target: int,
-    budget: int,
-    trials: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo probability that the greedy adversary forces ``target``."""
-    rng = random.Random(stable_seed("coin-game", game.k, target, budget, seed))
-    successes = 0
-    for _ in range(trials):
-        values = game.draw(rng)
-        if game.bias_toward(values, target, budget) is not None:
-            successes += 1
-    return successes / trials
+        With ``Z ~ Bin(k, 1/2)`` coins of the sign that hurts ``target``,
+        the greedy hider must hide ``2Z - slack`` of them, out of only those
+        ``Z`` (``slack = k + threshold - 1`` for target 0, ``k - threshold``
+        for target 1): it fails iff ``Z > min((budget + slack) // 2, slack)``.
+        """
+        slack = self.k - self.threshold if target else self.k + self.threshold - 1
+        return binomial_tail_geq(self.k, min((budget + slack) // 2, slack) + 1)
 
 
 def minimal_budget_for_success(
-    game: ThresholdCoinGame,
-    target: int,
-    success_probability: float,
-    trials: int = 2000,
-    seed: int = 0,
+    game: ThresholdCoinGame, target: int, success_probability: float
 ) -> int:
-    """Smallest hide budget whose empirical success rate meets the target.
-
-    Binary search over the budget (success probability is monotone in it).
+    """The exact quantile: the smallest hide budget whose escape probability
+    is at most ``1 - success_probability`` (the small side: ``1 - 2^-64`` is
+    1.0 in floating point).  ``ValueError`` when none is: at threshold 0 the
+    all-+1 draw escapes target 0 at any budget, so ``1 - 2^-k`` is the most.
     """
     if not 0.0 < success_probability <= 1.0:
         raise ValueError(
             f"success probability must be in (0, 1], got {success_probability}"
         )
-    low, high = 0, game.k
-    if (
-        bias_success_probability(game, target, high, trials, seed)
-        < success_probability
-    ):
-        return game.k  # even hiding everyone is not enough (threshold game: never)
-    while low < high:
-        mid = (low + high) // 2
-        rate = bias_success_probability(game, target, mid, trials, seed)
-        if rate >= success_probability:
-            high = mid
-        else:
-            low = mid + 1
-    return low
+    most = game.k + abs(game.threshold)  # the escape is flat from here on
+    for budget in range(most + 1):
+        if game.escape_probability(target, budget) <= 1 - success_probability:
+            return budget
+    escape = game.escape_probability(target, most)
+    raise ValueError(f"no budget reaches {success_probability}: at most {1 - escape}")
 
 
 def lemma12_budget(k: int, alpha: float) -> float:
@@ -142,28 +122,15 @@ class CoinGamePoint:
     lemma12_bound: float
 
 
-def sweep_lemma12(
-    ks: Sequence[int],
-    alphas: Sequence[float],
-    trials: int = 2000,
-    seed: int = 0,
-) -> list[CoinGamePoint]:
-    """Measure minimal hide budgets across (k, alpha) and compare with the
-    Lemma-12 bound; the scaling in sqrt(k) is the experiment's shape."""
-    points = []
-    for k in ks:
-        game = ThresholdCoinGame(k=k, threshold=0)
-        for alpha in alphas:
-            budget = minimal_budget_for_success(
-                game, target=0, success_probability=1 - alpha,
-                trials=trials, seed=seed,
-            )
-            points.append(
-                CoinGamePoint(
-                    k=k,
-                    alpha=alpha,
-                    measured_budget=budget,
-                    lemma12_bound=lemma12_budget(k, alpha),
-                )
-            )
-    return points
+def sweep_lemma12(ks: Sequence[int], alphas: Sequence[float]) -> list[CoinGamePoint]:
+    """The exact minimal hide budgets across (k, alpha) beside the Lemma-12
+    bound; the scaling in sqrt(k) is the experiment's shape."""
+    return [
+        CoinGamePoint(
+            k, alpha,
+            minimal_budget_for_success(ThresholdCoinGame(k), 0, 1 - alpha),
+            lemma12_budget(k, alpha),
+        )
+        for k in ks
+        for alpha in alphas
+    ]

@@ -13,37 +13,18 @@ coin-flipping game uses — the uniform-weight witness gives
     Pr[Bin(k,1/2) >= s] * Pr[Bin(k,1/2) < s - t*sqrt(k)] <= exp(-t^2/4)
 
 is a sound (slightly stronger-than-needed) numeric check, computable exactly
-with binomial tails.  :func:`verify_threshold_inequality` evaluates it on a
-grid; the benchmark asserts no violations.
+with the binomial tails of :mod:`~repro.lowerbound.epoch_chain`.
+:func:`verify_threshold_inequality` evaluates it on a grid; the benchmark
+asserts no violations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from collections.abc import Sequence
 
-
-@lru_cache(maxsize=4096)
-def binomial_tail_geq(k: int, s: int) -> float:
-    """Exact ``Pr[Bin(k, 1/2) >= s]``."""
-    if s <= 0:
-        return 1.0
-    if s > k:
-        return 0.0
-    total = sum(math.comb(k, i) for i in range(s, k + 1))
-    # Integer/integer division: exact big-int arithmetic until the final
-    # float conversion (2.0**k would overflow beyond k ~ 1023).
-    return total / (1 << k)
-
-
-def binomial_tail_lt(k: int, s: float) -> float:
-    """Exact ``Pr[Bin(k, 1/2) < s]``."""
-    ceiling = math.ceil(s)
-    if ceiling <= 0:
-        return 0.0
-    return 1.0 - binomial_tail_geq(k, ceiling)
+from .epoch_chain import binomial_tail_geq, binomial_tail_lt
 
 
 @dataclass(frozen=True)

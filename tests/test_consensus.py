@@ -223,3 +223,37 @@ class TestVoteRuleBinding:
             assert len(
                 {out.bit for _, _, out in epoch if not out.used_coin}
             ) <= 1
+
+
+class TestChainBinding:
+    """Lines 9-12 as the exact epoch chain models them
+    (``repro.lowerbound.epoch_chain``): fault-free, each epoch's next shared
+    count is the chain's transition of this epoch's shared count and the
+    coins drawn, and the chain's cost is zero exactly when the next epoch
+    flips coins."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_next_count_is_the_chain_transition(self, n, seed, monkeypatch):
+        from repro.core import consensus
+        from repro.lowerbound import epoch_step
+
+        rule = consensus.apply_vote_rule
+        votes = {}  # a process's metered source (env.random) -> its votes
+
+        def spy(ones, zeros, params, coin):
+            outcome = rule(ones, zeros, params, coin)
+            votes.setdefault(coin, []).append((ones, ones + zeros, outcome))
+            return outcome
+
+        monkeypatch.setattr(consensus, "apply_vote_rule", spy)
+        run = execute("algorithm1", mixed(n), seed=seed)
+        assert run.result.faulty == frozenset()
+        epochs = list(zip(*votes.values(), strict=True))
+        assert len(epochs) >= 2
+        for epoch, following in zip(epochs, epochs[1:]):
+            (ones, total), = {(o, m) for o, m, _ in epoch}  # one shared view
+            coin_ones = sum(out.bit for _, _, out in epoch if out.used_coin)
+            next_ones, cost = epoch_step(ones, total, coin_ones)
+            assert {(o, m) for o, m, _ in following} == {(int(next_ones), total)}
+            assert (cost == 0) == all(out.used_coin for _, _, out in following)

@@ -133,3 +133,31 @@ def test_unchanged_result_is_not_rewritten(workdir):
 def test_report_only_unknown_id(workdir, capsys):
     assert main(["report", "--only", "E-NOPE"]) == 2
     assert "E-NOPE" in capsys.readouterr().out
+
+
+def test_e_chain_names_a_mutant_for_every_criterion():
+    spec, _ = SPECS["E-CHAIN"]
+    texts = [report._criterion_text(criterion) for criterion in spec["criteria"]]
+    assert sorted(spec["mutants"]) == sorted(texts)
+
+
+@pytest.mark.parametrize(
+    "mutant,killed",
+    [
+        ("chain_point calls swapped", "fallback_optimal >= fallback_none"),
+        ("the optimum never pays", "fit_a >= 1.0"),
+        ("the optimum never pays", "coin_slope >= 1.0"),
+    ],
+)
+def test_e_chain_criteria_fail_under_their_mutants(mutant, killed, monkeypatch):
+    spec, _ = SPECS["E-CHAIN"]
+    chain_point = report.chain_point
+    swap = mutant == "chain_point calls swapped"
+    # epoch_chain asks for t = 0 and for the registry t: the swap exchanges
+    # them, the other mutant gives both calls t = 0
+    monkeypatch.setattr(report, "chain_point", lambda n, t, epochs: chain_point(
+        n, report.PRACTICAL.max_faults(n) - t if swap else 0, epochs
+    ))
+
+    values = report.epoch_chain(spec["args"]["ns"][:7])
+    assert report.evaluate(spec, values)["criteria"][killed] is False

@@ -29,6 +29,9 @@ from repro.lowerbound import (
     BalancingCrashAdversary,
     CoinGamePoint,
     Lemma9Check,
+    ThresholdCoinGame,
+    minimal_budget_for_success,
+    sweep_lemma12,
     verify_lemma9,
     verify_threshold_inequality,
 )
@@ -239,6 +242,22 @@ REMOVED_CALLS = {
     "BalancingCrashAdversary(target_margin=)": (
         TypeError, lambda: BalancingCrashAdversary(target_margin=0.0)
     ),
+    # One exact binomial layer: the Lemma-12 budget is a quantile, not a
+    # seeded Monte-Carlo search.
+    "minimal_budget_for_success(trials=)": (
+        TypeError,
+        lambda: minimal_budget_for_success(
+            ThresholdCoinGame(8), 0, 0.5, trials=100
+        ),
+    ),
+    "minimal_budget_for_success(seed=)": (
+        TypeError,
+        lambda: minimal_budget_for_success(ThresholdCoinGame(8), 0, 0.5, seed=1),
+    ),
+    "sweep_lemma12(trials=)": (
+        TypeError, lambda: sweep_lemma12([8], [0.25], trials=100)
+    ),
+    "sweep_lemma12(seed=)": (TypeError, lambda: sweep_lemma12([8], [0.25], seed=1)),
 }
 # Methods and properties that only the rollout fork or tests called.
 REMOVED_CALLS.update(
@@ -264,6 +283,7 @@ REMOVED_CALLS.update(
             ),
             (Lemma9Check, ("slack",)),
             (CoinGamePoint, ("ratio",)),
+            (ThresholdCoinGame, ("draw",)),
         )
         for attribute in attributes
     }
@@ -467,6 +487,9 @@ REMOVED_PACKAGES = frozenset(
                 ("repro.lowerbound.rollout_adversary", ("RolloutValencyAdversary",)),
                 ("repro.lowerbound.prob_valency", ("lemma13_probabilistic_witness",)),
                 ("repro.lowerbound.anticoncentration", ("adversary_cost_to_cancel",)),
+                # One exact binomial layer: no Monte-Carlo success rate.
+                ("repro.lowerbound", ("bias_success_probability",)),
+                ("repro.lowerbound.coin_game", ("bias_success_probability",)),
                 (
                     "repro.adversary",
                     ("UnionAdversary", "ThrottledAdversary", "RecordingAdversary"),
