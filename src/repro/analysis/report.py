@@ -997,11 +997,16 @@ def _dump(document: dict) -> str:
     }, "") + "\n"
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], capture_output=True, text=True).stdout.strip()
+
+
 def _header(sha256: str) -> dict:
+    # Uncommitted changes to tracked files are not HEAD's code: ``<sha>-dirty``.
     try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-        ).stdout.strip()
+        commit = _git("rev-parse", "HEAD")
+        if commit and _git("status", "--porcelain", "--untracked-files=no"):
+            commit += "-dirty"
     except OSError:
         commit = ""
     return {

@@ -6,8 +6,7 @@ original uses signatures against Byzantine faults; in the *omission* model
 processes never lie, so a relay chain of distinct process ids plays the role
 of the signature chain and is unforgeable (see DESIGN.md, Substitutions).
 
-Protocol (t+1 rounds, all broadcast traffic batched one message per pair per
-round):
+Protocol (t+1 rounds, all broadcast traffic batched one message per pair):
 
 * every participant is the source of one broadcast; round 1 it sends
   ``(source=self, value, chain=(self,))``;
@@ -28,101 +27,99 @@ low-probability fallback branch of Algorithms 1 and 4.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
-from typing import Any
 
-from ..runtime import ProcessEnv, Program, SyncProcess, inbox_payloads, inbox_senders
+from ..runtime import (
+    ProcessEnv, Program, SyncProcess, idle_rounds, inbox_payloads, inbox_senders, payload_bits,
+)
 
 TAG_DS = 5
 
-#: A relayed record: (source, value, chain-of-distinct-relayer-ids).
-Record = tuple[int, int, tuple[int, ...]]
+#: A relay pack's ``payload_bits`` before its records.
+_EMPTY_PACK_BITS = payload_bits((TAG_DS, ()))
 
 
-def _valid_record(
-    record: Any, round_index: int, sender: int, receiver: int, n: int
-) -> bool:
-    """Check the chain discipline for a record received in ``round_index``:
-    the source and every relayer must be a pid (an ``int`` in ``range(n)``).
-    Cheapest test first; the duplicate test last, once every relayer is a
-    hashable int, and only for chains that can hold a duplicate."""
-    if not (isinstance(record, tuple) and len(record) == 3):
-        return False
-    source, value, chain = record
-    if type(source) is not int or value not in (0, 1):
-        return False
-    if not isinstance(chain, tuple) or len(chain) != round_index:
-        return False
-    if chain[0] != source or chain[-1] != sender or receiver in chain:
-        return False
-    for pid in chain:
-        if type(pid) is not int or not 0 <= pid < n:
-            return False
-    return round_index == 1 or len(set(chain)) == round_index
+@lru_cache(maxsize=8)
+def _pid_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pids ``range(n)``, one int object each for every process's fan-out
+    to share, and what ``payload_bits`` charges each pid as a tuple item."""
+    pids = tuple(range(n))
+    return pids, tuple(max(1, pid.bit_length()) + 2 for pid in pids)
 
 
 def dolev_strong_consensus(
-    env: ProcessEnv,
-    t: int,
-    input_bit: int,
-    participating: bool = True,
+    env: ProcessEnv, t: int, input_bit: int, participating: bool = True
 ) -> Program:
     """Run the t+1-round chain consensus; returns the decision bit.
 
     Non-participating callers (``participating=False``) stay silent but keep
     lockstep, consuming the same ``t + 1`` rounds and returning ``None``.
+    A participant holding every source idles once its last relay is out.
     """
-    pid, n = env.pid, env.n
-    rounds = t + 1
-    accepted: dict[int, int] = {}
-    pending: list[Record] = []
-    if participating:
-        accepted[pid] = input_bit
-        pending.append((pid, input_bit, (pid,)))
+    pid, n, rounds = env.pid, env.n, t + 1
+    if not participating:
+        return (yield from idle_rounds(env, rounds))
+    pids, cost = _pid_table(n)
+    others = pids[:pid] + pids[pid + 1 :]
+    held = bytearray(n)  # per source: 0 not held, 1 held at 0, 2 held at 1
+    held[pid] = 2 if input_bit == 1 else 1
+    count = 1
+    pending = [(pid, input_bit, (pid,))]  # (source, value, chain) records
+    # A pack's size is summed as its records are accepted, never re-walked;
+    # ``tail`` is a relay's bits beyond its chain, source and value.
+    size, tail = payload_bits(pending[0]) + 1, cost[pid] + 6
 
     for round_index in range(1, rounds + 1):
-        if participating and pending:
-            env.broadcast((TAG_DS, tuple(pending)))
-        pending = []
+        if pending:
+            env.send_many(others, (TAG_DS, tuple(pending)), _EMPTY_PACK_BITS + size)
+            pending, size = [], 0
+        if count == n:  # every source held and relayed: keep no inbox
+            inbox = None
+            yield from idle_rounds(env, rounds + 1 - round_index)
+            break
         inbox = yield
-        if not participating:
-            continue
         for sender, payload in zip(inbox_senders(inbox), inbox_payloads(inbox)):
-            if len(accepted) == n:
-                break  # sources are pids, so every one is held already
-            if not (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] == TAG_DS
-            ):
+            if not (isinstance(payload, tuple) and len(payload) == 2 and payload[0] == TAG_DS):
                 continue
             records = payload[1]
             if round_index > 1:
-                # A relay pack of held sources changes nothing below (a
-                # source is only ever accepted as an int): skip it in C.
+                # Skip a pack of held sources in C (a junk source reads as
+                # held only where its record fails the checks below anyway).
                 try:
-                    if all(map(accepted.__contains__, map(itemgetter(0), records))):
+                    if all(map(held.__getitem__, map(itemgetter(0), records))):
                         continue
                 except (TypeError, IndexError, KeyError):
                     pass  # a malformed record: the walk below skips it
             for record in records:
-                # A held source is dropped whatever its chain says: look it
-                # up first, walk the chain only for sources not yet held.
-                shaped = isinstance(record, tuple) and len(record) == 3
-                if shaped and type(record[0]) is int and record[0] in accepted:
-                    continue
-                if not _valid_record(record, round_index, sender, pid, n):
+                if not (isinstance(record, tuple) and len(record) == 3):
                     continue
                 source, value, chain = record
-                accepted[source] = value
+                # A held source is dropped unwalked, whatever its chain says.
+                if type(source) is not int or (0 <= source < n and held[source]):
+                    continue
+                if value not in (0, 1) or not isinstance(chain, tuple) or len(chain) != round_index:
+                    continue
+                if chain[0] != source or chain[-1] != sender or pid in chain:
+                    continue
+                bits = 0  # one walk: every relayer is a pid; add up its wire cost
+                for relayer in chain:
+                    if type(relayer) is not int or not 0 <= relayer < n:
+                        bits = -1
+                        break
+                    bits += cost[relayer]
+                if bits < 0 or (round_index > 1 and len(set(chain)) != round_index):
+                    continue
+                held[source] = 2 if value == 1 else 1
+                count += 1
                 if round_index < rounds:
                     pending.append((source, value, chain + (pid,)))
+                    value_bits = cost[value] if type(value) is int else payload_bits(value) + 1
+                    size += bits + cost[source] + value_bits + tail
+            if count == n:
+                break  # sources are pids, so every one is held already
 
-    if not participating:
-        return None
-    ones = sum(1 for value in accepted.values() if value == 1)
-    zeros = len(accepted) - ones
-    return 1 if ones >= zeros else 0
+    return 1 if held.count(2) >= held.count(1) else 0
 
 
 class DolevStrongProcess(SyncProcess):
@@ -145,9 +142,5 @@ class DolevStrongProcess(SyncProcess):
         self.decision: int | None = None
 
     def program(self, env: ProcessEnv) -> Program:
-        decision = yield from dolev_strong_consensus(
-            env, self.t, self.input_bit, participating=True
-        )
-        self.decision = decision
-        env.decide(decision)
-        return None
+        self.decision = yield from dolev_strong_consensus(env, self.t, self.input_bit)
+        env.decide(self.decision)

@@ -125,7 +125,7 @@ class ColumnInbox(Sequence[Message]):
     or reads columns builds none.
     """
 
-    __slots__ = ("_columns", "_start", "_end", "_items")
+    __slots__ = ("_columns", "_start", "_end", "_items", "__weakref__")
 
     def __init__(self, columns: CopyColumns, start: int = 0, end: int | None = None) -> None:
         self._columns = columns

@@ -1,5 +1,10 @@
 """Tests for the Dolev-Strong-style chain consensus (baseline + fallback)."""
 
+import inspect
+import re
+import sys
+import weakref
+
 import pytest
 
 from repro.adversary import (
@@ -7,20 +12,20 @@ from repro.adversary import (
     SilenceAdversary,
     StaticCrashAdversary,
 )
-from repro.baselines import dolev_strong
 from repro.baselines.dolev_strong import (
     TAG_DS,
     DolevStrongProcess,
-    _valid_record,
     dolev_strong_consensus,
 )
 from repro.runtime import (
+    ColumnInbox,
     CountingRandom,
     Message,
     ProcessEnv,
     SyncNetwork,
     SyncProcess,
 )
+from repro.runtime.delivery import CopyColumns
 
 
 def run_ds(inputs, t, adversary=None, seed=0):
@@ -32,42 +37,60 @@ def run_ds(inputs, t, adversary=None, seed=0):
     return network.run(), processes
 
 
+def accepts(record, round_index, sender, receiver, n):
+    """Whether the receive step accepts ``record``, alone in a pack from
+    ``sender`` in ``round_index``: an accepted record is relayed in the
+    next round, with the receiver appended to its chain."""
+    env = ProcessEnv(receiver, n, CountingRandom(0))
+    program = dolev_strong_consensus(env, round_index, 0)
+    next(program)
+    for _ in range(1, round_index):
+        program.send([])
+    program.send([Message(sender, receiver, (TAG_DS, (record,)), 1)])
+    packs = env.columns[2]
+    if len(packs) == 1:  # the receiver's own round-1 pack only
+        return False
+    source, value, chain = record
+    assert packs[1:] == [(TAG_DS, ((source, value, chain + (receiver,)),))]
+    return True
+
+
 class TestChainValidation:
     def test_valid_first_round_record(self):
-        assert _valid_record((3, 1, (3,)), 1, sender=3, receiver=0, n=8)
+        assert accepts((3, 1, (3,)), 1, sender=3, receiver=0, n=8)
 
     def test_wrong_length_rejected(self):
-        assert not _valid_record((3, 1, (3,)), 2, sender=3, receiver=0, n=8)
+        assert not accepts((3, 1, (3,)), 2, sender=3, receiver=0, n=8)
 
     def test_wrong_source_rejected(self):
-        assert not _valid_record((3, 1, (4,)), 1, sender=4, receiver=0, n=8)
+        assert not accepts((3, 1, (4,)), 1, sender=4, receiver=0, n=8)
 
     def test_wrong_sender_rejected(self):
-        assert not _valid_record((3, 1, (3, 5)), 2, sender=6, receiver=0, n=8)
+        assert not accepts((3, 1, (3, 5)), 2, sender=6, receiver=0, n=8)
 
     def test_duplicate_relayers_rejected(self):
-        assert not _valid_record((3, 1, (3, 3)), 2, sender=3, receiver=0, n=8)
+        assert not accepts((3, 1, (3, 3)), 2, sender=3, receiver=0, n=8)
 
     def test_receiver_in_chain_rejected(self):
-        assert not _valid_record((3, 1, (3, 0)), 2, sender=0, receiver=0, n=8)
+        assert not accepts((3, 1, (3, 0)), 2, sender=0, receiver=0, n=8)
 
     def test_non_binary_value_rejected(self):
-        assert not _valid_record((3, 7, (3,)), 1, sender=3, receiver=0, n=8)
+        assert not accepts((3, 7, (3,)), 1, sender=3, receiver=0, n=8)
 
     def test_malformed_rejected(self):
-        assert not _valid_record("junk", 1, sender=0, receiver=1, n=8)
-        assert not _valid_record((1, 2), 1, sender=0, receiver=1, n=8)
+        assert not accepts("junk", 1, sender=0, receiver=1, n=8)
+        assert not accepts((1, 2), 1, sender=0, receiver=1, n=8)
 
     @pytest.mark.parametrize("source", [8, -1, 999, True, 3.0, "3", None, [3]])
     def test_source_that_is_not_a_pid_rejected(self, source):
         record = (source, 1, (source,))
-        assert not _valid_record(record, 1, sender=source, receiver=0, n=8)
+        assert not accepts(record, 1, sender=source, receiver=0, n=8)
 
     @pytest.mark.parametrize("relayer", [8, -1, True, 2.0, "2", None, [2]])
     def test_relayer_that_is_not_a_pid_rejected(self, relayer):
         record = (3, 1, (3, relayer, 5))
-        assert not _valid_record(record, 3, sender=5, receiver=0, n=8)
-        assert _valid_record((3, 1, (3, 2, 5)), 3, sender=5, receiver=0, n=8)
+        assert not accepts(record, 3, sender=5, receiver=0, n=8)
+        assert accepts((3, 1, (3, 2, 5)), 3, sender=5, receiver=0, n=8)
 
 
 #: Records no chain check accepts, each with source 0 where it has one.
@@ -119,21 +142,54 @@ class TestReceiveLoop:
         unreadable = [Message(1, 0, (TAG_DS, None))]
         assert drive(0, 3, 2, 0, [first, unreadable, unreadable]) == 1
 
-    def test_fault_free_run_validates_each_record_once(self, monkeypatch):
+    def test_full_house_idles_without_the_last_inbox(self):
+        """Once every source is held the generator idles in lockstep and
+        keeps no reference to the inbox that completed the house (at n =
+        2048 a round's inbox columns are megabytes per process)."""
+        env = ProcessEnv(0, 3, CountingRandom(0))
+        program = dolev_strong_consensus(env, 2, 0)
+        next(program)
+        packs = [(TAG_DS, ((q, 1, (q,)),)) for q in (1, 2)]
+        inbox = ColumnInbox(CopyColumns.of([1, 2], [0, 0], packs, [1, 1]))
+        last = weakref.ref(inbox)
+        program.send(inbox)
+        del inbox
+        assert last() is None
+        relays = ((1, 1, (1, 0)), (2, 1, (2, 0)))
+        assert env.columns[2][-1] == (TAG_DS, relays)
+        program.send(None)  # round 2's inbox: not read
+        with pytest.raises(StopIteration) as done:
+            program.send(None)
+        assert done.value.value == 1
+
+    def test_fault_free_run_validates_each_record_once(self):
         """Count guard: n·(n−1) chain walks per run, not n²·(n−1) — a source
         is looked up before its chain is walked, and a full house stops the
-        read."""
-        calls = []
+        read.  A walk is counted where it starts, by line tracing."""
+        lines, first = inspect.getsourcelines(dolev_strong_consensus)
+        starts = [
+            first + offset for offset, line in enumerate(lines)
+            if re.match(r"\s*bits = 0\b", line)
+        ]
+        assert len(starts) == 1
+        code, walks = dolev_strong_consensus.__code__, []
 
-        def counting(*args):
-            calls.append(args)
-            return _valid_record(*args)
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == starts[0]:
+                walks.append(frame.f_lineno)
+            return local
 
-        monkeypatch.setattr(dolev_strong, "_valid_record", counting)
+        def tracer(frame, event, arg):
+            return local if frame.f_code is code else None
+
         n = 32
-        result, _ = run_ds([pid % 2 for pid in range(n)], t=4)
+        sys.settrace(tracer)
+        try:
+            result, _ = run_ds([pid % 2 for pid in range(n)], t=4)
+        finally:
+            sys.settrace(None)
         assert result.agreement_value() == 1
-        assert 0 < len(calls) <= n * (n - 1)
+        assert 0 < len(walks) <= n * (n - 1)
 
     def test_fault_free_run_reads_by_column(self, materialized):
         """Both traffic rounds are read as columns: no ``Message`` is built

@@ -7,6 +7,7 @@ temporary working directory.
 
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,37 @@ def test_unchanged_result_is_not_rewritten(workdir):
 def test_report_only_unknown_id(workdir, capsys):
     assert main(["report", "--only", "E-NOPE"]) == 2
     assert "E-NOPE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "status, commit",
+    [("", "e958e5d"), (" M src/repro/cli.py\n", "e958e5d-dirty")],
+    ids=["clean", "dirty"],
+)
+def test_result_header_marks_a_dirty_tree(status, commit, monkeypatch):
+    """A result regenerated over uncommitted changes to tracked files does
+    not name HEAD as its code; untracked files are not asked about."""
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        out = {"rev-parse": "e958e5d\n", "status": status}[argv[1]]
+        return subprocess.CompletedProcess(argv, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(report.subprocess, "run", fake_run)
+    assert report._header("abc")["commit"] == commit
+    assert calls == [
+        ["git", "rev-parse", "HEAD"],
+        ["git", "status", "--porcelain", "--untracked-files=no"],
+    ]
+
+
+def test_result_header_outside_a_repository(monkeypatch):
+    def no_git(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 128, stdout="", stderr="fatal")
+
+    monkeypatch.setattr(report.subprocess, "run", no_git)
+    assert report._header("abc")["commit"] == "unknown"
 
 
 def test_e_chain_names_a_mutant_for_every_criterion():
