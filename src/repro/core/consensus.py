@@ -370,15 +370,6 @@ class ConsensusRun:
         return self.result.metrics
 
     @property
-    def used_fallback(self) -> bool:
-        """True when any process left the fast path (including inoperative
-        processes that merely waited for a decision broadcast)."""
-        return any(
-            getattr(process, "used_fallback", False)
-            for process in self.processes
-        )
-
-    @property
     def ran_deterministic_fallback(self) -> bool:
         """True when operative processes actually executed the Dolev-Strong
         fallback — the polynomially-unlikely slow branch of Theorem 5."""

@@ -123,7 +123,7 @@ class TestComplexityAccounting:
         dissemination round + the final decide resume."""
         n = 49
         run = execute("algorithm1", [1] * n, t=1, seed=10)
-        assert not run.used_fallback
+        assert not any(p.used_fallback for p in run.processes)
         epochs = run.processes[0].num_epochs
         expected = epochs * epoch_rounds(n, PARAMS) + 1
         assert run.result.time_to_agreement() == expected + 1
@@ -151,7 +151,7 @@ class TestFallbackPath:
         n = 33
         t = PARAMS.max_faults(n)
         run = execute("algorithm1", mixed(n), t=t, num_epochs=0, seed=13)
-        assert run.used_fallback
+        assert any(p.used_fallback for p in run.processes)
         assert run.decision in (0, 1)
 
     def test_zero_epochs_unanimous_validity(self):

@@ -134,5 +134,6 @@ class TestPublicState:
         run = execute(
             "early-stopping", mixed(36), t=1, adversary=SilenceAdversary(range(1)), seed=3
         )
-        assert run.used_fallback and not run.ran_deterministic_fallback
+        assert any(p.used_fallback for p in run.processes)
+        assert not run.ran_deterministic_fallback
         assert materialized == []

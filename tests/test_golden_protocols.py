@@ -84,7 +84,8 @@ def run_entry(case: str, adversary: str, seed: int) -> dict:
     if run.ran_deterministic_fallback:
         fallback = "dolev-strong"
     else:
-        fallback = "wait" if run.used_fallback else "none"
+        waited = any(getattr(p, "used_fallback", False) for p in run.processes)
+        fallback = "wait" if waited else "none"
     return {
         "digest": hashlib.sha256(canonical.encode()).hexdigest(),
         "rounds": run.result.rounds,

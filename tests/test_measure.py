@@ -4,13 +4,14 @@
 sweep driver replaced the five ``measure_*`` drivers and ``sweep_tradeoff``
 (by calling those functions), and records what every protocol's builder
 returned for an unset ``t``.  Each row is re-expressed here on campaign
-cells (``run_campaign``, and the report's whp path); the two rows no cell
-describes — an adversary seeded by ``n``, Dolev-Strong at t = n/4 — call
-``execute``.  The sweeps behind EXPERIMENTS.md must not move.
+cells (``run_campaign``; the old drivers' whp retry, which the report no
+longer makes, is spelled out inline); the two rows no cell describes — an
+adversary seeded by ``n``, Dolev-Strong at t = n/4 — call ``execute``.
 """
 
 import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from repro.adversary import (
 from repro.analysis import (
     CampaignSpec,
     campaign,
+    loglog_slope,
     mixed_inputs,
     report,
     run_campaign,
@@ -77,6 +79,22 @@ def silenced(protocol, ns):
     ]
 
 
+def retried(ns):
+    """The old driver's whp retry on cells: the cell at seed 5 + n and,
+    only after a fallback, the cells at + 7919 k (k = 1, 2) until one does
+    not fall back."""
+    rows = []
+    for n in ns:
+        for k in range(3):
+            (record,) = run_campaign(CampaignSpec(
+                "golden", "algorithm1", ns=(n,), seeds=(5 + n + 7919 * k,)
+            ))
+            if not record["fallback"]:
+                break
+        rows.append(cell_row(record))
+    return rows
+
+
 def balancing(ns):
     """``VoteBalancingAdversary(seed=n)`` is not the gallery's ``balance``
     (which seeds from the cell), so this row's whp path is spelled out."""
@@ -109,10 +127,7 @@ def quarter_budget(ns):
 #: Each old driver call, re-expressed on cells.
 SWEEPS = {
     # measure_consensus_scaling([16, 36], seed=5)
-    "algorithm1-none": lambda: [
-        cell_row(record)
-        for record in report.whp_path("algorithm1", [16, 36], 5)[0]
-    ],
+    "algorithm1-none": lambda: retried([16, 36]),
     # measure_consensus_scaling(..., adversary_factory=balancing_adversary)
     "algorithm1-balancing": lambda: balancing([16, 36]),
     # measure_dolev_strong([16, 24], fault_fraction=4, seed=5)
@@ -145,8 +160,8 @@ def test_measure_reproduces_sweep_tradeoff(want):
 
 
 # ---------------------------------------------------------------------------
-# The whp path and the epoch-budget ablation run cells, and only the cells
-# they name.
+# The scaling sweep and the epoch-budget ablation run cells, and only the
+# cells they name.
 @pytest.fixture
 def cells_run(monkeypatch):
     """Every cell ``run_campaign`` executes, as ``(protocol, n, adversary,
@@ -162,21 +177,46 @@ def cells_run(monkeypatch):
     return run
 
 
-def test_whp_path_retries_a_cell_that_fell_back(cells_run):
-    """At n=16 the cell at seed 5 + 16 falls back: the reported record is
-    the ``+7919`` cell's, and the fallen-back cell is returned too."""
-    reported, cells = report.whp_path("algorithm1", [16], 5)
-    assert [seed for *_, seed, _ in cells_run] == [21, 21 + 7919]
-    assert [record["seed"] for record in cells] == [21, 21 + 7919]
-    assert [record["fallback"] for record in cells] == [True, False]
-    assert reported == [cells[-1]]
+def test_scaling_runs_its_grid_and_nothing_else(cells_run):
+    """E-TH1's measure runs ``ns`` x (balance, none) x ``seeds`` once each,
+    whatever fell back: no cell is re-run at another seed."""
+    ns, seeds = [16, 24], [1, 2, 3]
+    values = report.scaling(ns, seeds, unanimous_ns=[16], unanimous_seed=3)
+    assert cells_run == [
+        ("algorithm1", n, adversary, seed, {})
+        for n in ns
+        for adversary in ("balance", "none")
+        for seed in seeds
+    ]
+    assert len(values["fallbacks"]) == len(values["quiet_fallbacks"]) == 2
+    assert values["fallback_rate"] == sum(values["fallbacks"]) / 6
 
 
-def test_whp_path_runs_one_cell_without_a_fallback(cells_run):
-    reported, cells = report.whp_path("algorithm1", [36], 5, "balance")
-    assert cells_run == [("algorithm1", 36, "balance", 41, {})]
-    assert reported == cells
-    assert not cells[0]["fallback"]
+def record(n, rounds, fallback):
+    return {"n": n, "rounds": rounds, "fallback": fallback}
+
+
+def test_fast_path_reads_the_cells_that_did_not_fall_back():
+    records = [
+        record(16, 9, False), record(16, 40, True), record(16, 7, False),
+        record(16, 8, False), record(16, 5, False),
+        record(24, 50, True), record(24, 60, True),
+        record(36, 11, True), record(36, 12, False), record(36, 10, False),
+    ]
+    medians, fallbacks = report.fast_path(records, "rounds")
+    # median_low: a value some run produced, never the mean of two.
+    assert medians[0] == 7 and medians[2] == 10
+    assert math.isnan(medians[1])
+    assert fallbacks == [1, 2, 1]
+    # A missing value is reported as such, and fails its criterion.
+    spec = {
+        "id": "E-X", "args": {}, "criteria": [["rounds", ">", 0]],
+        "measured": "rounds {rounds}, slope {slope:.2f}",
+    }
+    values = {"rounds": medians, "slope": loglog_slope([16, 24, 36], medians)}
+    assert report.evaluate(spec, values)["verdict"] == "VIOLATED"
+    assert report.evaluate(spec, {"rounds": [7, 10]})["verdict"] == "holds"
+    assert report._measured(spec, values) == "rounds [7, nan, 10], slope nan"
 
 
 def test_epoch_budget_runs_one_cell_per_seed_and_budget(cells_run):

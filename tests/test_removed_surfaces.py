@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.adversary import ChaosAdversary, VoteBalancingAdversary
-from repro.analysis import _journal, campaign
+from repro.analysis import _journal, campaign, report
 from repro.analysis.campaign import CampaignSpec, resolve, run_campaign
 from repro.analysis.montecarlo import wilson_interval
 from repro.cli import main as cli_main
@@ -258,6 +258,13 @@ REMOVED_CALLS = {
         TypeError, lambda: sweep_lemma12([8], [0.25], trials=100)
     ),
     "sweep_lemma12(seed=)": (TypeError, lambda: sweep_lemma12([8], [0.25], seed=1)),
+    # One fallback flag: a run ran Dolev-Strong or it did not; a process
+    # that only waited for the decision broadcast says so itself.
+    "ConsensusRun.used_fallback": (
+        AttributeError, lambda: execute("algorithm1", [1] * 16, seed=1).used_fallback
+    ),
+    # A seed grid is read as it falls: no cell is re-run after a fallback.
+    "report.whp_path": (AttributeError, lambda: report.whp_path),
 }
 # Methods and properties that only the rollout fork or tests called.
 REMOVED_CALLS.update(
